@@ -1,19 +1,21 @@
-"""Bench: sharded execution and vectorized exact mode must keep winning.
+"""Bench: sharding must not cost more than it saves; vectorized exact wins.
 
 Two gates over the quick variants of ``tools/bench.py --suite cluster``,
 mirroring the fast-forward gate's structure (speed floor + bit-parity):
 
 * ``cluster_sharded`` — ``run_sharded(workers=4)`` against the
   single-process fleet loop on the identical ShardRouter(16) workload.
-  The win is algorithmic even time-sliced onto one core: each worker
-  advances one replica per arrival instead of scanning the fleet, so
-  the interruption overhead that splits coalesced decode stretches
-  drops by the group count. On this single-core container the quick
-  (20k-request) ratio measures ~1.6-2.2x (fork and merge amortize
-  further at the 1M-request scale recorded in ``BENCH_cluster.json``);
-  the floor sits below the observed band so only a real regression —
-  not scheduler jitter — trips it. On multi-core hosts the workers run
-  concurrently and the ratio compounds with true parallelism.
+  The single-process loop now advances only the replica each arrival
+  is routed to, the group-local advancement that workers used to have
+  over it, so what remains for workers is parallelism minus fork,
+  transfer and merge. At this quick size (20k requests) on a 2-vCPU
+  VM, 16 single/sharded pairs measured a ratio of 0.95-1.53x (median
+  ~1.15x), against 2.6-3.7x when the loop still advanced all 16
+  replicas per arrival. The floor therefore only guards against the
+  sharded path costing clearly more than it saves: it sits below the
+  observed band, so scheduler jitter does not trip it. The algorithmic
+  guard, one ``advance_to`` per arrival, is the deterministic count
+  test in ``tests/test_cluster_lazy.py``.
 * ``exact_vectorized`` — exact mode pricing pure-decode stretches with
   one numpy series call per stretch against the per-iteration scalar
   reference. Measured ~4.6-5.2x at quick scale, higher at the full
@@ -34,7 +36,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 
 import bench  # noqa: E402  (tools/bench.py)
 
-MIN_SHARDED_SPEEDUP = 1.3
+MIN_SHARDED_SPEEDUP = 0.8
 MIN_VECTORIZED_SPEEDUP = 3.5
 MAX_REL_ERR = 1e-9
 QUICK_REQUESTS = 20_000

@@ -51,6 +51,7 @@ cross-check of the memoized fast path.
 
 import bisect
 import dataclasses
+from array import array
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -161,12 +162,13 @@ class ReplicaNode:
         # near the node's current kv frontier — sizes how much of a
         # stretch to price, never what the priced steps cost.
         self._step_cost_hint: Optional[float] = None
-        # Optional shard-merge hook (see repro.cluster.shard): when a
-        # list is attached, every iteration that admits requests appends
-        # one (iteration_start_s, admitted_count) entry. Admissions are
-        # atomic per iteration, so per-request start stamps cannot
-        # reconstruct when the fleet queue actually shrank — this can.
-        self.admission_log: Optional[List[Tuple[float, int]]] = None
+        #: Start of the iteration that admitted each request, in time
+        #: order (an iteration admitting k requests repeats its start k
+        #: times). Admissions are atomic per iteration, so per-request
+        #: start stamps cannot say when the queue actually shrank; these
+        #: can, and the cluster loop rebuilds its queue-depth timeline
+        #: from them after the run.
+        self.admission_stamps = array("d")
 
     # -- identification -------------------------------------------------------
 
@@ -353,13 +355,12 @@ class ReplicaNode:
         self.clock = start
         tracer = self.tracer
         stall = 0.0
-        admitted = 0
         while (self.pending and len(self.running) < self.max_batch
                and self.pending[0].ready_s <= self.clock):
             queued = self._pop_admission()
             if queued is None:
                 break
-            admitted += 1
+            self.admission_stamps.append(start)
             request = queued.request
             start_s = self.clock
             if self.admission is not None:
@@ -394,8 +395,6 @@ class ReplicaNode:
                                   "batch_size": len(self.running),
                                   "compute_s": compute_s,
                                   "memory_s": memory_s})
-        if admitted and self.admission_log is not None:
-            self.admission_log.append((start, admitted))
         completed_now: List[CompletedRequest] = []
         # Most iterations retire nobody; scan before paying _retire's
         # list rebuild.

@@ -1,7 +1,9 @@
 """Request routing across serving replicas.
 
 A :class:`Router` picks a replica for each arriving request; the cluster
-event loop calls it once per request at its arrival time. Policies:
+event loop calls it once per request at its arrival time, after bringing
+forward only the replicas the policy declares it reads
+(:meth:`Router.observes`). Policies:
 
 * :class:`RoundRobinRouter` — the classic baseline: cycles through
   routable replicas, blind to load and device speed.
@@ -57,6 +59,23 @@ class Router:
         """Choose the replica that will serve *request*."""
         raise NotImplementedError
 
+    def observes(self, request: ArrivingRequest,
+                 nodes: Sequence[ReplicaNode]) -> Sequence[ReplicaNode]:
+        """Replicas whose simulated state :meth:`select` may read.
+
+        The event loop brings exactly these replicas (and then the
+        chosen one) up to the arrival time before calling
+        :meth:`select`; every other replica keeps coalescing its decode
+        stretch. The default, the whole fleet, is always correct. A
+        policy may return less only if :meth:`select` reads no other
+        replica's queue, running set or clock: reading state outside
+        this set changes results. Fleet membership and the
+        ``active``/``draining`` flags change only at administrative
+        events, which advance the whole fleet, so reading them needs no
+        observation.
+        """
+        return nodes
+
     def counters(self) -> Dict[str, int]:
         """Integer decision counters this policy accumulated.
 
@@ -86,6 +105,11 @@ class RoundRobinRouter(Router):
         chosen = candidates[self._next % len(candidates)]
         self._next += 1
         return chosen
+
+    def observes(self, request: ArrivingRequest,
+                 nodes: Sequence[ReplicaNode]) -> Sequence[ReplicaNode]:
+        """None: the cycle reads only the active/draining flags."""
+        return ()
 
 
 class JoinShortestQueueRouter(Router):
@@ -176,9 +200,15 @@ class ShardRouter(Router):
                 f"fixed at first routing): started with {self._fleet_size} "
                 f"replicas, now {len(nodes)}")
         group = self.door(request)
-        members = [nodes[i] for i in
-                   range(group, len(nodes), self.num_groups)]
-        return self.locals[group].select(request, members, now)
+        return self.locals[group].select(
+            request, nodes[group::self.num_groups], now)
+
+    def observes(self, request: ArrivingRequest,
+                 nodes: Sequence[ReplicaNode]) -> Sequence[ReplicaNode]:
+        """What the door group's local policy observes of its members."""
+        group = self.door(request)
+        return self.locals[group].observes(
+            request, nodes[group::self.num_groups])
 
     def counters(self) -> Dict[str, int]:
         """Sum of the per-group locals' counters (order-free)."""

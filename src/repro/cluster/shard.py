@@ -9,7 +9,11 @@ sub-stream of arrivals and its own slice of the failure/drain schedule,
 runs exactly the iterations the global event loop would have run, at the
 same timestamps (splitting a coalesced decode run at different horizon
 boundaries is bit-identical; see
-:meth:`repro.cluster.node.ReplicaNode._fast_forward`).
+:meth:`repro.cluster.node.ReplicaNode._fast_forward`). The
+single-process loop relies on the same property to advance only the
+replicas a routing decision reads, so inside one process a
+``ShardRouter`` fleet never advances a group for another group's
+arrival; worker processes add parallelism on top.
 :func:`run_sharded` exploits that: worker processes (``multiprocessing``,
 fork when available) simulate the groups from pickled
 :class:`~repro.cluster.config.ReplicaSpec`\\ s, warm their per-process
@@ -35,15 +39,13 @@ with utilization recomputed against the global makespan.
 
 The fleet queue-depth timeline needs more than concatenation — its
 depth at each dispatch sums *every* group's unadmitted queue, which no
-single group observed. Each group therefore reports a delta log: its
-own dispatches ``(key, group depth after)`` plus every admission
-``(iteration start, count)`` (the hook
-:attr:`~repro.cluster.node.ReplicaNode.admission_log`; admissions are
-atomic per iteration, so per-request start stamps cannot stand in).
-Replaying dispatches in key order while applying admissions strictly
-earlier than the dispatch time reconstructs each group's queue length
-exactly as the global loop's ``advance_fleet(now)`` (which runs
-iterations starting strictly before ``now``) would have left it.
+single group observed. Each group therefore reports its dispatches
+``(key, group routed count after)`` and its replicas'
+:attr:`~repro.cluster.node.ReplicaNode.admission_stamps`. Replaying the
+dispatches in key order gives the fleet's routed count at each one, and
+:func:`~repro.cluster.simulator.queue_depth_timeline` — the same
+rebuild the single-process loop runs — subtracts every admission whose
+iteration started strictly before the dispatch.
 """
 
 import dataclasses
@@ -51,6 +53,7 @@ import gc
 import heapq
 import multiprocessing
 import traceback
+from array import array
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -65,6 +68,7 @@ from repro.cluster.simulator import (
     _RANK_SCHEDULED,
     ClusterSimulator,
     ProgressFn,
+    queue_depth_timeline,
 )
 from repro.serving.arrivals import ArrivingRequest, _spec_ranges
 from repro.serving.scheduler import BatchingSimulator, CompletedRequest
@@ -89,7 +93,7 @@ class ShardMergeLog:
                  arrival_indices: "deque"):
         self._scheduled = deque(scheduled_indices)
         self._arrivals = arrival_indices
-        #: (key, group queue depth after the dispatch), in key order.
+        #: (key, group routed count after the dispatch), in key order.
         self.dispatches: List[Tuple[Key, int]] = []
         #: (key, event) for every recorded ClusterEvent, in key order.
         self.events: List[Tuple[Key, ClusterEvent]] = []
@@ -99,8 +103,13 @@ class ShardMergeLog:
         """A cluster event recorded while dispatching; keyed next."""
         self._pending_events.append(event)
 
-    def on_dispatch(self, rank: int, now: float, depth: int) -> None:
-        """One event dispatched at *now*; assign its global key."""
+    def on_dispatch(self, rank: int, now: float, routed: int) -> None:
+        """One event dispatched at *now*; assign its global key.
+
+        *routed* is the group's count of requests submitted to a
+        replica queue minus those failures cleared; the merge turns it
+        into queue depths with the replicas' admission stamps.
+        """
         if rank == _RANK_SCHEDULED:
             index = self._scheduled.popleft()
         elif rank == _RANK_ARRIVAL:
@@ -110,7 +119,7 @@ class ShardMergeLog:
                 "sharded runs cannot dispatch autoscaler events "
                 f"(rank {rank})")
         key = (now, rank, index)
-        self.dispatches.append((key, depth))
+        self.dispatches.append((key, routed))
         for event in self._pending_events:
             self.events.append((key, event))
         self._pending_events.clear()
@@ -125,7 +134,8 @@ class _GroupResult:
     node_stats: List[NodeStats]
     completed_per_node: List[List[CompletedRequest]]
     dispatches: List[Tuple[Key, int]]
-    admissions: List[Tuple[float, int]]
+    #: Each replica's admission stamps, in group order.
+    admission_stamps: List[array]
     events: List[Tuple[Key, ClusterEvent]]
     generated_tokens: int
     wasted_tokens: int
@@ -168,16 +178,10 @@ def _pack_result(result: _GroupResult) -> tuple:
                     np.int64, count),
         np.fromiter((key[2] for key, _ in result.dispatches),
                     np.int64, count),
-        np.fromiter((depth for _, depth in result.dispatches),
-                    np.int64, count))
-    count = len(result.admissions)
-    admission_cols = (
-        np.fromiter((time_s for time_s, _ in result.admissions),
-                    np.float64, count),
-        np.fromiter((admitted for _, admitted in result.admissions),
+        np.fromiter((routed for _, routed in result.dispatches),
                     np.int64, count))
     return (result.group, result.indices, result.node_stats, completed_cols,
-            dispatch_cols, admission_cols, result.events,
+            dispatch_cols, result.admission_stamps, result.events,
             result.generated_tokens, result.wasted_tokens, result.requeued,
             result.arrived, result.counters)
 
@@ -185,22 +189,21 @@ def _pack_result(result: _GroupResult) -> tuple:
 def _unpack_result(payload: tuple) -> _GroupResult:
     """Rebuild a :class:`_GroupResult` from :func:`_pack_result` columns."""
     (group, indices, node_stats, completed_cols, dispatch_cols,
-     admission_cols, events, generated_tokens, wasted_tokens, requeued,
-     arrived, counters) = payload
+     admission_stamps, events, generated_tokens, wasted_tokens,
+     requeued, arrived, counters) = payload
     completed_per_node = [
         [CompletedRequest(*row) for row in zip(*(col.tolist()
                                                  for col in cols))]
         for cols in completed_cols]
-    d_time, d_rank, d_index, d_depth = (col.tolist()
-                                        for col in dispatch_cols)
-    dispatches = [((time_s, rank, index), depth)
-                  for time_s, rank, index, depth
-                  in zip(d_time, d_rank, d_index, d_depth)]
-    admissions = list(zip(admission_cols[0].tolist(),
-                          admission_cols[1].tolist()))
+    d_time, d_rank, d_index, d_routed = (col.tolist()
+                                         for col in dispatch_cols)
+    dispatches = [((time_s, rank, index), routed)
+                  for time_s, rank, index, routed
+                  in zip(d_time, d_rank, d_index, d_routed)]
     return _GroupResult(group=group, indices=indices, node_stats=node_stats,
                         completed_per_node=completed_per_node,
-                        dispatches=dispatches, admissions=admissions,
+                        dispatches=dispatches,
+                        admission_stamps=admission_stamps,
                         events=events, generated_tokens=generated_tokens,
                         wasted_tokens=wasted_tokens, requeued=requeued,
                         arrived=arrived, counters=counters)
@@ -299,9 +302,6 @@ def _run_group(config: ClusterConfig, router: ShardRouter, group: int,
     positions: deque = deque()
     merge_log = ShardMergeLog((index for index, _ in group_schedule),
                               positions)
-    admissions: List[Tuple[float, int]] = []
-    for node in nodes:
-        node.admission_log = admissions
     simulator = ClusterSimulator(nodes, router.locals[group],
                                  events=[event for _, event
                                          in group_schedule],
@@ -310,18 +310,13 @@ def _run_group(config: ClusterConfig, router: ShardRouter, group: int,
         _group_stream(arrivals, group, router.num_groups, positions),
         progress=progress, progress_every=progress_every,
         merge_log=merge_log)
-    # Nodes advance in fleet order, so one node's late-iteration
-    # admissions can be appended after another's earlier ones; the
-    # merge needs the group's admissions in time order (stable — equal
-    # stamps only ever sum).
-    admissions.sort(key=lambda entry: entry[0])
     return _GroupResult(
         group=group,
         indices=list(indices),
         node_stats=report.node_stats,
         completed_per_node=[node.completed for node in nodes],
         dispatches=merge_log.dispatches,
-        admissions=admissions,
+        admission_stamps=[node.admission_stamps for node in nodes],
         events=merge_log.events,
         generated_tokens=report.generated_tokens,
         wasted_tokens=report.wasted_tokens,
@@ -370,37 +365,29 @@ def _worker_main(worker: int, groups: Sequence[int], config: ClusterConfig,
 
 def _merged_timeline(results: Sequence[_GroupResult]
                      ) -> List[Tuple[float, int]]:
-    """Reconstruct the fleet queue-depth timeline from group delta logs.
+    """Reconstruct the fleet queue-depth timeline from the group logs.
 
-    Replays every dispatch in global key order. Before each dispatch at
-    time ``t``, admissions with iteration start strictly before ``t``
-    are applied (the global loop's ``advance_fleet`` would have run
-    them); the dispatching group's depth then snaps to its reported
-    post-dispatch value, which folds in that dispatch's own submits,
-    failure clears, and requeues.
+    Replays every dispatch in global key order, keeping the fleet's
+    routed count as the sum of each group's latest, and hands that
+    stream with every replica's admission stamps to the single-process
+    loop's own rebuild.
     """
     dispatches = heapq.merge(*[
-        [(key, result.group, depth) for key, depth in result.dispatches]
+        [(key, result.group, routed) for key, routed in result.dispatches]
         for result in results])
-    admission_stream = heapq.merge(*[
-        [(time_s, result.group, count)
-         for time_s, count in result.admissions]
-        for result in results])
-    depths = {result.group: 0 for result in results}
-    total = 0
-    head = next(admission_stream, None)
-    timeline: List[Tuple[float, int]] = []
-    for key, group, depth_after in dispatches:
-        now = key[0]
-        while head is not None and head[0] < now:
-            _, admitted_group, count = head
-            depths[admitted_group] -= count
-            total -= count
-            head = next(admission_stream, None)
-        total += depth_after - depths[group]
-        depths[group] = depth_after
-        timeline.append((now, total))
-    return timeline
+    latest = {result.group: 0 for result in results}
+
+    def fleet_routed():
+        total = 0
+        for key, group, routed in dispatches:
+            total += routed - latest[group]
+            latest[group] = routed
+            yield key[0], total
+
+    return queue_depth_timeline(
+        fleet_routed(),
+        [stamps for result in results
+         for stamps in result.admission_stamps])
 
 
 def _merge_reports(results: List[_GroupResult], router_name: str,

@@ -3,13 +3,23 @@
 The event loop pops *external* events off a binary heap in global-time
 order — scheduled node failures and drains, autoscaler samples,
 provisioned replicas coming online, and request arrivals — and, before
-dispatching each one at time ``t``, brings every active replica forward
-with :meth:`~repro.cluster.node.ReplicaNode.advance_to`\\ ``(t)`` (all
-scheduler iterations starting strictly before ``t``). Replica iterations
-therefore never enter the heap at all: a replica's whole pure-decode
-stretch between two external events is priced in one closed-form range
-lookup (the event-horizon fast-forward), which is what makes
-million-request traces tractable.
+dispatching one at time ``t``, brings replicas forward with
+:meth:`~repro.cluster.node.ReplicaNode.advance_to`\\ ``(t)`` (all
+scheduler iterations starting strictly before ``t``). Administrative
+events and progress ticks advance every active replica. An arrival
+advances only the replicas its routing decision reads
+(:meth:`~repro.cluster.router.Router.observes`) and then the chosen one,
+so a replica the decision never looks at keeps one coalesced decode
+stretch across any number of arrivals. The outcome does not depend on
+where a stretch is cut: the fast-forward adds the same step costs in
+the same order either way. Replica iterations never enter the heap at
+all: a replica's whole pure-decode stretch between the events it sees
+is priced in one closed-form range lookup (the event-horizon
+fast-forward), which is what makes million-request traces tractable.
+
+The fleet queue-depth timeline is rebuilt after the run
+(:func:`queue_depth_timeline`) from per-dispatch routed counts and the
+replicas' admission stamps, so no dispatch scans the fleet.
 
 Ties resolve administrative-before-arrival (scheduled, online, sample,
 then arrival; insertion order within a class), and an iteration starting
@@ -38,7 +48,16 @@ parity suite and the cluster benchmark compare the fast path against.
 
 import dataclasses
 import heapq
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence
+from array import array
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.cluster.autoscaler import Autoscaler
 from repro.cluster.events import (
@@ -67,6 +86,34 @@ _RANK_ARRIVAL = 3
 #: Progress callback signature: (events dispatched, simulated time,
 #: requests completed so far).
 ProgressFn = Callable[[int, float, int], None]
+
+
+def queue_depth_timeline(routed: Iterable[Tuple[float, int]],
+                         admission_stamps: Iterable[Iterable[float]]
+                         ) -> List[Tuple[float, int]]:
+    """Fleet queue depth after each dispatch, rebuilt from compact logs.
+
+    *routed* holds one ``(time_s, count)`` pair per dispatch, in
+    dispatch order: requests submitted to a replica queue so far, minus
+    those a failure cleared out of one. *admission_stamps* holds each
+    replica's time-ordered :attr:`~repro.cluster.node.ReplicaNode.
+    admission_stamps`. The depth after a dispatch at ``t`` subtracts
+    every admission whose iteration started strictly before ``t`` —
+    exactly the iterations an eager loop would have run by then — so it
+    does not matter when the loop actually advanced each replica, or in
+    which process. The stamps stream through a lazy merge of the
+    per-replica logs.
+    """
+    stamps = heapq.merge(*admission_stamps)
+    head = next(stamps, None)
+    admitted = 0
+    timeline: List[Tuple[float, int]] = []
+    for now, count in routed:
+        while head is not None and head < now:
+            admitted += 1
+            head = next(stamps, None)
+        timeline.append((now, count - admitted))
+    return timeline
 
 
 @dataclasses.dataclass(frozen=True)
@@ -133,9 +180,6 @@ class ClusterSimulator:
         raise KeyError(f"no replica named {name!r}; fleet: "
                        f"{[n.name for n in self.nodes]}")
 
-    def _fleet_queue_len(self) -> int:
-        return sum(node.queue_len for node in self.nodes if node.active)
-
     def _any_work(self) -> bool:
         return any(node.has_work for node in self.nodes if node.active)
 
@@ -164,8 +208,8 @@ class ClusterSimulator:
 
         *merge_log* is the sharded runner's hook
         (:class:`repro.cluster.shard.ShardMergeLog`): when attached, the
-        loop reports every dispatched event — ``(rank, time, fleet queue
-        depth after)`` — so a per-group run can stamp its events with
+        loop reports every dispatched event — ``(rank, time, routed
+        count after)`` — so a per-group run can stamp its events with
         their *global* total-order keys for the deterministic merge.
         Only meaningful for autoscaler-free runs (the sharded runner
         rejects autoscaling before it gets here).
@@ -197,7 +241,12 @@ class ClusterSimulator:
         if self.autoscaler is not None:
             push(self.autoscaler.sample_interval_s, _RANK_SAMPLE, None)
 
-        timeline: List[tuple] = []
+        # Per dispatch: its time and the requests routed so far minus
+        # those a failure cleared (see queue_depth_timeline). A list of
+        # the event stamps shares their float objects with the timeline.
+        dispatch_times: List[float] = []
+        dispatch_routed = array("q")
+        routed = 0
         log: List[ClusterEvent] = []
         tracer = self.tracer
         wasted_tokens = 0
@@ -215,8 +264,19 @@ class ClusterSimulator:
 
         def route(request: ArrivingRequest, now: float,
                   ready_s: Optional[float] = None) -> None:
+            nonlocal routed
+            observed = self.router.observes(request, self.nodes)
+            for node in observed:
+                if node.active:
+                    node.advance_to(now)
             node = self.router.select(request, self.nodes, now)
+            if node not in observed:
+                # Run the chosen replica's iterations that start before
+                # *now* first: the request must not join one already
+                # under way, and peak_queue counts the queue as of now.
+                node.advance_to(now)
             node.submit(request, ready_s=ready_s)
+            routed += 1
 
         def advance_fleet(now: float) -> None:
             for node in self.nodes:
@@ -225,13 +285,15 @@ class ClusterSimulator:
 
         while heap:
             now, rank, _serial, payload = heapq.heappop(heap)
-            advance_fleet(now)
+            if rank != _RANK_ARRIVAL:
+                advance_fleet(now)
 
             if rank == _RANK_SCHEDULED:
                 event = payload
                 target = self._node(event.node)
                 if isinstance(event, NodeFailure):
                     if target.active:
+                        routed -= target.queue_len
                         lost, wasted = target.fail()
                         failed_names.add(target.name)
                         wasted_tokens += wasted
@@ -295,21 +357,27 @@ class ClusterSimulator:
                     push(nxt.arrival_s, _RANK_ARRIVAL, nxt)
 
             events_dispatched += 1
-            depth = self._fleet_queue_len()
-            timeline.append((now, depth))
+            dispatch_times.append(now)
+            dispatch_routed.append(routed)
             if merge_log is not None:
-                merge_log.on_dispatch(rank, now, depth)
-            if tracer.enabled:
-                tracer.counter(CLUSTER_TRACK, "fleet_queue_depth", now,
-                               depth)
+                merge_log.on_dispatch(rank, now, routed)
             if progress is not None and \
                     events_dispatched % progress_every == 0:
+                advance_fleet(now)
                 progress(events_dispatched, now, self._completed_count())
 
         # No external events remain: run every replica dry.
         for node in self.nodes:
             if node.active:
                 node.advance_to(None)
+
+        timeline = queue_depth_timeline(
+            zip(dispatch_times, dispatch_routed),
+            [node.admission_stamps for node in self.nodes])
+        if tracer.enabled:
+            for now, depth in timeline:
+                tracer.counter(CLUSTER_TRACK, "fleet_queue_depth", now,
+                               depth)
 
         completed = sorted(
             (record for node in self.nodes for record in node.completed),
