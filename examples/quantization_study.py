@@ -11,8 +11,16 @@ Usage::
     python examples/quantization_study.py
 """
 
-from repro import DType, InferenceRequest, get_model, get_platform, simulate
-from repro.quant import QuantConfig, QuantScheme, QuantizedInferenceSimulator
+from repro import (
+    DType,
+    InferenceRequest,
+    InferenceSimulator,
+    get_model,
+    get_platform,
+    simulate,
+)
+from repro.engine.backend import QuantizedBackend
+from repro.quant import QuantConfig, QuantScheme
 from repro.utils.formatting import format_table
 from repro.utils.units import bytes_to_gb
 
@@ -40,9 +48,10 @@ def main() -> None:
                 result = simulate(spr, model, request)
                 footprint = None
             else:
-                simulator = QuantizedInferenceSimulator(spr, quant)
-                footprint = simulator.footprint(model, request)
-                result = simulator.run(model, request)
+                backend = QuantizedBackend(quant)
+                footprint = backend.footprint_bytes(model, request)
+                result = InferenceSimulator(spr, backend=backend).run(
+                    model, request)
             rows.append([
                 label,
                 bytes_to_gb(footprint) if footprint else "-",

@@ -1,10 +1,9 @@
 """Execution backends: one abstraction for every engine variant.
 
-Historically each engine variant (weight-only quantization, tensor
-parallelism, speculative decoding, prefix caching) lived in its own
-wrapper simulator that could only run single batch-to-completion
-requests. What actually differs between the variants is small and
-well-defined — and it is exactly what :class:`ExecutionBackend` owns:
+Engine variants (weight-only quantization, tensor parallelism,
+speculative decoding, prefix caching, NUMA placement, hybrid
+execution) differ from plain dense execution in a small, well-defined
+set of places — exactly what :class:`ExecutionBackend` owns:
 
 * **op-graph construction** — the prefill / decode operator lists,
   including any rewrite (quantized weight streams, TP sharding,
@@ -17,6 +16,8 @@ well-defined — and it is exactly what :class:`ExecutionBackend` owns:
   roofline result (dequantization overhead on weight GEMMs);
 * **communication** — per-pass constant costs outside the op graph
   (TP allreduce), charged to wall time but not the compute/memory legs;
+* **platform check** — rejecting platforms the technique cannot run on
+  (TP needs that many CPU sockets);
 * **signature** — a stable hashable key: two backends with equal
   signatures price identically, so shared cost tables
   (:mod:`repro.engine.stepcost`) key on it.
@@ -278,9 +279,9 @@ class ExecutionBackend:
     def adjust_timing(self, timing):
         """Post-pricing rewrite of one winning OpTiming (identity here).
 
-        Applied by the executor *after* engine selection, matching the
-        select-uninflated-then-inflate order of the original quantized
-        simulator. Must only touch ``compute_s``/``time_s`` — the
+        Applied by the executor *after* engine selection: engines are
+        chosen on uninflated timings, then the winner is inflated.
+        Must only touch ``compute_s``/``time_s`` — the
         memory leg stays the roofline's, so the closed-form decode
         analysis keeps its affine structure.
         """
@@ -294,6 +295,9 @@ class ExecutionBackend:
     def decode_comm_s(self, model: ModelConfig, batch_size: int) -> float:
         """Constant per-decode-iteration communication time (seconds)."""
         return 0.0
+
+    def check_platform(self, platform: Platform) -> None:
+        """Raise ValueError if this backend cannot run on *platform*."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -399,13 +403,31 @@ class QuantizedBackend(ExecutionBackend):
 class TensorParallelBackend(ExecutionBackend):
     """Tensor-parallel execution across CPU sockets.
 
+    The paper's 96-core result (Key Finding #3) shows that *naively*
+    spanning two sockets loses: shared-nothing threads scatter accesses
+    across UPI. Tensor parallelism is the disciplined alternative. Per
+    decode step with TP degree ``S``:
+
+    * local weight traffic per socket is ``weights / S`` — the win,
+      since decode is bandwidth-bound and every socket's HBM now
+      contributes;
+    * ``2 * n_layers * batch * d_model`` hidden-state elements cross UPI
+      in two ring-allreduces per layer (after the attention out-proj and
+      the FFN down-proj) — the cost, small for decode and growing with
+      batch;
+    * compute also shards ``1/S`` (irrelevant for decode, helpful for
+      prefill).
+
+    So TP beats one socket whenever the split weight stream saves more
+    than the allreduce costs, which for small-batch decode is almost
+    always.
+
     Shards every operator of the *inner* backend's graph (so TP
     composes with quantization: quantize first, then shard the shrunken
-    weight stream) and charges the ring-allreduce on the hidden state —
-    twice per layer — as per-pass communication time. Bandwidth derives
-    from the full unsharded footprint, matching the original
-    :class:`~repro.parallel.tensor_parallel.TensorParallelSimulator`;
-    capacity scales by the degree (the shards span that many sockets).
+    weight stream) and charges the allreduce as per-pass communication
+    time. Bandwidth derives from the full unsharded footprint; capacity
+    scales by the degree (the shards span that many sockets). Only a
+    CPU with at least ``S`` sockets can run it (:meth:`check_platform`).
     """
 
     tp: TPConfig = TPConfig()
@@ -481,6 +503,17 @@ class TensorParallelBackend(ExecutionBackend):
 
     def memory_capacity_bytes(self, platform: Platform) -> Optional[float]:
         return self._resolved_inner().memory_capacity_bytes(platform)
+
+    def check_platform(self, platform: Platform) -> None:
+        if not platform.is_cpu or platform.topology is None:
+            raise ValueError(
+                f"{platform.name} is not a CPU platform; tensor "
+                f"parallelism shards across CPU sockets")
+        if self.tp.degree > platform.topology.sockets:
+            raise ValueError(
+                f"TP degree {self.tp.degree} exceeds the "
+                f"{platform.topology.sockets} sockets of {platform.name}")
+        self._resolved_inner().check_platform(platform)
 
     @property
     def signature(self) -> tuple:
@@ -619,9 +652,8 @@ class NumaBackend(ExecutionBackend):
     HBM/DDR tiers (*hot_fraction* of memory traffic pinned to the fast
     tier, the rest spilling to DDR). Op graphs, dtype, footprint, and
     per-pass communication all delegate to the inner backend, so a
-    ``NumaBackend`` replica prices identically to the legacy
-    ``EngineConfig(numa=...)`` path bit-for-bit — that parity is what
-    makes the engine-config route a thin adapter.
+    ``NumaBackend`` replica prices identically to the
+    ``EngineConfig(numa=...)`` path bit-for-bit.
 
     The placement enters :attr:`signature`, so two placements on the
     same (platform, model) warm disjoint
@@ -700,6 +732,9 @@ class NumaBackend(ExecutionBackend):
 
     def decode_comm_s(self, model: ModelConfig, batch_size: int) -> float:
         return self._resolved_inner().decode_comm_s(model, batch_size)
+
+    def check_platform(self, platform: Platform) -> None:
+        self._resolved_inner().check_platform(platform)
 
     @property
     def signature(self) -> tuple:
@@ -846,6 +881,9 @@ class HybridBackend(ExecutionBackend):
 
     def memory_capacity_bytes(self, platform: Platform) -> Optional[float]:
         return self._resolved_inner().memory_capacity_bytes(platform)
+
+    def check_platform(self, platform: Platform) -> None:
+        self._resolved_inner().check_platform(platform)
 
     @property
     def signature(self) -> tuple:

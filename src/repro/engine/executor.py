@@ -304,13 +304,7 @@ class OperatorExecutor:
         flops = weight_b = act_b = kvr_b = kvw_b = 0.0
         op_times: Dict[str, float] = {}
         for index, (op_lo, op_hi) in enumerate(zip(ops_lo, ops_hi)):
-            # Byte/FLOP accounting is affine in kv_len for every op, so the
-            # whole range sums by trapezoid on the endpoint graphs.
-            flops += steps * (op_lo.flops + op_hi.flops) / 2.0
-            weight_b += steps * (op_lo.weight_bytes + op_hi.weight_bytes) / 2.0
-            act_b += steps * (op_lo.activation_bytes + op_hi.activation_bytes) / 2.0
-            kvr_b += steps * (op_lo.kv_read_bytes + op_hi.kv_read_bytes) / 2.0
-            kvw_b += steps * (op_lo.kv_write_bytes + op_hi.kv_write_bytes) / 2.0
+            stepped = None
             if op_lo == op_hi:
                 # kv_len-independent op: price once, multiply by step count.
                 timing = self.time_op(op_lo)
@@ -318,9 +312,31 @@ class OperatorExecutor:
                 c_sum = steps * timing.compute_s
                 m_sum = steps * timing.memory_s
             else:
-                t_sum, c_sum, m_sum = self._sum_varying_op(
+                t_sum, c_sum, m_sum, stepped = self._sum_varying_op(
                     model, batch_size, index, op_lo, op_hi, kv_start, kv_end,
                     kv_mid, ops_mid[index] if ops_mid is not None else None)
+            if stepped is None:
+                # Byte/FLOP accounting is affine in kv_len, so the whole
+                # range sums by trapezoid on the endpoint graphs.
+                flops += steps * (op_lo.flops + op_hi.flops) / 2.0
+                weight_b += steps * (op_lo.weight_bytes
+                                     + op_hi.weight_bytes) / 2.0
+                act_b += steps * (op_lo.activation_bytes
+                                  + op_hi.activation_bytes) / 2.0
+                kvr_b += steps * (op_lo.kv_read_bytes
+                                  + op_hi.kv_read_bytes) / 2.0
+                kvw_b += steps * (op_lo.kv_write_bytes
+                                  + op_hi.kv_write_bytes) / 2.0
+            else:
+                # A dimension that is not affine in kv_len (TP sharding
+                # floors the attention score GEMM's context length to
+                # n // degree): the op was priced step by step, so its
+                # accounting is summed step by step too.
+                flops += sum(op.flops for op in stepped)
+                weight_b += sum(op.weight_bytes for op in stepped)
+                act_b += sum(op.activation_bytes for op in stepped)
+                kvr_b += sum(op.kv_read_bytes for op in stepped)
+                kvw_b += sum(op.kv_write_bytes for op in stepped)
             time_s += t_sum
             compute_s += c_sum
             memory_s += m_sum
@@ -419,14 +435,19 @@ class OperatorExecutor:
                         index: int, op_lo: Op, op_hi: Op,
                         kv_start: int, kv_end: int,
                         kv_mid: int = -1, op_mid: Optional[Op] = None):
-        """Sum best-engine (time, compute, memory) of one kv-varying op."""
+        """Sum best-engine (time, compute, memory) of one kv-varying op.
+
+        Returns ``(time, compute, memory, stepped)``: *stepped* is the
+        per-step op list when a dimension is not affine in ``kv_len``
+        (every step priced densely), else ``None``.
+        """
         acc = [0.0, 0.0, 0.0]
         analyzable, varying, slope, offset, timing_at, op_at, memo = \
             self._varying_op_pricer(model, batch_size, index, op_lo, op_hi,
                                     kv_start, kv_end, kv_mid, op_mid)
         if not analyzable:
             self._sum_exact(timing_at, kv_start, kv_end, acc)
-            return tuple(acc)
+            return (*acc, [memo[kv].op for kv in range(kv_start, kv_end)])
 
         # Memory-dominated fast path: GEMM compute time is monotone
         # non-decreasing in every dimension (the gemm_efficiency
@@ -445,13 +466,13 @@ class OperatorExecutor:
             memo.setdefault(kv_start, self._best(cand_lo))
             memo.setdefault(kv_end - 1, self._best(cand_hi))
             self._sum_affine_run(timing_at, kv_start, kv_end, acc)
-            return tuple(acc)
+            return (*acc, None)
 
         bounds = self._tile_cut_bounds(varying, slope, offset,
                                        kv_start, kv_end)
         for lo, hi in zip(bounds, bounds[1:]):
             self._sum_tile_segment(timing_at, op_at, memo, lo, hi, acc)
-        return tuple(acc)
+        return (*acc, None)
 
     @staticmethod
     def _affine_op_factory(op_lo: Op, op_hi: Op, kv_start: int, span: int,

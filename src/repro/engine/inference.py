@@ -75,11 +75,17 @@ class InferenceSimulator:
         backend: Execution backend (quantized / tensor-parallel / ...);
             ``None`` means plain dense execution at each request's dtype —
             the historical behavior, bit-for-bit.
+
+    Raises:
+        ValueError: If *backend* cannot run on *platform* (tensor
+            parallelism on a GPU, or over more sockets than it has).
     """
 
     def __init__(self, platform: Platform,
                  config: EngineConfig = DEFAULT_ENGINE_CONFIG,
                  backend: Optional[ExecutionBackend] = None):
+        if backend is not None:
+            backend.check_platform(platform)
         self.platform = platform
         self.config = config
         self.backend = backend

@@ -16,7 +16,8 @@ them). The simulator can ablate each:
 import dataclasses
 
 from repro.core.report import ExperimentReport
-from repro.engine.inference import simulate
+from repro.engine.backend import QuantizedBackend
+from repro.engine.inference import InferenceSimulator, simulate
 from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
@@ -24,7 +25,6 @@ from repro.hardware.whatif import spr_without_amx, spr_without_hbm
 from repro.models.registry import get_model
 from repro.offload.engine import OffloadSimulator
 from repro.offload.policy import OffloadCalibration
-from repro.quant.engine import QuantizedInferenceSimulator
 from repro.quant.weightonly import QuantConfig, QuantScheme
 
 
@@ -75,8 +75,8 @@ def run_quant() -> ExperimentReport:
         model = get_model(model_key)
         base = simulate(spr, model, request)
         for scheme in (QuantScheme.WEIGHT_ONLY_INT8, QuantScheme.FULL_INT8):
-            quantized = QuantizedInferenceSimulator(
-                spr, QuantConfig(scheme=scheme)).run(model, request)
+            quantized = InferenceSimulator(spr, backend=QuantizedBackend(
+                QuantConfig(scheme=scheme))).run(model, request)
             rows.append([
                 model.name, scheme.value,
                 base.tpot_s * 1000, quantized.tpot_s * 1000,

@@ -10,6 +10,7 @@
 """
 
 from repro.core.report import ExperimentReport
+from repro.engine.backend import QuantizedBackend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator, simulate
 from repro.engine.request import InferenceRequest
@@ -18,7 +19,6 @@ from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
 from repro.models.opgraph import prefill_ops
 from repro.models.registry import get_model
-from repro.quant.engine import QuantizedInferenceSimulator
 from repro.quant.weightonly import QuantConfig, QuantScheme
 from repro.serving.prefix_cache import PrefixCacheModel
 
@@ -106,8 +106,8 @@ def run_quant_matrix() -> ExperimentReport:
                 (QuantScheme.WEIGHT_ONLY_INT8, DType.INT8, "w8+kv8"),
                 (QuantScheme.WEIGHT_ONLY_INT4, DType.INT8, "w4+kv8")):
             quant = QuantConfig(scheme=scheme, kv_dtype=kv_dtype)
-            result = QuantizedInferenceSimulator(spr, quant).run(
-                model, request)
+            result = InferenceSimulator(
+                spr, backend=QuantizedBackend(quant)).run(model, request)
             rows.append([model.name, context, label,
                          base.tpot_s * 1000, result.tpot_s * 1000,
                          base.tpot_s / result.tpot_s])

@@ -13,13 +13,13 @@
 
 from repro.analysis.sensitivity import all_sensitivities
 from repro.core.report import ExperimentReport
+from repro.engine.backend import TensorParallelBackend, TPConfig
 from repro.engine.inference import InferenceSimulator, EngineConfig
 from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
 from repro.optim.advisor import DeploymentAdvisor
-from repro.parallel.tensor_parallel import TensorParallelSimulator, TPConfig
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.scheduler import BatchingSimulator
 from repro.workloads.generator import translation_workload
@@ -37,8 +37,8 @@ def run_tp() -> ExperimentReport:
             single = InferenceSimulator(spr).run(model, request)
             naive96 = InferenceSimulator(
                 spr, EngineConfig(cores=96)).run(model, request)
-            tp2 = TensorParallelSimulator(spr, TPConfig(degree=2)).run(
-                model, request)
+            tp2 = InferenceSimulator(spr, backend=TensorParallelBackend(
+                TPConfig(degree=2))).run(model, request)
             rows.append([
                 model.name, batch,
                 single.e2e_s, naive96.e2e_s, tp2.e2e_s,

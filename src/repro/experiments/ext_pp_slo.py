@@ -11,13 +11,13 @@
 """
 
 from repro.core.report import ExperimentReport
+from repro.engine.backend import TensorParallelBackend
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
 from repro.parallel.pipeline_parallel import PipelineParallelSimulator
-from repro.parallel.tensor_parallel import TensorParallelSimulator
 from repro.serving.scheduler import BatchingSimulator
 from repro.serving.slo import SLO, max_sustainable_rate
 
@@ -32,7 +32,8 @@ def run_pp_vs_tp() -> ExperimentReport:
         model = get_model(model_key)
         request = InferenceRequest(batch_size=batch)
         single = InferenceSimulator(spr).run(model, request)
-        tp = TensorParallelSimulator(spr).run(model, request)
+        tp = InferenceSimulator(
+            spr, backend=TensorParallelBackend()).run(model, request)
         pp = PipelineParallelSimulator(spr).estimate(model, request)
         rows.append([
             model.name, batch,

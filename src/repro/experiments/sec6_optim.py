@@ -9,14 +9,15 @@
 """
 
 from repro.core.report import ExperimentReport
+from repro.engine.backend import NumaBackend
 from repro.engine.inference import EngineConfig, InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
-from repro.numa.modes import QUAD_FLAT
+from repro.numa.model import hot_cold_speedup
+from repro.numa.modes import QUAD_FLAT, SNC_FLAT
 from repro.optim.hybrid import HybridPlanner
-from repro.optim.numa_aware import evaluate_numa_aware_snc, hot_cold_speedup
 from repro.utils.units import gb_per_s
 
 
@@ -30,15 +31,20 @@ def run() -> ExperimentReport:
     # 1. NUMA-aware SNC allocation.
     model = get_model("llama2-13b")
     request = InferenceRequest(batch_size=8)
-    outcome = evaluate_numa_aware_snc(spr, model, request)
+    naive = InferenceSimulator(
+        spr, backend=NumaBackend(numa=SNC_FLAT)).run(model, request)
+    aware = InferenceSimulator(
+        spr, backend=NumaBackend(numa=SNC_FLAT, numa_aware=True)
+    ).run(model, request)
     quad = InferenceSimulator(
         spr, EngineConfig(numa=QUAD_FLAT)).run(model, request)
     rows.append(["numa-aware snc", model.name,
-                 f"{outcome.e2e_speedup:.2f}x vs naive snc_flat",
-                 f"{outcome.latency_reduction_pct:.1f}% latency reduction"])
+                 f"{naive.e2e_s / aware.e2e_s:.2f}x vs naive snc_flat",
+                 f"{(1.0 - aware.e2e_s / naive.e2e_s) * 100.0:.1f}% "
+                 "latency reduction"])
     notes.append(
-        f"NUMA-aware snc_flat {outcome.optimized.e2e_s:.2f}s vs naive "
-        f"{outcome.baseline.e2e_s:.2f}s vs quad_flat {quad.e2e_s:.2f}s — "
+        f"NUMA-aware snc_flat {aware.e2e_s:.2f}s vs naive "
+        f"{naive.e2e_s:.2f}s vs quad_flat {quad.e2e_s:.2f}s — "
         "software placement recovers most of the snc gap")
 
     # 2. Hot/cold placement for cross-socket spills.

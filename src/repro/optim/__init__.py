@@ -1,4 +1,4 @@
-"""Section VI optimization studies: NUMA-aware placement, hybrid execution."""
+"""Section VI optimization studies: hybrid execution, deployment search."""
 
 from repro.optim.batch_tuner import BatchChoice, tune_batch_size
 from repro.optim.disaggregation import (
@@ -17,12 +17,6 @@ from repro.optim.advisor import (
     recommend_fleet,
 )
 from repro.optim.hybrid import HybridPlan, HybridPlanner, candidate_fractions
-from repro.optim.numa_aware import (
-    NumaAwareOutcome,
-    evaluate_numa_aware_snc,
-    hot_cold_effective_bandwidth,
-    hot_cold_speedup,
-)
 
 __all__ = [
     "BatchChoice",
@@ -40,9 +34,5 @@ __all__ = [
     "fleet_mix_candidates",
     "measure_fleet",
     "recommend_fleet",
-    "NumaAwareOutcome",
     "candidate_fractions",
-    "evaluate_numa_aware_snc",
-    "hot_cold_effective_bandwidth",
-    "hot_cold_speedup",
 ]

@@ -11,14 +11,17 @@ import dataclasses
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.runner import run_inference
+from repro.engine.backend import (
+    QuantizedBackend,
+    TensorParallelBackend,
+    TPConfig,
+)
 from repro.engine.inference import EngineConfig, InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.hardware.registry import get_platform
 from repro.models.config import ModelConfig
 from repro.numa.modes import EVALUATED_CONFIGS
-from repro.parallel.tensor_parallel import TensorParallelSimulator, TPConfig
-from repro.quant.engine import QuantizedInferenceSimulator
 from repro.quant.weightonly import QuantConfig
 from repro.utils.validation import require_in, require_positive
 
@@ -99,13 +102,17 @@ class DeploymentAdvisor:
                         p, EngineConfig(numa=n)).run(model, request))
             if self.consider_quantization:
                 add(f"{platform.name} quad_flat+int8", platform.name,
-                    lambda p=platform: QuantizedInferenceSimulator(
-                        p, QuantConfig()).run(model, request))
+                    lambda p=platform: InferenceSimulator(
+                        p, backend=QuantizedBackend(
+                            QuantConfig(), dtype=request.dtype)
+                    ).run(model, request))
             if self.consider_tensor_parallel and \
                     platform.topology.sockets >= 2:
                 add(f"{platform.name} quad_flat+tp2", platform.name,
-                    lambda p=platform: TensorParallelSimulator(
-                        p, TPConfig(degree=2)).run(model, request))
+                    lambda p=platform: InferenceSimulator(
+                        p, backend=TensorParallelBackend(
+                            TPConfig(degree=2), dtype=request.dtype)
+                    ).run(model, request))
         return candidates
 
     def recommend(self, model: ModelConfig,

@@ -1,14 +1,16 @@
-"""Multi-socket parallel-execution substrate: tensor and pipeline parallel."""
+"""Multi-socket parallel-execution substrate: tensor and pipeline parallel.
 
+Tensor parallelism is priced by
+:class:`~repro.engine.backend.TensorParallelBackend` on the one
+:class:`~repro.engine.inference.InferenceSimulator` path; its
+:class:`TPConfig` is re-exported here.
+"""
+
+from repro.engine.backend import TPConfig
 from repro.parallel.pipeline_parallel import (
     PPConfig,
     PPEstimate,
     PipelineParallelSimulator,
-)
-from repro.parallel.tensor_parallel import (
-    TPConfig,
-    TensorParallelSimulator,
-    tp_speedup,
 )
 
 __all__ = [
@@ -16,6 +18,4 @@ __all__ = [
     "PPEstimate",
     "PipelineParallelSimulator",
     "TPConfig",
-    "TensorParallelSimulator",
-    "tp_speedup",
 ]

@@ -12,19 +12,9 @@ from repro.quant.weightonly import (
 __all__ = [
     "QuantConfig",
     "QuantScheme",
-    "QuantizedInferenceSimulator",
     "is_weight_gemm",
     "quantize_op",
     "quantize_ops",
     "quantized_weight_bytes",
 ]
 
-
-def __getattr__(name):
-    # Imported lazily: quant.engine depends on the engine package, which
-    # itself imports repro.quant.weightonly (via the backend layer) while
-    # initializing — an eager import here would be circular.
-    if name == "QuantizedInferenceSimulator":
-        from repro.quant.engine import QuantizedInferenceSimulator
-        return QuantizedInferenceSimulator
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,13 +6,11 @@ The backend layer promises three things, each pinned here:
    executor's pricing signature (which includes the backend signature),
    so an INT8 fleet warming its tables never perturbs a BF16 fleet's
    numbers, bit for bit;
-2. **wrapper parity** — each legacy feature simulator
-   (:class:`QuantizedInferenceSimulator`,
-   :class:`TensorParallelSimulator`, :class:`SpeculativeDecoder`,
-   :class:`PrefixCacheModel`) prices identically to its backend pushed
-   through the generic :class:`InferenceSimulator` /
-   :class:`BatchingSimulator` paths (bit-exact against the exact loop,
-   ≤1e-9 against the analytical fast path);
+2. **single-path parity** — the remaining feature models
+   (:class:`SpeculativeDecoder`, :class:`PrefixCacheModel`) agree with
+   their backend pushed through the generic :class:`InferenceSimulator`,
+   and :class:`BatchingSimulator` prices a backend exactly like the
+   single-request :class:`InferenceSimulator` path (≤1e-9);
 3. **cluster composition** — event-horizon fast-forward stays exact
    (integers bit-equal, timings ≤1e-9) for quantized, tensor-parallel,
    and *mixed* fleets, where each replica prices through its own
@@ -47,8 +45,6 @@ from repro.experiments._sweeps import clear_caches
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
-from repro.parallel.tensor_parallel import TensorParallelSimulator
-from repro.quant.engine import QuantizedInferenceSimulator
 from repro.quant.weightonly import QuantConfig, QuantScheme
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.prefix_cache import PrefixCacheModel
@@ -177,47 +173,11 @@ class TestParseBackend:
             assert result.e2e_s > 0
 
 
-# -- legacy wrapper vs backend-through-generic-paths ------------------------
+# -- feature models vs backend-through-generic-paths ------------------------
 
 
 class TestWrapperParity:
     REQUEST = InferenceRequest(batch_size=2, input_len=128, output_len=64)
-
-    def assert_results_agree(self, legacy, generic, exact_loop=True):
-        compare = (lambda a, b: a == b) if exact_loop else close
-        assert compare(legacy.prefill.time_s, generic.prefill.time_s)
-        assert compare(legacy.decode.time_s, generic.decode.time_s)
-        assert compare(legacy.e2e_s, generic.e2e_s)
-        assert compare(legacy.ttft_s, generic.ttft_s)
-        assert compare(legacy.tpot_s, generic.tpot_s)
-
-    @pytest.mark.parametrize("quant", [
-        QuantConfig(),
-        QuantConfig(scheme=QuantScheme.WEIGHT_ONLY_INT4),
-        QuantConfig(scheme=QuantScheme.FULL_INT8),
-    ])
-    def test_quant_wrapper_matches_backend(self, quant):
-        legacy = QuantizedInferenceSimulator(SPR, quant).run(
-            LLAMA, self.REQUEST)
-        backend = QuantizedBackend(quant=quant, dtype=self.REQUEST.dtype)
-        sim = InferenceSimulator(SPR, backend=backend)
-        self.assert_results_agree(
-            legacy, sim.run(LLAMA, self.REQUEST, exact=True))
-        self.assert_results_agree(
-            legacy, sim.run(LLAMA, self.REQUEST, exact=False),
-            exact_loop=False)
-
-    def test_tp_wrapper_matches_backend(self):
-        legacy = TensorParallelSimulator(SPR, TPConfig(degree=2)).run(
-            LLAMA, self.REQUEST)
-        backend = TensorParallelBackend(tp=TPConfig(degree=2),
-                                        dtype=self.REQUEST.dtype)
-        sim = InferenceSimulator(SPR, backend=backend)
-        self.assert_results_agree(
-            legacy, sim.run(LLAMA, self.REQUEST, exact=True))
-        self.assert_results_agree(
-            legacy, sim.run(LLAMA, self.REQUEST, exact=False),
-            exact_loop=False)
 
     def test_specdecode_folded_graph_matches_estimate(self):
         # ICL: effective bandwidth is footprint-independent, so the
@@ -249,23 +209,21 @@ class TestWrapperParity:
 
 
 class TestSchedulerParity:
-    """Backend-through-BatchingSimulator vs the legacy wrapper executors.
+    """Backend-through-BatchingSimulator vs the single-request path.
 
     On ICL effective bandwidth is footprint-independent, so the
-    scheduler's sizing executor and the wrapper's request executor are
-    interchangeable and the comparison isolates the op-graph path.
+    scheduler's sizing executor and the request executor of
+    :class:`InferenceSimulator` are interchangeable and the comparison
+    isolates the op-graph path.
     """
 
     def test_quant_scheduler_costs_match_wrapper_executor(self):
-        quant = QuantConfig()
-        scheduler = BatchingSimulator(
-            ICL, OPT, max_batch=4,
-            backend=QuantizedBackend(quant=quant))
-        wrapper = QuantizedInferenceSimulator(ICL, quant)
+        backend = QuantizedBackend(quant=QuantConfig())
+        scheduler = BatchingSimulator(ICL, OPT, max_batch=4, backend=backend)
         request = InferenceRequest(batch_size=4, input_len=128,
                                    output_len=64)
-        executor = wrapper._executor(OPT, request)
-        backend = wrapper.backend(request)
+        executor = InferenceSimulator(ICL, backend=backend)._executor(
+            OPT, request)
         for batch, kv in ((1, 1), (2, 64), (4, 300)):
             want = sum(t.time_s for t in executor.time_ops(
                 backend.decode_ops(OPT, batch, kv)))
@@ -275,13 +233,12 @@ class TestSchedulerParity:
         assert close(scheduler._prefill_time(2, 128), want_prefill)
 
     def test_tp_scheduler_prefill_matches_wrapper_ttft(self):
-        tp = TPConfig(degree=2)
-        scheduler = BatchingSimulator(
-            ICL, OPT, max_batch=4, backend=TensorParallelBackend(tp=tp))
+        backend = TensorParallelBackend(tp=TPConfig(degree=2))
+        scheduler = BatchingSimulator(ICL, OPT, max_batch=4, backend=backend)
         request = InferenceRequest(batch_size=4, input_len=128,
                                    output_len=8)
-        legacy = TensorParallelSimulator(ICL, tp).run(OPT, request)
-        assert close(scheduler._prefill_time(4, 128), legacy.ttft_s)
+        single = InferenceSimulator(ICL, backend=backend).run(OPT, request)
+        assert close(scheduler._prefill_time(4, 128), single.ttft_s)
 
 
 # -- cluster composition ----------------------------------------------------

@@ -9,6 +9,7 @@ refactor that breaks one path against the other fails loudly.
 
 import pytest
 
+from repro.engine.backend import QuantizedBackend
 from repro.engine.inference import InferenceSimulator, simulate
 from repro.engine.kvcache import KVCacheManager
 from repro.engine.paged_kvcache import PagedKVCacheManager
@@ -23,7 +24,6 @@ from repro.models.memory import (
 )
 from repro.models.opgraph import decode_step_ops, prefill_ops
 from repro.models.registry import evaluated_models, get_model
-from repro.quant.engine import QuantizedInferenceSimulator
 from repro.quant.weightonly import QuantConfig, QuantScheme
 from repro.utils.units import GB
 
@@ -65,8 +65,8 @@ class TestDegenerateConfigsAgree:
         model = get_model("llama2-13b")
         request = InferenceRequest(batch_size=4, output_len=8)
         base = simulate(spr, model, request)
-        neutral = QuantizedInferenceSimulator(
-            spr, QuantConfig(scheme=QuantScheme.NONE)).run(model, request)
+        neutral = InferenceSimulator(spr, backend=QuantizedBackend(
+            QuantConfig(scheme=QuantScheme.NONE))).run(model, request)
         assert neutral.e2e_s == pytest.approx(base.e2e_s, rel=0.01)
         assert neutral.ttft_s == pytest.approx(base.ttft_s, rel=0.01)
 

@@ -3,14 +3,15 @@
 The fast path (:meth:`OperatorExecutor.time_decode_range`) must agree with
 the exact per-step decode loop to within 1e-9 relative error on every
 reported metric — TTFT/TPOT/E2E, phase totals, and the per-op breakdown —
-across models, batch sizes, dtypes, platforms, and request shapes,
-including a platform where the best engine flips mid-decode.
+across models, batch sizes, dtypes, backends, platforms, and request
+shapes, including a platform where the best engine flips mid-decode.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.engine.backend import parse_backend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator, MemoryCapacityError
 from repro.engine.request import InferenceRequest
@@ -69,6 +70,17 @@ def test_fastpath_matches_step_loop_across_dtypes(platform_name, dtype):
             sim, model,
             InferenceRequest(batch_size=4, input_len=96, output_len=48,
                              dtype=dtype))
+
+
+@pytest.mark.parametrize("spec", ["int8", "w4", "w8a8", "tp2", "int8-tp2",
+                                  "numa:snc_flat,aware"])
+def test_fastpath_matches_step_loop_across_backends(spec):
+    # TP charges decode_comm_s on every step; the closed form must too.
+    sim = InferenceSimulator(get_platform("spr"), backend=parse_backend(spec))
+    for model in (get_model("opt-1.3b"), get_model("llama2-7b")):
+        assert _assert_equivalent(
+            sim, model,
+            InferenceRequest(batch_size=4, input_len=96, output_len=48))
 
 
 @pytest.mark.parametrize("input_len,output_len", [

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.engine.inference import simulate
+from repro.engine.backend import QuantizedBackend
+from repro.engine.inference import InferenceSimulator, simulate
 from repro.engine.request import InferenceRequest
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
 from repro.models.layers import total_bytes, total_flops
 from repro.models.opgraph import prefill_ops
 from repro.models.registry import get_model
-from repro.quant.engine import QuantizedInferenceSimulator
 from repro.quant.weightonly import QuantConfig, QuantScheme
 from repro.serving.prefix_cache import PrefixCacheModel
 
@@ -84,6 +84,11 @@ class TestPrefixCache:
             estimate.amortized_ttft_s(1.5)
 
 
+def run_quantized(platform, quant, model, request):
+    return InferenceSimulator(
+        platform, backend=QuantizedBackend(quant)).run(model, request)
+
+
 class TestExtendedQuant:
     def test_w4_halves_w8_weight_bytes(self):
         w8 = QuantConfig(scheme=QuantScheme.WEIGHT_ONLY_INT8)
@@ -95,12 +100,10 @@ class TestExtendedQuant:
         spr = get_platform("spr")
         model = get_model("llama2-13b")
         request = InferenceRequest(batch_size=1)
-        w8 = QuantizedInferenceSimulator(
-            spr, QuantConfig(scheme=QuantScheme.WEIGHT_ONLY_INT8)).run(
-            model, request)
-        w4 = QuantizedInferenceSimulator(
-            spr, QuantConfig(scheme=QuantScheme.WEIGHT_ONLY_INT4)).run(
-            model, request)
+        w8 = run_quantized(spr, QuantConfig(
+            scheme=QuantScheme.WEIGHT_ONLY_INT8), model, request)
+        w4 = run_quantized(spr, QuantConfig(
+            scheme=QuantScheme.WEIGHT_ONLY_INT4), model, request)
         assert w4.tpot_s < w8.tpot_s
 
     def test_kv8_matters_only_at_long_context(self):
@@ -110,12 +113,11 @@ class TestExtendedQuant:
         def gain(context):
             request = InferenceRequest(batch_size=1, input_len=context,
                                        output_len=4)
-            base = QuantizedInferenceSimulator(
-                spr, QuantConfig(scheme=QuantScheme.WEIGHT_ONLY_INT8)).run(
+            base = run_quantized(spr, QuantConfig(
+                scheme=QuantScheme.WEIGHT_ONLY_INT8), model, request)
+            kv8 = run_quantized(spr, QuantConfig(
+                scheme=QuantScheme.WEIGHT_ONLY_INT8, kv_dtype=DType.INT8),
                 model, request)
-            kv8 = QuantizedInferenceSimulator(
-                spr, QuantConfig(scheme=QuantScheme.WEIGHT_ONLY_INT8,
-                                 kv_dtype=DType.INT8)).run(model, request)
             return base.tpot_s / kv8.tpot_s
 
         assert gain(2048) > gain(128)
@@ -129,7 +131,7 @@ class TestExtendedQuant:
         spr = get_platform("spr")
         request = InferenceRequest(batch_size=1)
         base = simulate(spr, get_model("opt-66b"), request)
-        w4 = QuantizedInferenceSimulator(
-            spr, QuantConfig(scheme=QuantScheme.WEIGHT_ONLY_INT4)).run(
-            get_model("opt-66b"), request)
+        w4 = run_quantized(spr, QuantConfig(
+            scheme=QuantScheme.WEIGHT_ONLY_INT4), get_model("opt-66b"),
+            request)
         assert base.tpot_s / w4.tpot_s > 5.0

@@ -2,31 +2,41 @@
 
 import pytest
 
+from repro.engine.backend import NumaBackend
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
+from repro.numa.model import hot_cold_effective_bandwidth, hot_cold_speedup
+from repro.numa.modes import SNC_FLAT
 from repro.optim.hybrid import HybridPlanner, candidate_fractions
-from repro.optim.numa_aware import (
-    evaluate_numa_aware_snc,
-    hot_cold_effective_bandwidth,
-    hot_cold_speedup,
-)
 from repro.utils.units import gb_per_s
+
+
+def numa_aware_snc(model, request=InferenceRequest()):
+    """SNC-flat E2E speedup and % latency cut from NUMA-aware allocation."""
+    spr = get_platform("spr")
+    naive = InferenceSimulator(
+        spr, backend=NumaBackend(numa=SNC_FLAT)).run(model, request)
+    aware = InferenceSimulator(
+        spr, backend=NumaBackend(numa=SNC_FLAT, numa_aware=True)
+    ).run(model, request)
+    return (naive.e2e_s / aware.e2e_s,
+            (1.0 - aware.e2e_s / naive.e2e_s) * 100.0)
 
 
 class TestNumaAwareSnc:
     def test_numa_awareness_speeds_snc(self):
-        outcome = evaluate_numa_aware_snc(
-            get_platform("spr"), get_model("llama2-13b"),
-            InferenceRequest(batch_size=8))
-        assert outcome.e2e_speedup > 1.05
-        assert outcome.latency_reduction_pct > 0
+        e2e_speedup, latency_reduction_pct = numa_aware_snc(
+            get_model("llama2-13b"), InferenceRequest(batch_size=8))
+        assert e2e_speedup > 1.05
+        assert latency_reduction_pct > 0
 
     def test_consistent_reduction_and_speedup(self):
-        outcome = evaluate_numa_aware_snc(
-            get_platform("spr"), get_model("opt-6.7b"))
-        expected = (1 - 1 / outcome.e2e_speedup) * 100
-        assert outcome.latency_reduction_pct == pytest.approx(expected)
+        e2e_speedup, latency_reduction_pct = numa_aware_snc(
+            get_model("opt-6.7b"))
+        expected = (1 - 1 / e2e_speedup) * 100
+        assert latency_reduction_pct == pytest.approx(expected)
 
 
 class TestHotCold:

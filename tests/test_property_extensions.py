@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.hardware.datatypes import DType
 from repro.models.config import FFNKind, ModelConfig
 from repro.models.registry import get_model
-from repro.optim.numa_aware import hot_cold_effective_bandwidth
+from repro.numa.model import hot_cold_effective_bandwidth
 from repro.quant.weightonly import QuantConfig, QuantScheme
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.scheduler import BatchingSimulator

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.engine.inference import simulate
+from repro.engine.backend import QuantizedBackend
+from repro.engine.inference import InferenceSimulator, simulate
 from repro.engine.request import InferenceRequest
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
 from repro.models.layers import Op, OpKind
 from repro.models.memory import weight_bytes
 from repro.models.registry import get_model
-from repro.quant.engine import QuantizedInferenceSimulator
 from repro.quant.weightonly import (
     QuantConfig,
     QuantScheme,
@@ -90,7 +90,8 @@ class TestQuantizedSimulation:
         model = get_model("llama2-13b")
         request = InferenceRequest(batch_size=1)
         base = simulate(spr, model, request)
-        quantized = QuantizedInferenceSimulator(spr).run(model, request)
+        quantized = InferenceSimulator(
+            spr, backend=QuantizedBackend()).run(model, request)
         gain = base.tpot_s / quantized.tpot_s
         assert 1.6 < gain < 2.1
 
@@ -100,31 +101,26 @@ class TestQuantizedSimulation:
         spr = get_platform("spr")
         request = InferenceRequest(batch_size=1)
         base = simulate(spr, get_model("opt-66b"), request)
-        quantized = QuantizedInferenceSimulator(spr).run(
-            get_model("opt-66b"), request)
+        quantized = InferenceSimulator(
+            spr, backend=QuantizedBackend()).run(get_model("opt-66b"),
+                                                 request)
         assert base.tpot_s / quantized.tpot_s > 2.5
-
-    def test_result_name_tagged_with_scheme(self):
-        result = QuantizedInferenceSimulator(get_platform("spr")).run(
-            get_model("opt-1.3b"), InferenceRequest(output_len=2))
-        assert result.model_name.endswith("+w8")
 
     def test_full_int8_at_least_as_fast_as_weight_only(self):
         spr = get_platform("spr")
         model = get_model("llama2-13b")
         request = InferenceRequest(batch_size=16)
-        w8 = QuantizedInferenceSimulator(
-            spr, QuantConfig(scheme=QuantScheme.WEIGHT_ONLY_INT8)).run(
+        w8 = InferenceSimulator(spr, backend=QuantizedBackend(
+            QuantConfig(scheme=QuantScheme.WEIGHT_ONLY_INT8))).run(
             model, request)
-        w8a8 = QuantizedInferenceSimulator(
-            spr, QuantConfig(scheme=QuantScheme.FULL_INT8)).run(
-            model, request)
+        w8a8 = InferenceSimulator(spr, backend=QuantizedBackend(
+            QuantConfig(scheme=QuantScheme.FULL_INT8))).run(model, request)
         assert w8a8.e2e_s <= w8.e2e_s * 1.001
 
     def test_opt175b_fits_spr_when_quantized(self):
         # BF16 OPT-175B exceeds one SPR socket; INT8 weights fit.
         spr = get_platform("spr")
-        simulator = QuantizedInferenceSimulator(spr)
+        simulator = InferenceSimulator(spr, backend=QuantizedBackend())
         request = InferenceRequest(batch_size=1, output_len=2)
         assert simulator.fits(get_model("opt-175b"), request)
         result = simulator.run(get_model("opt-175b"), request)
