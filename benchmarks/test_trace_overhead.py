@@ -3,8 +3,9 @@
 Every hot loop in the scheduler/cluster layer now carries trace emission
 guarded by ``if tracer.enabled:``. The contract is that the default
 (:data:`~repro.trace.NOOP_TRACER`) path pays only that attribute read —
-no span construction, no argument dicts. This bench runs the
-continuous-batching scheduler over a sizeable arrival stream with an
+no span construction, no argument dicts. This bench runs each batching
+policy (static, continuous, chunked prefill — all one ``ReplicaNode``
+loop) over a sizeable arrival stream with an
 explicit :class:`~repro.trace.NoopTracer` and compares against the
 default call (the same noop path — defaults *are* the noop tracer, so
 this guards the guard: if someone makes emission unconditional or puts
@@ -27,6 +28,8 @@ Run with::
 """
 
 import timeit
+
+import pytest
 
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
@@ -79,24 +82,26 @@ def _paired_min_ratio(fn_a, fn_b, rounds=15, number=40):
     return best
 
 
-def test_noop_tracer_overhead(benchmark):
+@pytest.mark.parametrize("runner", ["run_static", "run_continuous",
+                                    "run_chunked"])
+def test_noop_tracer_overhead(benchmark, runner):
     simulator, arrivals = _scheduler_and_arrivals()
-    simulator.run_continuous(arrivals)  # warm caches and code paths
+    run = getattr(simulator, runner)
+    run(arrivals)  # warm caches and code paths
 
     noop = NoopTracer()
-    benchmark(lambda: simulator.run_continuous(arrivals, tracer=noop))
+    benchmark(lambda: run(arrivals, tracer=noop))
 
-    overhead = _paired_min_ratio(
-        lambda: simulator.run_continuous(arrivals, tracer=noop),
-        lambda: simulator.run_continuous(arrivals)) - 1.0
+    overhead = _paired_min_ratio(lambda: run(arrivals, tracer=noop),
+                                 lambda: run(arrivals)) - 1.0
     assert overhead <= MAX_NOOP_OVERHEAD, (
-        f"NoopTracer costs {overhead:+.1%} over the untraced scheduler "
+        f"NoopTracer costs {overhead:+.1%} over the untraced {runner} "
         f"(bound {MAX_NOOP_OVERHEAD:.0%}): a tracer guard is broken or "
         "emission work moved ahead of the `tracer.enabled` check")
 
     # Both runs must produce identical simulation outcomes.
-    untraced = simulator.run_continuous(arrivals)
-    traced = simulator.run_continuous(arrivals, tracer=NoopTracer())
+    untraced = run(arrivals)
+    traced = run(arrivals, tracer=NoopTracer())
     assert untraced.makespan_s == traced.makespan_s
     assert len(untraced.completed) == len(traced.completed)
 

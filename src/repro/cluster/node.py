@@ -1,9 +1,9 @@
-"""Iteration-steppable serving replica.
+"""Iteration-steppable serving replica: the one scheduler loop.
 
-:class:`ReplicaNode` is the continuous-batching loop of
-:meth:`repro.serving.scheduler.BatchingSimulator.run_continuous`
-refactored into an event-steppable object: instead of consuming a whole
-arrival trace in one call, the node exposes
+:class:`ReplicaNode` is the loop behind every batching policy of
+:class:`repro.serving.scheduler.BatchingSimulator` and every replica of
+:class:`repro.cluster.simulator.ClusterSimulator`. Instead of consuming
+a whole arrival trace in one call, the node exposes
 
 * :meth:`submit` — route one request to the node's local queue,
 * :meth:`next_event_time` — when the node's next scheduler iteration
@@ -13,12 +13,23 @@ arrival trace in one call, the node exposes
 * :meth:`advance_to` — run every iteration starting strictly before a
   horizon, *fast-forwarding* stretches where the batch cannot change.
 
-which is what a multi-replica event loop needs to interleave
-heterogeneous nodes (:class:`repro.cluster.simulator.ClusterSimulator`).
-``run_continuous`` itself drives a single node with the same
+:meth:`serve` drives one node through a whole stream with the same
 ``advance_to``-at-each-arrival sequence the cluster loop uses, so the
-single-node policy and a one-replica cluster produce bit-identical
+single-node policies and a one-replica cluster produce bit-identical
 per-request timings by construction.
+
+**Batching disciplines** (paper Section VII-C). ``policy`` changes
+three decisions of an iteration; everything else (clock, records,
+admission hooks, spans, gaps, exact modes, fast-forward) is shared.
+``"continuous"`` (Orca; the fleet discipline) admits whenever a slot is
+free, prefills each admission in full (stalling the running batch) and
+prices the live batch at its floor mean KV. ``"static"``
+(FasterTransformer) admits a cohort only into an empty node, prefills
+it as one padded pass and prices each decode step at (cohort size,
+longest prompt + step) until its longest request finishes.
+``"chunked"`` (Sarathi) counts in-flight prompts against the slots and
+prefills at most ``chunk_tokens`` of the oldest one per iteration, fused
+with the decode step.
 
 One iteration is atomic: its admission prefills and decode step are
 priced as a block and the node clock jumps to the block's end. A request
@@ -52,7 +63,7 @@ cross-check of the memoized fast path.
 import bisect
 import dataclasses
 from array import array
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,9 +73,35 @@ from repro.engine.inference import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.serving.arrivals import ArrivingRequest
-from repro.serving.scheduler import BatchingSimulator, CompletedRequest, _Running
+from repro.serving.scheduler import (
+    BatchingSimulator,
+    CompletedRequest,
+    ServingReport,
+    check_batching_policy,
+)
 from repro.trace.spans import replica_track, request_track
 from repro.trace.tracer import NOOP_TRACER, Tracer
+from repro.utils.validation import require_positive
+
+
+@dataclasses.dataclass
+class _Running:
+    """An admitted request (``prompt_left``: chunked prefill still owed)."""
+
+    request: ArrivingRequest
+    start_s: float
+    first_token_s: float
+    generated: int  # tokens produced so far (prefill's counts as 1)
+    last_event_s: float = 0.0  # end of this sequence's latest span (tracing)
+    prompt_left: int = 0
+
+    @property
+    def kv_len(self) -> int:
+        return self.request.input_len + self.generated
+
+    @property
+    def done(self) -> bool:
+        return self.generated >= self.request.output_len
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,7 +119,7 @@ class _QueuedRequest:
 
 
 class ReplicaNode:
-    """One continuous-batching serving replica with a steppable clock.
+    """One serving replica with a steppable clock and a batching discipline.
 
     Args:
         name: Replica identifier within the fleet ("spr-0", "h100-0").
@@ -120,6 +157,9 @@ class ReplicaNode:
             fleet $/Mtok accounting; ``None`` looks the platform up in
             :data:`repro.analysis.cost.LIST_PRICE_USD` (median fallback
             with a one-time warning for unknown devices).
+        policy: ``"continuous"`` (default), ``"static"`` or
+            ``"chunked"`` batching (see the module docstring).
+        chunk_tokens: Prompt tokens a chunked node prefills per iteration.
     """
 
     def __init__(self, name: str, platform: Optional[Platform] = None,
@@ -131,7 +171,14 @@ class ReplicaNode:
                  exact: Union[bool, str] = False,
                  collect_gaps: bool = False,
                  admission: Optional[AdmissionScheduler] = None,
-                 price_usd: Optional[float] = None):
+                 price_usd: Optional[float] = None,
+                 policy: str = "continuous", chunk_tokens: int = 256):
+        self.policy = check_batching_policy(policy)
+        self._static = policy == "static"
+        self._chunked = policy == "chunked"
+        if self._chunked:
+            require_positive(chunk_tokens, "chunk_tokens")
+        self.chunk_tokens = chunk_tokens
         if simulator is None:
             if platform is None or model is None:
                 raise ValueError("ReplicaNode needs platform+model or a "
@@ -150,6 +197,10 @@ class ReplicaNode:
         self.clock = 0.0
         self.pending: List[_QueuedRequest] = []
         self.running: List[_Running] = []
+        self.prefilling: List[_Running] = []  # chunked prompts in flight
+        # Static batching's padded shape: cohort size, longest prompt.
+        self._cohort_size = 0
+        self._cohort_input = 0
         self.completed: List[CompletedRequest] = []
         self.decode_gaps: List[float] = []
         self.generated_tokens = 0
@@ -221,7 +272,7 @@ class ReplicaNode:
     @property
     def has_work(self) -> bool:
         """Whether any queued or running request remains."""
-        return bool(self.pending or self.running)
+        return bool(self.pending or self.running or self.prefilling)
 
     @property
     def queue_len(self) -> int:
@@ -278,15 +329,15 @@ class ReplicaNode:
 
     # -- cost primitives (exact vs memoized) ----------------------------------
 
-    def _prefill_cost(self, input_len: int) -> float:
+    def _prefill_cost(self, batch: int, input_len: int) -> float:
         if self.exact:
-            return self._sim._prefill_time(1, input_len)
-        return self._cost.prefill_time(1, input_len)
+            return self._sim._prefill_time(batch, input_len)
+        return self._cost.prefill_time(batch, input_len)
 
-    def _prefill_legs(self, input_len: int):
+    def _prefill_legs(self, batch: int, input_len: int):
         if self.exact:
-            return self._sim._prefill_split(1, input_len)
-        return self._cost.prefill_split(1, input_len)
+            return self._sim._prefill_split(batch, input_len)
+        return self._cost.prefill_split(batch, input_len)
 
     def _iteration_cost(self, batch: int, mean_kv: int) -> float:
         if self.exact:
@@ -316,103 +367,175 @@ class ReplicaNode:
 
     def next_event_time(self) -> Optional[float]:
         """Start time of the next scheduler iteration; None while idle."""
-        if self.running:
+        if self.running or self.prefilling:
             return self.clock
         if self.pending:
             return max(self.clock, self.pending[0].ready_s)
         return None
 
-    def _pop_admission(self) -> Optional[_QueuedRequest]:
-        """Remove and return the next request to admit, or ``None``.
+    def serve(self, arrivals: Iterable[ArrivingRequest]) -> ServingReport:
+        """Serve a whole (non-empty) arrival stream and report it.
 
-        Only called when the head of the (readiness-sorted) queue is
-        ready and a slot is free, so the built-in FCFS path is exactly
-        the legacy ``pending.pop(0)``. With a scheduler attached, the
-        scheduler chooses among the ready prefix; ``None`` from a
-        (contract-violating, non-work-conserving) scheduler falls back
-        to admitting nothing this iteration.
+        Advance to each arrival, submit it, drain: the cluster loop's
+        call sequence, so a one-replica cluster reproduces it exactly.
+        """
+        queue = sorted(arrivals, key=lambda r: r.arrival_s)
+        if not queue:
+            raise ValueError("no arrivals to serve")
+        for request in queue:
+            self.advance_to(request.arrival_s)
+            self.submit(request)
+        self.advance_to(None)
+        completed = sorted(self.completed, key=lambda r: r.finish_s)
+        return ServingReport(self.policy, completed,
+                             makespan_s=max(r.finish_s for r in completed),
+                             generated_tokens=self.generated_tokens,
+                             decode_gaps=self.decode_gaps)
+
+    def _admit_next(self, start: float) -> Optional[ArrivingRequest]:
+        """Admit a request into a free slot; the queue head is ready.
+
+        The built-in FCFS path pops the queue head. With a scheduler
+        attached, the scheduler chooses among the ready prefix; ``None``
+        from a (contract-violating, non-work-conserving) scheduler falls
+        back to admitting nothing this iteration.
         """
         if self.admission is None:
-            return self.pending.pop(0)
-        index = self.admission.pick(self.pending, self.clock)
-        if index is None:
-            return None
-        return self.pending.pop(index)
+            queued = self.pending.pop(0)
+        else:
+            index = self.admission.pick(self.pending, self.clock)
+            if index is None:
+                return None
+            queued = self.pending.pop(index)
+        self.admission_stamps.append(start)
+        request = queued.request
+        if self.admission is not None:
+            self.admission.on_admit(request, self.clock)
+        if self.tracer.enabled:
+            # queue_wait starts at ready_s (== arrival for normal
+            # routes, the requeue stamp for failure-rescued work) so
+            # a requeued request's spans stay non-overlapping.
+            self.tracer.span(request_track(request.request_id),
+                             "queue_wait", queued.ready_s, self.clock,
+                             category="request", args={"replica": self.name})
+        return request
 
-    def advance(self, now: Optional[float] = None) -> List[CompletedRequest]:
-        """Run one scheduler iteration; return requests completed by it.
+    def _trace_prefill(self, request: ArrivingRequest, start_s: float,
+                       legs: Tuple[float, float], **args) -> None:
+        self.tracer.span(request_track(request.request_id), "prefill",
+                         start_s, self.clock, category="request",
+                         args={"replica": self.name,
+                               "input_len": request.input_len,
+                               "compute_s": legs[0], "memory_s": legs[1],
+                               **args})
 
-        The iteration replays ``run_continuous``'s loop body exactly:
-        admit every ready request up to capacity (each paying its prefill
-        serially, stalling already-running sequences), retire finished
-        sequences, then run one fused decode step for the running set.
-        *now* is advisory (the cluster loop's current time); the
-        iteration actually starts at :meth:`next_event_time`.
-        """
-        start = self.next_event_time()
-        if start is None:
-            return []
-        self.clock = start
-        tracer = self.tracer
-        stall = 0.0
-        while (self.pending and len(self.running) < self.max_batch
-               and self.pending[0].ready_s <= self.clock):
-            queued = self._pop_admission()
-            if queued is None:
+    def _admit_cohort(self, start: float) -> None:
+        """Static admission: one padded cohort, only into an empty node."""
+        if self.running:
+            return
+        cohort: List[ArrivingRequest] = []
+        while (self.pending and self.pending[0].ready_s <= self.clock
+               and len(cohort) < self.max_batch):
+            request = self._admit_next(start)
+            if request is None:
                 break
-            self.admission_stamps.append(start)
-            request = queued.request
-            start_s = self.clock
-            if self.admission is not None:
-                self.admission.on_admit(request, start_s)
-            prefill = self._prefill_cost(request.input_len)
-            self.clock += prefill
-            self.busy_s += prefill
-            if self.running:
-                stall += prefill
-            self.running.append(_Running(request=request, start_s=start_s,
+            cohort.append(request)
+        if not cohort:
+            return
+        self._cohort_size = batch = len(cohort)
+        self._cohort_input = longest = max(r.input_len for r in cohort)
+        prefill = self._prefill_cost(batch, longest)
+        self.clock += prefill
+        self.busy_s += prefill
+        for request in cohort:
+            self.running.append(_Running(request=request, start_s=start,
                                          first_token_s=self.clock,
                                          generated=1,
                                          last_event_s=self.clock))
-            if tracer.enabled:
-                # queue_wait starts at ready_s (== arrival for normal
-                # routes, the requeue stamp for failure-rescued work) so
-                # a requeued request's spans stay non-overlapping.
-                track = request_track(request.request_id)
-                tracer.span(track, "queue_wait", queued.ready_s, start_s,
-                            category="request", args={"replica": self.name})
-                compute_s, memory_s = self._prefill_legs(request.input_len)
-                tracer.span(track, "prefill", start_s, self.clock,
-                            category="request",
-                            args={"replica": self.name,
-                                  "input_len": request.input_len,
-                                  "compute_s": compute_s,
-                                  "memory_s": memory_s})
-                tracer.span(self._track, "prefill", start_s, self.clock,
-                            category="replica",
-                            args={"request_id": request.request_id,
-                                  "input_len": request.input_len,
-                                  "batch_size": len(self.running),
-                                  "compute_s": compute_s,
-                                  "memory_s": memory_s})
-        completed_now: List[CompletedRequest] = []
-        # Most iterations retire nobody; scan before paying _retire's
-        # list rebuild.
-        retired: Sequence[_Running] = ()
-        for seq in self.running:
-            if seq.done:
-                self.running, retired = BatchingSimulator._retire(
-                    self.running, self.clock)
+        if self.tracer.enabled:
+            legs = self._prefill_legs(batch, longest)
+            for request in cohort:
+                self._trace_prefill(request, start, legs, batch_size=batch)
+            self.tracer.span(self._track, "prefill", start, self.clock,
+                             category="replica",
+                             args={"batch_size": batch, "input_len": longest,
+                                   "compute_s": legs[0],
+                                   "memory_s": legs[1]})
+
+    def _admit_prompts(self, start: float) -> None:
+        """Chunked admission: free slots count prompts still in flight."""
+        while (self.pending and self.pending[0].ready_s <= self.clock
+               and len(self.running) + len(self.prefilling) < self.max_batch):
+            request = self._admit_next(start)
+            if request is None:
                 break
-        for seq in retired:
-            record = BatchingSimulator._complete(seq, self.clock)
+            self.prefilling.append(_Running(request=request,
+                                            start_s=self.clock,
+                                            first_token_s=self.clock,
+                                            generated=0,
+                                            prompt_left=request.input_len))
+
+    def _prefill_chunk(self) -> float:
+        """Price one chunk of the oldest in-flight prompt (fused with decode).
+
+        The clock does not move here; a prompt finishing with this
+        chunk yields its first token at the chunk's end.
+        """
+        if not self.prefilling:
+            return 0.0
+        job = self.prefilling[0]
+        chunk = min(self.chunk_tokens, job.prompt_left)
+        cost = self._prefill_cost(1, chunk)
+        job.prompt_left -= chunk
+        end = self.clock + cost
+        if self.tracer.enabled:
+            legs = self._prefill_legs(1, chunk)
+            self.tracer.span(self._track, "prefill", self.clock, end,
+                             category="replica",
+                             args={"request_id": job.request.request_id,
+                                   "chunk_tokens": chunk,
+                                   "remaining": job.prompt_left,
+                                   "compute_s": legs[0],
+                                   "memory_s": legs[1]})
+        if job.prompt_left == 0:
+            self.prefilling.pop(0)
+            job.first_token_s = job.last_event_s = end
+            job.generated = 1
+            self.running.append(job)
+            if self.tracer.enabled:
+                # The request's prefill span is its admission window
+                # (first chunk to first token), not busy time: the
+                # chunks interleave with other sequences' decode steps.
+                self.tracer.span(request_track(job.request.request_id),
+                                 "prefill", job.start_s, end,
+                                 category="request",
+                                 args={"replica": self.name,
+                                       "input_len": job.request.input_len,
+                                       "chunked": True})
+        return cost
+
+    def _retire(self) -> List[CompletedRequest]:
+        """Retire every finished sequence at the clock; return the records."""
+        still: List[_Running] = []
+        completed_now: List[CompletedRequest] = []
+        tracer = self.tracer
+        for seq in self.running:
+            if not seq.done:
+                still.append(seq)
+                continue
+            request = seq.request
+            record = CompletedRequest(request_id=request.request_id,
+                                      arrival_s=request.arrival_s,
+                                      start_s=seq.start_s,
+                                      first_token_s=seq.first_token_s,
+                                      finish_s=self.clock)
             self.completed.append(record)
             completed_now.append(record)
-            self.generated_tokens += seq.request.output_len
+            self.generated_tokens += request.output_len
             if self.admission is not None:
-                self.admission.on_finish(seq.request)
+                self.admission.on_finish(request)
             if tracer.enabled:
-                track = request_track(seq.request.request_id)
+                track = request_track(request.request_id)
                 if self.clock > seq.last_event_s:
                     # Retirement happens at the next iteration boundary;
                     # admission prefills in that iteration delay it.
@@ -422,31 +545,101 @@ class ReplicaNode:
                 tracer.span(track, "request", record.arrival_s,
                             record.finish_s, category="request",
                             args={"replica": self.name,
-                                  "input_len": seq.request.input_len,
-                                  "output_len": seq.request.output_len})
-        if self.running:
-            total_kv = 0
-            for seq in self.running:
-                total_kv += seq.request.input_len + seq.generated
-            mean_kv = int(total_kv / len(self.running))
-            iteration = self._iteration_cost(len(self.running), mean_kv)
-            decode_start = self.clock
-            self.clock += iteration
-            self.busy_s += iteration
+                                  "input_len": request.input_len,
+                                  "output_len": request.output_len})
+        self.running = still
+        return completed_now
+
+    def advance(self, now: Optional[float] = None) -> List[CompletedRequest]:
+        """Run one scheduler iteration; return requests completed by it.
+
+        Admit as the discipline allows, retire finished sequences, run
+        one fused decode step. Retirement waits behind admission
+        prefills, except on a chunked node, whose admissions take no
+        time: it admits after retiring, so freed slots refill at once.
+        *now* is advisory; the iteration starts at
+        :meth:`next_event_time`.
+        """
+        start = self.next_event_time()
+        if start is None:
+            return []
+        self.clock = start
+        tracer = self.tracer
+        stall = lead = 0.0
+        if self._static:
+            self._admit_cohort(start)
+        elif not self._chunked:
+            # Continuous: prefill each admission in full, in turn; time
+            # spent while sequences were already running stalls them.
+            while (self.pending and len(self.running) < self.max_batch
+                   and self.pending[0].ready_s <= self.clock):
+                request = self._admit_next(start)
+                if request is None:
+                    break
+                start_s = self.clock
+                prefill = self._prefill_cost(1, request.input_len)
+                self.clock += prefill
+                self.busy_s += prefill
+                if self.running:
+                    stall += prefill
+                self.running.append(_Running(request=request,
+                                             start_s=start_s,
+                                             first_token_s=self.clock,
+                                             generated=1,
+                                             last_event_s=self.clock))
+                if tracer.enabled:
+                    legs = self._prefill_legs(1, request.input_len)
+                    self._trace_prefill(request, start_s, legs)
+                    tracer.span(self._track, "prefill", start_s, self.clock,
+                                category="replica",
+                                args={"request_id": request.request_id,
+                                      "input_len": request.input_len,
+                                      "batch_size": len(self.running),
+                                      "compute_s": legs[0],
+                                      "memory_s": legs[1]})
+        for seq in self.running:
+            if seq.done:
+                completed_now = self._retire()
+                break
+        else:
+            completed_now = []  # most iterations retire nobody
+        cohort = self.running
+        if self._chunked:
+            self._admit_prompts(start)
+            lead = self._prefill_chunk()
+            if cohort and cohort[-1].done:
+                # A single-token prompt the chunk just finished (nothing
+                # else is done after retirement): it emits no decode
+                # token and retires at the next boundary.
+                cohort = cohort[:-1]
+        if cohort:
+            if self._static:
+                batch = self._cohort_size
+                mean_kv = self._cohort_input + cohort[0].generated - 1
+            else:
+                batch = len(cohort)
+                total_kv = 0
+                for seq in cohort:
+                    total_kv += seq.request.input_len + seq.generated
+                mean_kv = int(total_kv / batch)
+            iteration = self._iteration_cost(batch, mean_kv)
+            decode_start = self.clock + lead
+            fused = lead + iteration
+            self.clock += fused
+            self.busy_s += fused
             if self.collect_gaps:
-                self.decode_gaps.append(stall + iteration)
+                self.decode_gaps.append(stall + fused)
             if tracer.enabled:
-                compute_s, memory_s = self._iteration_legs(
-                    len(self.running), mean_kv)
+                compute_s, memory_s = self._iteration_legs(batch, mean_kv)
                 tracer.span(self._track, "decode", decode_start, self.clock,
                             category="replica",
-                            args={"batch_size": len(self.running),
+                            args={"batch_size": batch,
                                   "mean_kv": mean_kv,
                                   "compute_s": compute_s,
                                   "memory_s": memory_s})
                 tracer.counter(self._track, "batch_size", decode_start,
-                               len(self.running))
-            for seq in self.running:
+                               batch)
+            for seq in cohort:
                 seq.generated += 1
                 if tracer.enabled:
                     # The token span starts at this sequence's previous
@@ -458,8 +651,11 @@ class ReplicaNode:
                                 category="request",
                                 args={"replica": self.name,
                                       "kv_len": seq.kv_len,
-                                      "batch_size": len(self.running)})
+                                      "batch_size": batch})
                 seq.last_event_s = self.clock
+        else:
+            self.clock += lead
+            self.busy_s += lead
         self.iterations += 1
         return completed_now
 
@@ -493,36 +689,38 @@ class ReplicaNode:
                     self._fast_forward(*window)
                     continue
             elif not self.exact:
-                steps, mean_kv = self._coalescible_steps(start, horizon)
+                steps, batch, mean_kv = self._coalescible_steps(start,
+                                                                horizon)
                 if steps >= 2:
-                    batch = len(self.running)
                     if self.collect_gaps or self.tracer.enabled:
                         step_times = self._cost.step_times(batch, mean_kv,
                                                            mean_kv + steps)
                         split = lambda: self._cost.range_cost(
                             batch, mean_kv, mean_kv + steps)[1:]
-                        self._fast_forward(steps, mean_kv, step_times, split)
+                        self._fast_forward(steps, batch, mean_kv, step_times,
+                                           split)
                     else:
                         self._fast_forward_fused(batch, steps, mean_kv)
                     continue
             completed.extend(self.advance())
 
     def _coalescible_window(self, start: float, horizon: Optional[float]
-                            ) -> Tuple[int, int, Optional[float]]:
-        """(step limit, batch mean KV, time budget) of a pure-decode run.
+                            ) -> Tuple[int, int, int, Optional[float]]:
+        """(step limit, priced batch, mean KV, time budget) of a pure-decode run.
 
-        The limit is zero unless the running set is non-empty, nobody
-        retires within the window (bounded by the closest sequence to
-        finishing), and no admission can happen at or before the
-        window's iterations begin. The budget is the time available
-        against the earlier of *horizon* and the head-of-queue
-        readiness (``None`` = unbounded); converting it to a step count
-        is mode-specific — a prefix-curve binary search in fast mode, a
-        numpy prefix-sum search in vectorized exact mode.
+        The limit is zero unless the running set is non-empty, no prompt
+        is in flight, nobody retires within the window (bounded by the
+        closest sequence to finishing), and no admission can happen at
+        or before the window's iterations begin. The priced shape is the
+        discipline's (a static cohort's is padded). The budget is the
+        time available against the earlier of *horizon* and the
+        head-of-queue readiness (``None`` = unbounded); converting it to
+        a step count is mode-specific — a prefix-curve binary search in
+        fast mode, a numpy prefix-sum search in vectorized exact mode.
         """
         running = self.running
-        if not running:
-            return 0, 0, None
+        if not running or self.prefilling:
+            return 0, 0, 0, None
         limit = None
         total_kv = 0
         for seq in running:
@@ -532,25 +730,30 @@ class ReplicaNode:
                 limit = remaining
             total_kv += request.input_len + seq.generated
         if limit < 2:
-            return 0, 0, None
-        batch = len(running)
-        mean_kv = total_kv // batch
-        if mean_kv < 1:
-            mean_kv = 1
+            return 0, 0, 0, None
         bound = horizon
-        if self.pending and batch < self.max_batch:
-            ready = self.pending[0].ready_s
-            if ready <= start:
-                return 0, 0, None  # admissible right now: step normally
-            if bound is None or ready < bound:
-                bound = ready
+        if self._static:
+            # A padded cohort, which admits nothing until fully retired.
+            batch = self._cohort_size
+            mean_kv = self._cohort_input + running[0].generated - 1
+        else:
+            batch = len(running)
+            mean_kv = total_kv // batch
+            if mean_kv < 1:
+                mean_kv = 1
+            if self.pending and batch < self.max_batch:
+                ready = self.pending[0].ready_s
+                if ready <= start:
+                    return 0, 0, 0, None  # admissible now: step normally
+                if bound is None or ready < bound:
+                    bound = ready
         if bound is None:
-            return limit, mean_kv, None
-        return limit, mean_kv, bound - start
+            return limit, batch, mean_kv, None
+        return limit, batch, mean_kv, bound - start
 
-    def _coalescible_steps(self, start: float,
-                           horizon: Optional[float]) -> Tuple[int, int]:
-        """(pure-decode iterations runnable from *start*, batch mean KV).
+    def _coalescible_steps(self, start: float, horizon: Optional[float]
+                           ) -> Tuple[int, int, int]:
+        """(pure-decode iterations runnable from *start*, batch, mean KV).
 
         Fast-mode step counting: the window's time budget resolves to a
         step count with one binary search over the shared prefix-sum
@@ -558,13 +761,12 @@ class ReplicaNode:
         length advances by exactly +1 per iteration (integer floor of a
         sum that grows by the batch size each step).
         """
-        limit, mean_kv, budget = self._coalescible_window(start, horizon)
-        if limit == 0:
-            return 0, 0
-        if budget is None:
-            return limit, mean_kv
-        return self._cost.steps_within(len(self.running), mean_kv,
-                                       budget, limit), mean_kv
+        limit, batch, mean_kv, budget = self._coalescible_window(start,
+                                                                  horizon)
+        if limit == 0 or budget is None:
+            return limit, batch, mean_kv
+        return self._cost.steps_within(batch, mean_kv, budget,
+                                       limit), batch, mean_kv
 
     def _vectorized_steps(self, start: float, horizon: Optional[float]):
         """Vectorized exact mode's coalescing window, or ``None`` to step.
@@ -579,10 +781,10 @@ class ReplicaNode:
         lands strictly inside the budget — mirroring
         ``DecodeCostTable.steps_within``'s strict-start rule.
         """
-        limit, mean_kv, budget = self._coalescible_window(start, horizon)
+        limit, batch, mean_kv, budget = self._coalescible_window(start,
+                                                                  horizon)
         if limit < 2:
             return None
-        batch = len(self.running)
         if budget is None:
             priced = limit
         else:
@@ -615,7 +817,7 @@ class ReplicaNode:
         if steps < 2:
             return None
         split = lambda: (sum(compute[:steps]), sum(memory[:steps]))
-        return steps, mean_kv, times[:steps], split
+        return steps, batch, mean_kv, times[:steps], split
 
     def _fast_forward_fused(self, batch: int, steps: int,
                             mean_kv: int) -> None:
@@ -644,7 +846,7 @@ class ReplicaNode:
             seq.generated += steps
             seq.last_event_s = clock
 
-    def _fast_forward(self, steps: int, mean_kv: int,
+    def _fast_forward(self, steps: int, batch: int, mean_kv: int,
                       step_times: Sequence[float],
                       split: Callable[[], Tuple[float, float]]) -> None:
         """Execute *steps* pure-decode iterations as one coalesced block.
@@ -667,7 +869,6 @@ class ReplicaNode:
         tiles each request's ``e2e_s``.
         """
         running = self.running
-        batch = len(running)
         run_start = self.clock
         clock = run_start
         busy = self.busy_s
@@ -720,8 +921,9 @@ class ReplicaNode:
         self.active = False
         self.draining = True
         lost = [q.request for q in self.pending]
-        lost += [seq.request for seq in self.running]
+        lost += [seq.request for seq in self.prefilling + self.running]
         wasted = sum(seq.generated for seq in self.running)
         self.pending.clear()
+        self.prefilling.clear()
         self.running.clear()
         return lost, wasted

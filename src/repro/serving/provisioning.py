@@ -15,7 +15,7 @@ from repro.analysis.cost import list_price
 from repro.engine.inference import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
-from repro.serving.scheduler import BatchingSimulator
+from repro.serving.scheduler import BatchingSimulator, check_batching_policy
 from repro.serving.slo import SLO, max_sustainable_rate
 from repro.utils.validation import require_positive
 
@@ -66,7 +66,8 @@ class ProvisioningPlanner:
     Args:
         model: Served model.
         max_batch: Per-device batching limit.
-        policy: Batching policy used for capacity measurement.
+        policy: Batching policy used for capacity measurement
+            ("static", "continuous" or "chunked").
         headroom: Capacity margin (0.2 = provision for 1.2x the target).
         config: CPU engine configuration.
     """
@@ -78,7 +79,7 @@ class ProvisioningPlanner:
             raise ValueError(f"headroom must be >= 0, got {headroom}")
         self.model = model
         self.max_batch = max_batch
-        self.policy = policy
+        self.policy = check_batching_policy(policy)
         self.headroom = headroom
         self.config = config
 

@@ -1,24 +1,17 @@
-"""Batching-policy serving simulation: static vs continuous batching.
+"""Batching-policy serving simulation: static, continuous, chunked prefill.
 
-The paper's related work (Section VII-C) credits iteration-level
-scheduling (Orca) and paged batching (vLLM) with the throughput gains
-that make large batch sizes — and hence the paper's batch sweeps —
-realistic. This module simulates both disciplines on top of the
-operator-level engine:
-
-* **static batching** — requests queue until the server is free; the
-  scheduler takes up to ``max_batch`` queued requests, pads them to a
-  common shape, and runs the whole batch to completion before admitting
-  more (FasterTransformer-style).
-* **continuous batching** — iteration-level: after every decode
-  iteration, finished sequences leave and queued requests join (their
-  prefill runs as an extra pass on admission), keeping slots full.
-
-Both use the same cost model, so differences are purely scheduling.
+The paper's related work (Section VII-C) credits request-level batching
+(FasterTransformer), iteration-level scheduling (Orca) and chunked
+prefill (Sarathi-Serve) with making the large batch sizes of its sweeps
+realistic in production. :class:`BatchingSimulator` serves an arrival
+stream under each discipline. All three drive one
+:class:`repro.cluster.node.ReplicaNode` — the fleet's scheduler loop,
+with the discipline as a node parameter — so they share one cost model,
+clock and tracing contract, and differences are purely scheduling.
 """
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.engine.backend import ExecutionBackend
 from repro.engine.executor import OperatorExecutor
@@ -28,14 +21,9 @@ from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.serving.arrivals import ArrivingRequest
-from repro.trace.spans import replica_track, request_track
 from repro.trace.tracer import NOOP_TRACER, Tracer
 from repro.utils.stats import mean, percentile
 from repro.utils.validation import require_positive
-
-#: Track name the single-node policies emit replica spans on.
-SERVER_TRACK = replica_track("server")
-
 
 @dataclasses.dataclass(slots=True)
 class CompletedRequest:
@@ -130,30 +118,16 @@ class ServingReport:
         return percentile(self.decode_gaps, 95)
 
 
-@dataclasses.dataclass
-class _Running:
-    request: ArrivingRequest
-    start_s: float
-    first_token_s: float
-    generated: int  # tokens produced so far (prefill's counts as 1)
-    last_event_s: float = 0.0  # end of this sequence's latest span (tracing)
-
-    @property
-    def kv_len(self) -> int:
-        return self.request.input_len + self.generated
-
-    @property
-    def done(self) -> bool:
-        return self.generated >= self.request.output_len
+#: Batching disciplines a :class:`~repro.cluster.node.ReplicaNode` runs.
+BATCHING_POLICIES = ("static", "continuous", "chunked")
 
 
-@dataclasses.dataclass
-class _Prefilling:
-    """Admission whose prompt is still being prefilled chunk by chunk."""
-
-    request: ArrivingRequest
-    start_s: float
-    remaining: int
+def check_batching_policy(policy: str) -> str:
+    """Return *policy* if it names a batching discipline, else raise."""
+    if policy not in BATCHING_POLICIES:
+        raise ValueError(f"unknown batching policy {policy!r}; expected "
+                         f"one of {', '.join(BATCHING_POLICIES)}")
+    return policy
 
 
 class BatchingSimulator:
@@ -203,10 +177,12 @@ class BatchingSimulator:
         return decode_cost_table(self._executor, self.model)
 
     # -- cost primitives ----------------------------------------------------
-    # Op graphs come from the executor's backend (plain BF16 when no
-    # backend is configured), so every policy below prices quantized /
-    # sharded variants identically to the single-request path. Per-pass
-    # communication (TP allreduce) is wall time, not a roofline leg.
+    # Unmemoized pricing for the node's exact modes (the fast path reads
+    # the same primitives off ``cost_table``). Op graphs come from the
+    # executor's backend (plain BF16 when no backend is configured), so
+    # every policy prices quantized / sharded variants identically to
+    # the single-request path. Per-pass communication (TP allreduce) is
+    # wall time, not a roofline leg.
 
     def _prefill_time(self, batch_size: int, input_len: int) -> float:
         timings = self._executor.time_prefill_ops(self.model, batch_size,
@@ -221,7 +197,7 @@ class BatchingSimulator:
             + self._executor.decode_comm_s(self.model, batch_size)
 
     # Attribution variants: compute/memory leg seconds for trace spans.
-    # Only called while a recording tracer is attached, so the default
+    # Only called with a recording tracer attached, so the default
     # path never pays the second pricing pass.
 
     def _prefill_split(self, batch_size: int, input_len: int):
@@ -249,88 +225,25 @@ class BatchingSimulator:
         return self._executor.time_decode_series(self.model, batch_size,
                                                  kv_start, kv_end)
 
-    # -- static batching ------------------------------------------------------
+    # -- batching policies ------------------------------------------------------
+    # Each policy is one ReplicaNode driven through the whole stream; the
+    # node is imported here because the cluster layer sits above serving.
+
+    def _node(self, policy: str, tracer: Tracer, **kwargs):
+        from repro.cluster.node import ReplicaNode
+        return ReplicaNode("single", simulator=self, tracer=tracer,
+                           policy=policy, **kwargs)
 
     def run_static(self, arrivals: Sequence[ArrivingRequest],
                    tracer: Tracer = NOOP_TRACER) -> ServingReport:
-        """FasterTransformer-style: batch runs to completion, then re-admit."""
-        queue = sorted(arrivals, key=lambda r: r.arrival_s)
-        now = 0.0
-        completed: List[CompletedRequest] = []
-        generated = 0
-        index = 0
-        while index < len(queue):
-            # Wait for at least one request.
-            now = max(now, queue[index].arrival_s)
-            batch: List[ArrivingRequest] = []
-            while (index < len(queue) and len(batch) < self.max_batch
-                   and queue[index].arrival_s <= now):
-                batch.append(queue[index])
-                index += 1
-            start = now
-            max_input = max(r.input_len for r in batch)
-            max_output = max(r.output_len for r in batch)
-            first_token = start + self._prefill_time(len(batch), max_input)
-            now = first_token
-            if tracer.enabled:
-                compute_s, memory_s = self._prefill_split(len(batch),
-                                                          max_input)
-                tracer.span(SERVER_TRACK, "prefill", start, first_token,
-                            category="replica",
-                            args={"batch_size": len(batch),
-                                  "input_len": max_input,
-                                  "compute_s": compute_s,
-                                  "memory_s": memory_s})
-            finish_by_id: Dict[int, float] = {}
-            for step in range(max_output - 1):
-                step_start = now
-                now += self._decode_iteration_time(len(batch),
-                                                   max_input + step)
-                if tracer.enabled:
-                    compute_s, memory_s = self._decode_split(len(batch),
-                                                             max_input + step)
-                    tracer.span(SERVER_TRACK, "decode", step_start, now,
-                                category="replica",
-                                args={"batch_size": len(batch),
-                                      "mean_kv": max_input + step,
-                                      "compute_s": compute_s,
-                                      "memory_s": memory_s})
-                for request in batch:
-                    if request.output_len == step + 2:
-                        finish_by_id[request.request_id] = now
-            for request in batch:
-                # Static batching holds every sequence until its own last
-                # token; single-token requests finish at first token.
-                finish = finish_by_id.get(request.request_id, first_token)
-                completed.append(CompletedRequest(
-                    request_id=request.request_id,
-                    arrival_s=request.arrival_s,
-                    start_s=start,
-                    first_token_s=first_token,
-                    finish_s=finish,
-                ))
-                generated += request.output_len
-                if tracer.enabled:
-                    track = request_track(request.request_id)
-                    tracer.span(track, "queue_wait", request.arrival_s,
-                                start, category="request")
-                    tracer.span(track, "prefill", start, first_token,
-                                category="request",
-                                args={"input_len": request.input_len})
-                    if finish > first_token:
-                        tracer.span(track, "decode", first_token, finish,
-                                    category="request",
-                                    args={"tokens": request.output_len - 1})
-                    tracer.span(track, "request", request.arrival_s, finish,
-                                category="request",
-                                args={"input_len": request.input_len,
-                                      "output_len": request.output_len})
-        completed.sort(key=lambda r: r.finish_s)
-        return ServingReport("static", completed,
-                             makespan_s=max(r.finish_s for r in completed),
-                             generated_tokens=generated)
+        """FasterTransformer-style: batch runs to completion, then re-admit.
 
-    # -- continuous batching --------------------------------------------------
+        A cohort's decode steps are priced at the padded shape (cohort
+        size, longest prompt + step) until its longest request
+        finishes; each request's ``finish_s`` is its own last token. No
+        inter-token gaps are collected.
+        """
+        return self._node("static", tracer).serve(arrivals)
 
     def run_continuous(self, arrivals: Sequence[ArrivingRequest],
                        tracer: Tracer = NOOP_TRACER,
@@ -340,47 +253,22 @@ class BatchingSimulator:
 
         Each scheduler iteration admits everything that has arrived, up
         to capacity — each admission pays its prefill pass serially, and
-        while an admission prefill runs, already-running sequences stall
+        already-running sequences stall for the admission prefills
         (the inter-token gap chunked prefill exists to bound) — then
         retires finished sequences and runs one fused decode step. A
         request arriving mid-iteration is considered at the next
         iteration boundary, exactly as in the fleet simulator.
 
-        The loop itself lives in :class:`repro.cluster.node.ReplicaNode`
-        (the iteration-steppable form the fleet simulator interleaves);
-        this method drives one node with the cluster loop's own call
-        sequence — ``advance_to`` each arrival, submit, drain — so a
-        one-replica :class:`~repro.cluster.simulator.ClusterSimulator`
-        reproduces it bit-exactly. By default pure-decode stretches are
-        fast-forwarded in closed form; ``exact=True`` steps and prices
-        every iteration individually (the two agree to ≤1e-9 relative).
-        With a recording *tracer*, the node emits request-lifecycle and
-        replica iteration spans (track ``replica/single``).
-
-        *admission* plugs a queue-ordering policy
+        By default pure-decode stretches are fast-forwarded in closed
+        form; ``exact=True`` steps and prices every iteration
+        individually (the two agree to ≤1e-9 relative). *admission*
+        plugs a queue-ordering policy
         (:class:`repro.cluster.admission.AdmissionScheduler`) into the
         node; ``None`` keeps the built-in FCFS loop.
         """
-        # Imported here: the cluster layer sits above serving, and only
-        # this whole-trace convenience wrapper reaches up into it.
-        from repro.cluster.node import ReplicaNode
-
-        node = ReplicaNode("single", simulator=self, tracer=tracer,
-                           exact=exact, collect_gaps=True,
-                           admission=admission)
-        for request in sorted(arrivals, key=lambda r: r.arrival_s):
-            node.advance_to(request.arrival_s)
-            node.submit(request)
-        node.advance_to(None)
-        completed = sorted(node.completed, key=lambda r: r.finish_s)
-        if not completed:
-            raise ValueError("no arrivals to serve")
-        return ServingReport("continuous", completed,
-                             makespan_s=max(r.finish_s for r in completed),
-                             generated_tokens=node.generated_tokens,
-                             decode_gaps=node.decode_gaps)
-
-    # -- chunked prefill --------------------------------------------------------
+        return self._node("continuous", tracer, exact=exact,
+                          collect_gaps=True,
+                          admission=admission).serve(arrivals)
 
     def run_chunked(self, arrivals: Sequence[ArrivingRequest],
                     chunk_tokens: int = 256,
@@ -395,119 +283,7 @@ class BatchingSimulator:
 
         Traced request ``prefill`` spans cover the admission *window*
         (first chunk to first token), not busy time — the chunks are
-        interleaved with decode on the ``replica/server`` track.
+        interleaved with decode on the node's replica track.
         """
-        require_positive(chunk_tokens, "chunk_tokens")
-        queue = sorted(arrivals, key=lambda r: r.arrival_s)
-        index = 0
-        now = 0.0
-        running: List[_Running] = []
-        pending: List[_Prefilling] = []
-        completed: List[CompletedRequest] = []
-        gaps: List[float] = []
-        generated = 0
-
-        while index < len(queue) or running or pending:
-            if not running and not pending and index < len(queue):
-                now = max(now, queue[index].arrival_s)
-            while (index < len(queue)
-                   and len(running) + len(pending) < self.max_batch
-                   and queue[index].arrival_s <= now):
-                request = queue[index]
-                index += 1
-                pending.append(_Prefilling(request=request, start_s=now,
-                                           remaining=request.input_len))
-                if tracer.enabled:
-                    tracer.span(request_track(request.request_id),
-                                "queue_wait", request.arrival_s, now,
-                                category="request")
-            iteration = 0.0
-            chunk_time = 0.0
-            # One prefill chunk for the oldest pending admission.
-            if pending:
-                job = pending[0]
-                chunk = min(chunk_tokens, job.remaining)
-                chunk_time = self._prefill_time(1, chunk)
-                iteration += chunk_time
-                job.remaining -= chunk
-                if tracer.enabled:
-                    tracer.span(SERVER_TRACK, "prefill", now,
-                                now + chunk_time, category="replica",
-                                args={"request_id": job.request.request_id,
-                                      "chunk_tokens": chunk,
-                                      "remaining": job.remaining})
-                if job.remaining == 0:
-                    pending.pop(0)
-                    running.append(_Running(
-                        request=job.request, start_s=job.start_s,
-                        first_token_s=now + iteration, generated=1))
-                    if tracer.enabled:
-                        tracer.span(request_track(job.request.request_id),
-                                    "prefill", job.start_s, now + iteration,
-                                    category="request",
-                                    args={"input_len": job.request.input_len,
-                                          "chunked": True})
-            # One decode iteration for the running set.
-            decode_cohort = [seq for seq in running if not seq.done]
-            if decode_cohort:
-                mean_kv = int(sum(seq.kv_len for seq in decode_cohort)
-                              / len(decode_cohort))
-                decode_time = self._decode_iteration_time(
-                    len(decode_cohort), mean_kv)
-                iteration += decode_time
-                if tracer.enabled:
-                    compute_s, memory_s = self._decode_split(
-                        len(decode_cohort), mean_kv)
-                    tracer.span(SERVER_TRACK, "decode", now + chunk_time,
-                                now + iteration, category="replica",
-                                args={"batch_size": len(decode_cohort),
-                                      "mean_kv": mean_kv,
-                                      "compute_s": compute_s,
-                                      "memory_s": memory_s})
-            if iteration == 0.0:
-                # Nothing to do: jump to the next arrival.
-                if index < len(queue):
-                    now = max(now, queue[index].arrival_s)
-                continue
-            now += iteration
-            if decode_cohort:
-                gaps.append(iteration)
-                for seq in decode_cohort:
-                    seq.generated += 1
-            running, retired = self._retire(running, now)
-            for seq in retired:
-                completed.append(self._complete(seq, now))
-                generated += seq.request.output_len
-                if tracer.enabled:
-                    track = request_track(seq.request.request_id)
-                    tracer.span(track, "decode", seq.first_token_s, now,
-                                category="request",
-                                args={"tokens": seq.request.output_len - 1})
-                    tracer.span(track, "request", seq.request.arrival_s,
-                                now, category="request",
-                                args={"input_len": seq.request.input_len,
-                                      "output_len": seq.request.output_len})
-        completed.sort(key=lambda r: r.finish_s)
-        return ServingReport("chunked", completed,
-                             makespan_s=max(r.finish_s for r in completed),
-                             generated_tokens=generated,
-                             decode_gaps=gaps)
-
-    @staticmethod
-    def _retire(running: List[_Running], now: float):
-        """Split the running set into (still running, finished)."""
-        still: List[_Running] = []
-        retired: List[_Running] = []
-        for seq in running:
-            (retired if seq.done else still).append(seq)
-        return still, retired
-
-    @staticmethod
-    def _complete(seq: _Running, now: float) -> CompletedRequest:
-        return CompletedRequest(
-            request_id=seq.request.request_id,
-            arrival_s=seq.request.arrival_s,
-            start_s=seq.start_s,
-            first_token_s=seq.first_token_s,
-            finish_s=now,
-        )
+        return self._node("chunked", tracer, chunk_tokens=chunk_tokens,
+                          collect_gaps=True).serve(arrivals)

@@ -11,7 +11,11 @@ import dataclasses
 from typing import Callable, List
 
 from repro.serving.arrivals import ArrivingRequest, poisson_arrivals
-from repro.serving.scheduler import BatchingSimulator, ServingReport
+from repro.serving.scheduler import (
+    BatchingSimulator,
+    ServingReport,
+    check_batching_policy,
+)
 from repro.utils.validation import require_positive
 
 
@@ -86,9 +90,8 @@ def max_sustainable_rate(simulator: BatchingSimulator, slo: SLO,
     Binary-searches the arrival rate; deterministic for fixed inputs.
     Returns 0.0 if even the lowest bound misses the target.
     """
-    runner: Callable = (simulator.run_continuous if policy == "continuous"
-                        else simulator.run_static if policy == "static"
-                        else simulator.run_chunked)
+    runner: Callable = getattr(simulator,
+                               f"run_{check_batching_policy(policy)}")
 
     def attains(rate: float) -> bool:
         arrivals = poisson_arrivals(rate, count, seed=seed)

@@ -191,18 +191,39 @@ class TestFastPathEngaged:
 
 
 class TestRunContinuousParity:
-    def test_exact_flag_matches_fast_path(self):
+    @pytest.mark.parametrize("policy, chunk_tokens", [
+        ("continuous", 256), ("static", 256), ("chunked", 64),
+        ("chunked", 256)], ids=["continuous", "static", "chunked-64",
+                                "chunked-256"])
+    def test_exact_flag_matches_fast_path(self, policy, chunk_tokens):
+        # The public static/chunked runners take no ``exact`` flag, so
+        # every discipline drives a node directly, with gap collection
+        # on (a static run's gaps are otherwise not collected).
         arrivals = poisson_arrivals(3.0, 24, decode_heavy_spec(), seed=9)
         simulator = BatchingSimulator(SPR, LLAMA, max_batch=8)
-        exact = simulator.run_continuous(arrivals, exact=True)
-        fast = simulator.run_continuous(arrivals)
-        assert exact.generated_tokens == fast.generated_tokens
-        assert close(exact.makespan_s, fast.makespan_s)
-        assert len(exact.decode_gaps) == len(fast.decode_gaps)
-        for e, f in zip(sorted(exact.completed, key=lambda r: r.request_id),
-                        sorted(fast.completed, key=lambda r: r.request_id)):
-            assert close(e.ttft_s, f.ttft_s)
-            assert close(e.finish_s, f.finish_s)
+        serve = lambda exact: ReplicaNode(
+            "single", simulator=simulator, policy=policy,
+            chunk_tokens=chunk_tokens, exact=exact,
+            collect_gaps=True).serve(arrivals)
+        fast = serve(False)
+        for exact in (serve(True), serve("vectorized")):
+            assert exact.generated_tokens == fast.generated_tokens
+            assert close(exact.makespan_s, fast.makespan_s)
+            assert len(exact.decode_gaps) == len(fast.decode_gaps)
+            assert all(close(e, f) for e, f in zip(exact.decode_gaps,
+                                                   fast.decode_gaps))
+            by_id = lambda report: sorted(report.completed,
+                                          key=lambda r: r.request_id)
+            assert len(exact.completed) == len(fast.completed)
+            for e, f in zip(by_id(exact), by_id(fast)):
+                assert e.request_id == f.request_id
+                assert close(e.start_s, f.start_s)
+                assert close(e.ttft_s, f.ttft_s)
+                assert close(e.finish_s, f.finish_s)
+        if policy == "continuous":
+            # The public runner is the same node.
+            public = simulator.run_continuous(arrivals, exact=True)
+            assert public.completed == serve(True).completed
 
     def test_single_replica_cluster_bit_exact_at_high_rate(self):
         # High rate + long decodes: deep batches and long coalesced runs,

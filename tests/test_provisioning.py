@@ -72,3 +72,8 @@ class TestProvisioningPlanner:
     def test_rejects_negative_headroom(self):
         with pytest.raises(ValueError):
             ProvisioningPlanner(get_model("llama2-7b"), headroom=-0.1)
+
+    def test_rejects_unknown_policy(self):
+        with pytest.raises(ValueError, match="'bogus'.*static, continuous, "
+                                             "chunked"):
+            ProvisioningPlanner(get_model("llama2-7b"), policy="bogus")

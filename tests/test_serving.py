@@ -111,3 +111,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             BatchingSimulator(get_platform("spr"), get_model("opt-1.3b"),
                               max_batch=0)
+
+    @pytest.mark.parametrize("runner", ["run_static", "run_continuous",
+                                        "run_chunked"])
+    def test_every_policy_refuses_an_empty_stream(self, simulator, runner):
+        with pytest.raises(ValueError, match="^no arrivals to serve$"):
+            getattr(simulator, runner)([])

@@ -60,3 +60,11 @@ class TestBracketMonotonicity:
         arrivals = poisson_arrivals(rate, 24, seed=0)
         report = simulator.run_continuous(arrivals)
         assert attainment(report, arrivals, slo) >= 0.95
+
+
+class TestPolicySpelling:
+    def test_unknown_policy_rejected(self, simulator):
+        with pytest.raises(ValueError, match="'statik'.*static, continuous, "
+                                             "chunked"):
+            max_sustainable_rate(simulator, SLO(ttft_s=1.0, tpot_s=0.1),
+                                 policy="statik")

@@ -26,7 +26,7 @@ from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
-from repro.serving.arrivals import poisson_arrivals
+from repro.serving.arrivals import ArrivingRequest, poisson_arrivals
 from repro.serving.scheduler import BatchingSimulator
 from repro.trace import (
     CLUSTER_TRACK,
@@ -163,6 +163,31 @@ class TestContinuousAttribution:
         attribution = request_attribution(trace)
         for record in report.completed:
             a = attribution[record.request_id]
+            assert math.isclose(a.attributed_s, record.e2e_s, abs_tol=TOL)
+            assert math.isclose(a.total_s, record.e2e_s, abs_tol=TOL)
+
+    @pytest.mark.parametrize("policy, chunk_tokens", [
+        ("static", 256), ("chunked", 64), ("chunked", 256)],
+        ids=["static", "chunked-64", "chunked-256"])
+    def test_static_and_chunked_components_tile_e2e(self, simulator,
+                                                    arrivals, policy,
+                                                    chunk_tokens):
+        # A burst above max_batch with single-token outputs mixed in:
+        # padded cohorts, chunks interleaved with decode, and requests
+        # that retire a boundary after their only token.
+        burst = [ArrivingRequest(100 + i, 1.0, 300, 1 if i % 2 else 20)
+                 for i in range(6)]
+        tracer = RecordingTracer()
+        node = ReplicaNode("single", simulator=simulator, policy=policy,
+                           chunk_tokens=chunk_tokens, tracer=tracer)
+        report = node.serve(arrivals + burst)
+        attribution = request_attribution(tracer.trace)
+        assert set(attribution) == {r.request_id for r in report.completed}
+        for record in report.completed:
+            a = attribution[record.request_id]
+            assert math.isclose(a.queue_s, record.queue_delay_s, abs_tol=TOL)
+            assert math.isclose(a.queue_s + a.prefill_s, record.ttft_s,
+                                abs_tol=TOL)
             assert math.isclose(a.attributed_s, record.e2e_s, abs_tol=TOL)
             assert math.isclose(a.total_s, record.e2e_s, abs_tol=TOL)
 
