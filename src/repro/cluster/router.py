@@ -25,20 +25,33 @@ forward only the replicas the policy declares it reads
   replica's own cost model, discards replicas whose projected TTFT
   (backlog + prefill) would break the SLO, and picks the cheapest
   feasible dollar-occupancy. The effect is the fleet-level version of
-  :mod:`repro.optim.disaggregation`'s phase split: long-prefill requests
-  land on compute-rich replicas (GPUs, AMX) whose speed advantage beats
-  their price, decode-heavy requests land on bandwidth-rich CPU replicas
-  that win per dollar on memory-bound work.
+  the GPU-prefill / CPU-decode phase split that
+  :class:`repro.engine.backend.HybridBackend` prices for one request:
+  long-prefill requests land on compute-rich replicas (GPUs, AMX) whose
+  speed advantage beats their price, decode-heavy requests land on
+  bandwidth-rich CPU replicas that win per dollar on memory-bound work.
 """
 
 import math
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.cost import price_rate
-from repro.optim.disaggregation import phase_affinity
 from repro.cluster.node import ReplicaNode
+from repro.hardware.datatypes import DType
+from repro.hardware.platform import Platform
 from repro.serving.arrivals import ArrivingRequest
 from repro.serving.slo import SLO
+
+
+def phase_affinity(platform: Platform, dtype: DType = DType.BF16) -> float:
+    """Compute-to-bandwidth balance of a platform (FLOP/s per byte/s).
+
+    Prefill is compute-bound and belongs on high-affinity (compute-rich)
+    devices — GPUs, AMX CPUs — while decode is memory-bound and belongs
+    on low-affinity (bandwidth-rich) ones. Numerically this is the
+    platform's roofline ridge point in FLOPs/byte.
+    """
+    return platform.peak_flops(dtype) / platform.peak_memory_bandwidth
 
 
 class Router:
@@ -227,11 +240,10 @@ class PhaseAwareRouter(Router):
     backlog. Replicas whose projected TTFT misses the SLO are set aside;
     among the feasible ones the cheapest *dollar-occupancy* — busy
     seconds times the device's listing-price proxy — wins, with the
-    compute-to-bandwidth :func:`~repro.optim.disaggregation.phase_affinity`
-    breaking ties toward the phase-matched device (compute-rich for
-    prefill-dominated requests, bandwidth-rich for decode-dominated). If
-    no replica is feasible, the earliest projected finish wins — degrade
-    latency, not correctness.
+    compute-to-bandwidth :func:`phase_affinity` breaking ties toward the
+    phase-matched device (compute-rich for prefill-dominated requests,
+    bandwidth-rich for decode-dominated). If no replica is feasible, the
+    earliest projected finish wins — degrade latency, not correctness.
 
     Dollar-occupancies within ``cost_band`` of each other are treated as
     equal before the affinity tie-break: listing prices are proxies with

@@ -20,12 +20,9 @@ from repro.engine.inference import (
     MemoryCapacityError,
     simulate,
 )
-from repro.engine.kvcache import KVCacheManager, KVCacheOverflow
-from repro.engine.paged_kvcache import (
-    BlockAllocator,
+from repro.engine.kvcache import (
+    KVCacheManager,
     OutOfBlocks,
-    PagedKVCacheManager,
-    ReservedKVCacheManager,
     max_admissible_sequences,
 )
 from repro.engine.request import (
@@ -59,12 +56,8 @@ __all__ = [
     "InferenceRequest",
     "InferenceResult",
     "InferenceSimulator",
-    "BlockAllocator",
     "KVCacheManager",
-    "KVCacheOverflow",
     "OutOfBlocks",
-    "PagedKVCacheManager",
-    "ReservedKVCacheManager",
     "max_admissible_sequences",
     "MemoryCapacityError",
     "OpTiming",

@@ -883,6 +883,9 @@ class HybridBackend(ExecutionBackend):
         return self._resolved_inner().memory_capacity_bytes(platform)
 
     def check_platform(self, platform: Platform) -> None:
+        if not platform.is_cpu:
+            raise ValueError(
+                f"HybridBackend decodes on a CPU host, got {platform.name}")
         self._resolved_inner().check_platform(platform)
 
     @property

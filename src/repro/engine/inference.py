@@ -12,7 +12,6 @@ from typing import Optional
 
 from repro.engine.backend import BaselineBackend, ExecutionBackend
 from repro.engine.executor import OperatorExecutor
-from repro.engine.kvcache import KVCacheManager
 from repro.engine.request import InferenceRequest
 from repro.engine.results import (
     InferenceResult,
@@ -217,9 +216,6 @@ class InferenceSimulator:
                 f"engine for over-capacity GPU runs")
 
         executor = self._executor(model, request, footprint)
-        kv = KVCacheManager(model, capacity_bytes=None, dtype=request.dtype)
-        seq_ids = kv.allocate_batch(request.batch_size, request.input_len)
-
         prefill_timings = executor.time_prefill_ops(
             model, request.batch_size, request.input_len)
         prefill = phase_stats_from_timings("prefill", prefill_timings)
@@ -256,7 +252,6 @@ class InferenceSimulator:
                                 args={"kv_len": kv_len,
                                       "batch_size": request.batch_size})
                 step_clock += step_stats.time_s
-                kv.append_tokens(seq_ids, 1)
             decode = merge_phase_stats("decode", decode_phases)
         else:
             rng = executor.time_decode_range(
@@ -273,7 +268,6 @@ class InferenceSimulator:
                 memory_busy_s=rng.memory_s,
                 op_times=dict(rng.op_times),
             )
-            kv.append_tokens(seq_ids, steps)
 
         if tracer.enabled:
             tracer.span(ENGINE_TRACK, "prefill", 0.0, prefill.time_s,

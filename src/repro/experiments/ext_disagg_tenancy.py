@@ -11,14 +11,15 @@
   defers the point where cache reads dominate weight reads.
 """
 
+from repro.analysis.cost import list_price
 from repro.core.report import ExperimentReport
+from repro.engine.backend import HybridBackend
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
 from repro.models.memory import kv_cache_bytes, weight_bytes
 from repro.models.registry import get_model
-from repro.optim.disaggregation import DisaggregatedPlanner
 from repro.serving.multitenancy import tenancy_sweep
 from repro.utils.units import GB
 
@@ -26,20 +27,27 @@ from repro.utils.units import GB
 @register("ext_disagg")
 def run_disagg() -> ExperimentReport:
     """GPU-prefill + CPU-decode vs single-device serving."""
-    planner = DisaggregatedPlanner(get_platform("spr"), get_platform("h100"))
+    spr, h100 = get_platform("spr"), get_platform("h100")
+    hybrid = HybridBackend(h100)
+    cpu_only, gpu_only = InferenceSimulator(spr), InferenceSimulator(h100)
+    disagg = InferenceSimulator(spr, backend=hybrid)
+    cpu_price, gpu_price = list_price(spr.name), list_price(h100.name)
     rows = []
     for model_key, input_len in (("opt-13b", 128), ("opt-13b", 1024),
                                  ("llama2-13b", 1024)):
         model = get_model(model_key)
         request = InferenceRequest(batch_size=1, input_len=input_len)
-        estimate = planner.estimate(model, request)
-        per_dollar = planner.cost_weighted_throughput(model, request)
+        gpu_e2e = gpu_only.run(model, request).e2e_s
+        disagg_e2e = disagg.run(model, request).e2e_s
+        # The GPU is busy for its prefill leg only; disaggregation pays
+        # for that share of it plus the whole CPU.
+        occupancy = hybrid.prefill_comm_s(model, 1, input_len) / gpu_e2e
+        per_dollar = (gpu_e2e * gpu_price
+                      / (disagg_e2e * (cpu_price + gpu_price * occupancy)))
         rows.append([
             model.name, input_len,
-            estimate.gpu_only_e2e_s, estimate.cpu_only_e2e_s,
-            estimate.e2e_s,
-            estimate.gpu_occupancy_fraction * 100,
-            per_dollar["disaggregated"] / per_dollar["gpu_only"],
+            gpu_e2e, cpu_only.run(model, request).e2e_s, disagg_e2e,
+            occupancy * 100, per_dollar,
         ])
     notes = [
         "disaggregation releases the GPU after prefill — 3-10% occupancy "

@@ -13,11 +13,7 @@
 from repro.analysis.energy import tokens_per_joule
 from repro.core.report import ExperimentReport
 from repro.core.runner import run_inference
-from repro.engine.paged_kvcache import (
-    PagedKVCacheManager,
-    ReservedKVCacheManager,
-    max_admissible_sequences,
-)
+from repro.engine.kvcache import KVCacheManager, max_admissible_sequences
 from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
@@ -34,8 +30,8 @@ def run_paged_kv() -> ExperimentReport:
     rows = []
     for prompt_tokens, max_seq in ((128, 4096), (256, 4096), (512, 2048),
                                    (1024, 2048)):
-        paged = PagedKVCacheManager(model, budget)
-        reserved = ReservedKVCacheManager(model, budget, max_seq_len=max_seq)
+        paged = KVCacheManager(model, budget)
+        reserved = KVCacheManager(model, budget, reserve_tokens=max_seq)
         admitted_paged = max_admissible_sequences(paged, prompt_tokens)
         admitted_reserved = max_admissible_sequences(reserved, prompt_tokens)
         rows.append([

@@ -1,10 +1,6 @@
 """Section VI optimization studies: hybrid execution, deployment search."""
 
 from repro.optim.batch_tuner import BatchChoice, tune_batch_size
-from repro.optim.disaggregation import (
-    DisaggregatedEstimate,
-    DisaggregatedPlanner,
-)
 from repro.optim.advisor import (
     Candidate,
     DeploymentAdvisor,
@@ -21,8 +17,6 @@ from repro.optim.hybrid import HybridPlan, HybridPlanner, candidate_fractions
 __all__ = [
     "BatchChoice",
     "Candidate",
-    "DisaggregatedEstimate",
-    "DisaggregatedPlanner",
     "tune_batch_size",
     "DeploymentAdvisor",
     "FleetAssessment",

@@ -12,7 +12,6 @@ import pytest
 from repro.engine.backend import QuantizedBackend
 from repro.engine.inference import InferenceSimulator, simulate
 from repro.engine.kvcache import KVCacheManager
-from repro.engine.paged_kvcache import PagedKVCacheManager
 from repro.engine.request import InferenceRequest
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
@@ -87,25 +86,52 @@ class TestDegenerateConfigsAgree:
 
 
 class TestKvManagersAgree:
-    """Contiguous and paged managers agree on fundamental byte math."""
+    """The block accountant agrees with the closed-form KV footprint.
+
+    ``models.memory.kv_cache_bytes`` is the math behind the batching
+    simulator's memory check; the accountant must reproduce it for
+    block-aligned lengths in both the paged and the reserved discipline.
+    """
+
+    @staticmethod
+    def disciplines(model, length):
+        return (KVCacheManager(model, 8 * GB),
+                KVCacheManager(model, 8 * GB, reserve_tokens=length))
 
     def test_bytes_per_token_identical(self):
         model = get_model("llama2-13b")
-        contiguous = KVCacheManager(model)
-        paged = PagedKVCacheManager(model, 8 * GB)
-        assert contiguous.bytes_per_token == paged.bytes_per_token
-        assert contiguous.bytes_per_token == kv_cache_bytes_per_token(model)
+        paged, reserved = self.disciplines(model, 4096)
+        assert paged.bytes_per_token == reserved.bytes_per_token
+        assert paged.bytes_per_token == kv_cache_bytes_per_token(model)
 
     def test_cached_tokens_track_identically(self):
         model = get_model("opt-6.7b")
-        contiguous = KVCacheManager(model)
-        paged = PagedKVCacheManager(model, 8 * GB)
-        cid = contiguous.allocate(100)
+        paged, reserved = self.disciplines(model, 128)
         pid = paged.allocate(100)
+        rid = reserved.allocate(100)
         for _ in range(25):
-            contiguous.append_token(cid)
             paged.append_token(pid)
-        assert contiguous.cached_tokens == paged.cached_tokens == 125
+            reserved.append_token(rid)
+        assert paged.cached_tokens == reserved.cached_tokens == 125
+
+    @pytest.mark.parametrize("model_key", ["opt-6.7b", "llama2-13b",
+                                           "llama2-70b"])
+    @pytest.mark.parametrize("length,n", [(16, 1), (128, 8), (2048, 3)])
+    def test_allocated_bytes_match_kv_cache_bytes(self, model_key,
+                                                  length, n):
+        model = get_model(model_key)
+        for kv in self.disciplines(model, length):
+            for _ in range(n):
+                kv.allocate(length)
+            assert kv.allocated_bytes == kv_cache_bytes(model, length, n)
+
+    def test_reservation_rounds_up_to_whole_blocks(self):
+        kv = KVCacheManager(get_model("llama2-13b"), 8 * GB,
+                            block_tokens=16, reserve_tokens=17)
+        kv.allocate(1)
+        assert kv.used_blocks == 2
+        assert kv.allocated_bytes == kv_cache_bytes(
+            get_model("llama2-13b"), 32, 1)
 
 
 class TestPhaseDecomposition:

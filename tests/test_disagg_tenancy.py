@@ -2,56 +2,78 @@
 
 import pytest
 
+from repro.analysis.cost import list_price
+from repro.engine.backend import HybridBackend
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
-from repro.optim.disaggregation import DisaggregatedPlanner
 from repro.serving.multitenancy import MultiTenantSimulator, tenancy_sweep
+
+
+class Disaggregated:
+    """GPU-prefill + CPU-decode through ``HybridBackend`` vs one device."""
+
+    def __init__(self, model, request):
+        spr, h100 = get_platform("spr"), get_platform("h100")
+        backend = HybridBackend(h100)
+        self.result = InferenceSimulator(spr, backend=backend).run(
+            model, request)
+        self.gpu_busy_s = backend.prefill_comm_s(
+            model, request.batch_size, request.input_len)
+        self.cpu_only_e2e_s = InferenceSimulator(spr).run(
+            model, request).e2e_s
+        self.gpu_only_e2e_s = InferenceSimulator(h100).run(
+            model, request).e2e_s
+        self.gpu_occupancy_fraction = self.gpu_busy_s / self.gpu_only_e2e_s
+        tokens = request.total_generated_tokens
+        cpu_price, gpu_price = list_price(spr.name), list_price(h100.name)
+        self.per_dollar = {
+            "cpu_only": tokens / self.cpu_only_e2e_s / cpu_price,
+            "gpu_only": tokens / self.gpu_only_e2e_s / gpu_price,
+            "disaggregated": tokens / self.result.e2e_s / (
+                cpu_price + gpu_price * self.gpu_occupancy_fraction),
+        }
 
 
 class TestDisaggregation:
     @pytest.fixture(scope="class")
-    def planner(self):
-        return DisaggregatedPlanner(get_platform("spr"),
-                                    get_platform("h100"))
+    def estimate(self):
+        return Disaggregated(get_model("opt-13b"),
+                             InferenceRequest(batch_size=1))
 
-    def test_ttft_close_to_gpu_prefill(self, planner):
-        estimate = planner.estimate(get_model("opt-13b"),
-                                    InferenceRequest(batch_size=1))
-        # TTFT = GPU prefill + small KV handoff.
-        assert estimate.ttft_s == pytest.approx(
-            estimate.gpu_busy_s + estimate.kv_handoff_s)
-        assert estimate.kv_handoff_s < estimate.gpu_busy_s * 2
+    def test_ttft_close_to_gpu_prefill(self, estimate):
+        # TTFT is the GPU prefill leg, K/V handoff overlapped inside it.
+        assert estimate.result.ttft_s == pytest.approx(estimate.gpu_busy_s)
+        assert estimate.gpu_busy_s > 0
 
-    def test_e2e_between_devices(self, planner):
-        estimate = planner.estimate(get_model("opt-13b"),
-                                    InferenceRequest(batch_size=1))
-        assert estimate.gpu_only_e2e_s < estimate.e2e_s
+    def test_e2e_between_devices(self, estimate):
+        assert estimate.gpu_only_e2e_s < estimate.result.e2e_s
         # Disaggregated beats CPU-only: the GPU prefill is faster.
-        assert estimate.e2e_s < estimate.cpu_only_e2e_s
+        assert estimate.result.e2e_s < estimate.cpu_only_e2e_s
 
-    def test_gpu_occupancy_small(self, planner):
-        estimate = planner.estimate(get_model("opt-13b"),
-                                    InferenceRequest(batch_size=1))
+    def test_gpu_occupancy_small(self, estimate):
         assert estimate.gpu_occupancy_fraction < 0.15
-        assert estimate.gpu_seconds_saved() > 0
+        assert estimate.gpu_only_e2e_s - estimate.gpu_busy_s > 0
 
-    def test_longer_prompt_raises_occupancy(self, planner):
-        short = planner.estimate(get_model("opt-13b"),
-                                 InferenceRequest(input_len=128))
-        long = planner.estimate(get_model("opt-13b"),
-                                InferenceRequest(input_len=1024))
+    def test_longer_prompt_raises_occupancy(self):
+        short = Disaggregated(get_model("opt-13b"),
+                              InferenceRequest(input_len=128))
+        long = Disaggregated(get_model("opt-13b"),
+                             InferenceRequest(input_len=1024))
         assert long.gpu_occupancy_fraction > short.gpu_occupancy_fraction
 
-    def test_cost_weighted_options(self, planner):
-        per_dollar = planner.cost_weighted_throughput(
-            get_model("opt-13b"), InferenceRequest(batch_size=1))
+    def test_cost_weighted_options(self, estimate):
+        per_dollar = estimate.per_dollar
         assert set(per_dollar) == {"cpu_only", "gpu_only", "disaggregated"}
         assert all(v > 0 for v in per_dollar.values())
 
     def test_requires_cpu_and_gpu(self):
         with pytest.raises(ValueError):
-            DisaggregatedPlanner(get_platform("a100"), get_platform("h100"))
+            HybridBackend(get_platform("spr"))
+        with pytest.raises(ValueError):
+            InferenceSimulator(get_platform("a100"),
+                               backend=HybridBackend(get_platform("h100")))
 
 
 class TestMultiTenancy:

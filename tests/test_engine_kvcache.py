@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.engine.kvcache import KVCacheManager, KVCacheOverflow
+from repro.engine.kvcache import KVCacheManager, OutOfBlocks
 from repro.models.memory import kv_cache_bytes_per_token
 from repro.models.registry import get_model
 from repro.utils.units import GB
 
 
-def manager(capacity=None):
+def manager(capacity=8 * GB):
     return KVCacheManager(get_model("llama2-13b"), capacity_bytes=capacity)
 
 
@@ -16,7 +16,7 @@ class TestAccounting:
     def test_starts_empty(self):
         kv = manager()
         assert kv.num_sequences == 0
-        assert kv.bytes_used == 0.0
+        assert kv.allocated_bytes == 0.0
 
     def test_bytes_per_token_matches_model_math(self):
         kv = manager()
@@ -27,11 +27,11 @@ class TestAccounting:
         kv = manager()
         kv.allocate(128)
         assert kv.cached_tokens == 128
-        assert kv.bytes_used == pytest.approx(128 * kv.bytes_per_token)
+        assert kv.allocated_bytes == pytest.approx(128 * kv.bytes_per_token)
 
     def test_allocate_batch(self):
         kv = manager()
-        ids = kv.allocate_batch(4, 128)
+        ids = [kv.allocate(128) for _ in range(4)]
         assert len(ids) == 4
         assert len(set(ids)) == 4
         assert kv.cached_tokens == 512
@@ -46,7 +46,7 @@ class TestAccounting:
         kv = manager()
         sid = kv.allocate(100)
         kv.release(sid)
-        assert kv.bytes_used == 0.0
+        assert kv.allocated_bytes == 0.0
         assert kv.num_sequences == 0
 
     def test_release_unknown_raises(self):
@@ -58,75 +58,75 @@ class TestAccounting:
             manager().append_token(99)
 
     def test_append_tokens_batched(self):
+        # A decode step appends one token to every sequence of the batch.
         kv = manager()
-        ids = kv.allocate_batch(3, 10)
-        kv.append_tokens(ids, 5)
+        ids = [kv.allocate(10) for _ in range(3)]
+        for _ in range(5):
+            for sid in ids:
+                kv.append_token(sid)
         assert all(kv.seq_len(sid) == 15 for sid in ids)
         assert kv.cached_tokens == 45
 
     def test_append_tokens_matches_per_step_loop(self):
-        batched, looped = manager(), manager()
-        ids_b = batched.allocate_batch(4, 16)
-        ids_l = looped.allocate_batch(4, 16)
-        batched.append_tokens(ids_b, 7)
+        # Growing a batch one decode step at a time ends in the same
+        # state as admitting the grown sequences outright.
+        looped, direct = manager(), manager()
+        ids = [looped.allocate(16) for _ in range(4)]
         for _ in range(7):
-            for sid in ids_l:
+            for sid in ids:
                 looped.append_token(sid)
-        assert batched.cached_tokens == looped.cached_tokens
-        assert batched.bytes_used == looped.bytes_used
+        for _ in range(4):
+            direct.allocate(23)
+        assert looped.cached_tokens == direct.cached_tokens == 92
+        assert looped.used_blocks == direct.used_blocks == 8
+        assert looped.allocated_bytes == direct.allocated_bytes
 
     def test_append_tokens_unknown_id_raises_before_any_growth(self):
         kv = manager()
-        sid = kv.allocate(10)
+        sid = kv.allocate(16)
+        used = kv.used_blocks
         with pytest.raises(KeyError):
-            kv.append_tokens([sid, 99], 3)
-        assert kv.seq_len(sid) == 10
-
-    def test_append_tokens_rejects_non_positive_steps(self):
-        kv = manager()
-        ids = kv.allocate_batch(2, 10)
-        with pytest.raises(ValueError):
-            kv.append_tokens(ids, 0)
+            kv.append_token(99)
+        assert kv.seq_len(sid) == 16
+        assert kv.cached_tokens == 16
+        assert kv.used_blocks == used
 
 
 class TestBudget:
     def test_overflow_on_allocate(self):
         kv = manager(capacity=1 * GB)
         tokens_that_fit = int(1 * GB / kv.bytes_per_token)
-        with pytest.raises(KVCacheOverflow):
+        with pytest.raises(OutOfBlocks):
             kv.allocate(tokens_that_fit + 1)
 
     def test_overflow_on_append(self):
         kv = manager(capacity=1 * GB)
-        tokens = int(1 * GB / kv.bytes_per_token)
-        sid = kv.allocate(tokens)
-        with pytest.raises(KVCacheOverflow):
+        sid = kv.allocate(kv.num_blocks * kv.block_tokens)
+        with pytest.raises(OutOfBlocks):
             kv.append_token(sid)
 
     def test_append_tokens_overflow_is_all_or_nothing(self):
         kv = manager(capacity=1 * GB)
-        per_seq = int(0.4 * GB / kv.bytes_per_token)
-        ids = kv.allocate_batch(2, per_seq)
-        headroom = int(0.2 * GB / kv.bytes_per_token)
-        before = kv.cached_tokens
-        with pytest.raises(KVCacheOverflow):
-            kv.append_tokens(ids, headroom)  # 2 x headroom > remaining budget
-        assert kv.cached_tokens == before
-
-    def test_unbounded_never_overflows(self):
-        kv = manager()
-        kv.allocate(10_000_000)
+        half = kv.num_blocks // 2 * kv.block_tokens
+        ids = [kv.allocate(half), kv.allocate(
+            (kv.num_blocks - kv.num_blocks // 2) * kv.block_tokens)]
+        assert kv.free_blocks == 0
+        before = (kv.cached_tokens, kv.used_blocks, kv.seq_len(ids[0]))
+        with pytest.raises(OutOfBlocks):
+            kv.append_token(ids[0])  # needs a block the pool lacks
+        assert (kv.cached_tokens, kv.used_blocks,
+                kv.seq_len(ids[0])) == before
 
     def test_would_fit(self):
         kv = manager(capacity=1 * GB)
-        assert kv.would_fit(1, 100)
-        assert not kv.would_fit(1000, 100_000)
+        assert kv.can_admit(100)
+        assert not kv.can_admit(1000 * 100_000)
 
     def test_would_fit_accounts_existing(self):
         kv = manager(capacity=1 * GB)
         tokens = int(0.9 * GB / kv.bytes_per_token)
         kv.allocate(tokens)
-        assert not kv.would_fit(1, tokens)
+        assert not kv.can_admit(tokens)
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):

@@ -1,79 +1,99 @@
-"""Paged KV-cache tests."""
+"""Paged and reserved KV-cache disciplines of the one block accountant."""
 
 import pytest
 
-from repro.engine.paged_kvcache import (
-    BlockAllocator,
+from repro.engine.kvcache import (
+    KVCacheManager,
     OutOfBlocks,
-    PagedKVCacheManager,
-    ReservedKVCacheManager,
     max_admissible_sequences,
 )
+from repro.models.memory import kv_cache_bytes_per_token
 from repro.models.registry import get_model
 from repro.utils.units import GB
 
 MODEL = get_model("llama2-13b")
 
 
-class TestBlockAllocator:
+def pool(num_blocks, block_tokens=16):
+    """A paged manager whose budget holds exactly *num_blocks* blocks."""
+    capacity = num_blocks * block_tokens * kv_cache_bytes_per_token(MODEL)
+    return KVCacheManager(MODEL, capacity, block_tokens=block_tokens)
+
+
+class TestBlockPool:
     def test_initial_pool(self):
-        allocator = BlockAllocator(10, 16)
-        assert allocator.free_blocks == 10
-        assert allocator.used_blocks == 0
+        kv = pool(10)
+        assert kv.num_blocks == 10
+        assert kv.free_blocks == 10
+        assert kv.used_blocks == 0
 
     def test_allocate_free_roundtrip(self):
-        allocator = BlockAllocator(4, 16)
-        block = allocator.allocate()
-        assert allocator.used_blocks == 1
-        allocator.free(block)
-        assert allocator.used_blocks == 0
+        kv = pool(4)
+        sid = kv.allocate(16)
+        assert kv.used_blocks == 1
+        kv.release(sid)
+        assert kv.used_blocks == 0
 
     def test_unique_block_ids(self):
-        allocator = BlockAllocator(8, 16)
-        ids = [allocator.allocate() for _ in range(8)]
+        kv = pool(8)
+        ids = [kv.allocate(16) for _ in range(8)]
         assert len(set(ids)) == 8
+        assert kv.free_blocks == 0
 
     def test_exhaustion_raises(self):
-        allocator = BlockAllocator(2, 16)
-        allocator.allocate()
-        allocator.allocate()
+        kv = pool(2)
+        kv.allocate(16)
+        kv.allocate(16)
         with pytest.raises(OutOfBlocks):
-            allocator.allocate()
+            kv.allocate(1)
 
     def test_invalid_free_rejected(self):
-        with pytest.raises(ValueError):
-            BlockAllocator(2, 16).free(5)
+        kv = pool(2)
+        kv.allocate(16)
+        with pytest.raises(KeyError):
+            kv.release(5)
+        assert kv.used_blocks == 1
+
+    def test_double_free_rejected(self):
+        kv = pool(4)
+        kv.allocate(16)
+        sid = kv.allocate(16)
+        kv.release(sid)
+        with pytest.raises(KeyError):
+            kv.release(sid)
+        assert kv.used_blocks == 1
+        assert kv.used_blocks + kv.free_blocks == kv.num_blocks
 
 
 class TestPagedManager:
     def manager(self, budget_gb=4):
-        return PagedKVCacheManager(MODEL, budget_gb * GB, block_tokens=16)
+        return KVCacheManager(MODEL, budget_gb * GB, block_tokens=16)
 
     def test_prompt_allocates_ceil_blocks(self):
         kv = self.manager()
         kv.allocate(17)  # 2 blocks of 16
-        assert kv.allocator.used_blocks == 2
+        assert kv.used_blocks == 2
 
     def test_append_within_block_is_free(self):
         kv = self.manager()
         sid = kv.allocate(17)
-        used = kv.allocator.used_blocks
+        used = kv.used_blocks
         for _ in range(15):  # 17 -> 32 stays within 2 blocks
             kv.append_token(sid)
-        assert kv.allocator.used_blocks == used
+        assert kv.used_blocks == used
 
     def test_append_across_boundary_takes_block(self):
         kv = self.manager()
         sid = kv.allocate(16)
-        used = kv.allocator.used_blocks
+        used = kv.used_blocks
         kv.append_token(sid)  # token 17 -> new block
-        assert kv.allocator.used_blocks == used + 1
+        assert kv.used_blocks == used + 1
 
     def test_release_frees_all_blocks(self):
         kv = self.manager()
         sid = kv.allocate(100)
         kv.release(sid)
-        assert kv.allocator.used_blocks == 0
+        assert kv.used_blocks == 0
 
     def test_utilization_high_for_full_blocks(self):
         kv = self.manager()
@@ -86,49 +106,62 @@ class TestPagedManager:
         assert kv.utilization == pytest.approx(1 / 16)
 
     def test_out_of_blocks_on_admission(self):
-        kv = PagedKVCacheManager(MODEL, 0.05 * GB)  # a handful of blocks
+        kv = KVCacheManager(MODEL, 0.05 * GB)  # a handful of blocks
         with pytest.raises(OutOfBlocks):
             kv.allocate(100_000)
 
     def test_too_small_budget_rejected(self):
         with pytest.raises(ValueError, match="one block"):
-            PagedKVCacheManager(MODEL, 10.0)
+            KVCacheManager(MODEL, 10.0)
 
 
 class TestReservedManager:
     def test_reserves_max_length(self):
-        kv = ReservedKVCacheManager(MODEL, 4 * GB, max_seq_len=1024)
+        kv = KVCacheManager(MODEL, 4 * GB, reserve_tokens=1024)
         kv.allocate(10)
         assert kv.allocated_bytes == pytest.approx(
             1024 * kv.bytes_per_token)
 
     def test_admission_cap(self):
-        kv = ReservedKVCacheManager(MODEL, 4 * GB, max_seq_len=1024)
-        cap = kv.max_sequences
+        kv = KVCacheManager(MODEL, 4 * GB, reserve_tokens=1024)
+        cap = kv.num_blocks // (1024 // kv.block_tokens)
         admitted = max_admissible_sequences(kv, 10)
         assert admitted == cap
+        assert cap == int(4 * GB // (1024 * kv.bytes_per_token))
 
     def test_reservation_enforced_on_growth(self):
-        kv = ReservedKVCacheManager(MODEL, 4 * GB, max_seq_len=16)
+        kv = KVCacheManager(MODEL, 4 * GB, reserve_tokens=16)
         sid = kv.allocate(16)
         with pytest.raises(OutOfBlocks):
             kv.append_token(sid)
 
     def test_rejects_prompt_beyond_reservation(self):
-        kv = ReservedKVCacheManager(MODEL, 4 * GB, max_seq_len=64)
+        kv = KVCacheManager(MODEL, 4 * GB, reserve_tokens=64)
         assert not kv.can_admit(65)
+        with pytest.raises(OutOfBlocks):
+            kv.allocate(65)
 
     def test_low_utilization_for_short_prompts(self):
-        kv = ReservedKVCacheManager(MODEL, 4 * GB, max_seq_len=4096)
+        kv = KVCacheManager(MODEL, 4 * GB, reserve_tokens=4096)
         kv.allocate(128)
         assert kv.utilization < 0.05
+
+    def test_growth_stops_at_reservation_not_block_end(self):
+        kv = KVCacheManager(MODEL, 4 * GB, block_tokens=16,
+                            reserve_tokens=17)
+        sid = kv.allocate(1)
+        for _ in range(16):  # grows to the 17-token reservation
+            kv.append_token(sid)
+        assert kv.used_blocks == 2
+        with pytest.raises(OutOfBlocks):
+            kv.append_token(sid)  # the second block has room; R does not
 
 
 class TestPagedVsReserved:
     def test_paged_admits_many_more(self):
         budget = 8 * GB
-        paged = PagedKVCacheManager(MODEL, budget)
-        reserved = ReservedKVCacheManager(MODEL, budget, max_seq_len=4096)
+        paged = KVCacheManager(MODEL, budget)
+        reserved = KVCacheManager(MODEL, budget, reserve_tokens=4096)
         n_paged = max_admissible_sequences(paged, 128)
         n_reserved = max_admissible_sequences(reserved, 128)
         assert n_paged > 10 * max(1, n_reserved)
@@ -136,8 +169,8 @@ class TestPagedVsReserved:
     def test_same_budget_same_token_capacity_asymptotically(self):
         # With full-length sequences the two disciplines converge.
         budget = 8 * GB
-        paged = PagedKVCacheManager(MODEL, budget)
-        reserved = ReservedKVCacheManager(MODEL, budget, max_seq_len=4096)
+        paged = KVCacheManager(MODEL, budget)
+        reserved = KVCacheManager(MODEL, budget, reserve_tokens=4096)
         n_paged = max_admissible_sequences(paged, 4096)
         n_reserved = max_admissible_sequences(reserved, 4096)
         assert abs(n_paged - n_reserved) <= 1

@@ -170,24 +170,28 @@ class TestZigzagProperties:
 
 class TestKVCacheProperties:
     @given(allocs=st.lists(st.integers(min_value=1, max_value=1000),
-                           min_size=1, max_size=20))
+                           min_size=1, max_size=20),
+           reserve=st.sampled_from([None, 1024]))
     @settings(max_examples=40, deadline=None)
-    def test_byte_accounting_exact(self, allocs):
-        kv = KVCacheManager(get_model("opt-13b"))
+    def test_byte_accounting_exact(self, allocs, reserve):
+        kv = KVCacheManager(get_model("opt-13b"), 64 * GB,
+                            reserve_tokens=reserve)
         for tokens in allocs:
             kv.allocate(tokens)
         assert kv.cached_tokens == sum(allocs)
-        assert kv.bytes_used == pytest.approx(
-            sum(allocs) * kv.bytes_per_token)
+        held = [reserve or tokens for tokens in allocs]
+        assert kv.allocated_bytes == pytest.approx(
+            sum(-(-t // 16) * 16 for t in held) * kv.bytes_per_token)
 
     @given(allocs=st.lists(st.integers(min_value=1, max_value=100),
                            min_size=2, max_size=10))
     @settings(max_examples=30, deadline=None)
     def test_release_restores_accounting(self, allocs):
-        kv = KVCacheManager(get_model("opt-13b"))
+        kv = KVCacheManager(get_model("opt-13b"), 64 * GB)
         ids = [kv.allocate(t) for t in allocs]
         kv.release(ids[0])
         assert kv.cached_tokens == sum(allocs[1:])
+        assert kv.used_blocks == sum(-(-t // 16) for t in allocs[1:])
 
 
 class TestFormattingProperties:
