@@ -2,7 +2,8 @@
 
 The purchasing decision the paper's comparison ultimately informs. Given
 a model, a request rate, and latency SLOs, size the fleet on each
-platform and rank by listing-price cost.
+platform (fluid capacity edge, then exact confirmation) and compare the
+listing-price cost.
 
 Usage::
 
@@ -10,7 +11,11 @@ Usage::
 """
 
 from repro import get_model, get_platform
-from repro.serving import SLO, ProvisioningPlanner
+from repro.analysis.cost import list_price
+from repro.cluster import ReplicaSpec
+from repro.engine.inference import MemoryCapacityError
+from repro.optim.advisor import size_fleet
+from repro.serving import SLO
 from repro.utils.formatting import format_table
 
 CASES = [
@@ -25,28 +30,33 @@ def main() -> None:
     platforms = [get_platform("spr"), get_platform("h100")]
     for model_key, rate, slo, label in CASES:
         model = get_model(model_key)
-        planner = ProvisioningPlanner(model, max_batch=4)
-        plan = planner.plan(platforms, rate, slo)
         rows = []
-        for option in plan.options:
-            rows.append([
-                option.platform,
-                option.rate_per_device,
-                option.devices_needed if option.feasible else "infeasible",
-                f"${option.fleet_cost_usd:,.0f}" if option.feasible else "-",
-            ])
+        for platform in platforms:
+            replica = ReplicaSpec(platform, model, max_batch=4)
+            try:
+                rec = size_fleet(replica, rate, slo=slo,
+                                 confirm_requests=1200)
+            except MemoryCapacityError:
+                rows.append([platform.name, "does not fit memory", "-", "-"])
+                continue
+            confirmed = rec.confirmation
+            if confirmed is None or not confirmed.accepted:
+                rows.append([platform.name, "no size confirms", "-", "-"])
+                continue
+            devices = rec.best.config.size
+            rows.append([platform.name, devices, confirmed.attainment,
+                         f"${devices * list_price(platform.name):,.0f}"])
         print(format_table(
-            ["platform", "req/s per device", "devices", "fleet cost"],
+            ["platform", "devices", "simulated attainment", "fleet cost"],
             rows,
             title=f"{label}: {model.name} @ {rate:g} req/s "
                   f"(TTFT<={slo.ttft_s:g}s, TPOT<={slo.tpot_s:g}s)"))
-        print(f"  -> cheapest: {plan.cheapest.platform}")
         print()
 
-    print("The paper's Key Finding #4 as a purchasing rule: GPUs win the")
-    print("fleet-cost race while the model fits their memory; past that")
-    print("point the offloading penalty makes big-memory CPUs the cheaper")
-    print("— sometimes the only feasible — serving fleet.")
+    print("The paper's Key Finding #4 as a purchasing rule: while the model")
+    print("fits GPU memory, CPU and GPU fleets can cost about the same for")
+    print("the same load; past that point big-memory CPUs are the only")
+    print("feasible in-memory serving fleet.")
 
 
 if __name__ == "__main__":

@@ -202,9 +202,9 @@ class ClusterReport:
 
         Amortizes each replica's listing price over *amortization_years*,
         charges the makespan's worth of amortized dollars, and divides by
-        the useful tokens produced — the purchasing-decision figure the
-        provisioning planner ranks fleets by, now measured on a simulated
-        trace instead of a capacity bound.
+        the useful tokens produced — the purchasing-decision figure
+        :func:`repro.optim.advisor.recommend_fleet` ranks fleets by,
+        measured on a simulated trace instead of a capacity bound.
         """
         dollars_per_second = (self.fleet_price_usd
                               / (amortization_years * _SECONDS_PER_YEAR))

@@ -1,15 +1,14 @@
 """Extension: multi-replica cluster serving (routing, scaling, failures).
 
-The paper's Section VI costs fleets by ceiling division: measure one
-device's sustainable rate, divide, add headroom. A real fleet adds
-dynamics that static sizing cannot see — queue imbalance across
-replicas, bursty arrivals, provisioning lag, and node failures. This
-experiment drives the discrete-event cluster simulator
-(:mod:`repro.cluster`) through four scenarios:
+A fleet sized from one device's steady-state capacity still meets
+dynamics a steady state cannot see — queue imbalance across replicas,
+bursty arrivals, provisioning lag, and node failures. This experiment
+drives the discrete-event cluster simulator (:mod:`repro.cluster`)
+through four scenarios:
 
-1. **planner cross-validation** — a fleet sized by
-   :class:`~repro.serving.provisioning.ProvisioningPlanner` attains the
-   SLO when actually simulated at the target rate;
+1. **planner cross-validation** — a fleet sized by ceiling division over
+   :func:`~repro.cluster.fluid.saturation_rate` attains the SLO when
+   actually simulated at the target rate;
 2. **heterogeneous routing** — on a mixed SPR + H100 fleet under a
    bursty, phase-mixed trace, the cost/SLO-aware
    :class:`~repro.cluster.PhaseAwareRouter` beats round-robin goodput;
@@ -19,8 +18,11 @@ experiment drives the discrete-event cluster simulator
    served better when capacity arrives sooner.
 """
 
+import math
+
 from repro.cluster import (
     Autoscaler,
+    ClusterConfig,
     ClusterSimulator,
     JoinShortestQueueRouter,
     LeastOutstandingTokensRouter,
@@ -28,7 +30,9 @@ from repro.cluster import (
     NodeTemplate,
     PhaseAwareRouter,
     ReplicaNode,
+    ReplicaSpec,
     RoundRobinRouter,
+    saturation_rate,
 )
 from repro.core.report import ExperimentReport
 from repro.experiments.base import register
@@ -39,7 +43,6 @@ from repro.serving.arrivals import (
     merge_arrivals,
     poisson_arrivals,
 )
-from repro.serving.provisioning import ProvisioningPlanner
 from repro.serving.slo import SLO
 from repro.workloads.generator import (
     WorkloadSpec,
@@ -101,9 +104,9 @@ def run() -> ExperimentReport:
 
     # 1. Planner cross-validation at a low, comfortably served rate.
     rate = 0.5
-    planner = ProvisioningPlanner(get_model(MODEL_KEY), max_batch=8)
-    option = planner.size_option(get_platform("spr"), rate, SLO_TARGET)
-    fleet_size = option.devices_needed
+    replica = ReplicaSpec(get_platform("spr"), get_model(MODEL_KEY))
+    fleet_size = math.ceil(
+        rate / saturation_rate(ClusterConfig((replica,)), slo=SLO_TARGET))
     arrivals = poisson_arrivals(rate, 24, chatbot_workload(), seed=SEED)
     report = ClusterSimulator(_spr_fleet(fleet_size),
                               RoundRobinRouter()).run(arrivals)

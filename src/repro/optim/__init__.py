@@ -11,6 +11,7 @@ from repro.optim.advisor import (
     fleet_mix_candidates,
     measure_fleet,
     recommend_fleet,
+    size_fleet,
 )
 from repro.optim.hybrid import HybridPlan, HybridPlanner, candidate_fractions
 
@@ -28,5 +29,6 @@ __all__ = [
     "fleet_mix_candidates",
     "measure_fleet",
     "recommend_fleet",
+    "size_fleet",
     "candidate_fractions",
 ]

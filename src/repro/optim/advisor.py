@@ -8,6 +8,7 @@ chatbots, TPOT for translation, throughput for analytics; Section II-C).
 """
 
 import dataclasses
+import math
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.runner import run_inference
@@ -135,6 +136,13 @@ class DeploymentAdvisor:
 
 # -- fleet-level provisioning search (fluid outer loop) --------------------
 
+#: Feasible candidates :func:`recommend_fleet` replays through the exact
+#: simulator, cheapest first, before giving up.
+CONFIRM_ATTEMPTS = 3
+#: Measured attainment may fall this far below the target and still
+#: confirm a candidate.
+CONFIRM_SLACK = 0.05
+
 
 @dataclasses.dataclass(frozen=True)
 class FleetAssessment:
@@ -164,8 +172,10 @@ class FleetRecommendation:
     """Output of :func:`recommend_fleet`.
 
     ``best`` is the cheapest candidate that cleared the attainment
-    target analytically — and, when confirmation ran, survived the
-    exact simulator too (``confirmation`` holds its measured numbers).
+    target analytically and survived the exact simulator too
+    (``confirmation`` holds its measured numbers). If no candidate
+    survived, ``best`` is the fluid favorite and ``confirmation`` its
+    rejected record (``accepted`` is False).
     ``ranked`` lists every candidate, feasible ones first by $/Mtok;
     ``confirmations`` records each simulation tried, in order, so a
     rejected fluid winner is visible, not silent.
@@ -282,10 +292,7 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
                     rate_per_s: float, *,
                     mix=None, spec=None, slo=None,
                     attainment_target: float = 0.95,
-                    confirm: bool = True,
                     confirm_requests: int = 2000,
-                    confirm_attempts: int = 3,
-                    confirm_slack: float = 0.05,
                     seed: int = 0,
                     amortization_years: Optional[float] = None
                     ) -> FleetRecommendation:
@@ -296,10 +303,10 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
     point once tables are warm), candidates clearing
     *attainment_target* are ranked by $/Mtok, and the winner is
     *confirmed* by the exact fast-forward simulator. If the simulator
-    disagrees (measured attainment below target minus *confirm_slack*),
-    the next-cheapest feasible candidate is confirmed instead, up to
-    *confirm_attempts* — the cheap outer loop never ships an
-    unvalidated answer.
+    disagrees (measured attainment below target minus
+    :data:`CONFIRM_SLACK`), the next-cheapest feasible candidate is
+    confirmed instead, up to :data:`CONFIRM_ATTEMPTS` — the cheap outer
+    loop never ships an unvalidated answer.
 
     Args:
         candidates: ``(label, ClusterConfig)`` pairs (bare configs get
@@ -342,13 +349,13 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
     best = feasible[0] if feasible else None
     confirmation = None
     confirmations: List[FleetConfirmation] = []
-    if confirm and feasible:
-        for assessment in feasible[:confirm_attempts]:
+    if feasible:
+        for assessment in feasible[:CONFIRM_ATTEMPTS]:
             attainment, goodput, throughput, dollars = measure_fleet(
                 assessment.config, rate_per_s, mix=mix, spec=spec, slo=slo,
                 count=confirm_requests, seed=seed,
                 amortization_years=years)
-            accepted = attainment >= attainment_target - confirm_slack
+            accepted = attainment >= attainment_target - CONFIRM_SLACK
             record = FleetConfirmation(
                 label=assessment.label, requests=confirm_requests,
                 attainment=attainment, goodput_tokens_per_s=goodput,
@@ -367,3 +374,32 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
         rate_per_s=rate_per_s, attainment_target=attainment_target,
         best=best, confirmation=confirmation, ranked=ranked,
         confirmations=confirmations)
+
+
+def size_fleet(replica: "ReplicaSpec", rate_per_s: float, *, slo=None,
+               confirm_requests: int = 2000,
+               seed: int = 0) -> FleetRecommendation:
+    """How many copies of one replica serve *rate_per_s* under *slo*?
+
+    The fluid capacity edge of a single replica gives the smallest
+    fleet that is not overloaded, k = ceil(rate / saturation_rate);
+    fleets of k .. k+3 replicas then go through :func:`recommend_fleet`,
+    which ranks them and exact-confirms the winner. A replica that does
+    not fit its device's memory raises
+    :class:`~repro.engine.inference.MemoryCapacityError` (the serving
+    model covers in-memory execution only), so the caller can mark the
+    platform infeasible instead of extrapolating.
+    """
+    from repro.cluster.config import ClusterConfig
+    from repro.cluster.fluid import saturation_rate
+
+    require_positive(rate_per_s, "rate_per_s")
+    one = dataclasses.replace(replica, count=1)
+    smallest = math.ceil(rate_per_s / saturation_rate(
+        ClusterConfig((one,)), slo=slo))
+    candidates = [
+        (f"{k}x {replica.platform.name}",
+         ClusterConfig((dataclasses.replace(replica, count=k),)))
+        for k in range(smallest, smallest + 4)]
+    return recommend_fleet(candidates, rate_per_s, slo=slo,
+                           confirm_requests=confirm_requests, seed=seed)

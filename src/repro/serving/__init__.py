@@ -17,11 +17,6 @@ from repro.serving.multitenancy import (
     tenancy_sweep,
 )
 from repro.serving.prefix_cache import PrefixCacheEstimate, PrefixCacheModel
-from repro.serving.provisioning import (
-    ProvisioningOption,
-    ProvisioningPlan,
-    ProvisioningPlanner,
-)
 from repro.serving.slo import SLO, attainment, goodput, max_sustainable_rate
 
 __all__ = [
@@ -31,9 +26,6 @@ __all__ = [
     "MultiTenantSimulator",
     "PrefixCacheEstimate",
     "PrefixCacheModel",
-    "ProvisioningOption",
-    "ProvisioningPlan",
-    "ProvisioningPlanner",
     "SLO",
     "TenantSlowdown",
     "tenancy_sweep",
