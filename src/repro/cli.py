@@ -9,6 +9,7 @@ Usage::
     python -m repro cluster --platforms spr,spr,h100 --model llama2-7b
     python -m repro cluster --platforms spr,spr --model llama2-7b --trace out.json
     python -m repro cluster --platforms spr,spr --model llama2-7b --rate 4 --duration 3600
+    python -m repro plan --platforms spr,spr --model llama2-7b --rates 1,3,6
     python -m repro trace --out trace.json
     python -m repro roofline --platform spr --model llama2-13b
     python -m repro platforms
@@ -16,6 +17,7 @@ Usage::
 """
 
 import argparse
+import functools
 import math
 import pathlib
 import sys
@@ -104,6 +106,31 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ms(seconds: float) -> str:
+    """Seconds as a whole-millisecond column; unbounded waits print inf."""
+    return "inf" if math.isinf(seconds) else f"{seconds * 1000:.0f}"
+
+
+def _fleet_command(command):
+    """Report a fleet command's bad input as ``error: ...``, exit 2.
+
+    Unknown platform/model/class keys (``KeyError``), inconsistent
+    flags (``ValueError``) and replicas that do not fit device memory
+    (``MemoryCapacityError``) are the user's input, not a crash.
+    """
+    from repro.engine.inference import MemoryCapacityError
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        try:
+            return command(args)
+        except (KeyError, ValueError, MemoryCapacityError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+
+    return run
+
+
 def _build_models(args: argparse.Namespace, replicas: int) -> list:
     """Per-replica models from ``--models`` / ``--model``.
 
@@ -123,93 +150,6 @@ def _build_models(args: argparse.Namespace, replicas: int) -> list:
             f"--models lists {len(keys)} models but --platforms lists "
             f"{replicas} replicas (give one model, or one per replica)")
     return [get_model(key) for key in keys]
-
-
-def _build_fleet(args: argparse.Namespace, models) -> list:
-    from repro.cluster import ReplicaNode, make_scheduler
-
-    keys = args.platforms.split(",")
-    backends = _build_backends(args, len(keys))
-    scheduler = getattr(args, "scheduler", None)
-    nodes = []
-    for index, (key, model, backend) in enumerate(zip(keys, models,
-                                                      backends)):
-        name = f"{key}-{index}"
-        if backend is not None:
-            name = f"{key}-{backend.label}-{index}"
-        nodes.append(ReplicaNode(name, get_platform(key), model,
-                                 max_batch=args.batch, backend=backend,
-                                 admission=make_scheduler(scheduler)))
-    return nodes
-
-
-def _throttle_config(args: argparse.Namespace):
-    """The ``--throttle`` door, or ``None`` when the door is open."""
-    limit = getattr(args, "throttle", None)
-    if limit is None:
-        return None
-    from repro.workloads import ThrottleConfig
-
-    return ThrottleConfig(window_s=args.throttle_window,
-                          max_user_requests=limit,
-                          policy=args.throttle_policy)
-
-
-def _tenant_stream(args: argparse.Namespace):
-    """The ``--tenants`` workload as a splittable stream, or ``None``.
-
-    Built once and handed to both the simulation (``.full()`` /
-    ``.shard()``) and the scoring pass (``.decisions()`` regenerates
-    door verdicts for throttled and admitted arrivals alike).
-    """
-    tenants = getattr(args, "tenants", None)
-    if tenants is None:
-        if getattr(args, "throttle", None) is not None:
-            raise ValueError("--throttle needs --tenants (the door "
-                             "windows are per-user/per-app)")
-        return None
-    from repro.workloads import TenantStream, TenantWorkloadSpec
-
-    count = args.requests
-    if count is None and args.duration is None:
-        count = 32
-    spec = TenantWorkloadSpec(users=tenants, apps=args.apps)
-    return TenantStream(spec=spec, rate_per_s=args.rate, count=count,
-                        duration_s=args.duration, seed=args.seed,
-                        throttle=_throttle_config(args))
-
-
-def _class_stream(args: argparse.Namespace):
-    """The ``--classes``/``--class-mix`` workload, or ``None``.
-
-    ``--class-mix simple:0.5,reasoning:0.5`` weights the classes;
-    ``--classes simple,reasoning`` mixes them equally. ``--router
-    tiered`` without either uses the stock mix — the tiered router
-    needs a classified workload to route.
-    """
-    from repro.workloads import ClassMixStream, parse_class_mix
-
-    mix_text = getattr(args, "class_mix", None)
-    classes_text = getattr(args, "classes", None)
-    if mix_text and classes_text:
-        raise ValueError("pass --classes or --class-mix, not both")
-    text = mix_text or classes_text
-    if text is None:
-        if getattr(args, "router", None) != "tiered":
-            return None
-        mix = None  # stock DEFAULT_CLASS_MIX
-    else:
-        mix = parse_class_mix(text)
-    if getattr(args, "tenants", None) is not None:
-        raise ValueError("--classes/--class-mix and --tenants are separate "
-                         "workloads; pick one")
-    count = args.requests
-    if count is None and args.duration is None:
-        count = 32
-    kwargs = {} if mix is None else {"mix": mix}
-    return ClassMixStream(rate_per_s=args.rate, count=count,
-                          duration_s=args.duration, seed=args.seed,
-                          **kwargs)
 
 
 def _build_backends(args: argparse.Namespace, replicas: int) -> list:
@@ -241,34 +181,49 @@ def _build_backends(args: argparse.Namespace, replicas: int) -> list:
     return [parse_backend(item) for item in specs]
 
 
-def _cluster_config(args: argparse.Namespace, models):
-    """The fleet as declarative specs (sharded + fluid paths).
+def _fleet(args: argparse.Namespace):
+    """The ``--platforms`` fleet as a :class:`~repro.cluster.ClusterConfig`.
 
-    Same replicas :func:`_build_fleet` instantiates, but as a
-    :class:`~repro.cluster.config.ClusterConfig` — worker processes
-    rebuild nodes from pickled specs, and the fluid solver groups
-    specs into tier stations without ever stepping a scheduler.
+    One :class:`~repro.cluster.ReplicaSpec` per listed platform, so
+    every path names and builds replicas the same way: the single
+    process calls ``build_fleet``, sharded workers rebuild their groups
+    from the pickled specs, and the fluid solver groups the specs into
+    tier stations without stepping a scheduler.
     """
     from repro.cluster import ClusterConfig, ReplicaSpec
 
     keys = args.platforms.split(",")
+    models = _build_models(args, len(keys))
     backends = _build_backends(args, len(keys))
     return ClusterConfig([
-        ReplicaSpec(get_platform(key), model, count=1, backend=backend,
+        ReplicaSpec(get_platform(key), model, backend=backend,
                     max_batch=args.batch,
                     scheduler=getattr(args, "scheduler", None))
         for key, model, backend in zip(keys, models, backends)])
 
 
-def _fluid_mix(args: argparse.Namespace):
-    """The class mix for analytic solves, or ``None`` (class-less).
+def _fleet_title(config) -> str:
+    """The served models, joined for a report title."""
+    return " + ".join(sorted({spec.model.name for spec in config.replicas}))
 
-    Mirrors :func:`_class_stream`'s precedence without building a
-    stream: ``--class-mix`` weights, ``--classes`` mixes equally, and
-    ``--router tiered`` alone engages the stock mix.
+
+def _request_count(args: argparse.Namespace) -> Optional[int]:
+    """``--requests``; 32 when neither it nor ``--duration`` is given."""
+    if args.requests is None and getattr(args, "duration", None) is None:
+        return 32
+    return args.requests
+
+
+def _class_mix(args: argparse.Namespace):
+    """The request-class mix, or ``None`` for a class-less workload.
+
+    ``--class-mix simple:0.5,reasoning:0.5`` weights the classes;
+    ``--classes simple,reasoning`` mixes them equally. ``--router
+    tiered`` without either uses the stock mix — the tiered router
+    needs a classified workload to route. The class stream and the
+    fluid solves both read the mix from here.
     """
-    from repro.workloads import parse_class_mix
-    from repro.workloads.classes import DEFAULT_CLASS_MIX
+    from repro.workloads import DEFAULT_CLASS_MIX, parse_class_mix
 
     mix_text = getattr(args, "class_mix", None)
     classes_text = getattr(args, "classes", None)
@@ -282,17 +237,68 @@ def _fluid_mix(args: argparse.Namespace):
     return None
 
 
+def _throttle_config(args: argparse.Namespace):
+    """The ``--throttle`` door, or ``None`` when the door is open."""
+    limit = getattr(args, "throttle", None)
+    if limit is None:
+        return None
+    from repro.workloads import ThrottleConfig
+
+    return ThrottleConfig(window_s=args.throttle_window,
+                          max_user_requests=limit,
+                          policy=args.throttle_policy)
+
+
+def _workload(args: argparse.Namespace):
+    """The ``cluster``/``trace`` workload as one replayable stream.
+
+    A :class:`~repro.workloads.ClassMixStream` under a class mix, a
+    :class:`~repro.workloads.TenantStream` under ``--tenants``, and a
+    Poisson (or ``--burst-rate`` bursty)
+    :class:`~repro.workloads.ShardableStream` otherwise. Every
+    ``.full()`` regenerates the identical stream — the simulation
+    consumes one copy and scoring another, so ``--duration`` runs of
+    any length stay O(1) in workload memory — and sharded workers
+    regenerate only their own ``.shard()`` slice.
+    """
+    from repro.workloads import (
+        ClassMixStream,
+        ShardableStream,
+        TenantStream,
+        TenantWorkloadSpec,
+    )
+
+    mix = _class_mix(args)
+    tenants = getattr(args, "tenants", None)
+    if mix is not None and tenants is not None:
+        raise ValueError("--classes/--class-mix and --tenants are separate "
+                         "workloads; pick one")
+    if tenants is None and getattr(args, "throttle", None) is not None:
+        raise ValueError("--throttle needs --tenants (the door "
+                         "windows are per-user/per-app)")
+    count = _request_count(args)
+    duration = getattr(args, "duration", None)
+    if mix is not None:
+        return ClassMixStream(rate_per_s=args.rate, count=count,
+                              duration_s=duration, mix=mix, seed=args.seed)
+    if tenants is not None:
+        return TenantStream(
+            spec=TenantWorkloadSpec(users=tenants, apps=args.apps),
+            rate_per_s=args.rate, count=count, duration_s=duration,
+            seed=args.seed, throttle=_throttle_config(args))
+    return ShardableStream(rate_per_s=args.rate, count=count,
+                           duration_s=duration,
+                           burst_rate_per_s=args.burst_rate or None,
+                           seed=args.seed)
+
+
 def _print_fluid_report(report, title: str) -> None:
     """Render one :class:`~repro.cluster.fluid.FluidReport`."""
-
-    def ms(seconds: float) -> str:
-        return "inf" if math.isinf(seconds) else f"{seconds * 1000:.0f}"
-
     station_rows = [
         [s.label, s.replicas, f"{s.rate_per_s:.2f}",
          "inf" if math.isinf(s.rho) else f"{s.rho:.2f}", s.regime,
          f"{s.utilization:.0%}", f"{s.mean_batch:.1f}",
-         f"{s.p_wait:.0%}", ms(s.mean_wait_s), ms(s.tpot_s),
+         f"{s.p_wait:.0%}", _ms(s.mean_wait_s), _ms(s.tpot_s),
          f"{s.throughput_tokens_per_s:.1f}"]
         for s in report.stations]
     print(format_table(
@@ -300,7 +306,7 @@ def _print_fluid_report(report, title: str) -> None:
          "mean batch", "p(wait)", "wait ms", "TPOT ms", "tok/s"],
         station_rows, title=title))
     percentile_text = "   ".join(
-        f"p{int(q * 100)} TTFT: {ms(t)} ms"
+        f"p{int(q * 100)} TTFT: {_ms(t)} ms"
         for q, t in sorted(report.ttft_percentiles.items()))
     print(f"\nregime: {report.regime}   "
           f"capacity: {report.capacity_req_per_s:.2f} req/s   "
@@ -310,14 +316,14 @@ def _print_fluid_report(report, title: str) -> None:
           f"goodput: {report.goodput_tokens_per_s:.1f} tok/s   "
           f"attainment: {report.attainment:.0%}   "
           f"$/Mtok: {report.dollars_per_mtok:.2f}")
-    print(f"mean TTFT: {ms(report.mean_ttft_s)} ms   {percentile_text}   "
-          f"TPOT: {ms(report.tpot_s)} ms")
+    print(f"mean TTFT: {_ms(report.mean_ttft_s)} ms   {percentile_text}   "
+          f"TPOT: {_ms(report.tpot_s)} ms")
     if len(report.classes) > 1 or (report.classes
                                    and report.classes[0].name != "all"):
         class_rows = [
             [c.name, f"{c.share:.0%}", f"{c.rate_per_s:.2f}",
              f"{c.attainment:.0%}", f"{c.goodput_tokens_per_s:.1f}",
-             ms(c.mean_ttft_s), ms(c.tpot_s),
+             _ms(c.mean_ttft_s), _ms(c.tpot_s),
              f"{c.spill_rate_per_s:.2f}"]
             for c in report.classes]
         print()
@@ -364,42 +370,6 @@ def _router_factory(args: argparse.Namespace, slo, classifier=None):
     }[args.router]
 
 
-def _build_router(args: argparse.Namespace, slo, classifier=None):
-    return _router_factory(args, slo, classifier)()
-
-
-def _build_arrivals(args: argparse.Namespace) -> list:
-    from repro.serving.arrivals import bursty_arrivals, poisson_arrivals
-
-    if args.burst_rate:
-        return bursty_arrivals(args.rate, args.burst_rate,
-                               args.requests, seed=args.seed)
-    return poisson_arrivals(args.rate, args.requests, seed=args.seed)
-
-
-def _arrival_factory(args: argparse.Namespace):
-    """A zero-arg factory producing a fresh, identical arrival stream.
-
-    The cluster command consumes arrivals lazily and regenerates the
-    stream for SLO scoring rather than holding it, so ``--duration``
-    runs of any length stay O(1) in workload memory.
-    """
-    from repro.serving.arrivals import (
-        iter_bursty_arrivals,
-        iter_poisson_arrivals,
-    )
-
-    count = args.requests
-    if count is None and args.duration is None:
-        count = 32
-    if args.burst_rate:
-        return lambda: iter_bursty_arrivals(
-            args.rate, args.burst_rate, count=count,
-            duration_s=args.duration, seed=args.seed)
-    return lambda: iter_poisson_arrivals(
-        args.rate, count=count, duration_s=args.duration, seed=args.seed)
-
-
 def _progress_line(start_wall: float):
     """A ClusterSimulator progress callback writing one stderr line."""
     import time
@@ -423,41 +393,6 @@ def _trace_destination(path: str) -> Optional[pathlib.Path]:
               f"e.g. mkdir -p {destination.parent})", file=sys.stderr)
         return None
     return destination
-
-
-def _run_sharded_cluster(args: argparse.Namespace, models, slo, shards: int,
-                         progress, class_stream=None):
-    """The ``--workers``/``--shards`` cluster path: sharded simulation.
-
-    Builds the fleet as a :class:`~repro.cluster.config.ClusterConfig`
-    (worker processes rebuild replicas from pickled specs; mixed-model
-    fleets warm disjoint cost tables), wraps the ``--router`` policy as
-    the per-group local inside a
-    :class:`~repro.cluster.router.ShardRouter`, and ships the workload
-    as a splittable stream spec so each worker regenerates only its own
-    arrival slice. Returns ``(report, make_arrivals)``.
-    """
-    from repro.cluster import ShardRouter, run_sharded
-    from repro.workloads.streams import ShardableStream
-
-    config = _cluster_config(args, models)
-    classifier = (class_stream.classifier()
-                  if class_stream is not None else None)
-    router = ShardRouter(shards, local=_router_factory(args, slo,
-                                                       classifier))
-    stream = class_stream if class_stream is not None \
-        else _tenant_stream(args)
-    if stream is None:
-        count = args.requests
-        if count is None and args.duration is None:
-            count = 32
-        stream = ShardableStream(rate_per_s=args.rate, count=count,
-                                 duration_s=args.duration,
-                                 burst_rate_per_s=args.burst_rate or None,
-                                 seed=args.seed)
-    report = run_sharded(config, router, stream, workers=args.workers,
-                         exact=args.exact, progress=progress)
-    return report, stream.full
 
 
 def _cmd_cluster_fluid(args: argparse.Namespace) -> int:
@@ -487,30 +422,25 @@ def _cmd_cluster_fluid(args: argparse.Namespace) -> int:
                   f"(drop the flag or use --solver simulate)",
                   file=sys.stderr)
             return 2
-    slo = SLO(ttft_s=args.ttft, tpot_s=args.tpot)
-    try:
-        models = _build_models(args, len(args.platforms.split(",")))
-        mix = _fluid_mix(args)
-        config = _cluster_config(args, models)
-        router = "tiered" if args.router == "tiered" else "uniform"
-        report = fluid.solve(config, args.rate, mix=mix, slo=slo,
-                             router=router)
-    except (KeyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    model_names = sorted({model.name for model in models})
+    config = _fleet(args)
+    report = fluid.solve(config, args.rate, mix=_class_mix(args),
+                         slo=SLO(ttft_s=args.ttft, tpot_s=args.tpot),
+                         router="tiered" if args.router == "tiered"
+                         else "uniform")
     _print_fluid_report(
         report,
-        title=f"{' + '.join(model_names)} x "
+        title=f"{_fleet_title(config)} x "
               f"{sum(s.replicas for s in report.stations)} replicas, "
               f"fluid steady state at {args.rate:g} req/s")
     return 0
 
 
+@_fleet_command
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterSimulator
+    from repro.cluster import ClusterSimulator, ShardRouter, run_sharded
     from repro.serving.slo import SLO
     from repro.trace import NOOP_TRACER, RecordingTracer, write_chrome_trace
+    from repro.workloads import ClassMixStream, TenantStream
 
     if args.exact not in (False, True, "step", "vectorized"):
         print(f"error: --exact takes 'step' or 'vectorized' (or nothing), "
@@ -519,7 +449,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.solver == "fluid":
         return _cmd_cluster_fluid(args)
     sharded = args.workers > 1 or args.shards is not None
-    shards = args.shards if args.shards is not None else args.workers
     tracer = NOOP_TRACER
     destination = None
     if args.trace:
@@ -539,60 +468,39 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         import time
 
         progress = _progress_line(time.perf_counter())
-    try:
-        models = _build_models(args, len(args.platforms.split(",")))
-        class_stream = _class_stream(args)
-        tenant_stream = _tenant_stream(args)
-    except (KeyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    config = _fleet(args)
+    stream = _workload(args)
+    classifier = (stream.classifier()
+                  if isinstance(stream, ClassMixStream) else None)
+    make_router = _router_factory(args, slo, classifier)
     if sharded:
-        try:
-            report, make_arrivals = _run_sharded_cluster(
-                args, models, slo, shards, progress,
-                class_stream=class_stream)
-        except (TypeError, ValueError) as error:
-            print(f"\nerror: {error}", file=sys.stderr)
-            return 2
+        shards = args.shards if args.shards is not None else args.workers
+        report = run_sharded(config, ShardRouter(shards, local=make_router),
+                             stream, workers=args.workers, exact=args.exact,
+                             progress=progress)
     else:
-        try:
-            nodes = _build_fleet(args, models)
-            classifier = (class_stream.classifier()
-                          if class_stream is not None else None)
-            router = _build_router(args, slo, classifier)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        make_arrivals = (class_stream.full
-                         if class_stream is not None
-                         else tenant_stream.full
-                         if tenant_stream is not None
-                         else _arrival_factory(args))
-        report = ClusterSimulator(nodes, router,
-                                  tracer=tracer,
-                                  exact=args.exact).run(make_arrivals(),
-                                                        progress=progress)
+        report = ClusterSimulator(config.build_fleet(), make_router(),
+                                  tracer=tracer, exact=args.exact).run(
+            stream.full(), progress=progress)
     if progress is not None:
         print(file=sys.stderr)
-    model_names = sorted({model.name for model in models})
     rows = [[s.name, s.platform, s.model, s.completed, s.utilization,
              s.peak_queue] for s in report.node_stats]
     print(format_table(
         ["replica", "platform", "model", "completed", "utilization",
          "peak queue"],
         rows,
-        title=f"{' + '.join(model_names)} x {len(report.node_stats)} "
+        title=f"{_fleet_title(config)} x {len(report.node_stats)} "
               f"replicas, router={report.router}, "
               f"{len(report.completed)} requests"))
     # Scoring regenerates the deterministic stream instead of holding it.
     print(f"\nthroughput: {report.throughput:.1f} tok/s   "
           f"mean TTFT: {report.mean_ttft_s * 1000:.0f} ms   "
-          f"attainment: {report.attainment(make_arrivals(), slo):.0%}   "
-          f"goodput: {report.goodput(make_arrivals(), slo):.1f} tok/s   "
+          f"attainment: {report.attainment(stream.full(), slo):.0%}   "
+          f"goodput: {report.goodput(stream.full(), slo):.1f} tok/s   "
           f"$/Mtok: {report.dollars_per_million_tokens():.2f}")
-    if class_stream is not None:
-        tiering = report.tiering(make_arrivals(),
-                                 class_stream.classifier())
+    if classifier is not None:
+        tiering = report.tiering(stream.full(), classifier)
         class_rows = [
             [c.name, c.completed, f"{c.attainment:.0%}",
              f"{c.goodput:.1f}", f"{c.mean_ttft_s * 1000:.0f}",
@@ -617,8 +525,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
               f"class goodput: {tiering.goodput:.1f} tok/s   "
               f"spills: {tiering.spills}   "
               f"fallbacks: {tiering.fallbacks}")
-    if tenant_stream is not None:
-        fairness = report.fairness(tenant_stream.decisions(), slo=slo)
+    if isinstance(stream, TenantStream):
+        fairness = report.fairness(stream.decisions(), slo=slo)
         tenant_rows = [
             [t.user_id, t.arrived, t.admitted, t.throttled, t.completed,
              f"{t.attainment:.0%}",
@@ -642,6 +550,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+@_fleet_command
 def _cmd_plan(args: argparse.Namespace) -> int:
     """``repro plan``: instant what-if sweeps over arrival rates.
 
@@ -655,37 +564,29 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     from repro.cluster import fluid
     from repro.serving.slo import SLO
 
-    def ms(seconds: float) -> str:
-        return "inf" if math.isinf(seconds) else f"{seconds * 1000:.0f}"
-
     slo = SLO(ttft_s=args.ttft, tpot_s=args.tpot)
-    try:
-        rates = sorted({float(r) for r in args.rates.split(",")})
-        if any(rate <= 0 for rate in rates):
-            raise ValueError("--rates must be positive")
-        models = _build_models(args, len(args.platforms.split(",")))
-        mix = _fluid_mix(args)
-        config = _cluster_config(args, models)
-        router = "tiered" if mix is not None else "uniform"
-        reports = fluid.solve_grid(
-            [fluid.FluidScenario(config=config, rate_per_s=rate,
-                                 label=f"{rate:g} req/s")
-             for rate in rates],
-            mix=mix, slo=slo, router=router)
-        capacity = fluid.saturation_rate(config, mix=mix, slo=slo,
-                                         router=router)
-    except (KeyError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    rates = sorted({float(r) for r in args.rates.split(",")})
+    if any(rate <= 0 for rate in rates):
+        raise ValueError("--rates must be positive")
+    config = _fleet(args)
+    mix = _class_mix(args)
+    router = "tiered" if mix is not None else "uniform"
+    reports = fluid.solve_grid(
+        [fluid.FluidScenario(config=config, rate_per_s=rate,
+                             label=f"{rate:g} req/s")
+         for rate in rates],
+        mix=mix, slo=slo, router=router)
+    capacity = fluid.saturation_rate(config, mix=mix, slo=slo,
+                                     router=router)
     headers = ["req/s", "rho", "regime", "tok/s", "goodput",
                "attainment", "TTFT ms", "p99 ms", "TPOT ms", "$/Mtok"]
     rows = [
         [f"{report.rate_per_s:g}", f"{report.max_rho:.2f}", report.regime,
          f"{report.throughput_tokens_per_s:.1f}",
          f"{report.goodput_tokens_per_s:.1f}", f"{report.attainment:.0%}",
-         ms(report.mean_ttft_s), ms(report.ttft_percentiles.get(0.99,
-                                                                math.inf)),
-         ms(report.tpot_s), f"{report.dollars_per_mtok:.2f}"]
+         _ms(report.mean_ttft_s),
+         _ms(report.ttft_percentiles.get(0.99, math.inf)),
+         _ms(report.tpot_s), f"{report.dollars_per_mtok:.2f}"]
         for report in reports]
     if args.confirm:
         from repro.optim.advisor import measure_fleet
@@ -697,11 +598,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 count=args.confirm, seed=args.seed)
             row += [f"{attainment:.0%}", f"{throughput:.1f}",
                     f"{dollars:.2f}"]
-    model_names = sorted({model.name for model in models})
-    replicas = len(args.platforms.split(","))
     print(format_table(
         headers, rows,
-        title=f"{' + '.join(model_names)} x {replicas} replicas, "
+        title=f"{_fleet_title(config)} x {config.size} replicas, "
               f"fluid operating curve"))
     if math.isinf(capacity):
         print("\nsaturation: not found within the searched rate range")
@@ -714,6 +613,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+@_fleet_command
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterSimulator, NodeFailure
     from repro.serving.slo import SLO
@@ -730,16 +630,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         destination = _trace_destination(args.out)
         if destination is None:
             return 2
-    models = _build_models(args, len(args.platforms.split(",")))
-    nodes = _build_fleet(args, models)
+    config = _fleet(args)
+    stream = _workload(args)
     slo = SLO(ttft_s=args.ttft, tpot_s=args.tpot)
-    arrivals = _build_arrivals(args)
     events = []
     if args.fail_node:
         events.append(NodeFailure(time_s=args.fail_at, node=args.fail_node))
     tracer = RecordingTracer()
-    report = ClusterSimulator(nodes, _build_router(args, slo),
-                              events=events, tracer=tracer).run(arrivals)
+    report = ClusterSimulator(config.build_fleet(),
+                              _router_factory(args, slo)(),
+                              events=events, tracer=tracer).run(stream.full())
     trace = tracer.trace
 
     print(ascii_timeline(trace, width=args.width))
@@ -837,6 +737,45 @@ def _add_request_args(parser: argparse.ArgumentParser) -> None:
                         help="CPU NUMA config label (default: quad_flat)")
 
 
+def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
+    """The fleet, class-mix and SLO flags ``cluster`` and ``plan`` share."""
+    parser.add_argument("--platforms", required=True,
+                        help="comma-separated replica platforms (one "
+                             "replica each, e.g. spr,spr,h100)")
+    parser.add_argument("--model", default=None,
+                        help="model served by every replica")
+    parser.add_argument("--models", default=None,
+                        help="per-replica models: one key broadcasts, or "
+                             "a comma-separated list matching --platforms "
+                             "(e.g. llama2-7b,llama2-7b,llama2-13b)")
+    parser.add_argument("--classes", default=None,
+                        help="equal-share request-class mix (e.g. "
+                             "simple,standard,reasoning)")
+    parser.add_argument("--class-mix", default=None,
+                        help="weighted request-class mix (e.g. "
+                             "simple:0.5,standard:0.35,reasoning:0.15)")
+    parser.add_argument("--batch", type=int, default=8,
+                        help="per-replica max batch")
+    parser.add_argument("--backend", default=None,
+                        help="execution backend spec(s): one of "
+                             "bf16/fp16/fp32/int8/int4/w8a8, optionally "
+                             "combined with numa:CONFIG[,aware][,hot=F] "
+                             "(hot/cold HBM-DDR placement), hybrid:GPU "
+                             "(GPU prefill + CPU decode, e.g. hybrid:a100), "
+                             "and a tpN suffix (e.g. int8-tp2, "
+                             "int8-numa:snc_flat,aware-tp2). One value "
+                             "applies to every replica; a comma-separated "
+                             "list assigns per replica and must match "
+                             "--platforms")
+    parser.add_argument("--ttft", type=float, default=2.0,
+                        help="SLO: seconds to first token")
+    parser.add_argument("--tpot", type=float, default=0.2,
+                        help="SLO: seconds per output token")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="arrival-stream seed (plan: of the --confirm "
+                             "simulations)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -883,27 +822,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster_parser = sub.add_parser(
         "cluster", help="simulate a multi-replica serving fleet")
-    cluster_parser.add_argument("--platforms", required=True,
-                                help="comma-separated replica platforms "
-                                     "(one replica each, e.g. spr,spr,h100)")
-    cluster_parser.add_argument("--model", default=None,
-                                help="model served by every replica")
-    cluster_parser.add_argument("--models", default=None,
-                                help="per-replica models: one key "
-                                     "broadcasts, or a comma-separated "
-                                     "list matching --platforms (e.g. "
-                                     "llama2-7b,llama2-7b,llama2-13b)")
+    _add_fleet_args(cluster_parser)
     cluster_parser.add_argument("--router", default="phase_aware",
                                 choices=["round_robin", "jsq",
                                          "least_tokens", "phase_aware",
                                          "tiered"])
-    cluster_parser.add_argument("--classes", default=None,
-                                help="equal-share request-class mix "
-                                     "(e.g. simple,standard,reasoning)")
-    cluster_parser.add_argument("--class-mix", default=None,
-                                help="weighted request-class mix (e.g. "
-                                     "simple:0.5,standard:0.35,"
-                                     "reasoning:0.15)")
     cluster_parser.add_argument("--rate", type=float, default=1.0,
                                 help="arrival rate, requests/s")
     cluster_parser.add_argument("--burst-rate", type=float, default=None,
@@ -941,21 +864,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster_parser.add_argument("--progress", action="store_true",
                                 help="force the progress line even when "
                                      "stderr is not a terminal")
-    cluster_parser.add_argument("--batch", type=int, default=8,
-                                help="per-replica max batch")
-    cluster_parser.add_argument("--backend", default=None,
-                                help="execution backend spec(s): one of "
-                                     "bf16/fp16/fp32/int8/int4/w8a8, "
-                                     "optionally combined with "
-                                     "numa:CONFIG[,aware][,hot=F] "
-                                     "(hot/cold HBM-DDR placement), "
-                                     "hybrid:GPU (GPU prefill + CPU "
-                                     "decode, e.g. hybrid:a100), and a "
-                                     "tpN suffix (e.g. int8-tp2, "
-                                     "int8-numa:snc_flat,aware-tp2). One "
-                                     "value applies to every replica; a "
-                                     "comma-separated list assigns per "
-                                     "replica and must match --platforms")
     cluster_parser.add_argument("--tenants", type=int, default=None,
                                 metavar="N",
                                 help="serve a multi-tenant workload: N "
@@ -986,11 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "(never aborts mid-chain) or per "
                                      "request (naive; aborts waste "
                                      "completed stages)")
-    cluster_parser.add_argument("--ttft", type=float, default=2.0,
-                                help="SLO: seconds to first token")
-    cluster_parser.add_argument("--tpot", type=float, default=0.2,
-                                help="SLO: seconds per output token")
-    cluster_parser.add_argument("--seed", type=int, default=0)
     cluster_parser.add_argument("--trace", default=None, metavar="PATH",
                                 help="write a Chrome trace-event JSON of "
                                      "the fleet timeline (open in Perfetto)")
@@ -1006,42 +909,16 @@ def build_parser() -> argparse.ArgumentParser:
     plan_parser = sub.add_parser(
         "plan", help="analytic what-if sweep over arrival rates "
                      "(fluid steady-state solver)")
-    plan_parser.add_argument("--platforms", required=True,
-                             help="comma-separated replica platforms "
-                                  "(one replica each, e.g. spr,spr,h100)")
-    plan_parser.add_argument("--model", default=None,
-                             help="model served by every replica")
-    plan_parser.add_argument("--models", default=None,
-                             help="per-replica models: one key "
-                                  "broadcasts, or a comma-separated list "
-                                  "matching --platforms")
+    _add_fleet_args(plan_parser)
     plan_parser.add_argument("--rates", required=True,
                              help="comma-separated arrival rates to "
                                   "solve, requests/s (e.g. 1,2,4,8)")
-    plan_parser.add_argument("--classes", default=None,
-                             help="equal-share request-class mix "
-                                  "(engages tiered class->tier flows)")
-    plan_parser.add_argument("--class-mix", default=None,
-                             help="weighted request-class mix (e.g. "
-                                  "simple:0.5,standard:0.35,"
-                                  "reasoning:0.15)")
-    plan_parser.add_argument("--batch", type=int, default=8,
-                             help="per-replica max batch")
-    plan_parser.add_argument("--backend", default=None,
-                             help="execution backend spec(s), as in "
-                                  "the cluster command")
-    plan_parser.add_argument("--ttft", type=float, default=2.0,
-                             help="SLO: seconds to first token")
-    plan_parser.add_argument("--tpot", type=float, default=0.2,
-                             help="SLO: seconds per output token")
     plan_parser.add_argument("--confirm", type=int, nargs="?", const=2000,
                              default=None, metavar="N",
                              help="replay each rate point through the "
                                   "exact simulator with N requests "
                                   "(default 2000) and add measured "
                                   "columns")
-    plan_parser.add_argument("--seed", type=int, default=0,
-                             help="seed for --confirm simulations")
     plan_parser.set_defaults(func=_cmd_plan)
 
     trace_parser = sub.add_parser(

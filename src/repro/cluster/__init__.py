@@ -19,7 +19,7 @@ from repro.cluster.admission import (
     WeightedServiceCounterScheduler,
     make_scheduler,
 )
-from repro.cluster.autoscaler import Autoscaler, NodeTemplate
+from repro.cluster.autoscaler import Autoscaler
 from repro.cluster.config import ClusterConfig, ReplicaSpec
 from repro.cluster.events import ClusterEvent
 from repro.cluster.fairness import (
@@ -76,7 +76,6 @@ __all__ = [
     "NodeDrain",
     "NodeFailure",
     "NodeStats",
-    "NodeTemplate",
     "PhaseAwareRouter",
     "ReplicaNode",
     "ReplicaSpec",

@@ -3,54 +3,29 @@
 Real fleets cannot add capacity instantly: a scale-up decision is
 followed by minutes of provisioning before the replica takes traffic.
 The :class:`Autoscaler` models exactly that — it samples fleet pressure
-on a fixed interval, requests a replica from its :class:`NodeTemplate`
-when the unadmitted queue runs deep, and the cluster loop brings the
-node online ``provisioning_lag_s`` later. Scale-down is graceful: the
+on a fixed interval, builds a replica from its template
+:class:`~repro.cluster.config.ReplicaSpec` when the unadmitted queue
+runs deep, and the cluster loop brings the node online
+``provisioning_lag_s`` later. Scale-down is graceful: the
 least-loaded replica drains (finishes in-flight work, takes no new
 routes) and leaves the fleet when empty.
 """
 
-import dataclasses
 import itertools
 from typing import Optional, Sequence
 
+from repro.cluster.config import ReplicaSpec
 from repro.cluster.node import ReplicaNode
-from repro.engine.backend import ExecutionBackend
-from repro.engine.inference import DEFAULT_ENGINE_CONFIG, EngineConfig
-from repro.hardware.platform import Platform
-from repro.models.config import ModelConfig
 from repro.utils.validation import require_positive
-
-
-@dataclasses.dataclass(frozen=True)
-class NodeTemplate:
-    """Recipe for replicas the autoscaler may add.
-
-    Attributes:
-        platform: Device of new replicas.
-        model: Served model.
-        max_batch: Per-replica batching limit.
-        config: CPU engine configuration.
-        backend: Execution backend for new replicas (``None`` = BF16).
-    """
-
-    platform: Platform
-    model: ModelConfig
-    max_batch: int = 8
-    config: EngineConfig = DEFAULT_ENGINE_CONFIG
-    backend: Optional[ExecutionBackend] = None
-
-    def build(self, name: str) -> ReplicaNode:
-        """Instantiate one replica from the template."""
-        return ReplicaNode(name, self.platform, self.model,
-                           self.max_batch, self.config, self.backend)
 
 
 class Autoscaler:
     """Scales the fleet from queue depth, with provisioning lag.
 
     Args:
-        template: Recipe for scale-up replicas.
+        template: Recipe for scale-up replicas; each scale-up builds one
+            replica with ``template.build(next_name())`` (the spec's
+            ``count`` is not read).
         min_nodes / max_nodes: Fleet-size bounds.
         scale_up_queue_per_node: Add a replica when the fleet's
             unadmitted queue exceeds this many requests per active
@@ -63,7 +38,7 @@ class Autoscaler:
         sample_interval_s: How often fleet pressure is sampled.
     """
 
-    def __init__(self, template: NodeTemplate,
+    def __init__(self, template: ReplicaSpec,
                  min_nodes: int = 1, max_nodes: int = 8,
                  scale_up_queue_per_node: float = 4.0,
                  scale_down_queue_per_node: float = 0.5,

@@ -86,6 +86,20 @@ class ReplicaSpec:
             return f"{key}-{self.backend.label}"
         return key
 
+    def build(self, name: str, tracer: Tracer = NOOP_TRACER,
+              exact: bool = False) -> ReplicaNode:
+        """Instantiate one replica of this group, named *name*.
+
+        The only recipe for a fleet replica: :class:`ClusterConfig`
+        numbers and builds its fleet through it, and the
+        :class:`~repro.cluster.autoscaler.Autoscaler` builds each
+        scale-up replica with it (``count`` is not read).
+        """
+        return ReplicaNode(name, self.platform, self.model, self.max_batch,
+                           self.config, self.backend, tracer=tracer,
+                           exact=exact, admission=self.make_admission(),
+                           price_usd=self.price_usd)
+
 
 @dataclasses.dataclass(frozen=True)
 class ClusterConfig:
@@ -111,18 +125,7 @@ class ClusterConfig:
         share a base name (e.g. two BF16 SPR groups with different
         batch limits).
         """
-        fleet: List[ReplicaNode] = []
-        index = 0
-        for spec in self.replicas:
-            for _ in range(spec.count):
-                fleet.append(ReplicaNode(
-                    f"{spec.base_name}-{index}", spec.platform, spec.model,
-                    spec.max_batch, spec.config, spec.backend,
-                    tracer=tracer, exact=exact,
-                    admission=spec.make_admission(),
-                    price_usd=spec.price_usd))
-                index += 1
-        return fleet
+        return self.build_subset(range(self.size), tracer, exact)
 
     def _flat_specs(self) -> List[ReplicaSpec]:
         """One spec per replica, in fleet order."""
@@ -153,10 +156,6 @@ class ClusterConfig:
                 raise IndexError(f"replica index {index} out of range for "
                                  f"a fleet of {len(flat)}")
             spec = flat[index]
-            subset.append(ReplicaNode(
-                f"{spec.base_name}-{index}", spec.platform, spec.model,
-                spec.max_batch, spec.config, spec.backend,
-                tracer=tracer, exact=exact,
-                admission=spec.make_admission(),
-                price_usd=spec.price_usd))
+            subset.append(spec.build(f"{spec.base_name}-{index}", tracer,
+                                     exact))
         return subset

@@ -71,7 +71,7 @@ from repro.cluster.simulator import (
     queue_depth_timeline,
 )
 from repro.serving.arrivals import ArrivingRequest, _spec_ranges
-from repro.serving.scheduler import BatchingSimulator, CompletedRequest
+from repro.serving.scheduler import CompletedRequest
 
 #: A global dispatch key: (time_s, rank, global index).
 Key = Tuple[float, int, int]
@@ -232,10 +232,7 @@ def warm_caches(config: ClusterConfig, kv_horizon: int = 256) -> None:
         if key in seen:
             continue
         seen.add(key)
-        simulator = BatchingSimulator(spec.platform, spec.model,
-                                      spec.max_batch, spec.config,
-                                      spec.backend)
-        table = simulator.cost_table
+        table = spec.build(spec.base_name).cost_table
         for batch in range(1, spec.max_batch + 1):
             table.step_times(batch, 1, 1 + kv_horizon)
 

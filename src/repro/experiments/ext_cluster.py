@@ -27,7 +27,6 @@ from repro.cluster import (
     JoinShortestQueueRouter,
     LeastOutstandingTokensRouter,
     NodeFailure,
-    NodeTemplate,
     PhaseAwareRouter,
     ReplicaNode,
     ReplicaSpec,
@@ -162,7 +161,7 @@ def run() -> ExperimentReport:
     # 4. Autoscaler: same burst, two provisioning lags.
     burst = bursty_arrivals(0.2, 3.0, 40, _decode_heavy_spec(),
                             burst_s=20.0, period_s=120.0, seed=SEED)
-    template = NodeTemplate(get_platform("spr"), get_model(MODEL_KEY))
+    template = ReplicaSpec(get_platform("spr"), get_model(MODEL_KEY))
     lag_ttft = {}
     for lag in (5.0, 40.0):
         scaler = Autoscaler(template, min_nodes=1, max_nodes=4,

@@ -71,6 +71,28 @@ class TestClusterCommand:
                      "--requests", "8"]) == 0
         assert "router=round_robin" in capsys.readouterr().out
 
+    @staticmethod
+    def replica_names(out):
+        """The replica column of the fleet table."""
+        lines = out.splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith("replica ")) + 2
+        names = []
+        for line in lines[start:]:
+            if not line.strip():
+                break
+            names.append(line.split()[0])
+        return names
+
+    def test_replica_names_match_across_legs(self, capsys):
+        argv = ["cluster", "--platforms", "spr-max-9468,spr",
+                "--model", "llama2-7b", "--requests", "8"]
+        assert main(argv) == 0
+        single = self.replica_names(capsys.readouterr().out)
+        assert main(argv + ["--workers", "2"]) == 0
+        sharded = self.replica_names(capsys.readouterr().out)
+        assert single == sharded == ["spr-0", "spr-1"]
+
     def test_cluster_rejects_unknown_router(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cluster", "--platforms", "spr",

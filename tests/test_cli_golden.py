@@ -71,6 +71,16 @@ CASES = {
     "trace-fail-node": "trace --requests 12 --fail-node spr-0 --fail-at 5",
     "trace-poisson-jsq-out": "trace --requests 12 --burst-rate 0 "
                              "--router jsq --out {tmp}/t.json",
+    # replica names come from the spec on both legs
+    "cluster-platform-aliases": "cluster --platforms spr-max-9468,spr "
+                                "--model llama2-7b --requests 8",
+    "cluster-platform-aliases-workers2": "cluster --platforms "
+                                         "spr-max-9468,spr --model "
+                                         "llama2-7b --requests 8 "
+                                         "--workers 2",
+    # exit-2 paths of trace
+    "err-trace-unknown-node": "trace --requests 12 --fail-node spr-9",
+    "err-trace-unknown-model": "trace --model nosuch",
     # exit-2 paths of cluster (simulate)
     "err-exact-mode": f"cluster {FLEET} --exact bogus",
     "err-trace-sharded": f"cluster {FLEET} --workers 2 "
@@ -78,6 +88,8 @@ CASES = {
     "err-trace-no-dir": f"cluster {FLEET} --trace {{tmp}}/missing/c.json",
     "err-no-model": "cluster --platforms spr,spr",
     "err-unknown-model": "cluster --platforms spr --model nosuch",
+    "err-unknown-platform": "cluster --platforms tpu --model llama2-7b",
+    "err-model-exceeds-memory": "cluster --platforms h100 --model opt-66b",
     "err-models-mismatch": "cluster --platforms spr,spr "
                            "--models llama2-7b,llama2-7b,llama2-13b",
     "err-classes-and-mix": f"cluster {FLEET} --classes simple "
@@ -100,6 +112,8 @@ CASES = {
     "err-fluid-shards": f"{FLUID} --shards 2",
     "err-fluid-unknown-model": "cluster --platforms spr --model nosuch "
                                "--solver fluid",
+    "err-fluid-model-exceeds-memory": "cluster --platforms h100 "
+                                      "--model opt-66b --solver fluid",
     "err-fluid-models-mismatch": "cluster --platforms spr "
                                  "--models llama2-7b,llama2-13b "
                                  "--solver fluid",
@@ -108,6 +122,8 @@ CASES = {
     "err-plan-rates-text": f"plan {FLEET} --rates one",
     "err-plan-unknown-model": "plan --platforms spr --model nosuch "
                               "--rates 1",
+    "err-plan-model-exceeds-memory": "plan --platforms h100 "
+                                     "--model opt-66b --rates 1",
     "err-plan-classes-and-mix": f"plan {FLEET} --rates 1 --classes simple "
                                 "--class-mix simple:1",
 }

@@ -13,9 +13,9 @@ from repro.cluster import (
     JoinShortestQueueRouter,
     LeastOutstandingTokensRouter,
     NodeFailure,
-    NodeTemplate,
     PhaseAwareRouter,
     ReplicaNode,
+    ReplicaSpec,
     RoundRobinRouter,
 )
 from repro.hardware.registry import get_platform
@@ -246,7 +246,7 @@ class TestFailures:
 
 class TestAutoscaler:
     def template(self):
-        return NodeTemplate(SPR, LLAMA)
+        return ReplicaSpec(SPR, LLAMA)
 
     def test_scales_up_on_deep_queue(self):
         scaler = Autoscaler(self.template(), scale_up_queue_per_node=2.0)

@@ -22,9 +22,9 @@ from repro.cluster import (
     LeastOutstandingTokensRouter,
     NodeDrain,
     NodeFailure,
-    NodeTemplate,
     PhaseAwareRouter,
     ReplicaNode,
+    ReplicaSpec,
     RoundRobinRouter,
 )
 from repro.hardware.registry import get_platform
@@ -151,7 +151,7 @@ class TestRandomScheduleParity:
                                    seed=11)
 
         def make_autoscaler():
-            return Autoscaler(NodeTemplate(SPR, OPT, max_batch=4),
+            return Autoscaler(ReplicaSpec(SPR, OPT, max_batch=4),
                               max_nodes=5, provisioning_lag_s=8.0,
                               sample_interval_s=2.0)
 
