@@ -24,7 +24,7 @@ import dataclasses
 from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.serving.scheduler import CompletedRequest
-from repro.serving.slo import SLO, _meets
+from repro.serving.slo import SLO, meets
 from repro.utils.stats import jain_index, mean
 from repro.workloads.tenancy import TenantRequest
 from repro.workloads.throttling import ThrottleDecision
@@ -190,7 +190,7 @@ def fairness_report(decisions: Iterable[ThrottleDecision],
                         + tokens * _served_fraction(record, cutoff) / weight)
         ttfts.setdefault(user, []).append(record.ttft_s)
         finished[user] = finished.get(user, 0) + 1
-        if _meets(record, request, slo):
+        if meets(record, request, slo):
             met[user] = met.get(user, 0) + 1
         if (abandoned_ttft_s is not None
                 and record.ttft_s > abandoned_ttft_s):

@@ -69,12 +69,16 @@ import numpy as np
 
 from repro.cluster.admission import AdmissionScheduler
 from repro.engine.backend import ExecutionBackend
-from repro.engine.inference import DEFAULT_ENGINE_CONFIG, EngineConfig
+from repro.engine.inference import (
+    DEFAULT_ENGINE_CONFIG,
+    EngineConfig,
+    InferenceSimulator,
+)
+from repro.engine.stepcost import decode_cost_table
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.serving.arrivals import ArrivingRequest
 from repro.serving.scheduler import (
-    BatchingSimulator,
     CompletedRequest,
     ServingReport,
     check_batching_policy,
@@ -132,8 +136,6 @@ class ReplicaNode:
             different backends — each prices through its own
             backend-keyed cost table, so fast-forward coalescing stays
             exact per replica.
-        simulator: Pre-built cost model; built from the other arguments
-            when omitted (the single-node runner passes its own).
         tracer: Span sink for this node's request/replica timeline; the
             default no-op discards everything (the cluster simulator
             re-points this at its own tracer when it adopts a node).
@@ -162,11 +164,10 @@ class ReplicaNode:
         chunk_tokens: Prompt tokens a chunked node prefills per iteration.
     """
 
-    def __init__(self, name: str, platform: Optional[Platform] = None,
-                 model: Optional[ModelConfig] = None, max_batch: int = 8,
+    def __init__(self, name: str, platform: Platform, model: ModelConfig,
+                 max_batch: int = 8,
                  config: EngineConfig = DEFAULT_ENGINE_CONFIG,
                  backend: Optional[ExecutionBackend] = None,
-                 simulator: Optional[BatchingSimulator] = None,
                  tracer: Tracer = NOOP_TRACER,
                  exact: Union[bool, str] = False,
                  collect_gaps: bool = False,
@@ -179,12 +180,14 @@ class ReplicaNode:
         if self._chunked:
             require_positive(chunk_tokens, "chunk_tokens")
         self.chunk_tokens = chunk_tokens
-        if simulator is None:
-            if platform is None or model is None:
-                raise ValueError("ReplicaNode needs platform+model or a "
-                                 "pre-built BatchingSimulator")
-            simulator = BatchingSimulator(platform, model, max_batch, config,
-                                          backend)
+        # Platform, model and backend are read back off the cost table,
+        # not stored: every attribute counts against CPython's shared
+        # instance-key limit (see the test pinning the count).
+        executor = InferenceSimulator(platform, config,
+                                      backend).replica_executor(model,
+                                                                max_batch)
+        self._cost = decode_cost_table(executor, model)
+        self.max_batch = max_batch
         self.name = name
         self.tracer = tracer
         self.exact = exact
@@ -192,8 +195,6 @@ class ReplicaNode:
         self.admission = admission
         self.price_usd = price_usd
         self._track = replica_track(name)
-        self._sim = simulator
-        self._cost = simulator.cost_table
         self.clock = 0.0
         self.pending: List[_QueuedRequest] = []
         self.running: List[_Running] = []
@@ -226,23 +227,17 @@ class ReplicaNode:
     @property
     def platform(self) -> Platform:
         """Device this replica models."""
-        return self._sim.platform
+        return self._cost.executor.platform
 
     @property
     def model(self) -> ModelConfig:
         """Model this replica serves."""
-        return self._sim.model
-
-    @property
-    def max_batch(self) -> int:
-        """Maximum concurrent sequences."""
-        return self._sim.max_batch
+        return self._cost.model
 
     @property
     def backend_label(self) -> str:
         """Execution-backend label ("bf16" for the plain default)."""
-        backend = getattr(self._sim, "backend", None)
-        return backend.label if backend is not None else "bf16"
+        return self._cost.executor.backend.label
 
     @property
     def tier(self) -> Tuple[str, str, str]:
@@ -257,8 +252,10 @@ class ReplicaNode:
     def cost_table(self):
         """The shared :class:`~repro.engine.stepcost.DecodeCostTable`.
 
-        Exposed for steady-state analyses (the fluid solver) that price
-        off the same memoized primitives the node executes with.
+        The node's one pricing surface: the fast path reads its memos,
+        the exact modes call its ``executor`` unmemoized. Exposed for
+        steady-state analyses (the fluid solver) that price off the same
+        primitives the node executes with.
         """
         return self._cost
 
@@ -281,13 +278,17 @@ class ReplicaNode:
 
     @property
     def outstanding_tokens(self) -> int:
-        """Prompt + remaining output tokens across queued and running."""
+        """Prompt + remaining output tokens across queued, prefilling
+        (a chunked node's prompts still owed) and running sequences."""
         queued = sum(q.request.input_len + q.request.output_len
                      for q in self.pending)
         running = sum(seq.request.input_len
                       + (seq.request.output_len - seq.generated)
                       for seq in self.running)
-        return queued + running
+        total = queued + running
+        for job in self.prefilling:
+            total += job.prompt_left + job.request.output_len
+        return total
 
     def prefill_cost_s(self, input_len: int) -> float:
         """This replica's single-sequence prefill time for a prompt.
@@ -310,7 +311,8 @@ class ReplicaNode:
         """Projected work ahead of a request routed at *now*.
 
         The in-flight iteration's remainder, plus every queued prompt's
-        prefill, plus the running set's remaining decode iterations at
+        prefill, plus the chunks a chunked node still owes its in-flight
+        prompts, plus the running set's remaining decode iterations at
         the current batch geometry. An estimate (the true schedule
         depends on future admissions), but deterministic and computed
         with the same cost primitives the node executes with.
@@ -318,6 +320,11 @@ class ReplicaNode:
         backlog = max(0.0, self.clock - now)
         backlog += sum(self.prefill_cost_s(q.request.input_len)
                        for q in self.pending)
+        for job in self.prefilling:
+            chunks, tail = divmod(job.prompt_left, self.chunk_tokens)
+            backlog += chunks * self._cost.prefill_time(1, self.chunk_tokens)
+            if tail:
+                backlog += self._cost.prefill_time(1, tail)
         if self.running:
             remaining = max(seq.request.output_len - seq.generated
                             for seq in self.running)
@@ -328,26 +335,34 @@ class ReplicaNode:
         return backlog
 
     # -- cost primitives (exact vs memoized) ----------------------------------
+    # Exact modes price every pass fresh through the table's executor;
+    # the fast path reads the table's memos of the same primitives.
 
     def _prefill_cost(self, batch: int, input_len: int) -> float:
+        cost = self._cost
         if self.exact:
-            return self._sim._prefill_time(batch, input_len)
-        return self._cost.prefill_time(batch, input_len)
+            return cost.executor.prefill_pass(cost.model, batch,
+                                              input_len)[0]
+        return cost.prefill_time(batch, input_len)
 
     def _prefill_legs(self, batch: int, input_len: int):
+        cost = self._cost
         if self.exact:
-            return self._sim._prefill_split(batch, input_len)
-        return self._cost.prefill_split(batch, input_len)
+            return cost.executor.prefill_pass(cost.model, batch,
+                                              input_len)[1:]
+        return cost.prefill_split(batch, input_len)
 
     def _iteration_cost(self, batch: int, mean_kv: int) -> float:
+        cost = self._cost
         if self.exact:
-            return self._sim._decode_iteration_time(batch, mean_kv)
-        return self._cost.step_time(batch, mean_kv)
+            return cost.executor.decode_step(cost.model, batch, mean_kv)[0]
+        return cost.step_time(batch, mean_kv)
 
     def _iteration_legs(self, batch: int, mean_kv: int):
+        cost = self._cost
         if self.exact:
-            return self._sim._decode_split(batch, mean_kv)
-        return self._cost.step_split(batch, mean_kv)
+            return cost.executor.decode_step(cost.model, batch, mean_kv)[1:]
+        return cost.step_split(batch, mean_kv)
 
     # -- event-loop interface -------------------------------------------------
 
@@ -785,6 +800,7 @@ class ReplicaNode:
                                                                   horizon)
         if limit < 2:
             return None
+        executor, model = self._cost.executor, self._cost.model
         if budget is None:
             priced = limit
         else:
@@ -797,12 +813,12 @@ class ReplicaNode:
             # single pricing.
             hint = self._step_cost_hint
             if hint is None:
-                hint = self._sim._decode_series(batch, mean_kv,
-                                                mean_kv + 1)[0][0]
+                hint = executor.time_decode_series(model, batch, mean_kv,
+                                                   mean_kv + 1)[0][0]
             priced = min(limit, int(budget / hint) + 2)
         while True:
-            times, compute, memory = self._sim._decode_series(
-                batch, mean_kv, mean_kv + priced)
+            times, compute, memory = executor.time_decode_series(
+                model, batch, mean_kv, mean_kv + priced)
             if budget is None:
                 steps = priced
                 break

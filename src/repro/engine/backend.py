@@ -399,8 +399,73 @@ class QuantizedBackend(ExecutionBackend):
         }[self.quant.scheme]
 
 
+class WrapperBackend(ExecutionBackend):
+    """A backend that changes a few hooks of an *inner* backend.
+
+    Every hook forwards to the inner backend (plain dense at ``dtype``
+    when ``inner`` is ``None``); a subclass overrides only what its
+    technique changes, plus :attr:`signature` and :attr:`label`.
+    Subclasses are frozen dataclasses declaring their own ``inner`` and
+    ``dtype`` fields, so their positional construction is their own.
+    """
+
+    def _resolved_inner(self) -> ExecutionBackend:
+        inner = self.inner  # type: ignore[attr-defined]
+        return inner if inner is not None \
+            else BaselineBackend(self.dtype)  # type: ignore[attr-defined]
+
+    @property
+    def compute_dtype(self) -> DType:
+        return self._resolved_inner().compute_dtype
+
+    @property
+    def adjusts(self) -> bool:  # type: ignore[override]
+        return self._resolved_inner().adjusts
+
+    def adjust_timing(self, timing):
+        return self._resolved_inner().adjust_timing(timing)
+
+    def prefill_ops(self, model: ModelConfig, batch_size: int,
+                    input_len: int) -> Tuple[Op, ...]:
+        return self._resolved_inner().prefill_ops(model, batch_size,
+                                                  input_len)
+
+    def decode_ops(self, model: ModelConfig, batch_size: int,
+                   kv_len: int) -> Tuple[Op, ...]:
+        return self._resolved_inner().decode_ops(model, batch_size, kv_len)
+
+    def weight_bytes(self, model: ModelConfig) -> float:
+        return self._resolved_inner().weight_bytes(model)
+
+    def footprint_bytes(self, model: ModelConfig, request) -> float:
+        return self._resolved_inner().footprint_bytes(model, request)
+
+    @property
+    def capacity_scale(self) -> float:
+        return self._resolved_inner().capacity_scale
+
+    def tier_bandwidth(self, platform: Platform,
+                       footprint_bytes: float) -> Optional[float]:
+        return self._resolved_inner().tier_bandwidth(platform,
+                                                     footprint_bytes)
+
+    def memory_capacity_bytes(self, platform: Platform) -> Optional[float]:
+        return self._resolved_inner().memory_capacity_bytes(platform)
+
+    def prefill_comm_s(self, model: ModelConfig, batch_size: int,
+                       input_len: int) -> float:
+        return self._resolved_inner().prefill_comm_s(model, batch_size,
+                                                     input_len)
+
+    def decode_comm_s(self, model: ModelConfig, batch_size: int) -> float:
+        return self._resolved_inner().decode_comm_s(model, batch_size)
+
+    def check_platform(self, platform: Platform) -> None:
+        self._resolved_inner().check_platform(platform)
+
+
 @dataclasses.dataclass(frozen=True)
-class TensorParallelBackend(ExecutionBackend):
+class TensorParallelBackend(WrapperBackend):
     """Tensor-parallel execution across CPU sockets.
 
     The paper's 96-core result (Key Finding #3) shows that *naively*
@@ -435,20 +500,9 @@ class TensorParallelBackend(ExecutionBackend):
     inner: Optional[ExecutionBackend] = None
     dtype: DType = DType.BF16
 
-    def _resolved_inner(self) -> ExecutionBackend:
-        return self.inner if self.inner is not None \
-            else BaselineBackend(self.dtype)
-
-    @property
-    def compute_dtype(self) -> DType:
-        return self._resolved_inner().compute_dtype
-
-    @property
-    def adjusts(self) -> bool:  # type: ignore[override]
-        return self._resolved_inner().adjusts
-
-    def adjust_timing(self, timing):
-        return self._resolved_inner().adjust_timing(timing)
+    # Sharded graphs are memoized like any built graph.
+    prefill_ops = ExecutionBackend.prefill_ops
+    decode_ops = ExecutionBackend.decode_ops
 
     def _build_prefill_ops(self, model: ModelConfig, batch_size: int,
                            input_len: int) -> Tuple[Op, ...]:
@@ -462,12 +516,6 @@ class TensorParallelBackend(ExecutionBackend):
         inner = self._resolved_inner()
         return tuple(shard_op(op, self.tp.degree)
                      for op in inner.decode_ops(model, batch_size, kv_len))
-
-    def weight_bytes(self, model: ModelConfig) -> float:
-        return self._resolved_inner().weight_bytes(model)
-
-    def footprint_bytes(self, model: ModelConfig, request) -> float:
-        return self._resolved_inner().footprint_bytes(model, request)
 
     @property
     def capacity_scale(self) -> float:
@@ -488,21 +536,12 @@ class TensorParallelBackend(ExecutionBackend):
 
     def prefill_comm_s(self, model: ModelConfig, batch_size: int,
                        input_len: int) -> float:
-        inner = self._resolved_inner().prefill_comm_s(model, batch_size,
-                                                      input_len)
+        inner = super().prefill_comm_s(model, batch_size, input_len)
         return self.allreduce_s(model, batch_size * input_len) + inner
 
     def decode_comm_s(self, model: ModelConfig, batch_size: int) -> float:
-        inner = self._resolved_inner().decode_comm_s(model, batch_size)
+        inner = super().decode_comm_s(model, batch_size)
         return self.allreduce_s(model, batch_size) + inner
-
-    def tier_bandwidth(self, platform: Platform,
-                       footprint_bytes: float) -> Optional[float]:
-        return self._resolved_inner().tier_bandwidth(platform,
-                                                     footprint_bytes)
-
-    def memory_capacity_bytes(self, platform: Platform) -> Optional[float]:
-        return self._resolved_inner().memory_capacity_bytes(platform)
 
     def check_platform(self, platform: Platform) -> None:
         if not platform.is_cpu or platform.topology is None:
@@ -513,7 +552,7 @@ class TensorParallelBackend(ExecutionBackend):
             raise ValueError(
                 f"TP degree {self.tp.degree} exceeds the "
                 f"{platform.topology.sockets} sockets of {platform.name}")
-        self._resolved_inner().check_platform(platform)
+        super().check_platform(platform)
 
     @property
     def signature(self) -> tuple:
@@ -641,7 +680,7 @@ class PrefixCacheBackend(ExecutionBackend):
 
 
 @dataclasses.dataclass(frozen=True)
-class NumaBackend(ExecutionBackend):
+class NumaBackend(WrapperBackend):
     """NUMA placement as a composable backend (Section VI, optimization 1).
 
     Wraps an *inner* backend (plain dense by default; quantized when
@@ -650,8 +689,9 @@ class NumaBackend(ExecutionBackend):
     clustering mode, optional NUMA-aware allocation, and — when
     *hot_fraction* is set — hot/cold weight placement across the
     HBM/DDR tiers (*hot_fraction* of memory traffic pinned to the fast
-    tier, the rest spilling to DDR). Op graphs, dtype, footprint, and
-    per-pass communication all delegate to the inner backend, so a
+    tier, the rest spilling to DDR). Only the memory-system hooks are
+    its own; op graphs, dtype, footprint, and per-pass communication
+    forward to the inner backend (:class:`WrapperBackend`), so a
     ``NumaBackend`` replica prices identically to the
     ``EngineConfig(numa=...)`` path bit-for-bit.
 
@@ -673,10 +713,6 @@ class NumaBackend(ExecutionBackend):
             raise ValueError(
                 f"hot_fraction must be in [0, 1], got {self.hot_fraction}")
 
-    def _resolved_inner(self) -> ExecutionBackend:
-        return self.inner if self.inner is not None \
-            else BaselineBackend(self.dtype)
-
     def _numa_model(self, platform: Platform) -> NumaModel:
         return NumaModel(platform, self.numa, self.calibration,
                          numa_aware=self.numa_aware)
@@ -692,49 +728,6 @@ class NumaBackend(ExecutionBackend):
 
     def memory_capacity_bytes(self, platform: Platform) -> float:
         return self._numa_model(platform).capacity_bytes
-
-    # -- everything else delegates to the inner backend ---------------------
-
-    @property
-    def compute_dtype(self) -> DType:
-        return self._resolved_inner().compute_dtype
-
-    @property
-    def adjusts(self) -> bool:  # type: ignore[override]
-        return self._resolved_inner().adjusts
-
-    def adjust_timing(self, timing):
-        return self._resolved_inner().adjust_timing(timing)
-
-    def prefill_ops(self, model: ModelConfig, batch_size: int,
-                    input_len: int) -> Tuple[Op, ...]:
-        return self._resolved_inner().prefill_ops(model, batch_size,
-                                                  input_len)
-
-    def decode_ops(self, model: ModelConfig, batch_size: int,
-                   kv_len: int) -> Tuple[Op, ...]:
-        return self._resolved_inner().decode_ops(model, batch_size, kv_len)
-
-    def weight_bytes(self, model: ModelConfig) -> float:
-        return self._resolved_inner().weight_bytes(model)
-
-    def footprint_bytes(self, model: ModelConfig, request) -> float:
-        return self._resolved_inner().footprint_bytes(model, request)
-
-    @property
-    def capacity_scale(self) -> float:
-        return self._resolved_inner().capacity_scale
-
-    def prefill_comm_s(self, model: ModelConfig, batch_size: int,
-                       input_len: int) -> float:
-        return self._resolved_inner().prefill_comm_s(model, batch_size,
-                                                     input_len)
-
-    def decode_comm_s(self, model: ModelConfig, batch_size: int) -> float:
-        return self._resolved_inner().decode_comm_s(model, batch_size)
-
-    def check_platform(self, platform: Platform) -> None:
-        self._resolved_inner().check_platform(platform)
 
     @property
     def signature(self) -> tuple:
@@ -789,7 +782,7 @@ def _hybrid_prefill_leg(backend: "HybridBackend", model: ModelConfig,
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class HybridBackend(ExecutionBackend):
+class HybridBackend(WrapperBackend):
     """CPU–GPU hybrid execution: GPU prefill, CPU decode (Section VI, opt. 2).
 
     Prefill — compute-bound, where the GPU wins — runs on *gpu*: the
@@ -806,7 +799,10 @@ class HybridBackend(ExecutionBackend):
     Decode — bandwidth-bound, where the CPU's HBM competes — delegates
     entirely to the *inner* backend (plain, quantized, or NUMA-placed),
     so hybrid composes under ``TensorParallelBackend`` and over
-    ``QuantizedBackend``/``NumaBackend`` like any other wrapper.
+    ``QuantizedBackend``/``NumaBackend`` like any other wrapper. So does
+    the footprint: it is the CPU-side working set, because the host
+    holds the full weights (the source of the PCIe stream), the KV
+    cache and the decode activations.
     """
 
     # calibration is an OffloadCalibration; ``None`` resolves to the
@@ -828,65 +824,21 @@ class HybridBackend(ExecutionBackend):
             object.__setattr__(self, "calibration",
                                DEFAULT_OFFLOAD_CALIBRATION)
 
-    def _resolved_inner(self) -> ExecutionBackend:
-        return self.inner if self.inner is not None \
-            else BaselineBackend(self.dtype)
-
     # -- prefill: the GPU leg, charged as wall time -------------------------
 
-    def _build_prefill_ops(self, model: ModelConfig, batch_size: int,
-                           input_len: int) -> Tuple[Op, ...]:
+    def prefill_ops(self, model: ModelConfig, batch_size: int,
+                    input_len: int) -> Tuple[Op, ...]:
         return ()
 
     def prefill_comm_s(self, model: ModelConfig, batch_size: int,
                        input_len: int) -> float:
         return _hybrid_prefill_leg(self, model, batch_size, input_len)
 
-    # -- decode: delegates to the CPU-side inner backend --------------------
-
-    def decode_ops(self, model: ModelConfig, batch_size: int,
-                   kv_len: int) -> Tuple[Op, ...]:
-        return self._resolved_inner().decode_ops(model, batch_size, kv_len)
-
-    def decode_comm_s(self, model: ModelConfig, batch_size: int) -> float:
-        return self._resolved_inner().decode_comm_s(model, batch_size)
-
-    @property
-    def compute_dtype(self) -> DType:
-        return self._resolved_inner().compute_dtype
-
-    @property
-    def adjusts(self) -> bool:  # type: ignore[override]
-        return self._resolved_inner().adjusts
-
-    def adjust_timing(self, timing):
-        return self._resolved_inner().adjust_timing(timing)
-
-    def weight_bytes(self, model: ModelConfig) -> float:
-        return self._resolved_inner().weight_bytes(model)
-
-    def footprint_bytes(self, model: ModelConfig, request) -> float:
-        # CPU-side working set: the host holds the full weights (source
-        # of the PCIe stream), the KV cache, and decode activations.
-        return self._resolved_inner().footprint_bytes(model, request)
-
-    @property
-    def capacity_scale(self) -> float:
-        return self._resolved_inner().capacity_scale
-
-    def tier_bandwidth(self, platform: Platform,
-                       footprint_bytes: float) -> Optional[float]:
-        return self._resolved_inner().tier_bandwidth(platform,
-                                                     footprint_bytes)
-
-    def memory_capacity_bytes(self, platform: Platform) -> Optional[float]:
-        return self._resolved_inner().memory_capacity_bytes(platform)
-
     def check_platform(self, platform: Platform) -> None:
         if not platform.is_cpu:
             raise ValueError(
                 f"HybridBackend decodes on a CPU host, got {platform.name}")
-        self._resolved_inner().check_platform(platform)
+        super().check_platform(platform)
 
     @property
     def signature(self) -> tuple:

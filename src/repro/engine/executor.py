@@ -263,6 +263,29 @@ class OperatorExecutor:
         """Backend communication time per decode iteration (seconds)."""
         return self.backend.decode_comm_s(model, batch_size)
 
+    # -- whole-pass pricing (the serving layers' primitives) -----------------
+    # Each returns (time_s, compute_s, memory_s). Per-pass communication
+    # (TP allreduce, the hybrid GPU leg) is wall time, not a roofline
+    # leg, so it enters time_s only.
+
+    def prefill_pass(self, model: ModelConfig, batch_size: int,
+                     input_len: int):
+        """One prefill pass: op times summed, plus its communication."""
+        timings = self.time_prefill_ops(model, batch_size, input_len)
+        return (sum(t.time_s for t in timings)
+                + self.prefill_comm_s(model, batch_size, input_len),
+                sum(t.compute_s for t in timings),
+                sum(t.memory_s for t in timings))
+
+    def decode_step(self, model: ModelConfig, batch_size: int, kv_len: int):
+        """One fused decode iteration at mean KV length *kv_len* (≥ 1)."""
+        timings = self.time_ops(self.backend.decode_ops(model, batch_size,
+                                                        max(1, kv_len)))
+        return (sum(t.time_s for t in timings)
+                + self.decode_comm_s(model, batch_size),
+                sum(t.compute_s for t in timings),
+                sum(t.memory_s for t in timings))
+
     # -- closed-form decode-range pricing ------------------------------------
 
     def time_decode_range(self, model: ModelConfig, batch_size: int,

@@ -31,6 +31,7 @@ from repro.scaling.cores import (
 )
 from repro.trace.spans import ENGINE_TRACK
 from repro.trace.tracer import NOOP_TRACER, Tracer
+from repro.utils.validation import require_positive
 
 
 class MemoryCapacityError(RuntimeError):
@@ -184,6 +185,30 @@ class InferenceSimulator:
             bandwidth=self.effective_bandwidth(footprint),
             compute_scale=self.compute_scale(),
             backend=backend)
+
+    def replica_executor(self, model: ModelConfig,
+                         max_batch: int) -> OperatorExecutor:
+        """The executor a serving replica of *model* prices with.
+
+        A replica is sized once, at a fixed request shape (batch
+        *max_batch*, 512 in / 64 out): that shape's footprint must fit
+        and derives the bandwidth every iteration is priced at.
+
+        Raises:
+            MemoryCapacityError: If the sizing shape does not fit.
+        """
+        require_positive(max_batch, "max_batch")
+        sizing = InferenceRequest(batch_size=max_batch, input_len=512,
+                                  output_len=64)
+        if not self.fits(model, sizing):
+            # Serving models in-memory execution only; over-capacity GPU
+            # serving must go through the offloading engine's
+            # sequential-rate estimate instead.
+            raise MemoryCapacityError(
+                f"{model.name} does not fit {self.platform.name} at "
+                f"batch {max_batch}; the batching simulator covers "
+                "in-memory serving only")
+        return self._executor(model, sizing)
 
     # -- simulation ----------------------------------------------------------
 

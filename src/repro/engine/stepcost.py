@@ -98,9 +98,9 @@ class DecodeCostTable:
         self.executor = executor
         self.model = model
         self._curves: Dict[int, _BatchCurve] = {}
-        self._prefill: Dict[Tuple[int, int], float] = {}
-        self._prefill_split: Dict[Tuple[int, int],
-                                  Tuple[float, float]] = {}
+        #: (batch, input_len) -> the executor's (time, compute, memory).
+        self._prefill: Dict[Tuple[int, int],
+                            Tuple[float, float, float]] = {}
         self._expected: Dict[tuple, float] = {}
 
     def _curve(self, batch: int) -> _BatchCurve:
@@ -112,21 +112,21 @@ class DecodeCostTable:
 
     # -- prefill -----------------------------------------------------------
 
+    def _prefill_pass(self, batch: int, input_len: int):
+        priced = self.executor.prefill_pass(self.model, batch, input_len)
+        self._prefill[(batch, input_len)] = priced
+        return priced
+
     def prefill_time(self, batch: int, input_len: int) -> float:
         """Single prefill pass cost (memoized exact pricing).
 
         Ops come from the executor's backend (quantized / sharded / plain
         as configured), plus the backend's per-pass communication.
         """
-        key = (batch, input_len)
-        cached = self._prefill.get(key)
+        cached = self._prefill.get((batch, input_len))
         if cached is None:
-            timings = self.executor.time_prefill_ops(self.model, batch,
-                                                     input_len)
-            cached = sum(t.time_s for t in timings) \
-                + self.executor.prefill_comm_s(self.model, batch, input_len)
-            self._prefill[key] = cached
-        return cached
+            cached = self._prefill_pass(batch, input_len)
+        return cached[0]
 
     def prefill_split(self, batch: int, input_len: int):
         """Memoized (compute_s, memory_s) legs of one prefill pass.
@@ -134,15 +134,10 @@ class DecodeCostTable:
         Communication is wall time, not a roofline leg, so it does not
         appear here — matching how the decode curves attribute it.
         """
-        key = (batch, input_len)
-        cached = self._prefill_split.get(key)
+        cached = self._prefill.get((batch, input_len))
         if cached is None:
-            timings = self.executor.time_prefill_ops(self.model, batch,
-                                                     input_len)
-            cached = (sum(t.compute_s for t in timings),
-                      sum(t.memory_s for t in timings))
-            self._prefill_split[key] = cached
-        return cached
+            cached = self._prefill_pass(batch, input_len)
+        return cached[1:]
 
     # -- decode ------------------------------------------------------------
 

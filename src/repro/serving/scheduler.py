@@ -14,16 +14,12 @@ import dataclasses
 from typing import List, Optional, Sequence
 
 from repro.engine.backend import ExecutionBackend
-from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import DEFAULT_ENGINE_CONFIG, EngineConfig, InferenceSimulator
-from repro.engine.stepcost import DecodeCostTable, decode_cost_table
-from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.serving.arrivals import ArrivingRequest
 from repro.trace.tracer import NOOP_TRACER, Tracer
 from repro.utils.stats import mean, percentile
-from repro.utils.validation import require_positive
 
 @dataclasses.dataclass(slots=True)
 class CompletedRequest:
@@ -133,6 +129,10 @@ def check_batching_policy(policy: str) -> str:
 class BatchingSimulator:
     """Serves an arrival stream under a batching policy.
 
+    Each ``run_*`` drives one fresh
+    :class:`~repro.cluster.node.ReplicaNode` through the stream; the node
+    prices through its own executor and shared cost table.
+
     Args:
         platform: Execution platform (CPU path; GPUs must fit the model).
         model: Served model.
@@ -140,90 +140,23 @@ class BatchingSimulator:
         config: Engine configuration for CPU platforms.
         backend: Execution backend (quantized / TP / ...); ``None`` is
             plain BF16 dense execution, the historical behavior.
+
+    Raises:
+        MemoryCapacityError: If the replica's sizing shape does not fit
+            (checked here, before any run).
     """
 
     def __init__(self, platform: Platform, model: ModelConfig,
                  max_batch: int = 8,
                  config: EngineConfig = DEFAULT_ENGINE_CONFIG,
                  backend: Optional[ExecutionBackend] = None):
-        require_positive(max_batch, "max_batch")
+        InferenceSimulator(platform, config, backend).replica_executor(
+            model, max_batch)
         self.platform = platform
         self.model = model
         self.max_batch = max_batch
+        self.config = config
         self.backend = backend
-        sizing = InferenceRequest(batch_size=max_batch, input_len=512,
-                                  output_len=64)
-        simulator = InferenceSimulator(platform, config, backend)
-        if not simulator.fits(self.model, sizing):
-            # The serving simulator models in-memory execution only;
-            # over-capacity GPU serving must go through the offloading
-            # engine's sequential-rate estimate instead.
-            from repro.engine.inference import MemoryCapacityError
-            raise MemoryCapacityError(
-                f"{model.name} does not fit {platform.name} at "
-                f"batch {max_batch}; the batching simulator covers "
-                "in-memory serving only")
-        self._executor: OperatorExecutor = simulator._executor(model, sizing)
-
-    @property
-    def cost_table(self) -> DecodeCostTable:
-        """Shared step-cost memo for this simulator's pricing signature.
-
-        Replicas built against the same platform/model/sizing resolve to
-        the same table (the registry keys on the executor's pricing
-        signature), so a fleet warms one prefix-sum curve set, not one
-        per node. Cleared by :func:`repro.experiments.clear_caches`.
-        """
-        return decode_cost_table(self._executor, self.model)
-
-    # -- cost primitives ----------------------------------------------------
-    # Unmemoized pricing for the node's exact modes (the fast path reads
-    # the same primitives off ``cost_table``). Op graphs come from the
-    # executor's backend (plain BF16 when no backend is configured), so
-    # every policy prices quantized / sharded variants identically to
-    # the single-request path. Per-pass communication (TP allreduce) is
-    # wall time, not a roofline leg.
-
-    def _prefill_time(self, batch_size: int, input_len: int) -> float:
-        timings = self._executor.time_prefill_ops(self.model, batch_size,
-                                                  input_len)
-        return sum(t.time_s for t in timings) \
-            + self._executor.prefill_comm_s(self.model, batch_size, input_len)
-
-    def _decode_iteration_time(self, batch_size: int, kv_len: int) -> float:
-        ops = self._executor.backend.decode_ops(self.model, batch_size,
-                                                max(1, kv_len))
-        return sum(t.time_s for t in self._executor.time_ops(ops)) \
-            + self._executor.decode_comm_s(self.model, batch_size)
-
-    # Attribution variants: compute/memory leg seconds for trace spans.
-    # Only called with a recording tracer attached, so the default
-    # path never pays the second pricing pass.
-
-    def _prefill_split(self, batch_size: int, input_len: int):
-        timings = self._executor.time_prefill_ops(self.model, batch_size,
-                                                  input_len)
-        return (sum(t.compute_s for t in timings),
-                sum(t.memory_s for t in timings))
-
-    def _decode_split(self, batch_size: int, kv_len: int):
-        ops = self._executor.backend.decode_ops(self.model, batch_size,
-                                                max(1, kv_len))
-        timings = self._executor.time_ops(ops)
-        return (sum(t.compute_s for t in timings),
-                sum(t.memory_s for t in timings))
-
-    def _decode_series(self, batch_size: int, kv_start: int, kv_end: int):
-        """Per-step ``(time_s, compute_s, memory_s)`` lists for a decode run.
-
-        A thin pass-through to the executor's closed-form series pricer
-        (comm included per step, same as :meth:`_decode_iteration_time`).
-        The vectorized exact mode calls this fresh per coalesced stretch
-        — deliberately unmemoized, so exact-mode results never depend on
-        the shared :class:`~repro.engine.stepcost.DecodeCostTable` state.
-        """
-        return self._executor.time_decode_series(self.model, batch_size,
-                                                 kv_start, kv_end)
 
     # -- batching policies ------------------------------------------------------
     # Each policy is one ReplicaNode driven through the whole stream; the
@@ -231,8 +164,9 @@ class BatchingSimulator:
 
     def _node(self, policy: str, tracer: Tracer, **kwargs):
         from repro.cluster.node import ReplicaNode
-        return ReplicaNode("single", simulator=self, tracer=tracer,
-                           policy=policy, **kwargs)
+        return ReplicaNode("single", self.platform, self.model,
+                           self.max_batch, self.config, self.backend,
+                           tracer=tracer, policy=policy, **kwargs)
 
     def run_static(self, arrivals: Sequence[ArrivingRequest],
                    tracer: Tracer = NOOP_TRACER) -> ServingReport:

@@ -36,12 +36,14 @@ class SLO:
         require_positive(self.tpot_s, "tpot_s")
 
 
-def _meets(record, request: ArrivingRequest, slo: SLO) -> bool:
+def meets(record, request: ArrivingRequest, slo: SLO) -> bool:
     """Whether one completed request meets both bounds.
 
     TPOT is derived from the record's generation span paired with the
     original request's output length (completed records carry timing, not
-    shape).
+    shape). The one-record primitive behind :func:`attainment`,
+    :func:`goodput`, per-class scoring (:mod:`repro.cluster.tiering`)
+    and per-tenant fairness (:mod:`repro.cluster.fairness`).
     """
     decode_steps = max(0, request.output_len - 1)
     tpot = ((record.finish_s - record.first_token_s) / decode_steps
@@ -49,22 +51,12 @@ def _meets(record, request: ArrivingRequest, slo: SLO) -> bool:
     return record.ttft_s <= slo.ttft_s and tpot <= slo.tpot_s
 
 
-def meets(record, request: ArrivingRequest, slo: SLO) -> bool:
-    """Public single-request form of the SLO check.
-
-    Per-class scoring (:mod:`repro.cluster.tiering`) applies a
-    different SLO to each completed request, so the aggregate helpers
-    below don't fit; this is the one-record primitive they share.
-    """
-    return _meets(record, request, slo)
-
-
 def attainment(report: ServingReport, arrivals: List[ArrivingRequest],
                slo: SLO) -> float:
     """Fraction of requests meeting the SLO."""
     by_id = {request.request_id: request for request in arrivals}
     met = sum(1 for record in report.completed
-              if _meets(record, by_id[record.request_id], slo))
+              if meets(record, by_id[record.request_id], slo))
     return met / len(report.completed)
 
 
@@ -75,7 +67,7 @@ def goodput(report: ServingReport, arrivals: List[ArrivingRequest],
     good_tokens = sum(
         by_id[record.request_id].output_len
         for record in report.completed
-        if _meets(record, by_id[record.request_id], slo))
+        if meets(record, by_id[record.request_id], slo))
     return good_tokens / report.makespan_s
 
 

@@ -218,12 +218,41 @@ class TestHybridBackend:
         assert backend.prefill_comm_s(get_model("opt-66b"), 32, 512) == \
             offload.prefill_time_s
 
-    def test_decode_delegates_to_inner_backend(self):
-        hybrid = InferenceSimulator(SPR, backend=HybridBackend(gpu=A100)
-                                    ).run(LLAMA13, self.REQUEST)
-        plain = InferenceSimulator(SPR, backend=BaselineBackend()).run(
-            LLAMA13, self.REQUEST)
-        assert hybrid.decode.time_s == plain.decode.time_s
+    # Every wrapper forwards the hooks it does not override to its
+    # inner backend (WrapperBackend); *overridden* names the rest.
+    @pytest.mark.parametrize("wrap,overridden", [
+        (lambda inner: TensorParallelBackend(inner=inner),
+         {"decode_ops", "decode_comm_s", "capacity_scale"}),
+        (lambda inner: NumaBackend(numa=SNC_FLAT, numa_aware=True,
+                                   inner=inner),
+         {"tier_bandwidth", "memory_capacity_bytes"}),
+        (lambda inner: HybridBackend(gpu=A100, inner=inner), set()),
+    ], ids=["tp", "numa", "hybrid"])
+    def test_decode_delegates_to_inner_backend(self, wrap, overridden):
+        inner = parse_backend("int8")
+        wrapper = wrap(inner)
+        hooks = {
+            "compute_dtype": lambda b: b.compute_dtype,
+            "adjusts": lambda b: b.adjusts,
+            "weight_bytes": lambda b: b.weight_bytes(LLAMA13),
+            "footprint_bytes": lambda b: b.footprint_bytes(LLAMA13,
+                                                           self.REQUEST),
+            "capacity_scale": lambda b: b.capacity_scale,
+            "decode_ops": lambda b: b.decode_ops(LLAMA13, 4, 600),
+            "decode_comm_s": lambda b: b.decode_comm_s(LLAMA13, 4),
+            "tier_bandwidth": lambda b: b.tier_bandwidth(SPR, 40e9),
+            "memory_capacity_bytes": lambda b: b.memory_capacity_bytes(SPR),
+        }
+        assert inner.adjusts  # the forwarded values are not defaults
+        for name, hook in hooks.items():
+            if name in overridden:
+                assert hook(wrapper) != hook(inner), name
+            else:
+                assert hook(wrapper) == hook(inner), name
+        if not overridden:  # hybrid changes prefill only
+            run = lambda b: InferenceSimulator(SPR, backend=b).run(
+                LLAMA13, self.REQUEST)
+            assert run(wrapper).decode.time_s == run(inner).decode.time_s
 
     def test_fast_path_matches_exact_loop(self):
         simulator = InferenceSimulator(

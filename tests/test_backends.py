@@ -9,7 +9,7 @@ The backend layer promises three things, each pinned here:
 2. **single-path parity** — the remaining feature models
    (:class:`SpeculativeDecoder`, :class:`PrefixCacheModel`) agree with
    their backend pushed through the generic :class:`InferenceSimulator`,
-   and :class:`BatchingSimulator` prices a backend exactly like the
+   and a serving replica's executor prices a backend exactly like the
    single-request :class:`InferenceSimulator` path (≤1e-9);
 3. **cluster composition** — event-horizon fast-forward stays exact
    (integers bit-equal, timings ≤1e-9) for quantized, tensor-parallel,
@@ -48,7 +48,6 @@ from repro.models.registry import get_model
 from repro.quant.weightonly import QuantConfig, QuantScheme
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.prefix_cache import PrefixCacheModel
-from repro.serving.scheduler import BatchingSimulator
 from repro.specdecode.model import SpecDecodeConfig, SpeculativeDecoder
 from repro.workloads.generator import WorkloadSpec
 
@@ -209,17 +208,18 @@ class TestWrapperParity:
 
 
 class TestSchedulerParity:
-    """Backend-through-BatchingSimulator vs the single-request path.
+    """Backend-through-a-serving-replica vs the single-request path.
 
     On ICL effective bandwidth is footprint-independent, so the
-    scheduler's sizing executor and the request executor of
+    replica's sizing executor and the request executor of
     :class:`InferenceSimulator` are interchangeable and the comparison
     isolates the op-graph path.
     """
 
     def test_quant_scheduler_costs_match_wrapper_executor(self):
         backend = QuantizedBackend(quant=QuantConfig())
-        scheduler = BatchingSimulator(ICL, OPT, max_batch=4, backend=backend)
+        replica = InferenceSimulator(ICL, backend=backend).replica_executor(
+            OPT, 4)
         request = InferenceRequest(batch_size=4, input_len=128,
                                    output_len=64)
         executor = InferenceSimulator(ICL, backend=backend)._executor(
@@ -227,18 +227,19 @@ class TestSchedulerParity:
         for batch, kv in ((1, 1), (2, 64), (4, 300)):
             want = sum(t.time_s for t in executor.time_ops(
                 backend.decode_ops(OPT, batch, kv)))
-            assert close(scheduler._decode_iteration_time(batch, kv), want)
+            assert close(replica.decode_step(OPT, batch, kv)[0], want)
         want_prefill = sum(t.time_s for t in executor.time_ops(
             backend.prefill_ops(OPT, 2, 128)))
-        assert close(scheduler._prefill_time(2, 128), want_prefill)
+        assert close(replica.prefill_pass(OPT, 2, 128)[0], want_prefill)
 
     def test_tp_scheduler_prefill_matches_wrapper_ttft(self):
         backend = TensorParallelBackend(tp=TPConfig(degree=2))
-        scheduler = BatchingSimulator(ICL, OPT, max_batch=4, backend=backend)
+        replica = InferenceSimulator(ICL, backend=backend).replica_executor(
+            OPT, 4)
         request = InferenceRequest(batch_size=4, input_len=128,
                                    output_len=8)
         single = InferenceSimulator(ICL, backend=backend).run(OPT, request)
-        assert close(scheduler._prefill_time(4, 128), single.ttft_s)
+        assert close(replica.prefill_pass(OPT, 4, 128)[0], single.ttft_s)
 
 
 # -- cluster composition ----------------------------------------------------

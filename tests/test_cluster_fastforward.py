@@ -202,7 +202,7 @@ class TestRunContinuousParity:
         arrivals = poisson_arrivals(3.0, 24, decode_heavy_spec(), seed=9)
         simulator = BatchingSimulator(SPR, LLAMA, max_batch=8)
         serve = lambda exact: ReplicaNode(
-            "single", simulator=simulator, policy=policy,
+            "single", SPR, LLAMA, 8, policy=policy,
             chunk_tokens=chunk_tokens, exact=exact,
             collect_gaps=True).serve(arrivals)
         fast = serve(False)

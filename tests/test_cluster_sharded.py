@@ -31,7 +31,6 @@ from repro.cluster import (
     run_sharded,
     warm_caches,
 )
-from repro.engine.stepcost import decode_cost_table
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
 from repro.serving.arrivals import (
@@ -39,7 +38,6 @@ from repro.serving.arrivals import (
     iter_poisson_arrivals,
     poisson_arrivals,
 )
-from repro.serving.scheduler import BatchingSimulator
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.streams import ShardableStream
 
@@ -271,8 +269,7 @@ class TestWarmCaches:
     def test_populates_shared_cost_tables(self):
         config = ClusterConfig([ReplicaSpec(SPR, OPT, count=2, max_batch=3)])
         warm_caches(config, kv_horizon=32)
-        simulator = BatchingSimulator(SPR, OPT, 3)
-        table = decode_cost_table(simulator._executor, OPT)
+        table = ReplicaNode("spr", SPR, OPT, 3).cost_table
         # Every batch size a replica of this spec can run is pre-priced.
         for batch in (1, 2, 3):
             assert table.range_cost(batch, 1, 33)[0] > 0.0

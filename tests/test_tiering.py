@@ -35,7 +35,6 @@ from repro.cluster import (
     tier_label,
     tiering_report,
 )
-from repro.engine.stepcost import decode_cost_table
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
 from repro.serving.arrivals import ArrivingRequest
@@ -310,8 +309,8 @@ class TestMixedModelIsolation:
                  ReplicaNode("spr-b", SPR, LLAMA13, max_batch=2)]
         stream = ClassMixStream(rate_per_s=2.0, count=20, seed=2)
         ClusterSimulator(fleet, JoinShortestQueueRouter()).run(stream.full())
-        table7 = decode_cost_table(fleet[0]._sim._executor, LLAMA7)
-        table13 = decode_cost_table(fleet[1]._sim._executor, LLAMA13)
+        table7 = fleet[0].cost_table
+        table13 = fleet[1].cost_table
         assert table7 is not table13
         assert table7.range_cost(1, 1, 32)[0] != \
             table13.range_cost(1, 1, 32)[0]

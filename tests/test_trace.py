@@ -178,7 +178,8 @@ class TestContinuousAttribution:
         burst = [ArrivingRequest(100 + i, 1.0, 300, 1 if i % 2 else 20)
                  for i in range(6)]
         tracer = RecordingTracer()
-        node = ReplicaNode("single", simulator=simulator, policy=policy,
+        node = ReplicaNode("single", simulator.platform, simulator.model,
+                           simulator.max_batch, policy=policy,
                            chunk_tokens=chunk_tokens, tracer=tracer)
         report = node.serve(arrivals + burst)
         attribution = request_attribution(tracer.trace)
