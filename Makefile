@@ -1,5 +1,5 @@
 # Developer entry points. The python toolchain is assumed present; the
-# library itself has no third-party runtime dependencies.
+# library's one third-party runtime dependency is numpy.
 
 PYTHON ?= python
 export PYTHONPATH := src

@@ -84,3 +84,20 @@ def test_decode_pricing_micro(benchmark):
     assert exact_s / fast_s >= MIN_MICRO_SPEEDUP, (
         f"decode pricing fast path regressed: {exact_s / fast_s:.1f}x "
         f"(floor {MIN_MICRO_SPEEDUP}x)")
+
+    # The per-step series (what every replica's step-cost table is built
+    # from) reads the same closed-form walk: the same 511 steps, cold,
+    # against the same per-step baseline and floor.
+    executor = sim._executor(model, request)
+    kv_start = request.input_len
+    kv_end = kv_start + request.decode_steps
+
+    def cold_series():
+        clear_caches()
+        executor.time_decode_series(model, request.batch_size, kv_start,
+                                    kv_end)
+
+    series_s = _baseline_seconds(cold_series, repeat=5)
+    assert exact_s / series_s >= MIN_MICRO_SPEEDUP, (
+        f"decode series fast path regressed: {exact_s / series_s:.1f}x "
+        f"(floor {MIN_MICRO_SPEEDUP}x)")

@@ -286,23 +286,24 @@ class OperatorExecutor:
                 sum(t.compute_s for t in timings),
                 sum(t.memory_s for t in timings))
 
-    # -- closed-form decode-range pricing ------------------------------------
+    # -- closed-form decode pricing ------------------------------------------
+    # Per-op decode time is piecewise affine in kv_len (memory leg linear,
+    # each engine's compute leg affine between tile-padding boundaries,
+    # weight streaming constant). One walk (_decode_walk) cuts every op's
+    # kv range into probe-verified affine runs; time_decode_range sums the
+    # runs and time_decode_series fills them step by step.
 
     def time_decode_range(self, model: ModelConfig, batch_size: int,
                           kv_start: int, kv_end: int) -> "DecodeRangeTiming":
         """Price every decode step with ``kv_len`` in ``[kv_start, kv_end)``.
 
         Equivalent to pricing :func:`~repro.models.opgraph.decode_step_ops`
-        once per step and summing, but analytical: per-op decode time is
-        piecewise affine in ``kv_len`` (memory leg linear, each engine's
-        compute leg affine between tile-padding boundaries, weight streaming
-        constant), so each affine segment is summed in closed form. Segment
-        boundaries come from tile-quantization steps, compute/memory
-        roofline crossovers, and best-engine flips; every segment sum is
-        verified against probe evaluations of the exact per-step pricer and
-        falls back to exact summation if the affine assumption fails, so
-        results agree with the step loop to within floating-point noise
-        (well under 1e-9 relative).
+        once per step and summing, but analytical: each affine run of the
+        decode walk sums in closed form as ``count * (t_lo + t_hi) / 2``.
+        Every run is verified against probe evaluations of the exact
+        per-step pricer and falls back to exact pricing if the affine
+        assumption fails, so results agree with the step loop to within
+        floating-point noise (well under 1e-9 relative).
 
         Runs in O(#ops + #breakpoints) per-step pricings instead of
         O(steps x ops x engines).
@@ -314,31 +315,18 @@ class OperatorExecutor:
                                      weight_bytes=0.0, activation_bytes=0.0,
                                      kv_read_bytes=0.0, kv_write_bytes=0.0,
                                      op_times={})
-        backend = self.backend
-        ops_lo = backend.decode_ops(model, batch_size, kv_start)
-        ops_hi = backend.decode_ops(model, batch_size, kv_end - 1)
-        # One interior build validates the endpoint-interpolated op
-        # reconstruction used by _sum_varying_op (see
-        # _affine_op_factory); short ranges go through the dense path.
-        kv_mid = kv_start + steps // 2
-        ops_mid = backend.decode_ops(model, batch_size, kv_mid) \
-            if steps > 8 else None
         time_s = compute_s = memory_s = 0.0
         flops = weight_b = act_b = kvr_b = kvw_b = 0.0
         op_times: Dict[str, float] = {}
-        for index, (op_lo, op_hi) in enumerate(zip(ops_lo, ops_hi)):
-            stepped = None
-            if op_lo == op_hi:
-                # kv_len-independent op: price once, multiply by step count.
-                timing = self.time_op(op_lo)
-                t_sum = steps * timing.time_s
-                c_sum = steps * timing.compute_s
-                m_sum = steps * timing.memory_s
-            else:
-                t_sum, c_sum, m_sum, stepped = self._sum_varying_op(
-                    model, batch_size, index, op_lo, op_hi, kv_start, kv_end,
-                    kv_mid, ops_mid[index] if ops_mid is not None else None)
-            if stepped is None:
+        for op_lo, op_hi, runs, dense in self._decode_walk(
+                model, batch_size, kv_start, kv_end):
+            t_sum = c_sum = m_sum = 0.0
+            for lo, hi, t0, t1 in runs:
+                count = hi - lo
+                t_sum += count * (t0.time_s + t1.time_s) / 2.0
+                c_sum += count * (t0.compute_s + t1.compute_s) / 2.0
+                m_sum += count * (t0.memory_s + t1.memory_s) / 2.0
+            if not dense:
                 # Byte/FLOP accounting is affine in kv_len, so the whole
                 # range sums by trapezoid on the endpoint graphs.
                 flops += steps * (op_lo.flops + op_hi.flops) / 2.0
@@ -355,6 +343,7 @@ class OperatorExecutor:
                 # floors the attention score GEMM's context length to
                 # n // degree): the op was priced step by step, so its
                 # accounting is summed step by step too.
+                stepped = [run[2].op for run in runs]
                 flops += sum(op.flops for op in stepped)
                 weight_b += sum(op.weight_bytes for op in stepped)
                 act_b += sum(op.activation_bytes for op in stepped)
@@ -364,7 +353,7 @@ class OperatorExecutor:
             compute_s += c_sum
             memory_s += m_sum
             op_times[op_lo.name] = op_times.get(op_lo.name, 0.0) + t_sum
-        comm = backend.decode_comm_s(model, batch_size)
+        comm = self.backend.decode_comm_s(model, batch_size)
         if comm:
             # Per-iteration communication (TP allreduce) is constant in
             # kv_len; charged to wall time only, like the step loop does.
@@ -375,16 +364,99 @@ class OperatorExecutor:
             activation_bytes=act_b, kv_read_bytes=kvr_b, kv_write_bytes=kvw_b,
             op_times=op_times)
 
-    def _varying_op_pricer(self, model: ModelConfig, batch_size: int,
-                           index: int, op_lo: Op, op_hi: Op,
-                           kv_start: int, kv_end: int,
-                           kv_mid: int, op_mid: Optional[Op]):
-        """Shared analysis preamble for one kv-varying op.
+    def time_decode_series(self, model: ModelConfig, batch_size: int,
+                           kv_start: int, kv_end: int):
+        """Per-step decode pricing for every ``kv_len`` in ``[kv_start, kv_end)``.
 
-        Returns ``(analyzable, varying, slope, offset, timing_at, op_at,
-        memo)`` — the pieces both the range-sum and per-step-series walks
-        build on, factored out so the two cannot drift apart.
+        Returns three lists of length ``kv_end - kv_start`` — per-step
+        ``(time_s, compute_s, memory_s)`` — from the same decode walk as
+        :meth:`time_decode_range`: each affine run's interior steps are
+        filled by endpoint interpolation, so every value matches the exact
+        pricer to within the probe tolerance (1e-11 relative). The serving
+        layer's step-cost tables turn these into prefix sums, which is
+        what lets a discrete-event simulator fast-forward whole decode
+        intervals.
+
+        Runs in O(#ops x #breakpoints) per-step pricings plus O(steps)
+        arithmetic, instead of O(steps x ops x engines).
         """
+        steps = kv_end - kv_start
+        if steps <= 0:
+            return [], [], []
+        out_t = [0.0] * steps
+        out_c = [0.0] * steps
+        out_m = [0.0] * steps
+        for _, _, runs, _ in self._decode_walk(model, batch_size,
+                                               kv_start, kv_end):
+            for lo, hi, t0, t1 in runs:
+                first = lo - kv_start
+                t_s, c_s, m_s = t0.time_s, t0.compute_s, t0.memory_s
+                if t0 is t1:
+                    # Constant run (a kv-independent op, or one exactly
+                    # priced step): no interpolation to pay for.
+                    for idx in range(first, hi - kv_start):
+                        out_t[idx] += t_s
+                        out_c[idx] += c_s
+                        out_m[idx] += m_s
+                    continue
+                span = hi - 1 - lo
+                dt = (t1.time_s - t_s) / span
+                dc = (t1.compute_s - c_s) / span
+                dm = (t1.memory_s - m_s) / span
+                for i in range(hi - lo):
+                    idx = first + i
+                    out_t[idx] += t_s + dt * i
+                    out_c[idx] += c_s + dc * i
+                    out_m[idx] += m_s + dm * i
+        comm = self.backend.decode_comm_s(model, batch_size)
+        if comm:
+            # Per-iteration communication rides every step's wall time.
+            for i in range(steps):
+                out_t[i] += comm
+        return out_t, out_c, out_m
+
+    def _decode_walk(self, model: ModelConfig, batch_size: int,
+                     kv_start: int, kv_end: int):
+        """Yield ``(op_lo, op_hi, runs, dense)`` for each decode-graph op.
+
+        *op_lo* / *op_hi* are the op at ``kv_start`` and ``kv_end - 1``;
+        *runs* and *dense* come from :meth:`_decode_pieces`. Ops come in
+        graph order, so both consumers accumulate in the step loop's order.
+        """
+        steps = kv_end - kv_start
+        backend = self.backend
+        ops_lo = backend.decode_ops(model, batch_size, kv_start)
+        ops_hi = backend.decode_ops(model, batch_size, kv_end - 1)
+        # One interior build validates the endpoint-interpolated op
+        # reconstruction (see _affine_op_factory); short ranges go
+        # through the dense path.
+        kv_mid = kv_start + steps // 2
+        ops_mid = backend.decode_ops(model, batch_size, kv_mid) \
+            if steps > 8 else None
+        for index, (op_lo, op_hi) in enumerate(zip(ops_lo, ops_hi)):
+            yield (op_lo, op_hi) + self._decode_pieces(
+                model, batch_size, index, op_lo, op_hi, kv_start, kv_end,
+                kv_mid, ops_mid[index] if ops_mid is not None else None)
+
+    def _decode_pieces(self, model: ModelConfig, batch_size: int,
+                       index: int, op_lo: Op, op_hi: Op,
+                       kv_start: int, kv_end: int,
+                       kv_mid: int, op_mid: Optional[Op]):
+        """Cut one op's ``[kv_start, kv_end)`` into best-engine affine runs.
+
+        Returns ``(runs, dense)``. *runs* is the ordered list of
+        ``(lo, hi, t_lo, t_hi)`` covering the range, where *t_lo* /
+        *t_hi* are the exact :class:`OpTiming` at ``lo`` and ``hi - 1``
+        and every step in between is their linear interpolation. A run
+        with ``t_lo is t_hi`` is constant: a kv-independent op, or one
+        exactly priced step (``hi - lo == 1``). *dense* is True when a
+        dimension is not affine in ``kv_len``: every step was then priced
+        on its own op.
+        """
+        if op_lo == op_hi:
+            # kv_len-independent op: priced once, one constant run.
+            timing = self.time_op(op_lo)
+            return [(kv_start, kv_end, timing, timing)], False
         span = kv_end - 1 - kv_start
         dims_lo = (op_lo.m, op_lo.n, op_lo.k)
         dims_hi = (op_hi.m, op_hi.n, op_hi.k)
@@ -424,7 +496,35 @@ class OperatorExecutor:
                 memo[kv] = cached
             return cached
 
-        return analyzable, varying, slope, offset, timing_at, op_at, memo
+        runs: list = []
+        if not analyzable:
+            self._exact_steps(timing_at, kv_start, kv_end, runs)
+            return runs, True
+
+        # Memory-dominated fast path: GEMM compute time is monotone
+        # non-decreasing in every dimension (the gemm_efficiency
+        # invariant) and the memory leg is affine increasing, so if every
+        # engine's compute leg at the top of the range sits below its
+        # memory leg at the bottom, the roofline max() never sees compute
+        # anywhere in the range. All candidates then price as parallel
+        # affine lines (shared memory leg + constant overhead): one
+        # winner, one affine run, no tile cuts or crossovers. This is the
+        # common case — decode attention is memory-bound on every
+        # platform the paper evaluates. The probe check in _affine_run
+        # still verifies the conclusion.
+        cand_lo = self._candidates(op_lo)
+        cand_hi = self._candidates(op_hi)
+        if self._memory_dominated(cand_lo, cand_hi):
+            memo.setdefault(kv_start, self._best(cand_lo))
+            memo.setdefault(kv_end - 1, self._best(cand_hi))
+            self._affine_run(timing_at, kv_start, kv_end, runs)
+            return runs, False
+
+        bounds = self._tile_cut_bounds(varying, slope, offset,
+                                       kv_start, kv_end)
+        for lo, hi in zip(bounds, bounds[1:]):
+            self._tile_segment(timing_at, op_at, memo, lo, hi, runs)
+        return runs, False
 
     def _tile_cut_bounds(self, varying, slope: int, offset: int,
                          kv_start: int, kv_end: int) -> List[int]:
@@ -453,49 +553,6 @@ class OperatorExecutor:
                         cuts.add(kv_b)
                     block += 1
         return sorted(cuts)
-
-    def _sum_varying_op(self, model: ModelConfig, batch_size: int,
-                        index: int, op_lo: Op, op_hi: Op,
-                        kv_start: int, kv_end: int,
-                        kv_mid: int = -1, op_mid: Optional[Op] = None):
-        """Sum best-engine (time, compute, memory) of one kv-varying op.
-
-        Returns ``(time, compute, memory, stepped)``: *stepped* is the
-        per-step op list when a dimension is not affine in ``kv_len``
-        (every step priced densely), else ``None``.
-        """
-        acc = [0.0, 0.0, 0.0]
-        analyzable, varying, slope, offset, timing_at, op_at, memo = \
-            self._varying_op_pricer(model, batch_size, index, op_lo, op_hi,
-                                    kv_start, kv_end, kv_mid, op_mid)
-        if not analyzable:
-            self._sum_exact(timing_at, kv_start, kv_end, acc)
-            return (*acc, [memo[kv].op for kv in range(kv_start, kv_end)])
-
-        # Memory-dominated fast path: GEMM compute time is monotone
-        # non-decreasing in every dimension (the gemm_efficiency
-        # invariant) and the memory leg is affine increasing, so if every
-        # engine's compute leg at the top of the range sits below its
-        # memory leg at the bottom, the roofline max() never sees compute
-        # anywhere in the range. All candidates then price as parallel
-        # affine lines (shared memory leg + constant overhead): one
-        # winner, one affine run, no tile cuts or crossovers. This is the
-        # common case — decode attention is memory-bound on every
-        # platform the paper evaluates. The probe check in
-        # _sum_affine_run still verifies the conclusion.
-        cand_lo = self._candidates(op_lo)
-        cand_hi = self._candidates(op_hi)
-        if self._memory_dominated(cand_lo, cand_hi):
-            memo.setdefault(kv_start, self._best(cand_lo))
-            memo.setdefault(kv_end - 1, self._best(cand_hi))
-            self._sum_affine_run(timing_at, kv_start, kv_end, acc)
-            return (*acc, None)
-
-        bounds = self._tile_cut_bounds(varying, slope, offset,
-                                       kv_start, kv_end)
-        for lo, hi in zip(bounds, bounds[1:]):
-            self._sum_tile_segment(timing_at, op_at, memo, lo, hi, acc)
-        return (*acc, None)
 
     @staticmethod
     def _affine_op_factory(op_lo: Op, op_hi: Op, kv_start: int, span: int,
@@ -541,9 +598,9 @@ class OperatorExecutor:
 
         return op_at
 
-    def _sum_tile_segment(self, timing_at, op_at, memo: Dict[int, OpTiming],
-                          lo: int, hi: int, acc: List[float]) -> None:
-        """Sum one segment where every engine's legs are affine in kv_len.
+    def _tile_segment(self, timing_at, op_at, memo: Dict[int, OpTiming],
+                      lo: int, hi: int, runs: list) -> None:
+        """Cut one segment where every engine's legs are affine in kv_len.
 
         Within a tile-aligned segment each engine candidate is
         ``max(affine compute, affine memory) + overhead``; every breakpoint
@@ -553,7 +610,7 @@ class OperatorExecutor:
         """
         count = hi - lo
         if count <= 4:
-            self._sum_exact(timing_at, lo, hi, acc)
+            self._exact_steps(timing_at, lo, hi, runs)
             return
         span = hi - 1 - lo
         cand_lo = self._candidates(op_at(lo))
@@ -582,20 +639,19 @@ class OperatorExecutor:
                             cuts.add(kv_c)
         bounds = sorted(cuts)
         for a, b in zip(bounds, bounds[1:]):
-            self._sum_affine_run(timing_at, a, b, acc)
+            self._affine_run(timing_at, a, b, runs)
 
-    def _sum_affine_run(self, timing_at, lo: int, hi: int,
-                        acc: List[float]) -> None:
-        """Closed-form arithmetic-series sum over one affine run.
+    def _affine_run(self, timing_at, lo: int, hi: int, runs: list) -> None:
+        """Append ``[lo, hi)`` as one run once a midpoint probe verifies it.
 
-        Verified against interior probe evaluations; bisects (and
-        ultimately sums exactly) if the run turns out not to be affine —
-        the guarantee that the fast path can never silently diverge from
+        The probe compares the exact pricer against endpoint
+        interpolation; on a miss the run bisects (down to exact steps) —
+        the guarantee that the closed form can never silently diverge from
         the per-step loop.
         """
         count = hi - lo
         if count <= 4:
-            self._sum_exact(timing_at, lo, hi, acc)
+            self._exact_steps(timing_at, lo, hi, runs)
             return
         t_lo, t_hi = timing_at(lo), timing_at(hi - 1)
         fields_lo = (t_lo.time_s, t_lo.compute_s, t_lo.memory_s)
@@ -609,194 +665,17 @@ class OperatorExecutor:
             want = f0 + (f1 - f0) * frac
             if abs(got - want) > 1e-11 * max(abs(got), abs(want), 1e-30):
                 mid = lo + count // 2
-                self._sum_affine_run(timing_at, lo, mid, acc)
-                self._sum_affine_run(timing_at, mid, hi, acc)
+                self._affine_run(timing_at, lo, mid, runs)
+                self._affine_run(timing_at, mid, hi, runs)
                 return
-        for i, (f0, f1) in enumerate(zip(fields_lo, fields_hi)):
-            acc[i] += count * (f0 + f1) / 2.0
+        runs.append((lo, hi, t_lo, t_hi))
 
     @staticmethod
-    def _sum_exact(timing_at, lo: int, hi: int, acc: List[float]) -> None:
-        """Step-by-step fallback summation (short or irregular runs)."""
+    def _exact_steps(timing_at, lo: int, hi: int, runs: list) -> None:
+        """One exactly priced single-step run per kv (short or irregular)."""
         for kv in range(lo, hi):
-            t = timing_at(kv)
-            acc[0] += t.time_s
-            acc[1] += t.compute_s
-            acc[2] += t.memory_s
-
-    # -- closed-form per-step decode series ----------------------------------
-
-    def time_decode_series(self, model: ModelConfig, batch_size: int,
-                           kv_start: int, kv_end: int):
-        """Per-step decode pricing for every ``kv_len`` in ``[kv_start, kv_end)``.
-
-        Returns three lists of length ``kv_end - kv_start`` — per-step
-        ``(time_s, compute_s, memory_s)`` — using the same
-        piecewise-affine analysis as :meth:`time_decode_range`: each op's
-        affine segments are located once, interior steps are filled by
-        endpoint interpolation, and every affine run is verified against a
-        probe evaluation of the exact pricer (falling back to dense
-        pricing when the affine assumption fails). The serving layer's
-        step-cost tables turn these into prefix sums, which is what lets
-        a discrete-event simulator fast-forward whole decode intervals.
-
-        Runs in O(#ops x #breakpoints) per-step pricings plus O(steps)
-        arithmetic, instead of O(steps x ops x engines).
-        """
-        steps = kv_end - kv_start
-        if steps <= 0:
-            return [], [], []
-        out_t = [0.0] * steps
-        out_c = [0.0] * steps
-        out_m = [0.0] * steps
-        backend = self.backend
-        ops_lo = backend.decode_ops(model, batch_size, kv_start)
-        ops_hi = backend.decode_ops(model, batch_size, kv_end - 1)
-        kv_mid = kv_start + steps // 2
-        ops_mid = backend.decode_ops(model, batch_size, kv_mid) \
-            if steps > 8 else None
-        for index, (op_lo, op_hi) in enumerate(zip(ops_lo, ops_hi)):
-            if op_lo == op_hi:
-                # kv_len-independent op: price once, add to every step.
-                timing = self.time_op(op_lo)
-                t_s, c_s, m_s = timing.time_s, timing.compute_s, \
-                    timing.memory_s
-                for i in range(steps):
-                    out_t[i] += t_s
-                    out_c[i] += c_s
-                    out_m[i] += m_s
-                continue
-            self._series_varying_op(
-                model, batch_size, index, op_lo, op_hi, kv_start, kv_end,
-                kv_mid, ops_mid[index] if ops_mid is not None else None,
-                out_t, out_c, out_m)
-        comm = backend.decode_comm_s(model, batch_size)
-        if comm:
-            # Per-iteration communication rides every step's wall time.
-            for i in range(steps):
-                out_t[i] += comm
-        return out_t, out_c, out_m
-
-    def _series_varying_op(self, model: ModelConfig, batch_size: int,
-                           index: int, op_lo: Op, op_hi: Op,
-                           kv_start: int, kv_end: int,
-                           kv_mid: int, op_mid: Optional[Op],
-                           out_t, out_c, out_m) -> None:
-        """Fill per-step best-engine legs of one kv-varying op."""
-        analyzable, varying, slope, offset, timing_at, op_at, memo = \
-            self._varying_op_pricer(model, batch_size, index, op_lo, op_hi,
-                                    kv_start, kv_end, kv_mid, op_mid)
-        base = kv_start
-        if not analyzable:
-            self._series_exact(timing_at, kv_start, kv_end, base,
-                               out_t, out_c, out_m)
-            return
-        # Memory-dominated fast path — see _sum_varying_op: when every
-        # engine's compute leg at the top of the range sits below its
-        # memory leg at the bottom, all candidates price as parallel
-        # affine lines and the whole range is one affine run.
-        cand_lo = self._candidates(op_lo)
-        cand_hi = self._candidates(op_hi)
-        if self._memory_dominated(cand_lo, cand_hi):
-            memo.setdefault(kv_start, self._best(cand_lo))
-            memo.setdefault(kv_end - 1, self._best(cand_hi))
-            self._series_affine_run(timing_at, kv_start, kv_end, base,
-                                    out_t, out_c, out_m)
-            return
-        bounds = self._tile_cut_bounds(varying, slope, offset,
-                                       kv_start, kv_end)
-        for lo, hi in zip(bounds, bounds[1:]):
-            self._series_tile_segment(timing_at, op_at, memo, lo, hi, base,
-                                      out_t, out_c, out_m)
-
-    def _series_tile_segment(self, timing_at, op_at, memo: Dict[int, OpTiming],
-                             lo: int, hi: int, base: int,
-                             out_t, out_c, out_m) -> None:
-        """Per-step fill of one tile-aligned segment (see _sum_tile_segment)."""
-        count = hi - lo
-        if count <= 4:
-            self._series_exact(timing_at, lo, hi, base, out_t, out_c, out_m)
-            return
-        span = hi - 1 - lo
-        cand_lo = self._candidates(op_at(lo))
-        cand_hi = self._candidates(op_at(hi - 1))
-        memo.setdefault(lo, self._best(cand_lo))
-        memo.setdefault(hi - 1, self._best(cand_hi))
-        lines = []
-        for c0, c1 in zip(cand_lo, cand_hi):
-            lines.append((c0.compute_s + c0.overhead_s,
-                          (c1.compute_s - c0.compute_s) / span))
-            lines.append((c0.memory_s + c0.overhead_s,
-                          (c1.memory_s - c0.memory_s) / span))
-        cuts = {lo, hi}
-        for i in range(len(lines)):
-            a0, b0 = lines[i]
-            for j in range(i + 1, len(lines)):
-                a1, b1 = lines[j]
-                if b0 == b1:
-                    continue
-                x = (a1 - a0) / (b0 - b1)
-                if 0.0 < x < span:
-                    kv_x = lo + int(x)
-                    for kv_c in (kv_x, kv_x + 1):
-                        if lo < kv_c < hi:
-                            cuts.add(kv_c)
-        bounds = sorted(cuts)
-        for a, b in zip(bounds, bounds[1:]):
-            self._series_affine_run(timing_at, a, b, base,
-                                    out_t, out_c, out_m)
-
-    def _series_affine_run(self, timing_at, lo: int, hi: int, base: int,
-                           out_t, out_c, out_m) -> None:
-        """Interpolated per-step fill over one probe-verified affine run.
-
-        Mirrors :meth:`_sum_affine_run`: the run's endpoints come from the
-        exact per-step pricer, a midpoint probe verifies affinity (bisecting
-        down to exact evaluation on failure), and interior steps linearly
-        interpolate — so every filled value matches the exact pricer to
-        within the probe tolerance (1e-11 relative).
-        """
-        count = hi - lo
-        if count <= 4:
-            self._series_exact(timing_at, lo, hi, base, out_t, out_c, out_m)
-            return
-        t_lo, t_hi = timing_at(lo), timing_at(hi - 1)
-        fields_lo = (t_lo.time_s, t_lo.compute_s, t_lo.memory_s)
-        fields_hi = (t_hi.time_s, t_hi.compute_s, t_hi.memory_s)
-        span = count - 1
-        probe = lo + span // 2
-        t_p = timing_at(probe)
-        frac = (probe - lo) / span
-        for got, f0, f1 in zip((t_p.time_s, t_p.compute_s, t_p.memory_s),
-                               fields_lo, fields_hi):
-            want = f0 + (f1 - f0) * frac
-            if abs(got - want) > 1e-11 * max(abs(got), abs(want), 1e-30):
-                mid = lo + count // 2
-                self._series_affine_run(timing_at, lo, mid, base,
-                                        out_t, out_c, out_m)
-                self._series_affine_run(timing_at, mid, hi, base,
-                                        out_t, out_c, out_m)
-                return
-        t0, c0, m0 = fields_lo
-        dt = (fields_hi[0] - t0) / span
-        dc = (fields_hi[1] - c0) / span
-        dm = (fields_hi[2] - m0) / span
-        for i in range(count):
-            idx = lo - base + i
-            out_t[idx] += t0 + dt * i
-            out_c[idx] += c0 + dc * i
-            out_m[idx] += m0 + dm * i
-
-    @staticmethod
-    def _series_exact(timing_at, lo: int, hi: int, base: int,
-                      out_t, out_c, out_m) -> None:
-        """Dense per-step fill (short or irregular runs)."""
-        for kv in range(lo, hi):
-            t = timing_at(kv)
-            idx = kv - base
-            out_t[idx] += t.time_s
-            out_c[idx] += t.compute_s
-            out_m[idx] += t.memory_s
+            timing = timing_at(kv)
+            runs.append((kv, kv + 1, timing, timing))
 
 
 @dataclasses.dataclass(frozen=True)

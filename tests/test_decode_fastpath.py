@@ -4,7 +4,9 @@ The fast path (:meth:`OperatorExecutor.time_decode_range`) must agree with
 the exact per-step decode loop to within 1e-9 relative error on every
 reported metric — TTFT/TPOT/E2E, phase totals, and the per-op breakdown —
 across models, batch sizes, dtypes, backends, platforms, and request
-shapes, including a platform where the best engine flips mid-decode.
+shapes, including a platform where the best engine flips mid-decode. The
+per-step series (:meth:`OperatorExecutor.time_decode_series`) reads the
+same closed-form walk and must match the step loop step by step.
 """
 
 import dataclasses
@@ -51,6 +53,20 @@ def _assert_equivalent(sim, model, request):
     return True
 
 
+def _assert_series_matches_steps(executor, model, batch_size, kv_start,
+                                 kv_end):
+    """Series == per-step pricing at every kv, and sums to the range."""
+    series = executor.time_decode_series(model, batch_size, kv_start, kv_end)
+    assert [len(legs) for legs in series] == [kv_end - kv_start] * 3
+    for i, kv in enumerate(range(kv_start, kv_end)):
+        want = executor.decode_step(model, batch_size, kv)
+        for leg, got in enumerate(legs[i] for legs in series):
+            assert _rel(got, want[leg]) <= TOL, (kv, leg)
+    rng = executor.time_decode_range(model, batch_size, kv_start, kv_end)
+    for legs, want in zip(series, (rng.time_s, rng.compute_s, rng.memory_s)):
+        assert _rel(sum(legs), want) <= TOL
+
+
 @pytest.mark.parametrize("platform_name", ["icl", "spr", "a100", "h100"])
 @pytest.mark.parametrize("batch_size", [1, 4, 32])
 def test_fastpath_matches_step_loop_across_models(platform_name, batch_size):
@@ -81,6 +97,11 @@ def test_fastpath_matches_step_loop_across_backends(spec):
         assert _assert_equivalent(
             sim, model,
             InferenceRequest(batch_size=4, input_len=96, output_len=48))
+        if spec in ("tp2", "int8-tp2"):
+            # TP's sharded attention score GEMM is not affine in kv_len:
+            # the series walks it step by step.
+            _assert_series_matches_steps(sim.replica_executor(model, 4),
+                                         model, 4, 96, 143)
 
 
 @pytest.mark.parametrize("input_len,output_len", [
@@ -153,6 +174,7 @@ def test_best_engine_flips_mid_decode_and_fastpath_agrees():
     assert set(rng.op_times) == set(op_times)
     for name, want in op_times.items():
         assert _rel(rng.op_times[name], want) <= TOL, name
+    _assert_series_matches_steps(executor, model, 1, kv_start, kv_end)
 
 
 def test_time_decode_range_empty_range():
