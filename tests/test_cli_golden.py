@@ -67,6 +67,10 @@ CASES = {
     # plan
     "plan-confirm": f"plan {FLEET} --rates 1,3 --confirm 200",
     "plan-classes": f"plan {FLEET} --rates 1,4 --classes simple,reasoning",
+    # a mixed fleet whose tiered fixed point converges at 0.5/s and stops
+    # at the iteration cap at 1.5/s: one warning, for the capped rate
+    "plan-classes-capped": "plan --platforms spr,a100 --model llama2-13b "
+                           "--rates 0.5,1.5 --classes simple,reasoning",
     # trace
     "trace-fail-node": "trace --requests 12 --fail-node spr-0 --fail-at 5",
     "trace-poisson-jsq-out": "trace --requests 12 --burst-rate 0 "
