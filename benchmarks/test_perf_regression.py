@@ -1,8 +1,9 @@
 """Bench: simulator performance regression guard.
 
 Times the analytical decode pricing against the pre-PR per-step loop on
-the paper's fig-8 grid and on one long-decode request, and fails if the
-fast path loses its advantage. The authoritative speedup record lives in
+the paper's fig-8 grid and on one long-decode request, and the
+tensor-parallel decode series against its own per-step loop, and fails
+if the fast path loses its advantage. The authoritative speedup record lives in
 ``BENCH_sweep.json`` (regenerate with ``make bench``); these tests exist
 so a perf regression shows up in the benchmark harness, with generous
 floors to stay robust against machine noise.
@@ -20,6 +21,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tools"))
 
 import bench  # noqa: E402  (tools/bench.py)
 
+from repro.engine.backend import parse_backend  # noqa: E402
 from repro.engine.inference import InferenceSimulator  # noqa: E402
 from repro.engine.request import InferenceRequest  # noqa: E402
 from repro.experiments._sweeps import clear_caches  # noqa: E402
@@ -30,6 +32,9 @@ from repro.models.registry import get_model  # noqa: E402
 # >100x micro on the reference box) so only a real regression trips them.
 MIN_GRID_SPEEDUP = 4.0
 MIN_MICRO_SPEEDUP = 20.0
+# Cold int8-tp2 series vs its per-step loop: ~16x measured on a 2-vCPU
+# host, 1.3-1.7x when the sharded score GEMM rebuilt its graph per step.
+MIN_TP_SERIES_SPEEDUP = 5.0
 
 
 def _baseline_seconds(fn, repeat=3):
@@ -101,3 +106,34 @@ def test_decode_pricing_micro(benchmark):
     assert exact_s / series_s >= MIN_MICRO_SPEEDUP, (
         f"decode series fast path regressed: {exact_s / series_s:.1f}x "
         f"(floor {MIN_MICRO_SPEEDUP}x)")
+
+
+def test_tp_decode_series(benchmark):
+    # TP floors the sharded attention score GEMM's context length, so the
+    # series prices that op step by step; this guards that it does so
+    # without rebuilding the backend graph at every step.
+    model = get_model("opt-6.7b")
+    sim = InferenceSimulator(get_platform("spr"),
+                             backend=parse_backend("int8-tp2"))
+    request = InferenceRequest(batch_size=4, input_len=128, output_len=512)
+    executor = sim.replica_executor(model, request.batch_size)
+    kv_start = request.input_len
+    kv_end = kv_start + request.decode_steps
+
+    def cold_series():
+        clear_caches()
+        executor.time_decode_series(model, request.batch_size, kv_start,
+                                    kv_end)
+
+    def cold_steps():
+        clear_caches()
+        for kv in range(kv_start, kv_end):
+            executor.decode_step(model, request.batch_size, kv)
+
+    cold_series()  # warm imports and code paths
+    benchmark(cold_series)
+    steps_s = _baseline_seconds(cold_steps)
+    series_s = benchmark.stats.stats.min
+    assert steps_s / series_s >= MIN_TP_SERIES_SPEEDUP, (
+        f"TP decode series regressed: {steps_s / series_s:.1f}x "
+        f"(floor {MIN_TP_SERIES_SPEEDUP}x)")

@@ -122,6 +122,12 @@ def shard_op(op: Op, degree: int) -> Op:
     the replicated hidden-state reads are a second-order term folded in
     with the same factor.
     """
+    # Attention does not in fact shard by heads here: ``instances``
+    # (batch x heads) stays whole and ``n`` is floored instead, which is
+    # the KV length for attn_qk and head_dim for attn_pv. That floor is
+    # the only reason TP decode pricing is not affine in kv_len (the
+    # executor prices attn_qk per residue class of kv_len). Sharding
+    # ``instances`` instead would move the committed TP results.
     return dataclasses.replace(
         op,
         instances=op.instances,

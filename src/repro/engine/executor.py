@@ -9,6 +9,8 @@ dimension-dependent GEMM efficiency, and composes the roofline
 import dataclasses
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.engine.backend import BaselineBackend, ExecutionBackend
 from repro.gemm.efficiency import _gemm_efficiency_cached
 from repro.hardware.compute import ComputeEngine, EngineKind
@@ -23,6 +25,26 @@ from repro.utils.validation import require_positive
 _ELEMENTWISE_COMPUTE_EFFICIENCY = 0.35
 
 _OP_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Op))
+_DIM_FIELDS = ("m", "n", "k")
+_FLOAT_FIELDS = ("weight_bytes", "activation_bytes", "kv_read_bytes",
+                 "kv_write_bytes", "extra_flops")
+
+# Largest residue period tried for an op whose dims are not affine in kv.
+_MAX_RESIDUE_PERIOD = 8
+
+
+def _dim_trend(op_lo: Op, op_hi: Op, span: int):
+    """``(field, slope, offset)``: the one GEMM dim that changes over
+    *span* steps (``None`` if none), its integral per-step growth and start
+    value; ``None`` when two dims change or the growth is not integral."""
+    varying = [f for f in _DIM_FIELDS
+               if getattr(op_lo, f) != getattr(op_hi, f)]
+    if not varying:
+        return None, 0, 0
+    lo, hi = getattr(op_lo, varying[0]), getattr(op_hi, varying[0])
+    if len(varying) > 1 or (hi - lo) % span != 0:
+        return None
+    return varying[0], (hi - lo) // span, lo
 
 
 @dataclasses.dataclass(frozen=True)
@@ -377,43 +399,47 @@ class OperatorExecutor:
         what lets a discrete-event simulator fast-forward whole decode
         intervals.
 
-        Runs in O(#ops x #breakpoints) per-step pricings plus O(steps)
-        arithmetic, instead of O(steps x ops x engines).
+        Costs O(#ops + #breakpoints) pricings, plus one per step for an
+        op whose dims are not affine in kv_len (TP's sharded score GEMM,
+        synthesized per residue class from O(period) graph builds), and
+        one vectorized fill per run; not O(steps x ops x engines).
         """
         steps = kv_end - kv_start
         if steps <= 0:
             return [], [], []
-        out_t = [0.0] * steps
-        out_c = [0.0] * steps
-        out_m = [0.0] * steps
-        for _, _, runs, _ in self._decode_walk(model, batch_size,
-                                               kv_start, kv_end):
+        # Elementwise float64 numpy arithmetic, op by op in graph order:
+        # the same per-step sums as a Python loop, bit for bit.
+        out_t = np.zeros(steps)
+        out_c = np.zeros(steps)
+        out_m = np.zeros(steps)
+        for _, _, runs, dense in self._decode_walk(model, batch_size,
+                                                   kv_start, kv_end):
+            if dense:
+                # One exactly priced step per kv, in kv order.
+                out_t += [t.time_s for _, _, t, _ in runs]
+                out_c += [t.compute_s for _, _, t, _ in runs]
+                out_m += [t.memory_s for _, _, t, _ in runs]
+                continue
             for lo, hi, t0, t1 in runs:
-                first = lo - kv_start
+                cells = slice(lo - kv_start, hi - kv_start)
                 t_s, c_s, m_s = t0.time_s, t0.compute_s, t0.memory_s
                 if t0 is t1:
                     # Constant run (a kv-independent op, or one exactly
                     # priced step): no interpolation to pay for.
-                    for idx in range(first, hi - kv_start):
-                        out_t[idx] += t_s
-                        out_c[idx] += c_s
-                        out_m[idx] += m_s
+                    out_t[cells] += t_s
+                    out_c[cells] += c_s
+                    out_m[cells] += m_s
                     continue
                 span = hi - 1 - lo
-                dt = (t1.time_s - t_s) / span
-                dc = (t1.compute_s - c_s) / span
-                dm = (t1.memory_s - m_s) / span
-                for i in range(hi - lo):
-                    idx = first + i
-                    out_t[idx] += t_s + dt * i
-                    out_c[idx] += c_s + dc * i
-                    out_m[idx] += m_s + dm * i
+                i = np.arange(hi - lo)
+                out_t[cells] += t_s + (t1.time_s - t_s) / span * i
+                out_c[cells] += c_s + (t1.compute_s - c_s) / span * i
+                out_m[cells] += m_s + (t1.memory_s - m_s) / span * i
         comm = self.backend.decode_comm_s(model, batch_size)
         if comm:
             # Per-iteration communication rides every step's wall time.
-            for i in range(steps):
-                out_t[i] += comm
-        return out_t, out_c, out_m
+            out_t += comm
+        return out_t.tolist(), out_c.tolist(), out_m.tolist()
 
     def _decode_walk(self, model: ModelConfig, batch_size: int,
                      kv_start: int, kv_end: int):
@@ -458,31 +484,23 @@ class OperatorExecutor:
             timing = self.time_op(op_lo)
             return [(kv_start, kv_end, timing, timing)], False
         span = kv_end - 1 - kv_start
-        dims_lo = (op_lo.m, op_lo.n, op_lo.k)
-        dims_hi = (op_hi.m, op_hi.n, op_hi.k)
-        varying = [i for i in range(3) if dims_lo[i] != dims_hi[i]]
-        analyzable = len(varying) <= 1
-        slope = offset = 0
-        if varying and analyzable:
-            delta = dims_hi[varying[0]] - dims_lo[varying[0]]
-            if delta % span != 0:
-                analyzable = False  # non-integral dim growth: price densely
-            else:
-                slope = delta // span
-                offset = dims_lo[varying[0]]
+        trend = _dim_trend(op_lo, op_hi, span)
 
         def builder_op_at(kv: int) -> Op:
             return self.backend.decode_ops(model, batch_size, kv)[index]
 
         # Interior ops are reconstructed from the endpoints when the
         # reconstruction provably matches the builder (checked against the
-        # builder's own midpoint op); otherwise every probe rebuilds the
-        # full step graph.
+        # builder's own midpoint op), and per residue class of kv_len when
+        # the dims are not affine; otherwise every probe rebuilds the full
+        # step graph.
         op_at = builder_op_at
-        if analyzable:
-            dim_field = ("m", "n", "k")[varying[0]] if varying else None
+        if trend is None:
+            op_at = self._residue_op_factory(builder_op_at, kv_start,
+                                             kv_end) or builder_op_at
+        else:
             synth = self._affine_op_factory(op_lo, op_hi, kv_start, span,
-                                            dim_field, slope, offset)
+                                            *trend)
             if (synth is not None and op_mid is not None
                     and synth(kv_mid) == op_mid):
                 op_at = synth
@@ -497,7 +515,7 @@ class OperatorExecutor:
             return cached
 
         runs: list = []
-        if not analyzable:
+        if trend is None:
             self._exact_steps(timing_at, kv_start, kv_end, runs)
             return runs, True
 
@@ -520,13 +538,13 @@ class OperatorExecutor:
             self._affine_run(timing_at, kv_start, kv_end, runs)
             return runs, False
 
-        bounds = self._tile_cut_bounds(varying, slope, offset,
-                                       kv_start, kv_end)
+        bounds = self._tile_cut_bounds(*trend, kv_start, kv_end)
         for lo, hi in zip(bounds, bounds[1:]):
             self._tile_segment(timing_at, op_at, memo, lo, hi, runs)
         return runs, False
 
-    def _tile_cut_bounds(self, varying, slope: int, offset: int,
+    def _tile_cut_bounds(self, dim_field: Optional[str], slope: int,
+                         offset: int,
                          kv_start: int, kv_end: int) -> List[int]:
         """Sorted segment bounds at tile-quantization boundaries.
 
@@ -535,12 +553,11 @@ class OperatorExecutor:
         legs are affine in ``kv_len``.
         """
         cuts = {kv_start, kv_end}
-        if varying and slope > 0:
+        if dim_field is not None and slope > 0:
             for engine in self._engines:
                 if engine.tile is None:
                     continue
-                tile_dim = (engine.tile.m, engine.tile.n,
-                            engine.tile.k)[varying[0]]
+                tile_dim = getattr(engine.tile, dim_field)
                 # First block boundary strictly past the start dimension.
                 block = (offset - 1) // tile_dim + 1
                 while True:
@@ -572,8 +589,7 @@ class OperatorExecutor:
                 or op_lo.kernel_launches != op_hi.kernel_launches):
             return None
         deltas = []
-        for field in ("weight_bytes", "activation_bytes", "kv_read_bytes",
-                      "kv_write_bytes", "extra_flops"):
+        for field in _FLOAT_FIELDS:
             lo_v = getattr(op_lo, field)
             hi_v = getattr(op_hi, field)
             if lo_v != hi_v:
@@ -597,6 +613,48 @@ class OperatorExecutor:
             return Op(**kwargs)
 
         return op_at
+
+    def _residue_op_factory(self, builder_op_at, kv_start: int, kv_end: int):
+        """Build ``op_at(kv)`` for an op whose dims are not affine in kv.
+
+        A dim floored by a divisor (TP's sharded ``n // degree``) is affine
+        on each residue class ``kv = kv_start + r (mod period)``. For the
+        smallest period that verifies, each class steps an
+        :meth:`_affine_op_factory` in class index between the builder's
+        ops at its ends, trusted once it reproduces the builder's op at
+        the class midpoint and its neighbour: O(period) graph builds, not
+        one per step. ``None`` when no period verifies.
+        """
+        for period in range(2, _MAX_RESIDUE_PERIOD + 1):
+            if kv_end - kv_start < 4 * period:
+                break
+            classes = []
+            for first in range(kv_start, kv_start + period):
+                span = (kv_end - 1 - first) // period
+                op_a, op_b = (builder_op_at(first),
+                              builder_op_at(first + period * span))
+                trend = _dim_trend(op_a, op_b, span)
+                # Ends and per-step deltas on a 1/256 grid below 2**44 make
+                # every interior float exact: equal to the builder's (byte
+                # counts over a power-of-two degree), never a rounding.
+                ends = [(getattr(op_a, f), getattr(op_b, f))
+                        for f in _FLOAT_FIELDS]
+                if trend is None or not all(
+                        (v * 256).is_integer() and abs(v) < 2 ** 44
+                        for lo, hi in ends
+                        for v in (lo, hi, (hi - lo) / span)):
+                    break
+                synth = self._affine_op_factory(op_a, op_b, 0, span, *trend)
+                mid = span // 2
+                if synth is None or any(
+                        synth(j) != builder_op_at(first + period * j)
+                        for j in (mid, mid + 1)):
+                    break
+                classes.append(synth)
+            else:
+                return lambda kv: classes[(kv - kv_start) % period](
+                    (kv - kv_start) // period)
+        return None
 
     def _tile_segment(self, timing_at, op_at, memo: Dict[int, OpTiming],
                       lo: int, hi: int, runs: list) -> None:

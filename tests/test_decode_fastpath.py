@@ -13,10 +13,12 @@ import dataclasses
 
 import pytest
 
+from repro.engine import backend as backend_mod
 from repro.engine.backend import parse_backend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator, MemoryCapacityError
 from repro.engine.request import InferenceRequest
+from repro.experiments._sweeps import clear_caches
 from repro.hardware.compute import ComputeEngine, EngineKind, TileShape
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
@@ -99,7 +101,8 @@ def test_fastpath_matches_step_loop_across_backends(spec):
             InferenceRequest(batch_size=4, input_len=96, output_len=48))
         if spec in ("tp2", "int8-tp2"):
             # TP's sharded attention score GEMM is not affine in kv_len:
-            # the series walks it step by step.
+            # the series prices it step by step, on ops synthesized per
+            # residue class of kv_len.
             _assert_series_matches_steps(sim.replica_executor(model, 4),
                                          model, 4, 96, 143)
 
@@ -177,6 +180,51 @@ def test_best_engine_flips_mid_decode_and_fastpath_agrees():
     _assert_series_matches_steps(executor, model, 1, kv_start, kv_end)
 
 
+def _spr_executor(spec):
+    backend = parse_backend(spec)
+    return OperatorExecutor(get_platform("spr"), backend.compute_dtype,
+                            bandwidth=2e11, backend=backend)
+
+
+def _loop_series(executor, model, batch_size, kv_start, kv_end):
+    """Reference fill of the decode walk, one Python float at a time."""
+    steps = kv_end - kv_start
+    out = [[0.0] * steps for _ in range(3)]
+    for _, _, runs, _ in executor._decode_walk(model, batch_size, kv_start,
+                                               kv_end):
+        for lo, hi, t0, t1 in runs:
+            for leg, (v0, v1) in enumerate(zip(
+                    (t0.time_s, t0.compute_s, t0.memory_s),
+                    (t1.time_s, t1.compute_s, t1.memory_s))):
+                if t0 is t1:
+                    for idx in range(lo - kv_start, hi - kv_start):
+                        out[leg][idx] += v0
+                    continue
+                delta = (v1 - v0) / (hi - 1 - lo)
+                for i in range(hi - lo):
+                    out[leg][lo - kv_start + i] += v0 + delta * i
+    comm = executor.backend.decode_comm_s(model, batch_size)
+    if comm:
+        out[0] = [t + comm for t in out[0]]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec", ["bf16", "int8", "int8-tp2"])
+def test_series_fill_is_bit_identical_to_loop(spec):
+    # The vectorized fill does the loop's arithmetic, element by element
+    # and op by op in graph order, so the two agree exactly.
+    executor = _spr_executor(spec)
+    model = get_model("llama2-7b")
+    for kv_start, kv_end in ((1, 2), (17, 22), (128, 639), (333, 410)):
+        want = _loop_series(executor, model, 4, kv_start, kv_end)
+        assert executor.time_decode_series(model, 4, kv_start,
+                                           kv_end) == want
+    flip = OperatorExecutor(_flip_platform(), DType.BF16, bandwidth=5e11)
+    model = get_model("opt-1.3b")
+    assert (flip.time_decode_series(model, 1, 760, 1060)
+            == _loop_series(flip, model, 1, 760, 1060))
+
+
 def test_time_decode_range_empty_range():
     executor = OperatorExecutor(get_platform("spr"), DType.BF16,
                                 bandwidth=2e11)
@@ -184,3 +232,48 @@ def test_time_decode_range_empty_range():
     assert rng.steps == 0
     assert rng.time_s == 0.0
     assert rng.op_times == {}
+
+
+@pytest.mark.parametrize("spec", ["tp2", "int8-tp2", "int4-tp2", "tp3"])
+def test_residue_synthesized_ops_equal_builder_ops(spec):
+    # Every exactly priced step of a non-affine op runs on an op equal
+    # to the builder's own, whether synthesized per residue class (long
+    # ranges, odd and even starts) or rebuilt per step (short ranges;
+    # and tp3, whose byte counts over 3 would not step exactly).
+    executor = _spr_executor(spec)
+    backend = executor.backend
+    ranges = [(1, 40), (2, 37), (3, 67), (96, 143), (333, 410),
+              (1000, 1129), (1, 8), (6, 13)]
+    for name in ("opt-1.3b", "llama2-7b", "llama2-13b", "opt-66b"):
+        model = get_model(name)
+        for batch in (1, 4, 8):
+            for kv_start, kv_end in ranges:
+                dense = [(index, runs) for index, (_, _, runs, is_dense)
+                         in enumerate(executor._decode_walk(
+                             model, batch, kv_start, kv_end)) if is_dense]
+                assert [backend.decode_ops(model, batch, kv_start)[i].name
+                        for i, _ in dense] == ["attn_qk"]
+                index, runs = dense[0]
+                assert [run[0] for run in runs] == list(range(kv_start,
+                                                              kv_end))
+                for kv, _, timing, _ in runs:
+                    assert timing.op == backend.decode_ops(
+                        model, batch, kv)[index], (name, batch, kv)
+
+                def builder_op_at(kv):
+                    return backend.decode_ops(model, batch, kv)[index]
+                synth = executor._residue_op_factory(builder_op_at,
+                                                     kv_start, kv_end)
+                if spec != "tp3":
+                    assert (synth is None) == (kv_end - kv_start < 8)
+
+
+def test_tp_series_builds_few_graphs():
+    # A cold 511-step series builds O(period) graphs for the sharded
+    # score GEMM, not one per step (the per-step rebuild missed the
+    # graph cache about twice per step: the TP graph and its inner).
+    executor = _spr_executor("int8-tp2")
+    model = get_model("opt-6.7b")
+    clear_caches()
+    executor.time_decode_series(model, 4, 128, 639)
+    assert backend_mod._cached_decode_ops.cache_info().misses <= 32
