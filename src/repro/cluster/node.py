@@ -88,7 +88,7 @@ from repro.trace.tracer import NOOP_TRACER, Tracer
 from repro.utils.validation import require_positive
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class _Running:
     """An admitted request (``prompt_left``: chunked prefill still owed)."""
 
@@ -164,6 +164,17 @@ class ReplicaNode:
         chunk_tokens: Prompt tokens a chunked node prefills per iteration.
     """
 
+    # Every instance attribute is a declared slot: the hot loops read
+    # ``self.x`` through a fixed-offset descriptor, never a dict.
+    __slots__ = ("policy", "_static", "_chunked", "chunk_tokens", "_cost",
+                 "max_batch", "name", "tracer", "exact", "collect_gaps",
+                 "admission", "price_usd", "_track", "clock", "pending",
+                 "running", "prefilling", "outstanding_tokens",
+                 "_cohort_size", "_cohort_input", "completed",
+                 "decode_gaps", "generated_tokens", "busy_s", "iterations",
+                 "peak_queue", "draining", "active", "_step_cost_hint",
+                 "admission_stamps")
+
     def __init__(self, name: str, platform: Platform, model: ModelConfig,
                  max_batch: int = 8,
                  config: EngineConfig = DEFAULT_ENGINE_CONFIG,
@@ -180,9 +191,6 @@ class ReplicaNode:
         if self._chunked:
             require_positive(chunk_tokens, "chunk_tokens")
         self.chunk_tokens = chunk_tokens
-        # Platform, model and backend are read back off the cost table,
-        # not stored: every attribute counts against CPython's shared
-        # instance-key limit (see the test pinning the count).
         executor = InferenceSimulator(platform, config,
                                       backend).replica_executor(model,
                                                                 max_batch)
@@ -199,6 +207,11 @@ class ReplicaNode:
         self.pending: List[_QueuedRequest] = []
         self.running: List[_Running] = []
         self.prefilling: List[_Running] = []  # chunked prompts in flight
+        #: Prompt + remaining output tokens across queued, prefilling (a
+        #: chunked node's prompts still owed) and running sequences —
+        #: the least-tokens routing key, kept as a ledger updated
+        #: wherever the sum changes, so reading it is O(1).
+        self.outstanding_tokens = 0
         # Static batching's padded shape: cohort size, longest prompt.
         self._cohort_size = 0
         self._cohort_input = 0
@@ -275,20 +288,6 @@ class ReplicaNode:
     def queue_len(self) -> int:
         """Requests routed here but not yet admitted."""
         return len(self.pending)
-
-    @property
-    def outstanding_tokens(self) -> int:
-        """Prompt + remaining output tokens across queued, prefilling
-        (a chunked node's prompts still owed) and running sequences."""
-        queued = sum(q.request.input_len + q.request.output_len
-                     for q in self.pending)
-        running = sum(seq.request.input_len
-                      + (seq.request.output_len - seq.generated)
-                      for seq in self.running)
-        total = queued + running
-        for job in self.prefilling:
-            total += job.prompt_left + job.request.output_len
-        return total
 
     def prefill_cost_s(self, input_len: int) -> float:
         """This replica's single-sequence prefill time for a prompt.
@@ -377,6 +376,7 @@ class ReplicaNode:
         keys = [q.ready_s for q in self.pending]
         self.pending.insert(bisect.bisect_right(keys, entry.ready_s), entry)
         self.peak_queue = max(self.peak_queue, len(self.pending))
+        self.outstanding_tokens += request.input_len + request.output_len
         if self.admission is not None:
             self.admission.on_arrival(request, entry.ready_s)
 
@@ -462,6 +462,7 @@ class ReplicaNode:
         prefill = self._prefill_cost(batch, longest)
         self.clock += prefill
         self.busy_s += prefill
+        self.outstanding_tokens -= batch  # each prefill emits one token
         for request in cohort:
             self.running.append(_Running(request=request, start_s=start,
                                          first_token_s=self.clock,
@@ -502,6 +503,7 @@ class ReplicaNode:
         chunk = min(self.chunk_tokens, job.prompt_left)
         cost = self._prefill_cost(1, chunk)
         job.prompt_left -= chunk
+        self.outstanding_tokens -= chunk
         end = self.clock + cost
         if self.tracer.enabled:
             legs = self._prefill_legs(1, chunk)
@@ -517,6 +519,8 @@ class ReplicaNode:
             job.first_token_s = job.last_event_s = end
             job.generated = 1
             self.running.append(job)
+            # Owed prompt + output becomes input + output - generated.
+            self.outstanding_tokens += job.request.input_len - 1
             if self.tracer.enabled:
                 # The request's prefill span is its admission window
                 # (first chunk to first token), not busy time: the
@@ -535,10 +539,12 @@ class ReplicaNode:
         completed_now: List[CompletedRequest] = []
         tracer = self.tracer
         for seq in self.running:
-            if not seq.done:
+            request = seq.request
+            if seq.generated < request.output_len:
                 still.append(seq)
                 continue
-            request = seq.request
+            self.outstanding_tokens -= (request.input_len + request.output_len
+                                        - seq.generated)
             record = CompletedRequest(request_id=request.request_id,
                                       arrival_s=request.arrival_s,
                                       start_s=seq.start_s,
@@ -597,6 +603,7 @@ class ReplicaNode:
                 self.busy_s += prefill
                 if self.running:
                     stall += prefill
+                self.outstanding_tokens -= 1
                 self.running.append(_Running(request=request,
                                              start_s=start_s,
                                              first_token_s=self.clock,
@@ -613,7 +620,7 @@ class ReplicaNode:
                                       "compute_s": legs[0],
                                       "memory_s": legs[1]})
         for seq in self.running:
-            if seq.done:
+            if seq.generated >= seq.request.output_len:
                 completed_now = self._retire()
                 break
         else:
@@ -642,6 +649,7 @@ class ReplicaNode:
             fused = lead + iteration
             self.clock += fused
             self.busy_s += fused
+            self.outstanding_tokens -= len(cohort)
             if self.collect_gaps:
                 self.decode_gaps.append(stall + fused)
             if tracer.enabled:
@@ -685,13 +693,19 @@ class ReplicaNode:
 
         In the default (fast) mode, stretches where the batch provably
         cannot change — nothing admissible before the horizon, nobody
-        finishing — are priced in one closed-form range lookup
-        (:meth:`_fast_forward`) instead of stepped; with
-        ``exact="vectorized"`` the same stretches are priced by a fresh
-        per-stretch series call (no shared memo tables); with
+        finishing before the stretch's last step — are priced in one
+        closed-form range lookup (:meth:`_fast_forward`) instead of
+        stepped. Untraced, that includes a lone step, so :meth:`advance`
+        runs only where an iteration admits, retires or prefills a
+        chunk; a recording tracer keeps single steps on :meth:`advance`
+        so the trace still carries their per-iteration spans. With
+        ``exact="vectorized"`` runs of two or more steps are priced by a
+        fresh per-stretch series call (no shared memo tables); with
         ``exact=True`` / ``"step"`` every iteration is stepped and
         priced individually.
         """
+        if not (self.pending or self.running or self.prefilling):
+            return []
         completed: List[CompletedRequest] = []
         vectorized = self.exact == "vectorized"
         while True:
@@ -706,7 +720,9 @@ class ReplicaNode:
             elif not self.exact:
                 steps, batch, mean_kv = self._coalescible_steps(start,
                                                                 horizon)
-                if steps >= 2:
+                # A lone step priced here is the step advance() would
+                # take: same prefix-curve difference, same one clock add.
+                if steps >= 2 or (steps and not self.tracer.enabled):
                     if self.collect_gaps or self.tracer.enabled:
                         step_times = self._cost.step_times(batch, mean_kv,
                                                            mean_kv + steps)
@@ -723,10 +739,14 @@ class ReplicaNode:
                             ) -> Tuple[int, int, int, Optional[float]]:
         """(step limit, priced batch, mean KV, time budget) of a pure-decode run.
 
-        The limit is zero unless the running set is non-empty, no prompt
-        is in flight, nobody retires within the window (bounded by the
-        closest sequence to finishing), and no admission can happen at
-        or before the window's iterations begin. The priced shape is the
+        The limit is the closest running sequence's remaining tokens, so
+        a run of ``limit`` steps ends on the iteration that emits its
+        last token (retirement happens at the next boundary). It is zero
+        unless the running set is non-empty, no prompt is in flight,
+        nobody is already finished, and no admission can happen at or
+        before the window's iterations begin. Fast mode coalesces runs
+        of one step or more (two or more under a recording tracer);
+        vectorized exact mode, two or more. The priced shape is the
         discipline's (a static cohort's is padded). The budget is the
         time available against the earlier of *horizon* and the
         head-of-queue readiness (``None`` = unbounded); converting it to
@@ -744,7 +764,7 @@ class ReplicaNode:
             if limit is None or remaining < limit:
                 limit = remaining
             total_kv += request.input_len + seq.generated
-        if limit < 2:
+        if limit < 1:
             return 0, 0, 0, None
         bound = horizon
         if self._static:
@@ -858,6 +878,7 @@ class ReplicaNode:
         self.clock = clock
         self.busy_s = busy
         self.iterations += steps
+        self.outstanding_tokens -= steps * len(self.running)
         for seq in self.running:
             seq.generated += steps
             seq.last_event_s = clock
@@ -894,6 +915,7 @@ class ReplicaNode:
         self.clock = clock
         self.busy_s = busy
         self.iterations += steps
+        self.outstanding_tokens -= steps * len(running)
         if self.collect_gaps:
             self.decode_gaps.extend(step_times)
         tracer = self.tracer
@@ -942,4 +964,5 @@ class ReplicaNode:
         self.pending.clear()
         self.prefilling.clear()
         self.running.clear()
+        self.outstanding_tokens = 0
         return lost, wasted
