@@ -60,9 +60,9 @@ most of the ~50x step-exact vs fast gap while remaining an independent
 cross-check of the memoized fast path.
 """
 
-import bisect
 import dataclasses
 from array import array
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -173,7 +173,7 @@ class ReplicaNode:
                  "_cohort_size", "_cohort_input", "completed",
                  "decode_gaps", "generated_tokens", "busy_s", "iterations",
                  "peak_queue", "draining", "active", "_step_cost_hint",
-                 "admission_stamps")
+                 "admission_stamps", "tier", "_queued_prefill_s")
 
     def __init__(self, name: str, platform: Platform, model: ModelConfig,
                  max_batch: int = 8,
@@ -194,7 +194,14 @@ class ReplicaNode:
         executor = InferenceSimulator(platform, config,
                                       backend).replica_executor(model,
                                                                 max_batch)
-        self._cost = decode_cost_table(executor, model)
+        self._cost = cost = decode_cost_table(executor, model)
+        #: The (model, platform, backend) triple this replica serves.
+        #: Two replicas with equal tiers are interchangeable to the
+        #: tiered router: same cost table, same capability, same price
+        #: class.
+        self.tier: Tuple[str, str, str] = (cost.model.name,
+                                           cost.executor.platform.name,
+                                           cost.executor.backend.label)
         self.max_batch = max_batch
         self.name = name
         self.tracer = tracer
@@ -205,6 +212,8 @@ class ReplicaNode:
         self._track = replica_track(name)
         self.clock = 0.0
         self.pending: List[_QueuedRequest] = []
+        # backlog_s's queued-prefill sum; None once the queue changed.
+        self._queued_prefill_s: Optional[float] = None
         self.running: List[_Running] = []
         self.prefilling: List[_Running] = []  # chunked prompts in flight
         #: Prompt + remaining output tokens across queued, prefilling (a
@@ -251,15 +260,6 @@ class ReplicaNode:
     def backend_label(self) -> str:
         """Execution-backend label ("bf16" for the plain default)."""
         return self._cost.executor.backend.label
-
-    @property
-    def tier(self) -> Tuple[str, str, str]:
-        """The (model, platform, backend) triple this replica serves.
-
-        Two replicas with equal tiers are interchangeable to the tiered
-        router: same cost table, same capability, same price class.
-        """
-        return (self.model.name, self.platform.name, self.backend_label)
 
     @property
     def cost_table(self):
@@ -317,8 +317,12 @@ class ReplicaNode:
         with the same cost primitives the node executes with.
         """
         backlog = max(0.0, self.clock - now)
-        backlog += sum(self.prefill_cost_s(q.request.input_len)
-                       for q in self.pending)
+        queued = self._queued_prefill_s
+        if queued is None:
+            queued = self._queued_prefill_s = sum(
+                self.prefill_cost_s(q.request.input_len)
+                for q in self.pending)
+        backlog += queued
         for job in self.prefilling:
             chunks, tail = divmod(job.prompt_left, self.chunk_tokens)
             backlog += chunks * self._cost.prefill_time(1, self.chunk_tokens)
@@ -355,7 +359,11 @@ class ReplicaNode:
         cost = self._cost
         if self.exact:
             return cost.executor.decode_step(cost.model, batch, mean_kv)[0]
-        return cost.step_time(batch, mean_kv)
+        # DecodeCostTable.step_time, read off the curve directly.
+        kv = max(1, mean_kv)
+        curve = cost.curve(batch)
+        curve.ensure(kv + 1)
+        return curve.step_t[kv]
 
     def _iteration_legs(self, batch: int, mean_kv: int):
         cost = self._cost
@@ -373,9 +381,16 @@ class ReplicaNode:
         entry = _QueuedRequest(ready_s=max(ready_s, request.arrival_s),
                                request=request)
         # Keep the queue ordered by readiness; stable for equal stamps.
-        keys = [q.ready_s for q in self.pending]
-        self.pending.insert(bisect.bisect_right(keys, entry.ready_s), entry)
-        self.peak_queue = max(self.peak_queue, len(self.pending))
+        # Arrivals come in time order, so the entry usually goes last;
+        # out-of-order stamps (failure requeues) bisect.
+        pending = self.pending
+        if not pending or pending[-1].ready_s <= entry.ready_s:
+            pending.append(entry)
+        else:
+            keys = [q.ready_s for q in pending]
+            pending.insert(bisect_right(keys, entry.ready_s), entry)
+        self._queued_prefill_s = None
+        self.peak_queue = max(self.peak_queue, len(pending))
         self.outstanding_tokens += request.input_len + request.output_len
         if self.admission is not None:
             self.admission.on_arrival(request, entry.ready_s)
@@ -422,6 +437,7 @@ class ReplicaNode:
             if index is None:
                 return None
             queued = self.pending.pop(index)
+        self._queued_prefill_s = None
         self.admission_stamps.append(start)
         request = queued.request
         if self.admission is not None:
@@ -662,20 +678,24 @@ class ReplicaNode:
                                   "memory_s": memory_s})
                 tracer.counter(self._track, "batch_size", decode_start,
                                batch)
-            for seq in cohort:
-                seq.generated += 1
-                if tracer.enabled:
+            clock = self.clock
+            if tracer.enabled:
+                for seq in cohort:
+                    seq.generated += 1
                     # The token span starts at this sequence's previous
                     # token (covering any admission-prefill stall), so a
                     # request's decode spans tile first-token→last-token.
                     tracer.span(request_track(seq.request.request_id),
                                 f"decode[{seq.generated - 1}]",
-                                seq.last_event_s, self.clock,
-                                category="request",
+                                seq.last_event_s, clock, category="request",
                                 args={"replica": self.name,
                                       "kv_len": seq.kv_len,
                                       "batch_size": batch})
-                seq.last_event_s = self.clock
+                    seq.last_event_s = clock
+            else:
+                for seq in cohort:
+                    seq.generated += 1
+                    seq.last_event_s = clock
         else:
             self.clock += lead
             self.busy_s += lead
@@ -691,67 +711,113 @@ class ReplicaNode:
         strict ordering the cluster loop's admin-before-iteration
         tie-break gives per-iteration stepping.
 
-        In the default (fast) mode, stretches where the batch provably
-        cannot change — nothing admissible before the horizon, nobody
-        finishing before the stretch's last step — are priced in one
-        closed-form range lookup (:meth:`_fast_forward`) instead of
-        stepped. Untraced, that includes a lone step, so :meth:`advance`
+        One loop serves every mode. Each pass reads the pure-decode
+        window (:meth:`_coalescible_window`) and either coalesces it or
+        runs one :meth:`advance`. In the default (fast) mode the window's
+        time budget becomes a step count by one binary search over the
+        shared prefix-sum curve, and the run adds the curve's per-step
+        costs ``step_t[mean_kv:mean_kv + steps]`` to the clock one at a
+        time. Untraced, a lone step is coalesced too, so :meth:`advance`
         runs only where an iteration admits, retires or prefills a
         chunk; a recording tracer keeps single steps on :meth:`advance`
-        so the trace still carries their per-iteration spans. With
-        ``exact="vectorized"`` runs of two or more steps are priced by a
-        fresh per-stretch series call (no shared memo tables); with
-        ``exact=True`` / ``"step"`` every iteration is stepped and
-        priced individually.
+        so the trace still carries their per-iteration spans. Runs that
+        an observer watches (a recording tracer, gap collection) go
+        through :meth:`_fast_forward`. With ``exact="vectorized"`` runs
+        of two or more steps are priced by a fresh per-stretch series
+        call (no shared memo tables); with ``exact=True`` / ``"step"``
+        every iteration is stepped and priced individually. A run that
+        ends at the window's step limit emits some sequence's last
+        token, so the next window is empty and the next pass goes
+        straight to :meth:`advance`.
         """
         if not (self.pending or self.running or self.prefilling):
             return []
         completed: List[CompletedRequest] = []
-        vectorized = self.exact == "vectorized"
+        exact = self.exact
+        vectorized = exact == "vectorized"
+        traced = self.tracer.enabled
+        observed = traced or self.collect_gaps
+        shortest = 2 if traced else 1  # shortest run fast mode coalesces
+        cost = self._cost
+        retiring = False  # the last run ended on some sequence's last token
         while True:
             start = self.next_event_time()
             if start is None or (horizon is not None and start >= horizon):
                 return completed
+            if retiring or (exact and not vectorized):
+                retiring = False
+                completed.extend(self.advance())
+                continue
+            limit, batch, mean_kv, budget = self._coalescible_window(start,
+                                                                      horizon)
             if vectorized:
-                window = self._vectorized_steps(start, horizon)
-                if window is not None:
+                window = self._vectorized_steps(limit, batch, mean_kv,
+                                                budget)
+                if window is None:
+                    completed.extend(self.advance())
+                else:
                     self._fast_forward(*window)
-                    continue
-            elif not self.exact:
-                steps, batch, mean_kv = self._coalescible_steps(start,
-                                                                horizon)
-                # A lone step priced here is the step advance() would
-                # take: same prefix-curve difference, same one clock add.
-                if steps >= 2 or (steps and not self.tracer.enabled):
-                    if self.collect_gaps or self.tracer.enabled:
-                        step_times = self._cost.step_times(batch, mean_kv,
-                                                           mean_kv + steps)
-                        split = lambda: self._cost.range_cost(
-                            batch, mean_kv, mean_kv + steps)[1:]
-                        self._fast_forward(steps, batch, mean_kv, step_times,
-                                           split)
-                    else:
-                        self._fast_forward_fused(batch, steps, mean_kv)
-                    continue
-            completed.extend(self.advance())
+                    retiring = window[0] == limit
+                continue
+            steps = limit
+            if limit:
+                curve = cost.curve(batch)
+                curve.ensure(mean_kv + limit)
+                if budget is not None:
+                    # Iteration j starts after the costs of its
+                    # predecessors and runs iff that start is strictly
+                    # inside the budget.
+                    prefix = curve.prefix_t
+                    base = mean_kv - 1
+                    steps = bisect_left(prefix, prefix[base] + budget, base,
+                                        base + limit) - base
+            if steps < shortest:
+                completed.extend(self.advance())
+                continue
+            step_times = curve.step_t[mean_kv:mean_kv + steps]
+            retiring = steps == limit
+            if observed:
+                split = lambda: cost.range_cost(batch, mean_kv,
+                                                mean_kv + steps)[1:]
+                self._fast_forward(steps, batch, mean_kv, step_times, split)
+                continue
+            # _fast_forward with nobody watching: the same additions.
+            clock = self.clock
+            busy = self.busy_s
+            for step_s in step_times:
+                clock += step_s
+                busy += step_s
+            self.clock = clock
+            self.busy_s = busy
+            self.iterations += steps
+            running = self.running
+            self.outstanding_tokens -= steps * len(running)
+            for seq in running:
+                seq.generated += steps
+                seq.last_event_s = clock
 
     def _coalescible_window(self, start: float, horizon: Optional[float]
                             ) -> Tuple[int, int, int, Optional[float]]:
         """(step limit, priced batch, mean KV, time budget) of a pure-decode run.
 
-        The limit is the closest running sequence's remaining tokens, so
-        a run of ``limit`` steps ends on the iteration that emits its
-        last token (retirement happens at the next boundary). It is zero
-        unless the running set is non-empty, no prompt is in flight,
-        nobody is already finished, and no admission can happen at or
-        before the window's iterations begin. Fast mode coalesces runs
-        of one step or more (two or more under a recording tracer);
-        vectorized exact mode, two or more. The priced shape is the
-        discipline's (a static cohort's is padded). The budget is the
-        time available against the earlier of *horizon* and the
-        head-of-queue readiness (``None`` = unbounded); converting it to
-        a step count is mode-specific — a prefix-curve binary search in
-        fast mode, a numpy prefix-sum search in vectorized exact mode.
+        The one window definition, shared by fast and vectorized exact
+        mode. The limit is the closest running sequence's remaining
+        tokens, so a run of ``limit`` steps ends on the iteration that
+        emits its last token (retirement happens at the next boundary,
+        and the window after such a run is empty). It is zero unless the
+        running set is non-empty, no prompt is in flight, nobody is
+        already finished, and no admission can happen at or before the
+        window's iterations begin. Fast mode coalesces runs of one step
+        or more (two or more under a recording tracer); vectorized exact
+        mode, two or more. The priced shape is the discipline's (a
+        static cohort's is padded). The budget is the time available
+        against the earlier of *horizon* and the head-of-queue readiness
+        (``None`` = unbounded); converting it to a step count is
+        mode-specific — a binary search over the shared prefix-sum curve
+        in fast mode, a numpy prefix-sum search in vectorized exact mode.
+        Both rest on a pure-decode run's mean KV length advancing by
+        exactly +1 per iteration (integer floor of a sum that grows by
+        the batch size each step).
         """
         running = self.running
         if not running or self.prefilling:
@@ -786,38 +852,20 @@ class ReplicaNode:
             return limit, batch, mean_kv, None
         return limit, batch, mean_kv, bound - start
 
-    def _coalescible_steps(self, start: float, horizon: Optional[float]
-                           ) -> Tuple[int, int, int]:
-        """(pure-decode iterations runnable from *start*, batch, mean KV).
+    def _vectorized_steps(self, limit: int, batch: int, mean_kv: int,
+                          budget: Optional[float]):
+        """Vectorized exact mode's run over a window, or ``None`` to step.
 
-        Fast-mode step counting: the window's time budget resolves to a
-        step count with one binary search over the shared prefix-sum
-        cost curve, using the invariant that a pure-decode run's mean KV
-        length advances by exactly +1 per iteration (integer floor of a
-        sum that grows by the batch size each step).
+        Takes :meth:`_coalescible_window`'s result. Prices the whole
+        candidate stretch with one fresh ``time_decode_series`` call —
+        the same closed-form piecewise-affine analysis the fast path's
+        tables are built from, but per-stretch and unmemoized, so this
+        mode never reads the shared table registry. The horizon cutoff
+        is the count of iterations whose start offset (numpy prefix sum
+        of the per-step times, the same left-to-right additions the step
+        loop performs) lands strictly inside the budget — the fast
+        path's strict-start rule.
         """
-        limit, batch, mean_kv, budget = self._coalescible_window(start,
-                                                                  horizon)
-        if limit == 0 or budget is None:
-            return limit, batch, mean_kv
-        return self._cost.steps_within(batch, mean_kv, budget,
-                                       limit), batch, mean_kv
-
-    def _vectorized_steps(self, start: float, horizon: Optional[float]):
-        """Vectorized exact mode's coalescing window, or ``None`` to step.
-
-        Prices the whole candidate stretch with one fresh
-        ``time_decode_series`` call — the same closed-form
-        piecewise-affine analysis the fast path's tables are built from,
-        but per-stretch and unmemoized, so this mode never reads the
-        shared table registry. The horizon cutoff is the count of
-        iterations whose start offset (numpy prefix sum of the per-step
-        times, the same left-to-right additions the step loop performs)
-        lands strictly inside the budget — mirroring
-        ``DecodeCostTable.steps_within``'s strict-start rule.
-        """
-        limit, batch, mean_kv, budget = self._coalescible_window(start,
-                                                                  horizon)
         if limit < 2:
             return None
         executor, model = self._cost.executor, self._cost.model
@@ -855,42 +903,14 @@ class ReplicaNode:
         split = lambda: (sum(compute[:steps]), sum(memory[:steps]))
         return steps, batch, mean_kv, times[:steps], split
 
-    def _fast_forward_fused(self, batch: int, steps: int,
-                            mean_kv: int) -> None:
-        """:meth:`_fast_forward` specialized for the no-observer case.
-
-        With no gap collection and no tracer attached, nothing ever
-        reads the per-step time list — so this path differences the
-        shared prefix curve in place instead of materializing it. The
-        step values and their addition order are identical to the list
-        path (``prefix[kv] - prefix[kv - 1]``, accumulated
-        left-to-right), keeping the clock bit-equal between the two.
-        """
-        prefix = self._cost.prefix_times(batch, mean_kv + steps)
-        clock = self.clock
-        busy = self.busy_s
-        prev = prefix[mean_kv - 1]
-        for cur in prefix[mean_kv:mean_kv + steps]:
-            step_s = cur - prev
-            clock += step_s
-            busy += step_s
-            prev = cur
-        self.clock = clock
-        self.busy_s = busy
-        self.iterations += steps
-        self.outstanding_tokens -= steps * len(self.running)
-        for seq in self.running:
-            seq.generated += steps
-            seq.last_event_s = clock
-
     def _fast_forward(self, steps: int, batch: int, mean_kv: int,
                       step_times: Sequence[float],
                       split: Callable[[], Tuple[float, float]]) -> None:
         """Execute *steps* pure-decode iterations as one coalesced block.
 
         *step_times* is the block's per-iteration cost sequence (a
-        prefix-curve slice in fast mode, a fresh series in vectorized
-        exact mode) and *split* lazily supplies the block's
+        ``step_t`` curve slice in fast mode, a fresh series in
+        vectorized exact mode) and *split* lazily supplies the block's
         (compute_s, memory_s) attribution legs — only evaluated while a
         recording tracer is attached. The clock (and busy time) advance
         by adding the step costs *one at a time*, in the same order the
@@ -962,6 +982,7 @@ class ReplicaNode:
         lost += [seq.request for seq in self.prefilling + self.running]
         wasted = sum(seq.generated for seq in self.running)
         self.pending.clear()
+        self._queued_prefill_s = None
         self.prefilling.clear()
         self.running.clear()
         self.outstanding_tokens = 0

@@ -105,6 +105,8 @@ class TieredRouter(Router):
                                  f"entry in the class table "
                                  f"{sorted(self.classes)}")
         self._counters: Dict[str, int] = {}
+        #: (platform name, price override) -> listing-price rate.
+        self._prices: Dict[Tuple[str, Optional[float]], float] = {}
 
     def counters(self) -> Dict[str, int]:
         return dict(self._counters)
@@ -112,9 +114,12 @@ class TieredRouter(Router):
     def _bump(self, key: str) -> None:
         self._counters[key] = self._counters.get(key, 0) + 1
 
-    @staticmethod
-    def _tier_price(node: ReplicaNode) -> float:
-        return price_rate(node.platform.name, node.price_usd)
+    def _tier_price(self, node: ReplicaNode) -> float:
+        key = (node.platform.name, node.price_usd)
+        price = self._prices.get(key)
+        if price is None:
+            price = self._prices[key] = price_rate(*key)
+        return price
 
     def select(self, request: ArrivingRequest,
                nodes: Sequence[ReplicaNode], now: float) -> ReplicaNode:
@@ -132,6 +137,14 @@ class TieredRouter(Router):
             tiers.setdefault(node.tier, []).append((index, node))
 
         steps = max(1, request.output_len - 1)
+        # Each candidate's backlog, read at most once per decision.
+        backlogs: Dict[int, float] = {}
+
+        def backlog(index: int, node: ReplicaNode) -> float:
+            value = backlogs.get(index)
+            if value is None:
+                value = backlogs[index] = node.backlog_s(now)
+            return value
 
         def per_token(node: ReplicaNode) -> float:
             decode = node.decode_cost_s(request.input_len,
@@ -154,7 +167,7 @@ class TieredRouter(Router):
             # than drop traffic; the per-class fallback counter is the
             # operator's outage signal.
             self._bump(f"fallback:{class_name}")
-            chosen = self._earliest_finish(ordered, request, now)
+            chosen = self._earliest_finish(ordered, request, backlog)
             self._bump(f"served:{class_name}:{tier_label(chosen.tier)}")
             return chosen
 
@@ -165,8 +178,8 @@ class TieredRouter(Router):
         for position in range(home, len(eligible)):
             _, members = eligible[position]
             index, node = min(
-                members, key=lambda pair: (pair[1].backlog_s(now), pair[0]))
-            projected_ttft = (node.backlog_s(now)
+                members, key=lambda pair: (backlog(*pair), pair[0]))
+            projected_ttft = (backlog(index, node)
                               + node.prefill_cost_s(request.input_len))
             if projected_ttft <= rc.slo.ttft_s:
                 if position != home:
@@ -176,7 +189,7 @@ class TieredRouter(Router):
 
         # Every eligible tier saturated: degrade latency, not
         # correctness — earliest projected finish among capable tiers.
-        chosen = self._earliest_finish(eligible, request, now)
+        chosen = self._earliest_finish(eligible, request, backlog)
         if chosen.tier != eligible[home][0]:
             self._bump(f"spill:{class_name}")
         self._bump(f"served:{class_name}:{tier_label(chosen.tier)}")
@@ -200,12 +213,12 @@ class TieredRouter(Router):
 
     @staticmethod
     def _earliest_finish(tier_items, request: ArrivingRequest,
-                         now: float) -> ReplicaNode:
+                         backlog) -> ReplicaNode:
         best = None
         best_key = None
         for _, members in tier_items:
             for index, node in members:
-                finish = (node.backlog_s(now)
+                finish = (backlog(index, node)
                           + node.prefill_cost_s(request.input_len)
                           + node.decode_cost_s(request.input_len,
                                                request.output_len))

@@ -12,13 +12,17 @@ fast-forward (:meth:`repro.cluster.node.ReplicaNode.advance_to`) — keeps
 per-batch-size *prefix-sum curves* of decode step cost, built lazily in
 chunks from :meth:`~repro.engine.executor.OperatorExecutor.time_decode_series`:
 
-``prefix_t[i]`` = total time of decode steps at ``kv_len`` 1..i, so
+``prefix_t[i]`` = total time of decode steps at ``kv_len`` 1..i and
+``step_t[i]`` = the cost of the one step at ``kv_len`` i, so
 
-* one iteration at ``kv`` costs ``prefix_t[kv] - prefix_t[kv - 1]``,
+* one iteration at ``kv`` costs ``step_t[kv]`` (stored as
+  ``prefix_t[kv] - prefix_t[kv - 1]``, the same subtraction),
 * a whole run of ``k`` iterations starting at mean kv ``m`` costs
-  ``prefix_t[m + k - 1] - prefix_t[m - 1]`` (one subtraction), and
+  ``prefix_t[m + k - 1] - prefix_t[m - 1]`` (one subtraction), and its
+  per-step costs are the slice ``step_t[m:m + k]``, and
 * "how many iterations start before a deadline" is one binary search
-  over the curve (:meth:`DecodeCostTable.steps_within`).
+  over ``prefix_t`` (the replica loop does it in
+  :meth:`~repro.cluster.node.ReplicaNode.advance_to`).
 
 Tables are shared across every replica with an equal pricing signature
 via the module registry (:func:`decode_cost_table`);
@@ -28,7 +32,7 @@ capture platform, dtype, bandwidth, and compute scale, but *not* the
 process-wide calibration tables those were derived from.
 """
 
-import bisect
+from array import array
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -45,13 +49,16 @@ class _BatchCurve:
     """Prefix-sum decode cost curves for one batch size.
 
     ``prefix_t[i]`` sums step times for ``kv_len`` in ``[1, i]`` (index 0
-    is the empty sum), with matching compute/memory-leg curves for trace
-    attribution. Curves grow by doubling so a trace that decodes to kv
-    4000 pays O(log) extension calls, each a closed-form series build.
+    is the empty sum) and ``step_t[i]`` is the step at ``kv_len`` i, the
+    difference of consecutive prefix entries (index 0 is unused). The
+    compute/memory-leg curves ``prefix_c``/``prefix_m`` serve only
+    attribution, so they are packed ``array('d')`` buffers. Curves grow
+    by doubling so a trace that decodes to kv 4000 pays O(log)
+    extension calls, each a closed-form series build.
     """
 
     __slots__ = ("_executor", "_model", "_batch",
-                 "prefix_t", "prefix_c", "prefix_m")
+                 "prefix_t", "step_t", "prefix_c", "prefix_m")
 
     def __init__(self, executor: OperatorExecutor, model: ModelConfig,
                  batch: int):
@@ -59,8 +66,9 @@ class _BatchCurve:
         self._model = model
         self._batch = batch
         self.prefix_t: List[float] = [0.0]
-        self.prefix_c: List[float] = [0.0]
-        self.prefix_m: List[float] = [0.0]
+        self.step_t: List[float] = [0.0]
+        self.prefix_c = array("d", [0.0])
+        self.prefix_m = array("d", [0.0])
 
     def ensure(self, kv_end: int) -> None:
         """Extend the curves so every ``kv_len < kv_end`` is priced."""
@@ -70,13 +78,16 @@ class _BatchCurve:
         target = max(kv_end, 2 * (have - 1), _MIN_CHUNK + 1)
         ts, cs, ms = self._executor.time_decode_series(
             self._model, self._batch, have, target)
-        pt, pc, pm = self.prefix_t, self.prefix_c, self.prefix_m
+        pt, st = self.prefix_t, self.step_t
+        pc, pm = self.prefix_c, self.prefix_m
         t, c, m = pt[-1], pc[-1], pm[-1]
         for dt, dc, dm in zip(ts, cs, ms):
+            prev = t
             t += dt
             c += dc
             m += dm
             pt.append(t)
+            st.append(t - prev)
             pc.append(c)
             pm.append(m)
 
@@ -100,7 +111,11 @@ class DecodeCostTable:
                             Tuple[float, float, float]] = {}
         self._expected: Dict[tuple, float] = {}
 
-    def _curve(self, batch: int) -> _BatchCurve:
+    def curve(self, batch: int) -> _BatchCurve:
+        """The decode cost curves for *batch*, created empty on first use.
+
+        Callers :meth:`~_BatchCurve.ensure` the kv range they read.
+        """
         curve = self._curves.get(batch)
         if curve is None:
             curve = _BatchCurve(self.executor, self.model, batch)
@@ -141,14 +156,14 @@ class DecodeCostTable:
     def step_time(self, batch: int, kv_len: int) -> float:
         """One fused decode iteration at ``(batch, kv_len)``."""
         kv = max(1, kv_len)
-        curve = self._curve(batch)
+        curve = self.curve(batch)
         curve.ensure(kv + 1)
-        return curve.prefix_t[kv] - curve.prefix_t[kv - 1]
+        return curve.step_t[kv]
 
     def step_split(self, batch: int, kv_len: int):
         """(compute_s, memory_s) legs of one decode iteration."""
         kv = max(1, kv_len)
-        curve = self._curve(batch)
+        curve = self.curve(batch)
         curve.ensure(kv + 1)
         return (curve.prefix_c[kv] - curve.prefix_c[kv - 1],
                 curve.prefix_m[kv] - curve.prefix_m[kv - 1])
@@ -159,25 +174,12 @@ class DecodeCostTable:
         One subtraction per leg — the closed-form pricing of a whole
         coalesced decode run.
         """
-        curve = self._curve(batch)
+        curve = self.curve(batch)
         curve.ensure(kv_end)
         a, b = kv_start - 1, kv_end - 1
         return (curve.prefix_t[b] - curve.prefix_t[a],
                 curve.prefix_c[b] - curve.prefix_c[a],
                 curve.prefix_m[b] - curve.prefix_m[a])
-
-    def prefix_times(self, batch: int, kv_end: int) -> List[float]:
-        """The cumulative decode-time curve, ensured through ``kv_end``.
-
-        Read-only access to the raw prefix list behind
-        :meth:`step_times` / :meth:`range_cost`, for hot callers that
-        difference consecutive entries in place instead of
-        materializing a per-step list (entry ``kv`` minus entry
-        ``kv - 1`` is the iteration cost at that KV length).
-        """
-        curve = self._curve(batch)
-        curve.ensure(kv_end)
-        return curve.prefix_t
 
     def step_times(self, batch: int, kv_start: int,
                    kv_end: int) -> List[float]:
@@ -186,13 +188,9 @@ class DecodeCostTable:
         Used to expand a coalesced run back into individual inter-token
         gaps when a caller collects the gap distribution.
         """
-        curve = self._curve(batch)
+        curve = self.curve(batch)
         curve.ensure(kv_end)
-        pt = curve.prefix_t
-        # Slice-pair differencing: same values as indexing pt[kv]-pt[kv-1]
-        # per kv, without a Python-level index computation per step.
-        return [b - a for a, b in zip(pt[kv_start - 1:kv_end - 1],
-                                      pt[kv_start:kv_end])]
+        return curve.step_t[kv_start:kv_end]
 
     # -- expected demands (fluid solver) -----------------------------------
 
@@ -258,7 +256,7 @@ class DecodeCostTable:
             return cached
         n_in = hi_in - lo_in + 1
         n_out = hi_out - lo_out + 1
-        curve = self._curve(batch)
+        curve = self.curve(batch)
         curve.ensure(hi_in + hi_out)
         pt = curve.prefix_t
         mean_start = sum(pt[lo_in:hi_in + 1]) / n_in
@@ -271,23 +269,6 @@ class DecodeCostTable:
         value = mean_end - mean_start
         self._expected[key] = value
         return value
-
-    def steps_within(self, batch: int, kv_start: int, budget: float,
-                     limit: int) -> int:
-        """Iterations (≤ *limit*) whose start falls strictly inside *budget*.
-
-        Iteration ``j`` (0-based, kv ``kv_start + j``) starts after the
-        cumulative cost of its predecessors; it runs iff that start is
-        strictly below *budget* — the same strict comparison the step
-        loop's event ordering applies, found by one ``bisect`` over the
-        prefix curve instead of ``j`` additions.
-        """
-        curve = self._curve(batch)
-        curve.ensure(kv_start + limit)
-        base = kv_start - 1
-        target = curve.prefix_t[base] + budget
-        return bisect.bisect_left(curve.prefix_t, target, base,
-                                  base + limit) - base
 
 
 #: Registry of shared tables, keyed by (pricing signature, model). Model

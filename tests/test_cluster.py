@@ -235,6 +235,68 @@ class TestOutstandingTokenLedger:
         assert "fail" in ledger_checked
 
 
+@pytest.fixture
+def backlog_checked(monkeypatch):
+    """Compare backlog_s to a fresh recomputation after every node call.
+
+    The node caches its queued-prefill sum between queue changes;
+    clearing the cache forces the recomputation the cached read must
+    equal, at the node's clock and at time 0 (where the in-flight
+    iteration's remainder counts too).
+    """
+    checked = []
+    for name in ("submit", "advance", "advance_to", "fail"):
+        def wrapper(node, *args, _method=getattr(ReplicaNode, name),
+                    _name=name, **kwargs):
+            result = _method(node, *args, **kwargs)
+            for now in (node.clock, 0.0):
+                cached = node.backlog_s(now)
+                node._queued_prefill_s = None
+                assert cached == node.backlog_s(now), _name
+            checked.append(_name)
+            return result
+        monkeypatch.setattr(ReplicaNode, name, wrapper)
+    return checked
+
+
+class TestBacklogCache:
+    """backlog_s's cached queue sum never goes stale."""
+
+    @pytest.mark.parametrize("admission", [None, "fcfs", "vtc", "wsc"])
+    @pytest.mark.parametrize("policy", ["continuous", "static", "chunked"])
+    def test_cached_backlog_matches_fresh(self, backlog_checked, policy,
+                                          admission):
+        arrivals = _ledger_arrivals(seed=5)
+        # One node drains the stream; a second fails halfway through.
+        for fail_at in (None, len(arrivals) // 2):
+            node = ReplicaNode("spr-0", SPR, OPT, max_batch=4,
+                               admission=make_scheduler(admission),
+                               policy=policy, chunk_tokens=32)
+            for index, request in enumerate(arrivals):
+                if index == fail_at:
+                    assert node.fail()[0]
+                    break
+                node.advance_to(request.arrival_s)
+                node.submit(request)
+                if index % 7 == 6:
+                    # A requeue stamped before the queue tail bisects in.
+                    node.submit(ArrivingRequest(1000 + index, 0.0, 64, 4),
+                                ready_s=request.arrival_s - 0.01)
+            else:
+                node.advance_to(None)
+            assert node.backlog_s(node.clock) == 0.0
+        assert {"submit", "advance", "advance_to", "fail"} <= set(
+            backlog_checked)
+
+    def test_out_of_order_submit_keeps_queue_sorted(self):
+        node = spr_node()
+        for request_id, ready_s in enumerate((1.0, 3.0, 2.0, 3.0, 0.5)):
+            node.submit(ArrivingRequest(request_id, 0.0, 64, 4),
+                        ready_s=ready_s)
+        assert [(q.ready_s, q.request.request_id) for q in node.pending] == [
+            (0.5, 4), (1.0, 0), (2.0, 2), (3.0, 1), (3.0, 3)]
+
+
 def _churn_fleet_run(seed, tracer=NOOP_TRACER):
     """A small fleet-churn-shaped run: short prompts behind least-tokens
     routing, WSC admission on every replica, a failure and a drain."""

@@ -26,17 +26,19 @@ from repro.cluster import (
     ReplicaNode,
     ReplicaSpec,
     RoundRobinRouter,
+    make_scheduler,
 )
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
 from repro.serving.arrivals import (
+    ArrivingRequest,
     bursty_arrivals,
     iter_poisson_arrivals,
     poisson_arrivals,
 )
 from repro.serving.scheduler import BatchingSimulator
 from repro.serving.slo import SLO
-from repro.trace import RecordingTracer, request_attribution
+from repro.trace import NOOP_TRACER, RecordingTracer, request_attribution
 from repro.workloads.generator import WorkloadSpec
 
 SPR = get_platform("spr")
@@ -256,3 +258,55 @@ class TestStreamingParity:
                 for r in from_stream.completed]
         assert from_list.queue_depth_timeline == \
             from_stream.queue_depth_timeline
+
+
+def _observer_arrivals(seed, count=40):
+    """Prompts above a 32-token chunk; about a quarter want one token."""
+    rng = random.Random(seed)
+    arrival, arrivals = 0.0, []
+    for request_id in range(count):
+        arrival += rng.expovariate(3.0)
+        output_len = 1 if rng.random() < 0.25 else rng.randint(2, 40)
+        arrivals.append(ArrivingRequest(request_id, arrival,
+                                        rng.randint(40, 120), output_len))
+    return arrivals
+
+
+class TestObserverInvariance:
+    """Watching a fast-mode run does not change it.
+
+    A recording tracer keeps lone decode steps on ``advance()`` and gap
+    collection expands coalesced runs into per-step gaps; both take other
+    code paths than the unobserved loop, and must still reach the same
+    simulation, bit for bit.
+    """
+
+    @staticmethod
+    def run(policy, admission, observer):
+        nodes = [ReplicaNode(f"spr-{i}", SPR, OPT, max_batch=4,
+                             policy=policy, chunk_tokens=32,
+                             admission=make_scheduler(admission),
+                             collect_gaps=observer == "gaps")
+                 for i in range(3)]
+        arrivals = _observer_arrivals(seed=5)
+        events = [NodeFailure(0.4 * arrivals[-1].arrival_s, "spr-1")]
+        tracer = RecordingTracer() if observer == "tracer" else NOOP_TRACER
+        simulator = ClusterSimulator(nodes, LeastOutstandingTokensRouter(),
+                                     events=events, tracer=tracer)
+        report = simulator.run(arrivals)
+        assert len(report.completed) == len(arrivals)
+        if observer == "gaps":
+            assert any(node.decode_gaps for node in nodes)
+        if observer == "tracer":
+            assert any(span.args.get("coalesced")
+                       for span in tracer.trace.spans)
+        return (report.completed,
+                [(node.busy_s, node.iterations) for node in nodes])
+
+    @pytest.mark.parametrize("admission", ["fcfs", "wsc"])
+    @pytest.mark.parametrize("policy", ["continuous", "static", "chunked"])
+    def test_traced_and_gap_collecting_runs_equal_untraced(self, policy,
+                                                           admission):
+        plain = self.run(policy, admission, None)
+        assert plain == self.run(policy, admission, "tracer")
+        assert plain == self.run(policy, admission, "gaps")

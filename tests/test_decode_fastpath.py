@@ -17,6 +17,7 @@ from repro.engine import backend as backend_mod
 from repro.engine.backend import parse_backend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator, MemoryCapacityError
+from repro.engine.stepcost import DecodeCostTable
 from repro.engine.request import InferenceRequest
 from repro.experiments._sweeps import clear_caches
 from repro.hardware.compute import ComputeEngine, EngineKind, TileShape
@@ -277,3 +278,39 @@ def test_tp_series_builds_few_graphs():
     clear_caches()
     executor.time_decode_series(model, 4, 128, 639)
     assert backend_mod._cached_decode_ops.cache_info().misses <= 32
+
+
+@pytest.mark.parametrize("spec,batch", [("bf16", 1), ("bf16", 3),
+                                        ("int8", 8), ("int8-tp2", 5)])
+def test_cost_curve_steps_difference_the_prefix(spec, batch):
+    # step_t holds each step's cost as the same subtraction of adjacent
+    # prefix entries, across every extension chunk; the packed leg
+    # curves hold the same running sums a list would.
+    executor = _spr_executor(spec)
+    model = get_model("opt-1.3b")
+    table = DecodeCostTable(executor, model)
+    curve = table.curve(batch)
+    chunks = []
+    for kv_end in (2, 300, 700, 1500):
+        have = len(curve.prefix_t)
+        curve.ensure(kv_end)
+        chunks.append((have, len(curve.prefix_t)))
+    assert all(lo < hi for lo, hi in chunks)
+    pt, st = curve.prefix_t, curve.step_t
+    assert len(st) == len(pt) == chunks[-1][1]
+    for kv in range(1, len(pt)):
+        assert st[kv] == pt[kv] - pt[kv - 1], kv
+    want = [[0.0], [0.0], [0.0]]
+    for lo, hi in chunks:
+        for leg, values in zip(want, executor.time_decode_series(
+                model, batch, lo, hi)):
+            for value in values:
+                leg.append(leg[-1] + value)
+    assert pt == want[0]
+    assert list(curve.prefix_c) == want[1]
+    assert list(curve.prefix_m) == want[2]
+    assert table.step_time(batch, 600) == st[600]
+    assert table.step_times(batch, 250, 260) == [
+        pt[kv] - pt[kv - 1] for kv in range(250, 260)]
+    assert table.step_split(batch, 600) == (
+        want[1][600] - want[1][599], want[2][600] - want[2][599])

@@ -204,6 +204,25 @@ class TestTieredRouter:
             "fallback:standard", 0) + report.router_counters.get(
             "fallback:simple", 0)
 
+    def test_reads_each_backlog_once_per_decision(self, monkeypatch):
+        # The spill loop and the earliest-finish fallback share one
+        # backlog read per replica; loaded cheap replicas force both.
+        reads = []
+        backlog_s = ReplicaNode.backlog_s
+        monkeypatch.setattr(ReplicaNode, "backlog_s", lambda node, now: (
+            reads.append(node.name), backlog_s(node, now))[1])
+        fleet = tiered_fleet()
+        heavy = request_of_class("reasoning")
+        for node in fleet:
+            for _ in range(12):
+                node.submit(heavy)
+        router = TieredRouter()
+        for name in ("simple", "standard", "reasoning"):
+            reads.clear()
+            router.select(request_of_class(name), fleet, 0.0)
+            assert reads and len(reads) == len(set(reads)), name
+        assert router.counters().get("spill:simple", 0) > 0
+
     def test_rejects_classifier_outside_table(self):
         classifier = MixClassifier((("reasoning", 1.0),))
         table = {"simple": REQUEST_CLASSES["simple"]}
