@@ -14,7 +14,6 @@ deterministically (see :mod:`repro.cluster.shard`).
 
 from repro.cluster.admission import (
     AdmissionScheduler,
-    FCFSScheduler,
     VirtualTokenCounterScheduler,
     WeightedServiceCounterScheduler,
     make_scheduler,
@@ -66,7 +65,6 @@ __all__ = [
     "ClusterEvent",
     "ClusterReport",
     "ClusterSimulator",
-    "FCFSScheduler",
     "FairnessReport",
     "FluidReport",
     "FluidScenario",

@@ -2,9 +2,9 @@
 
 A :class:`~repro.cluster.node.ReplicaNode` admits queued requests into
 its continuous batch whenever a slot frees; *which* queued request it
-admits is this module's policy seam. FCFS (the default, and the exact
-behavior of nodes built without a scheduler) admits in readiness order;
-the fairness schedulers pick by per-tenant service counters so a heavy
+admits is this module's policy seam. FCFS is the node's built-in loop
+(no scheduler attached): it admits in readiness order. The fairness
+schedulers pick by per-tenant service counters so a heavy
 tenant's backlog cannot starve light tenants' requests — the
 virtual-token-counter (VTC) discipline of fair LLM serving, plus a
 weighted variant (WSC).
@@ -70,23 +70,6 @@ class AdmissionScheduler:
 
     def on_finish(self, request: ArrivingRequest) -> None:
         """A running request completed."""
-
-
-class FCFSScheduler(AdmissionScheduler):
-    """Readiness-order admission — the node's built-in behavior.
-
-    Exists so ``scheduler="fcfs"`` is a real object with a name rather
-    than a magic ``None``: it reproduces the legacy admission loop
-    bit-exactly (pinned by the parity suite), because the queue is
-    already sorted by readiness and the head is the FCFS choice.
-    """
-
-    name = "fcfs"
-
-    def pick(self, pending: Sequence, now: float) -> Optional[int]:
-        if pending and pending[0].ready_s <= now:
-            return 0
-        return None
 
 
 class VirtualTokenCounterScheduler(AdmissionScheduler):
@@ -201,15 +184,12 @@ def make_scheduler(spec: Optional[str],
                    ) -> Optional[AdmissionScheduler]:
     """Build a fresh per-node scheduler from its CLI spelling.
 
-    ``None`` and ``"fcfs"`` both mean FCFS, but ``None`` returns ``None``
-    (the node's built-in loop — zero overhead) while ``"fcfs"`` returns
-    an explicit :class:`FCFSScheduler` (bit-identical results, exercised
-    by the parity suite). *weights* only applies to ``"wsc"``.
+    ``None`` and ``"fcfs"`` both return ``None``: the node's built-in
+    FCFS loop, which :attr:`~repro.cluster.node.ReplicaNode.scheduler_name`
+    reports as ``"fcfs"``. *weights* only applies to ``"wsc"``.
     """
-    if spec is None:
+    if spec is None or spec == "fcfs":
         return None
-    if spec == "fcfs":
-        return FCFSScheduler()
     if spec == "vtc":
         return VirtualTokenCounterScheduler()
     if spec == "wsc":

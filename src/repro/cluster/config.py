@@ -7,8 +7,8 @@ Replicas in one fleet may run different
 :class:`~repro.engine.backend.ExecutionBackend` configurations; each
 prices through its own backend-keyed cost table
 (:func:`repro.engine.stepcost.decode_cost_table`), so router cost
-projections, event-horizon fast-forward, and ``exact=True`` stepping all
-see the same per-replica numbers regardless of how the fleet is mixed.
+projections, event-horizon fast-forward, and exact stepping all see the
+same per-replica numbers regardless of how the fleet is mixed.
 """
 
 import dataclasses
@@ -20,7 +20,6 @@ from repro.engine.backend import ExecutionBackend
 from repro.engine.inference import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
-from repro.trace.tracer import NOOP_TRACER, Tracer
 from repro.utils.validation import require_positive
 
 
@@ -40,9 +39,9 @@ class ReplicaSpec:
             across the whole fleet (``spr-0``, ``spr-int8-tp2-1``, ...),
             matching the CLI's ``--fail-node`` style addressing.
         scheduler: Admission policy spelling ("fcfs", "vtc", "wsc");
-            ``None`` keeps the node's built-in FCFS loop. Each replica
-            gets its own scheduler instance (service counters are
-            per-node state).
+            ``None`` and "fcfs" keep the node's built-in FCFS loop. Each
+            replica gets its own scheduler instance (service counters
+            are per-node state).
         scheduler_weights: Per-tenant ``(user_id, weight)`` pairs for
             ``scheduler="wsc"``; a tuple-of-pairs (not a dict) so the
             spec stays hashable/frozen.
@@ -86,18 +85,19 @@ class ReplicaSpec:
             return f"{key}-{self.backend.label}"
         return key
 
-    def build(self, name: str, tracer: Tracer = NOOP_TRACER,
-              exact: bool = False) -> ReplicaNode:
+    def build(self, name: str) -> ReplicaNode:
         """Instantiate one replica of this group, named *name*.
 
         The only recipe for a fleet replica: :class:`ClusterConfig`
         numbers and builds its fleet through it, and the
         :class:`~repro.cluster.autoscaler.Autoscaler` builds each
-        scale-up replica with it (``count`` is not read).
+        scale-up replica with it (``count`` is not read). The tracer and
+        exact mode are the simulator's: it sets both on every node it
+        adopts.
         """
         return ReplicaNode(name, self.platform, self.model, self.max_batch,
-                           self.config, self.backend, tracer=tracer,
-                           exact=exact, admission=self.make_admission(),
+                           self.config, self.backend,
+                           admission=self.make_admission(),
                            price_usd=self.price_usd)
 
 
@@ -117,15 +117,14 @@ class ClusterConfig:
         """Total replica count across all groups."""
         return sum(spec.count for spec in self.replicas)
 
-    def build_fleet(self, tracer: Tracer = NOOP_TRACER,
-                    exact: bool = False) -> List[ReplicaNode]:
+    def build_fleet(self) -> List[ReplicaNode]:
         """Instantiate every replica, numbered across the fleet.
 
         Fleet-wide numbering keeps names unique even when two groups
         share a base name (e.g. two BF16 SPR groups with different
         batch limits).
         """
-        return self.build_subset(range(self.size), tracer, exact)
+        return self.build_subset(range(self.size))
 
     def _flat_specs(self) -> List[ReplicaSpec]:
         """One spec per replica, in fleet order."""
@@ -139,9 +138,7 @@ class ClusterConfig:
         return [f"{spec.base_name}-{index}"
                 for index, spec in enumerate(self._flat_specs())]
 
-    def build_subset(self, indices: Sequence[int],
-                     tracer: Tracer = NOOP_TRACER,
-                     exact: bool = False) -> List[ReplicaNode]:
+    def build_subset(self, indices: Sequence[int]) -> List[ReplicaNode]:
         """Instantiate only the replicas at the given fleet positions.
 
         Names carry the *fleet-wide* index, identical to what
@@ -156,6 +153,5 @@ class ClusterConfig:
                 raise IndexError(f"replica index {index} out of range for "
                                  f"a fleet of {len(flat)}")
             spec = flat[index]
-            subset.append(spec.build(f"{spec.base_name}-{index}", tracer,
-                                     exact))
+            subset.append(spec.build(f"{spec.base_name}-{index}"))
         return subset

@@ -707,7 +707,6 @@ class FluidReport:
     classes: Tuple[ClassReport, ...]
     iterations: int
     converged: bool
-    tenant_shares: Optional[Dict[str, float]] = None
     label: Optional[str] = None
 
     @property
@@ -755,7 +754,6 @@ def solve(config: ClusterConfig, rate_per_s: float, *,
           slo: Optional[SLO] = None,
           router: str = "auto",
           percentiles: Sequence[float] = (0.5, 0.9, 0.99),
-          tenant_weights: Optional[Mapping[str, float]] = None,
           amortization_years: float = DEFAULT_AMORTIZATION_YEARS,
           label: Optional[str] = None,
           _stations: Optional[List[_Station]] = None) -> FluidReport:
@@ -775,8 +773,6 @@ def solve(config: ClusterConfig, rate_per_s: float, *,
         router: ``auto`` (tiered iff a mix is given), ``uniform``
             (capacity-proportional split), or ``tiered``.
         percentiles: TTFT quantiles to report.
-        tenant_weights: Optional weighted-fair tenant weights; reported
-            as each tenant's guaranteed share of served capacity.
         amortization_years: Hardware amortization horizon for $/Mtok.
 
     Returns:
@@ -868,17 +864,6 @@ def solve(config: ClusterConfig, rate_per_s: float, *,
     capacity = sum(s.capacity_req_per_s for s in solutions
                    if s.capacity_req_per_s > 0.0)
 
-    shares = None
-    if tenant_weights:
-        total_w = sum(tenant_weights.values())
-        if total_w <= 0:
-            raise ValueError("tenant weights must sum to a positive value")
-        # Work-conserving weighted-fair admission: in steady state each
-        # tenant is guaranteed this share of the *served* request rate;
-        # slack unused by one tenant redistributes to the others.
-        shares = {tenant: w / total_w
-                  for tenant, w in tenant_weights.items()}
-
     return FluidReport(
         rate_per_s=rate_per_s,
         throughput_tokens_per_s=throughput,
@@ -897,7 +882,6 @@ def solve(config: ClusterConfig, rate_per_s: float, *,
         classes=tuple(class_reports),
         iterations=iterations,
         converged=converged,
-        tenant_shares=shares,
         label=label,
     )
 

@@ -63,7 +63,7 @@ cross-check of the memoized fast path.
 import dataclasses
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -145,7 +145,8 @@ class ReplicaNode:
             primitives (the reference step loop). ``"vectorized"`` is
             the fast reference: same unmemoized scalar pricing at batch
             boundaries, but pure-decode stretches priced per-stretch
-            with one closed-form series call instead of stepped.
+            with one closed-form series call instead of stepped. The
+            cluster simulator sets this too when it adopts a node.
         collect_gaps: Record per-iteration inter-token gaps (coalesced
             runs are expanded back into individual gaps). Off by default
             — a million-request fleet run should not grow an unused list.
@@ -720,12 +721,12 @@ class ReplicaNode:
         time. Untraced, a lone step is coalesced too, so :meth:`advance`
         runs only where an iteration admits, retires or prefills a
         chunk; a recording tracer keeps single steps on :meth:`advance`
-        so the trace still carries their per-iteration spans. Runs that
-        an observer watches (a recording tracer, gap collection) go
-        through :meth:`_fast_forward`. With ``exact="vectorized"`` runs
-        of two or more steps are priced by a fresh per-stretch series
-        call (no shared memo tables); with ``exact=True`` / ``"step"``
-        every iteration is stepped and priced individually. A run that
+        so the trace still carries their per-iteration spans. Every
+        coalesced run goes through :meth:`_fast_forward`. With
+        ``exact="vectorized"`` runs of two or more steps are priced by a
+        fresh per-stretch series call (no shared memo tables); with
+        ``exact=True`` / ``"step"`` every iteration is stepped and
+        priced individually. A run that
         ends at the window's step limit emits some sequence's last
         token, so the next window is empty and the next pass goes
         straight to :meth:`advance`.
@@ -735,9 +736,8 @@ class ReplicaNode:
         completed: List[CompletedRequest] = []
         exact = self.exact
         vectorized = exact == "vectorized"
-        traced = self.tracer.enabled
-        observed = traced or self.collect_gaps
-        shortest = 2 if traced else 1  # shortest run fast mode coalesces
+        # Shortest run fast mode coalesces.
+        shortest = 2 if self.tracer.enabled else 1
         cost = self._cost
         retiring = False  # the last run ended on some sequence's last token
         while True:
@@ -774,27 +774,9 @@ class ReplicaNode:
             if steps < shortest:
                 completed.extend(self.advance())
                 continue
-            step_times = curve.step_t[mean_kv:mean_kv + steps]
             retiring = steps == limit
-            if observed:
-                split = lambda: cost.range_cost(batch, mean_kv,
-                                                mean_kv + steps)[1:]
-                self._fast_forward(steps, batch, mean_kv, step_times, split)
-                continue
-            # _fast_forward with nobody watching: the same additions.
-            clock = self.clock
-            busy = self.busy_s
-            for step_s in step_times:
-                clock += step_s
-                busy += step_s
-            self.clock = clock
-            self.busy_s = busy
-            self.iterations += steps
-            running = self.running
-            self.outstanding_tokens -= steps * len(running)
-            for seq in running:
-                seq.generated += steps
-                seq.last_event_s = clock
+            self._fast_forward(steps, batch, mean_kv,
+                               curve.step_t[mean_kv:mean_kv + steps])
 
     def _coalescible_window(self, start: float, horizon: Optional[float]
                             ) -> Tuple[int, int, int, Optional[float]]:
@@ -900,36 +882,39 @@ class ReplicaNode:
         self._step_cost_hint = times[steps - 1]
         if steps < 2:
             return None
-        split = lambda: (sum(compute[:steps]), sum(memory[:steps]))
-        return steps, batch, mean_kv, times[:steps], split
+        return (steps, batch, mean_kv, times[:steps],
+                (compute[:steps], memory[:steps]))
 
     def _fast_forward(self, steps: int, batch: int, mean_kv: int,
-                      step_times: Sequence[float],
-                      split: Callable[[], Tuple[float, float]]) -> None:
+                      costs: Sequence[float],
+                      legs: Optional[Tuple[Sequence[float],
+                                           Sequence[float]]] = None) -> None:
         """Execute *steps* pure-decode iterations as one coalesced block.
 
-        *step_times* is the block's per-iteration cost sequence (a
-        ``step_t`` curve slice in fast mode, a fresh series in
-        vectorized exact mode) and *split* lazily supplies the block's
-        (compute_s, memory_s) attribution legs — only evaluated while a
-        recording tracer is attached. The clock (and busy time) advance
-        by adding the step costs *one at a time*, in the same order the
-        per-iteration loop would: a request's TTFT is a tiny difference
-        of huge timestamps, so even the one-ulp-per-run drift of adding
-        a range sum instead of the step sequence would amplify past 1e-9
-        over a 100k-request trace. The float additions are two per step
-        (into locals, stored once — same value sequence, same rounding)
-        — the per-step work the fast path actually avoids is the
-        *pricing*, which is three orders of magnitude dearer. The trace
+        The one path every coalesced run takes. *costs* is the block's
+        per-iteration cost sequence (a ``step_t`` curve slice in fast
+        mode, a fresh series in vectorized exact mode). The block's
+        (compute_s, memory_s) attribution legs are worked out only while
+        a recording tracer is attached: summed from the per-step *legs*
+        vectorized mode passes, or in fast mode (*legs* ``None``) read
+        off the shared curve by ``range_cost``. The clock (and busy
+        time) advance by adding the step costs *one at a time*, in the
+        same order the per-iteration loop would: a request's TTFT is a
+        tiny difference of huge timestamps, so even the one-ulp-per-run
+        drift of adding a range sum instead of the step sequence would
+        amplify past 1e-9 over a 100k-request trace. The float additions
+        are two per step (into locals, stored once — same value
+        sequence, same rounding) — the per-step work the fast path
+        actually avoids is the *pricing*, which is three orders of
+        magnitude dearer. The trace
         receives one replica ``decode`` span carrying ``steps`` and one
         request ``decode[a..b]`` span per sequence, so attribution still
         tiles each request's ``e2e_s``.
         """
         running = self.running
-        run_start = self.clock
-        clock = run_start
+        run_start = clock = self.clock
         busy = self.busy_s
-        for step_s in step_times:
+        for step_s in costs:
             clock += step_s
             busy += step_s
         self.clock = clock
@@ -937,30 +922,33 @@ class ReplicaNode:
         self.iterations += steps
         self.outstanding_tokens -= steps * len(running)
         if self.collect_gaps:
-            self.decode_gaps.extend(step_times)
+            self.decode_gaps.extend(costs)
         tracer = self.tracer
-        if tracer.enabled:
-            compute_s, memory_s = split()
-            tracer.span(self._track, "decode", run_start, self.clock,
-                        category="replica",
-                        args={"batch_size": batch, "mean_kv": mean_kv,
-                              "steps": steps, "coalesced": True,
-                              "compute_s": compute_s,
-                              "memory_s": memory_s})
-            tracer.counter(self._track, "batch_size", run_start, batch)
+        if not tracer.enabled:
+            for seq in running:
+                seq.generated += steps
+                seq.last_event_s = clock
+            return
+        if legs is None:
+            compute_s, memory_s = self._cost.range_cost(
+                batch, mean_kv, mean_kv + steps)[1:]
+        else:
+            compute_s, memory_s = sum(legs[0]), sum(legs[1])
+        tracer.span(self._track, "decode", run_start, clock,
+                    category="replica",
+                    args={"batch_size": batch, "mean_kv": mean_kv,
+                          "steps": steps, "coalesced": True,
+                          "compute_s": compute_s, "memory_s": memory_s})
+        tracer.counter(self._track, "batch_size", run_start, batch)
         for seq in running:
             first = seq.generated
             seq.generated += steps
-            if tracer.enabled:
-                tracer.span(request_track(seq.request.request_id),
-                            f"decode[{first}..{seq.generated - 1}]",
-                            seq.last_event_s, self.clock,
-                            category="request",
-                            args={"replica": self.name,
-                                  "kv_len": seq.kv_len,
-                                  "batch_size": batch,
-                                  "steps": steps})
-            seq.last_event_s = self.clock
+            tracer.span(request_track(seq.request.request_id),
+                        f"decode[{first}..{seq.generated - 1}]",
+                        seq.last_event_s, clock, category="request",
+                        args={"replica": self.name, "kv_len": seq.kv_len,
+                              "batch_size": batch, "steps": steps})
+            seq.last_event_s = clock
 
     # -- fleet lifecycle ------------------------------------------------------
 

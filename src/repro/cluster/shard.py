@@ -234,7 +234,7 @@ def warm_caches(config: ClusterConfig, kv_horizon: int = 256) -> None:
         seen.add(key)
         table = spec.build(spec.base_name).cost_table
         for batch in range(1, spec.max_batch + 1):
-            table.step_times(batch, 1, 1 + kv_horizon)
+            table.curve(batch).ensure(1 + kv_horizon)
 
 
 def _warmup_horizon(arrivals_by_group: Dict[int, object]) -> int:
@@ -292,7 +292,7 @@ def _run_group(config: ClusterConfig, router: ShardRouter, group: int,
                progress_every: int) -> _GroupResult:
     """Simulate one replica group and package its merge streams."""
     indices = router.group_indices(config.size, group)
-    nodes = config.build_subset(indices, exact=exact)
+    nodes = config.build_subset(indices)
     names = {node.name for node in nodes}
     group_schedule = [(index, event) for index, event in schedule
                       if event.node in names]
@@ -513,7 +513,7 @@ def run_sharded(config: ClusterConfig, router: ShardRouter,
             raise KeyError(f"no replica named {event.node!r} in the fleet")
 
     if workers == 1:
-        fleet = config.build_fleet(exact=exact)
+        fleet = config.build_fleet()
         stream = arrivals.full() if hasattr(arrivals, "full") else arrivals
         simulator = ClusterSimulator(fleet, router, events=list(events),
                                      exact=exact)

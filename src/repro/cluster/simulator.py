@@ -145,8 +145,11 @@ class ClusterSimulator:
         tracer: Timeline sink; replaces every adopted node's tracer so
             the whole fleet records into one trace. The default no-op
             discards everything.
-        exact: Step and price every replica iteration individually (the
-            reference loop). The default fast-forwards pure-decode
+        exact: Replaces every adopted node's exact mode, as *tracer*
+            does its tracer. ``True`` / ``"step"`` step and price every
+            replica iteration individually (the reference loop);
+            ``"vectorized"`` prices each pure-decode stretch with one
+            fresh series call. The default fast-forwards pure-decode
             stretches; both modes agree on every report field to ≤1e-9
             relative.
     """

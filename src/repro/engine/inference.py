@@ -22,13 +22,9 @@ from repro.engine.results import (
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.models.memory import weight_bytes
-from repro.numa.model import NumaCalibration, NumaModel, DEFAULT_NUMA_CALIBRATION
+from repro.numa.model import NumaModel
 from repro.numa.modes import NumaConfig, QUAD_FLAT
-from repro.scaling.cores import (
-    CoreScalingModel,
-    DEFAULT_SCALING_CALIBRATION,
-    ScalingCalibration,
-)
+from repro.scaling.cores import CoreScalingModel
 from repro.trace.spans import ENGINE_TRACK
 from repro.trace.tracer import NOOP_TRACER, Tracer
 from repro.utils.validation import require_positive
@@ -51,16 +47,12 @@ class EngineConfig:
         cores: CPU cores to use; ``None`` = one full socket (the paper's
             tuned setting, 48 on SPR / 32 on ICL).
         numa: CPU NUMA configuration; ``None`` = quad_flat (the paper's
-            best, Key Finding #2).
-        numa_aware: Software performs NUMA-aware placement (Section VI).
-        numa_calibration / scaling_calibration: Model constants.
+            best, Key Finding #2). NUMA-aware placement (Section VI) is
+            :class:`~repro.engine.backend.NumaBackend`'s.
     """
 
     cores: Optional[int] = None
     numa: Optional[NumaConfig] = None
-    numa_aware: bool = False
-    numa_calibration: NumaCalibration = DEFAULT_NUMA_CALIBRATION
-    scaling_calibration: ScalingCalibration = DEFAULT_SCALING_CALIBRATION
 
 
 DEFAULT_ENGINE_CONFIG = EngineConfig()
@@ -93,11 +85,8 @@ class InferenceSimulator:
             topo = platform.topology
             self._cores = config.cores or topo.cores_per_socket
             self._numa = config.numa or QUAD_FLAT
-            self._scaling = CoreScalingModel(
-                platform, self._cores, config.scaling_calibration)
-            self._numa_model = NumaModel(
-                platform, self._numa, config.numa_calibration,
-                numa_aware=config.numa_aware)
+            self._scaling = CoreScalingModel(platform, self._cores)
+            self._numa_model = NumaModel(platform, self._numa)
         else:
             self._cores = None
             self._numa = None

@@ -181,17 +181,6 @@ class DecodeCostTable:
                 curve.prefix_c[b] - curve.prefix_c[a],
                 curve.prefix_m[b] - curve.prefix_m[a])
 
-    def step_times(self, batch: int, kv_start: int,
-                   kv_end: int) -> List[float]:
-        """Per-iteration times for ``kv_len`` in ``[kv_start, kv_end)``.
-
-        Used to expand a coalesced run back into individual inter-token
-        gaps when a caller collects the gap distribution.
-        """
-        curve = self.curve(batch)
-        curve.ensure(kv_end)
-        return curve.step_t[kv_start:kv_end]
-
     # -- expected demands (fluid solver) -----------------------------------
 
     def expected_prefill_time(self, input_range: Tuple[int, int],

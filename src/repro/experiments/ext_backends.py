@@ -14,10 +14,7 @@ Scenarios:
 1. **per-backend latency** — one request through each backend on SPR:
    the composition (INT8, TP2, INT8 over TP2) and its TTFT/TPOT effect;
 2. **fleet mixes** — the same decode-heavy trace served by a BF16
-   fleet, an INT8-TP2 fleet, and the 2+2 mix, at equal replica count;
-3. **fast-forward integrity** — the mixed fleet re-run with
-   ``exact=True``: goodput agrees with the fast-forward run, evidence
-   the coalescing math holds under heterogeneous backends.
+   fleet, an INT8-TP2 fleet, and the 2+2 mix, at equal replica count.
 """
 
 from repro.cluster import (
@@ -121,26 +118,6 @@ def run() -> ExperimentReport:
         f"{goodputs['4x int8-tp2']:.1f} tok/s goodput): each replica is "
         "priced by its own backend-keyed cost table, so the router sees "
         "the quantized-TP replicas' real speed advantage")
-
-    # 3. Fast-forward vs exact on the mixed fleet.
-    mixed = [(None, 2), ("int8-tp2", 2)]
-    fast = ClusterSimulator(_fleet(mixed).build_fleet(),
-                            JoinShortestQueueRouter()).run(trace)
-    exact = ClusterSimulator(_fleet(mixed).build_fleet(exact=True),
-                             JoinShortestQueueRouter()).run(trace)
-    drift = abs(fast.goodput(trace, SLO_TARGET)
-                - exact.goodput(trace, SLO_TARGET))
-    rows.append(["fast-forward", "2x bf16 + 2x int8-tp2, exact=True",
-                 exact.attainment(trace, SLO_TARGET),
-                 exact.goodput(trace, SLO_TARGET),
-                 exact.dollars_per_million_tokens(),
-                 f"goodput drift vs fast-forward: {drift:.2e} tok/s"])
-    notes.append(
-        "event-horizon fast-forward survives heterogeneity: re-running "
-        "the mixed fleet with exact per-iteration stepping moves goodput "
-        f"by {drift:.2e} tok/s — coalesced decode windows price "
-        "identically because both paths read the same per-backend cost "
-        "curves")
 
     return ExperimentReport(
         experiment_id="ext_backends",

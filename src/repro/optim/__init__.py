@@ -1,6 +1,5 @@
 """Section VI optimization studies: hybrid execution, deployment search."""
 
-from repro.optim.batch_tuner import BatchChoice, tune_batch_size
 from repro.optim.advisor import (
     Candidate,
     DeploymentAdvisor,
@@ -16,9 +15,7 @@ from repro.optim.advisor import (
 from repro.optim.hybrid import HybridPlan, HybridPlanner, candidate_fractions
 
 __all__ = [
-    "BatchChoice",
     "Candidate",
-    "tune_batch_size",
     "DeploymentAdvisor",
     "FleetAssessment",
     "FleetConfirmation",

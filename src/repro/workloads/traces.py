@@ -16,6 +16,7 @@ from typing import List, Sequence
 
 from repro.serving.arrivals import ArrivingRequest, poisson_arrivals
 from repro.workloads.generator import WorkloadSpec
+from repro.workloads.streams import stream_trace_file
 
 _HEADER = "request_id,arrival_s,input_len,output_len"
 
@@ -65,29 +66,16 @@ def save_trace(trace: Trace, path: str) -> None:
 
 
 def load_trace(path: str) -> Trace:
-    """Load a trace written by :func:`save_trace`."""
-    name = path
-    requests: List[ArrivingRequest] = []
+    """Load a trace written by :func:`save_trace`, in arrival order.
+
+    Records are parsed by :func:`~repro.workloads.streams.stream_trace_file`;
+    the name comes from the ``# trace:`` header line (the path if absent).
+    """
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# trace:"):
-                name = line.split(":", 1)[1].strip()
-                continue
-            if line == _HEADER:
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise ValueError(f"malformed trace line: {line!r}")
-            requests.append(ArrivingRequest(
-                request_id=int(fields[0]),
-                arrival_s=float(fields[1]),
-                input_len=int(fields[2]),
-                output_len=int(fields[3]),
-            ))
-    requests.sort(key=lambda r: r.arrival_s)
+        first = handle.readline().strip()
+    name = first.split(":", 1)[1].strip() \
+        if first.startswith("# trace:") else path
+    requests = sorted(stream_trace_file(path), key=lambda r: r.arrival_s)
     return Trace(name=name, requests=requests)
 
 

@@ -1,7 +1,7 @@
 """Admission scheduling: FCFS parity, VTC/WSC fairness, shard composition.
 
-The hard guarantees: a node with no scheduler (or the explicit FCFS
-scheduler) behaves bit-identically to the pre-scheduler admission loop;
+The hard guarantees: a node with no scheduler (spelled ``None`` or
+``"fcfs"``) behaves bit-identically to the pre-scheduler admission loop;
 the fairness schedulers compose with event-horizon fast-forward (fast vs
 exact agree) and with sharded execution (1/2/4 workers bit-identical);
 and the counter mechanics (charging, the idle lift rule, weights) match
@@ -13,7 +13,7 @@ import pytest
 from repro.cluster import (
     ClusterConfig,
     ClusterSimulator,
-    FCFSScheduler,
+    ReplicaNode,
     ReplicaSpec,
     RoundRobinRouter,
     ShardRouter,
@@ -70,8 +70,8 @@ class TestFCFSParity:
                    (b.busy_s, b.iterations, b.completed)
 
     def test_anonymous_arrivals_unaffected(self):
-        # No tenants configured at all: the legacy workload through an
-        # explicit FCFS scheduler still reproduces the default path.
+        # No tenants configured at all: the legacy workload through the
+        # "fcfs" spelling still reproduces the default path.
         arrivals = poisson_arrivals(2.0, 60, seed=3)
         plain = ClusterSimulator(_fleet_config().build_fleet(),
                                  RoundRobinRouter()).run(iter(arrivals))
@@ -93,14 +93,25 @@ class TestFCFSParity:
 
 class TestFastForwardComposition:
     @pytest.mark.parametrize("scheduler", ["vtc", "wsc"])
-    def test_exact_vs_fast_parity(self, scheduler):
+    def test_exact_vs_fast_parity(self, scheduler, monkeypatch):
+        runs = []
+        fast_forward = ReplicaNode._fast_forward
+
+        def counting(node, *args):
+            runs.append(node.name)
+            fast_forward(node, *args)
+
+        monkeypatch.setattr(ReplicaNode, "_fast_forward", counting)
         stream = _tenant_stream(count=150, rate=6.0)
         fast = ClusterSimulator(
-            _fleet_config(scheduler=scheduler).build_fleet(exact=False),
+            _fleet_config(scheduler=scheduler).build_fleet(),
             RoundRobinRouter()).run(stream.full())
+        assert runs  # the fast leg coalesces
+        runs.clear()
         exact = ClusterSimulator(
-            _fleet_config(scheduler=scheduler).build_fleet(exact="step"),
-            RoundRobinRouter()).run(stream.full())
+            _fleet_config(scheduler=scheduler).build_fleet(),
+            RoundRobinRouter(), exact="step").run(stream.full())
+        assert runs == []  # the exact leg steps every iteration
         assert len(fast.completed) == len(exact.completed)
         for a, b in zip(fast.completed, exact.completed):
             assert a.request_id == b.request_id
@@ -207,7 +218,7 @@ class TestMakeScheduler:
         assert make_scheduler(None) is None
 
     def test_spellings(self):
-        assert isinstance(make_scheduler("fcfs"), FCFSScheduler)
+        assert make_scheduler("fcfs") is None
         assert isinstance(make_scheduler("vtc"),
                           VirtualTokenCounterScheduler)
         assert isinstance(make_scheduler("wsc"),

@@ -80,7 +80,7 @@ SCENARIOS = {
 }
 
 
-def fleet(scheduler=None, exact=False):
+def fleet(scheduler=None):
     """Two cheap ICL-7B and two capable SPR-13B replicas (two tiers)."""
     weights = ((0, 2.0), (1, 0.5)) if scheduler == "wsc" else None
     return ClusterConfig([
@@ -88,7 +88,7 @@ def fleet(scheduler=None, exact=False):
                     scheduler_weights=weights),
         ReplicaSpec(SPR, LLAMA13, count=2, max_batch=4,
                     scheduler=scheduler, scheduler_weights=weights),
-    ]).build_fleet(exact=exact)
+    ]).build_fleet()
 
 
 def tenant_arrivals():
@@ -101,7 +101,7 @@ def tenant_arrivals():
 def run(router, scenario, tracer=None, progress=None, progress_every=16):
     scheduler, exact, events = SCENARIOS[scenario]
     kwargs = {} if tracer is None else {"tracer": tracer}
-    simulator = ClusterSimulator(fleet(scheduler, exact), router,
+    simulator = ClusterSimulator(fleet(scheduler), router,
                                  events=list(events), exact=exact, **kwargs)
     return simulator.run(tenant_arrivals(), progress=progress,
                          progress_every=progress_every)
@@ -122,7 +122,7 @@ def test_rebuilt_timeline_matches_fleet_scan(scenario):
     # A progress tick after every dispatch sees the whole fleet current,
     # where the unadmitted queues can be counted directly.
     scheduler, exact, events = SCENARIOS[scenario]
-    simulator = ClusterSimulator(fleet(scheduler, exact),
+    simulator = ClusterSimulator(fleet(scheduler),
                                  ShardRouter(2, LeastOutstandingTokensRouter),
                                  events=list(events), exact=exact)
     scanned = []

@@ -310,7 +310,5 @@ def test_cost_curve_steps_difference_the_prefix(spec, batch):
     assert list(curve.prefix_c) == want[1]
     assert list(curve.prefix_m) == want[2]
     assert table.step_time(batch, 600) == st[600]
-    assert table.step_times(batch, 250, 260) == [
-        pt[kv] - pt[kv - 1] for kv in range(250, 260)]
     assert table.step_split(batch, 600) == (
         want[1][600] - want[1][599], want[2][600] - want[2][599])

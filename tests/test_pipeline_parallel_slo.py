@@ -1,11 +1,10 @@
-"""Pipeline-parallel, SLO, and batch-tuner tests."""
+"""Pipeline-parallel and SLO tests."""
 
 import pytest
 
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
-from repro.optim.batch_tuner import tune_batch_size
 from repro.parallel.pipeline_parallel import (
     PPConfig,
     PipelineParallelSimulator,
@@ -86,34 +85,3 @@ class TestSLO:
     def test_slo_validation(self):
         with pytest.raises(ValueError):
             SLO(ttft_s=0.0)
-
-
-class TestBatchTuner:
-    def test_picks_largest_feasible(self):
-        choice = tune_batch_size(get_platform("spr"),
-                                 get_model("llama2-13b"),
-                                 tpot_budget_s=0.08)
-        assert choice.batch_size >= 8
-        assert choice.tpot_s <= 0.08
-
-    def test_tight_budget_small_batch(self):
-        loose = tune_batch_size(get_platform("spr"),
-                                get_model("llama2-13b"), 0.1)
-        tight = tune_batch_size(get_platform("spr"),
-                                get_model("llama2-13b"), 0.065)
-        assert tight.batch_size <= loose.batch_size
-
-    def test_infeasible_budget_returns_zero(self):
-        choice = tune_batch_size(get_platform("icl"),
-                                 get_model("opt-66b"), 1e-4)
-        assert choice.batch_size == 0
-
-    def test_evaluated_trace_recorded(self):
-        choice = tune_batch_size(get_platform("spr"),
-                                 get_model("opt-6.7b"), 0.1, max_batch=8)
-        batches = [entry[0] for entry in choice.evaluated]
-        assert batches == [1, 2, 4, 8]
-
-    def test_rejects_bad_budget(self):
-        with pytest.raises(ValueError):
-            tune_batch_size(get_platform("spr"), get_model("opt-6.7b"), 0.0)

@@ -577,8 +577,8 @@ def bench_fairness(quick: bool, repeat: int) -> dict:
     """Time admission schedulers against the built-in admission loop.
 
     Four legs over the identical materialized tenant stream: the
-    built-in loop (scheduler=None), the explicit FCFS scheduler (must
-    agree bit-for-bit — the parity contract the refactor pins), and the
+    built-in loop (scheduler=None), the "fcfs" spelling (which selects
+    the same built-in loop, so it must agree bit-for-bit), and the
     VTC/WSC fairness schedulers (whose pick/charge bookkeeping is the
     overhead being measured, reported as a ratio over the built-in
     loop). Legs alternate and keep their minimum wall time, like the
