@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-cluster bench-fairness bench-tiering bench-fluid bench-fleetmix bench-figures bench-json trace
+.PHONY: test bench bench-cluster bench-fairness bench-tiering bench-fluid bench-fleetmix bench-figures bench-json trace reach
 
 # Tier-1 test suite (must stay green).
 test:
@@ -53,3 +53,9 @@ bench-figures:
 # timeline + attribution tables, and write a Perfetto-loadable JSON.
 trace:
 	$(PYTHON) -m repro trace --out trace.json
+
+# Reach audit: every src function no experiment, example or golden CLI
+# case calls, beside the exemptions; the output must match docs/reach.md.
+# About 20 s, so it is not part of `make test`.
+reach:
+	$(PYTHON) tools/reach.py

@@ -8,7 +8,6 @@ from repro.analysis.bottleneck import (
 from repro.analysis.energy import (
     OFFLOAD_HOST_WATTS,
     TDP_WATTS,
-    energy_efficiency_ratio,
     request_energy_joules,
     tdp,
     tokens_per_joule,
@@ -50,7 +49,6 @@ __all__ = [
     "SensitivityResult",
     "TDP_WATTS",
     "all_sensitivities",
-    "energy_efficiency_ratio",
     "pcie_efficiency_sensitivity",
     "request_energy_joules",
     "stream_efficiency_sensitivity",

@@ -55,11 +55,6 @@ class PhaseAttribution:
     total_s: float
     ops: List[OpAttribution]
 
-    @property
-    def dominant(self) -> OpAttribution:
-        """The operator accounting for the most time."""
-        return self.ops[0]
-
     def bound_shares(self) -> Dict[str, float]:
         """Fraction of phase time behind each wall (memory/compute/overhead)."""
         shares: Dict[str, float] = {}

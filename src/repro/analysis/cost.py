@@ -47,11 +47,6 @@ def median_list_price() -> float:
 _WARNED_UNPRICED: Set[str] = set()
 
 
-def reset_price_warnings() -> None:
-    """Forget which unknown platforms were warned about (test hook)."""
-    _WARNED_UNPRICED.clear()
-
-
 def price_rate(platform_name: str,
                override: Optional[float] = None) -> float:
     """Listing-price proxy with an explicit override and a loud fallback.

@@ -50,8 +50,3 @@ def tokens_per_joule(result: RunResult) -> float:
     energy = request_energy_joules(result)
     require_positive(energy, "energy")
     return result.request.total_generated_tokens / energy
-
-
-def energy_efficiency_ratio(a: RunResult, b: RunResult) -> float:
-    """tokens/J ratio of a over b (>1 means a is more energy-efficient)."""
-    return tokens_per_joule(a) / tokens_per_joule(b)

@@ -35,12 +35,34 @@ from repro.utils.formatting import format_table
 from repro.utils.units import bytes_to_gb
 
 
+def _reports_bad_input(command):
+    """Report a command's bad input as ``error: ...``, exit 2.
+
+    Unknown platform/model/class/experiment keys (``KeyError``),
+    inconsistent flags (``ValueError``) and replicas that do not fit
+    device memory (``MemoryCapacityError``) are the user's input, not a
+    crash.
+    """
+    from repro.engine.inference import MemoryCapacityError
+
+    @functools.wraps(command)
+    def run(args: argparse.Namespace) -> int:
+        try:
+            return command(args)
+        except (KeyError, ValueError, MemoryCapacityError) as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
+
+    return run
+
+
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
     numa = get_config(args.numa) if getattr(args, "numa", None) else None
     cores = getattr(args, "cores", None)
     return EngineConfig(cores=cores, numa=numa)
 
 
+@_reports_bad_input
 def _cmd_run(args: argparse.Namespace) -> int:
     platform = get_platform(args.platform)
     model = get_model(args.model)
@@ -64,6 +86,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+@_reports_bad_input
 def _cmd_sweep(args: argparse.Namespace) -> int:
     platforms = [get_platform(key) for key in args.platforms.split(",")]
     models = [get_model(key) for key in args.models.split(",")]
@@ -73,7 +96,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                                   output_len=args.output,
                                   config=_engine_config(args))
     rows = []
-    for row in sweep.run(workers=args.workers, cache_dir=args.cache_dir):
+    for row in sweep.run():
         rows.append([row.model, row.platform, row.batch_size,
                      "off" if row.offloaded else "mem",
                      row.metrics["e2e_s"], row.metrics["e2e_throughput"]])
@@ -83,6 +106,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@_reports_bad_input
 def _cmd_experiment(args: argparse.Namespace) -> int:
     ids = all_experiment_ids() if args.all else [args.experiment_id]
     if not args.all and args.experiment_id is None:
@@ -95,6 +119,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+@_reports_bad_input
 def _cmd_roofline(args: argparse.Namespace) -> int:
     platform = get_platform(args.platform)
     model = get_model(args.model)
@@ -109,26 +134,6 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
 def _ms(seconds: float) -> str:
     """Seconds as a whole-millisecond column; unbounded waits print inf."""
     return "inf" if math.isinf(seconds) else f"{seconds * 1000:.0f}"
-
-
-def _fleet_command(command):
-    """Report a fleet command's bad input as ``error: ...``, exit 2.
-
-    Unknown platform/model/class keys (``KeyError``), inconsistent
-    flags (``ValueError``) and replicas that do not fit device memory
-    (``MemoryCapacityError``) are the user's input, not a crash.
-    """
-    from repro.engine.inference import MemoryCapacityError
-
-    @functools.wraps(command)
-    def run(args: argparse.Namespace) -> int:
-        try:
-            return command(args)
-        except (KeyError, ValueError, MemoryCapacityError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    return run
 
 
 def _build_models(args: argparse.Namespace, replicas: int) -> list:
@@ -440,7 +445,7 @@ def _cmd_cluster_fluid(args: argparse.Namespace) -> int:
     return 0
 
 
-@_fleet_command
+@_reports_bad_input
 def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterSimulator, ShardRouter, run_sharded
     from repro.serving.slo import SLO
@@ -555,7 +560,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-@_fleet_command
+@_reports_bad_input
 def _cmd_plan(args: argparse.Namespace) -> int:
     """``repro plan``: instant what-if sweeps over arrival rates.
 
@@ -623,7 +628,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-@_fleet_command
+@_reports_bad_input
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.cluster import ClusterSimulator, NodeFailure
     from repro.serving.slo import SLO
@@ -680,6 +685,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+@_reports_bad_input
 def _cmd_advise(args: argparse.Namespace) -> int:
     from repro.optim.advisor import DeploymentAdvisor
 
@@ -805,15 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--models", required=True,
                               help="comma-separated model keys")
     sweep_parser.add_argument("--batches", default="1,8,32")
-    sweep_parser.add_argument("--workers", type=int, default=None,
-                              metavar="N",
-                              help="price grid cells on N worker "
-                                   "processes (default: serial; row "
-                                   "order is identical either way)")
-    sweep_parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                              help="cache sweep rows on disk keyed by "
-                                   "the grid spec; re-running the same "
-                                   "sweep loads instead of re-simulating")
     _add_request_args(sweep_parser)
     sweep_parser.set_defaults(func=_cmd_sweep)
 

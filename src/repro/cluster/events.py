@@ -1,10 +1,7 @@
 """Structured cluster lifecycle events.
 
-The event loop used to keep a prose log (``List[str]``); these records
-are the structured replacement. Each carries the machine-readable facts
-(kind, time, node, details) and knows how to :meth:`render` itself into
-exactly the strings the old log contained, which is what keeps
-``ClusterReport.events`` backward compatible.
+Each record carries the machine-readable facts of one administrative
+event: kind, time, node and a kind-specific payload.
 """
 
 import dataclasses
@@ -36,21 +33,3 @@ class ClusterEvent:
     time_s: float
     node: str
     details: Mapping[str, object] = dataclasses.field(default_factory=dict)
-
-    def render(self) -> str:
-        """The human-readable log line for this event."""
-        stamp = f"t={self.time_s:.2f}s"
-        if self.kind == FAILURE:
-            return (f"{stamp} {self.node} FAILED: "
-                    f"{self.details['requeued']} requests requeued, "
-                    f"{self.details['wasted_tokens']} tokens wasted")
-        if self.kind == DRAIN:
-            return f"{stamp} {self.node} draining"
-        if self.kind == ONLINE:
-            return f"{stamp} {self.node} online ({self.details['platform']})"
-        if self.kind == SCALE_UP:
-            return (f"{stamp} scale-up ordered ({self.node}, online at "
-                    f"t={self.details['online_at_s']:.2f}s)")
-        if self.kind == SCALE_DOWN:
-            return f"{stamp} scale-down: {self.node} draining"
-        raise ValueError(f"unknown cluster event kind {self.kind!r}")

@@ -87,13 +87,6 @@ class FairnessReport:
     wasted_tokens: int
     cutoff_s: float
 
-    def tenant(self, user_id: int) -> TenantStats:
-        """Stats for one tenant (raises ``KeyError`` if unseen)."""
-        for stats in self.tenants:
-            if stats.user_id == user_id:
-                return stats
-        raise KeyError(f"no tenant {user_id} in this report")
-
 
 def _served_fraction(record: CompletedRequest, cutoff: float) -> float:
     """Fraction of *record*'s service delivered by *cutoff*."""

@@ -85,8 +85,7 @@ class ClusterReport:
         queue_depth_timeline: (time, fleet unadmitted queue) samples,
             one per event-loop step.
         cluster_events: Structured log of failures, drains, and scalings
-            (:class:`~repro.cluster.events.ClusterEvent`); the legacy
-            string view is the :attr:`events` property.
+            (:class:`~repro.cluster.events.ClusterEvent`).
         router_counters: Integer decision counters snapshotted from the
             routing policy (:meth:`repro.cluster.router.Router.counters`)
             — e.g. the tiered router's per-class routed/spill/fallback
@@ -113,15 +112,6 @@ class ClusterReport:
         default_factory=list)
     router_counters: Dict[str, int] = dataclasses.field(
         default_factory=dict)
-
-    @property
-    def events(self) -> List[str]:
-        """Human-readable log lines, rendered from the structured events.
-
-        Backward-compatible view: each line is exactly what the event
-        loop used to append to its prose log.
-        """
-        return [event.render() for event in self.cluster_events]
 
     @property
     def throughput(self) -> float:

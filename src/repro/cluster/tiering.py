@@ -311,29 +311,6 @@ class TieringReport:
     spills: int
     fallbacks: int
 
-    def class_stats(self, name: str) -> ClassStats:
-        for stats in self.classes:
-            if stats.name == name:
-                return stats
-        raise KeyError(f"no class {name!r} in this report; classes: "
-                       f"{[s.name for s in self.classes]}")
-
-    def render(self) -> str:
-        """Two plain-text tables: classes, then tiers."""
-        lines = ["class        completed  attain  goodput   spill  fallback"]
-        for s in self.classes:
-            lines.append(f"{s.name:<12} {s.completed:>9}  {s.attainment:>6.3f}"
-                         f"  {s.goodput:>7.1f}  {s.spills:>6}  {s.fallbacks:>8}")
-        lines.append("")
-        lines.append("tier                                    replicas  "
-                     "tokens     util   $/Mtok")
-        for t in self.tiers:
-            dpm = ("inf" if math.isinf(t.dollars_per_mtok)
-                   else f"{t.dollars_per_mtok:.2f}")
-            lines.append(f"{t.label:<40} {t.replicas:>7}  {t.generated_tokens:>9}"
-                         f"  {t.utilization:>5.2f}  {dpm:>7}")
-        return "\n".join(lines)
-
 
 def tiering_report(report: ClusterReport, arrivals, classifier,
                    classes: Optional[Dict[str, RequestClass]] = None,

@@ -2,7 +2,6 @@
 
 from repro.core.comparison import (
     PairedComparison,
-    average_normalized,
     compare_platforms,
     per_model_speedup_range,
 )
@@ -23,13 +22,9 @@ from repro.core.metrics import (
     THROUGHPUT_METRICS,
     arithmetic_mean,
     average_summaries,
-    geometric_mean,
-    is_latency_metric,
-    latency_reduction_pct,
     normalize_summary,
-    speedup,
 )
-from repro.core.report import ExperimentReport, render_reports
+from repro.core.report import ExperimentReport
 from repro.core.runner import (
     CharacterizationSweep,
     RunResult,
@@ -52,7 +47,6 @@ __all__ = [
     "SweepRow",
     "THROUGHPUT_METRICS",
     "arithmetic_mean",
-    "average_normalized",
     "average_summaries",
     "check_all_findings",
     "check_finding_1",
@@ -62,13 +56,8 @@ __all__ = [
     "check_finding_5",
     "compare_platforms",
     "filter_rows",
-    "geometric_mean",
-    "is_latency_metric",
     "is_offloaded",
-    "latency_reduction_pct",
     "normalize_summary",
     "per_model_speedup_range",
-    "render_reports",
     "run_inference",
-    "speedup",
 ]

@@ -9,12 +9,7 @@ coordinates and produce the normalized series.
 import dataclasses
 from typing import Dict, List, Sequence
 
-from repro.core.metrics import (
-    ALL_METRICS,
-    latency_reduction_pct,
-    normalize_summary,
-    speedup,
-)
+from repro.core.metrics import normalize_summary
 from repro.core.runner import SweepRow, filter_rows
 
 
@@ -35,19 +30,9 @@ class PairedComparison:
     normalized: Dict[str, float]
 
     @property
-    def e2e_speedup(self) -> float:
-        """Latency speedup of target over baseline (>1 = target faster)."""
-        return 1.0 / self.normalized["e2e_s"]
-
-    @property
     def e2e_latency_reduction_pct(self) -> float:
         """Percent E2E latency reduction of target vs baseline."""
         return (1.0 - self.normalized["e2e_s"]) * 100.0
-
-    @property
-    def throughput_gain(self) -> float:
-        """E2E throughput ratio target/baseline."""
-        return self.normalized["e2e_throughput"]
 
 
 def compare_platforms(rows: Sequence[SweepRow], baseline_platform: str,
@@ -86,23 +71,8 @@ def per_model_speedup_range(comparisons: Sequence[PairedComparison],
     return {model: sum(vals) / len(vals) for model, vals in by_model.items()}
 
 
-def average_normalized(comparisons: Sequence[PairedComparison]) -> Dict[str, float]:
-    """Mean normalized value per metric across all comparison cells."""
-    if not comparisons:
-        raise ValueError("no comparisons to average")
-    out: Dict[str, float] = {}
-    for key in ALL_METRICS:
-        values = [c.normalized[key] for c in comparisons if key in c.normalized]
-        if values:
-            out[key] = sum(values) / len(values)
-    return out
-
-
 __all__ = [
     "PairedComparison",
-    "average_normalized",
     "compare_platforms",
-    "latency_reduction_pct",
     "per_model_speedup_range",
-    "speedup",
 ]

@@ -7,7 +7,6 @@ batch sizes" and normalize to a baseline — the helpers here implement both
 conventions.
 """
 
-import math
 from typing import Dict, Iterable, List, Sequence
 
 from repro.utils.stats import mean as _mean
@@ -29,25 +28,11 @@ METRIC_LABELS = {
 }
 
 
-def is_latency_metric(key: str) -> bool:
-    """Whether lower values of *key* are better."""
-    return key in LATENCY_METRICS
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean (the right average for ratios/speedups)."""
-    if not values:
-        raise ValueError("geometric_mean of empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric_mean requires positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
 def arithmetic_mean(values: Sequence[float]) -> float:
     """Plain mean (used when averaging absolute metric values).
 
-    Thin alias over :func:`repro.utils.stats.mean`, kept for the
-    paper-convention naming alongside :func:`geometric_mean`.
+    Thin alias over :func:`repro.utils.stats.mean` that rejects an empty
+    sequence.
     """
     if not values:
         raise ValueError("arithmetic_mean of empty sequence")
@@ -78,20 +63,3 @@ def normalize_summary(summary: Dict[str, float],
             continue
         out[key] = value / base if base else 1.0
     return out
-
-
-def latency_reduction_pct(baseline_s: float, improved_s: float) -> float:
-    """Percent latency reduction, the paper's preferred comparison form.
-
-    "reduced latency by 84.1%" means improved = baseline * (1 - 0.841).
-    """
-    if baseline_s <= 0:
-        raise ValueError("baseline latency must be > 0")
-    return (1.0 - improved_s / baseline_s) * 100.0
-
-
-def speedup(baseline_s: float, improved_s: float) -> float:
-    """Latency speedup factor baseline/improved."""
-    if improved_s <= 0:
-        raise ValueError("improved latency must be > 0")
-    return baseline_s / improved_s

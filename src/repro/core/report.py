@@ -7,7 +7,7 @@ reference numbers. The benchmark harness prints these, and
 """
 
 import dataclasses
-from typing import List, Sequence
+from typing import List
 
 from repro.utils.formatting import Cell, format_table
 
@@ -52,8 +52,3 @@ class ExperimentReport:
             for note in self.notes:
                 lines.append(f"- {note}")
         return "\n".join(lines)
-
-
-def render_reports(reports: Sequence[ExperimentReport]) -> str:
-    """Render several reports separated by blank lines."""
-    return "\n\n".join(report.render() for report in reports)

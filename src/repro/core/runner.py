@@ -9,11 +9,7 @@ FlexGen for over-capacity GPU configurations).
 grid and collects flat rows ready for the figure harnesses.
 """
 
-import concurrent.futures
 import dataclasses
-import hashlib
-import os
-import pickle
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.engine.inference import (
@@ -113,25 +109,7 @@ class CharacterizationSweep:
                 for platform in self.platforms
                 for batch in self.batch_sizes]
 
-    def cache_key(self) -> str:
-        """Content hash identifying this sweep's inputs.
-
-        Covers the full platform specs (engines, memory, topology), model
-        architectures, request grid, and engine configuration including
-        NUMA/scaling calibrations — so any calibration tweak or grid change
-        produces a different key and never reuses stale cached rows.
-        """
-        spec = repr((
-            [repr(p) for p in self.platforms],
-            [repr(m) for m in self.models],
-            self.batch_sizes, self.input_len, self.output_len,
-            repr(self.config),
-        ))
-        return hashlib.sha256(spec.encode("utf-8")).hexdigest()[:32]
-
-    def run(self, skip_oversize: bool = True,
-            workers: Optional[int] = None,
-            cache_dir: Optional[str] = None) -> List[SweepRow]:
+    def run(self, skip_oversize: bool = True) -> List[SweepRow]:
         """Execute the grid; optionally skip configurations that cannot fit.
 
         ``skip_oversize`` mirrors the paper, which omits model/platform
@@ -139,38 +117,18 @@ class CharacterizationSweep:
         OPT-175B everywhere). Only :class:`MemoryCapacityError` marks a
         cell as oversize — any other exception is a genuine bug and
         propagates.
-
-        ``workers`` > 1 prices grid cells on a
-        :class:`~concurrent.futures.ProcessPoolExecutor`; row order is
-        identical to the serial sweep. ``cache_dir`` enables an on-disk
-        result cache keyed by :meth:`cache_key`, so re-running the same
-        grid (e.g. across figure harness invocations) loads pickled rows
-        instead of re-simulating.
         """
-        cache_path = None
-        if cache_dir is not None:
-            cache_path = os.path.join(
-                cache_dir, f"sweep-{self.cache_key()}.pkl")
-            if os.path.exists(cache_path):
-                with open(cache_path, "rb") as fh:
-                    return pickle.load(fh)
-
-        cells = [(platform, model,
-                  InferenceRequest(batch_size=batch, input_len=self.input_len,
-                                   output_len=self.output_len),
-                  self.config, skip_oversize)
-                 for model, platform, batch in self._grid()]
-        if workers is not None and workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(
-                    max_workers=workers) as pool:
-                results = list(pool.map(_run_sweep_cell, cells, chunksize=4))
-        else:
-            results = [_run_sweep_cell(cell) for cell in cells]
-
         rows: List[SweepRow] = []
-        for (model, platform, batch), result in zip(self._grid(), results):
-            if result is None:
-                continue  # oversize cell, skipped
+        for model, platform, batch in self._grid():
+            request = InferenceRequest(batch_size=batch,
+                                       input_len=self.input_len,
+                                       output_len=self.output_len)
+            try:
+                result = run_inference(platform, model, request, self.config)
+            except MemoryCapacityError:
+                if skip_oversize:
+                    continue
+                raise
             rows.append(SweepRow(
                 model=model.name,
                 platform=platform.name,
@@ -181,30 +139,7 @@ class CharacterizationSweep:
                 metrics=result.summary(),
                 result=result,
             ))
-
-        if cache_path is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-            tmp_path = cache_path + f".tmp.{os.getpid()}"
-            with open(tmp_path, "wb") as fh:
-                pickle.dump(rows, fh)
-            os.replace(tmp_path, cache_path)
         return rows
-
-
-def _run_sweep_cell(cell) -> Optional[RunResult]:
-    """Price one sweep cell; module-level so worker processes can pickle it.
-
-    Returns ``None`` for oversize cells when ``skip_oversize`` is set;
-    every other exception propagates (a real bug must not be silently
-    recorded as "does not fit").
-    """
-    platform, model, request, config, skip_oversize = cell
-    try:
-        return run_inference(platform, model, request, config)
-    except MemoryCapacityError:
-        if skip_oversize:
-            return None
-        raise
 
 
 def filter_rows(rows: Sequence[SweepRow], *,

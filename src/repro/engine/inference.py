@@ -21,7 +21,6 @@ from repro.engine.results import (
 )
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
-from repro.models.memory import weight_bytes
 from repro.numa.model import NumaModel
 from repro.numa.modes import NumaConfig, QUAD_FLAT
 from repro.scaling.cores import CoreScalingModel
@@ -305,13 +304,6 @@ class InferenceSimulator:
             decode=decode,
             config_label=self.config_label,
         )
-
-    def weight_footprint(self, model: ModelConfig,
-                         request: InferenceRequest) -> float:
-        """Resident model weight bytes under the active backend."""
-        if self.backend is not None:
-            return self.backend.weight_bytes(model)
-        return weight_bytes(model, request.dtype)
 
 
 def simulate(platform: Platform, model: ModelConfig,

@@ -43,25 +43,6 @@ class PhaseStats:
         return self.weight_bytes + self.activation_bytes + self.kv_bytes
 
     @property
-    def compute_utilization(self) -> float:
-        """Fraction of phase time the compute units are busy."""
-        if self.time_s == 0:
-            return 0.0
-        return min(1.0, self.compute_busy_s / self.time_s)
-
-    @property
-    def memory_utilization(self) -> float:
-        """Fraction of phase time the memory system is busy."""
-        if self.time_s == 0:
-            return 0.0
-        return min(1.0, self.memory_busy_s / self.time_s)
-
-    @property
-    def memory_bound(self) -> bool:
-        """Whether the phase overall is memory-bound."""
-        return self.memory_busy_s >= self.compute_busy_s
-
-    @property
     def arithmetic_intensity(self) -> float:
         """Phase FLOPs per byte of traffic."""
         if self.total_bytes == 0:

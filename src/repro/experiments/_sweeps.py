@@ -3,17 +3,9 @@
 Figs. 8, 9 and 10 all slice the same ICL-vs-SPR grid; Figs. 17 and 19
 slice the same CPU-vs-GPU grid. Running each grid once and caching keeps
 the benchmark harness fast without changing any result.
-
-Two environment knobs route the grids through the sweep runner's
-performance machinery (docs/architecture.md, "Performance & caching"):
-
-* ``REPRO_SWEEP_WORKERS`` — price grid cells on N worker processes;
-* ``REPRO_SWEEP_CACHE_DIR`` — persist sweep rows on disk, keyed by
-  (platforms, models, batches, calibration) content hash.
 """
 
-import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.runner import CharacterizationSweep, SweepRow
 from repro.engine.request import EVALUATED_BATCH_SIZES, InferenceRequest
@@ -25,23 +17,6 @@ _CPU_SWEEP_CACHE: List[SweepRow] = []
 _GPU_ROWS_CACHE: Dict[Tuple[int, int], list] = {}
 
 
-def _sweep_workers() -> Optional[int]:
-    """Worker-process count for grid sweeps (None = in-process serial)."""
-    value = os.environ.get("REPRO_SWEEP_WORKERS")
-    if not value:
-        return None
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SWEEP_WORKERS must be an integer, got {value!r}") from None
-
-
-def _sweep_cache_dir() -> Optional[str]:
-    """On-disk sweep cache directory (None = in-memory caching only)."""
-    return os.environ.get("REPRO_SWEEP_CACHE_DIR") or None
-
-
 def cpu_sweep() -> List[SweepRow]:
     """The Figs. 8-10 grid: 8 models x {ICL, SPR} x batches 1-32."""
     if not _CPU_SWEEP_CACHE:
@@ -49,8 +24,7 @@ def cpu_sweep() -> List[SweepRow]:
             [get_platform("icl"), get_platform("spr")],
             evaluated_models(),
             EVALUATED_BATCH_SIZES)
-        _CPU_SWEEP_CACHE.extend(sweep.run(workers=_sweep_workers(),
-                                          cache_dir=_sweep_cache_dir()))
+        _CPU_SWEEP_CACHE.extend(sweep.run())
     return _CPU_SWEEP_CACHE
 
 
@@ -82,9 +56,7 @@ def clear_caches() -> None:
     Clears the in-memory sweep caches *and* the pricing-layer caches
     (GEMM efficiency, prefill/decode operator graphs, the serving layer's
     shared step-cost tables) so a subsequent run re-derives everything
-    from current calibration constants. The on-disk sweep cache needs no
-    clearing: its keys hash the calibration inputs, so changed constants
-    simply miss.
+    from current calibration constants.
 
     Every one of these memo tables is **per process**: plain module-level
     dicts, neither shared with nor visible to other processes. Clearing

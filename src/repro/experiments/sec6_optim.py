@@ -2,8 +2,8 @@
 
 1. NUMA-aware SNC allocation: how much of the snc-vs-quad gap software
    placement recovers.
-2. Hot/cold cross-socket placement: bandwidth gain from pinning hot
-   traffic locally when a model spills past one socket.
+2. Hot/cold placement: end-to-end gain from pinning hot traffic to HBM
+   when a model's weights spill past it into DDR.
 3. CPU-GPU hybrid execution: best layer split for offloaded models and
    its gain over pure FlexGen-style offloading.
 """
@@ -15,10 +15,8 @@ from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
-from repro.numa.model import hot_cold_speedup
 from repro.numa.modes import QUAD_FLAT, SNC_FLAT
 from repro.optim.hybrid import HybridPlanner
-from repro.utils.units import gb_per_s
 
 
 @register("sec6")
@@ -47,17 +45,29 @@ def run() -> ExperimentReport:
         f"{naive.e2e_s:.2f}s vs quad_flat {quad.e2e_s:.2f}s — "
         "software placement recovers most of the snc gap")
 
-    # 2. Hot/cold placement for cross-socket spills.
-    local_bw = gb_per_s(588.0)   # HBM
-    remote_bw = gb_per_s(40.0)   # UPI-limited remote DDR path
-    naive_hot = 0.5              # interleaved pages: local share = capacity share
-    aware_hot = 0.9              # hot activations/KV pinned locally
-    gain = hot_cold_speedup(naive_hot, aware_hot, local_bw, remote_bw)
-    rows.append(["hot/cold placement", "cross-socket spill",
-                 f"{gain:.2f}x effective bandwidth",
-                 f"hot traffic fraction {naive_hot} -> {aware_hot}"])
-    notes.append("placing hot activations in HBM/local DDR and cold data "
-                 "remotely multiplies effective bandwidth for spilled models")
+    # 2. Hot/cold placement for models that spill past HBM: the
+    # capacity-share HBM/DDR blend vs 90% of traffic pinned to HBM.
+    def hot_cold_e2e(key: str) -> tuple:
+        """(name, capacity-share E2E s, hot/cold E2E s) at batch 8."""
+        placed = get_model(key)
+        flat = InferenceSimulator(
+            spr, backend=NumaBackend(numa=QUAD_FLAT)).run(placed, request)
+        hot = InferenceSimulator(
+            spr, backend=NumaBackend(numa=QUAD_FLAT, hot_fraction=0.9)
+        ).run(placed, request)
+        return placed.name, flat.e2e_s, hot.e2e_s
+
+    name, flat_s, hot_s = hot_cold_e2e("llama2-70b")
+    fits_name, fits_flat_s, fits_hot_s = hot_cold_e2e("llama2-13b")
+    rows.append(["hot/cold placement", f"{name}, spills past HBM",
+                 f"{flat_s / hot_s:.2f}x vs capacity-share quad_flat",
+                 "hot traffic fraction 0.9 pinned to HBM"])
+    notes.append(
+        f"hot/cold placement on quad_flat at batch 8: {name} {hot_s:.2f}s "
+        f"vs {flat_s:.2f}s with the capacity-share HBM/DDR blend, because "
+        f"its weights spill past the 64 GB of HBM; {fits_name} fits in "
+        f"HBM and gets {fits_flat_s / fits_hot_s:.2f}x, since pinning 10% "
+        "of its traffic to DDR only slows it")
 
     # 3. CPU-GPU hybrid execution for offloaded models.
     for gpu_key, model_key in (("a100", "opt-30b"), ("h100", "opt-66b")):

@@ -6,16 +6,14 @@ from repro.gemm.efficiency import (
     MATRIX_CURVE,
     VECTOR_CURVE,
     gemm_efficiency,
-    tile_utilization,
 )
 from repro.gemm.roofline import (
     attainable_flops,
     compute_time,
-    is_memory_bound,
     memory_time,
     op_time,
 )
-from repro.gemm.simulator import GemmSimulator, GemmTiming, sweep_square_gemm
+from repro.gemm.simulator import GemmSimulator, GemmTiming
 
 __all__ = [
     "EfficiencyCurve",
@@ -27,9 +25,6 @@ __all__ = [
     "attainable_flops",
     "compute_time",
     "gemm_efficiency",
-    "is_memory_bound",
     "memory_time",
     "op_time",
-    "sweep_square_gemm",
-    "tile_utilization",
 ]

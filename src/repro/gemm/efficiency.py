@@ -79,19 +79,6 @@ _CURVES = {
 }
 
 
-def tile_utilization(engine: ComputeEngine, m: int, n: int, k: int) -> float:
-    """Fraction of executed tile lanes doing useful work (matrix engines).
-
-    Whole tiles always execute; useful work is ``m*n*k`` out of the padded
-    ``ceil`` volume. 1.0 for engines without tile constraints.
-    """
-    if engine.tile is None:
-        return 1.0
-    tm, tn, tk = tiles_needed(engine.tile, m, n, k)
-    padded = (tm * engine.tile.m) * (tn * engine.tile.n) * (tk * engine.tile.k)
-    return (m * n * k) / padded
-
-
 @functools.lru_cache(maxsize=131072)
 def _gemm_efficiency_cached(kind: EngineKind, tile: Optional[TileShape],
                             m: int, n: int, k: int) -> float:

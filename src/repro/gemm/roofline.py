@@ -53,13 +53,3 @@ def attainable_flops(intensity: float, peak_flops: float, bandwidth: float) -> f
     require_positive(peak_flops, "peak_flops")
     require_positive(bandwidth, "bandwidth")
     return min(peak_flops, intensity * bandwidth)
-
-
-def is_memory_bound(flops: float, nbytes: float, peak_flops: float,
-                    bandwidth: float, efficiency: float = 1.0) -> bool:
-    """Whether the memory leg of the roofline dominates for this operator."""
-    if nbytes <= 0:
-        return False
-    if flops <= 0:
-        return True
-    return memory_time(nbytes, bandwidth) >= compute_time(flops, peak_flops, efficiency)

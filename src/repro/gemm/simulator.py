@@ -10,7 +10,7 @@ shapes where AMX tiling does not pay off.
 """
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.gemm.efficiency import gemm_efficiency
 from repro.gemm.roofline import op_time
@@ -78,11 +78,6 @@ class GemmSimulator:
             raise ValueError(
                 f"{platform.name} has no engine supporting {dtype}")
 
-    @property
-    def bandwidth(self) -> float:
-        """Effective memory bandwidth used for the memory leg, bytes/s."""
-        return self._bandwidth
-
     def gemm_bytes(self, m: int, n: int, k: int) -> float:
         """Memory traffic of one GEMM: read A (m*k) and B (k*n), write C."""
         return float(m * k + k * n + m * n) * self.dtype.nbytes
@@ -123,10 +118,3 @@ class GemmSimulator:
     def throughput_tflops(self, m: int, n: int, k: int) -> float:
         """Achieved TFLOP/s for a standalone m x n x k GEMM (Fig. 1's y-axis)."""
         return self.time(m, n, k).achieved_tflops
-
-
-def sweep_square_gemm(platform: Platform, sizes: List[int],
-                      dtype: DType = DType.BF16) -> List[Tuple[int, float]]:
-    """Fig. 1 helper: achieved TFLOP/s for square GEMMs of each size."""
-    sim = GemmSimulator(platform, dtype)
-    return [(size, sim.throughput_tflops(size, size, size)) for size in sizes]

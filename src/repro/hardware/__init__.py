@@ -8,7 +8,6 @@ from repro.hardware.caches import (
     CACHE_LINE_BYTES,
     CacheHierarchy,
     CacheLevel,
-    llc_miss_bytes,
 )
 from repro.hardware.compute import (
     ComputeEngine,
@@ -28,16 +27,13 @@ from repro.hardware.memory import (
     MemorySystem,
     MemoryTechnology,
     MemoryTier,
-    spill_fraction,
 )
 from repro.hardware.platform import CPUTopology, Platform, PlatformKind
-from repro.hardware.future import required_bandwidth_scale, scaled_spr
+from repro.hardware.future import scaled_spr
 from repro.hardware.registry import (
     AMX_TILE_BF16,
     all_platforms,
-    cpu_platforms,
     get_platform,
-    gpu_platforms,
 )
 
 __all__ = [
@@ -57,17 +53,12 @@ __all__ = [
     "PlatformKind",
     "TileShape",
     "all_platforms",
-    "cpu_platforms",
     "get_platform",
-    "gpu_platforms",
-    "llc_miss_bytes",
     "nvlink_c2c",
     "parse_dtype",
-    "required_bandwidth_scale",
     "scaled_spr",
     "pcie_gen4_x16",
     "pcie_gen5_x16",
-    "spill_fraction",
     "tiles_needed",
     "upi_link",
 ]

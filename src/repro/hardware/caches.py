@@ -1,16 +1,14 @@
-"""Cache-hierarchy description and a streaming-reuse LLC model.
+"""Cache-hierarchy description.
 
 The paper reports LLC misses per kilo-instruction (MPKI) as a key counter
-(Figs. 11, 12, 15, 16). LLM inference traffic is dominated by streaming
-weights that vastly exceed LLC capacity, so the model treats weight traffic
-as always-missing while activations and partial tiles hit depending on how
-the working set compares to cache capacity.
+(Figs. 11, 12, 15, 16); :mod:`repro.perfcounters.collector` derives them
+from a run's traffic and the platform's LLC capacity.
 """
 
 import dataclasses
 from typing import List
 
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_positive
 
 CACHE_LINE_BYTES = 64
 
@@ -52,34 +50,3 @@ class CacheHierarchy:
     def llc(self) -> CacheLevel:
         """The last-level cache."""
         return self.levels[-1]
-
-    def level(self, name: str) -> CacheLevel:
-        """Look up a level by name."""
-        for lvl in self.levels:
-            if lvl.name == name:
-                return lvl
-        raise KeyError(f"no cache level named {name!r}")
-
-
-def llc_miss_bytes(hierarchy: CacheHierarchy,
-                   streaming_bytes: float,
-                   reusable_bytes: float) -> float:
-    """Bytes that miss the LLC and reach memory.
-
-    *streaming_bytes* is traffic with no temporal reuse inside one operator
-    (weights, KV-cache reads during decode): it always misses once the
-    stream exceeds the LLC.
-
-    *reusable_bytes* is the activation/intermediate working set: the
-    fraction that fits in the LLC hits; the overflow misses.
-    """
-    require_non_negative(streaming_bytes, "streaming_bytes")
-    require_non_negative(reusable_bytes, "reusable_bytes")
-    capacity = hierarchy.llc.capacity_bytes
-    if streaming_bytes <= capacity:
-        # The whole stream fits: first touch misses, subsequent reuse hits.
-        stream_misses = streaming_bytes
-    else:
-        stream_misses = streaming_bytes
-    reuse_misses = max(0.0, reusable_bytes - capacity)
-    return stream_misses + reuse_misses

@@ -22,11 +22,6 @@ class DType(enum.Enum):
         self.label = label
         self.nbytes = nbytes
 
-    @property
-    def bits(self) -> int:
-        """Width of the format in bits."""
-        return self.nbytes * 8
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.label
 

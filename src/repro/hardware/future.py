@@ -35,14 +35,3 @@ def scaled_spr(compute_scale: float = 1.0, bandwidth_scale: float = 1.0,
     label = name or (f"SPR-next(c{compute_scale:g}x,b{bandwidth_scale:g}x)")
     return dataclasses.replace(
         spr, name=label, engines=engines, memory=MemorySystem(tiers))
-
-
-def required_bandwidth_scale(target_decode_speedup: float) -> float:
-    """Bandwidth multiple needed for a given decode speedup.
-
-    Decode is bandwidth-bound, so the mapping is identity — stated as a
-    function to make the point explicit in analyses: closing a 2.6x decode
-    gap to an A100 requires ~2.6x the memory bandwidth, nothing less.
-    """
-    require_positive(target_decode_speedup, "target_decode_speedup")
-    return target_decode_speedup

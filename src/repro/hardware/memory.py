@@ -15,7 +15,7 @@ import dataclasses
 import enum
 from typing import List, Optional
 
-from repro.utils.validation import require_non_negative, require_positive
+from repro.utils.validation import require_positive
 
 
 class MemoryTechnology(enum.Enum):
@@ -128,12 +128,3 @@ class MemorySystem:
             slowest = min(self.tiers, key=lambda t: t.sustained_bw)
             total_time += remaining / slowest.sustained_bw
         return footprint_bytes / total_time
-
-
-def spill_fraction(footprint_bytes: float, fast_capacity_bytes: float) -> float:
-    """Fraction of a footprint that does NOT fit in the fast tier."""
-    require_positive(footprint_bytes, "footprint_bytes")
-    require_non_negative(fast_capacity_bytes, "fast_capacity_bytes")
-    if footprint_bytes <= fast_capacity_bytes:
-        return 0.0
-    return (footprint_bytes - fast_capacity_bytes) / footprint_bytes

@@ -12,7 +12,7 @@ import enum
 from typing import List, Optional
 
 from repro.hardware.caches import CacheHierarchy
-from repro.hardware.compute import ComputeEngine, EngineKind
+from repro.hardware.compute import ComputeEngine
 from repro.hardware.datatypes import DType
 from repro.hardware.interconnect import Interconnect
 from repro.hardware.memory import MemorySystem
@@ -120,13 +120,6 @@ class Platform:
             raise KeyError(f"{self.name} has no engine supporting {dtype}")
         return max(candidates, key=lambda e: e.peak(dtype))
 
-    def engine(self, name: str) -> ComputeEngine:
-        """Look up an engine by name."""
-        for eng in self.engines:
-            if eng.name == name:
-                return eng
-        raise KeyError(f"{self.name} has no engine named {name!r}")
-
     def peak_flops(self, dtype: DType) -> float:
         """Peak FLOP/s across engines for *dtype*."""
         return self.best_engine(dtype).peak(dtype)
@@ -140,15 +133,3 @@ class Platform:
     def peak_memory_bandwidth(self) -> float:
         """STREAM bandwidth of the fastest local tier, bytes/s."""
         return self.memory.fastest.sustained_bw
-
-    def effective_memory_bandwidth(self, footprint_bytes: float) -> float:
-        """Sustained inference-kernel bandwidth for a given working set.
-
-        Combines the capacity-aware tier blend with the platform's
-        kernel-level stream efficiency.
-        """
-        return self.memory.blended_bandwidth(footprint_bytes) * self.stream_efficiency
-
-    def has_matrix_engine(self) -> bool:
-        """Whether any engine is a CPU matrix engine (AMX-class)."""
-        return any(e.kind is EngineKind.MATRIX for e in self.engines)

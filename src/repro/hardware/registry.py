@@ -30,7 +30,7 @@ configuration pins to one socket; see Key Finding #3); the two-socket
 behaviour is derived by :mod:`repro.scaling`.
 """
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.hardware.caches import CacheHierarchy, CacheLevel
 from repro.hardware.compute import ComputeEngine, EngineKind, TileShape
@@ -229,13 +229,3 @@ def all_platforms() -> Dict[str, Platform]:
         "a100": _a100(),
         "h100": _h100(),
     }
-
-
-def cpu_platforms() -> List[Platform]:
-    """The two CPU platforms (ICL first, as the normalization baseline)."""
-    return [_icl_cpu(), _spr_cpu()]
-
-
-def gpu_platforms() -> List[Platform]:
-    """The two GPU platforms."""
-    return [_a100(), _h100()]

@@ -10,7 +10,6 @@ from repro.models.layers import (
     total_weight_bytes,
 )
 from repro.models.memory import (
-    fits_in_memory,
     inference_footprint_bytes,
     kv_cache_bytes,
     kv_cache_bytes_per_token,
@@ -36,7 +35,6 @@ __all__ = [
     "all_models",
     "decode_step_ops",
     "evaluated_models",
-    "fits_in_memory",
     "get_model",
     "inference_footprint_bytes",
     "kv_cache_bytes",

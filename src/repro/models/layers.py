@@ -99,18 +99,6 @@ class Op:
         return (self.weight_bytes + self.activation_bytes
                 + self.kv_read_bytes + self.kv_write_bytes)
 
-    @property
-    def streaming_bytes(self) -> float:
-        """Bytes with no intra-op reuse (always miss the LLC once)."""
-        return self.weight_bytes + self.kv_read_bytes
-
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per byte of memory traffic (0 for pure-movement ops)."""
-        if self.memory_bytes == 0:
-            return float("inf") if self.flops > 0 else 0.0
-        return self.flops / self.memory_bytes
-
 
 def total_flops(ops: Iterable[Op]) -> float:
     """Sum of FLOPs across *ops*."""

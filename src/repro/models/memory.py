@@ -67,10 +67,3 @@ def inference_footprint_bytes(model: ModelConfig, seq_len: int,
     return (weight_bytes(model, dtype)
             + kv_cache_bytes(model, seq_len, batch_size, dtype)
             + peak_activation_bytes(model, seq_len, batch_size, dtype))
-
-
-def fits_in_memory(model: ModelConfig, capacity_bytes: float, seq_len: int,
-                   batch_size: int, dtype: DType = DType.BF16) -> bool:
-    """Whether the full inference footprint fits in *capacity_bytes*."""
-    require_positive(capacity_bytes, "capacity_bytes")
-    return inference_footprint_bytes(model, seq_len, batch_size, dtype) <= capacity_bytes

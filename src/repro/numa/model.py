@@ -92,22 +92,6 @@ def hot_cold_effective_bandwidth(hot_traffic_fraction: float,
     return 1.0 / time_per_byte
 
 
-def hot_cold_speedup(hot_traffic_fraction_naive: float,
-                     hot_traffic_fraction_aware: float,
-                     local_bw: float, remote_bw: float) -> float:
-    """Bandwidth gain from raising the locally served traffic fraction.
-
-    With naive interleaving, the locally served share equals the local
-    capacity share; hot/cold placement raises it to the *traffic* share of
-    the hot data (activations and KV dominate accesses but not bytes).
-    """
-    naive = hot_cold_effective_bandwidth(
-        hot_traffic_fraction_naive, local_bw, remote_bw)
-    aware = hot_cold_effective_bandwidth(
-        hot_traffic_fraction_aware, local_bw, remote_bw)
-    return aware / naive
-
-
 class NumaModel:
     """Evaluates one (platform, NumaConfig) pair.
 

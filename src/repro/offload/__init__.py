@@ -13,7 +13,6 @@ from repro.offload.zigzag import (
     amortization_factor,
     amortized_transfer_time,
     exposed_transfer_time,
-    step_time,
 )
 
 __all__ = [
@@ -28,6 +27,5 @@ __all__ = [
     "exposed_transfer_time",
     "make_placement",
     "needs_offloading",
-    "step_time",
     "transfer_model_for",
 ]

@@ -93,17 +93,6 @@ class Placement:
     kv_on_gpu: bool
     kv_bytes_peak: float
 
-    @property
-    def weight_bytes_total(self) -> float:
-        """All model weight bytes."""
-        return self.resident_weight_bytes + self.streamed_weight_bytes
-
-    @property
-    def resident_fraction(self) -> float:
-        """Fraction of weights resident on the GPU."""
-        total = self.weight_bytes_total
-        return self.resident_weight_bytes / total if total else 0.0
-
 
 def needs_offloading(model: ModelConfig, request: InferenceRequest,
                      gpu: Platform,

@@ -44,9 +44,3 @@ def exposed_transfer_time(transfer_s: float, compute_s: float,
         raise ValueError("times must be >= 0")
     hidden = calibration.overlap_efficiency * compute_s
     return max(0.0, transfer_s - hidden)
-
-
-def step_time(transfer_s: float, compute_s: float,
-              calibration: OffloadCalibration = DEFAULT_OFFLOAD_CALIBRATION) -> float:
-    """Critical-path time of one offloaded step: compute + exposed transfer."""
-    return compute_s + exposed_transfer_time(transfer_s, compute_s, calibration)

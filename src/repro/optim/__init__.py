@@ -12,7 +12,7 @@ from repro.optim.advisor import (
     recommend_fleet,
     size_fleet,
 )
-from repro.optim.hybrid import HybridPlan, HybridPlanner, candidate_fractions
+from repro.optim.hybrid import HybridPlan, HybridPlanner
 
 __all__ = [
     "Candidate",
@@ -27,5 +27,4 @@ __all__ = [
     "measure_fleet",
     "recommend_fleet",
     "size_fleet",
-    "candidate_fractions",
 ]

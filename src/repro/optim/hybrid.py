@@ -15,7 +15,6 @@ resident-weight budget covers its layers first.
 """
 
 import dataclasses
-from typing import List
 
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
@@ -50,11 +49,6 @@ class HybridPlan:
     def speedup_vs_gpu_offload(self) -> float:
         """Gain over pure offloading-based GPU execution."""
         return self.gpu_offload_step_s / self.step_time_s
-
-    @property
-    def speedup_vs_cpu_only(self) -> float:
-        """Gain over running everything on the CPU."""
-        return self.cpu_only_step_s / self.step_time_s
 
 
 class HybridPlanner:
@@ -135,9 +129,3 @@ class HybridPlanner:
             cpu_only_step_s=cpu_step,
             gpu_offload_step_s=gpu_offload_step,
         )
-
-
-def candidate_fractions(granularity: float = 0.05) -> List[float]:
-    """The CPU-fraction grid the planner searches (exposed for tests)."""
-    steps = int(round(1.0 / granularity))
-    return [i * granularity for i in range(steps + 1)]

@@ -76,11 +76,6 @@ class PPEstimate:
     single_socket_step_s: float
 
     @property
-    def latency_ratio(self) -> float:
-        """PP token latency over single-socket (>1 = PP latency is worse)."""
-        return self.token_latency_s / self.single_socket_step_s
-
-    @property
     def throughput_gain(self) -> float:
         """Steady-state throughput over the single-socket token rate.
 

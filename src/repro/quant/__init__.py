@@ -3,7 +3,6 @@
 from repro.quant.weightonly import (
     QuantConfig,
     QuantScheme,
-    is_weight_gemm,
     quantize_op,
     quantize_ops,
     quantized_weight_bytes,
@@ -12,7 +11,6 @@ from repro.quant.weightonly import (
 __all__ = [
     "QuantConfig",
     "QuantScheme",
-    "is_weight_gemm",
     "quantize_op",
     "quantize_ops",
     "quantized_weight_bytes",

@@ -24,7 +24,7 @@ import enum
 
 from repro.hardware.datatypes import DType
 from repro.models.config import ModelConfig
-from repro.models.layers import Op, OpKind
+from repro.models.layers import Op
 from repro.utils.validation import require_positive
 
 
@@ -63,13 +63,6 @@ class QuantConfig:
         if not 0 <= self.dequant_overhead < 1:
             raise ValueError(
                 f"dequant_overhead must be in [0, 1), got {self.dequant_overhead}")
-
-    @property
-    def weight_dtype(self) -> DType:
-        """Storage dtype of the quantized weights."""
-        if self.scheme is QuantScheme.NONE:
-            return DType.BF16
-        return DType.INT8
 
     @property
     def compute_dtype(self) -> DType:
@@ -122,8 +115,3 @@ def quantized_weight_bytes(model: ModelConfig, config: QuantConfig) -> float:
     """Total weight bytes for *model* under *config*."""
     from repro.models.memory import weight_bytes  # local: avoid cycle
     return weight_bytes(model, DType.BF16) * config.weight_bytes_ratio()
-
-
-def is_weight_gemm(op: Op) -> bool:
-    """Whether an op is a weight-carrying GEMM (the quantization target)."""
-    return op.kind is OpKind.LINEAR and op.weight_bytes > 0

@@ -97,11 +97,6 @@ class ServingReport:
         return percentile([r.ttft_s for r in self.completed], 95)
 
     @property
-    def mean_e2e_s(self) -> float:
-        """Mean arrival-to-completion latency."""
-        return mean([r.e2e_s for r in self.completed])
-
-    @property
     def max_decode_gap_s(self) -> float:
         """Worst stall between consecutive tokens of a running sequence."""
         return max(self.decode_gaps) if self.decode_gaps else 0.0

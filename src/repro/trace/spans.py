@@ -25,7 +25,7 @@ trace-event JSON (loadable in Perfetto) or an ASCII timeline; analyses
 """
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 #: Track names are ``group`` or ``group/instance``; these are the groups
 #: the simulator layers emit on.
@@ -164,11 +164,6 @@ class Trace:
         stamps += [event.ts_s for event in self.instants]
         stamps += [sample.ts_s for sample in self.counters]
         return max(stamps) if stamps else 0.0
-
-    def root_span(self, track: str) -> Optional[Span]:
-        """The earliest-starting, longest span on *track* (its root)."""
-        ordered = self.spans_on(track)
-        return ordered[0] if ordered else None
 
     def __len__(self) -> int:
         return len(self.spans) + len(self.instants) + len(self.counters)

@@ -4,7 +4,7 @@ These helpers are deliberately dependency-free so every other subpackage can
 import them without cycles.
 """
 
-from repro.utils.formatting import format_row, format_table, normalize_series
+from repro.utils.formatting import format_row, format_table
 from repro.utils.stats import mean, percentile
 from repro.utils.units import (
     GB,
@@ -19,9 +19,7 @@ from repro.utils.units import (
     TFLOPS,
     US,
     bytes_to_gb,
-    bytes_to_gib,
     gb_per_s,
-    seconds_to_ms,
 )
 from repro.utils.validation import (
     require_in,
@@ -42,13 +40,10 @@ __all__ = [
     "TFLOPS",
     "US",
     "bytes_to_gb",
-    "bytes_to_gib",
     "gb_per_s",
-    "seconds_to_ms",
     "format_row",
     "format_table",
     "mean",
-    "normalize_series",
     "percentile",
     "require_in",
     "require_non_negative",

@@ -5,7 +5,7 @@ these helpers keep that output aligned and reproducible without pulling in
 any plotting dependency.
 """
 
-from typing import Dict, List, Sequence, Union
+from typing import List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -47,22 +47,7 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Cell]], title: 
     return "\n".join(lines)
 
 
-def normalize_series(values: Sequence[float], baseline: float) -> List[float]:
-    """Normalize *values* to *baseline* (the paper normalizes most figures).
-
-    Raises ``ValueError`` on a zero baseline rather than emitting infinities.
-    """
-    if baseline == 0:
-        raise ValueError("cannot normalize to a zero baseline")
-    return [value / baseline for value in values]
-
-
 def _render(cell: Cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.4g}"
     return str(cell)
-
-
-def series_by_key(rows: Sequence[Dict[str, Cell]], key: str) -> List[Cell]:
-    """Extract the column *key* from a list of dict rows, preserving order."""
-    return [row[key] for row in rows]

@@ -43,12 +43,3 @@ def bytes_to_gb(value: float) -> float:
     """Convert bytes to decimal gigabytes."""
     return value / GB
 
-
-def bytes_to_gib(value: float) -> float:
-    """Convert bytes to binary gibibytes."""
-    return value / GIB
-
-
-def seconds_to_ms(value: float) -> float:
-    """Convert seconds to milliseconds."""
-    return value / MS

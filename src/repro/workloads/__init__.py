@@ -19,11 +19,7 @@ from repro.workloads.generator import (
     translation_workload,
 )
 from repro.workloads.serving import ServingStats, serve
-from repro.workloads.streams import (
-    ShardableStream,
-    stream_trace_file,
-    stream_workload,
-)
+from repro.workloads.streams import ShardableStream, stream_workload
 from repro.workloads.tenancy import (
     TenantRequest,
     TenantStream,
@@ -34,15 +30,7 @@ from repro.workloads.tenancy import (
 from repro.workloads.throttling import (
     ThrottleConfig,
     ThrottleDecision,
-    admitted_requests,
     throttle_decisions,
-)
-from repro.workloads.traces import (
-    Trace,
-    load_trace,
-    merge_traces,
-    save_trace,
-    synthesize_trace,
 )
 
 __all__ = [
@@ -59,18 +47,11 @@ __all__ = [
     "TenantWorkloadSpec",
     "ThrottleConfig",
     "ThrottleDecision",
-    "Trace",
     "WorkloadSpec",
-    "admitted_requests",
     "iter_class_arrivals",
     "iter_tenant_arrivals",
     "parse_class_mix",
-    "load_trace",
-    "merge_traces",
-    "save_trace",
-    "stream_trace_file",
     "stream_workload",
-    "synthesize_trace",
     "throttle_decisions",
     "zipf_shares",
     "batch_analytics_workload",

@@ -28,7 +28,7 @@ that exploits this).
 
 import dataclasses
 import random
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.serving.arrivals import ArrivingRequest, _check_shard, \
     _check_stream_bounds
@@ -181,10 +181,6 @@ class MixClassifier:
         request_id = getattr(request, "request_id", request)
         return self.class_of(request_id)
 
-    def shares(self) -> Dict[str, float]:
-        """Mix shares as a dict (display helper)."""
-        return dict(self.mix)
-
 
 def iter_class_arrivals(rate_per_s: float, classifier: MixClassifier,
                         count: Optional[int] = None,
@@ -289,12 +285,3 @@ class ClassMixStream:
                                    duration_s=self.duration_s,
                                    seed=self.seed, shard=shard,
                                    num_shards=num_shards)
-
-
-def class_counts(classifier: MixClassifier,
-                 arrivals: Sequence[ArrivingRequest]) -> Dict[str, int]:
-    """How many of *arrivals* fall in each mixed class."""
-    counts = {name: 0 for name, _ in classifier.mix}
-    for request in arrivals:
-        counts[classifier(request)] += 1
-    return counts

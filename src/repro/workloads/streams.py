@@ -8,8 +8,8 @@ face of that contract:
 * :func:`stream_workload` — a :class:`~repro.workloads.generator.WorkloadSpec`
   turned into a lazy Poisson or bursty arrival stream, bounded by a
   request count, a simulated duration, or both;
-* :func:`stream_trace_file` — replay a :func:`~repro.workloads.traces.save_trace`
-  file line by line without loading it.
+* :class:`ShardableStream` — the same stream as a replayable,
+  splittable spec.
 
 Streams must be time-ordered (the simulator enforces this) and every
 generator here is deterministic for fixed parameters, so a benchmark can
@@ -95,27 +95,3 @@ class ShardableStream:
                                burst_s=self.burst_s, period_s=self.period_s,
                                seed=self.seed, shard=shard,
                                num_shards=num_shards)
-
-
-def stream_trace_file(path: str) -> Iterator[ArrivingRequest]:
-    """Replay a saved trace file lazily, one request per line.
-
-    Reads the CSV-like format :func:`~repro.workloads.traces.save_trace`
-    writes without materializing the request list; records are yielded
-    in file order, which for saved traces is arrival order.
-    """
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if (not line or line.startswith("# trace:")
-                    or line.startswith("request_id,")):
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise ValueError(f"malformed trace line: {line!r}")
-            yield ArrivingRequest(
-                request_id=int(fields[0]),
-                arrival_s=float(fields[1]),
-                input_len=int(fields[2]),
-                output_len=int(fields[3]),
-            )

@@ -199,12 +199,3 @@ def throttle_decisions(
 
         yield ThrottleDecision(request, admitted, reason,
                                wasted_tokens=wasted)
-
-
-def admitted_requests(
-        stream: Iterable[TenantRequest],
-        config: Optional[ThrottleConfig]) -> Iterator[TenantRequest]:
-    """Just the admitted requests, in order — the stream the fleet sees."""
-    for decision in throttle_decisions(stream, config):
-        if decision.admitted:
-            yield decision.request

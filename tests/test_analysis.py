@@ -78,7 +78,7 @@ class TestBottleneck:
 
     def test_dominant_is_a_gemm(self):
         attribution = self.analyzer.prefill(self.model, self.request)
-        assert attribution.dominant.name in {
+        assert attribution.ops[0].name in {
             "qkv_proj", "ffn_gate_up", "ffn_up", "ffn_down", "out_proj"}
 
     def test_explicit_kv_len(self):

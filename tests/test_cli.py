@@ -31,9 +31,9 @@ class TestRunCommand:
         assert main(["run", "--platform", "spr", "--model", "opt-1.3b",
                      "--cores", "24", "--numa", "snc_flat"]) == 0
 
-    def test_unknown_platform_raises(self):
-        with pytest.raises(KeyError):
-            main(["run", "--platform", "tpu", "--model", "opt-13b"])
+    def test_unknown_platform_raises(self, capsys):
+        assert main(["run", "--platform", "tpu", "--model", "opt-13b"]) == 2
+        assert "unknown platform 'tpu'" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -1,4 +1,4 @@
-"""The fleet commands' traffic, pinned byte for byte.
+"""Every CLI command's traffic, pinned byte for byte.
 
 ``data/cli_golden.json`` records, for every case below, the exit code,
 stdout and stderr of ``repro.cli.main(argv)`` and the SHA-256 of every
@@ -130,6 +130,38 @@ CASES = {
                                      "--model opt-66b --rates 1",
     "err-plan-classes-and-mix": f"plan {FLEET} --rates 1 --classes simple "
                                 "--class-mix simple:1",
+    # NUMA and hybrid backend tokens; the second spec's options reattach
+    # across the commas, giving one spec per replica
+    "cluster-numa-aware": f"cluster {FLEET} --backend numa:snc_flat,aware "
+                          "--requests 8",
+    "cluster-numa-hot-hybrid": f"cluster {FLEET} --backend "
+                               "numa:quad_flat,hot=0.9,hybrid:a100 "
+                               "--requests 8",
+    # a hybrid replica reads the quantized inner backend's weight bytes
+    "cluster-int8-hybrid": f"cluster {FLEET} --backend int8-hybrid:a100 "
+                           "--requests 8",
+    "err-backend-unknown-token": f"cluster {FLEET} --backend int9",
+    "err-backend-hot-out-of-range": f"cluster {FLEET} "
+                                    "--backend numa:quad_flat,hot=2",
+    # single-request and listing commands
+    "run": "run --platform spr --model opt-13b --batch 8",
+    "sweep-numa": "sweep --platforms icl,spr --models opt-1.3b,opt-13b "
+                  "--batches 1,8 --numa quad_flat",
+    "roofline": "roofline --platform spr --model llama2-13b",
+    "advise": "advise --model opt-13b --batch 8",
+    "calibration": "calibration",
+    "platforms": "platforms",
+    "models": "models",
+    "experiment-table1": "experiment table1",
+    # exit-2 paths of the single-request commands
+    "err-experiment-no-id": "experiment",
+    "err-experiment-unknown": "experiment nosuch",
+    "err-run-unknown-model": "run --platform spr --model nosuch",
+    "err-roofline-unknown-platform": "roofline --platform tpu "
+                                     "--model llama2-7b",
+    "err-sweep-unknown-numa": "sweep --platforms spr --models opt-1.3b "
+                              "--numa bogus",
+    "err-advise-unknown-model": "advise --model nosuch",
 }
 
 

@@ -23,6 +23,7 @@ from repro.cluster import (
     RoundRobinRouter,
     make_scheduler,
 )
+from repro.cluster.events import FAILURE, ONLINE, SCALE_UP
 from repro.engine.backend import parse_backend
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
@@ -471,7 +472,7 @@ class TestFailures:
                 == {r.request_id for r in arrivals})
         stats = {s.name: s for s in report.node_stats}
         assert stats["spr-1"].failed and not stats["spr-0"].failed
-        assert any("FAILED" in line for line in report.events)
+        assert any(e.kind == FAILURE for e in report.cluster_events)
 
     def test_requeued_request_keeps_charging_ttft(self):
         arrivals = poisson_arrivals(2.0, 24, chatbot_workload(), seed=23)
@@ -525,13 +526,10 @@ class TestAutoscaler:
         report = ClusterSimulator([spr_node()], JoinShortestQueueRouter(),
                                   autoscaler=scaler).run(burst)
         assert len(report.node_stats) > 1
-        ordered = [line for line in report.events if "scale-up" in line]
-        online = [line for line in report.events
-                  if "online" in line and "scale-up" not in line]
+        ordered = [e for e in report.cluster_events if e.kind == SCALE_UP]
+        online = [e for e in report.cluster_events if e.kind == ONLINE]
         assert ordered and online
-        order_t = float(ordered[0].split("t=")[1].split("s")[0])
-        online_t = float(online[0].split("t=")[1].split("s")[0])
-        assert online_t == pytest.approx(order_t + 6.0)
+        assert online[0].time_s == pytest.approx(ordered[0].time_s + 6.0)
 
     def test_thresholds_validated(self):
         with pytest.raises(ValueError, match="scale_down"):

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.comparison import (
-    average_normalized,
-    compare_platforms,
-    per_model_speedup_range,
-)
+from repro.core.comparison import compare_platforms, per_model_speedup_range
 from repro.core.runner import CharacterizationSweep
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
@@ -32,7 +28,7 @@ class TestComparePlatforms:
     def test_speedup_reciprocal_of_normalized(self):
         comp = compare_platforms(small_sweep(), "ICL-8352Y",
                                  "SPR-Max-9468")[0]
-        assert comp.e2e_speedup == pytest.approx(
+        assert per_model_speedup_range([comp])[comp.model] == pytest.approx(
             1.0 / comp.normalized["e2e_s"])
 
     def test_latency_reduction_consistent(self):
@@ -58,12 +54,3 @@ class TestAggregations:
         speedups = per_model_speedup_range(comps)
         assert set(speedups) == {"OPT-1.3B", "OPT-6.7B"}
         assert all(s > 1 for s in speedups.values())
-
-    def test_average_normalized_keys(self):
-        comps = compare_platforms(small_sweep(), "ICL-8352Y", "SPR-Max-9468")
-        avg = average_normalized(comps)
-        assert "e2e_s" in avg and "decode_throughput" in avg
-
-    def test_average_normalized_empty_raises(self):
-        with pytest.raises(ValueError):
-            average_normalized([])

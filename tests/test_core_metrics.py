@@ -8,12 +8,15 @@ from repro.core.metrics import (
     THROUGHPUT_METRICS,
     arithmetic_mean,
     average_summaries,
-    geometric_mean,
-    is_latency_metric,
-    latency_reduction_pct,
     normalize_summary,
-    speedup,
 )
+from repro.core.comparison import PairedComparison, per_model_speedup_range
+
+
+def comparison(normalized_e2e_s):
+    return PairedComparison(model="m", batch_size=1, baseline_platform="a",
+                            target_platform="b",
+                            normalized={"e2e_s": normalized_e2e_s})
 
 
 class TestMetricSets:
@@ -22,25 +25,11 @@ class TestMetricSets:
         assert set(LATENCY_METRICS) | set(THROUGHPUT_METRICS) == set(ALL_METRICS)
 
     def test_latency_classification(self):
-        assert is_latency_metric("e2e_s")
-        assert not is_latency_metric("e2e_throughput")
+        assert "e2e_s" in LATENCY_METRICS
+        assert "e2e_throughput" not in LATENCY_METRICS
 
 
 class TestMeans:
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-
-    def test_geometric_mean_of_ratios(self):
-        assert geometric_mean([0.5, 2.0]) == pytest.approx(1.0)
-
-    def test_geometric_mean_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-
-    def test_geometric_mean_rejects_empty(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
     def test_arithmetic_mean(self):
         assert arithmetic_mean([1.0, 3.0]) == 2.0
 
@@ -76,15 +65,9 @@ class TestNormalize:
 class TestReductionSpeedup:
     def test_paper_style_reduction(self):
         # "84.1% latency reduction" == 6.3x speedup.
-        assert latency_reduction_pct(6.3, 1.0) == pytest.approx(84.1, abs=0.1)
+        assert comparison(1.0 / 6.3).e2e_latency_reduction_pct == \
+            pytest.approx(84.1, abs=0.1)
 
     def test_speedup(self):
-        assert speedup(10.0, 2.0) == 5.0
-
-    def test_reduction_rejects_zero_baseline(self):
-        with pytest.raises(ValueError):
-            latency_reduction_pct(0.0, 1.0)
-
-    def test_speedup_rejects_zero_improved(self):
-        with pytest.raises(ValueError):
-            speedup(1.0, 0.0)
+        assert per_model_speedup_range([comparison(2.0 / 10.0)]) == \
+            {"m": pytest.approx(5.0)}

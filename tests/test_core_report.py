@@ -1,6 +1,6 @@
 """Experiment-report rendering tests."""
 
-from repro.core.report import ExperimentReport, render_reports
+from repro.core.report import ExperimentReport
 
 
 def make_report():
@@ -43,10 +43,3 @@ class TestMarkdown:
     def test_markdown_notes_as_bullets(self):
         md = make_report().to_markdown()
         assert "- paper: something" in md
-
-
-class TestRenderReports:
-    def test_joins_with_blank_lines(self):
-        text = render_reports([make_report(), make_report()])
-        assert text.count("[figX]") == 2
-        assert "\n\n" in text

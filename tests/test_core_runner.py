@@ -4,13 +4,11 @@ import pytest
 
 from repro.core.runner import (
     CharacterizationSweep,
-    _run_sweep_cell,
     filter_rows,
     is_offloaded,
     run_inference,
 )
-from repro.engine.inference import DEFAULT_ENGINE_CONFIG, MemoryCapacityError
-from repro.engine.request import InferenceRequest
+from repro.engine.inference import MemoryCapacityError
 from repro.engine.results import InferenceResult
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
@@ -77,81 +75,27 @@ class TestCharacterizationSweep:
         # with skip_oversize set — a bug is not an oversize cell.
         import repro.core.runner as runner_mod
 
-        cell = (get_platform("spr"), get_model("opt-1.3b"),
-                InferenceRequest(), DEFAULT_ENGINE_CONFIG, True)
+        sweep = CharacterizationSweep(
+            [get_platform("spr")], [get_model("opt-1.3b")], [1])
 
         def genuine_bug(*args, **kwargs):
             raise RuntimeError("genuine bug")
 
         monkeypatch.setattr(runner_mod, "run_inference", genuine_bug)
         with pytest.raises(RuntimeError, match="genuine bug"):
-            _run_sweep_cell(cell)
+            sweep.run(skip_oversize=True)
 
         def oversize(*args, **kwargs):
             raise MemoryCapacityError("too big")
 
         monkeypatch.setattr(runner_mod, "run_inference", oversize)
-        assert _run_sweep_cell(cell) is None
+        assert sweep.run(skip_oversize=True) == []
 
     def test_oversize_cell_raises_memory_capacity_error(self):
         sweep = CharacterizationSweep(
             [get_platform("spr")], [get_model("opt-175b")], [1])
         with pytest.raises(MemoryCapacityError):
             sweep.run(skip_oversize=False)
-
-
-class TestSweepWorkersAndCache:
-    def grid(self):
-        return CharacterizationSweep(
-            [get_platform("icl"), get_platform("spr")],
-            [get_model("opt-1.3b"), get_model("opt-6.7b")],
-            batch_sizes=[1, 8])
-
-    @staticmethod
-    def coords(rows):
-        return [(r.model, r.platform, r.batch_size) for r in rows]
-
-    def test_parallel_matches_serial(self):
-        serial = self.grid().run()
-        parallel = self.grid().run(workers=2)
-        assert self.coords(parallel) == self.coords(serial)
-        for a, b in zip(serial, parallel):
-            assert a.metrics == b.metrics
-            assert a.offloaded == b.offloaded
-
-    def test_workers_one_stays_serial(self):
-        rows = self.grid().run(workers=1)
-        assert len(rows) == 2 * 2 * 2
-
-    def test_cache_key_depends_on_grid_and_calibration(self):
-        base = self.grid()
-        assert base.cache_key() == self.grid().cache_key()
-        different_grid = CharacterizationSweep(
-            [get_platform("spr")], [get_model("opt-1.3b")], [1])
-        assert base.cache_key() != different_grid.cache_key()
-
-    def test_disk_cache_roundtrip(self, tmp_path, monkeypatch):
-        first = self.grid().run(cache_dir=str(tmp_path))
-        assert len(list(tmp_path.glob("sweep-*.pkl"))) == 1
-
-        # Second run must load the pickled rows, not re-simulate.
-        import repro.core.runner as runner_mod
-
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("cache hit expected, cell re-simulated")
-
-        monkeypatch.setattr(runner_mod, "_run_sweep_cell", must_not_run)
-        reloaded = self.grid().run(cache_dir=str(tmp_path))
-        assert self.coords(reloaded) == self.coords(first)
-        for a, b in zip(first, reloaded):
-            assert a.metrics == b.metrics
-
-    def test_disk_cache_misses_on_different_grid(self, tmp_path):
-        self.grid().run(cache_dir=str(tmp_path))
-        CharacterizationSweep(
-            [get_platform("spr")], [get_model("opt-1.3b")],
-            [4]).run(cache_dir=str(tmp_path))
-        assert len(list(tmp_path.glob("sweep-*.pkl"))) == 2
 
 
 class TestFilterRows:

@@ -83,7 +83,7 @@ class TestOffloadEdges:
             get_model("opt-1.3b"), InferenceRequest(), get_platform("h100"),
             OffloadCalibration(weight_residency_fraction=0.9))
         assert placement.streamed_weight_bytes == 0.0
-        assert placement.resident_fraction == 1.0
+        assert placement.resident_weight_bytes > 0.0
 
     def test_offload_engine_with_fully_resident_weights(self):
         # Degenerate offloading (nothing streams) must still work and be
@@ -106,7 +106,8 @@ class TestOffloadEdges:
                                                    input_len=1024),
             get_platform("a100"))
         assert placement.resident_weight_bytes >= 0.0
-        assert placement.weight_bytes_total > 0
+        assert (placement.resident_weight_bytes
+                + placement.streamed_weight_bytes) > 0
 
 
 class TestDispatchEdges:

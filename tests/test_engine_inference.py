@@ -57,7 +57,7 @@ class TestPhaseCharacter:
     def test_decode_is_memory_bound(self):
         # The paper's central claim about decode.
         result = simulate(get_platform("spr"), get_model("opt-13b"))
-        assert result.decode.memory_bound
+        assert result.decode.memory_busy_s >= result.decode.compute_busy_s
 
     def test_prefill_more_compute_bound_than_decode(self):
         req = InferenceRequest(batch_size=8)

@@ -31,6 +31,10 @@ from repro.workloads import (
 from repro.workloads.throttling import ThrottleDecision
 
 
+def _tenant(report, user_id):
+    return next(t for t in report.tenants if t.user_id == user_id)
+
+
 class TestJainIndex:
     def test_single_tenant_is_fair(self):
         assert jain_index([42.0]) == 1.0
@@ -108,7 +112,7 @@ class TestFairnessReportEdgeCases:
         ]
         report = fairness_report(decisions, [_record(0, finish=0.8)],
                                  cutoff_s=10.0)
-        starved = report.tenant(2)
+        starved = _tenant(report, 2)
         assert starved.arrived == 2
         assert starved.admitted == 0
         assert starved.throttled == 2
@@ -120,12 +124,6 @@ class TestFairnessReportEdgeCases:
         # One tenant got everything served: Jain bottoms out at 1/n.
         assert report.jain_index == pytest.approx(0.5)
 
-    def test_unknown_tenant_lookup_raises(self):
-        decisions = [_decision(_request(0, user=1))]
-        report = fairness_report(decisions, [_record(0)], cutoff_s=1.0)
-        with pytest.raises(KeyError):
-            report.tenant(9)
-
     def test_arrived_is_admitted_plus_throttled(self):
         decisions = [
             _decision(_request(0, user=0)),
@@ -134,7 +132,7 @@ class TestFairnessReportEdgeCases:
         ]
         completed = [_record(0), _record(2)]
         report = fairness_report(decisions, completed, cutoff_s=5.0)
-        tenant = report.tenant(0)
+        tenant = _tenant(report, 0)
         assert tenant.arrived == tenant.admitted + tenant.throttled == 3
 
     def test_abandonment_counts_waste(self):
@@ -148,8 +146,8 @@ class TestFairnessReportEdgeCases:
         impatient = fairness_report(decisions, completed, cutoff_s=40.0,
                                     abandoned_ttft_s=5.0)
         assert impatient.wasted_tokens == 40
-        assert impatient.tenant(0).wasted_tokens == 40
-        assert impatient.tenant(1).wasted_tokens == 0
+        assert _tenant(impatient, 0).wasted_tokens == 40
+        assert _tenant(impatient, 1).wasted_tokens == 0
 
     def test_weights_divide_service(self):
         decisions = [_decision(_request(0, user=0)),
@@ -160,10 +158,10 @@ class TestFairnessReportEdgeCases:
         unweighted = fairness_report(decisions, completed, cutoff_s=5.0)
         weighted = fairness_report(decisions, completed, cutoff_s=5.0,
                                    weights={0: 2.0})
-        assert weighted.tenant(0).served_tokens == pytest.approx(
-            unweighted.tenant(0).served_tokens / 2.0)
-        assert weighted.tenant(1).served_tokens == pytest.approx(
-            unweighted.tenant(1).served_tokens)
+        assert _tenant(weighted, 0).served_tokens == pytest.approx(
+            _tenant(unweighted, 0).served_tokens / 2.0)
+        assert _tenant(weighted, 1).served_tokens == pytest.approx(
+            _tenant(unweighted, 1).served_tokens)
 
 
 class TestServedFraction:

@@ -2,22 +2,19 @@
 
 import pytest
 
-from repro.gemm.efficiency import (
-    EfficiencyCurve,
-    gemm_efficiency,
-    tile_utilization,
-)
+from repro.gemm.efficiency import EfficiencyCurve, gemm_efficiency
 from repro.hardware.compute import ComputeEngine, EngineKind, TileShape
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
 
 
 def amx_engine():
-    return get_platform("spr").engine("AMX")
+    return next(e for e in get_platform("spr").engines if e.name == "AMX")
 
 
 def avx_engine():
-    return get_platform("spr").engine("AVX-512")
+    return next(e for e in get_platform("spr").engines
+                if e.name == "AVX-512")
 
 
 def gpu_engine():
@@ -38,22 +35,6 @@ class TestEfficiencyCurve:
             EfficiencyCurve(0.0, 1, 1, 1)
         with pytest.raises(ValueError):
             EfficiencyCurve(1.5, 1, 1, 1)
-
-
-class TestTileUtilization:
-    def test_aligned_gemm_full_utilization(self):
-        assert tile_utilization(amx_engine(), 16, 16, 32) == pytest.approx(1.0)
-
-    def test_m_1_wastes_tile_rows(self):
-        util = tile_utilization(amx_engine(), 1, 16, 32)
-        assert util == pytest.approx(1.0 / 16)
-
-    def test_vector_engine_always_full(self):
-        assert tile_utilization(avx_engine(), 1, 1, 1) == 1.0
-
-    def test_misaligned_partial(self):
-        util = tile_utilization(amx_engine(), 17, 16, 32)
-        assert util == pytest.approx(17 / 32)
 
 
 class TestGemmEfficiency:

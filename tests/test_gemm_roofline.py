@@ -5,7 +5,6 @@ import pytest
 from repro.gemm.roofline import (
     attainable_flops,
     compute_time,
-    is_memory_bound,
     memory_time,
     op_time,
 )
@@ -66,19 +65,3 @@ class TestAttainableFlops:
         peak, bw = 1e12, 1e9
         ridge = peak / bw
         assert attainable_flops(ridge, peak, bw) == pytest.approx(peak)
-
-
-class TestIsMemoryBound:
-    def test_low_intensity_is_memory_bound(self):
-        assert is_memory_bound(flops=1e6, nbytes=1e9, peak_flops=1e12,
-                               bandwidth=1e9)
-
-    def test_high_intensity_is_compute_bound(self):
-        assert not is_memory_bound(flops=1e13, nbytes=1e3, peak_flops=1e12,
-                                   bandwidth=1e9)
-
-    def test_zero_bytes_never_memory_bound(self):
-        assert not is_memory_bound(1e6, 0, 1e12, 1e9)
-
-    def test_zero_flops_always_memory_bound(self):
-        assert is_memory_bound(0, 1e6, 1e12, 1e9)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gemm.simulator import GemmSimulator, sweep_square_gemm
+from repro.gemm.simulator import GemmSimulator
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
 
@@ -59,36 +59,40 @@ class TestGemmSimulator:
             GemmSimulator(get_platform("spr")).time(0, 1, 1)
 
 
+def square_tflops(key, size):
+    """Achieved TFLOP/s of one size^3 BF16 GEMM (Fig. 1's y-axis)."""
+    return GemmSimulator(get_platform(key)).throughput_tflops(size, size, size)
+
+
 class TestFig1Shape:
     """The orderings Fig. 1 shows must hold."""
 
     def test_platform_ordering_at_large_size(self):
-        sizes = [8192]
-        results = {key: sweep_square_gemm(get_platform(key), sizes)[0][1]
+        results = {key: square_tflops(key, 8192)
                    for key in ("icl", "spr", "a100", "h100")}
         assert results["h100"] > results["a100"] > results["spr"] > results["icl"]
 
     def test_spr_within_2x_of_a100_at_large_size(self):
-        spr = sweep_square_gemm(get_platform("spr"), [8192])[0][1]
-        a100 = sweep_square_gemm(get_platform("a100"), [8192])[0][1]
+        spr = square_tflops("spr", 8192)
+        a100 = square_tflops("a100", 8192)
         assert a100 / spr < 2.0
 
     def test_spr_amx_near_10x_icl_at_large_size(self):
-        spr = sweep_square_gemm(get_platform("spr"), [8192])[0][1]
-        icl = sweep_square_gemm(get_platform("icl"), [8192])[0][1]
+        spr = square_tflops("spr", 8192)
+        icl = square_tflops("icl", 8192)
         assert 6.0 < spr / icl < 13.0
 
     def test_gpu_advantage_shrinks_at_small_sizes(self):
         # Kernel-launch overheads and SM underutilization: at 256^3 the
         # CPU-GPU gap is far smaller than at 8192^3.
         def ratio(size):
-            h100 = sweep_square_gemm(get_platform("h100"), [size])[0][1]
-            spr = sweep_square_gemm(get_platform("spr"), [size])[0][1]
+            h100 = square_tflops("h100", size)
+            spr = square_tflops("spr", size)
             return h100 / spr
         assert ratio(256) < ratio(8192)
 
     def test_throughput_monotone_in_size(self):
         for key in ("icl", "spr", "a100", "h100"):
-            series = [tp for _, tp in sweep_square_gemm(
-                get_platform(key), [256, 512, 1024, 2048, 4096, 8192])]
+            series = [square_tflops(key, size)
+                      for size in (256, 512, 1024, 2048, 4096, 8192)]
             assert series == sorted(series)

@@ -6,7 +6,6 @@ from repro.hardware.caches import (
     CACHE_LINE_BYTES,
     CacheHierarchy,
     CacheLevel,
-    llc_miss_bytes,
 )
 from repro.utils.units import MIB
 
@@ -32,35 +31,6 @@ class TestCacheHierarchy:
     def test_llc_is_last_level(self):
         assert small_hierarchy().llc.name == "L3"
 
-    def test_level_lookup(self):
-        assert small_hierarchy().level("L2").shared is False
-
-    def test_level_lookup_missing(self):
-        with pytest.raises(KeyError):
-            small_hierarchy().level("L4")
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             CacheHierarchy(levels=[])
-
-
-class TestLlcMissBytes:
-    def test_streaming_always_misses(self):
-        hierarchy = small_hierarchy()
-        misses = llc_miss_bytes(hierarchy, streaming_bytes=1e9,
-                                reusable_bytes=0.0)
-        assert misses == pytest.approx(1e9)
-
-    def test_reusable_within_llc_hits(self):
-        hierarchy = small_hierarchy(llc_mb=100)
-        misses = llc_miss_bytes(hierarchy, 0.0, reusable_bytes=50 * MIB)
-        assert misses == 0.0
-
-    def test_reusable_overflow_misses(self):
-        hierarchy = small_hierarchy(llc_mb=100)
-        misses = llc_miss_bytes(hierarchy, 0.0, reusable_bytes=150 * MIB)
-        assert misses == pytest.approx(50 * MIB)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(ValueError):
-            llc_miss_bytes(small_hierarchy(), -1.0, 0.0)

@@ -18,10 +18,6 @@ class TestDType:
     def test_fp32_is_four_bytes(self):
         assert DType.FP32.nbytes == 4
 
-    def test_bits(self):
-        assert DType.BF16.bits == 16
-        assert DType.INT8.bits == 8
-
     def test_labels_unique(self):
         labels = [d.label for d in DType]
         assert len(labels) == len(set(labels))

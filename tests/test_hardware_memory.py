@@ -6,7 +6,6 @@ from repro.hardware.memory import (
     MemorySystem,
     MemoryTechnology,
     MemoryTier,
-    spill_fraction,
 )
 from repro.utils.units import GB, gb_per_s
 
@@ -92,17 +91,3 @@ class TestMemorySystem:
     def test_rejects_zero_footprint(self):
         with pytest.raises(ValueError):
             MemorySystem([hbm()]).blended_bandwidth(0)
-
-
-class TestSpillFraction:
-    def test_no_spill_when_fits(self):
-        assert spill_fraction(10 * GB, 64 * GB) == 0.0
-
-    def test_exact_fit_no_spill(self):
-        assert spill_fraction(64 * GB, 64 * GB) == 0.0
-
-    def test_half_spill(self):
-        assert spill_fraction(128 * GB, 64 * GB) == pytest.approx(0.5)
-
-    def test_zero_fast_capacity(self):
-        assert spill_fraction(10 * GB, 0.0) == 1.0

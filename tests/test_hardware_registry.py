@@ -3,12 +3,8 @@
 import pytest
 
 from repro.hardware.datatypes import DType
-from repro.hardware.registry import (
-    all_platforms,
-    cpu_platforms,
-    get_platform,
-    gpu_platforms,
-)
+from repro.hardware.compute import EngineKind
+from repro.hardware.registry import all_platforms, get_platform
 from repro.utils.units import GB, TFLOPS, gb_per_s
 
 
@@ -25,13 +21,6 @@ class TestLookup:
     def test_all_platforms_has_four(self):
         assert set(all_platforms()) == {"icl", "spr", "a100", "h100"}
 
-    def test_cpu_platforms_icl_first(self):
-        cpus = cpu_platforms()
-        assert [p.name for p in cpus] == ["ICL-8352Y", "SPR-Max-9468"]
-
-    def test_gpu_platforms(self):
-        assert [p.name for p in gpu_platforms()] == ["A100-40GB", "H100-80GB"]
-
     def test_fresh_instances_per_call(self):
         assert get_platform("spr") is not get_platform("spr")
 
@@ -46,12 +35,13 @@ class TestTable1Numbers:
         assert spr.peak_flops(DType.BF16) == pytest.approx(206.4 * TFLOPS)
 
     def test_spr_avx_peak(self):
-        spr = get_platform("spr")
-        assert spr.engine("AVX-512").peak(DType.BF16) == pytest.approx(
-            25.6 * TFLOPS)
+        avx = next(e for e in get_platform("spr").engines
+                   if e.name == "AVX-512")
+        assert avx.peak(DType.BF16) == pytest.approx(25.6 * TFLOPS)
 
     def test_spr_amx_int8_is_double_bf16(self):
-        amx = get_platform("spr").engine("AMX")
+        amx = next(e for e in get_platform("spr").engines
+                   if e.name == "AMX")
         assert amx.peak(DType.INT8) == pytest.approx(2 * amx.peak(DType.BF16))
 
     def test_core_counts(self):
@@ -72,10 +62,12 @@ class TestTable1Numbers:
             pytest.approx(64 * GB)
 
     def test_spr_has_amx(self):
-        assert get_platform("spr").has_matrix_engine()
+        assert any(e.kind is EngineKind.MATRIX
+                   for e in get_platform("spr").engines)
 
     def test_icl_has_no_amx(self):
-        assert not get_platform("icl").has_matrix_engine()
+        assert not any(e.kind is EngineKind.MATRIX
+                       for e in get_platform("icl").engines)
 
     def test_llc_sizes(self):
         assert get_platform("icl").caches.llc.capacity_bytes == \

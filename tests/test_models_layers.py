@@ -31,22 +31,6 @@ class TestOp:
                 kv_read_bytes=30, kv_write_bytes=40)
         assert op.memory_bytes == 100
 
-    def test_streaming_bytes_excludes_activations(self):
-        op = Op("x", OpKind.LINEAR, m=1, n=1, k=1,
-                weight_bytes=10, activation_bytes=20, kv_read_bytes=5)
-        assert op.streaming_bytes == 15
-
-    def test_arithmetic_intensity(self):
-        op = Op("x", OpKind.LINEAR, m=10, n=10, k=10, weight_bytes=200)
-        assert op.arithmetic_intensity == pytest.approx(2000 / 200)
-
-    def test_intensity_zero_bytes_pure_compute(self):
-        op = Op("x", OpKind.LINEAR, m=1, n=1, k=1)
-        assert op.arithmetic_intensity == float("inf")
-
-    def test_intensity_no_work(self):
-        assert Op("x", OpKind.NORM).arithmetic_intensity == 0.0
-
     def test_rejects_negative_bytes(self):
         with pytest.raises(ValueError):
             Op("x", OpKind.NORM, weight_bytes=-1)

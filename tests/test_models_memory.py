@@ -4,7 +4,6 @@ import pytest
 
 from repro.hardware.datatypes import DType
 from repro.models.memory import (
-    fits_in_memory,
     inference_footprint_bytes,
     kv_cache_bytes,
     kv_cache_bytes_per_token,
@@ -84,15 +83,19 @@ class TestFootprint:
         assert peak_activation_bytes(get_model("opt-13b"), 128, 1) > 0
 
     def test_fits_in_a100_small_model(self):
-        assert fits_in_memory(get_model("opt-13b"), 40 * GB, 160, 1)
+        assert (inference_footprint_bytes(
+            get_model("opt-13b"), 160, 1) <= 40 * GB)
 
     def test_opt30b_does_not_fit_a100(self):
         # Paper: A100 must offload OPT-30B.
-        assert not fits_in_memory(get_model("opt-30b"), 40 * GB, 160, 1)
+        assert not (inference_footprint_bytes(
+            get_model("opt-30b"), 160, 1) <= 40 * GB)
 
     def test_opt30b_fits_h100(self):
         # Paper: "the H100 GPU could accommodate the entire OPT-30B model".
-        assert fits_in_memory(get_model("opt-30b"), 80 * GB, 160, 1)
+        assert (inference_footprint_bytes(
+            get_model("opt-30b"), 160, 1) <= 80 * GB)
 
     def test_opt66b_does_not_fit_h100(self):
-        assert not fits_in_memory(get_model("opt-66b"), 80 * GB, 160, 1)
+        assert not (inference_footprint_bytes(
+            get_model("opt-66b"), 160, 1) <= 80 * GB)

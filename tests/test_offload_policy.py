@@ -52,7 +52,8 @@ class TestMakePlacement:
     def test_weights_conserved(self):
         placement = make_placement(get_model("opt-30b"), InferenceRequest(),
                                    get_platform("a100"))
-        assert placement.weight_bytes_total == pytest.approx(
+        assert (placement.resident_weight_bytes
+                + placement.streamed_weight_bytes) == pytest.approx(
             weight_bytes(get_model("opt-30b")))
 
     def test_resident_bounded_by_budget(self):
@@ -88,7 +89,8 @@ class TestMakePlacement:
     def test_resident_fraction(self):
         placement = make_placement(get_model("opt-30b"), InferenceRequest(),
                                    get_platform("a100"))
-        assert 0 < placement.resident_fraction < 1
+        assert placement.resident_weight_bytes > 0
+        assert placement.streamed_weight_bytes > 0
 
 
 class TestCalibrationValidation:

@@ -9,7 +9,6 @@ from repro.offload.zigzag import (
     amortization_factor,
     amortized_transfer_time,
     exposed_transfer_time,
-    step_time,
 )
 from repro.utils.units import GB
 
@@ -67,10 +66,6 @@ class TestZigzag:
     def test_exposed_transfer_partial(self):
         calibration = OffloadCalibration(overlap_efficiency=0.5)
         assert exposed_transfer_time(1.0, 1.0, calibration) == pytest.approx(0.5)
-
-    def test_step_time_compute_plus_exposed(self):
-        calibration = OffloadCalibration(overlap_efficiency=1.0)
-        assert step_time(2.0, 0.5, calibration) == pytest.approx(0.5 + 1.5)
 
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):

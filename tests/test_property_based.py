@@ -22,7 +22,6 @@ from repro.offload.zigzag import (
     amortized_transfer_time,
     exposed_transfer_time,
 )
-from repro.utils.formatting import normalize_series
 from repro.utils.units import GB, gb_per_s
 
 dims = st.integers(min_value=1, max_value=8192)
@@ -192,15 +191,3 @@ class TestKVCacheProperties:
         kv.release(ids[0])
         assert kv.cached_tokens == sum(allocs[1:])
         assert kv.used_blocks == sum(-(-t // 16) for t in allocs[1:])
-
-
-class TestFormattingProperties:
-    @given(values=st.lists(st.floats(min_value=0.01, max_value=1e6),
-                           min_size=1, max_size=20),
-           baseline=st.floats(min_value=0.01, max_value=1e6))
-    @settings(max_examples=60, deadline=None)
-    def test_normalize_roundtrip(self, values, baseline):
-        normalized = normalize_series(values, baseline)
-        restored = [v * baseline for v in normalized]
-        for original, back in zip(values, restored):
-            assert back == pytest.approx(original, rel=1e-9)

@@ -13,7 +13,6 @@ from repro.models.registry import get_model
 from repro.quant.weightonly import (
     QuantConfig,
     QuantScheme,
-    is_weight_gemm,
     quantize_op,
     quantized_weight_bytes,
 )
@@ -22,7 +21,6 @@ from repro.quant.weightonly import (
 class TestQuantConfig:
     def test_none_scheme_keeps_bf16(self):
         config = QuantConfig(scheme=QuantScheme.NONE)
-        assert config.weight_dtype is DType.BF16
         assert config.weight_bytes_ratio() == 1.0
 
     def test_w8_halves_weight_bytes_plus_scales(self):
@@ -68,11 +66,6 @@ class TestQuantizeOp:
     def test_none_scheme_noop(self):
         op = Op("proj", OpKind.LINEAR, m=1, n=1, k=1, weight_bytes=100)
         assert quantize_op(op, QuantConfig(scheme=QuantScheme.NONE)) is op
-
-    def test_is_weight_gemm(self):
-        assert is_weight_gemm(Op("x", OpKind.LINEAR, m=1, n=1, k=1,
-                                 weight_bytes=10))
-        assert not is_weight_gemm(Op("x", OpKind.ATTN_QK, m=1, n=1, k=1))
 
     def test_quantized_weight_bytes(self):
         model = get_model("opt-13b")

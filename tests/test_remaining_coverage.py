@@ -8,7 +8,6 @@ from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
 from repro.perfcounters.collector import CounterModel
-from repro.utils.formatting import series_by_key
 from repro.utils.units import NS
 from repro.workloads.generator import generate_requests, chatbot_workload
 from repro.workloads.serving import serve
@@ -36,10 +35,6 @@ class TestCountersOnGpu:
 
 
 class TestFormattingHelpers:
-    def test_series_by_key(self):
-        rows = [{"a": 1, "b": 2}, {"a": 3, "b": 4}]
-        assert series_by_key(rows, "a") == [1, 3]
-
     def test_ns_constant(self):
         assert NS == pytest.approx(1e-9)
 

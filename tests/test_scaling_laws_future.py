@@ -10,7 +10,7 @@ from repro.analysis.scaling_laws import (
 from repro.engine.inference import simulate
 from repro.engine.request import InferenceRequest
 from repro.hardware.datatypes import DType
-from repro.hardware.future import required_bandwidth_scale, scaled_spr
+from repro.hardware.future import scaled_spr
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
 
@@ -88,9 +88,6 @@ class TestScaledSpr:
                                   request)
         assert more_compute.tpot_s == pytest.approx(stock.tpot_s, rel=0.02)
         assert more_bandwidth.tpot_s < stock.tpot_s * 0.6
-
-    def test_required_bandwidth_scale_identity(self):
-        assert required_bandwidth_scale(2.6) == 2.6
 
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from repro.workloads import (
     TenantStream,
     TenantWorkloadSpec,
     ThrottleConfig,
-    admitted_requests,
     iter_tenant_arrivals,
     throttle_decisions,
     zipf_shares,
@@ -233,7 +232,9 @@ class TestThrottling:
     def test_admitted_requests_helper(self):
         stream = _renumber([_chain(i, 0, [float(i)])[0] for i in range(5)])
         config = ThrottleConfig(window_s=100.0, max_user_requests=2)
-        admitted = list(admitted_requests(stream, config))
+        admitted = [decision.request
+                    for decision in throttle_decisions(stream, config)
+                    if decision.admitted]
         assert len(admitted) == 2
         assert [r.request_id for r in admitted] == [0, 1]
 

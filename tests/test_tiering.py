@@ -14,12 +14,8 @@ import warnings
 
 import pytest
 
-from repro.analysis.cost import (
-    list_price,
-    median_list_price,
-    price_rate,
-    reset_price_warnings,
-)
+from repro.analysis import cost
+from repro.analysis.cost import list_price, median_list_price, price_rate
 from repro.cluster import (
     ClusterConfig,
     ClusterSimulator,
@@ -258,9 +254,6 @@ class TestTieringReport:
         for tier in scored.tiers:
             assert 0 < tier.utilization <= 1.0
             assert not math.isinf(tier.dollars_per_mtok)
-        assert scored.class_stats("simple").name == "simple"
-        with pytest.raises(KeyError, match="no class"):
-            scored.class_stats("nosuch")
 
     def test_empty_tier_prices_as_inf(self):
         # A fleet with an idle tier: no tokens, inf $/Mtok, not a crash.
@@ -279,16 +272,13 @@ class TestPriceOverrides:
         assert price_rate(SPR.name, 1234.0) == 1234.0
         assert price_rate(SPR.name) == list_price(SPR.name)
 
-    def test_unknown_platform_warns_once_then_median(self):
-        reset_price_warnings()
-        try:
-            with pytest.warns(UserWarning, match="no listing price"):
-                assert price_rate("bespoke-asic") == median_list_price()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert price_rate("bespoke-asic") == median_list_price()
-        finally:
-            reset_price_warnings()
+    def test_unknown_platform_warns_once_then_median(self, monkeypatch):
+        monkeypatch.setattr(cost, "_WARNED_UNPRICED", set())
+        with pytest.warns(UserWarning, match="no listing price"):
+            assert price_rate("bespoke-asic") == median_list_price()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert price_rate("bespoke-asic") == median_list_price()
 
     def test_phase_aware_banding_honors_override(self):
         """Regression: a per-replica price must re-band cost comparisons.

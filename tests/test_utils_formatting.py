@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.formatting import format_row, format_table, normalize_series
+from repro.utils.formatting import format_row, format_table
 
 
 class TestFormatRow:
@@ -44,15 +44,3 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         text = format_table(["a", "b"], [])
         assert "a" in text
-
-
-class TestNormalizeSeries:
-    def test_divides_by_baseline(self):
-        assert normalize_series([2.0, 4.0], 2.0) == [1.0, 2.0]
-
-    def test_zero_baseline_raises(self):
-        with pytest.raises(ValueError, match="zero baseline"):
-            normalize_series([1.0], 0.0)
-
-    def test_empty_series(self):
-        assert normalize_series([], 1.0) == []

@@ -14,9 +14,7 @@ from repro.utils.units import (
     TFLOPS,
     US,
     bytes_to_gb,
-    bytes_to_gib,
     gb_per_s,
-    seconds_to_ms,
 )
 
 
@@ -49,12 +47,5 @@ class TestConversions:
     def test_bytes_to_gb_roundtrip(self):
         assert bytes_to_gb(gb_per_s(1.0)) == pytest.approx(1.0)
 
-    def test_bytes_to_gib(self):
-        assert bytes_to_gib(GIB) == pytest.approx(1.0)
-
-    def test_seconds_to_ms(self):
-        assert seconds_to_ms(0.25) == pytest.approx(250.0)
-
     def test_zero_is_zero(self):
         assert bytes_to_gb(0) == 0.0
-        assert seconds_to_ms(0) == 0.0

@@ -120,23 +120,3 @@ class TestStreams:
 
         with pytest.raises(ValueError, match="bound"):
             stream_workload(None, 2.0)
-
-    def test_trace_file_replay_is_lazy_and_faithful(self, tmp_path):
-        from repro.workloads.streams import stream_trace_file
-        from repro.workloads.traces import save_trace, synthesize_trace
-
-        trace = synthesize_trace("replay", chatbot_workload(), 2.0, 12,
-                                 seed=5)
-        path = tmp_path / "trace.csv"
-        save_trace(trace, str(path))
-        stream = stream_trace_file(str(path))
-        assert next(stream) == trace.requests[0]  # consumable one at a time
-        assert list(stream) == trace.requests[1:]
-
-    def test_trace_file_rejects_malformed_lines(self, tmp_path):
-        from repro.workloads.streams import stream_trace_file
-
-        path = tmp_path / "bad.csv"
-        path.write_text("0,0.5,64\n")
-        with pytest.raises(ValueError, match="malformed"):
-            list(stream_trace_file(str(path)))
