@@ -11,7 +11,7 @@ Usage::
 
 import sys
 
-from repro import EngineConfig, InferenceRequest, get_model, get_platform
+from repro import InferenceRequest, NumaBackend, get_model, get_platform
 from repro.engine.inference import InferenceSimulator
 from repro.numa.modes import EVALUATED_CONFIGS
 from repro.scaling.cores import EVALUATED_CORE_COUNTS
@@ -28,7 +28,7 @@ def main() -> None:
     numa_rows = []
     for numa in EVALUATED_CONFIGS:
         result = InferenceSimulator(
-            spr, EngineConfig(numa=numa)).run(model, request)
+            spr, NumaBackend(numa=numa)).run(model, request)
         numa_rows.append([numa.label, result.ttft_s * 1000,
                           result.tpot_s * 1000, result.e2e_s,
                           result.e2e_throughput])
@@ -41,8 +41,7 @@ def main() -> None:
 
     core_rows = []
     for cores in EVALUATED_CORE_COUNTS:
-        result = InferenceSimulator(
-            spr, EngineConfig(cores=cores)).run(model, request)
+        result = InferenceSimulator(spr, cores=cores).run(model, request)
         core_rows.append([cores, result.ttft_s * 1000,
                           result.tpot_s * 1000, result.e2e_s,
                           result.e2e_throughput])

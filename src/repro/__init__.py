@@ -14,6 +14,9 @@ Quickstart::
     result = run_inference(get_platform("spr"), get_model("llama2-13b"),
                            InferenceRequest(batch_size=8))
     print(result.ttft_s, result.tpot_s, result.e2e_throughput)
+
+NUMA placement is a backend and the core count a keyword, e.g.
+``run_inference(spr, model, request, NumaBackend(numa=SNC_FLAT), cores=24)``.
 """
 
 from repro.core import (
@@ -24,11 +27,11 @@ from repro.core import (
     run_inference,
 )
 from repro.engine import (
-    EngineConfig,
     InferenceRequest,
     InferenceResult,
     InferenceSimulator,
     KVCacheManager,
+    NumaBackend,
     simulate,
 )
 from repro.gemm import GemmSimulator
@@ -53,7 +56,6 @@ __all__ = [
     "CoreScalingModel",
     "CounterModel",
     "DType",
-    "EngineConfig",
     "ExperimentReport",
     "GemmSimulator",
     "InferenceRequest",
@@ -61,6 +63,7 @@ __all__ = [
     "InferenceSimulator",
     "KVCacheManager",
     "ModelConfig",
+    "NumaBackend",
     "NumaConfig",
     "NumaModel",
     "OffloadSimulator",

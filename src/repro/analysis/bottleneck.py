@@ -10,12 +10,8 @@ bound), producing the per-op breakdown a VTune hotspot view would give.
 import dataclasses
 from typing import Dict, List
 
-from repro.engine.executor import OperatorExecutor, OpTiming
-from repro.engine.inference import (
-    DEFAULT_ENGINE_CONFIG,
-    EngineConfig,
-    InferenceSimulator,
-)
+from repro.engine.executor import OpTiming
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
@@ -89,20 +85,14 @@ def _attribute(phase: str, timings: List[OpTiming]) -> PhaseAttribution:
 class BottleneckAnalyzer:
     """Produces per-op attributions for (model, request) on one platform."""
 
-    def __init__(self, platform: Platform,
-                 config: EngineConfig = DEFAULT_ENGINE_CONFIG):
+    def __init__(self, platform: Platform):
         self.platform = platform
-        self.config = config
-        self._simulator = InferenceSimulator(platform, config)
-
-    def _executor(self, model: ModelConfig,
-                  request: InferenceRequest) -> OperatorExecutor:
-        return self._simulator._executor(model, request)
+        self._simulator = InferenceSimulator(platform)
 
     def prefill(self, model: ModelConfig,
                 request: InferenceRequest = InferenceRequest()) -> PhaseAttribution:
         """Attribute the prefill pass."""
-        executor = self._executor(model, request)
+        executor = self._simulator._executor(model, request)
         timings = executor.time_ops(prefill_ops(
             model, request.batch_size, request.input_len, request.dtype))
         return _attribute("prefill", timings)
@@ -111,7 +101,7 @@ class BottleneckAnalyzer:
                     request: InferenceRequest = InferenceRequest(),
                     kv_len: int = None) -> PhaseAttribution:
         """Attribute one decode step (mid-generation KV length by default)."""
-        executor = self._executor(model, request)
+        executor = self._simulator._executor(model, request)
         if kv_len is None:
             kv_len = request.input_len + request.decode_steps // 2
         timings = executor.time_ops(decode_step_ops(

@@ -14,7 +14,6 @@ import dataclasses
 from typing import List, Sequence, Tuple
 
 from repro.core.runner import run_inference
-from repro.engine.inference import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
@@ -87,14 +86,13 @@ def fit_batch_scaling(samples: Sequence[Tuple[int, float]]) -> BatchScalingFit:
 
 def measure_batch_scaling(platform: Platform, model: ModelConfig,
                           batches: Sequence[int] = (1, 2, 4, 8, 16, 32),
-                          input_len: int = 128, output_len: int = 32,
-                          config: EngineConfig = DEFAULT_ENGINE_CONFIG
+                          input_len: int = 128, output_len: int = 32
                           ) -> BatchScalingFit:
     """Sweep *batches* on the simulator and fit the saturation curve."""
     samples = []
     for batch in batches:
         request = InferenceRequest(batch_size=batch, input_len=input_len,
                                    output_len=output_len)
-        result = run_inference(platform, model, request, config)
+        result = run_inference(platform, model, request)
         samples.append((batch, result.e2e_throughput))
     return fit_batch_scaling(samples)

@@ -14,7 +14,8 @@ from typing import Callable, List, Tuple
 
 from repro.core.comparison import compare_platforms, per_model_speedup_range
 from repro.core.runner import CharacterizationSweep, run_inference
-from repro.engine.inference import EngineConfig, simulate
+from repro.engine.backend import NumaBackend
+from repro.engine.inference import simulate
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.memory import kv_cache_bytes, weight_bytes
@@ -83,9 +84,9 @@ def _numa_ratio(numerator, denominator) -> float:
     model = get_model("llama2-13b")
     request = InferenceRequest(batch_size=8)
     spr = get_platform("spr")
-    top = simulate(spr, model, request, EngineConfig(numa=numerator)).e2e_s
+    top = simulate(spr, model, request, NumaBackend(numa=numerator)).e2e_s
     bottom = simulate(spr, model, request,
-                      EngineConfig(numa=denominator)).e2e_s
+                      NumaBackend(numa=denominator)).e2e_s
     return top / bottom
 
 
@@ -93,8 +94,8 @@ def _core_reduction_12_to_48() -> float:
     model = get_model("llama2-13b")
     request = InferenceRequest(batch_size=8)
     spr = get_platform("spr")
-    t12 = simulate(spr, model, request, EngineConfig(cores=12)).e2e_s
-    t48 = simulate(spr, model, request, EngineConfig(cores=48)).e2e_s
+    t12 = simulate(spr, model, request, cores=12).e2e_s
+    t48 = simulate(spr, model, request, cores=48).e2e_s
     return (1.0 - t48 / t12) * 100.0
 
 

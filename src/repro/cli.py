@@ -25,7 +25,8 @@ from typing import List, Optional
 
 from repro.analysis.roofline_chart import roofline_for_run
 from repro.core.runner import CharacterizationSweep, is_offloaded, run_inference
-from repro.engine.inference import EngineConfig, InferenceSimulator
+from repro.engine.backend import NumaBackend
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.experiments import all_experiment_ids, run_experiment
 from repro.hardware.registry import all_platforms, get_platform
@@ -50,16 +51,17 @@ def _reports_bad_input(command):
         try:
             return command(args)
         except (KeyError, ValueError, MemoryCapacityError) as error:
-            print(f"error: {error}", file=sys.stderr)
+            # str() of a KeyError is its message quoted.
+            message = error.args[0] if isinstance(error, KeyError) else error
+            print(f"error: {message}", file=sys.stderr)
             return 2
 
     return run
 
 
-def _engine_config(args: argparse.Namespace) -> EngineConfig:
-    numa = get_config(args.numa) if getattr(args, "numa", None) else None
-    cores = getattr(args, "cores", None)
-    return EngineConfig(cores=cores, numa=numa)
+def _numa_backend(args: argparse.Namespace) -> Optional[NumaBackend]:
+    """``--numa`` as a placement backend; ``None`` prices quad_flat."""
+    return NumaBackend(numa=get_config(args.numa)) if args.numa else None
 
 
 @_reports_bad_input
@@ -68,7 +70,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     model = get_model(args.model)
     request = InferenceRequest(batch_size=args.batch, input_len=args.input,
                                output_len=args.output)
-    result = run_inference(platform, model, request, _engine_config(args))
+    result = run_inference(platform, model, request, _numa_backend(args),
+                           cores=args.cores)
     mode = "offload" if is_offloaded(result) else "in-memory"
     print(format_table(
         ["metric", "value"],
@@ -94,7 +97,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = CharacterizationSweep(platforms, models, batches,
                                   input_len=args.input,
                                   output_len=args.output,
-                                  config=_engine_config(args))
+                                  backend=_numa_backend(args),
+                                  cores=args.cores)
     rows = []
     for row in sweep.run():
         rows.append([row.model, row.platform, row.batch_size,
@@ -125,8 +129,8 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
     model = get_model(args.model)
     request = InferenceRequest(batch_size=args.batch, input_len=args.input,
                                output_len=args.output)
-    result = InferenceSimulator(platform, _engine_config(args)).run(
-        model, request)
+    result = InferenceSimulator(platform, _numa_backend(args),
+                                cores=args.cores).run(model, request)
     print(roofline_for_run(platform, result.prefill, result.decode))
     return 0
 

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.cluster.admission import make_scheduler
 from repro.cluster.node import ReplicaNode
 from repro.engine.backend import ExecutionBackend
-from repro.engine.inference import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.utils.validation import require_positive
@@ -33,7 +32,6 @@ class ReplicaSpec:
         count: Replicas in the group.
         backend: Execution backend (``None`` = plain BF16).
         max_batch: Per-replica batching limit.
-        config: CPU engine configuration.
         name: Base name for the group's replicas; defaults to
             ``<platform>[-<backend label>]``. Replicas are numbered
             across the whole fleet (``spr-0``, ``spr-int8-tp2-1``, ...),
@@ -57,7 +55,6 @@ class ReplicaSpec:
     count: int = 1
     backend: Optional[ExecutionBackend] = None
     max_batch: int = 8
-    config: EngineConfig = DEFAULT_ENGINE_CONFIG
     name: Optional[str] = None
     scheduler: Optional[str] = None
     scheduler_weights: Optional[Tuple[Tuple[int, float], ...]] = None
@@ -96,7 +93,7 @@ class ReplicaSpec:
         adopts.
         """
         return ReplicaNode(name, self.platform, self.model, self.max_batch,
-                           self.config, self.backend,
+                           self.backend,
                            admission=self.make_admission(),
                            price_usd=self.price_usd)
 

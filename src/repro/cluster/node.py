@@ -69,11 +69,7 @@ import numpy as np
 
 from repro.cluster.admission import AdmissionScheduler
 from repro.engine.backend import ExecutionBackend
-from repro.engine.inference import (
-    DEFAULT_ENGINE_CONFIG,
-    EngineConfig,
-    InferenceSimulator,
-)
+from repro.engine.inference import InferenceSimulator
 from repro.engine.stepcost import decode_cost_table
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
@@ -130,7 +126,6 @@ class ReplicaNode:
         platform: Device the replica runs on.
         model: Served model.
         max_batch: Maximum concurrent sequences.
-        config: Engine configuration for CPU platforms.
         backend: Execution backend for this replica (quantized / TP /
             ...); ``None`` is plain BF16. Replicas in one fleet may use
             different backends — each prices through its own
@@ -178,7 +173,6 @@ class ReplicaNode:
 
     def __init__(self, name: str, platform: Platform, model: ModelConfig,
                  max_batch: int = 8,
-                 config: EngineConfig = DEFAULT_ENGINE_CONFIG,
                  backend: Optional[ExecutionBackend] = None,
                  tracer: Tracer = NOOP_TRACER,
                  exact: Union[bool, str] = False,
@@ -192,9 +186,8 @@ class ReplicaNode:
         if self._chunked:
             require_positive(chunk_tokens, "chunk_tokens")
         self.chunk_tokens = chunk_tokens
-        executor = InferenceSimulator(platform, config,
-                                      backend).replica_executor(model,
-                                                                max_batch)
+        executor = InferenceSimulator(platform, backend).replica_executor(
+            model, max_batch)
         self._cost = cost = decode_cost_table(executor, model)
         #: The (model, platform, backend) triple this replica serves.
         #: Two replicas with equal tiers are interchangeable to the

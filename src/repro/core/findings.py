@@ -11,10 +11,10 @@ from typing import Callable, Dict, List
 
 from repro.core.comparison import compare_platforms, per_model_speedup_range
 from repro.core.runner import CharacterizationSweep, run_inference
-from repro.engine.inference import EngineConfig
+from repro.engine.backend import NumaBackend
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
-from repro.models.registry import evaluated_models, get_model
+from repro.models.registry import get_model
 from repro.numa.modes import EVALUATED_CONFIGS, QUAD_FLAT
 from repro.scaling.cores import EVALUATED_CORE_COUNTS
 
@@ -70,8 +70,7 @@ def check_finding_2() -> FindingResult:
     request = InferenceRequest(batch_size=8)
     e2e: Dict[str, float] = {}
     for numa in EVALUATED_CONFIGS:
-        result = run_inference(spr, model, request,
-                               EngineConfig(numa=numa))
+        result = run_inference(spr, model, request, NumaBackend(numa=numa))
         e2e[numa.label] = result.e2e_s
     best = min(e2e, key=e2e.get)
     ordering = (e2e["quad_flat"] <= e2e["quad_cache"]
@@ -93,8 +92,7 @@ def check_finding_3() -> FindingResult:
     request = InferenceRequest(batch_size=8)
     e2e: Dict[int, float] = {}
     for cores in EVALUATED_CORE_COUNTS:
-        result = run_inference(spr, model, request,
-                               EngineConfig(cores=cores))
+        result = run_inference(spr, model, request, cores=cores)
         e2e[cores] = result.e2e_s
     best = min(e2e, key=e2e.get)
     reduction = (1.0 - e2e[48] / e2e[12]) * 100.0

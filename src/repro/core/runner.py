@@ -12,12 +12,8 @@ grid and collects flat rows ready for the figure harnesses.
 import dataclasses
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.engine.inference import (
-    DEFAULT_ENGINE_CONFIG,
-    EngineConfig,
-    InferenceSimulator,
-    MemoryCapacityError,
-)
+from repro.engine.backend import ExecutionBackend
+from repro.engine.inference import InferenceSimulator, MemoryCapacityError
 from repro.engine.request import EVALUATED_BATCH_SIZES, InferenceRequest
 from repro.engine.results import InferenceResult
 from repro.hardware.platform import Platform
@@ -34,7 +30,8 @@ RunResult = Union[InferenceResult, OffloadResult]
 
 def run_inference(platform: Platform, model: ModelConfig,
                   request: InferenceRequest = InferenceRequest(),
-                  config: EngineConfig = DEFAULT_ENGINE_CONFIG,
+                  backend: Optional[ExecutionBackend] = None, *,
+                  cores: Optional[int] = None,
                   offload_calibration: OffloadCalibration = DEFAULT_OFFLOAD_CALIBRATION,
                   ) -> RunResult:
     """Simulate *model* x *platform*, offloading automatically when needed.
@@ -42,12 +39,17 @@ def run_inference(platform: Platform, model: ModelConfig,
     Returns an :class:`InferenceResult` for in-memory runs or an
     :class:`OffloadResult` for over-capacity GPU runs; both expose the same
     metric surface (``ttft_s``, ``tpot_s``, ``e2e_s``, throughputs,
-    ``summary()``).
+    ``summary()``). *backend* and *cores* are :class:`InferenceSimulator`'s;
+    a backend the platform refuses (NUMA placement on a GPU) raises
+    ``ValueError`` even where the run would offload.
     """
+    if backend is not None:
+        backend.check_platform(platform)
     if platform.is_gpu and needs_offloading(model, request, platform,
                                             offload_calibration):
         return OffloadSimulator(platform, offload_calibration).run(model, request)
-    return InferenceSimulator(platform, config).run(model, request)
+    return InferenceSimulator(platform, backend, cores=cores).run(
+        model, request)
 
 
 def is_offloaded(result: RunResult) -> bool:
@@ -86,7 +88,7 @@ class CharacterizationSweep:
         models: Models to sweep.
         batch_sizes: Batch sizes (defaults to the paper's 1-32 powers of 2).
         input_len / output_len: Request shape (defaults 128 / 32).
-        config: CPU engine configuration applied to CPU platforms.
+        backend / cores: Applied to every cell (:func:`run_inference`).
     """
 
     def __init__(self, platforms: Sequence[Platform],
@@ -94,13 +96,15 @@ class CharacterizationSweep:
                  batch_sizes: Iterable[int] = EVALUATED_BATCH_SIZES,
                  input_len: int = 128,
                  output_len: int = 32,
-                 config: EngineConfig = DEFAULT_ENGINE_CONFIG):
+                 backend: Optional[ExecutionBackend] = None, *,
+                 cores: Optional[int] = None):
         self.platforms = list(platforms)
         self.models = list(models)
         self.batch_sizes = list(batch_sizes)
         self.input_len = input_len
         self.output_len = output_len
-        self.config = config
+        self.backend = backend
+        self.cores = cores
 
     def _grid(self) -> List[tuple]:
         """The (model, platform, batch) cells in deterministic sweep order."""
@@ -124,7 +128,8 @@ class CharacterizationSweep:
                                        input_len=self.input_len,
                                        output_len=self.output_len)
             try:
-                result = run_inference(platform, model, request, self.config)
+                result = run_inference(platform, model, request,
+                                       self.backend, cores=self.cores)
             except MemoryCapacityError:
                 if skip_oversize:
                     continue

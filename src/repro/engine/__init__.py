@@ -3,6 +3,7 @@
 from repro.engine.backend import (
     BaselineBackend,
     ExecutionBackend,
+    NumaBackend,
     PrefixCacheBackend,
     QuantizedBackend,
     SpecDecodeBackend,
@@ -14,8 +15,6 @@ from repro.engine.backend import (
 )
 from repro.engine.executor import OperatorExecutor, OpTiming
 from repro.engine.inference import (
-    DEFAULT_ENGINE_CONFIG,
-    EngineConfig,
     InferenceSimulator,
     MemoryCapacityError,
     simulate,
@@ -40,11 +39,10 @@ from repro.engine.results import (
 
 __all__ = [
     "BaselineBackend",
-    "DEFAULT_ENGINE_CONFIG",
     "EVALUATED_BATCH_SIZES",
     "EVALUATED_INPUT_LENGTHS",
-    "EngineConfig",
     "ExecutionBackend",
+    "NumaBackend",
     "PrefixCacheBackend",
     "QuantizedBackend",
     "SpecDecodeBackend",

@@ -16,8 +16,11 @@ set of places — exactly what :class:`ExecutionBackend` owns:
   roofline result (dequantization overhead on weight GEMMs);
 * **communication** — per-pass constant costs outside the op graph
   (TP allreduce), charged to wall time but not the compute/memory legs;
+* **memory system** — the CPU's NUMA placement (quad_flat unless a
+  :class:`NumaBackend` says otherwise) or a GPU's device memory, which
+  price bandwidth and capacity;
 * **platform check** — rejecting platforms the technique cannot run on
-  (TP needs that many CPU sockets);
+  (TP needs that many CPU sockets, NUMA placement a CPU);
 * **signature** — a stable hashable key: two backends with equal
   signatures price identically, so shared cost tables
   (:mod:`repro.engine.stepcost`) key on it.
@@ -56,7 +59,7 @@ from repro.numa.model import (
     NumaCalibration,
     NumaModel,
 )
-from repro.numa.modes import NumaConfig, QUAD_FLAT, get_config
+from repro.numa.modes import KNOWN_CONFIGS, NumaConfig, QUAD_FLAT, get_config
 from repro.quant.weightonly import (
     QuantConfig,
     QuantScheme,
@@ -258,27 +261,37 @@ class ExecutionBackend:
 
     # -- memory-system hooks ------------------------------------------------
 
+    def numa_model(self, platform: Platform) -> Optional[NumaModel]:
+        """The CPU NUMA placement this backend prices with.
+
+        quad_flat (the paper's best, Key Finding #2) unless a
+        :class:`NumaBackend` sets its own; ``None`` on a GPU.
+        """
+        return NumaModel(platform, QUAD_FLAT) if platform.is_cpu else None
+
     def tier_bandwidth(self, platform: Platform,
-                       footprint_bytes: float) -> Optional[float]:
-        """Sustained kernel bandwidth override, bytes/s (pre core-scaling).
+                       footprint_bytes: float) -> float:
+        """Sustained kernel bandwidth, bytes/s (pre core-scaling).
 
-        ``None`` (the default) keeps the simulator's own derivation —
-        the engine-config NUMA model on CPUs, peak x stream efficiency
-        on GPUs. :class:`NumaBackend` overrides this to price its own
-        HBM/DDR placement; wrappers forward to their inner backend. On
-        CPUs the simulator still applies the core-scaling bandwidth
-        factor on top, exactly as for the engine-config path.
+        The :meth:`numa_model`'s bandwidth for *footprint_bytes* on a
+        CPU, peak x stream efficiency on a GPU. The simulator applies
+        the CPU core-scaling bandwidth factor on top.
         """
-        return None
+        numa = self.numa_model(platform)
+        if numa is None:
+            return platform.peak_memory_bandwidth * platform.stream_efficiency
+        return numa.effective_bandwidth(footprint_bytes)
 
-    def memory_capacity_bytes(self, platform: Platform) -> Optional[float]:
-        """Usable memory-capacity override, bytes (pre socket-spanning).
+    def memory_capacity_bytes(self, platform: Platform) -> float:
+        """Usable memory capacity, bytes (pre socket-spanning).
 
-        ``None`` keeps the simulator's engine-config derivation.
-        :class:`NumaBackend` overrides this with its configuration's
-        software-visible capacity (HBM-only < cache < flat).
+        The :meth:`numa_model`'s software-visible capacity on a CPU
+        (HBM-only < cache < flat), device memory on a GPU.
         """
-        return None
+        numa = self.numa_model(platform)
+        if numa is None:
+            return platform.memory_capacity
+        return numa.capacity_bytes
 
     # -- pricing hooks ------------------------------------------------------
 
@@ -450,13 +463,13 @@ class WrapperBackend(ExecutionBackend):
     def capacity_scale(self) -> float:
         return self._resolved_inner().capacity_scale
 
+    def numa_model(self, platform: Platform) -> Optional[NumaModel]:
+        return self._resolved_inner().numa_model(platform)
+
     def tier_bandwidth(self, platform: Platform,
-                       footprint_bytes: float) -> Optional[float]:
+                       footprint_bytes: float) -> float:
         return self._resolved_inner().tier_bandwidth(platform,
                                                      footprint_bytes)
-
-    def memory_capacity_bytes(self, platform: Platform) -> Optional[float]:
-        return self._resolved_inner().memory_capacity_bytes(platform)
 
     def prefill_comm_s(self, model: ModelConfig, batch_size: int,
                        input_len: int) -> float:
@@ -697,9 +710,11 @@ class NumaBackend(WrapperBackend):
     HBM/DDR tiers (*hot_fraction* of memory traffic pinned to the fast
     tier, the rest spilling to DDR). Only the memory-system hooks are
     its own; op graphs, dtype, footprint, and per-pass communication
-    forward to the inner backend (:class:`WrapperBackend`), so a
-    ``NumaBackend`` replica prices identically to the
-    ``EngineConfig(numa=...)`` path bit-for-bit.
+    forward to the inner backend (:class:`WrapperBackend`). It is the
+    only way to place a run other than quad_flat, and the placement
+    it prices with is the one the simulator's ``config_label`` and
+    the remote-access counter report. Only a CPU can run it
+    (:meth:`check_platform`).
 
     The placement enters :attr:`signature`, so two placements on the
     same (platform, model) warm disjoint
@@ -719,21 +734,22 @@ class NumaBackend(WrapperBackend):
             raise ValueError(
                 f"hot_fraction must be in [0, 1], got {self.hot_fraction}")
 
-    def _numa_model(self, platform: Platform) -> NumaModel:
+    # -- memory system ------------------------------------------------------
+
+    def numa_model(self, platform: Platform) -> NumaModel:
         return NumaModel(platform, self.numa, self.calibration,
                          numa_aware=self.numa_aware)
 
-    # -- memory system ------------------------------------------------------
-
     def tier_bandwidth(self, platform: Platform,
                        footprint_bytes: float) -> float:
-        model = self._numa_model(platform)
+        model = self.numa_model(platform)
         if self.hot_fraction is not None:
             return model.hot_cold_bandwidth(self.hot_fraction)
         return model.effective_bandwidth(footprint_bytes)
 
-    def memory_capacity_bytes(self, platform: Platform) -> float:
-        return self._numa_model(platform).capacity_bytes
+    def check_platform(self, platform: Platform) -> None:
+        self.numa_model(platform)  # NumaModel refuses a GPU
+        super().check_platform(platform)
 
     @property
     def signature(self) -> tuple:
@@ -902,7 +918,7 @@ def _parse_numa_token(token: str, spec: str) -> "NumaBackend":
         raise ValueError(
             f"backend token {token!r} in spec {spec!r} names no NUMA "
             f"config; expected numa:<config> with config one of "
-            f"quad_flat, quad_cache, snc_flat, snc_cache, hbm_only_quad")
+            f"{', '.join(c.label for c in KNOWN_CONFIGS)}")
     try:
         numa = get_config(parts[0])
     except KeyError as error:

@@ -3,8 +3,9 @@
 :class:`InferenceSimulator` is the library's main entry point for the
 non-offloaded case (both CPUs, and GPUs whose memory holds the model).
 It derives the platform's effective bandwidth and compute scale from the
-requested NUMA/core configuration, builds the operator graphs, prices them
-with the executor, and reports paper-style metrics.
+backend's memory placement and the requested core count, builds the
+operator graphs, prices them with the executor, and reports paper-style
+metrics.
 """
 
 import dataclasses
@@ -22,7 +23,6 @@ from repro.engine.results import (
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.numa.model import NumaModel
-from repro.numa.modes import NumaConfig, QUAD_FLAT
 from repro.scaling.cores import CoreScalingModel
 from repro.trace.spans import ENGINE_TRACK
 from repro.trace.tracer import NOOP_TRACER, Tracer
@@ -38,65 +38,54 @@ class MemoryCapacityError(RuntimeError):
     """
 
 
-@dataclasses.dataclass(frozen=True)
-class EngineConfig:
-    """Execution configuration for a simulation run.
-
-    Attributes:
-        cores: CPU cores to use; ``None`` = one full socket (the paper's
-            tuned setting, 48 on SPR / 32 on ICL).
-        numa: CPU NUMA configuration; ``None`` = quad_flat (the paper's
-            best, Key Finding #2). NUMA-aware placement (Section VI) is
-            :class:`~repro.engine.backend.NumaBackend`'s.
-    """
-
-    cores: Optional[int] = None
-    numa: Optional[NumaConfig] = None
-
-
-DEFAULT_ENGINE_CONFIG = EngineConfig()
-
-
 class InferenceSimulator:
     """Simulates LLM inference on one platform.
 
     Args:
         platform: Target platform (CPU or GPU).
-        config: Execution configuration (NUMA/cores; ignored for GPUs).
-        backend: Execution backend (quantized / tensor-parallel / ...);
-            ``None`` means plain dense execution at each request's dtype —
-            the historical behavior, bit-for-bit.
+        backend: Execution backend (quantized / tensor-parallel / NUMA
+            placement / ...); ``None`` means plain dense execution at
+            each request's dtype, placed quad_flat on a CPU.
+        cores: CPU cores to use; ``None`` = one full socket (the paper's
+            tuned setting, 48 on SPR / 32 on ICL). Ignored for GPUs.
 
     Raises:
         ValueError: If *backend* cannot run on *platform* (tensor
-            parallelism on a GPU, or over more sockets than it has).
+            parallelism on a GPU, or over more sockets than it has; NUMA
+            placement on a GPU), or if a backend that already spans
+            sockets (``capacity_scale > 1``) meets *cores* that span
+            them too.
     """
 
     def __init__(self, platform: Platform,
-                 config: EngineConfig = DEFAULT_ENGINE_CONFIG,
-                 backend: Optional[ExecutionBackend] = None):
+                 backend: Optional[ExecutionBackend] = None, *,
+                 cores: Optional[int] = None):
         if backend is not None:
             backend.check_platform(platform)
         self.platform = platform
-        self.config = config
         self.backend = backend
+        # Placement, bandwidth and capacity do not depend on the dtype.
+        self._memory = backend if backend is not None else BaselineBackend()
         if platform.is_cpu:
-            topo = platform.topology
-            self._cores = config.cores or topo.cores_per_socket
-            self._numa = config.numa or QUAD_FLAT
-            self._scaling = CoreScalingModel(platform, self._cores)
-            self._numa_model = NumaModel(platform, self._numa)
+            self._scaling = CoreScalingModel(
+                platform, cores or platform.topology.cores_per_socket)
+            if self._memory.capacity_scale > 1 and self._scaling.spans_sockets:
+                raise ValueError(
+                    f"{self._scaling.cores} cores span the sockets of "
+                    f"{platform.name}, which backend {backend.label} "
+                    f"already spans; use one socket's cores")
         else:
-            self._cores = None
-            self._numa = None
             self._scaling = None
-            self._numa_model = None
+
+    def numa_model(self) -> Optional[NumaModel]:
+        """The NUMA placement that prices this simulator's runs (CPU)."""
+        return self._memory.numa_model(self.platform)
 
     @property
     def config_label(self) -> str:
         """Human-readable configuration tag for results."""
         if self.platform.is_cpu:
-            return f"{self._numa.label}/{self._cores}c"
+            return f"{self.numa_model().config.label}/{self._scaling.cores}c"
         return "gpu"
 
     # -- capacity ----------------------------------------------------------
@@ -104,23 +93,12 @@ class InferenceSimulator:
     def memory_capacity(self) -> float:
         """Usable memory bytes under the current configuration.
 
-        A backend carrying its own memory-system placement
-        (:class:`~repro.engine.backend.NumaBackend`, possibly wrapped)
-        overrides the engine-config derivation; socket-spanning still
-        multiplies on top, exactly as for the engine-config path.
+        The backend's capacity, doubled when the cores span sockets.
         """
-        if self.backend is not None:
-            override = self.backend.memory_capacity_bytes(self.platform)
-            if override is not None:
-                if self.platform.is_cpu and self._scaling.spans_sockets:
-                    override *= 2
-                return override
-        if self.platform.is_cpu:
-            capacity = self._numa_model.capacity_bytes
-            if self._scaling.spans_sockets:
-                capacity *= 2
-            return capacity
-        return self.platform.memory_capacity
+        capacity = self._memory.memory_capacity_bytes(self.platform)
+        if self.platform.is_cpu and self._scaling.spans_sockets:
+            capacity *= 2
+        return capacity
 
     def _backend_for(self, request: InferenceRequest) -> ExecutionBackend:
         """Configured backend, or the plain baseline at the request dtype."""
@@ -139,23 +117,13 @@ class InferenceSimulator:
     def effective_bandwidth(self, footprint_bytes: float) -> float:
         """Sustained kernel bandwidth for this configuration, bytes/s.
 
-        A backend with its own NUMA placement overrides the
-        engine-config NUMA model; the core-scaling bandwidth factor
-        still applies on top (CPUs), so backend-driven and
-        engine-config-driven derivations stay term-for-term identical.
+        The backend's, scaled by the core count on a CPU.
         """
-        if self.backend is not None:
-            override = self.backend.tier_bandwidth(self.platform,
-                                                   footprint_bytes)
-            if override is not None:
-                if self.platform.is_cpu:
-                    return override * self._scaling.bandwidth_factor
-                return override
+        bandwidth = self._memory.tier_bandwidth(self.platform,
+                                                footprint_bytes)
         if self.platform.is_cpu:
-            numa_bw = self._numa_model.effective_bandwidth(footprint_bytes)
-            return numa_bw * self._scaling.bandwidth_factor
-        return (self.platform.peak_memory_bandwidth
-                * self.platform.stream_efficiency)
+            return bandwidth * self._scaling.bandwidth_factor
+        return bandwidth
 
     def compute_scale(self) -> float:
         """Multiplier on the platform's reference peak FLOPS."""
@@ -308,6 +276,8 @@ class InferenceSimulator:
 
 def simulate(platform: Platform, model: ModelConfig,
              request: InferenceRequest = InferenceRequest(),
-             config: EngineConfig = DEFAULT_ENGINE_CONFIG) -> InferenceResult:
+             backend: Optional[ExecutionBackend] = None, *,
+             cores: Optional[int] = None) -> InferenceResult:
     """One-call convenience wrapper: simulate *model* x *platform*."""
-    return InferenceSimulator(platform, config).run(model, request)
+    return InferenceSimulator(platform, backend, cores=cores).run(
+        model, request)

@@ -10,7 +10,7 @@ from typing import Dict, List
 from repro.core.metrics import ALL_METRICS, METRIC_LABELS, average_summaries
 from repro.core.report import ExperimentReport
 from repro.core.runner import CharacterizationSweep
-from repro.engine.inference import EngineConfig
+from repro.engine.backend import NumaBackend
 from repro.engine.request import EVALUATED_BATCH_SIZES
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
@@ -27,7 +27,7 @@ def run() -> ExperimentReport:
     for config in EVALUATED_CONFIGS:
         sweep = CharacterizationSweep(
             [spr], models, EVALUATED_BATCH_SIZES,
-            config=EngineConfig(numa=config))
+            backend=NumaBackend(numa=config))
         rows = sweep.run()
         averages[config.label] = average_summaries(
             [row.metrics for row in rows])

@@ -11,7 +11,6 @@ from typing import Dict, List
 from repro.core.metrics import ALL_METRICS, METRIC_LABELS, average_summaries
 from repro.core.report import ExperimentReport
 from repro.core.runner import CharacterizationSweep
-from repro.engine.inference import EngineConfig
 from repro.engine.request import EVALUATED_BATCH_SIZES
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
@@ -28,7 +27,7 @@ def run() -> ExperimentReport:
     for cores in EVALUATED_CORE_COUNTS:
         sweep = CharacterizationSweep(
             [spr], models, EVALUATED_BATCH_SIZES,
-            config=EngineConfig(cores=cores))
+            cores=cores)
         rows = sweep.run()
         averages[cores] = average_summaries([row.metrics for row in rows])
 

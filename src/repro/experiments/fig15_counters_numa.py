@@ -6,7 +6,7 @@ bandwidth more effectively.
 """
 
 from repro.core.report import ExperimentReport
-from repro.engine.inference import EngineConfig
+from repro.engine.backend import NumaBackend
 from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
@@ -25,7 +25,7 @@ def run() -> ExperimentReport:
     remote = {}
     walls = {}
     for config in EVALUATED_CONFIGS:
-        counter_model = CounterModel(spr, EngineConfig(numa=config))
+        counter_model = CounterModel(spr, NumaBackend(numa=config))
         est = counter_model.estimate(model, request)
         remote[config.label] = est.remote_llc_accesses
         walls[config.label] = est.wall_time_s

@@ -10,7 +10,7 @@
 
 from repro.core.report import ExperimentReport
 from repro.engine.backend import NumaBackend
-from repro.engine.inference import EngineConfig, InferenceSimulator
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
@@ -34,8 +34,7 @@ def run() -> ExperimentReport:
     aware = InferenceSimulator(
         spr, backend=NumaBackend(numa=SNC_FLAT, numa_aware=True)
     ).run(model, request)
-    quad = InferenceSimulator(
-        spr, EngineConfig(numa=QUAD_FLAT)).run(model, request)
+    quad = InferenceSimulator(spr).run(model, request)
     rows.append(["numa-aware snc", model.name,
                  f"{naive.e2e_s / aware.e2e_s:.2f}x vs naive snc_flat",
                  f"{(1.0 - aware.e2e_s / naive.e2e_s) * 100.0:.1f}% "

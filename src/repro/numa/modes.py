@@ -59,11 +59,15 @@ HBM_ONLY_QUAD = NumaConfig(MemoryMode.HBM_ONLY, ClusteringMode.QUADRANT)
 #: (quad_cache is the normalization baseline).
 EVALUATED_CONFIGS: List[NumaConfig] = [QUAD_CACHE, QUAD_FLAT, SNC_CACHE, SNC_FLAT]
 
+#: Every configuration :func:`get_config` accepts, and the vocabulary
+#: its error messages (and the ``numa:`` backend token's) list.
+KNOWN_CONFIGS: List[NumaConfig] = EVALUATED_CONFIGS + [HBM_ONLY_QUAD]
+
 
 def get_config(label: str) -> NumaConfig:
     """Look up a configuration by paper label (``"quad_flat"``, ...)."""
-    for config in EVALUATED_CONFIGS + [HBM_ONLY_QUAD]:
+    for config in KNOWN_CONFIGS:
         if config.label == label.lower():
             return config
     raise KeyError(f"unknown NUMA config {label!r}; known: "
-                   f"{[c.label for c in EVALUATED_CONFIGS]}")
+                   f"{[c.label for c in KNOWN_CONFIGS]}")

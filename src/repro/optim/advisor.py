@@ -13,11 +13,12 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.runner import run_inference
 from repro.engine.backend import (
+    NumaBackend,
     QuantizedBackend,
     TensorParallelBackend,
     TPConfig,
 )
-from repro.engine.inference import EngineConfig, InferenceSimulator
+from repro.engine.inference import InferenceSimulator, MemoryCapacityError
 from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.hardware.registry import get_platform
@@ -82,7 +83,7 @@ class DeploymentAdvisor:
         def add(label: str, platform_name: str, runner: Callable):
             try:
                 result = runner()
-            except Exception:
+            except MemoryCapacityError:
                 return
             candidates.append(Candidate(
                 label=label,
@@ -100,7 +101,8 @@ class DeploymentAdvisor:
             for numa in EVALUATED_CONFIGS:
                 add(f"{platform.name} {numa.label}", platform.name,
                     lambda p=platform, n=numa: InferenceSimulator(
-                        p, EngineConfig(numa=n)).run(model, request))
+                        p, NumaBackend(numa=n, dtype=request.dtype)
+                    ).run(model, request))
             if self.consider_quantization:
                 add(f"{platform.name} quad_flat+int8", platform.name,
                     lambda p=platform: InferenceSimulator(

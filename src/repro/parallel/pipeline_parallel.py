@@ -24,11 +24,7 @@ import dataclasses
 from typing import List
 
 from repro.engine.executor import OperatorExecutor
-from repro.engine.inference import (
-    DEFAULT_ENGINE_CONFIG,
-    EngineConfig,
-    InferenceSimulator,
-)
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.interconnect import Interconnect, upi_link
 from repro.hardware.platform import Platform
@@ -92,12 +88,10 @@ class PipelineParallelSimulator:
     Args:
         platform: CPU platform (single-socket spec; stages map to sockets).
         pp: Pipeline configuration.
-        config: Per-socket engine configuration.
         interconnect: Stage-to-stage link (UPI).
     """
 
     def __init__(self, platform: Platform, pp: PPConfig = PPConfig(),
-                 config: EngineConfig = DEFAULT_ENGINE_CONFIG,
                  interconnect: Interconnect = None):
         if not platform.is_cpu or platform.topology is None:
             raise ValueError(f"{platform.name} is not a CPU platform")
@@ -107,9 +101,8 @@ class PipelineParallelSimulator:
                 "sockets")
         self.platform = platform
         self.pp = pp
-        self.config = config
         self.interconnect = interconnect or upi_link()
-        self._base = InferenceSimulator(platform, config)
+        self._base = InferenceSimulator(platform)
 
     def _stage_ops(self, ops: List[Op]) -> List[Op]:
         """One stage's share: per-layer quantities scaled by 1/stages.

@@ -4,7 +4,10 @@
 and converts its per-phase statistics into :class:`CounterEstimates`.
 """
 
-from repro.engine.inference import EngineConfig, DEFAULT_ENGINE_CONFIG, InferenceSimulator
+from typing import Optional
+
+from repro.engine.backend import ExecutionBackend
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.engine.results import InferenceResult
 from repro.hardware.compute import EngineKind
@@ -26,14 +29,15 @@ class CounterModel:
     Args:
         platform: CPU platform (counters target the CPU figures; GPU runs
             are accepted but UPI/remote metrics degenerate to zero).
-        config: Engine configuration (NUMA mode, core count).
+        backend / cores: :class:`InferenceSimulator`'s; the remote-access
+            fraction is the placement of the backend that prices the run.
     """
 
     def __init__(self, platform: Platform,
-                 config: EngineConfig = DEFAULT_ENGINE_CONFIG):
+                 backend: Optional[ExecutionBackend] = None, *,
+                 cores: Optional[int] = None):
         self.platform = platform
-        self.config = config
-        self.simulator = InferenceSimulator(platform, config)
+        self.simulator = InferenceSimulator(platform, backend, cores=cores)
 
     def _flops_per_instruction(self) -> float:
         """FLOPs/instruction of the dominant GEMM engine."""
@@ -83,8 +87,8 @@ class CounterModel:
         remote_fraction = 0.0
         if self.platform.is_cpu:
             scaling = self.simulator._scaling
-            numa_model = self.simulator._numa_model
-            remote_fraction = numa_model.remote_access_fraction
+            remote_fraction = \
+                self.simulator.numa_model().remote_access_fraction
             upi_fraction = scaling.upi_traffic_fraction()
             if upi_fraction > 0 and wall > 0:
                 upi_bytes = total_bytes * upi_fraction

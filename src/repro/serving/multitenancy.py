@@ -19,7 +19,7 @@ import dataclasses
 from typing import List
 
 from repro.engine.executor import OperatorExecutor
-from repro.engine.inference import EngineConfig, InferenceSimulator
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.engine.results import (
     InferenceResult,
@@ -92,7 +92,7 @@ class MultiTenantSimulator:
         self.tenants = tenants
         self._solo = InferenceSimulator(platform)
         self._shared = InferenceSimulator(
-            platform, EngineConfig(cores=max(1, cores // tenants)))
+            platform, cores=max(1, cores // tenants))
 
     def _shared_executor(self, model: ModelConfig,
                          request: InferenceRequest) -> OperatorExecutor:

@@ -22,12 +22,7 @@ also drops into the serving/cluster layers directly.
 import dataclasses
 
 from repro.engine.backend import PrefixCacheBackend
-from repro.engine.executor import OperatorExecutor
-from repro.engine.inference import (
-    DEFAULT_ENGINE_CONFIG,
-    EngineConfig,
-    InferenceSimulator,
-)
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
@@ -67,17 +62,11 @@ class PrefixCacheModel:
 
     Args:
         platform: Execution platform.
-        config: CPU engine configuration.
     """
 
-    def __init__(self, platform: Platform,
-                 config: EngineConfig = DEFAULT_ENGINE_CONFIG):
+    def __init__(self, platform: Platform):
         self.platform = platform
-        self._simulator = InferenceSimulator(platform, config)
-
-    def _executor(self, model: ModelConfig,
-                  request: InferenceRequest) -> OperatorExecutor:
-        return self._simulator._executor(model, request)
+        self._simulator = InferenceSimulator(platform)
 
     def estimate(self, model: ModelConfig, prefix_len: int, unique_len: int,
                  batch_size: int = 1) -> PrefixCacheEstimate:
@@ -86,7 +75,7 @@ class PrefixCacheModel:
         require_positive(unique_len, "unique_len")
         total = prefix_len + unique_len
         request = InferenceRequest(batch_size=batch_size, input_len=total)
-        executor = self._executor(model, request)
+        executor = self._simulator._executor(model, request)
 
         cold = sum(t.time_s for t in executor.time_prefill_ops(
             model, batch_size, total))
@@ -118,7 +107,7 @@ class PrefixCacheModel:
         if saving <= 0:
             return float("inf")
         request = InferenceRequest(input_len=prefix_len)
-        executor = self._executor(model, request)
+        executor = self._simulator._executor(model, request)
         prefix_cost = sum(t.time_s for t in executor.time_prefill_ops(
             model, 1, prefix_len))
         return prefix_cost / saving

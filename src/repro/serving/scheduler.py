@@ -14,7 +14,7 @@ import dataclasses
 from typing import List, Optional, Sequence
 
 from repro.engine.backend import ExecutionBackend
-from repro.engine.inference import DEFAULT_ENGINE_CONFIG, EngineConfig, InferenceSimulator
+from repro.engine.inference import InferenceSimulator
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.serving.arrivals import ArrivingRequest
@@ -132,7 +132,6 @@ class BatchingSimulator:
         platform: Execution platform (CPU path; GPUs must fit the model).
         model: Served model.
         max_batch: Maximum concurrent sequences.
-        config: Engine configuration for CPU platforms.
         backend: Execution backend (quantized / TP / ...); ``None`` is
             plain BF16 dense execution, the historical behavior.
 
@@ -143,14 +142,12 @@ class BatchingSimulator:
 
     def __init__(self, platform: Platform, model: ModelConfig,
                  max_batch: int = 8,
-                 config: EngineConfig = DEFAULT_ENGINE_CONFIG,
                  backend: Optional[ExecutionBackend] = None):
-        InferenceSimulator(platform, config, backend).replica_executor(
-            model, max_batch)
+        InferenceSimulator(platform, backend).replica_executor(model,
+                                                               max_batch)
         self.platform = platform
         self.model = model
         self.max_batch = max_batch
-        self.config = config
         self.backend = backend
 
     # -- batching policies ------------------------------------------------------
@@ -160,7 +157,7 @@ class BatchingSimulator:
     def _node(self, policy: str, tracer: Tracer, **kwargs):
         from repro.cluster.node import ReplicaNode
         return ReplicaNode("single", self.platform, self.model,
-                           self.max_batch, self.config, self.backend,
+                           self.max_batch, self.backend,
                            tracer=tracer, policy=policy, **kwargs)
 
     def run_static(self, arrivals: Sequence[ArrivingRequest],

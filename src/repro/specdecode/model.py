@@ -28,12 +28,7 @@ import dataclasses
 # SpecDecodeConfig moved to the backend layer (re-exported here for the
 # public API).
 from repro.engine.backend import SpecDecodeBackend, SpecDecodeConfig
-from repro.engine.executor import OperatorExecutor
-from repro.engine.inference import (
-    DEFAULT_ENGINE_CONFIG,
-    EngineConfig,
-    InferenceSimulator,
-)
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
@@ -78,13 +73,11 @@ class SpeculativeDecoder:
         target: Large model being served.
         draft: Small proposal model.
         config: Speculation parameters.
-        engine_config: CPU NUMA/core configuration.
     """
 
     def __init__(self, platform: Platform, target: ModelConfig,
                  draft: ModelConfig,
-                 config: SpecDecodeConfig = SpecDecodeConfig(),
-                 engine_config: EngineConfig = DEFAULT_ENGINE_CONFIG):
+                 config: SpecDecodeConfig = SpecDecodeConfig()):
         if draft.param_count() >= target.param_count():
             raise ValueError(
                 f"draft ({draft.name}) must be smaller than target "
@@ -93,11 +86,7 @@ class SpeculativeDecoder:
         self.target = target
         self.draft = draft
         self.config = config
-        self._simulator = InferenceSimulator(platform, engine_config)
-
-    def _executor(self, model: ModelConfig,
-                  request: InferenceRequest) -> OperatorExecutor:
-        return self._simulator._executor(model, request)
+        self._simulator = InferenceSimulator(platform)
 
     def backend(self, request: InferenceRequest) -> SpecDecodeBackend:
         """The folded per-token execution backend for this configuration."""
@@ -117,8 +106,8 @@ class SpeculativeDecoder:
         kv_len = request.input_len + request.decode_steps // 2
         batch = request.batch_size
 
-        target_executor = self._executor(self.target, request)
-        draft_executor = self._executor(self.draft, request)
+        target_executor = self._simulator._executor(self.target, request)
+        draft_executor = self._simulator._executor(self.draft, request)
         backend = self.backend(request)
 
         baseline_ops = target_executor.backend.decode_ops(

@@ -10,7 +10,6 @@ import dataclasses
 from typing import List, Sequence
 
 from repro.core.runner import RunResult, run_inference
-from repro.engine.inference import DEFAULT_ENGINE_CONFIG, EngineConfig
 from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
@@ -52,13 +51,12 @@ class ServingStats:
 
 
 def serve(platform: Platform, model: ModelConfig,
-          requests: Sequence[InferenceRequest],
-          config: EngineConfig = DEFAULT_ENGINE_CONFIG) -> ServingStats:
+          requests: Sequence[InferenceRequest]) -> ServingStats:
     """Serve *requests* sequentially and aggregate metrics."""
     if not requests:
         raise ValueError("no requests to serve")
     results: List[RunResult] = [
-        run_inference(platform, model, request, config)
+        run_inference(platform, model, request)
         for request in requests
     ]
     ttfts = [r.ttft_s for r in results]

@@ -8,6 +8,7 @@ from repro.analysis.sensitivity import (
     stream_efficiency_sensitivity,
     zigzag_slope_sensitivity,
 )
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
@@ -67,6 +68,18 @@ class TestAdvisor:
             get_model("opt-13b"), InferenceRequest(batch_size=1), "e2e_s")
         for candidate in recommendation.ranked:
             assert set(candidate.summary) >= {"ttft_s", "tpot_s", "e2e_s"}
+
+    def test_only_capacity_errors_drop_a_candidate(self, monkeypatch):
+        # A candidate that does not fit is skipped; any other error is a
+        # bug and must surface instead of silently shrinking the field.
+        def broken(self, model, request, **kwargs):
+            raise ZeroDivisionError("pricing bug")
+
+        monkeypatch.setattr(InferenceSimulator, "run", broken)
+        advisor = DeploymentAdvisor(platforms=[get_platform("spr")])
+        with pytest.raises(ZeroDivisionError, match="pricing bug"):
+            advisor.recommend(get_model("opt-13b"),
+                              InferenceRequest(batch_size=1))
 
 
 class TestSensitivity:

@@ -2,11 +2,12 @@
 
 Four contracts, each pinned here:
 
-1. **engine-config parity** — the ``EngineConfig(numa=...)`` derivation
-   and a NUMA-unaware :class:`NumaBackend` price bit-identically across
-   every evaluated NUMA config, and ``OffloadSimulator.run``'s
-   closed-form decode matches its original per-step loop (``exact=True``)
-   to ≤1e-9 for both KV placements;
+1. **one placement owner** — :class:`NumaBackend` prices every NUMA
+   config x core count as pinned below, the placement it prices with is
+   the one ``config_label`` and the remote-access counter report, a GPU
+   refuses it, and ``OffloadSimulator.run``'s closed-form decode matches
+   its original per-step loop (``exact=True``) to ≤1e-9 for both KV
+   placements;
 2. **hybrid pricing** — :class:`HybridBackend` charges its whole GPU
    prefill leg through ``prefill_comm_s``, priced by the same
    ``gpu_prefill_leg`` the offload engine uses (bit-equal where the
@@ -42,15 +43,26 @@ from repro.engine.backend import (
     clear_backend_op_caches,
     parse_backend,
 )
-from repro.engine.inference import EngineConfig, InferenceSimulator
+from repro.core.runner import CharacterizationSweep, run_inference
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.engine.stepcost import decode_cost_table
 from repro.experiments._sweeps import clear_caches
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
 from repro.numa.model import NumaModel, hot_cold_effective_bandwidth
-from repro.numa.modes import EVALUATED_CONFIGS, QUAD_FLAT, SNC_FLAT
+from repro.numa.modes import (
+    EVALUATED_CONFIGS,
+    KNOWN_CONFIGS,
+    QUAD_FLAT,
+    SNC_CACHE,
+    SNC_FLAT,
+    get_config,
+)
 from repro.offload.engine import OffloadSimulator
+from repro.perfcounters.collector import CounterModel
+from repro.perfcounters.counters import LINE_BYTES
+from repro.scaling.cores import CoreScalingModel
 from repro.serving.arrivals import poisson_arrivals
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.streams import ShardableStream
@@ -74,38 +86,63 @@ def decode_heavy_spec():
                         priority_metric="tpot_s")
 
 
-# -- adapter parity: legacy NUMA engine config vs NumaBackend ---------------
+# -- NUMA placement: one owner, the backend ---------------------------------
+
+#: (prefill.time_s, decode.time_s, e2e_s) as float hex for LLaMA2-7B at
+#: batch 2, 256 in / 16 out, per (NUMA config, cores). Recorded from the
+#: engine-config placement path this backend replaced, so they hold the
+#: backend to that path's prices; quad_hbm_only prices as quad_flat here
+#: because HBM holds the whole footprint.
+NUMA_CORE_PINS = {
+    ('quad_cache', 1): ('0x1.a47931423f9d1p+0', '0x1.6b3bf1bae908ep+3', '0x1.9fcb17e330fc8p+3'),
+    ('quad_cache', 12): ('0x1.456609598ea27p-3', '0x1.44f1300171380p+0', '0x1.6d9df12ca30c5p+0'),
+    ('quad_cache', 48): ('0x1.d8f15f62798d8p-5', '0x1.29f06a7cff4aap-1', '0x1.477f807326e38p-1'),
+    ('quad_cache', 96): ('0x1.d893409d24f90p-4', '0x1.4090deab909a8p+0', '0x1.5e1a12b562ea1p+0'),
+    ('quad_flat', 1): ('0x1.9d8b7a1d77ab9p+0', '0x1.3bb0ebcebf806p+3', '0x1.6f625b126e75dp+3'),
+    ('quad_flat', 12): ('0x1.3f48fe5738911p-3', '0x1.1afe0ca988ce7p+0', '0x1.42e72c746fe09p+0'),
+    ('quad_flat', 48): ('0x1.cdf04b91783b3p-5', '0x1.042f311447b89p-1', '0x1.210e35cd5f3c4p-1'),
+    ('quad_flat', 96): ('0x1.9b4ff9bd78651p-4', '0x1.17309ed4ed557p+0', '0x1.30e59e70c4dbcp+0'),
+    ('snc_cache', 1): ('0x1.b3e2e355d8d6cp+0', '0x1.d4fed6041d21dp+3', '0x1.05bd99376c1e5p+4'),
+    ('snc_cache', 12): ('0x1.52ff885bca8a1p-3', '0x1.a242cc4208992p+0', '0x1.cca2bd4d81ea6p+0'),
+    ('snc_cache', 48): ('0x1.18ae2d5aed56ep-4', '0x1.7ded10b721224p-1', '0x1.a102d6627ecd2p-1'),
+    ('snc_cache', 96): ('0x1.306da42cb0f55p-3', '0x1.9c9bb88871234p+0', '0x1.c2a96d0e0741fp+0'),
+    ('snc_flat', 1): ('0x1.aaefd6c656943p+0', '0x1.9795ee5dbcd12p+3', '0x1.ccf3e93687a3ap+3'),
+    ('snc_flat', 12): ('0x1.4b1a04ce1b5e5p-3', '0x1.6c136945d1bb6p+0', '0x1.9576a9df95273p+0'),
+    ('snc_flat', 48): ('0x1.eafc9817d4cd9p-5', '0x1.4d28d13a895aap-1', '0x1.6bd89abc06a78p-1'),
+    ('snc_flat', 96): ('0x1.08dcdbbc3c2afp-3', '0x1.672a10bdde3f0p+0', '0x1.8845ac3565c46p+0'),
+    ('quad_hbm_only', 1): ('0x1.9d8b7a1d77ab9p+0', '0x1.3bb0ebcebf806p+3', '0x1.6f625b126e75dp+3'),
+    ('quad_hbm_only', 12): ('0x1.3f48fe5738911p-3', '0x1.1afe0ca988ce7p+0', '0x1.42e72c746fe09p+0'),
+    ('quad_hbm_only', 48): ('0x1.cdf04b91783b3p-5', '0x1.042f311447b89p-1', '0x1.210e35cd5f3c4p-1'),
+    ('quad_hbm_only', 96): ('0x1.9b4ff9bd78651p-4', '0x1.17309ed4ed557p+0', '0x1.30e59e70c4dbcp+0'),
+}
+
+PIN_REL_TOL = 1e-9
 
 
 class TestNumaAdapterParity:
     REQUEST = InferenceRequest(batch_size=2, input_len=256, output_len=16)
 
-    @pytest.mark.parametrize("numa", EVALUATED_CONFIGS,
-                             ids=lambda c: c.label)
-    # NUMA-aware placement is NumaBackend's alone (the engine config has
-    # no spelling for it), so only the unaware placement has a twin.
-    @pytest.mark.parametrize("aware", (False,))
-    def test_sweep_results_bit_match(self, numa, aware):
-        legacy = InferenceSimulator(
-            SPR, EngineConfig(numa=numa)).run(LLAMA7, self.REQUEST)
-        adapted = InferenceSimulator(
-            SPR, backend=NumaBackend(numa=numa, numa_aware=aware)
-        ).run(LLAMA7, self.REQUEST)
-        # Same derivation through a different layer: bit-identical, not
-        # merely close.
-        assert adapted.prefill.time_s == legacy.prefill.time_s
-        assert adapted.decode.time_s == legacy.decode.time_s
-        assert adapted.e2e_s == legacy.e2e_s
+    @pytest.mark.parametrize("numa", KNOWN_CONFIGS, ids=lambda c: c.label)
+    @pytest.mark.parametrize("cores", (1, 12, 48, 96))
+    def test_prices_match_pin(self, numa, cores):
+        result = InferenceSimulator(SPR, NumaBackend(numa=numa),
+                                    cores=cores).run(LLAMA7, self.REQUEST)
+        got = [result.prefill.time_s, result.decode.time_s, result.e2e_s]
+        want = [float.fromhex(v) for v in NUMA_CORE_PINS[(numa.label, cores)]]
+        assert got == pytest.approx(want, rel=PIN_REL_TOL, abs=0.0)
 
     @pytest.mark.parametrize("numa", EVALUATED_CONFIGS,
                              ids=lambda c: c.label)
     def test_bandwidth_and_capacity_derivations_match(self, numa):
-        legacy = InferenceSimulator(SPR, EngineConfig(numa=numa))
-        adapted = InferenceSimulator(SPR, backend=NumaBackend(numa=numa))
+        # The simulator adds only core scaling (and socket spanning) to
+        # the backend's own NumaModel.
+        simulator = InferenceSimulator(SPR, backend=NumaBackend(numa=numa))
+        placement = NumaModel(SPR, numa)
         footprint = 30e9
-        assert adapted.effective_bandwidth(footprint) == \
-            legacy.effective_bandwidth(footprint)
-        assert adapted.memory_capacity() == legacy.memory_capacity()
+        assert simulator.effective_bandwidth(footprint) == \
+            placement.effective_bandwidth(footprint) \
+            * CoreScalingModel(SPR, 48).bandwidth_factor
+        assert simulator.memory_capacity() == placement.capacity_bytes
 
     def test_numa_aware_study_runs_through_backend(self):
         naive = InferenceSimulator(
@@ -116,6 +153,44 @@ class TestNumaAdapterParity:
         # NUMA-aware allocation recovers bandwidth lost to sub-node
         # remote accesses; the speedup direction is the paper's claim.
         assert naive.e2e_s / aware.e2e_s > 1.0
+
+    def test_config_label_names_the_priced_placement(self):
+        result = InferenceSimulator(
+            SPR, backend=NumaBackend(numa=SNC_FLAT)).run(LLAMA7, self.REQUEST)
+        assert result.config_label == "snc_flat/48c"
+        wrapped = InferenceSimulator(
+            SPR, backend=parse_backend("int8-numa:quad_cache"), cores=24)
+        assert wrapped.config_label == "quad_cache/24c"
+        assert InferenceSimulator(SPR).config_label == "quad_flat/48c"
+
+    def test_counter_remote_fraction_is_the_priced_placement(self):
+        counters = CounterModel(
+            SPR, NumaBackend(numa=SNC_FLAT, numa_aware=True))
+        result = counters.simulator.run(LLAMA7, self.REQUEST)
+        total_bytes = result.prefill.total_bytes + result.decode.total_bytes
+        estimate = counters.from_result(result)
+        assert estimate.remote_llc_accesses == pytest.approx(
+            0.15 * total_bytes / LINE_BYTES, rel=1e-12)
+
+    def test_gpu_refuses_numa_placement_at_construction(self):
+        with pytest.raises(ValueError, match="NUMA model applies to CPUs"):
+            InferenceSimulator(H100, backend=NumaBackend(numa=SNC_FLAT))
+        with pytest.raises(ValueError, match="NUMA model applies to CPUs"):
+            InferenceSimulator(
+                H100, backend=parse_backend("int8-numa:snc_flat"))
+
+    def test_offloaded_gpu_cell_refuses_numa_placement(self):
+        # OPT-66B offloads on an A100: the placement is still refused, not
+        # silently dropped on the way to the offloading engine.
+        request = InferenceRequest(batch_size=1)
+        assert run_inference(A100, get_model("opt-66b"), request).placement
+        with pytest.raises(ValueError, match="NUMA model applies to CPUs"):
+            run_inference(A100, get_model("opt-66b"), request,
+                          NumaBackend(numa=get_config("quad_flat")))
+        sweep = CharacterizationSweep([SPR, A100], [LLAMA7], [1],
+                                      backend=NumaBackend(numa=QUAD_FLAT))
+        with pytest.raises(ValueError, match="NUMA model applies to CPUs"):
+            sweep.run()
 
 
 # -- hot/cold placement across memory tiers ---------------------------------
@@ -220,13 +295,15 @@ class TestHybridBackend:
             offload.prefill_time_s
 
     # Every wrapper forwards the hooks it does not override to its
-    # inner backend (WrapperBackend); *overridden* names the rest.
+    # inner backend (WrapperBackend); *overridden* names the rest. The
+    # inner backend places quad_flat, so the NUMA wrapper picks a cache
+    # mode, whose capacity (DDR only) differs from flat's too.
     @pytest.mark.parametrize("wrap,overridden", [
         (lambda inner: TensorParallelBackend(inner=inner),
          {"decode_ops", "decode_comm_s", "capacity_scale"}),
-        (lambda inner: NumaBackend(numa=SNC_FLAT, numa_aware=True,
+        (lambda inner: NumaBackend(numa=SNC_CACHE, numa_aware=True,
                                    inner=inner),
-         {"tier_bandwidth", "memory_capacity_bytes"}),
+         {"numa_model", "tier_bandwidth", "memory_capacity_bytes"}),
         (lambda inner: HybridBackend(gpu=A100, inner=inner), set()),
     ], ids=["tp", "numa", "hybrid"])
     def test_decode_delegates_to_inner_backend(self, wrap, overridden):
@@ -241,6 +318,8 @@ class TestHybridBackend:
             "capacity_scale": lambda b: b.capacity_scale,
             "decode_ops": lambda b: b.decode_ops(LLAMA13, 4, 600),
             "decode_comm_s": lambda b: b.decode_comm_s(LLAMA13, 4),
+            "numa_model": lambda b: (b.numa_model(SPR).config,
+                                     b.numa_model(SPR).numa_aware),
             "tier_bandwidth": lambda b: b.tier_bandwidth(SPR, 40e9),
             "memory_capacity_bytes": lambda b: b.memory_capacity_bytes(SPR),
         }

@@ -161,6 +161,8 @@ CASES = {
                                      "--model llama2-7b",
     "err-sweep-unknown-numa": "sweep --platforms spr --models opt-1.3b "
                               "--numa bogus",
+    "err-sweep-numa-gpu": "sweep --platforms a100 --models opt-1.3b "
+                          "--numa quad_flat",
     "err-advise-unknown-model": "advise --model nosuch",
 }
 

@@ -8,8 +8,8 @@ paths that guard against physically meaningless simulations.
 import pytest
 
 from repro.core.runner import run_inference
+from repro.engine.backend import NumaBackend
 from repro.engine.inference import (
-    EngineConfig,
     InferenceSimulator,
     MemoryCapacityError,
     simulate,
@@ -58,7 +58,7 @@ class TestMinimalShapes:
 class TestHbmOnlyMode:
     def test_small_model_runs(self):
         result = simulate(get_platform("spr"), get_model("llama2-13b"),
-                          config=EngineConfig(numa=HBM_ONLY_QUAD))
+                          backend=NumaBackend(numa=HBM_ONLY_QUAD))
         assert result.e2e_s > 0
 
     def test_hbm_only_faster_than_flat_for_resident_model(self):
@@ -66,14 +66,14 @@ class TestHbmOnlyMode:
         spr = get_platform("spr")
         model = get_model("llama2-13b")
         hbm_only = simulate(spr, model,
-                            config=EngineConfig(numa=HBM_ONLY_QUAD))
+                            backend=NumaBackend(numa=HBM_ONLY_QUAD))
         flat = simulate(spr, model)
         assert hbm_only.e2e_s <= flat.e2e_s * 1.01
 
     def test_oversize_model_rejected(self):
         with pytest.raises(MemoryCapacityError):
             simulate(get_platform("spr"), get_model("opt-66b"),
-                     config=EngineConfig(numa=HBM_ONLY_QUAD))
+                     backend=NumaBackend(numa=HBM_ONLY_QUAD))
 
 
 class TestOffloadEdges:
@@ -138,7 +138,7 @@ class TestDispatchEdges:
 
     def test_cores_below_snc_granularity(self):
         result = simulate(get_platform("spr"), get_model("opt-1.3b"),
-                          config=EngineConfig(cores=1))
+                          cores=1)
         assert result.e2e_s > 0
 
 
@@ -151,10 +151,8 @@ class TestSimulatorInternals:
         spr.run(model, request)  # must not raise
 
     def test_memory_capacity_spans_sockets_at_96_cores(self):
-        single = InferenceSimulator(get_platform("spr"),
-                                    EngineConfig(cores=48))
-        double = InferenceSimulator(get_platform("spr"),
-                                    EngineConfig(cores=96))
+        single = InferenceSimulator(get_platform("spr"), cores=48)
+        double = InferenceSimulator(get_platform("spr"), cores=96)
         assert double.memory_capacity() == pytest.approx(
             2 * single.memory_capacity())
 

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.engine.backend import NumaBackend
 from repro.engine.inference import (
-    EngineConfig,
     InferenceSimulator,
     MemoryCapacityError,
     simulate,
@@ -119,39 +119,38 @@ class TestConfigurationEffects:
     def test_quad_flat_beats_snc_flat(self):
         spr = get_platform("spr")
         model = get_model("llama2-13b")
-        flat = simulate(spr, model, config=EngineConfig(numa=QUAD_FLAT))
-        snc = simulate(spr, model, config=EngineConfig(numa=SNC_FLAT))
+        flat = simulate(spr, model, backend=NumaBackend(numa=QUAD_FLAT))
+        snc = simulate(spr, model, backend=NumaBackend(numa=SNC_FLAT))
         assert flat.e2e_s < snc.e2e_s
 
     def test_flat_beats_cache(self):
         spr = get_platform("spr")
         model = get_model("llama2-13b")
-        flat = simulate(spr, model, config=EngineConfig(numa=QUAD_FLAT))
-        cache = simulate(spr, model, config=EngineConfig(numa=QUAD_CACHE))
+        flat = simulate(spr, model, backend=NumaBackend(numa=QUAD_FLAT))
+        cache = simulate(spr, model, backend=NumaBackend(numa=QUAD_CACHE))
         assert flat.e2e_s < cache.e2e_s
 
     def test_more_cores_faster_within_socket(self):
         spr = get_platform("spr")
         model = get_model("llama2-7b")
-        t12 = simulate(spr, model, config=EngineConfig(cores=12)).e2e_s
-        t48 = simulate(spr, model, config=EngineConfig(cores=48)).e2e_s
+        t12 = simulate(spr, model, cores=12).e2e_s
+        t48 = simulate(spr, model, cores=48).e2e_s
         assert t48 < t12
 
     def test_96_cores_slower_than_48(self):
         spr = get_platform("spr")
         model = get_model("llama2-7b")
-        t48 = simulate(spr, model, config=EngineConfig(cores=48)).e2e_s
-        t96 = simulate(spr, model, config=EngineConfig(cores=96)).e2e_s
+        t48 = simulate(spr, model, cores=48).e2e_s
+        t96 = simulate(spr, model, cores=96).e2e_s
         assert t96 > t48
 
     def test_config_label(self):
         sim = InferenceSimulator(get_platform("spr"),
-                                 EngineConfig(cores=24, numa=SNC_FLAT))
+                                 NumaBackend(numa=SNC_FLAT), cores=24)
         assert sim.config_label == "snc_flat/24c"
 
     def test_gpu_ignores_cpu_config(self):
-        sim = InferenceSimulator(get_platform("h100"),
-                                 EngineConfig(cores=24))
+        sim = InferenceSimulator(get_platform("h100"), cores=24)
         assert sim.config_label == "gpu"
 
 

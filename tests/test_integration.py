@@ -3,8 +3,8 @@
 import pytest
 
 from repro import (
-    EngineConfig,
     InferenceRequest,
+    NumaBackend,
     check_all_findings,
     get_model,
     get_platform,
@@ -58,11 +58,12 @@ class TestConfiguredPipeline:
     """NUMA + cores + counters through one pipeline."""
 
     def test_best_config_pipeline(self):
-        config = EngineConfig(cores=48, numa=QUAD_FLAT)
-        simulator = InferenceSimulator(get_platform("spr"), config)
+        backend = NumaBackend(numa=QUAD_FLAT)
+        simulator = InferenceSimulator(get_platform("spr"), backend, cores=48)
         result = simulator.run(get_model("llama2-13b"),
                                InferenceRequest(batch_size=8))
-        counters = CounterModel(get_platform("spr"), config).from_result(result)
+        counters = CounterModel(get_platform("spr"), backend,
+                                cores=48).from_result(result)
         assert result.e2e_s > 0
         assert counters.llc_mpki > 0
         assert counters.upi_utilization < 0.1  # single socket

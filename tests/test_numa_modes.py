@@ -5,6 +5,7 @@ import pytest
 from repro.numa.modes import (
     EVALUATED_CONFIGS,
     HBM_ONLY_QUAD,
+    KNOWN_CONFIGS,
     QUAD_CACHE,
     QUAD_FLAT,
     SNC_CACHE,
@@ -45,6 +46,24 @@ class TestGetConfig:
     def test_unknown_raises(self):
         with pytest.raises(KeyError, match="unknown NUMA config"):
             get_config("hemisphere_flat")
+
+    def test_every_name_an_error_lists_parses(self):
+        # get_config's own error and the numa: backend token's error list
+        # the one vocabulary get_config accepts, every name of it.
+        from repro.engine.backend import NumaBackend, parse_backend
+
+        with pytest.raises(KeyError) as lookup:
+            get_config("hemisphere_flat")
+        listed = lookup.value.args[0].split("known: ")[1]
+        lookup_names = [name.strip(" '[]") for name in listed.split(",")]
+        with pytest.raises(ValueError) as token:
+            parse_backend("numa:")
+        listed = str(token.value).split("config one of ")[1]
+        token_names = [name.strip() for name in listed.split(",")]
+        assert lookup_names == token_names == [c.label for c in KNOWN_CONFIGS]
+        for name in token_names:
+            assert get_config(name).label == name
+            assert isinstance(parse_backend(f"numa:{name}"), NumaBackend)
 
 
 class TestNumaConfig:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.inference import EngineConfig
+from repro.engine.backend import NumaBackend
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
@@ -51,7 +51,7 @@ class TestNumaTrends:
         self.request = InferenceRequest(batch_size=8)
 
     def counters(self, numa):
-        return CounterModel(self.spr, EngineConfig(numa=numa)).estimate(
+        return CounterModel(self.spr, NumaBackend(numa=numa)).estimate(
             self.model, self.request)
 
     def test_snc_remote_accesses_dwarf_quad(self):
@@ -68,8 +68,7 @@ class TestCoreTrends:
     """Fig. 16: UPI utilization spikes only past one socket."""
 
     def counters(self, cores):
-        return CounterModel(
-            get_platform("spr"), EngineConfig(cores=cores)).estimate(
+        return CounterModel(get_platform("spr"), cores=cores).estimate(
             get_model("llama2-7b"), InferenceRequest(batch_size=8))
 
     def test_upi_negligible_within_socket(self):

@@ -10,7 +10,7 @@ from repro.engine.backend import (
     TPConfig,
     parse_backend,
 )
-from repro.engine.inference import EngineConfig, InferenceSimulator
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
@@ -65,7 +65,7 @@ class TestTensorParallelSimulator:
     def test_tp2_beats_naive_96_cores(self):
         # The headline: disciplined 2-socket use wins where naive loses.
         naive = InferenceSimulator(
-            self.spr, EngineConfig(cores=96)).run(self.model, self.request)
+            self.spr, cores=96).run(self.model, self.request)
         tp = self.run_tp()
         single = InferenceSimulator(self.spr).run(self.model, self.request)
         assert naive.e2e_s > single.e2e_s   # KF#3
@@ -124,6 +124,15 @@ class TestPlatformCheck:
         with pytest.raises(ValueError, match="exceeds"):
             InferenceSimulator(get_platform("spr"),
                                backend=wrap(parse_backend("tp4")))
+
+    def test_inference_simulator_rejects_tp_over_socket_spanning_cores(self):
+        # TP already spans both sockets (capacity_scale 2); 96 cores would
+        # count the second socket's memory a second time.
+        with pytest.raises(ValueError, match="96 cores span the sockets"):
+            InferenceSimulator(get_platform("spr"),
+                               backend=parse_backend("tp2"), cores=96)
+        InferenceSimulator(get_platform("spr"), backend=parse_backend("tp2"),
+                           cores=48)
 
     def test_batching_simulator_rejects_degree_above_sockets(self):
         with pytest.raises(ValueError, match="exceeds"):
