@@ -747,14 +747,18 @@ def _cmd_models(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_request_args(parser: argparse.ArgumentParser) -> None:
+def _add_request_args(parser: argparse.ArgumentParser,
+                      placement: bool = True) -> None:
+    """The request-shape flags, plus ``--cores``/``--numa`` if *placement*."""
     parser.add_argument("--batch", type=int, default=1)
     parser.add_argument("--input", type=int, default=128)
     parser.add_argument("--output", type=int, default=32)
-    parser.add_argument("--cores", type=int, default=None,
-                        help="CPU cores (default: one socket)")
-    parser.add_argument("--numa", default=None,
-                        help="CPU NUMA config label (default: quad_flat)")
+    if placement:
+        parser.add_argument("--cores", type=int, default=None,
+                            help="CPU cores (default: one socket)")
+        parser.add_argument("--numa", default=None,
+                            help="CPU NUMA config label (default: "
+                                 "quad_flat)")
 
 
 def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
@@ -967,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
     advise_parser.add_argument("--metric", default="e2e_throughput",
                                choices=["ttft_s", "tpot_s", "e2e_s",
                                         "e2e_throughput"])
-    _add_request_args(advise_parser)
+    _add_request_args(advise_parser, placement=False)
     advise_parser.set_defaults(func=_cmd_advise)
 
     sub.add_parser("calibration",

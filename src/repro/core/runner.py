@@ -40,16 +40,15 @@ def run_inference(platform: Platform, model: ModelConfig,
     :class:`OffloadResult` for over-capacity GPU runs; both expose the same
     metric surface (``ttft_s``, ``tpot_s``, ``e2e_s``, throughputs,
     ``summary()``). *backend* and *cores* are :class:`InferenceSimulator`'s;
-    a backend the platform refuses (NUMA placement on a GPU) raises
-    ``ValueError`` even where the run would offload.
+    a backend or core count the platform refuses (NUMA placement or
+    cores on a GPU) raises ``ValueError`` even where the run would
+    offload.
     """
-    if backend is not None:
-        backend.check_platform(platform)
+    simulator = InferenceSimulator(platform, backend, cores=cores)
     if platform.is_gpu and needs_offloading(model, request, platform,
                                             offload_calibration):
         return OffloadSimulator(platform, offload_calibration).run(model, request)
-    return InferenceSimulator(platform, backend, cores=cores).run(
-        model, request)
+    return simulator.run(model, request)
 
 
 def is_offloaded(result: RunResult) -> bool:

@@ -9,7 +9,8 @@ set of places — exactly what :class:`ExecutionBackend` owns:
   including any rewrite (quantized weight streams, TP sharding,
   speculative draft+verify cycles, prefix-KV reuse);
 * **compute dtype** — what the GEMM engines execute in (INT8 dispatch
-  for full-INT8 quantization);
+  for full-INT8 quantization), held by the base backend alone: every
+  wrapper forwards its inner backend's;
 * **footprint accounting** — resident weight/KV/activation bytes, which
   feed capacity checks and NUMA bandwidth derivation;
 * **post-pricing adjustment** — per-op timing rewrites that ride the
@@ -421,66 +422,68 @@ class QuantizedBackend(ExecutionBackend):
 class WrapperBackend(ExecutionBackend):
     """A backend that changes a few hooks of an *inner* backend.
 
-    Every hook forwards to the inner backend (plain dense at ``dtype``
-    when ``inner`` is ``None``); a subclass overrides only what its
-    technique changes, plus :attr:`signature` and :attr:`label`.
-    Subclasses are frozen dataclasses declaring their own ``inner`` and
-    ``dtype`` fields, so their positional construction is their own.
+    Every hook forwards to the inner backend; a subclass overrides only
+    what its technique changes, plus :attr:`signature` and :attr:`label`.
+    Subclasses are frozen dataclasses declaring their own
+    ``inner: ExecutionBackend = BaselineBackend()`` field. The dtype is
+    the base's: a wrapper has no dtype of its own, and :attr:`dtype`
+    reads the inner backend's.
     """
 
-    def _resolved_inner(self) -> ExecutionBackend:
-        inner = self.inner  # type: ignore[attr-defined]
-        return inner if inner is not None \
-            else BaselineBackend(self.dtype)  # type: ignore[attr-defined]
+    # Declared here for type checkers; each subclass's dataclass field
+    # holds the value.
+    inner: ExecutionBackend
+
+    @property
+    def dtype(self) -> DType:
+        """The base backend's (activation) dtype."""
+        return self.inner.dtype
 
     @property
     def compute_dtype(self) -> DType:
-        return self._resolved_inner().compute_dtype
+        return self.inner.compute_dtype
 
     @property
     def adjusts(self) -> bool:  # type: ignore[override]
-        return self._resolved_inner().adjusts
+        return self.inner.adjusts
 
     def adjust_timing(self, timing):
-        return self._resolved_inner().adjust_timing(timing)
+        return self.inner.adjust_timing(timing)
 
     def prefill_ops(self, model: ModelConfig, batch_size: int,
                     input_len: int) -> Tuple[Op, ...]:
-        return self._resolved_inner().prefill_ops(model, batch_size,
-                                                  input_len)
+        return self.inner.prefill_ops(model, batch_size, input_len)
 
     def decode_ops(self, model: ModelConfig, batch_size: int,
                    kv_len: int) -> Tuple[Op, ...]:
-        return self._resolved_inner().decode_ops(model, batch_size, kv_len)
+        return self.inner.decode_ops(model, batch_size, kv_len)
 
     def weight_bytes(self, model: ModelConfig) -> float:
-        return self._resolved_inner().weight_bytes(model)
+        return self.inner.weight_bytes(model)
 
     def footprint_bytes(self, model: ModelConfig, request) -> float:
-        return self._resolved_inner().footprint_bytes(model, request)
+        return self.inner.footprint_bytes(model, request)
 
     @property
     def capacity_scale(self) -> float:
-        return self._resolved_inner().capacity_scale
+        return self.inner.capacity_scale
 
     def numa_model(self, platform: Platform) -> Optional[NumaModel]:
-        return self._resolved_inner().numa_model(platform)
+        return self.inner.numa_model(platform)
 
     def tier_bandwidth(self, platform: Platform,
                        footprint_bytes: float) -> float:
-        return self._resolved_inner().tier_bandwidth(platform,
-                                                     footprint_bytes)
+        return self.inner.tier_bandwidth(platform, footprint_bytes)
 
     def prefill_comm_s(self, model: ModelConfig, batch_size: int,
                        input_len: int) -> float:
-        return self._resolved_inner().prefill_comm_s(model, batch_size,
-                                                     input_len)
+        return self.inner.prefill_comm_s(model, batch_size, input_len)
 
     def decode_comm_s(self, model: ModelConfig, batch_size: int) -> float:
-        return self._resolved_inner().decode_comm_s(model, batch_size)
+        return self.inner.decode_comm_s(model, batch_size)
 
     def check_platform(self, platform: Platform) -> None:
-        self._resolved_inner().check_platform(platform)
+        self.inner.check_platform(platform)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -516,8 +519,7 @@ class TensorParallelBackend(WrapperBackend):
 
     tp: TPConfig = TPConfig()
     interconnect: Interconnect = dataclasses.field(default_factory=upi_link)
-    inner: Optional[ExecutionBackend] = None
-    dtype: DType = DType.BF16
+    inner: ExecutionBackend = BaselineBackend()
 
     # Sharded graphs are memoized like any built graph.
     prefill_ops = ExecutionBackend.prefill_ops
@@ -525,16 +527,15 @@ class TensorParallelBackend(WrapperBackend):
 
     def _build_prefill_ops(self, model: ModelConfig, batch_size: int,
                            input_len: int) -> Tuple[Op, ...]:
-        inner = self._resolved_inner()
         return tuple(shard_op(op, self.tp.degree)
-                     for op in inner.prefill_ops(model, batch_size,
-                                                 input_len))
+                     for op in self.inner.prefill_ops(model, batch_size,
+                                                      input_len))
 
     def _build_decode_ops(self, model: ModelConfig, batch_size: int,
                           kv_len: int) -> Tuple[Op, ...]:
-        inner = self._resolved_inner()
         return tuple(shard_op(op, self.tp.degree)
-                     for op in inner.decode_ops(model, batch_size, kv_len))
+                     for op in self.inner.decode_ops(model, batch_size,
+                                                     kv_len))
 
     @property
     def capacity_scale(self) -> float:
@@ -576,15 +577,15 @@ class TensorParallelBackend(WrapperBackend):
     @property
     def signature(self) -> tuple:
         return ("tp", self.tp, self.interconnect,
-                self._resolved_inner().signature)
+                self.inner.signature)
 
     @property
     def label(self) -> str:
-        return f"{self._resolved_inner().label}-tp{self.tp.degree}"
+        return f"{self.inner.label}-tp{self.tp.degree}"
 
 
 @dataclasses.dataclass(frozen=True)
-class SpecDecodeBackend(ExecutionBackend):
+class SpecDecodeBackend(WrapperBackend):
     """Speculative decoding folded into a per-token decode graph.
 
     One speculation cycle is ``gamma`` draft-model decode steps plus one
@@ -594,32 +595,35 @@ class SpecDecodeBackend(ExecutionBackend):
     decode graph scales both pieces by ``1/E[tokens]`` via
     :func:`scale_op`, so one "decode iteration" prices to exactly the
     effective per-token cost — which is what lets a speculative replica
-    run under the unchanged batching/cluster loops. Prefill is the
-    plain target prefill.
+    run under the unchanged batching/cluster loops.
+
+    Both pieces are the *inner* backend's graphs (draft steps from its
+    ``decode_ops``, the verification pass from its ``prefill_ops`` and
+    ``decode_ops``), so speculation composes over quantization: an INT8
+    base streams INT8 weights in the draft and the verify pass alike.
+    Prefill is the inner backend's; the weights and footprint are the
+    inner backend's plus the draft's weights at the inner backend's
+    storage.
     """
 
     draft: ModelConfig
     spec: SpecDecodeConfig = SpecDecodeConfig()
-    dtype: DType = DType.BF16
+    inner: ExecutionBackend = BaselineBackend()
+
+    # The folded decode graph is memoized like any built graph.
+    decode_ops = ExecutionBackend.decode_ops
 
     def verify_ops(self, model: ModelConfig, batch_size: int,
                    kv_len: int) -> Tuple[Op, ...]:
         """Unscaled target verification pass at *kv_len* cached tokens."""
-        ops = list(_prefill_ops_cached(model, batch_size,
-                                       self.spec.gamma + 1, self.dtype,
-                                       False))
-        kv_read = sum(op.kv_read_bytes
-                      for op in _decode_step_ops_cached(model, batch_size,
-                                                        kv_len, self.dtype))
+        ops = list(self.inner.prefill_ops(model, batch_size,
+                                          self.spec.gamma + 1))
+        kv_read = sum(op.kv_read_bytes for op in
+                      self.inner.decode_ops(model, batch_size, kv_len))
         # Pure-memory op with zero launches: prices to bytes / bandwidth.
         ops.append(Op(name="verify_kv_read", kind=OpKind.ELEMENTWISE,
                       kv_read_bytes=kv_read, kernel_launches=0))
         return tuple(ops)
-
-    def _build_prefill_ops(self, model: ModelConfig, batch_size: int,
-                           input_len: int) -> Tuple[Op, ...]:
-        return _prefill_ops_cached(model, batch_size, input_len,
-                                   self.dtype, False)
 
     def _build_decode_ops(self, model: ModelConfig, batch_size: int,
                           kv_len: int) -> Tuple[Op, ...]:
@@ -627,56 +631,59 @@ class SpecDecodeBackend(ExecutionBackend):
         draft_scale = self.spec.gamma / e_tokens
         ops = [dataclasses.replace(scale_op(op, draft_scale),
                                    name=f"draft/{op.name}")
-               for op in _decode_step_ops_cached(self.draft, batch_size,
-                                                 kv_len, self.dtype)]
+               for op in self.inner.decode_ops(self.draft, batch_size,
+                                               kv_len)]
         ops += [dataclasses.replace(scale_op(op, 1.0 / e_tokens),
                                     name=f"verify/{op.name}")
                 for op in self.verify_ops(model, batch_size, kv_len)]
         return tuple(ops)
 
     def weight_bytes(self, model: ModelConfig) -> float:
-        return (weight_bytes(model, self.dtype)
-                + weight_bytes(self.draft, self.dtype))
+        return (self.inner.weight_bytes(model)
+                + self.inner.weight_bytes(self.draft))
 
     def footprint_bytes(self, model: ModelConfig, request) -> float:
         # Target working set plus the resident draft weights (draft KV
         # is second-order: the draft shares context length but is tiny).
-        return (inference_footprint_bytes(model, request.max_seq_len,
-                                          request.batch_size, self.dtype)
-                + weight_bytes(self.draft, self.dtype))
+        return (self.inner.footprint_bytes(model, request)
+                + self.inner.weight_bytes(self.draft))
 
     @property
     def signature(self) -> tuple:
-        return ("specdecode", self.draft, self.spec, self.dtype)
+        return ("specdecode", self.draft, self.spec, self.inner.signature)
 
     @property
     def label(self) -> str:
-        return f"spec-{self.draft.name}-g{self.spec.gamma}"
+        return (f"{self.inner.label}-spec-{self.draft.name}"
+                f"-g{self.spec.gamma}")
 
 
 @dataclasses.dataclass(frozen=True)
-class PrefixCacheBackend(ExecutionBackend):
+class PrefixCacheBackend(WrapperBackend):
     """Shared-prefix (system-prompt) caching on the prefill path.
 
     A prompt of ``input_len`` tokens with the leading ``prefix_len``
-    cached pays prefill over the unique suffix only, plus one read of
-    the cached prefix's K/V per layer (the suffix still attends to it).
-    Decode is unchanged. Prompts no longer than the prefix keep one
-    uncached token so the pass stays well-formed.
+    cached pays the *inner* backend's prefill over the unique suffix
+    only, plus one read of the cached prefix's K/V per layer (the suffix
+    still attends to it), at the inner backend's dtype. Decode and
+    everything else is the inner backend's. Prompts no longer than the
+    prefix keep one uncached token so the pass stays well-formed.
     """
 
     prefix_len: int = 512
-    dtype: DType = DType.BF16
+    inner: ExecutionBackend = BaselineBackend()
 
     def __post_init__(self) -> None:
         require_positive(self.prefix_len, "prefix_len")
 
+    # The warm prefill graph is memoized like any built graph.
+    prefill_ops = ExecutionBackend.prefill_ops
+
     def _build_prefill_ops(self, model: ModelConfig, batch_size: int,
                            input_len: int) -> Tuple[Op, ...]:
         prefix = min(self.prefix_len, input_len - 1)
-        unique = input_len - prefix
-        ops = list(_prefill_ops_cached(model, batch_size, unique,
-                                       self.dtype, False))
+        ops = list(self.inner.prefill_ops(model, batch_size,
+                                          input_len - prefix))
         if prefix > 0:
             ops.append(Op(
                 name="prefix_kv_read", kind=OpKind.ELEMENTWISE,
@@ -685,17 +692,13 @@ class PrefixCacheBackend(ExecutionBackend):
                 kernel_launches=0))
         return tuple(ops)
 
-    def _build_decode_ops(self, model: ModelConfig, batch_size: int,
-                          kv_len: int) -> Tuple[Op, ...]:
-        return _decode_step_ops_cached(model, batch_size, kv_len, self.dtype)
-
     @property
     def signature(self) -> tuple:
-        return ("prefix", self.prefix_len, self.dtype)
+        return ("prefix", self.prefix_len, self.inner.signature)
 
     @property
     def label(self) -> str:
-        return f"prefix{self.prefix_len}"
+        return f"{self.inner.label}-prefix{self.prefix_len}"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -725,8 +728,7 @@ class NumaBackend(WrapperBackend):
     numa_aware: bool = False
     hot_fraction: Optional[float] = None
     calibration: NumaCalibration = DEFAULT_NUMA_CALIBRATION
-    inner: Optional[ExecutionBackend] = None
-    dtype: DType = DType.BF16
+    inner: ExecutionBackend = BaselineBackend()
 
     def __post_init__(self) -> None:
         if self.hot_fraction is not None and \
@@ -754,7 +756,7 @@ class NumaBackend(WrapperBackend):
     @property
     def signature(self) -> tuple:
         return ("numa", self.numa, self.numa_aware, self.hot_fraction,
-                self.calibration, self._resolved_inner().signature)
+                self.calibration, self.inner.signature)
 
     @property
     def label(self) -> str:
@@ -763,7 +765,7 @@ class NumaBackend(WrapperBackend):
             tag += "-aware"
         if self.hot_fraction is not None:
             tag += f"-hot{self.hot_fraction:g}"
-        return f"{self._resolved_inner().label}-{tag}"
+        return f"{self.inner.label}-{tag}"
 
 
 # The hybrid backend's GPU-side executor and priced prefill legs are
@@ -781,7 +783,7 @@ def _hybrid_gpu_executor(gpu: Platform, dtype: DType):
         from repro.engine.executor import OperatorExecutor
 
         bandwidth = gpu.peak_memory_bandwidth * gpu.stream_efficiency
-        executor = OperatorExecutor(gpu, dtype, bandwidth)
+        executor = OperatorExecutor(gpu, BaselineBackend(dtype), bandwidth)
         _HYBRID_EXECUTORS[key] = executor
     return executor
 
@@ -832,8 +834,7 @@ class HybridBackend(WrapperBackend):
     # consumers, so the import cannot be at module scope).
     gpu: Platform
     calibration: Optional["OffloadCalibration"] = None
-    inner: Optional[ExecutionBackend] = None
-    dtype: DType = DType.BF16
+    inner: ExecutionBackend = BaselineBackend()
 
     def __post_init__(self) -> None:
         if not self.gpu.is_gpu:
@@ -864,13 +865,13 @@ class HybridBackend(WrapperBackend):
 
     @property
     def signature(self) -> tuple:
-        return ("hybrid", self.gpu.name, self.calibration, self.dtype,
-                self._resolved_inner().signature)
+        return ("hybrid", self.gpu.name, self.calibration,
+                self.inner.signature)
 
     @property
     def label(self) -> str:
         gpu_tag = self.gpu.name.split("-")[0].lower()
-        return f"{self._resolved_inner().label}-hyb.{gpu_tag}"
+        return f"{self.inner.label}-hyb.{gpu_tag}"
 
     # Platform carries an (unhashable) memory-tier list, so the
     # dataclass-generated __eq__/__hash__ would fail; identity lives in
@@ -1031,13 +1032,11 @@ def parse_backend(spec: str,
             base = QuantizedBackend(QuantConfig(scheme=QuantScheme.FULL_INT8))
         else:
             raise _spec_error(token, spec)
-    backend: Optional[ExecutionBackend] = base
+    backend = base if base is not None else BaselineBackend()
     if numa is not None:
         backend = dataclasses.replace(numa, inner=backend)
     if hybrid is not None:
         backend = dataclasses.replace(hybrid, inner=backend)
-    if backend is None:
-        backend = BaselineBackend(DType.BF16)
     if tp_degree is not None:
         return TensorParallelBackend(tp=TPConfig(degree=tp_degree),
                                      interconnect=interconnect or upi_link(),

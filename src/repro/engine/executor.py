@@ -11,10 +11,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.engine.backend import BaselineBackend, ExecutionBackend
+from repro.engine.backend import ExecutionBackend
 from repro.gemm.efficiency import _gemm_efficiency_cached
 from repro.hardware.compute import ComputeEngine, EngineKind
-from repro.hardware.datatypes import DType
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.models.layers import Op
@@ -77,33 +76,27 @@ class OperatorExecutor:
 
     Args:
         platform: Target platform.
-        dtype: Compute dtype.
+        backend: Execution backend supplying the compute dtype (its
+            :attr:`~repro.engine.backend.ExecutionBackend.compute_dtype`
+            selects the engine peaks), decode/prefill op graphs,
+            post-pricing timing adjustments, and per-pass communication.
         bandwidth: Effective memory bandwidth in bytes/s (already adjusted
             for NUMA configuration, core count, and stream efficiency).
         compute_scale: Multiplier on engine peaks (core-count scaling).
-        backend: Execution backend supplying decode/prefill op graphs,
-            post-pricing timing adjustments, and per-pass communication.
-            Defaults to the plain :class:`~repro.engine.backend.
-            BaselineBackend` at *dtype*, which reproduces the historical
-            behavior exactly. Callers building an executor for a backend
-            should pass ``dtype=backend.compute_dtype``.
     """
 
-    def __init__(self, platform: Platform, dtype: DType, bandwidth: float,
-                 compute_scale: float = 1.0,
-                 backend: Optional[ExecutionBackend] = None):
+    def __init__(self, platform: Platform, backend: ExecutionBackend,
+                 bandwidth: float, compute_scale: float = 1.0):
         require_positive(bandwidth, "bandwidth")
         require_positive(compute_scale, "compute_scale")
         self.platform = platform
-        self.dtype = dtype
+        self.backend = backend
+        self.dtype = dtype = backend.compute_dtype
         self.bandwidth = bandwidth
         self.compute_scale = compute_scale
-        self.backend = backend if backend is not None \
-            else BaselineBackend(dtype)
         # Resolved once: the hot pricing loops skip the adjustment call
         # entirely for non-adjusting backends.
-        self._adjust = self.backend.adjust_timing if self.backend.adjusts \
-            else None
+        self._adjust = backend.adjust_timing if backend.adjusts else None
         self._engines = [e for e in platform.engines if e.supports(dtype)]
         if not self._engines:
             raise ValueError(f"{platform.name} has no engine for {dtype}")

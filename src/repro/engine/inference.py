@@ -47,14 +47,14 @@ class InferenceSimulator:
             placement / ...); ``None`` means plain dense execution at
             each request's dtype, placed quad_flat on a CPU.
         cores: CPU cores to use; ``None`` = one full socket (the paper's
-            tuned setting, 48 on SPR / 32 on ICL). Ignored for GPUs.
+            tuned setting, 48 on SPR / 32 on ICL).
 
     Raises:
         ValueError: If *backend* cannot run on *platform* (tensor
             parallelism on a GPU, or over more sockets than it has; NUMA
-            placement on a GPU), or if a backend that already spans
-            sockets (``capacity_scale > 1``) meets *cores* that span
-            them too.
+            placement on a GPU), if *cores* is set on a GPU, or if a
+            backend that already spans sockets (``capacity_scale > 1``)
+            meets *cores* that span them too.
     """
 
     def __init__(self, platform: Platform,
@@ -74,6 +74,10 @@ class InferenceSimulator:
                     f"{self._scaling.cores} cores span the sockets of "
                     f"{platform.name}, which backend {backend.label} "
                     f"already spans; use one socket's cores")
+        elif cores is not None:
+            raise ValueError(
+                f"a core count (cores={cores}) applies to CPUs, got "
+                f"{platform.name}")
         else:
             self._scaling = None
 
@@ -137,10 +141,9 @@ class InferenceSimulator:
         if footprint is None:
             footprint = backend.footprint_bytes(model, request)
         return OperatorExecutor(
-            self.platform, backend.compute_dtype,
+            self.platform, backend,
             bandwidth=self.effective_bandwidth(footprint),
-            compute_scale=self.compute_scale(),
-            backend=backend)
+            compute_scale=self.compute_scale())
 
     def replica_executor(self, model: ModelConfig,
                          max_batch: int) -> OperatorExecutor:

@@ -12,6 +12,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.engine.backend import BaselineBackend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
@@ -157,7 +158,8 @@ class OffloadSimulator:
     def _gpu_executor(self, request: InferenceRequest) -> OperatorExecutor:
         bandwidth = (self.gpu.peak_memory_bandwidth
                      * self.gpu.stream_efficiency)
-        return OperatorExecutor(self.gpu, request.dtype, bandwidth)
+        return OperatorExecutor(self.gpu, BaselineBackend(request.dtype),
+                                bandwidth)
 
     def _split_ops(self, ops: List[Op]):
         attention = [op for op in ops if op.kind in _ATTENTION_KINDS]

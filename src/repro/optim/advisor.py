@@ -13,6 +13,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.runner import run_inference
 from repro.engine.backend import (
+    BaselineBackend,
     NumaBackend,
     QuantizedBackend,
     TensorParallelBackend,
@@ -79,6 +80,7 @@ class DeploymentAdvisor:
     def _candidates(self, model: ModelConfig,
                     request: InferenceRequest) -> List[Candidate]:
         candidates: List[Candidate] = []
+        base = BaselineBackend(request.dtype)
 
         def add(label: str, platform_name: str, runner: Callable):
             try:
@@ -101,7 +103,7 @@ class DeploymentAdvisor:
             for numa in EVALUATED_CONFIGS:
                 add(f"{platform.name} {numa.label}", platform.name,
                     lambda p=platform, n=numa: InferenceSimulator(
-                        p, NumaBackend(numa=n, dtype=request.dtype)
+                        p, NumaBackend(numa=n, inner=base)
                     ).run(model, request))
             if self.consider_quantization:
                 add(f"{platform.name} quad_flat+int8", platform.name,
@@ -114,7 +116,7 @@ class DeploymentAdvisor:
                 add(f"{platform.name} quad_flat+tp2", platform.name,
                     lambda p=platform: InferenceSimulator(
                         p, backend=TensorParallelBackend(
-                            TPConfig(degree=2), dtype=request.dtype)
+                            TPConfig(degree=2), inner=base)
                     ).run(model, request))
         return candidates
 

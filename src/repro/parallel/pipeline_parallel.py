@@ -23,6 +23,7 @@ improving even the latency sum.
 import dataclasses
 from typing import List
 
+from repro.engine.backend import BaselineBackend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
@@ -137,7 +138,7 @@ class PipelineParallelSimulator:
             + peak_activation_bytes(model, request.max_seq_len,
                                     request.batch_size, request.dtype))
         return OperatorExecutor(
-            self.platform, request.dtype,
+            self.platform, BaselineBackend(request.dtype),
             bandwidth=self._base.effective_bandwidth(footprint),
             compute_scale=self._base.compute_scale())
 

@@ -68,6 +68,42 @@ def _check_shard(shard: int, num_shards: int) -> None:
         raise ValueError(f"shard must be in [0, {num_shards}), got {shard}")
 
 
+def _arrivals(base_rate_per_s: float, burst_rate_per_s: float,
+              burst_s: float, period_s: float, count: Optional[int],
+              duration_s: Optional[float], spec: Optional[object],
+              seed: int, shard: int,
+              num_shards: int) -> Iterator[ArrivingRequest]:
+    """The one arrival loop: exponential gaps at the burst rate inside
+    each period's opening *burst_s* window, at the base rate outside it.
+
+    Callers validate. Foreign shards' draws are consumed (the RNG
+    stream must stay aligned across shards) but their request objects
+    are never built.
+    """
+    input_range, output_range = _spec_ranges(spec)
+    rng = random.Random(seed)
+    expovariate, randint = rng.expovariate, rng.randint
+    now = 0.0
+    request_id = 0
+    while count is None or request_id < count:
+        in_burst = burst_s and (now % period_s) < burst_s
+        now += expovariate(burst_rate_per_s if in_burst
+                           else base_rate_per_s)
+        if duration_s is not None and now > duration_s:
+            return
+        if request_id % num_shards == shard:
+            yield ArrivingRequest(
+                request_id=request_id,
+                arrival_s=now,
+                input_len=randint(*input_range),
+                output_len=randint(*output_range),
+            )
+        else:
+            randint(*input_range)
+            randint(*output_range)
+        request_id += 1
+
+
 def iter_poisson_arrivals(rate_per_s: float, count: Optional[int] = None,
                           duration_s: Optional[float] = None,
                           spec: Optional[object] = None,
@@ -80,7 +116,8 @@ def iter_poisson_arrivals(rate_per_s: float, count: Optional[int] = None,
     *duration_s* (at least one bound is required; both may be given).
     Draws the same random sequence as :func:`poisson_arrivals`, so for
     equal ``(rate, count, spec, seed)`` the two produce identical
-    requests — the list form is just this generator collected.
+    requests — the list form is just this generator collected. It is
+    the bursty stream at one rate: the same draws in the same order.
     Arguments are validated eagerly, at the call, not at first ``next``.
 
     ``(shard, num_shards)`` splits the stream deterministically: the
@@ -94,32 +131,9 @@ def iter_poisson_arrivals(rate_per_s: float, count: Optional[int] = None,
     require_positive(rate_per_s, "rate_per_s")
     _check_stream_bounds(count, duration_s)
     _check_shard(shard, num_shards)
-    input_range, output_range = _spec_ranges(spec)
-
-    def generate() -> Iterator[ArrivingRequest]:
-        rng = random.Random(seed)
-        now = 0.0
-        request_id = 0
-        while count is None or request_id < count:
-            now += rng.expovariate(rate_per_s)
-            if duration_s is not None and now > duration_s:
-                return
-            # Foreign shards' draws are consumed (the RNG stream must
-            # stay aligned across shards) but their request objects are
-            # never built.
-            if request_id % num_shards == shard:
-                yield ArrivingRequest(
-                    request_id=request_id,
-                    arrival_s=now,
-                    input_len=rng.randint(*input_range),
-                    output_len=rng.randint(*output_range),
-                )
-            else:
-                rng.randint(*input_range)
-                rng.randint(*output_range)
-            request_id += 1
-
-    return generate()
+    # One rate, and an empty burst window: every gap draws at it.
+    return _arrivals(rate_per_s, rate_per_s, 0.0, 1.0, count, duration_s,
+                     spec, seed, shard, num_shards)
 
 
 def poisson_arrivals(rate_per_s: float, count: int,
@@ -161,34 +175,8 @@ def iter_bursty_arrivals(base_rate_per_s: float, burst_rate_per_s: float,
         raise ValueError(f"period_s ({period_s}) must exceed burst_s "
                          f"({burst_s})")
     _check_shard(shard, num_shards)
-    input_range, output_range = _spec_ranges(spec)
-
-    def generate() -> Iterator[ArrivingRequest]:
-        rng = random.Random(seed)
-        now = 0.0
-        request_id = 0
-        while count is None or request_id < count:
-            in_burst = (now % period_s) < burst_s
-            rate = burst_rate_per_s if in_burst else base_rate_per_s
-            now += rng.expovariate(rate)
-            if duration_s is not None and now > duration_s:
-                return
-            # Foreign shards' draws are consumed (the RNG stream must
-            # stay aligned across shards) but their request objects are
-            # never built.
-            if request_id % num_shards == shard:
-                yield ArrivingRequest(
-                    request_id=request_id,
-                    arrival_s=now,
-                    input_len=rng.randint(*input_range),
-                    output_len=rng.randint(*output_range),
-                )
-            else:
-                rng.randint(*input_range)
-                rng.randint(*output_range)
-            request_id += 1
-
-    return generate()
+    return _arrivals(base_rate_per_s, burst_rate_per_s, burst_s, period_s,
+                     count, duration_s, spec, seed, shard, num_shards)
 
 
 def bursty_arrivals(base_rate_per_s: float, burst_rate_per_s: float,

@@ -18,6 +18,7 @@ the core split — the asymmetry this module quantifies.
 import dataclasses
 from typing import List
 
+from repro.engine.backend import BaselineBackend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
@@ -106,7 +107,8 @@ class MultiTenantSimulator:
             shared_bw = (solo_bw / self.tenants) * CONTENTION_EFFICIENCY
         else:
             shared_bw = solo_bw
-        return OperatorExecutor(self.platform, request.dtype,
+        return OperatorExecutor(self.platform,
+                                BaselineBackend(request.dtype),
                                 bandwidth=shared_bw,
                                 compute_scale=self._shared.compute_scale())
 

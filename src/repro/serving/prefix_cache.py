@@ -13,10 +13,13 @@ prompt tokens pays
 * prefill over ``unique_len`` only on a hit (the private tokens still
   attend to the cached prefix — a KV read, charged explicitly).
 
-:class:`PrefixCacheModel` is a thin adapter over
+:class:`PrefixCacheModel` prices each pass as the TTFT of one
+:class:`~repro.engine.inference.InferenceSimulator` run: the cold and
+prefix passes on the plain dense backend, the warm pass through
 :class:`~repro.engine.backend.PrefixCacheBackend`, which owns the
-warm-prefill op graph (unique-suffix pass + cached-prefix KV read) and
-also drops into the serving/cluster layers directly.
+warm-prefill op graph (the inner backend's unique-suffix pass plus the
+cached-prefix KV read) and wraps any base, so it also drops into the
+serving/cluster layers directly.
 """
 
 import dataclasses
@@ -73,24 +76,17 @@ class PrefixCacheModel:
         """Cold vs warm TTFT for a (prefix, unique-suffix) prompt split."""
         require_positive(prefix_len, "prefix_len")
         require_positive(unique_len, "unique_len")
-        total = prefix_len + unique_len
-        request = InferenceRequest(batch_size=batch_size, input_len=total)
-        executor = self._simulator._executor(model, request)
-
-        cold = sum(t.time_s for t in executor.time_prefill_ops(
-            model, batch_size, total))
-
+        request = InferenceRequest(batch_size=batch_size,
+                                   input_len=prefix_len + unique_len)
         # The backend's warm graph is the unique-suffix prefill plus the
         # cached-prefix KV read (the unique tokens still attend to the
         # cached prefix: read its K and V once per layer).
-        backend = PrefixCacheBackend(prefix_len=prefix_len)
-        warm_ops = backend.prefill_ops(model, batch_size, total)
-        warm = sum(t.time_s for t in executor.time_ops(warm_ops))
+        warm = InferenceSimulator(
+            self.platform, PrefixCacheBackend(prefix_len=prefix_len))
         prefix_kv = kv_cache_bytes(model, prefix_len, batch_size)
-
         return PrefixCacheEstimate(
-            cold_ttft_s=cold,
-            warm_ttft_s=warm,
+            cold_ttft_s=self._simulator.run(model, request).ttft_s,
+            warm_ttft_s=warm.run(model, request).ttft_s,
             prefix_kv_bytes=prefix_kv / batch_size,
         )
 
@@ -106,8 +102,6 @@ class PrefixCacheModel:
         saving = estimate.cold_ttft_s - estimate.warm_ttft_s
         if saving <= 0:
             return float("inf")
-        request = InferenceRequest(input_len=prefix_len)
-        executor = self._simulator._executor(model, request)
-        prefix_cost = sum(t.time_s for t in executor.time_prefill_ops(
-            model, 1, prefix_len))
+        prefix_cost = self._simulator.run(
+            model, InferenceRequest(input_len=prefix_len)).ttft_s
         return prefix_cost / saving

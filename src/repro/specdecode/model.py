@@ -15,19 +15,26 @@ Cycle time = gamma draft decode steps + one target verification pass
 cycle time by expected tokens. On a memory-bound platform this is nearly
 free throughput — exactly why the technique matters for CPU inference.
 
-:class:`SpeculativeDecoder` is a thin adapter over
-:class:`~repro.engine.backend.SpecDecodeBackend`, which owns the cycle's
-op-graph construction (draft steps + verification pass, folded into a
-per-token decode graph for the serving/cluster layers);
-:class:`SpecDecodeConfig` lives in the backend module and is re-exported
-here unchanged.
+:class:`SpeculativeDecoder` prices one cycle's pieces for a dense
+target, each on its own executor: the draft step on the draft model's,
+and the verification pass — built by
+:class:`~repro.engine.backend.SpecDecodeBackend` over the plain base at
+the request's dtype — on the target's. The backend is a wrapper like
+any other (over a quantized base it speculates in INT8) and also folds
+a cycle into a per-token decode graph for the serving/cluster layers.
+:class:`SpecDecodeConfig` lives in the backend module and is
+re-exported here unchanged.
 """
 
 import dataclasses
 
 # SpecDecodeConfig moved to the backend layer (re-exported here for the
 # public API).
-from repro.engine.backend import SpecDecodeBackend, SpecDecodeConfig
+from repro.engine.backend import (
+    BaselineBackend,
+    SpecDecodeBackend,
+    SpecDecodeConfig,
+)
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
@@ -91,7 +98,7 @@ class SpeculativeDecoder:
     def backend(self, request: InferenceRequest) -> SpecDecodeBackend:
         """The folded per-token execution backend for this configuration."""
         return SpecDecodeBackend(draft=self.draft, spec=self.config,
-                                 dtype=request.dtype)
+                                 inner=BaselineBackend(request.dtype))
 
     def estimate(self, request: InferenceRequest = InferenceRequest()
                  ) -> SpecDecodeEstimate:

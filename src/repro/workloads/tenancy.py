@@ -35,7 +35,11 @@ import random
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-from repro.serving.arrivals import ArrivingRequest
+from repro.serving.arrivals import (
+    ArrivingRequest,
+    _check_shard,
+    _check_stream_bounds,
+)
 from repro.utils.validation import require_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -161,17 +165,8 @@ def iter_tenant_arrivals(spec: TenantWorkloadSpec, rate_per_s: float,
     random sequence in every shard.
     """
     require_positive(rate_per_s, "rate_per_s")
-    if count is None and duration_s is None:
-        raise ValueError("an arrival stream needs a bound: pass count, "
-                         "duration_s, or both")
-    if count is not None:
-        require_positive(count, "count")
-    if duration_s is not None:
-        require_positive(duration_s, "duration_s")
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    if not 0 <= shard < num_shards:
-        raise ValueError(f"shard must be in [0, {num_shards}), got {shard}")
+    _check_stream_bounds(count, duration_s)
+    _check_shard(shard, num_shards)
 
     user_cum = _cumulative(zipf_shares(spec.users, spec.zipf_s))
     app_cum = _cumulative(zipf_shares(spec.apps, spec.zipf_s))

@@ -17,6 +17,7 @@ The backend layer promises three things, each pinned here:
    backend-keyed table.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -30,6 +31,7 @@ from repro.cluster import (
 )
 from repro.engine.backend import (
     BaselineBackend,
+    NumaBackend,
     PrefixCacheBackend,
     QuantizedBackend,
     SpecDecodeBackend,
@@ -45,6 +47,7 @@ from repro.experiments._sweeps import clear_caches
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
+from repro.numa.modes import SNC_FLAT
 from repro.quant.weightonly import QuantConfig, QuantScheme
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.prefix_cache import PrefixCacheModel
@@ -146,7 +149,7 @@ class TestParseBackend:
         backend = parse_backend("int8-tp2")
         assert isinstance(backend, TensorParallelBackend)
         assert backend.tp.degree == 2
-        assert isinstance(backend._resolved_inner(), QuantizedBackend)
+        assert isinstance(backend.inner, QuantizedBackend)
         assert backend.label == "int8-tp2"
 
     def test_plus_separator_and_order_both_accepted(self):
@@ -205,6 +208,112 @@ class TestWrapperParity:
         cold = InferenceSimulator(SPR).run(LLAMA, request)
         assert warm.ttft_s == estimate.warm_ttft_s
         assert cold.ttft_s == estimate.cold_ttft_s
+
+
+# -- wrappers: the base backend owns the dtype -------------------------------
+
+#: LLaMA2-7B at batch 2, 256 in / 16 out on SPR, as float hex:
+#: (prefill.time_s, decode.time_s) of each backend's run, plus the
+#: speculative verification pass at the mid-generation kv length 264.
+#: Recorded when prefix caching and speculative decoding were base
+#: backends with a ``dtype`` field of their own, so they hold the
+#: wrappers over BF16 to that pricing.
+WRAPPER_PINS = {
+    "prefix": ("0x1.28fbc9baa58c1p-5", "0x1.042f311447b89p-1"),
+    "spec": ("0x1.cdf04b91783b3p-5", "0x1.254327bb4346cp-2",
+             "0x1.11d68bc93413ep-5"),
+    "int8-numa:snc_flat,aware-tp2": ("0x1.3fd06d439396ap-5",
+                                     "0x1.41b325df4172ap-3"),
+}
+
+PIN_REL_TOL = 1e-9
+
+
+class TestWrappers:
+    REQUEST = InferenceRequest(batch_size=2, input_len=256, output_len=16)
+
+    @staticmethod
+    def _backend(name):
+        if name == "prefix":
+            return PrefixCacheBackend(prefix_len=192)
+        if name == "spec":
+            return SpecDecodeBackend(
+                draft=OPT, spec=SpecDecodeConfig(gamma=4,
+                                                 acceptance_rate=0.8))
+        return parse_backend(name)
+
+    @pytest.mark.parametrize("name", sorted(WRAPPER_PINS))
+    def test_prices_match_pin(self, name):
+        backend = self._backend(name)
+        simulator = InferenceSimulator(SPR, backend)
+        result = simulator.run(LLAMA, self.REQUEST)
+        got = [result.prefill.time_s, result.decode.time_s]
+        if name == "spec":
+            executor = simulator._executor(LLAMA, self.REQUEST)
+            got.append(sum(t.time_s for t in executor.time_ops(
+                backend.verify_ops(LLAMA, 2, 264))))
+        want = [float.fromhex(v) for v in WRAPPER_PINS[name]]
+        assert got == pytest.approx(want, rel=PIN_REL_TOL, abs=0.0)
+
+    @pytest.mark.parametrize("wrap", [
+        lambda **kw: NumaBackend(numa=SNC_FLAT, **kw),
+        lambda **kw: TensorParallelBackend(**kw),
+        lambda **kw: PrefixCacheBackend(prefix_len=64, **kw),
+        lambda **kw: SpecDecodeBackend(draft=OPT, **kw),
+    ], ids=["numa", "tp", "prefix", "spec"])
+    def test_default_inner_is_the_plain_base(self, wrap):
+        implicit, explicit = wrap(), wrap(inner=BaselineBackend())
+        assert implicit == explicit
+        assert hash(implicit) == hash(explicit)
+        assert implicit.signature == explicit.signature
+
+    @pytest.mark.parametrize("wrap", [
+        lambda inner: NumaBackend(numa=SNC_FLAT, inner=inner),
+        lambda inner: TensorParallelBackend(inner=inner),
+        lambda inner: PrefixCacheBackend(prefix_len=64, inner=inner),
+        lambda inner: SpecDecodeBackend(draft=OPT, inner=inner),
+    ], ids=["numa", "tp", "prefix", "spec"])
+    def test_dtype_is_the_bases_alone(self, wrap):
+        wrapper = wrap(BaselineBackend(DType.FP32))
+        assert wrapper.dtype is DType.FP32
+        assert wrapper.compute_dtype is DType.FP32
+        assert "dtype" not in {f.name for f in dataclasses.fields(wrapper)}
+        with pytest.raises(AttributeError):
+            wrapper.dtype = DType.BF16
+
+    def test_prefix_over_quantized_takes_the_bases_weights(self):
+        base = QuantizedBackend(QuantConfig(scheme=QuantScheme.FULL_INT8))
+        backend = PrefixCacheBackend(prefix_len=192, inner=base)
+        assert backend.compute_dtype is DType.INT8
+        assert backend.dtype is base.dtype
+        assert backend.weight_bytes(LLAMA) == base.weight_bytes(LLAMA)
+        assert backend.footprint_bytes(LLAMA, self.REQUEST) == \
+            base.footprint_bytes(LLAMA, self.REQUEST)
+        # The unique suffix runs the base's (quantized) prefill graph.
+        suffix = base.prefill_ops(LLAMA, 2, 64)
+        assert backend.prefill_ops(LLAMA, 2, 256)[:len(suffix)] == suffix
+        assert backend.decode_ops(LLAMA, 2, 300) == \
+            base.decode_ops(LLAMA, 2, 300)
+
+    def test_spec_over_quantized_takes_the_bases_weights(self):
+        base = QuantizedBackend(QuantConfig(scheme=QuantScheme.FULL_INT8))
+        backend = SpecDecodeBackend(draft=OPT, inner=base)
+        assert backend.compute_dtype is DType.INT8
+        assert backend.dtype is base.dtype
+        assert backend.weight_bytes(LLAMA) == \
+            base.weight_bytes(LLAMA) + base.weight_bytes(OPT)
+        assert backend.footprint_bytes(LLAMA, self.REQUEST) == \
+            base.footprint_bytes(LLAMA, self.REQUEST) + base.weight_bytes(OPT)
+        assert backend.prefill_ops(LLAMA, 2, 256) == \
+            base.prefill_ops(LLAMA, 2, 256)
+        verify = backend.verify_ops(LLAMA, 2, 300)
+        assert verify[:-1] == base.prefill_ops(LLAMA, 2,
+                                               backend.spec.gamma + 1)
+        # Speculating over INT8 streams fewer weight bytes per token.
+        plain = SpecDecodeBackend(draft=OPT)
+        streamed = lambda b: sum(op.weight_bytes
+                                 for op in b.decode_ops(LLAMA, 2, 300))
+        assert streamed(backend) < streamed(plain)
 
 
 class TestSchedulerParity:

@@ -21,9 +21,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
 import shlex
 import sys
+from unittest import mock
 
 import pytest
 
@@ -164,6 +166,9 @@ CASES = {
     "err-sweep-numa-gpu": "sweep --platforms a100 --models opt-1.3b "
                           "--numa quad_flat",
     "err-advise-unknown-model": "advise --model nosuch",
+    # advise ranks its own placements, so it takes no placement flags
+    "err-advise-numa": "advise --model opt-13b --numa snc_flat",
+    "err-run-cores-gpu": "run --platform h100 --model opt-13b --cores 7",
 }
 
 
@@ -171,8 +176,13 @@ def run_case(argv_text: str, tmp: pathlib.Path) -> dict:
     """Run one CLI invocation in-process; return what it printed/wrote."""
     argv = shlex.split(argv_text.replace("{tmp}", str(tmp)))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    # argparse wraps its usage text to the terminal width.
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as error:  # argparse rejected the flags
+            code = error.code
     files = {
         str(path.relative_to(tmp)): hashlib.sha256(path.read_bytes())
         .hexdigest()

@@ -14,7 +14,7 @@ import dataclasses
 import pytest
 
 from repro.engine import backend as backend_mod
-from repro.engine.backend import parse_backend
+from repro.engine.backend import BaselineBackend, parse_backend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator, MemoryCapacityError
 from repro.engine.stepcost import DecodeCostTable
@@ -147,7 +147,8 @@ def _flip_platform():
 
 def test_best_engine_flips_mid_decode_and_fastpath_agrees():
     model = get_model("opt-1.3b")
-    executor = OperatorExecutor(_flip_platform(), DType.BF16, bandwidth=5e11)
+    executor = OperatorExecutor(_flip_platform(), BaselineBackend(),
+                                bandwidth=5e11)
     kv_start, kv_end = 760, 1060
 
     # Precondition: the winning engine really does flip inside the range
@@ -182,9 +183,8 @@ def test_best_engine_flips_mid_decode_and_fastpath_agrees():
 
 
 def _spr_executor(spec):
-    backend = parse_backend(spec)
-    return OperatorExecutor(get_platform("spr"), backend.compute_dtype,
-                            bandwidth=2e11, backend=backend)
+    return OperatorExecutor(get_platform("spr"), parse_backend(spec),
+                            bandwidth=2e11)
 
 
 def _loop_series(executor, model, batch_size, kv_start, kv_end):
@@ -220,14 +220,15 @@ def test_series_fill_is_bit_identical_to_loop(spec):
         want = _loop_series(executor, model, 4, kv_start, kv_end)
         assert executor.time_decode_series(model, 4, kv_start,
                                            kv_end) == want
-    flip = OperatorExecutor(_flip_platform(), DType.BF16, bandwidth=5e11)
+    flip = OperatorExecutor(_flip_platform(), BaselineBackend(),
+                            bandwidth=5e11)
     model = get_model("opt-1.3b")
     assert (flip.time_decode_series(model, 1, 760, 1060)
             == _loop_series(flip, model, 1, 760, 1060))
 
 
 def test_time_decode_range_empty_range():
-    executor = OperatorExecutor(get_platform("spr"), DType.BF16,
+    executor = OperatorExecutor(get_platform("spr"), BaselineBackend(),
                                 bandwidth=2e11)
     rng = executor.time_decode_range(get_model("opt-1.3b"), 1, 128, 128)
     assert rng.steps == 0

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.backend import BaselineBackend
 from repro.engine.executor import OperatorExecutor
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
@@ -10,7 +11,7 @@ from repro.utils.units import gb_per_s
 
 
 def executor(platform_key="spr", bandwidth=gb_per_s(400), scale=1.0):
-    return OperatorExecutor(get_platform(platform_key), DType.BF16,
+    return OperatorExecutor(get_platform(platform_key), BaselineBackend(),
                             bandwidth, scale)
 
 
@@ -85,7 +86,8 @@ class TestConfiguration:
 
     def test_unsupported_dtype(self):
         with pytest.raises(ValueError, match="no engine"):
-            OperatorExecutor(get_platform("spr"), DType.FP16, gb_per_s(100))
+            OperatorExecutor(get_platform("spr"),
+                             BaselineBackend(DType.FP16), gb_per_s(100))
 
     def test_time_ops_returns_per_op(self):
         ops = [Op("a", OpKind.NORM, activation_bytes=1e6),

@@ -149,9 +149,11 @@ class TestConfigurationEffects:
                                  NumaBackend(numa=SNC_FLAT), cores=24)
         assert sim.config_label == "snc_flat/24c"
 
-    def test_gpu_ignores_cpu_config(self):
-        sim = InferenceSimulator(get_platform("h100"), cores=24)
-        assert sim.config_label == "gpu"
+    def test_gpu_refuses_core_count(self):
+        h100 = get_platform("h100")
+        assert InferenceSimulator(h100).config_label == "gpu"
+        with pytest.raises(ValueError, match="applies to CPUs"):
+            InferenceSimulator(h100, cores=24)
 
 
 class TestCapacityLimits:

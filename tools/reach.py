@@ -45,7 +45,8 @@ ORACLE = "a test uses it as the reference for other code"
 PROGRESS = ("`repro cluster --progress` feature; its stderr line carries "
             "wall-clock rates, so no golden case can pin it")
 ITEM_1 = "waits on ROADMAP item 1 (KV cache as the admission budget)"
-ITEM_11 = "waits on ROADMAP item 11 (prefix/spec backends as wrappers)"
+ITEM_11 = ("waits on ROADMAP item 11 (prefix/spec grammar tokens and the "
+           "speculative fleet study)")
 EXEMPT = {
     "cluster/admission.py:AdmissionScheduler.on_arrival": ABSTRACT,
     "cluster/admission.py:AdmissionScheduler.pick": ABSTRACT,
@@ -98,13 +99,11 @@ EXEMPT = {
     "offload/engine.py:OffloadSimulator._host_attention_time":
         "waits on ROADMAP item 9 (offloaded GPU replicas in the fleet)",
     "engine/backend.py:scale_op": ITEM_11,
-    "engine/backend.py:SpecDecodeBackend._build_prefill_ops": ITEM_11,
     "engine/backend.py:SpecDecodeBackend._build_decode_ops": ITEM_11,
     "engine/backend.py:SpecDecodeBackend.weight_bytes": ITEM_11,
     "engine/backend.py:SpecDecodeBackend.footprint_bytes": ITEM_11,
     "engine/backend.py:SpecDecodeBackend.signature": ITEM_11,
     "engine/backend.py:SpecDecodeBackend.label": ITEM_11,
-    "engine/backend.py:PrefixCacheBackend._build_decode_ops": ITEM_11,
     "engine/backend.py:PrefixCacheBackend.signature": ITEM_11,
     "engine/backend.py:PrefixCacheBackend.label": ITEM_11,
 }
