@@ -22,8 +22,8 @@ bench-cluster:
 	$(PYTHON) tools/bench.py --suite cluster --json BENCH_cluster.json
 
 # Fairness-scheduler overhead: 100k-request tenant stream through the
-# built-in FCFS loop (spelled None and "fcfs") vs VTC/WSC, merged into
-# BENCH_cluster.json under the "fairness" key.
+# built-in FCFS loop vs VTC/WSC, merged into BENCH_cluster.json under
+# the "fairness" key.
 bench-fairness:
 	$(PYTHON) tools/bench.py --suite fairness
 

@@ -456,10 +456,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     from repro.trace import NOOP_TRACER, RecordingTracer, write_chrome_trace
     from repro.workloads import ClassMixStream, TenantStream
 
-    if args.exact not in (False, True, "step", "vectorized"):
-        print(f"error: --exact takes 'step' or 'vectorized' (or nothing), "
-              f"got {args.exact!r}", file=sys.stderr)
-        return 2
     if args.solver == "fluid":
         return _cmd_cluster_fluid(args)
     sharded = args.workers > 1 or args.shards is not None
@@ -856,13 +852,11 @@ def build_parser() -> argparse.ArgumentParser:
                                      "seconds instead of a fixed count "
                                      "(combine with --requests to cap "
                                      "both)")
-    cluster_parser.add_argument("--exact", nargs="?", const=True,
-                                default=False, metavar="MODE",
-                                help="price every scheduler iteration "
-                                     "individually (reference loop; slow "
-                                     "on large runs); pass 'vectorized' "
-                                     "for the numpy-accelerated exact "
-                                     "mode")
+    cluster_parser.add_argument("--exact", action="store_true",
+                                help="step and price every scheduler "
+                                     "iteration individually (the "
+                                     "reference loop; slow on large "
+                                     "runs, same output)")
     cluster_parser.add_argument("--workers", type=int, default=1,
                                 metavar="N",
                                 help="run replica shard groups in N "

@@ -20,7 +20,7 @@ per-request timings by construction.
 
 **Batching disciplines** (paper Section VII-C). ``policy`` changes
 three decisions of an iteration; everything else (clock, records,
-admission hooks, spans, gaps, exact modes, fast-forward) is shared.
+admission hooks, spans, gaps, exact mode, fast-forward) is shared.
 ``"continuous"`` (Orca; the fleet discipline) admits whenever a slot is
 free, prefills each admission in full (stalling the running batch) and
 prices the live batch at its floor mean KV. ``"static"``
@@ -45,27 +45,12 @@ form off the shared prefix-sum step-cost curves
 trace span per track instead of one per iteration. ``exact=True``
 restores per-iteration stepping with unmemoized pricing; the two agree
 on every report field to ≤1e-9 relative (pinned by the parity suite).
-
-**Exact-mode flavors.** ``exact`` accepts three truthy spellings:
-``True`` and ``"step"`` are the classic reference loop — every
-iteration stepped and priced individually, no memo tables anywhere.
-``"vectorized"`` keeps the reference property (prefills and
-batch-boundary iterations still price scalar and unmemoized, nothing is
-read from the shared :class:`~repro.engine.stepcost.DecodeCostTable`
-registry) but prices each pure-decode stretch in one fresh
-piecewise-affine series call
-(:meth:`~repro.engine.executor.OperatorExecutor.time_decode_series`)
-and finds the horizon cutoff with a numpy prefix-sum search — closing
-most of the ~50x step-exact vs fast gap while remaining an independent
-cross-check of the memoized fast path.
 """
 
 import dataclasses
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.admission import AdmissionScheduler
 from repro.engine.backend import ExecutionBackend
@@ -135,13 +120,10 @@ class ReplicaNode:
             default no-op discards everything (the cluster simulator
             re-points this at its own tracer when it adopts a node).
         exact: ``False`` (default) prices off the shared step-cost
-            table and coalesces pure-decode runs. ``True`` / ``"step"``
-            price every iteration individually with unmemoized cost
-            primitives (the reference step loop). ``"vectorized"`` is
-            the fast reference: same unmemoized scalar pricing at batch
-            boundaries, but pure-decode stretches priced per-stretch
-            with one closed-form series call instead of stepped. The
-            cluster simulator sets this too when it adopts a node.
+            table and coalesces pure-decode runs. ``True`` prices every
+            iteration individually with unmemoized cost primitives (the
+            reference step loop). The cluster simulator sets this too
+            when it adopts a node.
         collect_gaps: Record per-iteration inter-token gaps (coalesced
             runs are expanded back into individual gaps). Off by default
             — a million-request fleet run should not grow an unused list.
@@ -168,18 +150,20 @@ class ReplicaNode:
                  "running", "prefilling", "outstanding_tokens",
                  "_cohort_size", "_cohort_input", "completed",
                  "decode_gaps", "generated_tokens", "busy_s", "iterations",
-                 "peak_queue", "draining", "active", "_step_cost_hint",
-                 "admission_stamps", "tier", "_queued_prefill_s")
+                 "peak_queue", "draining", "active", "admission_stamps",
+                 "tier", "_queued_prefill_s")
 
     def __init__(self, name: str, platform: Platform, model: ModelConfig,
                  max_batch: int = 8,
                  backend: Optional[ExecutionBackend] = None,
                  tracer: Tracer = NOOP_TRACER,
-                 exact: Union[bool, str] = False,
+                 exact: bool = False,
                  collect_gaps: bool = False,
                  admission: Optional[AdmissionScheduler] = None,
                  price_usd: Optional[float] = None,
                  policy: str = "continuous", chunk_tokens: int = 256):
+        if not isinstance(exact, bool):
+            raise ValueError(f"exact must be a bool, got {exact!r}")
         self.policy = check_batching_policy(policy)
         self._static = policy == "static"
         self._chunked = policy == "chunked"
@@ -226,10 +210,6 @@ class ReplicaNode:
         self.peak_queue = 0
         self.draining = False
         self.active = True
-        # Vectorized exact mode's estimate of one decode step's cost
-        # near the node's current kv frontier — sizes how much of a
-        # stretch to price, never what the priced steps cost.
-        self._step_cost_hint: Optional[float] = None
         #: Start of the iteration that admitted each request, in time
         #: order (an iteration admitting k requests repeats its start k
         #: times). Admissions are atomic per iteration, so per-request
@@ -260,7 +240,7 @@ class ReplicaNode:
         """The shared :class:`~repro.engine.stepcost.DecodeCostTable`.
 
         The node's one pricing surface: the fast path reads its memos,
-        the exact modes call its ``executor`` unmemoized. Exposed for
+        exact mode calls its ``executor`` unmemoized. Exposed for
         steady-state analyses (the fluid solver) that price off the same
         primitives the node executes with.
         """
@@ -332,7 +312,7 @@ class ReplicaNode:
         return backlog
 
     # -- cost primitives (exact vs memoized) ----------------------------------
-    # Exact modes price every pass fresh through the table's executor;
+    # Exact mode prices every pass fresh through the table's executor;
     # the fast path reads the table's memos of the same primitives.
 
     def _prefill_cost(self, batch: int, input_len: int) -> float:
@@ -716,19 +696,15 @@ class ReplicaNode:
         chunk; a recording tracer keeps single steps on :meth:`advance`
         so the trace still carries their per-iteration spans. Every
         coalesced run goes through :meth:`_fast_forward`. With
-        ``exact="vectorized"`` runs of two or more steps are priced by a
-        fresh per-stretch series call (no shared memo tables); with
-        ``exact=True`` / ``"step"`` every iteration is stepped and
-        priced individually. A run that
-        ends at the window's step limit emits some sequence's last
-        token, so the next window is empty and the next pass goes
-        straight to :meth:`advance`.
+        ``exact=True`` every iteration is stepped and priced
+        individually. A run that ends at the window's step limit emits
+        some sequence's last token, so the next window is empty and the
+        next pass goes straight to :meth:`advance`.
         """
         if not (self.pending or self.running or self.prefilling):
             return []
         completed: List[CompletedRequest] = []
         exact = self.exact
-        vectorized = exact == "vectorized"
         # Shortest run fast mode coalesces.
         shortest = 2 if self.tracer.enabled else 1
         cost = self._cost
@@ -737,21 +713,12 @@ class ReplicaNode:
             start = self.next_event_time()
             if start is None or (horizon is not None and start >= horizon):
                 return completed
-            if retiring or (exact and not vectorized):
+            if retiring or exact:
                 retiring = False
                 completed.extend(self.advance())
                 continue
             limit, batch, mean_kv, budget = self._coalescible_window(start,
                                                                       horizon)
-            if vectorized:
-                window = self._vectorized_steps(limit, batch, mean_kv,
-                                                budget)
-                if window is None:
-                    completed.extend(self.advance())
-                else:
-                    self._fast_forward(*window)
-                    retiring = window[0] == limit
-                continue
             steps = limit
             if limit:
                 curve = cost.curve(batch)
@@ -775,24 +742,19 @@ class ReplicaNode:
                             ) -> Tuple[int, int, int, Optional[float]]:
         """(step limit, priced batch, mean KV, time budget) of a pure-decode run.
 
-        The one window definition, shared by fast and vectorized exact
-        mode. The limit is the closest running sequence's remaining
-        tokens, so a run of ``limit`` steps ends on the iteration that
+        The limit is the closest running sequence's remaining tokens, so a run of ``limit`` steps ends on the iteration that
         emits its last token (retirement happens at the next boundary,
         and the window after such a run is empty). It is zero unless the
         running set is non-empty, no prompt is in flight, nobody is
         already finished, and no admission can happen at or before the
-        window's iterations begin. Fast mode coalesces runs of one step
-        or more (two or more under a recording tracer); vectorized exact
-        mode, two or more. The priced shape is the discipline's (a
-        static cohort's is padded). The budget is the time available
+        window's iterations begin. The priced shape is the discipline's
+        (a static cohort's is padded). The budget is the time available
         against the earlier of *horizon* and the head-of-queue readiness
-        (``None`` = unbounded); converting it to a step count is
-        mode-specific — a binary search over the shared prefix-sum curve
-        in fast mode, a numpy prefix-sum search in vectorized exact mode.
-        Both rest on a pure-decode run's mean KV length advancing by
-        exactly +1 per iteration (integer floor of a sum that grows by
-        the batch size each step).
+        (``None`` = unbounded); :meth:`advance_to` converts it to a step
+        count by a binary search over the shared prefix-sum curve, which
+        rests on a pure-decode run's mean KV length advancing by exactly
+        +1 per iteration (integer floor of a sum that grows by the batch
+        size each step).
         """
         running = self.running
         if not running or self.prefilling:
@@ -827,70 +789,15 @@ class ReplicaNode:
             return limit, batch, mean_kv, None
         return limit, batch, mean_kv, bound - start
 
-    def _vectorized_steps(self, limit: int, batch: int, mean_kv: int,
-                          budget: Optional[float]):
-        """Vectorized exact mode's run over a window, or ``None`` to step.
-
-        Takes :meth:`_coalescible_window`'s result. Prices the whole
-        candidate stretch with one fresh ``time_decode_series`` call —
-        the same closed-form piecewise-affine analysis the fast path's
-        tables are built from, but per-stretch and unmemoized, so this
-        mode never reads the shared table registry. The horizon cutoff
-        is the count of iterations whose start offset (numpy prefix sum
-        of the per-step times, the same left-to-right additions the step
-        loop performs) lands strictly inside the budget — the fast
-        path's strict-start rule.
-        """
-        if limit < 2:
-            return None
-        executor, model = self._cost.executor, self._cost.model
-        if budget is None:
-            priced = limit
-        else:
-            # Price only what the budget can plausibly consume,
-            # estimating the step count from the last stretch's step
-            # cost (a probe pricing when there is none yet). The
-            # estimate only affects how much gets priced: a shortfall
-            # re-prices a doubled range — always as one fresh series
-            # from mean_kv, so the step values used are a consistent
-            # single pricing.
-            hint = self._step_cost_hint
-            if hint is None:
-                hint = executor.time_decode_series(model, batch, mean_kv,
-                                                   mean_kv + 1)[0][0]
-            priced = min(limit, int(budget / hint) + 2)
-        while True:
-            times, compute, memory = executor.time_decode_series(
-                model, batch, mean_kv, mean_kv + priced)
-            if budget is None:
-                steps = priced
-                break
-            starts = np.empty(priced)
-            starts[0] = 0.0
-            np.cumsum(times[:priced - 1], out=starts[1:])
-            steps = int(np.searchsorted(starts, budget, side="left"))
-            if steps < priced or priced == limit:
-                break
-            priced = min(limit, priced * 2)
-        self._step_cost_hint = times[steps - 1]
-        if steps < 2:
-            return None
-        return (steps, batch, mean_kv, times[:steps],
-                (compute[:steps], memory[:steps]))
-
     def _fast_forward(self, steps: int, batch: int, mean_kv: int,
-                      costs: Sequence[float],
-                      legs: Optional[Tuple[Sequence[float],
-                                           Sequence[float]]] = None) -> None:
+                      costs: Sequence[float]) -> None:
         """Execute *steps* pure-decode iterations as one coalesced block.
 
         The one path every coalesced run takes. *costs* is the block's
-        per-iteration cost sequence (a ``step_t`` curve slice in fast
-        mode, a fresh series in vectorized exact mode). The block's
-        (compute_s, memory_s) attribution legs are worked out only while
-        a recording tracer is attached: summed from the per-step *legs*
-        vectorized mode passes, or in fast mode (*legs* ``None``) read
-        off the shared curve by ``range_cost``. The clock (and busy
+        per-iteration cost sequence (a ``step_t`` curve slice). The
+        block's (compute_s, memory_s) attribution legs are worked out
+        only while a recording tracer is attached, read off the shared
+        curve by ``range_cost``. The clock (and busy
         time) advance by adding the step costs *one at a time*, in the
         same order the per-iteration loop would: a request's TTFT is a
         tiny difference of huge timestamps, so even the one-ulp-per-run
@@ -922,11 +829,8 @@ class ReplicaNode:
                 seq.generated += steps
                 seq.last_event_s = clock
             return
-        if legs is None:
-            compute_s, memory_s = self._cost.range_cost(
-                batch, mean_kv, mean_kv + steps)[1:]
-        else:
-            compute_s, memory_s = sum(legs[0]), sum(legs[1])
+        compute_s, memory_s = self._cost.range_cost(
+            batch, mean_kv, mean_kv + steps)[1:]
         tracer.span(self._track, "decode", run_start, clock,
                     category="replica",
                     args={"batch_size": batch, "mean_kv": mean_kv,

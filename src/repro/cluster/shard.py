@@ -288,7 +288,7 @@ def _group_stream(arrivals: object, group: int, num_groups: int,
 
 def _run_group(config: ClusterConfig, router: ShardRouter, group: int,
                schedule: Sequence[Tuple[int, object]], arrivals: object,
-               exact: object, progress: Optional[ProgressFn],
+               exact: bool, progress: Optional[ProgressFn],
                progress_every: int) -> _GroupResult:
     """Simulate one replica group and package its merge streams."""
     indices = router.group_indices(config.size, group)
@@ -325,7 +325,7 @@ def _run_group(config: ClusterConfig, router: ShardRouter, group: int,
 
 def _worker_main(worker: int, groups: Sequence[int], config: ClusterConfig,
                  router: ShardRouter, schedule: Sequence[Tuple[int, object]],
-                 arrivals_by_group: Dict[int, object], exact: object,
+                 arrivals_by_group: Dict[int, object], exact: bool,
                  progress_every: int, wants_progress: bool,
                  warm_kv_horizon: Optional[int],
                  queue: "multiprocessing.Queue") -> None:
@@ -461,7 +461,7 @@ def _partition_arrivals(arrivals: object, router: ShardRouter
 
 def run_sharded(config: ClusterConfig, router: ShardRouter,
                 arrivals: object, workers: int = 1,
-                events: Sequence[object] = (), exact: object = False,
+                events: Sequence[object] = (), exact: bool = False,
                 progress: Optional[ProgressFn] = None,
                 progress_every: int = 4096) -> ClusterReport:
     """Simulate *config*'s fleet over *arrivals*, sharded by group.
@@ -487,8 +487,8 @@ def run_sharded(config: ClusterConfig, router: ShardRouter,
         workers: Worker process count; capped at the group count.
         events: :class:`~repro.cluster.simulator.NodeFailure` /
             :class:`~repro.cluster.simulator.NodeDrain` schedule.
-        exact: Forwarded to every replica (``False`` / ``True`` /
-            ``"step"`` / ``"vectorized"``).
+        exact: Forwarded to every replica: ``True`` steps every
+            iteration (the reference loop), ``False`` fast-forwards.
         progress: Optional callback, fired with fleet-wide aggregates
             ``(events dispatched, merge-frontier time, completed)`` as
             shard progress reports arrive.

@@ -146,12 +146,10 @@ class ClusterSimulator:
             the whole fleet records into one trace. The default no-op
             discards everything.
         exact: Replaces every adopted node's exact mode, as *tracer*
-            does its tracer. ``True`` / ``"step"`` step and price every
-            replica iteration individually (the reference loop);
-            ``"vectorized"`` prices each pure-decode stretch with one
-            fresh series call. The default fast-forwards pure-decode
-            stretches; both modes agree on every report field to ≤1e-9
-            relative.
+            does its tracer. ``True`` steps and prices every replica
+            iteration individually (the reference loop); the default
+            ``False`` fast-forwards pure-decode stretches. Both agree on
+            every report field to ≤1e-9 relative.
     """
 
     def __init__(self, nodes: Sequence[ReplicaNode], router: Router,
@@ -161,6 +159,8 @@ class ClusterSimulator:
                  exact: bool = False):
         if not nodes:
             raise ValueError("a cluster needs at least one replica")
+        if not isinstance(exact, bool):
+            raise ValueError(f"exact must be a bool, got {exact!r}")
         names = [node.name for node in nodes]
         if len(set(names)) != len(names):
             raise ValueError(f"replica names must be unique, got {names}")

@@ -17,7 +17,7 @@ cheapest tier whose *measured* speed clears the class's bar:
    sequence prefill within TTFT, per-token decode within TPOT) — all
    priced off the replica's own :class:`~repro.engine.stepcost.
    DecodeCostTable`, so routing agrees bit-for-bit across fast-forward
-   and exact modes.
+   and exact mode.
 4. **Upward spill on saturation** — if the home tier's projected TTFT
    (backlog + prefill) would break the bar, the request spills to the
    next-priciest eligible tier that is feasible *now*; if every

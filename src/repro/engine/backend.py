@@ -665,9 +665,11 @@ class PrefixCacheBackend(WrapperBackend):
     A prompt of ``input_len`` tokens with the leading ``prefix_len``
     cached pays the *inner* backend's prefill over the unique suffix
     only, plus one read of the cached prefix's K/V per layer (the suffix
-    still attends to it), at the inner backend's dtype. Decode and
-    everything else is the inner backend's. Prompts no longer than the
-    prefix keep one uncached token so the pass stays well-formed.
+    still attends to it): the bytes the inner backend's own prefill of
+    the prefix wrote, so the KV storage dtype (an INT8 KV cache, say)
+    stays the inner backend's. Decode and everything else is the inner
+    backend's. Prompts no longer than the prefix keep one uncached token
+    so the pass stays well-formed.
     """
 
     prefix_len: int = 512
@@ -685,11 +687,10 @@ class PrefixCacheBackend(WrapperBackend):
         ops = list(self.inner.prefill_ops(model, batch_size,
                                           input_len - prefix))
         if prefix > 0:
-            ops.append(Op(
-                name="prefix_kv_read", kind=OpKind.ELEMENTWISE,
-                kv_read_bytes=kv_cache_bytes(model, prefix, batch_size,
-                                             self.dtype),
-                kernel_launches=0))
+            kv_read = sum(op.kv_write_bytes for op in
+                          self.inner.prefill_ops(model, batch_size, prefix))
+            ops.append(Op(name="prefix_kv_read", kind=OpKind.ELEMENTWISE,
+                          kv_read_bytes=kv_read, kernel_launches=0))
         return tuple(ops)
 
     @property

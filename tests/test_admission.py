@@ -110,7 +110,7 @@ class TestFastForwardComposition:
         runs.clear()
         exact = ClusterSimulator(
             _fleet_config(scheduler=scheduler).build_fleet(),
-            RoundRobinRouter(), exact="step").run(stream.full())
+            RoundRobinRouter(), exact=True).run(stream.full())
         assert runs == []  # the exact leg steps every iteration
         assert len(fast.completed) == len(exact.completed)
         for a, b in zip(fast.completed, exact.completed):

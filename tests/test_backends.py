@@ -295,6 +295,14 @@ class TestWrappers:
         assert backend.decode_ops(LLAMA, 2, 300) == \
             base.decode_ops(LLAMA, 2, 300)
 
+    def test_prefix_kv_read_is_at_the_bases_kv_storage(self):
+        # 32 layers x K,V x 4096 x 512 tokens at one byte (INT8 KV).
+        base = QuantizedBackend(QuantConfig(kv_dtype=DType.INT8))
+        backend = PrefixCacheBackend(prefix_len=512, inner=base)
+        read = backend.prefill_ops(LLAMA, 1, 576)[-1]
+        assert read.name == "prefix_kv_read"
+        assert read.kv_read_bytes == 134_217_728
+
     def test_spec_over_quantized_takes_the_bases_weights(self):
         base = QuantizedBackend(QuantConfig(scheme=QuantScheme.FULL_INT8))
         backend = SpecDecodeBackend(draft=OPT, inner=base)

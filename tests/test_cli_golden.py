@@ -55,9 +55,8 @@ CASES = {
                                 "--class-mix simple:0.5,reasoning:0.5",
     "cluster-tiered-workers2": f"cluster {TIERED} --requests 24 "
                                "--workers 2",
-    "cluster-int8-vectorized-burst": f"cluster {FLEET} --backend int8 "
-                                     "--exact vectorized --rate 0.5 "
-                                     "--burst-rate 4 --requests 16",
+    "cluster-int8-exact-burst": f"cluster {FLEET} --backend int8 --exact "
+                                "--rate 0.5 --burst-rate 4 --requests 16",
     "cluster-mixed-models-backends": "cluster --platforms spr,spr "
                                      "--models llama2-7b,llama2-13b "
                                      "--backend int8-tp2,bf16 --exact "

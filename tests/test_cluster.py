@@ -188,7 +188,7 @@ def _ledger_arrivals(seed, count=24):
 class TestOutstandingTokenLedger:
     """The node's token counter equals the queue scan after every call."""
 
-    @pytest.mark.parametrize("exact", [False, "step", "vectorized"])
+    @pytest.mark.parametrize("exact", [False, pytest.param(True, id="step")])
     @pytest.mark.parametrize("admission", [None, "fcfs", "vtc", "wsc"])
     @pytest.mark.parametrize("policy", ["continuous", "static", "chunked"])
     def test_counter_matches_recount(self, ledger_checked, policy,
@@ -597,6 +597,15 @@ class TestClusterValidation:
         simulator = ClusterSimulator([spr_node()], RoundRobinRouter())
         with pytest.raises(ValueError, match="no arrivals"):
             simulator.run([])
+
+    @pytest.mark.parametrize("spelling", ["vectorized", "step"])
+    def test_exact_must_be_bool(self, spelling):
+        # A truthy string would otherwise run the per-step loop silently.
+        with pytest.raises(ValueError, match="exact must be a bool"):
+            ReplicaNode("spr-0", SPR, LLAMA, exact=spelling)
+        with pytest.raises(ValueError, match="exact must be a bool"):
+            ClusterSimulator([spr_node()], RoundRobinRouter(),
+                             exact=spelling)
 
 
 class TestArrivalHelpers:

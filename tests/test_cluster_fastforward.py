@@ -208,20 +208,20 @@ class TestRunContinuousParity:
             chunk_tokens=chunk_tokens, exact=exact,
             collect_gaps=True).serve(arrivals)
         fast = serve(False)
-        for exact in (serve(True), serve("vectorized")):
-            assert exact.generated_tokens == fast.generated_tokens
-            assert close(exact.makespan_s, fast.makespan_s)
-            assert len(exact.decode_gaps) == len(fast.decode_gaps)
-            assert all(close(e, f) for e, f in zip(exact.decode_gaps,
-                                                   fast.decode_gaps))
-            by_id = lambda report: sorted(report.completed,
-                                          key=lambda r: r.request_id)
-            assert len(exact.completed) == len(fast.completed)
-            for e, f in zip(by_id(exact), by_id(fast)):
-                assert e.request_id == f.request_id
-                assert close(e.start_s, f.start_s)
-                assert close(e.ttft_s, f.ttft_s)
-                assert close(e.finish_s, f.finish_s)
+        exact = serve(True)
+        assert exact.generated_tokens == fast.generated_tokens
+        assert close(exact.makespan_s, fast.makespan_s)
+        assert len(exact.decode_gaps) == len(fast.decode_gaps)
+        assert all(close(e, f) for e, f in zip(exact.decode_gaps,
+                                               fast.decode_gaps))
+        by_id = lambda report: sorted(report.completed,
+                                      key=lambda r: r.request_id)
+        assert len(exact.completed) == len(fast.completed)
+        for e, f in zip(by_id(exact), by_id(fast)):
+            assert e.request_id == f.request_id
+            assert close(e.start_s, f.start_s)
+            assert close(e.ttft_s, f.ttft_s)
+            assert close(e.finish_s, f.finish_s)
         if policy == "continuous":
             # The public runner is the same node.
             public = simulator.run_continuous(arrivals, exact=True)

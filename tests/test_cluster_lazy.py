@@ -6,7 +6,7 @@ built-in policy is the same policy wrapped so that it observes the whole
 fleet, which makes the loop advance every active replica before each
 arrival. The two runs must produce equal ``ClusterReport``\\ s, floats
 compared exactly, queue-depth timeline included, under failures,
-drains, fair admission and vectorized exact mode.
+drains, fair admission and exact mode.
 """
 
 import math
@@ -76,7 +76,7 @@ SCENARIOS = {
                                  NodeDrain(14.0, "spr-2"))),
     "vtc": ("vtc", False, (NodeFailure(8.0, "icl-1"),)),
     "wsc": ("wsc", False, (NodeDrain(10.0, "spr-2"),)),
-    "vectorized": (None, "vectorized", (NodeFailure(8.0, "icl-1"),)),
+    "exact": (None, True, (NodeFailure(8.0, "icl-1"),)),
 }
 
 

@@ -7,8 +7,8 @@ fleets, local routers, and failure/drain schedules through workers in
 {1, 2, 4} and require the *same simulation*: integer accounting
 bit-equal (queue-depth timeline included), merged event logs identical,
 and every timing field within 1e-9 relative. The splittable arrival
-generators and the vectorized exact mode — the other halves of the
-sharding contract — are pinned here too.
+generators and sharded exact mode — the other halves of the sharding
+contract — are pinned here too.
 """
 
 import itertools
@@ -19,7 +19,6 @@ import pytest
 
 from repro.cluster import (
     ClusterConfig,
-    ClusterSimulator,
     JoinShortestQueueRouter,
     LeastOutstandingTokensRouter,
     NodeDrain,
@@ -275,43 +274,15 @@ class TestWarmCaches:
             assert table.range_cost(batch, 1, 33)[0] > 0.0
 
 
-class TestVectorizedExact:
-    """The numpy exact mode is the same simulation as per-step exact."""
+class TestShardedExact:
+    """Worker processes run the per-step reference loop unchanged."""
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_cluster_parity_step_vs_vectorized(self, seed):
-        rng = random.Random(seed)
-        arrivals = poisson_arrivals(rng.choice([0.5, 1.0]), 40,
-                                    decode_heavy_spec(), seed=seed)
-        events = [NodeFailure(time_s=rng.uniform(5.0, 20.0), node="spr-0")] \
-            if rng.random() < 0.6 else []
-
-        def run(exact):
-            nodes = [ReplicaNode(f"spr-{i}", SPR, LLAMA, max_batch=4)
-                     for i in range(2)]
-            return ClusterSimulator(nodes, RoundRobinRouter(),
-                                    events=events,
-                                    exact=exact).run(list(arrivals))
-
-        assert_reports_identical(run("step"), run("vectorized"))
-
-    def test_sharded_vectorized_matches_single_process(self):
+    def test_sharded_exact_matches_single_process(self):
         config = ClusterConfig([ReplicaSpec(SPR, OPT, count=2, max_batch=4)])
         stream = ShardableStream(rate_per_s=1.0, count=40,
                                  spec=decode_heavy_spec(), seed=17)
         base = run_sharded(config, ShardRouter(2), stream, workers=1,
-                           exact="vectorized")
+                           exact=True)
         sharded = run_sharded(config, ShardRouter(2), stream, workers=2,
-                              exact="vectorized")
+                              exact=True)
         assert_reports_identical(base, sharded)
-
-    def test_vectorized_agrees_with_fast_mode(self):
-        arrivals = poisson_arrivals(1.0, 40, decode_heavy_spec(), seed=2)
-
-        def run(exact):
-            nodes = [ReplicaNode(f"spr-{i}", SPR, OPT, max_batch=4)
-                     for i in range(2)]
-            return ClusterSimulator(nodes, RoundRobinRouter(),
-                                    exact=exact).run(list(arrivals))
-
-        assert_reports_identical(run(False), run("vectorized"))

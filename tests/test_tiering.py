@@ -372,6 +372,6 @@ class TestHeterogeneousShardedParity:
             return ClusterSimulator(tiered_fleet(), router,
                                     exact=exact).run(stream.full())
 
-        fast, exact = run(False), run("step")
+        fast, exact = run(False), run(True)
         assert_reports_identical(exact, fast)
         assert fast.router_counters == exact.router_counters

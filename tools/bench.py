@@ -485,64 +485,6 @@ def bench_cluster_sharded(quick: bool, repeat: int) -> dict:
     }
 
 
-# Vectorized-exact case: long generations (the workload class exact-mode
-# validation actually targets — pure-decode stretches of hundreds of
-# steps), where pricing a whole stretch with one numpy series call
-# amortizes the per-call overhead that dominates per-step pricing.
-VEC_SPEC = SimpleNamespace(input_len_range=(16, 64),
-                           output_len_range=(256, 512))
-VEC_RATE_PER_S = 0.5
-
-
-def _exact_mode_run(count: int, exact: str):
-    """One cold exact-mode cluster run; returns (wall seconds, report)."""
-    from repro.cluster import ClusterSimulator, RoundRobinRouter
-    from repro.workloads.streams import stream_workload
-
-    clear_caches()
-    simulator = ClusterSimulator(_plain_fleet(), RoundRobinRouter(),
-                                 exact=exact)
-    arrivals = stream_workload(VEC_SPEC, VEC_RATE_PER_S, count=count,
-                               seed=CLUSTER_SEED)
-    begin = time.perf_counter()
-    report = simulator.run(arrivals)
-    return time.perf_counter() - begin, report
-
-
-def bench_exact_vectorized(quick: bool, repeat: int) -> dict:
-    """Time vectorized exact mode against the per-step reference loop.
-
-    Both are *exact* modes — neither touches the memoized fast path's
-    shared tables — so this measures pure pricing strategy: one fresh
-    ``time_decode_series`` call per pure-decode stretch plus a numpy
-    prefix-sum horizon search, versus one scalar pricing call per
-    iteration. Batch-membership changes and prefill legs stay scalar in
-    both, hence the decode-heavy workload.
-    """
-    count = 300 if quick else 4_000
-    vectorized_s = None
-    vectorized_report = None
-    for _ in range(repeat):
-        elapsed, report = _exact_mode_run(count, exact="vectorized")
-        if vectorized_s is None or elapsed < vectorized_s:
-            vectorized_s, vectorized_report = elapsed, report
-    step_s, step_report = _exact_mode_run(count, exact="step")
-    return {
-        "requests": count,
-        "replicas": CLUSTER_REPLICAS,
-        "max_batch": CLUSTER_MAX_BATCH,
-        "rate_per_s": VEC_RATE_PER_S,
-        "output_len_range": list(VEC_SPEC.output_len_range),
-        "iterations": sum(s.iterations for s in vectorized_report.node_stats),
-        "sim_makespan_s": vectorized_report.makespan_s,
-        "step_s": step_s,
-        "vectorized_s": vectorized_s,
-        "speedup": step_s / vectorized_s,
-        "requests_per_s": count / vectorized_s,
-        "max_rel_err": _cluster_rel_err(step_report, vectorized_report),
-    }
-
-
 # Fairness-scheduler overhead case: run NEAR capacity (~0.9x the rate
 # that saturates the fleet), not at overload. The VTC pick scans the
 # ready prefix of the queue, so its cost is O(ready backlog); at
@@ -554,7 +496,7 @@ FAIRNESS_RATE_PER_S = 1.8  # ~0.9x the 3-replica saturation point
 
 
 def _fairness_run(arrivals, scheduler):
-    """One cold cluster run under the named admission scheduler."""
+    """Wall seconds of one cold cluster run under the named scheduler."""
     from repro.cluster import (
         ClusterConfig,
         ClusterSimulator,
@@ -569,20 +511,19 @@ def _fairness_run(arrivals, scheduler):
         scheduler=scheduler)]).build_fleet()
     simulator = ClusterSimulator(fleet, RoundRobinRouter())
     begin = time.perf_counter()
-    report = simulator.run(iter(arrivals))
-    return time.perf_counter() - begin, report
+    simulator.run(iter(arrivals))
+    return time.perf_counter() - begin
 
 
 def bench_fairness(quick: bool, repeat: int) -> dict:
     """Time admission schedulers against the built-in admission loop.
 
-    Four legs over the identical materialized tenant stream: the
-    built-in loop (scheduler=None), the "fcfs" spelling (which selects
-    the same built-in loop, so it must agree bit-for-bit), and the
-    VTC/WSC fairness schedulers (whose pick/charge bookkeeping is the
-    overhead being measured, reported as a ratio over the built-in
-    loop). Legs alternate and keep their minimum wall time, like the
-    sharded benchmark, to ride out neighbor noise.
+    Three legs over the identical materialized tenant stream: the
+    built-in loop (scheduler=None) and the VTC/WSC fairness schedulers
+    (whose pick/charge bookkeeping is the overhead being measured,
+    reported as a ratio over the built-in loop). Legs alternate and
+    keep their minimum wall time, like the sharded benchmark, to ride
+    out neighbor noise.
     """
     from repro.workloads import TenantStream, TenantWorkloadSpec
 
@@ -592,15 +533,14 @@ def bench_fairness(quick: bool, repeat: int) -> dict:
                               output_len_range=(96, 192))
     arrivals = list(TenantStream(spec=spec, rate_per_s=FAIRNESS_RATE_PER_S,
                                  count=count, seed=CLUSTER_SEED).full())
-    schedulers = (None, "fcfs", "vtc", "wsc")
+    schedulers = (None, "vtc", "wsc")
     best = {}
-    reports = {}
     for _ in range(repeat):
         for scheduler in schedulers:
             key = scheduler or "none"
-            elapsed, report = _fairness_run(arrivals, scheduler)
+            elapsed = _fairness_run(arrivals, scheduler)
             if key not in best or elapsed < best[key]:
-                best[key], reports[key] = elapsed, report
+                best[key] = elapsed
     return {
         "requests": count,
         "users": FAIRNESS_USERS,
@@ -608,15 +548,11 @@ def bench_fairness(quick: bool, repeat: int) -> dict:
         "max_batch": CLUSTER_MAX_BATCH,
         "rate_per_s": FAIRNESS_RATE_PER_S,
         "baseline_s": best["none"],
-        "fcfs_s": best["fcfs"],
         "vtc_s": best["vtc"],
         "wsc_s": best["wsc"],
-        "fcfs_overhead": best["fcfs"] / best["none"],
         "vtc_overhead": best["vtc"] / best["none"],
         "wsc_overhead": best["wsc"] / best["none"],
         "requests_per_s": count / best["vtc"],
-        "fcfs_max_rel_err": _cluster_rel_err(reports["none"],
-                                             reports["fcfs"]),
     }
 
 
@@ -990,10 +926,8 @@ def _print_fairness(fairness: dict) -> None:
     print(f"fairness ({fairness['requests']:,} requests, "
           f"{fairness['users']} users): "
           f"builtin {fairness['baseline_s']:.2f}s, "
-          f"fcfs {fairness['fcfs_overhead']:.2f}x, "
           f"vtc {fairness['vtc_overhead']:.2f}x, "
-          f"wsc {fairness['wsc_overhead']:.2f}x, "
-          f"fcfs max rel err {fairness['fcfs_max_rel_err']:.2e}")
+          f"wsc {fairness['wsc_overhead']:.2f}x")
 
 
 def _print_tiering(tiering: dict) -> None:
@@ -1008,15 +942,6 @@ def _print_tiering(tiering: dict) -> None:
           f"one-size {tiering['onesize_dollars_per_mtok']:.2f} "
           f"@ att {tiering['onesize_attainment']:.3f} "
           f"({tiering['dpm_ratio']:.2f}x)")
-
-
-def _print_exact_vectorized(vec: dict) -> None:
-    print(f"vectorized exact ({vec['requests']:,} requests, "
-          f"out {vec['output_len_range'][0]}-{vec['output_len_range'][1]}): "
-          f"per-step {vec['step_s']:.1f}s, "
-          f"vectorized {vec['vectorized_s']:.1f}s "
-          f"({vec['speedup']:.1f}x), "
-          f"max rel err {vec['max_rel_err']:.2e}")
 
 
 def _print_fluid(fluid: dict) -> None:
@@ -1102,8 +1027,6 @@ def main(argv=None) -> int:
                                                  min(args.repeat, 3)),
             "cluster_sharded": bench_cluster_sharded(args.quick,
                                                      min(args.repeat, 3)),
-            "exact_vectorized": bench_exact_vectorized(args.quick,
-                                                       min(args.repeat, 3)),
         }
     else:
         report = {
@@ -1129,7 +1052,6 @@ def main(argv=None) -> int:
         _print_cluster(report["cluster"])
         _print_cluster_mixed(report["cluster_mixed"])
         _print_cluster_sharded(report["cluster_sharded"])
-        _print_exact_vectorized(report["exact_vectorized"])
     else:
         sweep = report["fig8_sweep"]
         micro = report["decode_micro"]
