@@ -581,6 +581,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     rates = sorted({float(r) for r in args.rates.split(",")})
     if any(rate <= 0 for rate in rates):
         raise ValueError("--rates must be positive")
+    if args.confirm is not None and args.confirm <= 0:
+        raise ValueError(f"--confirm must be positive, got {args.confirm}")
     config = _fleet(args)
     mix = _class_mix(args)
     router = "tiered" if mix is not None else "uniform"
@@ -601,7 +603,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
          _ms(report.ttft_percentiles.get(0.99, math.inf)),
          _ms(report.tpot_s), f"{report.dollars_per_mtok:.2f}"]
         for report in reports]
-    if args.confirm:
+    if args.confirm is not None:
         from repro.optim.advisor import measure_fleet
 
         headers += ["sim attainment", "sim tok/s", "sim $/Mtok"]
@@ -622,7 +624,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     else:
         print(f"\nsaturation: {capacity:.2f} req/s "
               f"(fleet capacity at this workload shape)")
-    if args.confirm:
+    if args.confirm is not None:
         print(f"sim columns: exact fast-forward, {args.confirm} requests "
               f"per point, seed {args.seed}")
     return 0

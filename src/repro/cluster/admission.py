@@ -32,6 +32,11 @@ from repro.serving.arrivals import ArrivingRequest
 #: Spelling accepted by :func:`make_scheduler` and the CLI.
 SCHEDULER_NAMES = ("fcfs", "vtc", "wsc")
 
+#: VTC charge per prefill token (at admission) and per decode token
+#: (at completion; decode tokens are dearer).
+PREFILL_WEIGHT = 1.0
+DECODE_WEIGHT = 2.0
+
 
 def _tenant(request: ArrivingRequest) -> int:
     """Tenant key: ``user_id`` for tenant-tagged requests, else one pool."""
@@ -76,8 +81,8 @@ class VirtualTokenCounterScheduler(AdmissionScheduler):
     """VTC fair admission: serve the tenant with the least service.
 
     Each tenant accrues a virtual-token counter — prefill tokens
-    (weighted *prefill_weight*) charged at admission, decode tokens
-    (weighted *decode_weight*, dearer per token) at completion — and a
+    (weighted ``PREFILL_WEIGHT``) charged at admission, decode tokens
+    (weighted ``DECODE_WEIGHT``, dearer per token) at completion — and a
     free slot goes to the ready request whose tenant has the smallest
     counter. Under backlog this converges to max-min fair token service
     regardless of demand skew.
@@ -97,10 +102,7 @@ class VirtualTokenCounterScheduler(AdmissionScheduler):
 
     name = "vtc"
 
-    def __init__(self, prefill_weight: float = 1.0,
-                 decode_weight: float = 2.0):
-        self.prefill_weight = prefill_weight
-        self.decode_weight = decode_weight
+    def __init__(self):
         self.counters: Dict[int, float] = {}
         self._in_system: Dict[int, int] = {}
 
@@ -137,13 +139,13 @@ class VirtualTokenCounterScheduler(AdmissionScheduler):
 
     def on_admit(self, request: ArrivingRequest, now: float) -> None:
         tenant = _tenant(request)
-        charge = (self.prefill_weight * request.input_len
+        charge = (PREFILL_WEIGHT * request.input_len
                   / self._weight(tenant))
         self.counters[tenant] = self.counters.get(tenant, 0.0) + charge
 
     def on_finish(self, request: ArrivingRequest) -> None:
         tenant = _tenant(request)
-        charge = (self.decode_weight * request.output_len
+        charge = (DECODE_WEIGHT * request.output_len
                   / self._weight(tenant))
         self.counters[tenant] = self.counters.get(tenant, 0.0) + charge
         remaining = self._in_system.get(tenant, 0) - 1
@@ -164,10 +166,8 @@ class WeightedServiceCounterScheduler(VirtualTokenCounterScheduler):
 
     name = "wsc"
 
-    def __init__(self, weights: Optional[Mapping[int, float]] = None,
-                 prefill_weight: float = 1.0, decode_weight: float = 2.0):
-        super().__init__(prefill_weight=prefill_weight,
-                         decode_weight=decode_weight)
+    def __init__(self, weights: Optional[Mapping[int, float]] = None):
+        super().__init__()
         weights = dict(weights or {})
         for tenant, weight in weights.items():
             if weight <= 0:

@@ -32,10 +32,6 @@ class ReplicaSpec:
         count: Replicas in the group.
         backend: Execution backend (``None`` = plain BF16).
         max_batch: Per-replica batching limit.
-        name: Base name for the group's replicas; defaults to
-            ``<platform>[-<backend label>]``. Replicas are numbered
-            across the whole fleet (``spr-0``, ``spr-int8-tp2-1``, ...),
-            matching the CLI's ``--fail-node`` style addressing.
         scheduler: Admission policy spelling ("fcfs", "vtc", "wsc");
             ``None`` and "fcfs" keep the node's built-in FCFS loop. Each
             replica gets its own scheduler instance (service counters
@@ -55,7 +51,6 @@ class ReplicaSpec:
     count: int = 1
     backend: Optional[ExecutionBackend] = None
     max_batch: int = 8
-    name: Optional[str] = None
     scheduler: Optional[str] = None
     scheduler_weights: Optional[Tuple[Tuple[int, float], ...]] = None
     price_usd: Optional[float] = None
@@ -75,8 +70,7 @@ class ReplicaSpec:
 
     @property
     def base_name(self) -> str:
-        if self.name is not None:
-            return self.name
+        """``<platform>[-<backend label>]``: replicas are ``spr-0``, ..."""
         key = self.platform.name.split("-")[0].lower()
         if self.backend is not None:
             return f"{key}-{self.backend.label}"

@@ -65,17 +65,16 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cost import price_rate
 from repro.cluster.config import ClusterConfig
-from repro.cluster.metrics import DEFAULT_AMORTIZATION_YEARS, \
-    _SECONDS_PER_YEAR
+from repro.cluster.metrics import dollars_per_mtok
 from repro.cluster.node import ReplicaNode
 from repro.cluster.tiering import Tier, tier_label
 from repro.serving.arrivals import _spec_ranges
 from repro.serving.slo import SLO
-from repro.workloads.classes import REQUEST_CLASSES, RequestClass
+from repro.workloads.classes import REQUEST_CLASSES
 
 #: Load-regime labels, in increasing order of distress.
 REGIME_STABLE = "stable"
@@ -92,6 +91,10 @@ _FIXED_POINT_MAX_ITERS = 200
 #: Prefill-stall inflation is clamped so a prefill-dominated overload
 #: degrades gracefully instead of dividing by ~zero.
 _MAX_PREFILL_SHARE = 0.95
+#: TTFT quantiles every :class:`FluidReport` carries.
+TTFT_PERCENTILES = (0.5, 0.9, 0.99)
+#: Relative width at which :func:`saturation_rate`'s bisection stops.
+_SATURATION_REL_TOL = 1e-4
 
 
 def _regime(rho: float) -> str:
@@ -133,9 +136,7 @@ class _Flow:
         return max(0.0, self.mean_output - 1.0)
 
 
-def _resolve_flows(mix, spec, slo,
-                   classes: Optional[Mapping[str, RequestClass]]
-                   ) -> List[_Flow]:
+def _resolve_flows(mix, spec, slo) -> List[_Flow]:
     if mix is None:
         input_range, output_range = _spec_ranges(spec)
         return [_Flow(name="all", share=1.0,
@@ -143,7 +144,6 @@ def _resolve_flows(mix, spec, slo,
                       output_range=tuple(output_range),
                       slo=slo if slo is not None else SLO(),
                       min_model_params=0.0)]
-    table = dict(classes if classes is not None else REQUEST_CLASSES)
     total = sum(share for _, share in mix)
     if total <= 0:
         raise ValueError("class mix shares must sum to a positive value")
@@ -151,7 +151,7 @@ def _resolve_flows(mix, spec, slo,
     for name, share in mix:
         if share <= 0:
             continue
-        rc = table[name]
+        rc = REQUEST_CLASSES[name]
         flows.append(_Flow(name=name, share=share / total,
                            input_range=tuple(rc.input_len_range),
                            output_range=tuple(rc.output_len_range),
@@ -749,12 +749,9 @@ def _mixture_quantile(components: List[Tuple[float, _ClassAtStation]],
 
 def solve(config: ClusterConfig, rate_per_s: float, *,
           mix: Optional[Sequence[Tuple[str, float]]] = None,
-          classes: Optional[Mapping[str, RequestClass]] = None,
           spec: Optional[object] = None,
           slo: Optional[SLO] = None,
           router: str = "auto",
-          percentiles: Sequence[float] = (0.5, 0.9, 0.99),
-          amortization_years: float = DEFAULT_AMORTIZATION_YEARS,
           label: Optional[str] = None,
           _stations: Optional[List[_Station]] = None) -> FluidReport:
     """Solve a fleet's steady state analytically at one operating point.
@@ -763,8 +760,8 @@ def solve(config: ClusterConfig, rate_per_s: float, *,
         config: The fleet, as the simulator declares it.
         rate_per_s: Fleet-wide Poisson arrival rate.
         mix: Optional class mix ``((name, share), ...)`` — engages the
-            tiered flow fixed point with per-class SLOs from *classes*
-            (default: the stock matrix).
+            tiered flow fixed point with per-class SLOs from
+            :data:`~repro.workloads.classes.REQUEST_CLASSES`.
         spec: Shape spec for class-less workloads (any object with
             ``input_len_range`` / ``output_len_range``; defaults match
             :func:`repro.serving.arrivals.iter_poisson_arrivals`).
@@ -772,8 +769,6 @@ def solve(config: ClusterConfig, rate_per_s: float, *,
             :class:`~repro.serving.slo.SLO`).
         router: ``auto`` (tiered iff a mix is given), ``uniform``
             (capacity-proportional split), or ``tiered``.
-        percentiles: TTFT quantiles to report.
-        amortization_years: Hardware amortization horizon for $/Mtok.
 
     Returns:
         A :class:`FluidReport`. Overload is *flagged* — throughput pins
@@ -782,7 +777,7 @@ def solve(config: ClusterConfig, rate_per_s: float, *,
     """
     if rate_per_s <= 0.0:
         raise ValueError(f"rate_per_s must be positive, got {rate_per_s}")
-    flows = _resolve_flows(mix, spec, slo, classes)
+    flows = _resolve_flows(mix, spec, slo)
     stations = _stations if _stations is not None \
         else _group_stations(config)
     if not stations:
@@ -858,9 +853,6 @@ def solve(config: ClusterConfig, rate_per_s: float, *,
                         for s in solutions}))
 
     fleet_price = sum(s.price_usd for s in stations)
-    dollars_per_s = fleet_price / (amortization_years * _SECONDS_PER_YEAR)
-    dollars_per_mtok = math.inf if throughput <= 0.0 \
-        else dollars_per_s / throughput * 1e6
     capacity = sum(s.capacity_req_per_s for s in solutions
                    if s.capacity_req_per_s > 0.0)
 
@@ -871,13 +863,13 @@ def solve(config: ClusterConfig, rate_per_s: float, *,
         attainment=attained / rate_per_s,
         mean_ttft_s=ttft_num / rate_per_s if rate_per_s else 0.0,
         ttft_percentiles={q: _mixture_quantile(components, q)
-                          for q in percentiles},
+                          for q in TTFT_PERCENTILES},
         tpot_s=tpot_num / rate_per_s if rate_per_s else 0.0,
         capacity_req_per_s=capacity,
         max_rho=max_rho,
         regime=_regime(max_rho),
         fleet_price_usd=fleet_price,
-        dollars_per_mtok=dollars_per_mtok,
+        dollars_per_mtok=dollars_per_mtok(fleet_price, 1.0, throughput),
         stations=tuple(station_reports),
         classes=tuple(class_reports),
         iterations=iterations,
@@ -888,18 +880,14 @@ def solve(config: ClusterConfig, rate_per_s: float, *,
 
 @dataclasses.dataclass(frozen=True)
 class FluidScenario:
-    """One (fleet, rate, mix) grid point for :func:`solve_grid`."""
+    """One (fleet, rate) grid point for :func:`solve_grid`."""
 
     config: ClusterConfig
     rate_per_s: float
-    mix: Optional[Sequence[Tuple[str, float]]] = None
-    spec: Optional[object] = None
-    slo: Optional[SLO] = None
     label: Optional[str] = None
 
 
-def solve_grid(scenarios: Sequence[Union[FluidScenario,
-                                         Tuple[ClusterConfig, float]]],
+def solve_grid(scenarios: Sequence[FluidScenario],
                **common) -> List[FluidReport]:
     """Solve many what-if points, amortizing cost-table warmup.
 
@@ -909,47 +897,37 @@ def solve_grid(scenarios: Sequence[Union[FluidScenario,
     shape mix) reuses warmed prefix curves and demand integrals;
     station groupings, with their per-flow demand vectors, are reused
     per distinct config within the call.
-    Extra keyword arguments pass through to :func:`solve` and apply to
-    every scenario that does not override them.
+    Extra keyword arguments (the workload: ``mix``, ``spec``, ``slo``,
+    ``router``) pass through to :func:`solve` for every scenario.
     """
     # Keyed by object identity: configs need not be hashable, and the
     # scenario list keeps them alive for the duration of the call.
     station_cache: Dict[int, List[_Station]] = {}
     reports = []
     for scenario in scenarios:
-        if isinstance(scenario, FluidScenario):
-            config, rate = scenario.config, scenario.rate_per_s
-            overrides = {key: value for key, value in (
-                ("mix", scenario.mix), ("spec", scenario.spec),
-                ("slo", scenario.slo), ("label", scenario.label))
-                if value is not None}
-        else:
-            config, rate = scenario
-            overrides = {}
+        config = scenario.config
         stations = station_cache.get(id(config))
         if stations is None:
             stations = _group_stations(config)
             station_cache[id(config)] = stations
-        kwargs = dict(common)
-        kwargs.update(overrides)
-        reports.append(solve(config, rate, _stations=stations, **kwargs))
+        reports.append(solve(config, scenario.rate_per_s,
+                             label=scenario.label, _stations=stations,
+                             **common))
     return reports
 
 
 def saturation_rate(config: ClusterConfig, *,
                     mix: Optional[Sequence[Tuple[str, float]]] = None,
-                    classes: Optional[Mapping[str, RequestClass]] = None,
                     spec: Optional[object] = None,
                     slo: Optional[SLO] = None,
-                    router: str = "auto",
-                    rel_tol: float = 1e-4) -> float:
+                    router: str = "auto") -> float:
     """The fleet's saturation arrival rate (requests/s).
 
     For uniform routing this is closed-form (the capacity sum); for
     tiered routing the class→tier flows shift with load, so the edge is
     found by bisection on the solved ``max_rho``.
     """
-    flows = _resolve_flows(mix, spec, slo, classes)
+    flows = _resolve_flows(mix, spec, slo)
     stations = _group_stations(config)
     uniform_cap = sum(station.capacity(flows) for station in stations)
     if router == "auto":
@@ -958,8 +936,8 @@ def saturation_rate(config: ClusterConfig, *,
         return uniform_cap
 
     def max_rho(rate: float) -> float:
-        return solve(config, rate, mix=mix, classes=classes, spec=spec,
-                     slo=slo, router=router, _stations=stations).max_rho
+        return solve(config, rate, mix=mix, spec=spec, slo=slo,
+                     router=router, _stations=stations).max_rho
 
     lo, hi = uniform_cap * 1e-3, uniform_cap
     while max_rho(hi) < 1.0:
@@ -969,7 +947,7 @@ def saturation_rate(config: ClusterConfig, *,
             # capacity: signal "not found" rather than return an
             # arbitrary non-saturating rate.
             return math.inf
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > _SATURATION_REL_TOL * hi:
         mid = (lo + hi) / 2.0
         if max_rho(mid) >= 1.0:
             hi = mid

@@ -9,6 +9,7 @@ the fleet outcome so :func:`repro.serving.slo.attainment` and
 """
 
 import dataclasses
+import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cost import price_rate
@@ -22,8 +23,18 @@ from repro.utils.stats import mean
 
 #: Amortization window for converting listing prices into $/token: the
 #: 3-year depreciation schedule common for datacenter accelerators.
-DEFAULT_AMORTIZATION_YEARS = 3.0
+AMORTIZATION_YEARS = 3.0
 _SECONDS_PER_YEAR = 365.0 * 24 * 3600
+
+
+def dollars_per_mtok(price_usd: float, seconds: float, tokens: float) -> float:
+    """Hardware $ per million tokens: *price_usd* amortized over
+    :data:`AMORTIZATION_YEARS`, *seconds* of it charged to *tokens*
+    (``inf`` for none) — the paper's listing-price cost proxy."""
+    if tokens <= 0:
+        return math.inf
+    return (price_usd / (AMORTIZATION_YEARS * _SECONDS_PER_YEAR)
+            * seconds / tokens * 1e6)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,8 +180,7 @@ class ClusterReport:
                                weights=weights, cutoff_s=cutoff_s,
                                abandoned_ttft_s=abandoned_ttft_s)
 
-    def tiering(self, arrivals, classifier, classes=None,
-                amortization_years: float = DEFAULT_AMORTIZATION_YEARS):
+    def tiering(self, arrivals, classifier):
         """Per-class / per-tier breakdown of this run (see
         :func:`repro.cluster.tiering.tiering_report`).
 
@@ -182,21 +192,12 @@ class ClusterReport:
         the tiering subsystem.
         """
         from repro.cluster.tiering import tiering_report
-        return tiering_report(self, arrivals, classifier, classes=classes,
-                              amortization_years=amortization_years)
+        return tiering_report(self, arrivals, classifier)
 
-    def dollars_per_million_tokens(
-            self,
-            amortization_years: float = DEFAULT_AMORTIZATION_YEARS) -> float:
-        """Fleet hardware cost per million useful tokens.
-
-        Amortizes each replica's listing price over *amortization_years*,
-        charges the makespan's worth of amortized dollars, and divides by
-        the useful tokens produced — the purchasing-decision figure
+    def dollars_per_million_tokens(self) -> float:
+        """Fleet hardware cost per million useful tokens over the makespan
+        (:func:`dollars_per_mtok`) — the figure
         :func:`repro.optim.advisor.recommend_fleet` ranks fleets by,
-        measured on a simulated trace instead of a capacity bound.
-        """
-        dollars_per_second = (self.fleet_price_usd
-                              / (amortization_years * _SECONDS_PER_YEAR))
-        return (dollars_per_second * self.makespan_s
-                / self.generated_tokens * 1e6)
+        measured on a simulated trace instead of a capacity bound."""
+        return dollars_per_mtok(self.fleet_price_usd, self.makespan_s,
+                                self.generated_tokens)

@@ -561,15 +561,14 @@ class ReplicaNode:
         self.running = still
         return completed_now
 
-    def advance(self, now: Optional[float] = None) -> List[CompletedRequest]:
+    def advance(self) -> List[CompletedRequest]:
         """Run one scheduler iteration; return requests completed by it.
 
         Admit as the discipline allows, retire finished sequences, run
         one fused decode step. Retirement waits behind admission
         prefills, except on a chunked node, whose admissions take no
         time: it admits after retiring, so freed slots refill at once.
-        *now* is advisory; the iteration starts at
-        :meth:`next_event_time`.
+        The iteration starts at :meth:`next_event_time`.
         """
         start = self.next_event_time()
         if start is None:

@@ -235,6 +235,11 @@ class ShardRouter(Router):
         return total
 
 
+#: Relative width of :class:`PhaseAwareRouter`'s cost-equivalence band:
+#: dollar-occupancies within 15% compare equal.
+COST_BAND = 0.15
+
+
 class PhaseAwareRouter(Router):
     """Cost/SLO-aware routing for heterogeneous fleets.
 
@@ -248,7 +253,7 @@ class PhaseAwareRouter(Router):
     bandwidth-rich for decode-dominated). If no replica is feasible, the
     earliest projected finish wins — degrade latency, not correctness.
 
-    Dollar-occupancies within ``cost_band`` of each other are treated as
+    Dollar-occupancies within ``COST_BAND`` of each other are treated as
     equal before the affinity tie-break: listing prices are proxies with
     easily 15% uncertainty, and for in-memory models the SPR/H100 speed
     and price ratios land within a few percent of parity (the paper's
@@ -259,23 +264,19 @@ class PhaseAwareRouter(Router):
     Args:
         slo: Target SLO (``None`` disables the feasibility cut and
             routes purely by projected finish + cost).
-        cost_band: Relative width of a cost-equivalence band (0.15 =
-            dollar-occupancies within 15% compare equal).
     """
 
     name = "phase_aware"
 
-    def __init__(self, slo: Optional[SLO] = None, cost_band: float = 0.15):
-        if not 0 <= cost_band < 1:
-            raise ValueError(f"cost_band must be in [0, 1), got {cost_band}")
+    def __init__(self, slo: Optional[SLO] = None):
         self.slo = slo
-        self.cost_band = cost_band
 
-    def _band(self, cost: float) -> int:
+    @staticmethod
+    def _band(cost: float) -> int:
         """Geometric cost band; equal bands defer to phase affinity."""
-        if self.cost_band == 0 or cost <= 0:
+        if cost <= 0:
             return 0
-        return int(math.log(cost) / math.log1p(self.cost_band))
+        return int(math.log(cost) / math.log1p(COST_BAND))
 
     @staticmethod
     def _price_rate(node: ReplicaNode) -> float:

@@ -42,15 +42,10 @@ bit-identical for any worker count.
 """
 
 import dataclasses
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cost import price_rate
-from repro.cluster.metrics import (
-    DEFAULT_AMORTIZATION_YEARS,
-    _SECONDS_PER_YEAR,
-    ClusterReport,
-)
+from repro.cluster.metrics import ClusterReport, dollars_per_mtok
 from repro.cluster.node import ReplicaNode
 from repro.cluster.router import Router
 from repro.serving.arrivals import ArrivingRequest
@@ -82,8 +77,6 @@ class TieredRouter(Router):
             stock mix classifier
             (:class:`repro.workloads.classes.MixClassifier`). Must be
             the same classifier the workload generated shapes with.
-        classes: Class table (name → :class:`~repro.workloads.classes.
-            RequestClass`); defaults to the stock 3-class matrix.
 
     Counters (see :meth:`counters`): ``routed:<class>`` per decision,
     ``served:<class>:<tier>`` per chosen tier, ``spill:<class>`` when
@@ -93,17 +86,9 @@ class TieredRouter(Router):
 
     name = "tiered"
 
-    def __init__(self, classifier: Optional[MixClassifier] = None,
-                 classes: Optional[Dict[str, RequestClass]] = None):
+    def __init__(self, classifier: Optional[MixClassifier] = None):
         self.classifier = classifier if classifier is not None \
             else MixClassifier()
-        self.classes = dict(classes if classes is not None
-                            else REQUEST_CLASSES)
-        for mixed, _ in self.classifier.mix:
-            if mixed not in self.classes:
-                raise ValueError(f"classifier mixes class {mixed!r} with no "
-                                 f"entry in the class table "
-                                 f"{sorted(self.classes)}")
         self._counters: Dict[str, int] = {}
         #: (platform name, price override) -> listing-price rate.
         self._prices: Dict[Tuple[str, Optional[float]], float] = {}
@@ -124,11 +109,7 @@ class TieredRouter(Router):
     def select(self, request: ArrivingRequest,
                nodes: Sequence[ReplicaNode], now: float) -> ReplicaNode:
         class_name = self.classifier(request)
-        try:
-            rc = self.classes[class_name]
-        except KeyError:
-            raise KeyError(f"classifier produced unknown class "
-                           f"{class_name!r}; table: {sorted(self.classes)}")
+        rc = REQUEST_CLASSES[class_name]
         candidates = self.routable(nodes)
         self._bump(f"routed:{class_name}")
 
@@ -312,10 +293,8 @@ class TieringReport:
     fallbacks: int
 
 
-def tiering_report(report: ClusterReport, arrivals, classifier,
-                   classes: Optional[Dict[str, RequestClass]] = None,
-                   amortization_years: float = DEFAULT_AMORTIZATION_YEARS,
-                   ) -> TieringReport:
+def tiering_report(report: ClusterReport, arrivals,
+                   classifier) -> TieringReport:
     """Score a finished run per class and per tier.
 
     *arrivals* is the request stream (list or regenerable iterator —
@@ -325,16 +304,15 @@ def tiering_report(report: ClusterReport, arrivals, classifier,
     scoring a JSQ one-size-fits-all fleet with the same classifier is
     exactly how ``ext_tiering`` builds its matched-SLO baseline.
     """
-    table = dict(classes if classes is not None else REQUEST_CLASSES)
     by_id = {request.request_id: request for request in arrivals}
 
     per_class: Dict[str, Dict[str, float]] = {
         name: {"completed": 0, "met": 0, "tokens_met": 0, "ttft_sum": 0.0}
-        for name in table}
+        for name in REQUEST_CLASSES}
     for record in report.completed:
         request = by_id[record.request_id]
         name = classifier(request)
-        rc = table[name]
+        rc = REQUEST_CLASSES[name]
         bucket = per_class[name]
         bucket["completed"] += 1
         bucket["ttft_sum"] += record.ttft_s
@@ -345,7 +323,7 @@ def tiering_report(report: ClusterReport, arrivals, classifier,
     makespan = report.makespan_s
     counters = report.router_counters
     class_stats: List[ClassStats] = []
-    for name, rc in table.items():
+    for name, rc in REQUEST_CLASSES.items():
         bucket = per_class[name]
         completed = int(bucket["completed"])
         met = int(bucket["met"])
@@ -359,8 +337,6 @@ def tiering_report(report: ClusterReport, arrivals, classifier,
             fallbacks=counters.get(f"fallback:{name}", 0),
         ))
 
-    dollars_per_second = lambda price: price / (amortization_years
-                                                * _SECONDS_PER_YEAR)
     tier_groups: Dict[Tier, List] = {}
     for stats in report.node_stats:
         tier_groups.setdefault(stats.tier, []).append(stats)
@@ -369,14 +345,12 @@ def tiering_report(report: ClusterReport, arrivals, classifier,
         price = sum(price_rate(s.platform, s.price_usd) for s in members)
         tokens = sum(s.generated_tokens for s in members)
         busy = sum(s.busy_s for s in members)
-        dpm = (dollars_per_second(price) * makespan / tokens * 1e6
-               if tokens else math.inf)
         tier_stats.append(TierStats(
             tier=tier, replicas=len(members), price_usd=price,
             generated_tokens=tokens, busy_s=busy,
             utilization=(busy / (len(members) * makespan)
                          if makespan else 0.0),
-            dollars_per_mtok=dpm))
+            dollars_per_mtok=dollars_per_mtok(price, makespan, tokens)))
     tier_stats.sort(key=lambda t: (t.price_usd / t.replicas, t.tier))
 
     total_completed = sum(s.completed for s in class_stats)
@@ -386,8 +360,7 @@ def tiering_report(report: ClusterReport, arrivals, classifier,
         tiers=tier_stats,
         attainment=total_met / total_completed if total_completed else 1.0,
         goodput=sum(s.goodput for s in class_stats),
-        dollars_per_mtok=report.dollars_per_million_tokens(
-            amortization_years),
+        dollars_per_mtok=report.dollars_per_million_tokens(),
         spills=sum(s.spills for s in class_stats),
         fallbacks=sum(s.fallbacks for s in class_stats),
     )

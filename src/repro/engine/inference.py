@@ -160,13 +160,12 @@ class InferenceSimulator:
         sizing = InferenceRequest(batch_size=max_batch, input_len=512,
                                   output_len=64)
         if not self.fits(model, sizing):
-            # Serving models in-memory execution only; over-capacity GPU
-            # serving must go through the offloading engine's
-            # sequential-rate estimate instead.
+            # Serving replicas model in-memory execution only: a GPU
+            # replica whose model exceeds device memory is refused.
             raise MemoryCapacityError(
                 f"{model.name} does not fit {self.platform.name} at "
-                f"batch {max_batch}; the batching simulator covers "
-                "in-memory serving only")
+                f"batch {max_batch}; serving replicas model in-memory "
+                "execution only")
         return self._executor(model, sizing)
 
     # -- simulation ----------------------------------------------------------

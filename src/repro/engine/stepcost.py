@@ -43,6 +43,8 @@ from repro.models.config import ModelConfig
 #: Minimum extension chunk: large enough to amortize the closed-form
 #: series analysis, small enough not to over-price short workloads.
 _MIN_CHUNK = 256
+#: Prompt lengths :meth:`DecodeCostTable.expected_prefill_time` prices.
+_PREFILL_SAMPLES = 17
 
 
 class _BatchCurve:
@@ -183,34 +185,33 @@ class DecodeCostTable:
 
     # -- expected demands (fluid solver) -----------------------------------
 
-    def expected_prefill_time(self, input_range: Tuple[int, int],
-                              samples: int = 17) -> float:
+    def expected_prefill_time(self, input_range: Tuple[int, int]) -> float:
         """Mean single-sequence prefill time over a uniform prompt range.
 
         ``input_range`` is inclusive, matching the workload generators.
-        Narrow ranges (at most *samples* lengths) are averaged exactly;
-        wide ones integrate a trapezoid through *samples* evenly spaced
-        lengths — prefill cost is piecewise smooth in the prompt length
-        (affine weight traffic plus a quadratic attention term), so the
-        sampled mean tracks the exact one to well under the fluid
-        solver's validity envelope while pricing ~17 prefills instead
-        of hundreds. Memoized per (range, samples).
+        Narrow ranges (at most :data:`_PREFILL_SAMPLES` lengths) are
+        averaged exactly; wide ones integrate a trapezoid through that
+        many evenly spaced lengths — prefill cost is piecewise smooth in
+        the prompt length (affine weight traffic plus a quadratic
+        attention term), so the sampled mean tracks the exact one to
+        well under the fluid solver's validity envelope while pricing
+        ~17 prefills instead of hundreds. Memoized per range.
         """
         lo, hi = input_range
         if lo < 1 or hi < lo:
             raise ValueError(f"bad input range {input_range}")
-        key = ("prefill", lo, hi, samples)
+        key = ("prefill", lo, hi)
         cached = self._expected.get(key)
         if cached is not None:
             return cached
         width = hi - lo + 1
-        if width <= samples:
+        if width <= _PREFILL_SAMPLES:
             mean = sum(self.prefill_time(1, length)
                        for length in range(lo, hi + 1)) / width
         else:
             span = hi - lo
-            xs = sorted({lo + round(i * span / (samples - 1))
-                         for i in range(samples)})
+            xs = sorted({lo + round(i * span / (_PREFILL_SAMPLES - 1))
+                         for i in range(_PREFILL_SAMPLES)})
             ys = [self.prefill_time(1, x) for x in xs]
             area = sum((ys[i] + ys[i + 1]) / 2.0 * (xs[i + 1] - xs[i])
                        for i in range(len(xs) - 1))

@@ -140,6 +140,8 @@ class DeploymentAdvisor:
 
 # -- fleet-level provisioning search (fluid outer loop) --------------------
 
+#: Fluid SLO attainment a candidate must reach to count as feasible.
+ATTAINMENT_TARGET = 0.95
 #: Feasible candidates :func:`recommend_fleet` replays through the exact
 #: simulator, cheapest first, before giving up.
 CONFIRM_ATTEMPTS = 3
@@ -186,7 +188,6 @@ class FleetRecommendation:
     """
 
     rate_per_s: float
-    attainment_target: float
     best: Optional[FleetAssessment]
     confirmation: Optional[FleetConfirmation]
     ranked: List[FleetAssessment]
@@ -194,8 +195,7 @@ class FleetRecommendation:
 
 
 def measure_fleet(config, rate_per_s, mix=None, spec=None, slo=None,
-                  count: int = 2000, seed: int = 0,
-                  amortization_years: Optional[float] = None
+                  count: int = 2000, seed: int = 0
                   ) -> Tuple[float, float, float, float]:
     """Simulate one fleet with fast-forward; the fluid solver's oracle.
 
@@ -204,10 +204,6 @@ def measure_fleet(config, rate_per_s, mix=None, spec=None, slo=None,
     a *count*-request Poisson stream — the confirmation step of
     :func:`recommend_fleet` and of ``repro plan --confirm``.
     """
-    from repro.cluster.metrics import DEFAULT_AMORTIZATION_YEARS
-
-    if amortization_years is None:
-        amortization_years = DEFAULT_AMORTIZATION_YEARS
     from repro.cluster.router import JoinShortestQueueRouter
     from repro.cluster.simulator import ClusterSimulator
     from repro.cluster.tiering import TieredRouter
@@ -228,8 +224,7 @@ def measure_fleet(config, rate_per_s, mix=None, spec=None, slo=None,
     simulator = ClusterSimulator(config.build_fleet(), router)
     report = simulator.run(iter(arrivals))
     if classifier is not None:
-        tiering = report.tiering(arrivals, classifier,
-                                 amortization_years=amortization_years)
+        tiering = report.tiering(arrivals, classifier)
         completed = sum(c.completed for c in tiering.classes)
         met = sum(c.met for c in tiering.classes)
         attainment = met / completed if completed else 1.0
@@ -239,12 +234,11 @@ def measure_fleet(config, rate_per_s, mix=None, spec=None, slo=None,
         attainment = report.attainment(arrivals, bar)
         goodput = report.goodput(arrivals, bar)
     return (attainment, goodput, report.throughput,
-            report.dollars_per_million_tokens(amortization_years))
+            report.dollars_per_million_tokens())
 
 
 def fleet_mix_candidates(node_kinds: Sequence[Tuple[str, "ReplicaSpec"]],
-                         total_nodes: int, *,
-                         require_all: bool = False
+                         total_nodes: int
                          ) -> List[Tuple[str, "ClusterConfig"]]:
     """Enumerate every fleet *mix* filling a fixed node budget.
 
@@ -261,8 +255,6 @@ def fleet_mix_candidates(node_kinds: Sequence[Tuple[str, "ReplicaSpec"]],
             hybrid kind should carry ``price_usd`` covering *both*
             devices it occupies).
         total_nodes: Slots every candidate fleet must fill exactly.
-        require_all: Only emit mixes using every kind at least once
-            (drops the homogeneous corners).
     """
     from repro.cluster.config import ClusterConfig
 
@@ -281,8 +273,6 @@ def fleet_mix_candidates(node_kinds: Sequence[Tuple[str, "ReplicaSpec"]],
 
     candidates: List[Tuple[str, ClusterConfig]] = []
     for counts in compositions(total_nodes, len(kinds)):
-        if require_all and not all(counts):
-            continue
         specs = [dataclasses.replace(spec, count=count)
                  for (_, spec), count in zip(kinds, counts) if count]
         label = "+".join(f"{count}x{kind}"
@@ -295,18 +285,15 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
                                                "ClusterConfig"]],
                     rate_per_s: float, *,
                     mix=None, spec=None, slo=None,
-                    attainment_target: float = 0.95,
                     confirm_requests: int = 2000,
-                    seed: int = 0,
-                    amortization_years: Optional[float] = None
-                    ) -> FleetRecommendation:
+                    seed: int = 0) -> FleetRecommendation:
     """Pick the cheapest fleet meeting an SLO target — fluid-first.
 
     The successive-refinement provisioning search: every candidate
     fleet is scored by the analytic fluid solver (once tables are
     warm, about 1.5 ms per tiered point whose fixed point converges
     and 20 ms per point that runs to the iteration cap), candidates
-    clearing *attainment_target* are ranked by $/Mtok, and the winner is
+    clearing ``ATTAINMENT_TARGET`` are ranked by $/Mtok, and the winner is
     *confirmed* by the exact fast-forward simulator. If the simulator
     disagrees (measured attainment below target minus
     :data:`CONFIRM_SLACK`), the next-cheapest feasible candidate is
@@ -321,10 +308,7 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
             :func:`repro.cluster.fluid.solve`.
     """
     from repro.cluster.fluid import FluidScenario, solve_grid
-    from repro.cluster.metrics import DEFAULT_AMORTIZATION_YEARS
 
-    years = amortization_years if amortization_years is not None \
-        else DEFAULT_AMORTIZATION_YEARS
     labelled = []
     for position, candidate in enumerate(candidates):
         if isinstance(candidate, tuple):
@@ -337,12 +321,12 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
     reports = solve_grid(
         [FluidScenario(config=config, rate_per_s=rate_per_s, label=label)
          for label, config in labelled],
-        mix=mix, spec=spec, slo=slo, amortization_years=years)
+        mix=mix, spec=spec, slo=slo)
     assessments = [
         FleetAssessment(label=label, config=config, fluid=report,
                         feasible=(not report.overloaded
                                   and report.attainment
-                                  >= attainment_target))
+                                  >= ATTAINMENT_TARGET))
         for (label, config), report in zip(labelled, reports)]
     feasible = sorted([a for a in assessments if a.feasible],
                       key=lambda a: a.fluid.dollars_per_mtok)
@@ -358,9 +342,8 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
         for assessment in feasible[:CONFIRM_ATTEMPTS]:
             attainment, goodput, throughput, dollars = measure_fleet(
                 assessment.config, rate_per_s, mix=mix, spec=spec, slo=slo,
-                count=confirm_requests, seed=seed,
-                amortization_years=years)
-            accepted = attainment >= attainment_target - CONFIRM_SLACK
+                count=confirm_requests, seed=seed)
+            accepted = attainment >= ATTAINMENT_TARGET - CONFIRM_SLACK
             record = FleetConfirmation(
                 label=assessment.label, requests=confirm_requests,
                 attainment=attainment, goodput_tokens_per_s=goodput,
@@ -376,9 +359,8 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
             # failed record so best+confirmation stay a matched pair.
             confirmation = confirmations[0] if confirmations else None
     return FleetRecommendation(
-        rate_per_s=rate_per_s, attainment_target=attainment_target,
-        best=best, confirmation=confirmation, ranked=ranked,
-        confirmations=confirmations)
+        rate_per_s=rate_per_s, best=best, confirmation=confirmation,
+        ranked=ranked, confirmations=confirmations)
 
 
 def size_fleet(replica: "ReplicaSpec", rate_per_s: float, *, slo=None,

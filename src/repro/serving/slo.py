@@ -71,12 +71,17 @@ def goodput(report: ServingReport, arrivals: List[ArrivingRequest],
     return good_tokens / report.makespan_s
 
 
+#: :func:`max_sustainable_rate`'s search: the attainment to keep, the
+#: requests per probe trace (seed 0), the rate bracket (requests/s) and
+#: the geometric bisection steps inside it.
+TARGET_ATTAINMENT = 0.95
+SEARCH_REQUESTS = 24
+RATE_BOUNDS = (0.125, 32.0)
+SEARCH_ITERATIONS = 8
+
+
 def max_sustainable_rate(simulator: BatchingSimulator, slo: SLO,
-                         policy: str = "continuous",
-                         target_attainment: float = 0.95,
-                         count: int = 24, seed: int = 0,
-                         rate_bounds=(0.125, 32.0),
-                         iterations: int = 8) -> float:
+                         policy: str = "continuous") -> float:
     """Highest Poisson rate keeping SLO attainment above the target.
 
     Binary-searches the arrival rate; deterministic for fixed inputs.
@@ -86,16 +91,16 @@ def max_sustainable_rate(simulator: BatchingSimulator, slo: SLO,
                                f"run_{check_batching_policy(policy)}")
 
     def attains(rate: float) -> bool:
-        arrivals = poisson_arrivals(rate, count, seed=seed)
+        arrivals = poisson_arrivals(rate, SEARCH_REQUESTS)
         report = runner(arrivals)
-        return attainment(report, arrivals, slo) >= target_attainment
+        return attainment(report, arrivals, slo) >= TARGET_ATTAINMENT
 
-    low, high = rate_bounds
+    low, high = RATE_BOUNDS
     if not attains(low):
         return 0.0
     if attains(high):
         return high
-    for _ in range(iterations):
+    for _ in range(SEARCH_ITERATIONS):
         mid = (low * high) ** 0.5  # geometric: rates span decades
         if attains(mid):
             low = mid

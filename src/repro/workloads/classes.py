@@ -185,7 +185,6 @@ class MixClassifier:
 def iter_class_arrivals(rate_per_s: float, classifier: MixClassifier,
                         count: Optional[int] = None,
                         duration_s: Optional[float] = None,
-                        classes: Optional[Dict[str, RequestClass]] = None,
                         seed: int = 0, shard: int = 0,
                         num_shards: int = 1) -> Iterator[ArrivingRequest]:
     """Lazy Poisson arrivals whose shapes follow each request's class.
@@ -200,11 +199,6 @@ def iter_class_arrivals(rate_per_s: float, classifier: MixClassifier,
     require_positive(rate_per_s, "rate_per_s")
     _check_stream_bounds(count, duration_s)
     _check_shard(shard, num_shards)
-    table = classes if classes is not None else REQUEST_CLASSES
-    for name, _ in classifier.mix:
-        if name not in table:
-            raise KeyError(f"classifier mixes class {name!r} missing from "
-                           f"the class table {sorted(table)}")
 
     def generate() -> Iterator[ArrivingRequest]:
         rng = random.Random(seed)
@@ -214,7 +208,7 @@ def iter_class_arrivals(rate_per_s: float, classifier: MixClassifier,
             now += rng.expovariate(rate_per_s)
             if duration_s is not None and now > duration_s:
                 return
-            spec = table[classifier.class_of(request_id)]
+            spec = REQUEST_CLASSES[classifier.class_of(request_id)]
             # The class is id-determined, so foreign shards draw from
             # the *same* ranges — the RNG stream stays aligned.
             input_len = rng.randint(*spec.input_len_range)

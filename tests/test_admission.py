@@ -156,8 +156,7 @@ class TestVTCMechanics:
         assert vtc.pick([], now=0.0) is None
 
     def test_charges_prefill_then_decode(self):
-        vtc = VirtualTokenCounterScheduler(prefill_weight=1.0,
-                                           decode_weight=2.0)
+        vtc = VirtualTokenCounterScheduler()
         request = _queued(7).request
         vtc.on_arrival(request, 0.0)
         vtc.on_admit(request, 0.0)

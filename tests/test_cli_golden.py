@@ -131,6 +131,7 @@ CASES = {
                                      "--model opt-66b --rates 1",
     "err-plan-classes-and-mix": f"plan {FLEET} --rates 1 --classes simple "
                                 "--class-mix simple:1",
+    "err-plan-confirm-nonpositive": f"plan {FLEET} --rates 1 --confirm 0",
     # NUMA and hybrid backend tokens; the second spec's options reattach
     # across the commas, giving one spec per replica
     "cluster-numa-aware": f"cluster {FLEET} --backend numa:snc_flat,aware "

@@ -329,10 +329,10 @@ class TestBoundaryOnlyAdvance:
         counts = {"calls": 0, "pure": 0}
         advance = ReplicaNode.advance
 
-        def counted(node, now=None):
+        def counted(node):
             admitted = len(node.admission_stamps)
             chunking = bool(node.prefilling)
-            retired = advance(node, now)
+            retired = advance(node)
             counts["calls"] += 1
             if not (retired or chunking
                     or len(node.admission_stamps) != admitted):
@@ -453,9 +453,6 @@ class TestPhaseAwareRouter:
         pick = router.select(ArrivingRequest(0, 0.0, 64, 16), nodes, 0.0)
         assert pick.name in {"spr-0", "h100-0"}
 
-    def test_cost_band_validated(self):
-        with pytest.raises(ValueError, match="cost_band"):
-            PhaseAwareRouter(cost_band=1.5)
 
 
 class TestFailures:
@@ -566,9 +563,6 @@ class TestClusterReport:
         report, _ = report_and_arrivals
         assert report.fleet_price_usd == pytest.approx(9_900 + 30_000)
         assert report.dollars_per_million_tokens() > 0
-        # Longer amortization -> cheaper tokens, proportionally.
-        assert (report.dollars_per_million_tokens(6.0)
-                == pytest.approx(report.dollars_per_million_tokens(3.0) / 2))
 
     def test_slo_scoring_delegates_to_serving(self, report_and_arrivals):
         report, arrivals = report_and_arrivals

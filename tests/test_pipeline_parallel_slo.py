@@ -73,15 +73,14 @@ class TestSLO:
         assert goodput(report, arrivals, slo) <= report.throughput + 1e-9
 
     def test_max_rate_monotone_in_slo(self, simulator):
-        lenient = max_sustainable_rate(
-            simulator, SLO(ttft_s=5.0, tpot_s=0.2), iterations=4)
-        strict = max_sustainable_rate(
-            simulator, SLO(ttft_s=0.2, tpot_s=0.04), iterations=4)
+        lenient = max_sustainable_rate(simulator, SLO(ttft_s=5.0, tpot_s=0.2))
+        strict = max_sustainable_rate(simulator,
+                                      SLO(ttft_s=0.2, tpot_s=0.04))
         assert lenient >= strict
 
     def test_impossible_slo_returns_zero(self, simulator):
         assert max_sustainable_rate(
-            simulator, SLO(ttft_s=1e-6, tpot_s=1e-6), iterations=2) == 0.0
+            simulator, SLO(ttft_s=1e-6, tpot_s=1e-6)) == 0.0
 
     def test_slo_validation(self):
         with pytest.raises(ValueError):

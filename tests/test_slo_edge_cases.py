@@ -12,7 +12,14 @@ from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.scheduler import BatchingSimulator
-from repro.serving.slo import SLO, attainment, max_sustainable_rate
+from repro.serving.slo import (
+    RATE_BOUNDS,
+    SEARCH_REQUESTS,
+    SLO,
+    TARGET_ATTAINMENT,
+    attainment,
+    max_sustainable_rate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,11 +47,11 @@ class TestBracketMonotonicity:
         slo = SLO(ttft_s=1.0, tpot_s=0.1)
 
         def measure(rate):
-            arrivals = poisson_arrivals(rate, 24, seed=0)
+            arrivals = poisson_arrivals(rate, SEARCH_REQUESTS)
             return attainment(simulator.run_continuous(arrivals),
                               arrivals, slo)
 
-        low, high = 0.125, 32.0
+        low, high = RATE_BOUNDS
         mid = (low * high) ** 0.5
         scores = [measure(low), measure(mid), measure(high)]
         assert scores[0] >= scores[1] >= scores[2]
@@ -57,9 +64,9 @@ class TestBracketMonotonicity:
         slo = SLO(ttft_s=1.0, tpot_s=0.1)
         rate = max_sustainable_rate(simulator, slo)
         assert rate > 0
-        arrivals = poisson_arrivals(rate, 24, seed=0)
+        arrivals = poisson_arrivals(rate, SEARCH_REQUESTS)
         report = simulator.run_continuous(arrivals)
-        assert attainment(report, arrivals, slo) >= 0.95
+        assert attainment(report, arrivals, slo) >= TARGET_ATTAINMENT
 
 
 class TestPolicySpelling:

@@ -27,6 +27,7 @@ from repro.cluster import (
     ReplicaSpec,
     ShardRouter,
     TieredRouter,
+    fluid,
     run_sharded,
     tier_label,
     tiering_report,
@@ -219,12 +220,6 @@ class TestTieredRouter:
             assert reads and len(reads) == len(set(reads)), name
         assert router.counters().get("spill:simple", 0) > 0
 
-    def test_rejects_classifier_outside_table(self):
-        classifier = MixClassifier((("reasoning", 1.0),))
-        table = {"simple": REQUEST_CLASSES["simple"]}
-        with pytest.raises(ValueError, match="no entry in the class table"):
-            TieredRouter(classifier, classes=table)
-
 
 class TestTieringReport:
     def run_scored(self):
@@ -265,6 +260,28 @@ class TestTieringReport:
         scored = tiering_report(report, stream.full(), stream.classifier())
         idle = [t for t in scored.tiers if t.generated_tokens == 0]
         assert idle and all(math.isinf(t.dollars_per_mtok) for t in idle)
+
+    def test_one_dollars_per_mtok_formula(self):
+        # Tier, fleet and fluid $/Mtok are one formula: 3 years of
+        # listing price, charged per second, per million tokens.
+        config = ClusterConfig([ReplicaSpec(ICL, LLAMA7, count=2)])
+        stream = ClassMixStream(rate_per_s=1.0, count=30, seed=2,
+                                mix=(("simple", 1.0),))
+        router = TieredRouter(stream.classifier())
+        report = ClusterSimulator(config.build_fleet(), router).run(
+            stream.full())
+        (tier,) = tiering_report(report, stream.full(),
+                                 stream.classifier()).tiers
+        horizon_s = 3 * 365 * 86400
+        by_hand = (tier.price_usd / horizon_s * report.makespan_s
+                   / report.generated_tokens * 1e6)
+        assert tier.dollars_per_mtok == by_hand
+        assert report.dollars_per_million_tokens() == by_hand
+
+        steady = fluid.solve(config, 1.0, mix=stream.mix)
+        assert steady.dollars_per_mtok == (
+            steady.fleet_price_usd / horizon_s
+            / steady.throughput_tokens_per_s * 1e6)
 
 
 class TestPriceOverrides:
