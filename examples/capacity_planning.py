@@ -18,10 +18,11 @@ from repro import (
     InferenceRequest,
     all_platforms,
     get_model,
-    needs_offloading,
     run_inference,
 )
-from repro.models.memory import inference_footprint_bytes, kv_cache_bytes
+from repro.core.runner import is_offloaded
+from repro.engine.backend import BaselineBackend
+from repro.models.memory import kv_cache_bytes
 from repro.utils.formatting import format_table
 from repro.utils.units import bytes_to_gb
 
@@ -32,8 +33,7 @@ def main() -> None:
     model = get_model(model_key)
     request = InferenceRequest(batch_size=batch, input_len=128, output_len=32)
 
-    footprint = inference_footprint_bytes(
-        model, request.max_seq_len, request.batch_size, request.dtype)
+    footprint = BaselineBackend(request.dtype).footprint_bytes(model, request)
     kv = kv_cache_bytes(model, request.max_seq_len, request.batch_size,
                         request.dtype)
     print(f"{model.name} @ batch {batch}: footprint "
@@ -44,16 +44,13 @@ def main() -> None:
     rows = []
     best = None
     for platform in all_platforms().values():
-        if platform.is_gpu:
-            mode = ("offload" if needs_offloading(model, request, platform)
-                    else "in-memory")
-        else:
-            mode = "in-memory"
         try:
             result = run_inference(platform, model, request)
         except Exception as error:
-            rows.append([platform.name, mode, "-", "-", f"infeasible: {error}"])
+            rows.append([platform.name, "-", "-", "-",
+                         f"infeasible: {error}"])
             continue
+        mode = "offload" if is_offloaded(result) else "in-memory"
         rows.append([platform.name, mode, result.e2e_s,
                      result.e2e_throughput, ""])
         if best is None or result.e2e_s < best[1]:

@@ -45,7 +45,7 @@ from repro.models import (
     weight_bytes,
 )
 from repro.numa import NumaConfig, NumaModel, get_config
-from repro.offload import OffloadSimulator, needs_offloading
+from repro.offload import OffloadSimulator
 from repro.perfcounters import CounterModel
 from repro.scaling import CoreScalingModel
 
@@ -77,7 +77,6 @@ __all__ = [
     "get_model",
     "get_platform",
     "kv_cache_bytes",
-    "needs_offloading",
     "run_inference",
     "simulate",
     "weight_bytes",

@@ -74,7 +74,7 @@ from repro.cluster.node import ReplicaNode
 from repro.cluster.tiering import Tier, tier_label
 from repro.serving.arrivals import _spec_ranges
 from repro.serving.slo import SLO
-from repro.workloads.classes import REQUEST_CLASSES
+from repro.workloads.classes import REQUEST_CLASSES, MixClassifier
 
 #: Load-regime labels, in increasing order of distress.
 REGIME_STABLE = "stable"
@@ -144,9 +144,10 @@ def _resolve_flows(mix, spec, slo) -> List[_Flow]:
                       output_range=tuple(output_range),
                       slo=slo if slo is not None else SLO(),
                       min_model_params=0.0)]
+    # The classifier owns the mix rule, so the fluid ranking refuses
+    # every mix that exact confirmation would.
+    MixClassifier(mix=tuple(mix))
     total = sum(share for _, share in mix)
-    if total <= 0:
-        raise ValueError("class mix shares must sum to a positive value")
     flows = []
     for name, share in mix:
         if share <= 0:
@@ -157,8 +158,6 @@ def _resolve_flows(mix, spec, slo) -> List[_Flow]:
                            output_range=tuple(rc.output_len_range),
                            slo=rc.slo,
                            min_model_params=rc.min_model_params))
-    if not flows:
-        raise ValueError("class mix resolved to no positive shares")
     return flows
 
 
@@ -759,8 +758,8 @@ def solve(config: ClusterConfig, rate_per_s: float, *,
     Args:
         config: The fleet, as the simulator declares it.
         rate_per_s: Fleet-wide Poisson arrival rate.
-        mix: Optional class mix ``((name, share), ...)`` — engages the
-            tiered flow fixed point with per-class SLOs from
+        mix: Optional class mix ``((name, share), ...)`` summing to 1 —
+            engages the tiered flow fixed point with per-class SLOs from
             :data:`~repro.workloads.classes.REQUEST_CLASSES`.
         spec: Shape spec for class-less workloads (any object with
             ``input_len_range`` / ``output_len_range``; defaults match

@@ -276,7 +276,7 @@ class PhaseAwareRouter(Router):
         """Geometric cost band; equal bands defer to phase affinity."""
         if cost <= 0:
             return 0
-        return int(math.log(cost) / math.log1p(COST_BAND))
+        return math.floor(math.log(cost) / math.log1p(COST_BAND))
 
     @staticmethod
     def _price_rate(node: ReplicaNode) -> float:

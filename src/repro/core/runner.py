@@ -19,11 +19,6 @@ from repro.engine.results import InferenceResult
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.offload.engine import OffloadResult, OffloadSimulator
-from repro.offload.policy import (
-    DEFAULT_OFFLOAD_CALIBRATION,
-    OffloadCalibration,
-    needs_offloading,
-)
 
 RunResult = Union[InferenceResult, OffloadResult]
 
@@ -31,9 +26,7 @@ RunResult = Union[InferenceResult, OffloadResult]
 def run_inference(platform: Platform, model: ModelConfig,
                   request: InferenceRequest = InferenceRequest(),
                   backend: Optional[ExecutionBackend] = None, *,
-                  cores: Optional[int] = None,
-                  offload_calibration: OffloadCalibration = DEFAULT_OFFLOAD_CALIBRATION,
-                  ) -> RunResult:
+                  cores: Optional[int] = None) -> RunResult:
     """Simulate *model* x *platform*, offloading automatically when needed.
 
     Returns an :class:`InferenceResult` for in-memory runs or an
@@ -43,11 +36,19 @@ def run_inference(platform: Platform, model: ModelConfig,
     a backend or core count the platform refuses (NUMA placement or
     cores on a GPU) raises ``ValueError`` even where the run would
     offload.
+
+    A GPU run offloads exactly when :meth:`InferenceSimulator.fits` is
+    False; offloading prices only the plain request, so an explicit
+    *backend* that does not fit raises :class:`MemoryCapacityError`.
     """
     simulator = InferenceSimulator(platform, backend, cores=cores)
-    if platform.is_gpu and needs_offloading(model, request, platform,
-                                            offload_calibration):
-        return OffloadSimulator(platform, offload_calibration).run(model, request)
+    if platform.is_gpu and not simulator.fits(model, request):
+        if backend is not None:
+            raise MemoryCapacityError(
+                f"{model.name} under backend {backend.label} does not fit "
+                f"{platform.name}; offloading prices only the plain "
+                f"{request.dtype.label} request, not a backend")
+        return OffloadSimulator(platform).run(model, request)
     return simulator.run(model, request)
 
 

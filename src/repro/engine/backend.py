@@ -11,8 +11,9 @@ set of places — exactly what :class:`ExecutionBackend` owns:
 * **compute dtype** — what the GEMM engines execute in (INT8 dispatch
   for full-INT8 quantization), held by the base backend alone: every
   wrapper forwards its inner backend's;
-* **footprint accounting** — resident weight/KV/activation bytes, which
-  feed capacity checks and NUMA bandwidth derivation;
+* **footprint accounting** — weight bytes and KV bytes per token, from
+  which one formula derives the footprint behind capacity checks and
+  NUMA bandwidth derivation;
 * **post-pricing adjustment** — per-op timing rewrites that ride the
   roofline result (dequantization overhead on weight GEMMs);
 * **communication** — per-pass constant costs outside the op graph
@@ -49,8 +50,7 @@ from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.models.layers import Op, OpKind
 from repro.models.memory import (
-    inference_footprint_bytes,
-    kv_cache_bytes,
+    kv_cache_bytes_per_token,
     peak_activation_bytes,
     weight_bytes,
 )
@@ -68,6 +68,10 @@ from repro.quant.weightonly import (
     quantized_weight_bytes,
 )
 from repro.utils.validation import require_positive
+
+#: Fraction of GPU memory a run's footprint may fill (the rest is CUDA
+#: context and workspace); past it, a GPU run offloads (FlexGen).
+GPU_FIT_HEADROOM = 0.92
 
 
 # Rewritten op graphs are memoized per (backend, model, shape) — backends
@@ -194,7 +198,7 @@ class ExecutionBackend:
     """Base execution backend: plain BF16-style pass-through semantics.
 
     Subclasses override the ``_build_*`` hooks (memoized through the
-    module caches) plus whichever of dtype/footprint/adjust/comm hooks
+    module caches) plus whichever of dtype/weight/KV/adjust/comm hooks
     their technique changes. All subclasses must be frozen dataclasses —
     hashability is what keys the op-graph memo and, through
     :attr:`signature`, the shared cost tables.
@@ -249,11 +253,18 @@ class ExecutionBackend:
         """Resident model-weight bytes under this backend."""
         return weight_bytes(model, self.dtype)  # type: ignore[attr-defined]
 
+    def kv_bytes_per_token(self, model: ModelConfig) -> float:
+        """KV-cache bytes one cached token holds per sequence (storage)."""
+        dtype = self.dtype  # type: ignore[attr-defined]
+        return kv_cache_bytes_per_token(model, dtype)
+
     def footprint_bytes(self, model: ModelConfig, request) -> float:
         """Peak resident bytes for *request* (weights + KV + activations)."""
         dtype = self.dtype  # type: ignore[attr-defined]
-        return inference_footprint_bytes(
-            model, request.max_seq_len, request.batch_size, dtype)
+        seq_len, batch_size = request.max_seq_len, request.batch_size
+        return (self.weight_bytes(model)
+                + self.kv_bytes_per_token(model) * seq_len * batch_size
+                + peak_activation_bytes(model, seq_len, batch_size, dtype))
 
     @property
     def capacity_scale(self) -> float:
@@ -287,11 +298,12 @@ class ExecutionBackend:
         """Usable memory capacity, bytes (pre socket-spanning).
 
         The :meth:`numa_model`'s software-visible capacity on a CPU
-        (HBM-only < cache < flat), device memory on a GPU.
+        (HBM-only < cache < flat), :data:`GPU_FIT_HEADROOM` of device
+        memory on a GPU.
         """
         numa = self.numa_model(platform)
         if numa is None:
-            return platform.memory_capacity
+            return platform.memory_capacity * GPU_FIT_HEADROOM
         return numa.capacity_bytes
 
     # -- pricing hooks ------------------------------------------------------
@@ -397,13 +409,8 @@ class QuantizedBackend(ExecutionBackend):
     def weight_bytes(self, model: ModelConfig) -> float:
         return quantized_weight_bytes(model, self.quant)
 
-    def footprint_bytes(self, model: ModelConfig, request) -> float:
-        return (quantized_weight_bytes(model, self.quant)
-                + kv_cache_bytes(model, request.max_seq_len,
-                                 request.batch_size, self.dtype)
-                * self.quant.kv_bytes_ratio()
-                + peak_activation_bytes(model, request.max_seq_len,
-                                        request.batch_size, self.dtype))
+    def kv_bytes_per_token(self, model: ModelConfig) -> float:
+        return super().kv_bytes_per_token(model) * self.quant.kv_bytes_ratio()
 
     @property
     def signature(self) -> tuple:
@@ -461,8 +468,8 @@ class WrapperBackend(ExecutionBackend):
     def weight_bytes(self, model: ModelConfig) -> float:
         return self.inner.weight_bytes(model)
 
-    def footprint_bytes(self, model: ModelConfig, request) -> float:
-        return self.inner.footprint_bytes(model, request)
+    def kv_bytes_per_token(self, model: ModelConfig) -> float:
+        return self.inner.kv_bytes_per_token(model)
 
     @property
     def capacity_scale(self) -> float:
@@ -601,9 +608,8 @@ class SpecDecodeBackend(WrapperBackend):
     ``decode_ops``, the verification pass from its ``prefill_ops`` and
     ``decode_ops``), so speculation composes over quantization: an INT8
     base streams INT8 weights in the draft and the verify pass alike.
-    Prefill is the inner backend's; the weights and footprint are the
-    inner backend's plus the draft's weights at the inner backend's
-    storage.
+    Prefill and KV are the inner backend's; the weights add the draft's
+    at the inner backend's storage (draft KV is second-order: tiny).
     """
 
     draft: ModelConfig
@@ -640,12 +646,6 @@ class SpecDecodeBackend(WrapperBackend):
 
     def weight_bytes(self, model: ModelConfig) -> float:
         return (self.inner.weight_bytes(model)
-                + self.inner.weight_bytes(self.draft))
-
-    def footprint_bytes(self, model: ModelConfig, request) -> float:
-        # Target working set plus the resident draft weights (draft KV
-        # is second-order: the draft shares context length but is tiny).
-        return (self.inner.footprint_bytes(model, request)
                 + self.inner.weight_bytes(self.draft))
 
     @property

@@ -30,11 +30,12 @@ from repro.utils.validation import require_positive
 
 
 class MemoryCapacityError(RuntimeError):
-    """Raised when a model + KV cache cannot fit the platform's memory.
+    """Raised when a run's footprint fails :meth:`InferenceSimulator.fits`.
 
-    GPU callers should fall back to :mod:`repro.offload`; CPU callers hit
-    this only for models beyond even CPU capacity (e.g. OPT-175B in BF16 on
-    one socket).
+    On a CPU this means a model beyond even CPU capacity (e.g. OPT-175B
+    in BF16 on one socket). On a GPU, ``run_inference`` offloads a plain
+    request instead, and raises this for an explicit backend, since
+    offloading prices only the plain request dtype.
     """
 
 
@@ -111,7 +112,7 @@ class InferenceSimulator:
         return BaselineBackend(request.dtype)
 
     def fits(self, model: ModelConfig, request: InferenceRequest) -> bool:
-        """Whether the request's peak footprint fits this configuration."""
+        """Whether the request's peak footprint fits (the only such check)."""
         backend = self._backend_for(request)
         footprint = backend.footprint_bytes(model, request)
         return footprint <= self.memory_capacity() * backend.capacity_scale
@@ -190,8 +191,8 @@ class InferenceSimulator:
         """
         backend = self._backend_for(request)
         footprint = backend.footprint_bytes(model, request)
-        capacity = self.memory_capacity() * backend.capacity_scale
-        if footprint > capacity:
+        if not self.fits(model, request):
+            capacity = self.memory_capacity() * backend.capacity_scale
             raise MemoryCapacityError(
                 f"{model.name} needs {footprint / 1e9:.1f} GB but "
                 f"{self.platform.name} ({self.config_label}) has "

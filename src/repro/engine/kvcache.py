@@ -17,13 +17,11 @@ One accountant covers both allocation disciplines:
   longer than ``R`` is refused, and growth past ``R`` raises.
 
 The pool is a block count, not a free list: no caller reads block ids.
+The KV width per token is the storing backend's ``kv_bytes_per_token``.
 """
 
 from typing import Dict, Optional
 
-from repro.hardware.datatypes import DType
-from repro.models.config import ModelConfig
-from repro.models.memory import kv_cache_bytes_per_token
 from repro.utils.validation import require_positive
 
 
@@ -32,30 +30,28 @@ class OutOfBlocks(RuntimeError):
 
 
 class KVCacheManager:
-    """KV cache for one model under a byte budget, allocated in blocks.
+    """KV cache under a byte budget, allocated in blocks.
 
     Args:
-        model: Model whose K/V geometry sizes blocks.
+        bytes_per_token: KV bytes one cached token holds per sequence,
+            the storing backend's ``kv_bytes_per_token(model)``.
         capacity_bytes: Total KV budget.
         block_tokens: Tokens per block (vLLM's default is 16).
         reserve_tokens: Per-sequence reservation length; ``None`` pages
             on demand.
-        dtype: KV storage dtype.
     """
 
-    def __init__(self, model: ModelConfig, capacity_bytes: float, *,
+    def __init__(self, bytes_per_token: float, capacity_bytes: float, *,
                  block_tokens: int = 16,
-                 reserve_tokens: Optional[int] = None,
-                 dtype: DType = DType.BF16):
+                 reserve_tokens: Optional[int] = None):
+        require_positive(bytes_per_token, "bytes_per_token")
         require_positive(capacity_bytes, "capacity_bytes")
         require_positive(block_tokens, "block_tokens")
         if reserve_tokens is not None:
             require_positive(reserve_tokens, "reserve_tokens")
-        self.model = model
-        self.dtype = dtype
         self.block_tokens = block_tokens
         self.reserve_tokens = reserve_tokens
-        self.bytes_per_token = kv_cache_bytes_per_token(model, dtype)
+        self.bytes_per_token = bytes_per_token
         self.num_blocks = int(capacity_bytes
                               // (self.bytes_per_token * block_tokens))
         if self.num_blocks < 1:

@@ -13,6 +13,7 @@
 from repro.analysis.energy import tokens_per_joule
 from repro.core.report import ExperimentReport
 from repro.core.runner import run_inference
+from repro.engine.backend import BaselineBackend
 from repro.engine.kvcache import KVCacheManager, max_admissible_sequences
 from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
@@ -25,13 +26,13 @@ from repro.utils.units import GB
 @register("ext_paged_kv")
 def run_paged_kv() -> ExperimentReport:
     """Admission capacity: paged vs reserved KV under one byte budget."""
-    model = get_model("llama2-13b")
+    kv_width = BaselineBackend().kv_bytes_per_token(get_model("llama2-13b"))
     budget = 32 * GB
     rows = []
     for prompt_tokens, max_seq in ((128, 4096), (256, 4096), (512, 2048),
                                    (1024, 2048)):
-        paged = KVCacheManager(model, budget)
-        reserved = KVCacheManager(model, budget, reserve_tokens=max_seq)
+        paged = KVCacheManager(kv_width, budget)
+        reserved = KVCacheManager(kv_width, budget, reserve_tokens=max_seq)
         admitted_paged = max_admissible_sequences(paged, prompt_tokens)
         admitted_reserved = max_admissible_sequences(reserved, prompt_tokens)
         rows.append([

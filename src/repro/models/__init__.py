@@ -10,7 +10,6 @@ from repro.models.layers import (
     total_weight_bytes,
 )
 from repro.models.memory import (
-    inference_footprint_bytes,
     kv_cache_bytes,
     kv_cache_bytes_per_token,
     peak_activation_bytes,
@@ -36,7 +35,6 @@ __all__ = [
     "decode_step_ops",
     "evaluated_models",
     "get_model",
-    "inference_footprint_bytes",
     "kv_cache_bytes",
     "kv_cache_bytes_per_token",
     "peak_activation_bytes",

@@ -28,14 +28,13 @@ def kv_cache_bytes(model: ModelConfig, seq_len: int, batch_size: int,
     """
     require_positive(seq_len, "seq_len")
     require_positive(batch_size, "batch_size")
-    per_token = 2 * model.n_layers * model.d_kv * dtype.nbytes  # K and V
-    return float(per_token) * seq_len * batch_size
+    return kv_cache_bytes_per_token(model, dtype) * seq_len * batch_size
 
 
 def kv_cache_bytes_per_token(model: ModelConfig,
                              dtype: DType = DType.BF16) -> float:
     """KV bytes appended per generated/prefilled token per sequence."""
-    return 2.0 * model.n_layers * model.d_kv * dtype.nbytes
+    return 2.0 * model.n_layers * model.d_kv * dtype.nbytes  # K and V
 
 
 def peak_activation_bytes(model: ModelConfig, seq_len: int, batch_size: int,
@@ -53,17 +52,3 @@ def peak_activation_bytes(model: ModelConfig, seq_len: int, batch_size: int,
     ffn_inner = tokens * model.d_ff * model.ffn_kind.matrix_count
     scores = batch_size * model.n_heads * seq_len * seq_len
     return float(residual + ffn_inner + scores) * dtype.nbytes
-
-
-def inference_footprint_bytes(model: ModelConfig, seq_len: int,
-                              batch_size: int,
-                              dtype: DType = DType.BF16) -> float:
-    """Total resident footprint during inference: weights + KV + activations.
-
-    This is the working set the memory system must hold (and the quantity
-    compared against GPU capacity when deciding whether offloading is
-    required in Section V).
-    """
-    return (weight_bytes(model, dtype)
-            + kv_cache_bytes(model, seq_len, batch_size, dtype)
-            + peak_activation_bytes(model, seq_len, batch_size, dtype))

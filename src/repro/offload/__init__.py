@@ -6,7 +6,6 @@ from repro.offload.policy import (
     OffloadCalibration,
     Placement,
     make_placement,
-    needs_offloading,
 )
 from repro.offload.transfer import TransferModel, transfer_model_for
 from repro.offload.zigzag import (
@@ -26,6 +25,5 @@ __all__ = [
     "amortized_transfer_time",
     "exposed_transfer_time",
     "make_placement",
-    "needs_offloading",
     "transfer_model_for",
 ]

@@ -19,14 +19,9 @@ mirrors FlexGen's practical behaviour:
 import dataclasses
 
 from repro.engine.request import InferenceRequest
-from repro.hardware.datatypes import DType
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
-from repro.models.memory import (
-    inference_footprint_bytes,
-    kv_cache_bytes,
-    weight_bytes,
-)
+from repro.models.memory import kv_cache_bytes, weight_bytes
 from repro.utils.validation import require_positive
 
 
@@ -50,8 +45,6 @@ class OffloadCalibration:
         host_attention_bw: Effective host-memory bandwidth for CPU-side
             attention over the offloaded KV cache, bytes/s. FlexGen's CPU
             attention kernels are far from STREAM-optimal.
-        gpu_fit_headroom: A model is served *without* offloading only if
-            its footprint fits in this fraction of GPU memory.
     """
 
     weight_residency_fraction: float = 0.35
@@ -60,12 +53,10 @@ class OffloadCalibration:
     zigzag_amortization_slope: float = 0.21
     overlap_efficiency: float = 0.9
     host_attention_bw: float = 50e9
-    gpu_fit_headroom: float = 0.92
 
     def __post_init__(self) -> None:
         for name in ("weight_residency_fraction", "kv_gpu_capacity_fraction",
-                     "pcie_efficiency", "overlap_efficiency",
-                     "gpu_fit_headroom"):
+                     "pcie_efficiency", "overlap_efficiency"):
             value = getattr(self, name)
             if not 0 < value <= 1:
                 raise ValueError(f"{name} must be in (0, 1], got {value}")
@@ -92,17 +83,6 @@ class Placement:
     streamed_weight_bytes: float
     kv_on_gpu: bool
     kv_bytes_peak: float
-
-
-def needs_offloading(model: ModelConfig, request: InferenceRequest,
-                     gpu: Platform,
-                     calibration: OffloadCalibration = DEFAULT_OFFLOAD_CALIBRATION) -> bool:
-    """Whether the request's footprint exceeds usable GPU memory."""
-    if not gpu.is_gpu:
-        raise ValueError(f"{gpu.name} is not a GPU")
-    footprint = inference_footprint_bytes(
-        model, request.max_seq_len, request.batch_size, request.dtype)
-    return footprint > gpu.memory_capacity * calibration.gpu_fit_headroom
 
 
 def hybrid_streamed_weight_bytes(

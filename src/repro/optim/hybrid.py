@@ -25,6 +25,7 @@ from repro.offload.engine import OffloadSimulator
 from repro.offload.policy import (
     DEFAULT_OFFLOAD_CALIBRATION,
     OffloadCalibration,
+    hybrid_streamed_weight_bytes,
 )
 from repro.offload.zigzag import amortization_factor
 
@@ -90,10 +91,8 @@ class HybridPlanner:
                           cpu_step: float, gpu_step_compute: float) -> float:
         """Critical-path step time for a given CPU layer fraction."""
         weights = weight_bytes(model, request.dtype)
-        gpu_weights = (1.0 - f_cpu) * weights
-        resident_budget = (self.gpu.memory_capacity
-                           * self.calibration.weight_residency_fraction)
-        streamed = max(0.0, gpu_weights - resident_budget)
+        streamed = hybrid_streamed_weight_bytes(
+            (1.0 - f_cpu) * weights, self.gpu, self.calibration)
         pcie_bw = (self.gpu.host_link.nominal_bw
                    * self.calibration.pcie_efficiency)
         transfer = streamed / pcie_bw / amortization_factor(

@@ -136,11 +136,9 @@ def parse_class_mix(text: str) -> Tuple[Tuple[str, float], ...]:
         entries.append((name, weight))
     if not entries:
         raise ValueError("empty class mix")
-    names = [name for name, _ in entries]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate class in mix: {names}")
     total = sum(weight for _, weight in entries)
-    return tuple((name, weight / total) for name, weight in entries)
+    return MixClassifier(tuple((name, weight / total)
+                               for name, weight in entries)).mix
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,7 +150,8 @@ class MixClassifier:
     has to travel on the wire (``ArrivingRequest`` stays four numeric
     fields and the sharded runner's columnar transfer is untouched).
     Pickles cleanly into sharded workers; equal mixes classify equally
-    everywhere.
+    everywhere. It owns the mix rule every entry point applies: known,
+    distinct classes with non-negative shares summing to 1.
     """
 
     mix: Tuple[Tuple[str, float], ...] = DEFAULT_CLASS_MIX
@@ -162,10 +161,16 @@ class MixClassifier:
         if not self.mix or abs(total - 1.0) > 1e-9:
             raise ValueError(f"mix shares must sum to 1, got {total} "
                              f"({self.mix}); use parse_class_mix")
-        for name, _ in self.mix:
+        for name, share in self.mix:
             if name not in REQUEST_CLASSES:
                 raise ValueError(f"unknown request class {name!r}; known: "
                                  f"{sorted(REQUEST_CLASSES)}")
+            if share < 0:
+                raise ValueError(f"class share must be >= 0, got {share} "
+                                 f"for {name!r}")
+        names = [name for name, _ in self.mix]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate class in mix: {names}")
 
     def class_of(self, request_id: int) -> str:
         """The class name for request *request_id*."""

@@ -313,6 +313,7 @@ class TestHybridBackend:
             "compute_dtype": lambda b: b.compute_dtype,
             "adjusts": lambda b: b.adjusts,
             "weight_bytes": lambda b: b.weight_bytes(LLAMA13),
+            "kv_bytes_per_token": lambda b: b.kv_bytes_per_token(LLAMA13),
             "footprint_bytes": lambda b: b.footprint_bytes(LLAMA13,
                                                            self.REQUEST),
             "capacity_scale": lambda b: b.capacity_scale,

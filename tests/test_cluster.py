@@ -453,6 +453,11 @@ class TestPhaseAwareRouter:
         pick = router.select(ArrivingRequest(0, 0.0, 64, 16), nodes, 0.0)
         assert pick.name in {"spr-0", "h100-0"}
 
+    def test_cost_bands_are_equally_wide(self):
+        # Bands floor: 0.87 and 1.149 are more than one 15% band apart,
+        # which truncation toward zero used to fold into band 0.
+        assert PhaseAwareRouter._band(0.87) != PhaseAwareRouter._band(1.149)
+
 
 
 class TestFailures:

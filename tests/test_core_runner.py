@@ -8,7 +8,9 @@ from repro.core.runner import (
     is_offloaded,
     run_inference,
 )
-from repro.engine.inference import MemoryCapacityError
+from repro.engine.backend import parse_backend
+from repro.engine.inference import InferenceSimulator, MemoryCapacityError
+from repro.engine.request import InferenceRequest
 from repro.engine.results import InferenceResult
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
@@ -34,6 +36,24 @@ class TestRunInference:
         in_memory = run_inference(get_platform("a100"), get_model("opt-13b"))
         offloaded = run_inference(get_platform("a100"), get_model("opt-30b"))
         assert set(in_memory.summary()) == set(offloaded.summary())
+
+    def test_backend_that_fits_runs_in_memory(self):
+        # INT8 LLaMA2-70B (70.1 GB) fits the H100; BF16 must offload.
+        h100, model = get_platform("h100"), get_model("llama2-70b")
+        request = InferenceRequest(batch_size=1)
+        int8 = parse_backend("int8")
+        result = run_inference(h100, model, request, backend=int8)
+        assert isinstance(result, InferenceResult)
+        assert result == InferenceSimulator(h100, int8).run(model, request)
+        assert result.e2e_s == pytest.approx(1.72, abs=0.01)
+        assert is_offloaded(run_inference(h100, model, request))
+
+    def test_backend_that_does_not_fit_is_refused(self):
+        # Offloading would silently drop the backend.
+        with pytest.raises(MemoryCapacityError,
+                           match="offloading prices only the plain bf16"):
+            run_inference(get_platform("a100"), get_model("opt-66b"),
+                          backend=parse_backend("int8"))
 
 
 class TestCharacterizationSweep:

@@ -9,7 +9,7 @@ refactor that breaks one path against the other fails loudly.
 
 import pytest
 
-from repro.engine.backend import QuantizedBackend
+from repro.engine.backend import BaselineBackend, QuantizedBackend
 from repro.engine.inference import InferenceSimulator, simulate
 from repro.engine.kvcache import KVCacheManager
 from repro.engine.request import InferenceRequest
@@ -95,14 +95,21 @@ class TestKvManagersAgree:
 
     @staticmethod
     def disciplines(model, length):
-        return (KVCacheManager(model, 8 * GB),
-                KVCacheManager(model, 8 * GB, reserve_tokens=length))
+        width = BaselineBackend().kv_bytes_per_token(model)
+        return (KVCacheManager(width, 8 * GB),
+                KVCacheManager(width, 8 * GB, reserve_tokens=length))
 
     def test_bytes_per_token_identical(self):
         model = get_model("llama2-13b")
         paged, reserved = self.disciplines(model, 4096)
         assert paged.bytes_per_token == reserved.bytes_per_token
         assert paged.bytes_per_token == kv_cache_bytes_per_token(model)
+
+    def test_int8_kv_backend_halves_the_width(self):
+        model = get_model("llama2-13b")
+        int8_kv = QuantizedBackend(QuantConfig(kv_dtype=DType.INT8))
+        assert (int8_kv.kv_bytes_per_token(model)
+                == BaselineBackend().kv_bytes_per_token(model) / 2)
 
     def test_cached_tokens_track_identically(self):
         model = get_model("opt-6.7b")
@@ -126,8 +133,9 @@ class TestKvManagersAgree:
             assert kv.allocated_bytes == kv_cache_bytes(model, length, n)
 
     def test_reservation_rounds_up_to_whole_blocks(self):
-        kv = KVCacheManager(get_model("llama2-13b"), 8 * GB,
-                            block_tokens=16, reserve_tokens=17)
+        width = BaselineBackend().kv_bytes_per_token(get_model("llama2-13b"))
+        kv = KVCacheManager(width, 8 * GB, block_tokens=16,
+                            reserve_tokens=17)
         kv.allocate(1)
         assert kv.used_blocks == 2
         assert kv.allocated_bytes == kv_cache_bytes(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.backend import BaselineBackend
 from repro.engine.kvcache import KVCacheManager, OutOfBlocks
 from repro.models.memory import kv_cache_bytes_per_token
 from repro.models.registry import get_model
@@ -9,7 +10,8 @@ from repro.utils.units import GB
 
 
 def manager(capacity=8 * GB):
-    return KVCacheManager(get_model("llama2-13b"), capacity_bytes=capacity)
+    width = BaselineBackend().kv_bytes_per_token(get_model("llama2-13b"))
+    return KVCacheManager(width, capacity_bytes=capacity)
 
 
 class TestAccounting:

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.engine.backend import BaselineBackend
+from repro.engine.request import InferenceRequest
 from repro.hardware.datatypes import DType
 from repro.models.memory import (
-    inference_footprint_bytes,
     kv_cache_bytes,
     kv_cache_bytes_per_token,
     peak_activation_bytes,
@@ -73,29 +74,30 @@ class TestKvCacheBytes:
             300 * kv_cache_bytes_per_token(model))
 
 
+def footprint(model, batch_size):
+    """BF16 weights + KV + activations at 128 in / 32 out (160 tokens)."""
+    return BaselineBackend().footprint_bytes(
+        model, InferenceRequest(batch_size=batch_size))
+
+
 class TestFootprint:
     def test_footprint_exceeds_weights(self):
         model = get_model("opt-13b")
-        assert inference_footprint_bytes(model, 160, 8) > \
-            weight_bytes(model, DType.BF16)
+        assert footprint(model, 8) > weight_bytes(model, DType.BF16)
 
     def test_activation_bytes_positive(self):
         assert peak_activation_bytes(get_model("opt-13b"), 128, 1) > 0
 
     def test_fits_in_a100_small_model(self):
-        assert (inference_footprint_bytes(
-            get_model("opt-13b"), 160, 1) <= 40 * GB)
+        assert footprint(get_model("opt-13b"), 1) <= 40 * GB
 
     def test_opt30b_does_not_fit_a100(self):
         # Paper: A100 must offload OPT-30B.
-        assert not (inference_footprint_bytes(
-            get_model("opt-30b"), 160, 1) <= 40 * GB)
+        assert not footprint(get_model("opt-30b"), 1) <= 40 * GB
 
     def test_opt30b_fits_h100(self):
         # Paper: "the H100 GPU could accommodate the entire OPT-30B model".
-        assert (inference_footprint_bytes(
-            get_model("opt-30b"), 160, 1) <= 80 * GB)
+        assert footprint(get_model("opt-30b"), 1) <= 80 * GB
 
     def test_opt66b_does_not_fit_h100(self):
-        assert not (inference_footprint_bytes(
-            get_model("opt-66b"), 160, 1) <= 80 * GB)
+        assert not footprint(get_model("opt-66b"), 1) <= 80 * GB

@@ -2,50 +2,42 @@
 
 import pytest
 
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.memory import weight_bytes
 from repro.models.registry import get_model
-from repro.offload.policy import (
-    OffloadCalibration,
-    make_placement,
-    needs_offloading,
-)
+from repro.offload.policy import OffloadCalibration, make_placement
+
+
+def gpu(key):
+    return InferenceSimulator(get_platform(key))
 
 
 class TestNeedsOffloading:
+    """A GPU run offloads exactly when ``InferenceSimulator.fits`` is False."""
+
     def test_small_model_fits_a100(self):
-        assert not needs_offloading(get_model("opt-13b"),
-                                    InferenceRequest(), get_platform("a100"))
+        assert gpu("a100").fits(get_model("opt-13b"), InferenceRequest())
 
     def test_opt30b_overflows_a100(self):
         # Paper: "the A100 GPU needs to offload model weights and
         # activations" for OPT-30B.
-        assert needs_offloading(get_model("opt-30b"),
-                                InferenceRequest(), get_platform("a100"))
+        assert not gpu("a100").fits(get_model("opt-30b"), InferenceRequest())
 
     def test_opt30b_fits_h100(self):
-        assert not needs_offloading(get_model("opt-30b"),
-                                    InferenceRequest(), get_platform("h100"))
+        assert gpu("h100").fits(get_model("opt-30b"), InferenceRequest())
 
     def test_opt66b_overflows_h100(self):
-        assert needs_offloading(get_model("opt-66b"),
-                                InferenceRequest(), get_platform("h100"))
+        assert not gpu("h100").fits(get_model("opt-66b"), InferenceRequest())
 
     def test_kv_growth_can_force_offloading(self):
         # OPT-13B fits at batch 1 but long-context large-batch KV pushes
-        # the footprint past 40 GB.
+        # the footprint past the A100's usable 40 GB.
         model = get_model("opt-13b")
-        small = InferenceRequest(batch_size=1)
-        big = InferenceRequest(batch_size=16, input_len=1024)
-        a100 = get_platform("a100")
-        assert not needs_offloading(model, small, a100)
-        assert needs_offloading(model, big, a100)
-
-    def test_cpu_platform_rejected(self):
-        with pytest.raises(ValueError, match="not a GPU"):
-            needs_offloading(get_model("opt-13b"), InferenceRequest(),
-                             get_platform("spr"))
+        assert gpu("a100").fits(model, InferenceRequest(batch_size=1))
+        assert not gpu("a100").fits(
+            model, InferenceRequest(batch_size=16, input_len=1024))
 
 
 class TestMakePlacement:

@@ -2,22 +2,22 @@
 
 import pytest
 
+from repro.engine.backend import BaselineBackend
 from repro.engine.kvcache import (
     KVCacheManager,
     OutOfBlocks,
     max_admissible_sequences,
 )
-from repro.models.memory import kv_cache_bytes_per_token
 from repro.models.registry import get_model
 from repro.utils.units import GB
 
-MODEL = get_model("llama2-13b")
+KV_WIDTH = BaselineBackend().kv_bytes_per_token(get_model("llama2-13b"))
 
 
 def pool(num_blocks, block_tokens=16):
     """A paged manager whose budget holds exactly *num_blocks* blocks."""
-    capacity = num_blocks * block_tokens * kv_cache_bytes_per_token(MODEL)
-    return KVCacheManager(MODEL, capacity, block_tokens=block_tokens)
+    capacity = num_blocks * block_tokens * KV_WIDTH
+    return KVCacheManager(KV_WIDTH, capacity, block_tokens=block_tokens)
 
 
 class TestBlockPool:
@@ -67,7 +67,7 @@ class TestBlockPool:
 
 class TestPagedManager:
     def manager(self, budget_gb=4):
-        return KVCacheManager(MODEL, budget_gb * GB, block_tokens=16)
+        return KVCacheManager(KV_WIDTH, budget_gb * GB, block_tokens=16)
 
     def test_prompt_allocates_ceil_blocks(self):
         kv = self.manager()
@@ -106,48 +106,48 @@ class TestPagedManager:
         assert kv.utilization == pytest.approx(1 / 16)
 
     def test_out_of_blocks_on_admission(self):
-        kv = KVCacheManager(MODEL, 0.05 * GB)  # a handful of blocks
+        kv = KVCacheManager(KV_WIDTH, 0.05 * GB)  # a handful of blocks
         with pytest.raises(OutOfBlocks):
             kv.allocate(100_000)
 
     def test_too_small_budget_rejected(self):
         with pytest.raises(ValueError, match="one block"):
-            KVCacheManager(MODEL, 10.0)
+            KVCacheManager(KV_WIDTH, 10.0)
 
 
 class TestReservedManager:
     def test_reserves_max_length(self):
-        kv = KVCacheManager(MODEL, 4 * GB, reserve_tokens=1024)
+        kv = KVCacheManager(KV_WIDTH, 4 * GB, reserve_tokens=1024)
         kv.allocate(10)
         assert kv.allocated_bytes == pytest.approx(
             1024 * kv.bytes_per_token)
 
     def test_admission_cap(self):
-        kv = KVCacheManager(MODEL, 4 * GB, reserve_tokens=1024)
+        kv = KVCacheManager(KV_WIDTH, 4 * GB, reserve_tokens=1024)
         cap = kv.num_blocks // (1024 // kv.block_tokens)
         admitted = max_admissible_sequences(kv, 10)
         assert admitted == cap
         assert cap == int(4 * GB // (1024 * kv.bytes_per_token))
 
     def test_reservation_enforced_on_growth(self):
-        kv = KVCacheManager(MODEL, 4 * GB, reserve_tokens=16)
+        kv = KVCacheManager(KV_WIDTH, 4 * GB, reserve_tokens=16)
         sid = kv.allocate(16)
         with pytest.raises(OutOfBlocks):
             kv.append_token(sid)
 
     def test_rejects_prompt_beyond_reservation(self):
-        kv = KVCacheManager(MODEL, 4 * GB, reserve_tokens=64)
+        kv = KVCacheManager(KV_WIDTH, 4 * GB, reserve_tokens=64)
         assert not kv.can_admit(65)
         with pytest.raises(OutOfBlocks):
             kv.allocate(65)
 
     def test_low_utilization_for_short_prompts(self):
-        kv = KVCacheManager(MODEL, 4 * GB, reserve_tokens=4096)
+        kv = KVCacheManager(KV_WIDTH, 4 * GB, reserve_tokens=4096)
         kv.allocate(128)
         assert kv.utilization < 0.05
 
     def test_growth_stops_at_reservation_not_block_end(self):
-        kv = KVCacheManager(MODEL, 4 * GB, block_tokens=16,
+        kv = KVCacheManager(KV_WIDTH, 4 * GB, block_tokens=16,
                             reserve_tokens=17)
         sid = kv.allocate(1)
         for _ in range(16):  # grows to the 17-token reservation
@@ -160,8 +160,8 @@ class TestReservedManager:
 class TestPagedVsReserved:
     def test_paged_admits_many_more(self):
         budget = 8 * GB
-        paged = KVCacheManager(MODEL, budget)
-        reserved = KVCacheManager(MODEL, budget, reserve_tokens=4096)
+        paged = KVCacheManager(KV_WIDTH, budget)
+        reserved = KVCacheManager(KV_WIDTH, budget, reserve_tokens=4096)
         n_paged = max_admissible_sequences(paged, 128)
         n_reserved = max_admissible_sequences(reserved, 128)
         assert n_paged > 10 * max(1, n_reserved)
@@ -169,8 +169,8 @@ class TestPagedVsReserved:
     def test_same_budget_same_token_capacity_asymptotically(self):
         # With full-length sequences the two disciplines converge.
         budget = 8 * GB
-        paged = KVCacheManager(MODEL, budget)
-        reserved = KVCacheManager(MODEL, budget, reserve_tokens=4096)
+        paged = KVCacheManager(KV_WIDTH, budget)
+        reserved = KVCacheManager(KV_WIDTH, budget, reserve_tokens=4096)
         n_paged = max_admissible_sequences(paged, 4096)
         n_reserved = max_admissible_sequences(reserved, 4096)
         assert abs(n_paged - n_reserved) <= 1

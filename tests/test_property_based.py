@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.engine.backend import BaselineBackend
 from repro.engine.kvcache import KVCacheManager
 from repro.gemm.efficiency import gemm_efficiency
 from repro.gemm.roofline import attainable_flops, op_time
@@ -28,6 +29,7 @@ dims = st.integers(min_value=1, max_value=8192)
 small_batch = st.integers(min_value=1, max_value=64)
 seq_lens = st.integers(min_value=1, max_value=32768)
 MODELS = ["opt-1.3b", "opt-13b", "llama2-7b", "llama2-70b"]
+OPT13B_KV_WIDTH = BaselineBackend().kv_bytes_per_token(get_model("opt-13b"))
 
 
 class TestGemmProperties:
@@ -173,7 +175,7 @@ class TestKVCacheProperties:
            reserve=st.sampled_from([None, 1024]))
     @settings(max_examples=40, deadline=None)
     def test_byte_accounting_exact(self, allocs, reserve):
-        kv = KVCacheManager(get_model("opt-13b"), 64 * GB,
+        kv = KVCacheManager(OPT13B_KV_WIDTH, 64 * GB,
                             reserve_tokens=reserve)
         for tokens in allocs:
             kv.allocate(tokens)
@@ -186,7 +188,7 @@ class TestKVCacheProperties:
                            min_size=2, max_size=10))
     @settings(max_examples=30, deadline=None)
     def test_release_restores_accounting(self, allocs):
-        kv = KVCacheManager(get_model("opt-13b"), 64 * GB)
+        kv = KVCacheManager(OPT13B_KV_WIDTH, 64 * GB)
         ids = [kv.allocate(t) for t in allocs]
         kv.release(ids[0])
         assert kv.cached_tokens == sum(allocs[1:])

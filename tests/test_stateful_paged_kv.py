@@ -19,6 +19,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.engine.backend import BaselineBackend
 from repro.engine.kvcache import KVCacheManager, OutOfBlocks
 from repro.models.registry import get_model
 from repro.utils.units import GB
@@ -39,7 +40,8 @@ class KVMachine(RuleBasedStateMachine):
             lambda k: BLOCK * k)))
     def build(self, reserve):
         self.manager = KVCacheManager(
-            get_model("opt-1.3b"), capacity_bytes=1 * GB,
+            BaselineBackend().kv_bytes_per_token(get_model("opt-1.3b")),
+            capacity_bytes=1 * GB,
             block_tokens=BLOCK, reserve_tokens=reserve)
 
     def held_blocks(self, tokens):

@@ -115,6 +115,12 @@ class TestClassMix:
             MixClassifier((("simple", 0.5),))
         with pytest.raises(ValueError, match="unknown request class"):
             MixClassifier((("nosuch", 1.0),))
+        # Shares that sum to 1 but are negative or repeat a class once
+        # reached the fluid solver (1.5x the offered traffic; attainment 2).
+        with pytest.raises(ValueError, match="share must be >= 0"):
+            MixClassifier((("simple", 1.5), ("standard", -0.5)))
+        with pytest.raises(ValueError, match="duplicate class"):
+            MixClassifier((("simple", 0.5), ("simple", 0.5)))
 
     def test_shapes_follow_class_ranges(self):
         stream = ClassMixStream(rate_per_s=4.0, count=300, seed=3)
@@ -325,6 +331,22 @@ class TestPriceOverrides:
             ClassMixStream(rate_per_s=2.0, count=6, seed=0).full())
         assert all(s.price_usd == 777.0 for s in report.node_stats)
         assert report.fleet_price_usd == pytest.approx(1554.0)
+
+
+class TestMixHasOneOwner:
+    """The fluid ranking refuses the mixes exact confirmation refuses."""
+
+    def test_recommend_fleet_refuses_before_ranking(self, monkeypatch):
+        from repro.optim import advisor
+
+        def confirm(*args, **kwargs):
+            raise AssertionError("an unnormalized mix reached confirmation")
+
+        monkeypatch.setattr(advisor, "measure_fleet", confirm)
+        config = ClusterConfig([ReplicaSpec(ICL, LLAMA7, count=1)])
+        with pytest.raises(ValueError, match="mix shares must sum to 1"):
+            advisor.recommend_fleet([("icl", config)], rate_per_s=1.0,
+                                    mix=(("simple", 2.0), ("standard", 1.0)))
 
 
 class TestMixedModelIsolation:

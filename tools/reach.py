@@ -101,7 +101,6 @@ EXEMPT = {
     "engine/backend.py:scale_op": ITEM_11,
     "engine/backend.py:SpecDecodeBackend._build_decode_ops": ITEM_11,
     "engine/backend.py:SpecDecodeBackend.weight_bytes": ITEM_11,
-    "engine/backend.py:SpecDecodeBackend.footprint_bytes": ITEM_11,
     "engine/backend.py:SpecDecodeBackend.signature": ITEM_11,
     "engine/backend.py:SpecDecodeBackend.label": ITEM_11,
     "engine/backend.py:PrefixCacheBackend.signature": ITEM_11,
