@@ -388,8 +388,7 @@ class QuantizedBackend(ExecutionBackend):
             # Dequantization rides the GEMM inner loop: inflate the
             # compute leg of weight GEMMs by the configured fraction.
             extra = timing.compute_s * self.quant.dequant_overhead
-            return dataclasses.replace(
-                timing,
+            return timing._replace(
                 compute_s=timing.compute_s + extra,
                 time_s=max(timing.compute_s + extra,
                            timing.memory_s) + timing.overhead_s)

@@ -4,15 +4,21 @@ The executor is where hardware meets workload: it selects the best engine
 per op (AMX vs AVX-512 on SPR, mirroring IPEX dispatch), applies the
 dimension-dependent GEMM efficiency, and composes the roofline
 ``max(compute, memory)`` with per-launch overhead.
+
+Pricing one op is the simulator's innermost loop, so it builds no
+dataclass: the result is an :class:`OpTiming` named tuple built
+positionally, and the efficiency memo is keyed by strings and ints
+resolved once per engine (:func:`~repro.gemm.efficiency.curve_key`), so
+every lookup hashes in C.
 """
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from repro.engine.backend import ExecutionBackend
-from repro.gemm.efficiency import _gemm_efficiency_cached
+from repro.gemm.efficiency import _gemm_efficiency_cached, curve_key
 from repro.hardware.compute import ComputeEngine, EngineKind
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
@@ -46,9 +52,12 @@ def _dim_trend(op_lo: Op, op_hi: Op, span: int):
     return varying[0], (hi - lo) // span, lo
 
 
-@dataclasses.dataclass(frozen=True)
-class OpTiming:
+class OpTiming(NamedTuple):
     """Priced execution of one operator.
+
+    A named tuple: immutable, with attribute access, built positionally
+    once per priced op. A backend derives an adjusted copy with
+    ``timing._replace(...)``.
 
     Attributes:
         op: The operator priced.
@@ -101,10 +110,12 @@ class OperatorExecutor:
         if not self._engines:
             raise ValueError(f"{platform.name} has no engine for {dtype}")
         self._vector_like = self._pick_vector_like()
-        # Hot-loop constants: scaled peaks and overheads resolved once so
-        # per-op pricing is pure arithmetic plus one cached-curve lookup.
-        self._scaled_peaks = [e.peak(dtype) * compute_scale
-                              for e in self._engines]
+        # Hot-loop constants, resolved once so per-op pricing is pure
+        # arithmetic plus one cached-curve lookup: per engine its name,
+        # scaled peak, launch overhead and efficiency-memo key.
+        self._race = [(e.name, e.peak(dtype) * compute_scale,
+                       e.launch_overhead_s) + curve_key(e)
+                      for e in self._engines]
         self._elementwise_peak = (self._vector_like.peak(dtype)
                                   * compute_scale
                                   * _ELEMENTWISE_COMPUTE_EFFICIENCY)
@@ -138,7 +149,7 @@ class OperatorExecutor:
         to the winner — the same select-then-inflate order the original
         quantized simulator used.
         """
-        memory_s = op.memory_bytes / self.bandwidth if op.memory_bytes else 0.0
+        memory_s = op.memory_bytes / self.bandwidth
         if op.m > 0 and op.n > 0 and op.k > 0:  # op.is_gemm, inlined
             timing = self._time_gemm(op, memory_s)
         else:
@@ -150,71 +161,45 @@ class OperatorExecutor:
     def _gemm_candidates(self, op: Op, memory_s: float) -> List[OpTiming]:
         """One candidate timing per engine, in platform engine order."""
         candidates: List[OpTiming] = []
-        gemm_flops = 2.0 * op.m * op.n * op.k * op.instances
-        extra_s = op.extra_flops / self._elementwise_peak \
-            if op.extra_flops else 0.0
-        for engine, peak in zip(self._engines, self._scaled_peaks):
-            eff = _gemm_efficiency_cached(engine.kind, engine.tile,
-                                          op.m, op.n, op.k)
+        m, n, k = op.m, op.n, op.k
+        gemm_flops = 2.0 * m * n * k * op.instances
+        extra_s = op.extra_flops / self._elementwise_peak
+        for name, peak, launch_s, kind, tile in self._race:
+            eff = _gemm_efficiency_cached(kind, tile, m, n, k)
             compute_s = gemm_flops / (peak * eff) + extra_s
-            overhead_s = engine.launch_overhead_s * op.kernel_launches
+            overhead_s = launch_s * op.kernel_launches
             candidates.append(OpTiming(
-                op=op,
-                time_s=max(compute_s, memory_s) + overhead_s,
-                compute_s=compute_s,
-                memory_s=memory_s,
-                overhead_s=overhead_s,
-                engine_name=engine.name,
-                efficiency=eff,
-                memory_bound=memory_s >= compute_s,
-            ))
+                op, max(compute_s, memory_s) + overhead_s, compute_s,
+                memory_s, overhead_s, name, eff, memory_s >= compute_s))
         return candidates
 
     def _time_gemm(self, op: Op, memory_s: float) -> OpTiming:
         # Scalar engine race, same first-strict-minimum tie-break as
         # ``min(_gemm_candidates(...), key=time_s)`` but building only the
         # winning OpTiming (this is the hottest call in grid sweeps).
-        gemm_flops = 2.0 * op.m * op.n * op.k * op.instances
-        extra_s = op.extra_flops / self._elementwise_peak \
-            if op.extra_flops else 0.0
+        m, n, k = op.m, op.n, op.k
+        gemm_flops = 2.0 * m * n * k * op.instances
+        extra_s = op.extra_flops / self._elementwise_peak
         best = None
-        for engine, peak in zip(self._engines, self._scaled_peaks):
-            eff = _gemm_efficiency_cached(engine.kind, engine.tile,
-                                          op.m, op.n, op.k)
+        for name, peak, launch_s, kind, tile in self._race:
+            eff = _gemm_efficiency_cached(kind, tile, m, n, k)
             compute_s = gemm_flops / (peak * eff) + extra_s
-            overhead_s = engine.launch_overhead_s * op.kernel_launches
+            overhead_s = launch_s * op.kernel_launches
             time_s = max(compute_s, memory_s) + overhead_s
             if best is None or time_s < best[0]:
-                best = (time_s, compute_s, overhead_s, engine, eff)
+                best = (time_s, compute_s, overhead_s, name, eff)
         assert best is not None
-        time_s, compute_s, overhead_s, engine, eff = best
-        return OpTiming(
-            op=op,
-            time_s=time_s,
-            compute_s=compute_s,
-            memory_s=memory_s,
-            overhead_s=overhead_s,
-            engine_name=engine.name,
-            efficiency=eff,
-            memory_bound=memory_s >= compute_s,
-        )
+        time_s, compute_s, overhead_s, name, eff = best
+        return OpTiming(op, time_s, compute_s, memory_s, overhead_s, name,
+                        eff, memory_s >= compute_s)
 
     def _time_bandwidth_op(self, op: Op, memory_s: float) -> OpTiming:
         engine = self._vector_like
-        compute_s = 0.0
-        if op.extra_flops:
-            compute_s = op.extra_flops / self._elementwise_peak
+        compute_s = op.extra_flops / self._elementwise_peak
         overhead_s = engine.launch_overhead_s * op.kernel_launches
-        return OpTiming(
-            op=op,
-            time_s=max(compute_s, memory_s) + overhead_s,
-            compute_s=compute_s,
-            memory_s=memory_s,
-            overhead_s=overhead_s,
-            engine_name=engine.name,
-            efficiency=_ELEMENTWISE_COMPUTE_EFFICIENCY,
-            memory_bound=memory_s >= compute_s,
-        )
+        return OpTiming(op, max(compute_s, memory_s) + overhead_s, compute_s,
+                        memory_s, overhead_s, engine.name,
+                        _ELEMENTWISE_COMPUTE_EFFICIENCY, memory_s >= compute_s)
 
     def time_ops(self, ops: List[Op]) -> List[OpTiming]:
         """Price a whole operator list (one pass)."""
@@ -227,7 +212,7 @@ class OperatorExecutor:
         backend adjustment lands after engine selection, matching
         :meth:`time_op`.
         """
-        memory_s = op.memory_bytes / self.bandwidth if op.memory_bytes else 0.0
+        memory_s = op.memory_bytes / self.bandwidth
         if op.is_gemm:
             return self._gemm_candidates(op, memory_s)
         return [self._time_bandwidth_op(op, memory_s)]
@@ -589,8 +574,9 @@ class OperatorExecutor:
                 per_step = (hi_v - lo_v) / span
                 if lo_v + per_step * span != hi_v:
                     return None
-                deltas.append((field, lo_v, per_step))
-        base = {name: getattr(op_lo, name) for name in _OP_FIELD_NAMES}
+                deltas.append((_OP_FIELD_NAMES.index(field), lo_v, per_step))
+        base = [getattr(op_lo, name) for name in _OP_FIELD_NAMES]
+        dim = None if dim_field is None else _OP_FIELD_NAMES.index(dim_field)
 
         def op_at(kv: int) -> Op:
             step = kv - kv_start
@@ -598,12 +584,12 @@ class OperatorExecutor:
                 return op_lo
             if step == span:
                 return op_hi
-            kwargs = dict(base)
-            for field, lo_v, per_step in deltas:
-                kwargs[field] = lo_v + per_step * step
-            if dim_field is not None:
-                kwargs[dim_field] = offset + slope * step
-            return Op(**kwargs)
+            values = base.copy()
+            for index, lo_v, per_step in deltas:
+                values[index] = lo_v + per_step * step
+            if dim is not None:
+                values[dim] = offset + slope * step
+            return Op(*values)
 
         return op_at
 

@@ -20,7 +20,7 @@ hurt GPUs.
 
 import dataclasses
 import functools
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.hardware.compute import ComputeEngine, EngineKind, TileShape, tiles_needed
 from repro.utils.validation import require_positive
@@ -73,16 +73,25 @@ MATRIX_CURVE = EfficiencyCurve(ceiling=0.78, m_half=28.0, n_half=192.0, k_half=1
 GPU_CURVE = EfficiencyCurve(ceiling=0.72, m_half=96.0, n_half=384.0, k_half=384.0)
 
 _CURVES = {
-    EngineKind.VECTOR: VECTOR_CURVE,
-    EngineKind.MATRIX: MATRIX_CURVE,
-    EngineKind.GPU_TENSOR: GPU_CURVE,
+    EngineKind.VECTOR.value: VECTOR_CURVE,
+    EngineKind.MATRIX.value: MATRIX_CURVE,
+    EngineKind.GPU_TENSOR.value: GPU_CURVE,
 }
 
 
+def curve_key(engine: ComputeEngine) -> Tuple[str, Optional[Tuple[int, int, int]]]:
+    """*engine*'s kind and tile shape as a string and an int triple: the
+    efficiency memo's key, which hashes in C (the enum and the tile
+    dataclass would hash in Python on every lookup)."""
+    tile = engine.tile
+    return (engine.kind.value,
+            None if tile is None else (tile.m, tile.n, tile.k))
+
+
 @functools.lru_cache(maxsize=131072)
-def _gemm_efficiency_cached(kind: EngineKind, tile: Optional[TileShape],
+def _gemm_efficiency_cached(kind: str, tile: Optional[Tuple[int, int, int]],
                             m: int, n: int, k: int) -> float:
-    """Memoized curve evaluation; the curve depends only on (kind, tile).
+    """Memoized curve evaluation, keyed by :func:`curve_key` and the dims.
 
     Sweeps re-issue identical GEMM shapes thousands of times (every decode
     step of every batch/model cell shares projections and FFN shapes), so
@@ -90,8 +99,9 @@ def _gemm_efficiency_cached(kind: EngineKind, tile: Optional[TileShape],
     """
     curve = _CURVES[kind]
     if tile is not None:
-        tm, tn, tk = tiles_needed(tile, m, n, k)
-        padded_m, padded_n, padded_k = tm * tile.m, tn * tile.n, tk * tile.k
+        shape = TileShape(*tile)
+        tm, tn, tk = tiles_needed(shape, m, n, k)
+        padded_m, padded_n, padded_k = tm * shape.m, tn * shape.n, tk * shape.k
         ramp_dims = (padded_m, padded_n, padded_k)
         util = (m * n * k) / (padded_m * padded_n * padded_k)
     else:
@@ -116,7 +126,7 @@ def gemm_efficiency(engine: ComputeEngine, m: int, n: int, k: int) -> float:
     require_positive(m, "m")
     require_positive(n, "n")
     require_positive(k, "k")
-    return _gemm_efficiency_cached(engine.kind, engine.tile, m, n, k)
+    return _gemm_efficiency_cached(*curve_key(engine), m, n, k)
 
 
 def clear_gemm_efficiency_cache() -> None:

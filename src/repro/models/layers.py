@@ -66,15 +66,15 @@ class Op:
     kernel_launches: int = 1
 
     def __post_init__(self) -> None:
-        for field in ("m", "n", "k"):
-            require_non_negative(getattr(self, field), field)
-        require_non_negative(self.instances, "instances")
-        require_non_negative(self.weight_bytes, "weight_bytes")
-        require_non_negative(self.activation_bytes, "activation_bytes")
-        require_non_negative(self.kv_read_bytes, "kv_read_bytes")
-        require_non_negative(self.kv_write_bytes, "kv_write_bytes")
-        require_non_negative(self.extra_flops, "extra_flops")
-        require_non_negative(self.kernel_launches, "kernel_launches")
+        # One comparison chain on the hot path (every decode-walk probe
+        # builds an Op); written ``>= 0`` so NaN fails it too.
+        if not (self.m >= 0 and self.n >= 0 and self.k >= 0
+                and self.instances >= 0 and self.weight_bytes >= 0
+                and self.activation_bytes >= 0 and self.kv_read_bytes >= 0
+                and self.kv_write_bytes >= 0 and self.extra_flops >= 0
+                and self.kernel_launches >= 0):
+            for field in dataclasses.fields(self)[2:]:  # all but name, kind
+                require_non_negative(getattr(self, field.name), field.name)
 
     @property
     def is_gemm(self) -> bool:

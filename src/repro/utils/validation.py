@@ -15,8 +15,8 @@ def require_positive(value: float, name: str) -> float:
 
 
 def require_non_negative(value: float, name: str) -> float:
-    """Return *value* if it is >= 0, else raise ``ValueError``."""
-    if value < 0:
+    """Return *value* if it is >= 0 (so not NaN), else raise ``ValueError``."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

@@ -324,6 +324,57 @@ class TestWrappers:
         assert streamed(backend) < streamed(plain)
 
 
+# Every backend spec parse_backend builds from the base dtypes and
+# quantization schemes, bare and under each wrapper.
+_BASE_SPECS = ("bf16", "fp16", "fp32", "int8", "int4", "w8a8")
+_WRAP_SPECS = ("", "-numa:snc_flat,aware", "-hybrid:a100", "-tp2",
+               "-numa:snc_flat-hybrid:a100-tp2")
+ADJUSTING_SPECS = sorted(base + wrap for base in _BASE_SPECS
+                         for wrap in _WRAP_SPECS
+                         if parse_backend(base + wrap).adjusts)
+
+
+class TestAdjustTimingContract:
+    """``adjust_timing`` may only touch ``compute_s`` and ``time_s``.
+
+    The closed-form decode walk relies on it: the memory leg, overhead,
+    engine and efficiency of the winning candidate must survive the
+    adjustment, and ``time_s`` must stay the roofline of the new legs.
+    """
+
+    BANDWIDTH = 3.0e11
+
+    def test_every_weight_only_scheme_adjusts_under_every_wrapper(self):
+        assert ADJUSTING_SPECS == sorted(base + wrap
+                                         for base in ("int4", "int8")
+                                         for wrap in _WRAP_SPECS)
+
+    @pytest.mark.parametrize("spec", ADJUSTING_SPECS)
+    def test_adjustment_touches_only_the_compute_leg(self, spec):
+        backend = parse_backend(spec)
+        raw = OperatorExecutor(SPR, BaselineBackend(backend.compute_dtype),
+                               bandwidth=self.BANDWIDTH)
+        priced = OperatorExecutor(SPR, backend, bandwidth=self.BANDWIDTH)
+        ops = (backend.prefill_ops(LLAMA, 2, 256)
+               + backend.decode_ops(LLAMA, 2, 300))
+        changed = 0
+        for op in ops:
+            before = raw.time_op(op)
+            after = backend.adjust_timing(before)
+            assert after.op is before.op
+            assert after.memory_s == before.memory_s
+            assert after.overhead_s == before.overhead_s
+            assert after.engine_name == before.engine_name
+            assert after.efficiency == before.efficiency
+            assert after.compute_s >= before.compute_s
+            assert after.time_s == \
+                max(after.compute_s, after.memory_s) + after.overhead_s
+            # The executor applies the same adjustment to the same winner.
+            assert priced.time_op(op) == after
+            changed += after != before
+        assert changed > 0
+
+
 class TestSchedulerParity:
     """Backend-through-a-serving-replica vs the single-request path.
 

@@ -2,10 +2,18 @@
 
 import pytest
 
-from repro.gemm.efficiency import EfficiencyCurve, gemm_efficiency
+from repro.engine.backend import BaselineBackend
+from repro.engine.executor import OperatorExecutor
+from repro.gemm.efficiency import (
+    EfficiencyCurve,
+    _gemm_efficiency_cached,
+    curve_key,
+    gemm_efficiency,
+)
 from repro.hardware.compute import ComputeEngine, EngineKind, TileShape
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
+from repro.models.layers import Op, OpKind
 
 
 def amx_engine():
@@ -72,3 +80,22 @@ class TestGemmEfficiency:
                                {DType.BF16: 1e12},
                                tile=TileShape(16, 16, 32))
         assert gemm_efficiency(engine, 1, 1, 1) >= 1e-4
+
+
+class TestEfficiencyMemoKey:
+    def test_key_is_built_from_strings_and_ints(self):
+        assert curve_key(amx_engine()) == ("matrix", (16, 16, 32))
+        assert curve_key(avx_engine()) == ("vector", None)
+        assert curve_key(gpu_engine())[0] == "gpu_tensor"
+
+    def test_executor_and_gemm_efficiency_share_one_memo(self):
+        executor = OperatorExecutor(get_platform("spr"), BaselineBackend(),
+                                    bandwidth=3e11)
+        op = Op("probe", OpKind.LINEAR, m=7, n=1234, k=4321,
+                weight_bytes=1.0)
+        executor.time_op(op)
+        hits = _gemm_efficiency_cached.cache_info().hits
+        gemm_efficiency(amx_engine(), 7, 1234, 4321)
+        gemm_efficiency(avx_engine(), 7, 1234, 4321)
+        assert _gemm_efficiency_cached.cache_info().hits == hits + 2
+

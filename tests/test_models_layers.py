@@ -35,6 +35,18 @@ class TestOp:
         with pytest.raises(ValueError):
             Op("x", OpKind.NORM, weight_bytes=-1)
 
+    @pytest.mark.parametrize("field", [
+        "m", "n", "k", "instances", "weight_bytes", "activation_bytes",
+        "kv_read_bytes", "kv_write_bytes", "extra_flops", "kernel_launches"])
+    @pytest.mark.parametrize("bad", [-1, float("nan")])
+    def test_rejects_negative_or_nan_field(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+            Op("x", OpKind.LINEAR, **{"m": 4, "n": 4, "k": 4, field: bad})
+
+    def test_names_the_first_bad_field(self):
+        with pytest.raises(ValueError, match="^k must be >= 0, got -2$"):
+            Op("x", OpKind.LINEAR, m=4, n=4, k=-2, weight_bytes=-1.0)
+
     def test_default_kernel_launches(self):
         assert Op("x", OpKind.NORM).kernel_launches == 1
 

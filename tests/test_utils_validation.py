@@ -37,6 +37,10 @@ class TestRequireNonNegative:
         with pytest.raises(ValueError, match=">= 0"):
             require_non_negative(-0.1, "x")
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+            require_non_negative(float("nan"), "x")
+
 
 class TestRequireIn:
     def test_accepts_member(self):
