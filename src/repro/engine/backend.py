@@ -313,9 +313,10 @@ class ExecutionBackend:
 
         Applied by the executor *after* engine selection: engines are
         chosen on uninflated timings, then the winner is inflated.
-        Must only touch ``compute_s``/``time_s`` — the
-        memory leg stays the roofline's, so the closed-form decode
-        analysis keeps its affine structure.
+        Must only touch ``compute_s``/``time_s``, and re-derive
+        ``memory_bound`` from the new compute leg — the memory leg stays
+        the roofline's, so the closed-form decode analysis keeps its
+        affine structure.
         """
         return timing
 
@@ -388,10 +389,11 @@ class QuantizedBackend(ExecutionBackend):
             # Dequantization rides the GEMM inner loop: inflate the
             # compute leg of weight GEMMs by the configured fraction.
             extra = timing.compute_s * self.quant.dequant_overhead
+            compute_s = timing.compute_s + extra
             return timing._replace(
-                compute_s=timing.compute_s + extra,
-                time_s=max(timing.compute_s + extra,
-                           timing.memory_s) + timing.overhead_s)
+                compute_s=compute_s,
+                time_s=max(compute_s, timing.memory_s) + timing.overhead_s,
+                memory_bound=timing.memory_s >= compute_s)
         return timing
 
     def _build_prefill_ops(self, model: ModelConfig, batch_size: int,

@@ -9,7 +9,7 @@ section cites (Orca, vLLM, Sarathi).
 
 import dataclasses
 import random
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.utils.validation import require_positive
 
@@ -22,7 +22,7 @@ _DEFAULT_INPUT_RANGE: Tuple[int, int] = (32, 256)
 _DEFAULT_OUTPUT_RANGE: Tuple[int, int] = (16, 64)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class ArrivingRequest:
     """One request with an arrival timestamp.
 
@@ -35,12 +35,62 @@ class ArrivingRequest:
     Slotted: materialized million-request streams dominate the heap,
     and slots cut both the per-record footprint (~3x) and the cyclic
     GC's traversal cost (one tracked object, not two).
+
+    ``__init__`` is hand-written because streams build one record per
+    request: the generated frozen one calls ``object.__setattr__`` per
+    field, this one each slot's ``__set__``, bound once by
+    :func:`slot_setters`. The rest (``eq``, ``hash``, ``repr``,
+    pickling, ``dataclasses.replace``) is the dataclass's.
     """
 
     request_id: int
     arrival_s: float
     input_len: int
     output_len: int
+
+    def __init__(self, request_id: int, arrival_s: float, input_len: int,
+                 output_len: int) -> None:
+        set_id, set_arrival, set_input, set_output = _REQUEST_SETTERS
+        set_id(self, request_id)
+        set_arrival(self, arrival_s)
+        set_input(self, input_len)
+        set_output(self, output_len)
+
+
+def slot_setters(cls: type) -> Tuple[Callable[[object, object], None], ...]:
+    """Each field's slot-descriptor ``__set__`` on *cls*, in field order.
+
+    Bound per class: on Python 3.10 ``dataclass(slots=True)`` re-declares
+    inherited slots on a subclass, which shadow the base's descriptors.
+    """
+    return tuple(getattr(cls, field.name).__set__
+                 for field in dataclasses.fields(cls))
+
+
+_REQUEST_SETTERS = slot_setters(ArrivingRequest)
+
+
+def int_sampler(rng: random.Random, lo: int,
+                hi: int) -> Callable[[], int]:
+    """``rng.randint(lo, hi)`` as a closure over ``getrandbits``.
+
+    CPython's own algorithm (``randrange`` -> ``_randbelow``): draw
+    ``n.bit_length()`` bits until below the width ``n``. Draws and the
+    state after them equal ``randint``'s, without its three frames.
+    """
+    n = hi - lo + 1
+    if n < 1:
+        raise ValueError(f"empty range ({lo}, {hi})")
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+
+    def draw() -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return lo + r
+
+    return draw
 
 
 def _spec_ranges(spec: Optional[object]) -> Tuple[Tuple[int, int],
@@ -82,7 +132,9 @@ def _arrivals(base_rate_per_s: float, burst_rate_per_s: float,
     """
     input_range, output_range = _spec_ranges(spec)
     rng = random.Random(seed)
-    expovariate, randint = rng.expovariate, rng.randint
+    expovariate = rng.expovariate
+    draw_input = int_sampler(rng, *input_range)
+    draw_output = int_sampler(rng, *output_range)
     now = 0.0
     request_id = 0
     while count is None or request_id < count:
@@ -92,15 +144,11 @@ def _arrivals(base_rate_per_s: float, burst_rate_per_s: float,
         if duration_s is not None and now > duration_s:
             return
         if request_id % num_shards == shard:
-            yield ArrivingRequest(
-                request_id=request_id,
-                arrival_s=now,
-                input_len=randint(*input_range),
-                output_len=randint(*output_range),
-            )
+            yield ArrivingRequest(request_id, now, draw_input(),
+                                  draw_output())
         else:
-            randint(*input_range)
-            randint(*output_range)
+            draw_input()
+            draw_output()
         request_id += 1
 
 

@@ -31,7 +31,7 @@ import random
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.serving.arrivals import ArrivingRequest, _check_shard, \
-    _check_stream_bounds
+    _check_stream_bounds, int_sampler
 from repro.serving.slo import SLO
 from repro.utils.validation import require_positive
 from repro.workloads.generator import WorkloadSpec
@@ -207,24 +207,25 @@ def iter_class_arrivals(rate_per_s: float, classifier: MixClassifier,
 
     def generate() -> Iterator[ArrivingRequest]:
         rng = random.Random(seed)
+        expovariate = rng.expovariate
+        # The class is id-determined, so foreign shards draw from the
+        # *same* ranges — the RNG stream stays aligned.
+        samplers = {name: (int_sampler(rng, *spec.input_len_range),
+                           int_sampler(rng, *spec.output_len_range))
+                    for name, spec in REQUEST_CLASSES.items()}
+        class_of = classifier.class_of
         now = 0.0
         request_id = 0
         while count is None or request_id < count:
-            now += rng.expovariate(rate_per_s)
+            now += expovariate(rate_per_s)
             if duration_s is not None and now > duration_s:
                 return
-            spec = REQUEST_CLASSES[classifier.class_of(request_id)]
-            # The class is id-determined, so foreign shards draw from
-            # the *same* ranges — the RNG stream stays aligned.
-            input_len = rng.randint(*spec.input_len_range)
-            output_len = rng.randint(*spec.output_len_range)
+            draw_input, draw_output = samplers[class_of(request_id)]
+            input_len = draw_input()
+            output_len = draw_output()
             if request_id % num_shards == shard:
-                yield ArrivingRequest(
-                    request_id=request_id,
-                    arrival_s=now,
-                    input_len=input_len,
-                    output_len=output_len,
-                )
+                yield ArrivingRequest(request_id, now, input_len,
+                                      output_len)
             request_id += 1
 
     return generate()

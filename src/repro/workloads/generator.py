@@ -14,6 +14,7 @@ from typing import List, Sequence, Tuple
 
 from repro.engine.request import InferenceRequest
 from repro.hardware.datatypes import DType
+from repro.serving.arrivals import int_sampler
 from repro.utils.validation import require_positive
 
 
@@ -91,15 +92,12 @@ def generate_requests(spec: WorkloadSpec, count: int,
     """
     require_positive(count, "count")
     rng = random.Random(seed)
-    requests = []
-    for _ in range(count):
-        requests.append(InferenceRequest(
-            batch_size=spec.batch_size,
-            input_len=rng.randint(*spec.input_len_range),
-            output_len=rng.randint(*spec.output_len_range),
-            dtype=dtype,
-        ))
-    return requests
+    draw_input = int_sampler(rng, *spec.input_len_range)
+    draw_output = int_sampler(rng, *spec.output_len_range)
+    return [InferenceRequest(batch_size=spec.batch_size,
+                             input_len=draw_input(),
+                             output_len=draw_output(), dtype=dtype)
+            for _ in range(count)]
 
 
 def total_tokens(requests: Sequence[InferenceRequest]) -> int:

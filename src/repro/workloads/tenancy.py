@@ -39,6 +39,8 @@ from repro.serving.arrivals import (
     ArrivingRequest,
     _check_shard,
     _check_stream_bounds,
+    int_sampler,
+    slot_setters,
 )
 from repro.utils.validation import require_positive
 
@@ -46,7 +48,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.workloads.throttling import ThrottleConfig, ThrottleDecision
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class TenantRequest(ArrivingRequest):
     """An :class:`ArrivingRequest` with tenant and interaction identity.
 
@@ -64,6 +66,9 @@ class TenantRequest(ArrivingRequest):
     components (admission schedulers, throttling, fairness reports)
     duck-type on ``user_id``. Defaults make an untagged record read as a
     single-stage interaction of anonymous tenant 0.
+
+    ``__init__`` is hand-written as the base's is, through this class's
+    own slot setters (Python 3.10 re-declares the inherited slots).
     """
 
     user_id: int = 0
@@ -71,6 +76,25 @@ class TenantRequest(ArrivingRequest):
     interaction_id: int = -1
     stage: int = 0
     stages: int = 1
+
+    def __init__(self, request_id: int, arrival_s: float, input_len: int,
+                 output_len: int, user_id: int = 0, app_id: int = 0,
+                 interaction_id: int = -1, stage: int = 0,
+                 stages: int = 1) -> None:
+        (set_id, set_arrival, set_input, set_output, set_user, set_app,
+         set_interaction, set_stage, set_stages) = _TENANT_SETTERS
+        set_id(self, request_id)
+        set_arrival(self, arrival_s)
+        set_input(self, input_len)
+        set_output(self, output_len)
+        set_user(self, user_id)
+        set_app(self, app_id)
+        set_interaction(self, interaction_id)
+        set_stage(self, stage)
+        set_stages(self, stages)
+
+
+_TENANT_SETTERS = slot_setters(TenantRequest)
 
 
 def zipf_shares(n: int, s: float = 1.1) -> List[float]:
@@ -173,6 +197,15 @@ def iter_tenant_arrivals(spec: TenantWorkloadSpec, rate_per_s: float,
 
     def generate() -> Iterator[TenantRequest]:
         rng = random.Random(seed)
+        random_, uniform, expovariate = (rng.random, rng.uniform,
+                                         rng.expovariate)
+        draw_stages = int_sampler(rng, *spec.interaction_stages)
+        draw_input = int_sampler(rng, *spec.input_len_range)
+        draw_output = int_sampler(rng, *spec.output_len_range)
+        think_lo, think_hi = spec.think_time_range_s
+        per_token = spec.followup_s_per_token
+        last_user, last_app = spec.users - 1, spec.apps - 1
+        push, pop = heapq.heappush, heapq.heappop
         # Heap entries: (arrival_s, insertion_seq, user, app, interaction,
         # stage, stages, input_len, output_len). The insertion sequence
         # breaks time ties deterministically in spawn order.
@@ -180,48 +213,36 @@ def iter_tenant_arrivals(spec: TenantWorkloadSpec, rate_per_s: float,
         seq = 0
         request_id = 0
         interaction_id = 0
-        next_spawn = rng.expovariate(rate_per_s)
+        next_spawn = expovariate(rate_per_s)
         spawning = duration_s is None or next_spawn <= duration_s
         while heap or spawning:
             if spawning and (not heap or next_spawn <= heap[0][0]):
                 # min() guards the (rounding-only) case where the
                 # cumulative sum lands a hair below the drawn uniform.
-                user = min(bisect_right(user_cum, rng.random()),
-                           spec.users - 1)
-                app = min(bisect_right(app_cum, rng.random()),
-                         spec.apps - 1)
-                stages = rng.randint(*spec.interaction_stages)
+                user = min(bisect_right(user_cum, random_()), last_user)
+                app = min(bisect_right(app_cum, random_()), last_app)
+                stages = draw_stages()
                 when = next_spawn
                 for stage in range(stages):
-                    input_len = rng.randint(*spec.input_len_range)
-                    output_len = rng.randint(*spec.output_len_range)
+                    input_len = draw_input()
+                    output_len = draw_output()
                     if duration_s is None or when <= duration_s:
-                        heapq.heappush(heap, (when, seq, user, app,
-                                              interaction_id, stage, stages,
-                                              input_len, output_len))
+                        push(heap, (when, seq, user, app, interaction_id,
+                                    stage, stages, input_len, output_len))
                         seq += 1
                     if stage + 1 < stages:
-                        when += (output_len * spec.followup_s_per_token
-                                 + rng.uniform(*spec.think_time_range_s))
+                        when += (output_len * per_token
+                                 + uniform(think_lo, think_hi))
                 interaction_id += 1
-                next_spawn += rng.expovariate(rate_per_s)
+                next_spawn += expovariate(rate_per_s)
                 if duration_s is not None and next_spawn > duration_s:
                     spawning = False
                 continue
             (when, _, user, app, interaction, stage, stages,
-             input_len, output_len) = heapq.heappop(heap)
+             input_len, output_len) = pop(heap)
             if request_id % num_shards == shard:
-                yield TenantRequest(
-                    request_id=request_id,
-                    arrival_s=when,
-                    input_len=input_len,
-                    output_len=output_len,
-                    user_id=user,
-                    app_id=app,
-                    interaction_id=interaction,
-                    stage=stage,
-                    stages=stages,
-                )
+                yield TenantRequest(request_id, when, input_len, output_len,
+                                    user, app, interaction, stage, stages)
             request_id += 1
             if count is not None and request_id >= count:
                 return

@@ -340,6 +340,8 @@ class TestAdjustTimingContract:
     The closed-form decode walk relies on it: the memory leg, overhead,
     engine and efficiency of the winning candidate must survive the
     adjustment, and ``time_s`` must stay the roofline of the new legs.
+    ``memory_bound`` must name the dominant leg after the adjustment,
+    since bottleneck attribution reads it.
     """
 
     BANDWIDTH = 3.0e11
@@ -355,8 +357,12 @@ class TestAdjustTimingContract:
         raw = OperatorExecutor(SPR, BaselineBackend(backend.compute_dtype),
                                bandwidth=self.BANDWIDTH)
         priced = OperatorExecutor(SPR, backend, bandwidth=self.BANDWIDTH)
+        # Decode batches 10 (int4) and 28 (int8) sit where the inflated
+        # compute leg overtakes the memory leg of the weight GEMMs.
         ops = (backend.prefill_ops(LLAMA, 2, 256)
-               + backend.decode_ops(LLAMA, 2, 300))
+               + backend.decode_ops(LLAMA, 2, 300)
+               + backend.decode_ops(LLAMA, 10, 300)
+               + backend.decode_ops(LLAMA, 28, 300))
         changed = 0
         for op in ops:
             before = raw.time_op(op)
@@ -369,6 +375,7 @@ class TestAdjustTimingContract:
             assert after.compute_s >= before.compute_s
             assert after.time_s == \
                 max(after.compute_s, after.memory_s) + after.overhead_s
+            assert after.memory_bound == (after.memory_s >= after.compute_s)
             # The executor applies the same adjustment to the same winner.
             assert priced.time_op(op) == after
             changed += after != before
