@@ -7,6 +7,7 @@ same frozen, slotted dataclass records the generated ones did.
 """
 
 import dataclasses
+import inspect
 import pickle
 import random
 
@@ -69,6 +70,17 @@ class TestRecordContract:
         assert hash(by_keyword) == hash(record)
         assert dataclasses.astuple(record) == tuple(
             KEYWORDS[type(record)].values())
+
+    def test_constructor_mirrors_the_fields(self, record):
+        """Same names, order and defaults as the fields it stores."""
+        params = list(inspect.signature(type(record)).parameters.values())
+        fields = dataclasses.fields(record)
+        assert [p.name for p in params] == [f.name for f in fields]
+        for param, field in zip(params, fields):
+            want = (inspect.Parameter.empty
+                    if field.default is dataclasses.MISSING
+                    else field.default)
+            assert param.default == want, field.name
 
     def test_pickle_round_trips(self, record):
         clone = pickle.loads(pickle.dumps(record))
