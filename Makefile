@@ -1,5 +1,5 @@
 # Developer entry points. The python toolchain is assumed present; the
-# library's one third-party runtime dependency is numpy.
+# library itself needs only the standard library.
 
 PYTHON ?= python
 export PYTHONPATH := src

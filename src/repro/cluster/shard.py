@@ -57,8 +57,6 @@ from array import array
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cluster.config import ClusterConfig
 from repro.cluster.events import ClusterEvent
 from repro.cluster.metrics import ClusterReport, NodeStats
@@ -147,39 +145,34 @@ class _GroupResult:
 
 
 #: Column layout for shipping CompletedRequest records between
-#: processes. int64/float64 round-trip Python ints and floats
-#: bit-exactly, and numpy arrays pickle as raw buffers — microseconds
-#: for a column a dataclass-instance pickle would spend seconds on.
-_COMPLETED_COLUMNS = (("request_id", np.int64), ("arrival_s", np.float64),
-                      ("start_s", np.float64), ("first_token_s", np.float64),
-                      ("finish_s", np.float64))
+#: processes, as ``array`` typecodes. ``"q"``/``"d"`` (int64/float64)
+#: round-trip Python ints and floats bit-exactly, and arrays pickle as
+#: raw buffers — microseconds for a column a dataclass-instance pickle
+#: would spend seconds on.
+_COMPLETED_COLUMNS = (("request_id", "q"), ("arrival_s", "d"),
+                      ("start_s", "d"), ("first_token_s", "d"),
+                      ("finish_s", "d"))
 
 
 def _pack_result(result: _GroupResult) -> tuple:
-    """Flatten a group result into numpy columns for the result queue.
+    """Flatten a group result into ``array`` columns for the result queue.
 
     A large run's payload is dominated by per-request records and
     per-dispatch tuples; as object graphs they pickle one instance at a
     time, as columns they serialize buffer-at-once. Inverted bit-exactly
     by :func:`_unpack_result` in the parent.
     """
-    completed_cols = []
-    for completed in result.completed_per_node:
-        count = len(completed)
-        completed_cols.append(tuple(
-            np.fromiter((getattr(record, field) for record in completed),
-                        dtype, count)
-            for field, dtype in _COMPLETED_COLUMNS))
-    count = len(result.dispatches)
+    completed_cols = [
+        tuple(array(typecode, [getattr(record, field)
+                               for record in completed])
+              for field, typecode in _COMPLETED_COLUMNS)
+        for completed in result.completed_per_node]
+    dispatches = result.dispatches
     dispatch_cols = (
-        np.fromiter((key[0] for key, _ in result.dispatches),
-                    np.float64, count),
-        np.fromiter((key[1] for key, _ in result.dispatches),
-                    np.int64, count),
-        np.fromiter((key[2] for key, _ in result.dispatches),
-                    np.int64, count),
-        np.fromiter((routed for _, routed in result.dispatches),
-                    np.int64, count))
+        array("d", [key[0] for key, _ in dispatches]),
+        array("q", [key[1] for key, _ in dispatches]),
+        array("q", [key[2] for key, _ in dispatches]),
+        array("q", [routed for _, routed in dispatches]))
     return (result.group, result.indices, result.node_stats, completed_cols,
             dispatch_cols, result.admission_stamps, result.events,
             result.generated_tokens, result.wasted_tokens, result.requeued,
@@ -589,8 +582,7 @@ def run_sharded(config: ClusterConfig, router: ShardRouter,
                     # frontier.
                     times = payload[4][0]
                     shard_state[payload[0]] = (
-                        int(times.shape[0]),
-                        float(times[-1]) if times.shape[0] else 0.0,
+                        len(times), times[-1] if times else 0.0,
                         payload[10])
                 elif message[0] == "progress":
                     _, group, dispatched, time_s, completed = message

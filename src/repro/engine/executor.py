@@ -13,9 +13,7 @@ every lookup hashes in C.
 """
 
 import dataclasses
-from typing import Dict, List, NamedTuple, Optional
-
-import numpy as np
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.engine.backend import ExecutionBackend
 from repro.gemm.efficiency import _gemm_efficiency_cached, curve_key
@@ -365,59 +363,56 @@ class OperatorExecutor:
             op_times=op_times)
 
     def time_decode_series(self, model: ModelConfig, batch_size: int,
-                           kv_start: int, kv_end: int):
+                           kv_start: int, kv_end: int,
+                           fields: Tuple[str, ...] = ("time_s",)):
         """Per-step decode pricing for every ``kv_len`` in ``[kv_start, kv_end)``.
 
-        Returns three lists of length ``kv_end - kv_start`` — per-step
-        ``(time_s, compute_s, memory_s)`` — from the same decode walk as
-        :meth:`time_decode_range`: each affine run's interior steps are
-        filled by endpoint interpolation, so every value matches the exact
-        pricer to within the probe tolerance (1e-11 relative). The serving
-        layer's step-cost tables turn these into prefix sums, which is
-        what lets a discrete-event simulator fast-forward whole decode
-        intervals.
+        Returns one list of length ``kv_end - kv_start`` per
+        :class:`OpTiming` field named in *fields* (``time_s`` alone by
+        default; ``compute_s`` and ``memory_s`` are attribution legs),
+        all from one decode walk shared with :meth:`time_decode_range`:
+        each affine run's interior steps are filled by endpoint
+        interpolation, so every value matches the exact pricer to within
+        the probe tolerance (1e-11 relative). The serving layer's
+        step-cost tables turn these into prefix sums, which is what lets
+        a discrete-event simulator fast-forward whole decode intervals.
 
         Costs O(#ops + #breakpoints) pricings, plus one per step for an
         op whose dims are not affine in kv_len (TP's sharded score GEMM,
         synthesized per residue class from O(period) graph builds), and
-        one vectorized fill per run; not O(steps x ops x engines).
+        one list pass per run and field; not O(steps x ops x engines).
         """
         steps = kv_end - kv_start
+        legs = [OpTiming._fields.index(field) for field in fields]
+        outs = [[0.0] * steps for _ in legs]
         if steps <= 0:
-            return [], [], []
-        # Elementwise float64 numpy arithmetic, op by op in graph order:
-        # the same per-step sums as a Python loop, bit for bit.
-        out_t = np.zeros(steps)
-        out_c = np.zeros(steps)
-        out_m = np.zeros(steps)
+            return tuple(outs)
+        # Op by op in graph order, one float add per step and op: the
+        # same per-step sums as a step loop, bit for bit.
         for _, _, runs, dense in self._decode_walk(model, batch_size,
                                                    kv_start, kv_end):
-            if dense:
-                # One exactly priced step per kv, in kv order.
-                out_t += [t.time_s for _, _, t, _ in runs]
-                out_c += [t.compute_s for _, _, t, _ in runs]
-                out_m += [t.memory_s for _, _, t, _ in runs]
-                continue
-            for lo, hi, t0, t1 in runs:
-                cells = slice(lo - kv_start, hi - kv_start)
-                t_s, c_s, m_s = t0.time_s, t0.compute_s, t0.memory_s
-                if t0 is t1:
-                    # Constant run (a kv-independent op, or one exactly
-                    # priced step): no interpolation to pay for.
-                    out_t[cells] += t_s
-                    out_c[cells] += c_s
-                    out_m[cells] += m_s
+            for leg, out in zip(legs, outs):
+                if dense:
+                    # One exactly priced step per kv, in kv order.
+                    out[:] = [x + run[2][leg] for x, run in zip(out, runs)]
                     continue
-                span = hi - 1 - lo
-                i = np.arange(hi - lo)
-                out_t[cells] += t_s + (t1.time_s - t_s) / span * i
-                out_c[cells] += c_s + (t1.compute_s - c_s) / span * i
-                out_m[cells] += m_s + (t1.memory_s - m_s) / span * i
+                for lo, hi, t0, t1 in runs:
+                    a, b = lo - kv_start, hi - kv_start
+                    v0 = t0[leg]
+                    if t0 is t1:
+                        # Constant run (a kv-independent op, or one
+                        # exactly priced step): no interpolation.
+                        out[a:b] = [x + v0 for x in out[a:b]]
+                        continue
+                    d = (t1[leg] - v0) / (hi - 1 - lo)
+                    out[a:b] = [x + (v0 + d * i)
+                                for i, x in enumerate(out[a:b])]
         comm = self.backend.decode_comm_s(model, batch_size)
-        if comm:
+        if comm and "time_s" in fields:
             # Per-iteration communication rides every step's wall time.
-            out_t += comm
-        return out_t.tolist(), out_c.tolist(), out_m.tolist()
+            out = outs[fields.index("time_s")]
+            out[:] = [x + comm for x in out]
+        return tuple(outs)
 
     def _decode_walk(self, model: ModelConfig, batch_size: int,
                      kv_start: int, kv_end: int):

@@ -32,10 +32,9 @@ capture platform, dtype, bandwidth, and compute scale, but *not* the
 process-wide calibration tables those were derived from.
 """
 
+import math
 from array import array
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from repro.engine.executor import OperatorExecutor
 from repro.models.config import ModelConfig
@@ -52,46 +51,79 @@ class _BatchCurve:
 
     ``prefix_t[i]`` sums step times for ``kv_len`` in ``[1, i]`` (index 0
     is the empty sum) and ``step_t[i]`` is the step at ``kv_len`` i, the
-    difference of consecutive prefix entries (index 0 is unused). The
-    compute/memory-leg curves ``prefix_c``/``prefix_m`` serve only
-    attribution, so they are packed ``array('d')`` buffers. Curves grow
-    by doubling so a trace that decodes to kv 4000 pays O(log)
+    difference of consecutive prefix entries (index 0 is unused). Curves
+    grow by doubling so a trace that decodes to kv 4000 pays O(log)
     extension calls, each a closed-form series build.
+
+    The compute/memory-leg curves ``prefix_c``/``prefix_m`` serve only
+    attribution (a recording tracer), so :meth:`ensure` fills the time
+    leg alone and records each chunk's kv range. The legs are packed
+    ``array('d')`` buffers built on first read by replaying those chunks:
+    the same boundaries anchor the same interpolation, so they are bit
+    for bit an eager build, and an untraced run never pays for them.
     """
 
-    __slots__ = ("_executor", "_model", "_batch",
-                 "prefix_t", "step_t", "prefix_c", "prefix_m")
+    __slots__ = ("_executor", "_model", "_batch", "_chunks",
+                 "prefix_t", "step_t", "_prefix_c", "_prefix_m")
 
     def __init__(self, executor: OperatorExecutor, model: ModelConfig,
                  batch: int):
         self._executor = executor
         self._model = model
         self._batch = batch
+        #: (kv_start, kv_end) of every extension, in order.
+        self._chunks: List[Tuple[int, int]] = []
         self.prefix_t: List[float] = [0.0]
         self.step_t: List[float] = [0.0]
-        self.prefix_c = array("d", [0.0])
-        self.prefix_m = array("d", [0.0])
+        self._prefix_c = array("d", [0.0])
+        self._prefix_m = array("d", [0.0])
 
     def ensure(self, kv_end: int) -> None:
-        """Extend the curves so every ``kv_len < kv_end`` is priced."""
+        """Extend the time curve so every ``kv_len < kv_end`` is priced."""
         have = len(self.prefix_t)  # kv values 1..have-1 are priced
         if kv_end <= have:
             return
         target = max(kv_end, 2 * (have - 1), _MIN_CHUNK + 1)
-        ts, cs, ms = self._executor.time_decode_series(
+        self._chunks.append((have, target))
+        ts, = self._executor.time_decode_series(
             self._model, self._batch, have, target)
         pt, st = self.prefix_t, self.step_t
-        pc, pm = self.prefix_c, self.prefix_m
-        t, c, m = pt[-1], pc[-1], pm[-1]
-        for dt, dc, dm in zip(ts, cs, ms):
+        t = pt[-1]
+        for dt in ts:
             prev = t
             t += dt
-            c += dc
-            m += dm
             pt.append(t)
             st.append(t - prev)
-            pc.append(c)
-            pm.append(m)
+
+    def _legs(self) -> None:
+        """Fill the leg curves up to the time curve's priced range."""
+        pc, pm = self._prefix_c, self._prefix_m
+        have = len(pc)
+        c, m = pc[-1], pm[-1]
+        for lo, hi in self._chunks:
+            if lo < have:
+                continue
+            cs, ms = self._executor.time_decode_series(
+                self._model, self._batch, lo, hi, ("compute_s", "memory_s"))
+            for dc, dm in zip(cs, ms):
+                c += dc
+                m += dm
+                pc.append(c)
+                pm.append(m)
+
+    @property
+    def prefix_c(self) -> array:
+        """Running sum of the compute leg, built on first read."""
+        if len(self._prefix_c) < len(self.prefix_t):
+            self._legs()
+        return self._prefix_c
+
+    @property
+    def prefix_m(self) -> array:
+        """Running sum of the memory leg, built on first read."""
+        if len(self._prefix_m) < len(self.prefix_t):
+            self._legs()
+        return self._prefix_m
 
 
 class DecodeCostTable:
@@ -230,9 +262,11 @@ class DecodeCostTable:
         steps at kv ``Lin + 1 .. Lin + Lout - 1``). This returns the
         exact expectation of that quantity over independent uniform
         integer draws from the two inclusive ranges: the start term is
-        a slice mean, the end term a discrete convolution (trapezoidal
-        sum-of-uniforms weights) against the prefix curve. Memoized per
-        (batch, ranges) — the fluid solver's per-occupancy demand.
+        a slice mean, the end term the closed-form convolution of the
+        two uniforms (trapezoidal integer counts of each ``Lin + Lout``)
+        against the prefix curve, summed by ``math.fsum`` so it is
+        correctly rounded on every host. Memoized per (batch, ranges) —
+        the fluid solver's per-occupancy demand.
         """
         lo_in, hi_in = input_range
         lo_out, hi_out = output_range
@@ -250,12 +284,15 @@ class DecodeCostTable:
         curve.ensure(hi_in + hi_out)
         pt = curve.prefix_t
         mean_start = sum(pt[lo_in:hi_in + 1]) / n_in
-        # S = Lin + Lout has trapezoidal weights; index the curve at
-        # S - 1 (the request's last decode kv).
+        # S = Lin + Lout is lo_sum + s in min(s + 1, n_in, n_out,
+        # n_in + n_out - 1 - s) ways (ramp, flat top, ramp); the curve is
+        # read at S - 1, the request's last decode kv.
         lo_sum, hi_sum = lo_in + lo_out, hi_in + hi_out
-        weights = np.convolve(np.full(n_in, 1.0 / n_in),
-                              np.full(n_out, 1.0 / n_out))
-        mean_end = float(weights @ np.asarray(pt[lo_sum - 1:hi_sum]))
+        k = min(n_in, n_out)
+        counts = [*range(1, k), *[k] * (abs(n_in - n_out) + 1),
+                  *range(k - 1, 0, -1)]
+        mean_end = math.fsum([count * p for count, p in zip(
+            counts, pt[lo_sum - 1:hi_sum])]) / (n_in * n_out)
         value = mean_end - mean_start
         self._expected[key] = value
         return value

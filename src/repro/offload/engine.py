@@ -8,9 +8,8 @@ execution-time breakdown of Fig. 18 (compute vs. data loading).
 """
 
 import dataclasses
+import math
 from typing import Dict, List, Tuple
-
-import numpy as np
 
 from repro.engine.backend import BaselineBackend
 from repro.engine.executor import OperatorExecutor
@@ -280,7 +279,8 @@ class OffloadSimulator:
           (slope/intercept fitted from the first two steps and verified
           at the last; any mismatch falls back to the step loop).
 
-        The exposed-transfer max() then vectorizes over the series.
+        The exposed-transfer max() then runs over the series, and both
+        totals are ``math.fsum`` sums, correctly rounded.
         """
         steps = request.decode_steps
         batch = request.batch_size
@@ -290,9 +290,8 @@ class OffloadSimulator:
             placement.streamed_weight_bytes, layer_transfers=layers)
 
         if placement.kv_on_gpu:
-            ts, _, _ = executor.time_decode_series(model, batch, kv_start,
+            compute, = executor.time_decode_series(model, batch, kv_start,
                                                    kv_start + steps)
-            compute = np.asarray(ts)
         else:
             ops = decode_step_ops(model, batch, kv_start, request.dtype)
             attention, other = self._split_ops(ops)
@@ -318,7 +317,8 @@ class OffloadSimulator:
             else:
                 slope = 0.0
             host_bw = self.calibration.host_attention_bw
-            compute = other_time + (b0 + slope * np.arange(steps)) / host_bw
+            compute = [other_time + (b0 + slope * i) / host_bw
+                       for i in range(steps)]
             step_transfer_raw += self.transfer.time(
                 self._activation_hop_bytes(model, request),
                 layer_transfers=2 * layers)
@@ -326,7 +326,7 @@ class OffloadSimulator:
         step_transfer = amortized_transfer_time(step_transfer_raw, batch,
                                                 self.calibration)
         eta = self.calibration.overlap_efficiency
-        exposed = np.maximum(0.0, step_transfer - eta * compute)
-        decode_time = float((compute + exposed).sum())
-        compute_total = float(compute.sum())
+        decode_time = math.fsum([c + max(0.0, step_transfer - eta * c)
+                                 for c in compute])
+        compute_total = math.fsum(compute)
         return decode_time, steps * step_transfer, compute_total

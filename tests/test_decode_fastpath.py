@@ -13,11 +13,18 @@ import dataclasses
 
 import pytest
 
+from repro.cluster import (
+    ClusterConfig,
+    ClusterSimulator,
+    ReplicaSpec,
+    RoundRobinRouter,
+)
 from repro.engine import backend as backend_mod
+from repro.engine import stepcost
 from repro.engine.backend import BaselineBackend, parse_backend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator, MemoryCapacityError
-from repro.engine.stepcost import DecodeCostTable
+from repro.engine.stepcost import DecodeCostTable, clear_decode_cost_tables
 from repro.engine.request import InferenceRequest
 from repro.experiments._sweeps import clear_caches
 from repro.hardware.compute import ComputeEngine, EngineKind, TileShape
@@ -25,8 +32,12 @@ from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
 from repro.models.opgraph import decode_step_ops
 from repro.models.registry import evaluated_models, get_model
+from repro.serving.arrivals import poisson_arrivals
+from repro.trace import NOOP_TRACER, RecordingTracer
 
 TOL = 1e-9
+#: Every per-step leg the series can fill, in OpTiming order.
+LEGS = ("time_s", "compute_s", "memory_s")
 
 
 def _rel(got: float, want: float) -> float:
@@ -59,7 +70,8 @@ def _assert_equivalent(sim, model, request):
 def _assert_series_matches_steps(executor, model, batch_size, kv_start,
                                  kv_end):
     """Series == per-step pricing at every kv, and sums to the range."""
-    series = executor.time_decode_series(model, batch_size, kv_start, kv_end)
+    series = executor.time_decode_series(model, batch_size, kv_start, kv_end,
+                                         LEGS)
     assert [len(legs) for legs in series] == [kv_end - kv_start] * 3
     for i, kv in enumerate(range(kv_start, kv_end)):
         want = executor.decode_step(model, batch_size, kv)
@@ -212,18 +224,21 @@ def _loop_series(executor, model, batch_size, kv_start, kv_end):
 
 @pytest.mark.parametrize("spec", ["bf16", "int8", "int8-tp2"])
 def test_series_fill_is_bit_identical_to_loop(spec):
-    # The vectorized fill does the loop's arithmetic, element by element
-    # and op by op in graph order, so the two agree exactly.
+    # The list fill does the loop's arithmetic, element by element and
+    # op by op in graph order, so the two agree exactly — for every leg
+    # and for the time leg the default fills alone.
     executor = _spr_executor(spec)
     model = get_model("llama2-7b")
     for kv_start, kv_end in ((1, 2), (17, 22), (128, 639), (333, 410)):
         want = _loop_series(executor, model, 4, kv_start, kv_end)
         assert executor.time_decode_series(model, 4, kv_start,
-                                           kv_end) == want
+                                           kv_end, LEGS) == want
+        assert executor.time_decode_series(model, 4, kv_start,
+                                           kv_end) == want[:1]
     flip = OperatorExecutor(_flip_platform(), BaselineBackend(),
                             bandwidth=5e11)
     model = get_model("opt-1.3b")
-    assert (flip.time_decode_series(model, 1, 760, 1060)
+    assert (flip.time_decode_series(model, 1, 760, 1060, LEGS)
             == _loop_series(flip, model, 1, 760, 1060))
 
 
@@ -286,30 +301,89 @@ def test_tp_series_builds_few_graphs():
 def test_cost_curve_steps_difference_the_prefix(spec, batch):
     # step_t holds each step's cost as the same subtraction of adjacent
     # prefix entries, across every extension chunk; the packed leg
-    # curves hold the same running sums a list would.
+    # curves hold the same running sums a list would, whether they are
+    # first read after the last extension, after the third, or between
+    # every pair (*read_after* names the extensions followed by a read).
     executor = _spr_executor(spec)
     model = get_model("opt-1.3b")
-    table = DecodeCostTable(executor, model)
-    curve = table.curve(batch)
-    chunks = []
-    for kv_end in (2, 300, 700, 1500):
-        have = len(curve.prefix_t)
-        curve.ensure(kv_end)
-        chunks.append((have, len(curve.prefix_t)))
-    assert all(lo < hi for lo, hi in chunks)
-    pt, st = curve.prefix_t, curve.step_t
-    assert len(st) == len(pt) == chunks[-1][1]
-    for kv in range(1, len(pt)):
-        assert st[kv] == pt[kv] - pt[kv - 1], kv
-    want = [[0.0], [0.0], [0.0]]
-    for lo, hi in chunks:
-        for leg, values in zip(want, executor.time_decode_series(
-                model, batch, lo, hi)):
-            for value in values:
-                leg.append(leg[-1] + value)
-    assert pt == want[0]
-    assert list(curve.prefix_c) == want[1]
-    assert list(curve.prefix_m) == want[2]
-    assert table.step_time(batch, 600) == st[600]
-    assert table.step_split(batch, 600) == (
-        want[1][600] - want[1][599], want[2][600] - want[2][599])
+    for read_after in ((), (2,), (0, 1, 2)):
+        table = DecodeCostTable(executor, model)
+        curve = table.curve(batch)
+        chunks = []
+        for index, kv_end in enumerate((2, 300, 700, 1500)):
+            have = len(curve.prefix_t)
+            curve.ensure(kv_end)
+            chunks.append((have, len(curve.prefix_t)))
+            if index in read_after:
+                assert len(curve.prefix_c) == len(curve.prefix_m) == \
+                    len(curve.prefix_t)
+        assert all(lo < hi for lo, hi in chunks)
+        pt, st = curve.prefix_t, curve.step_t
+        assert len(st) == len(pt) == chunks[-1][1]
+        for kv in range(1, len(pt)):
+            assert st[kv] == pt[kv] - pt[kv - 1], kv
+        want = [[0.0], [0.0], [0.0]]
+        for lo, hi in chunks:
+            for leg, values in zip(want, executor.time_decode_series(
+                    model, batch, lo, hi, LEGS)):
+                for value in values:
+                    leg.append(leg[-1] + value)
+        assert pt == want[0]
+        assert list(curve.prefix_c) == want[1], read_after
+        assert list(curve.prefix_m) == want[2], read_after
+        assert table.step_time(batch, 600) == st[600]
+        assert table.step_split(batch, 600) == (
+            want[1][600] - want[1][599], want[2][600] - want[2][599])
+
+
+def test_untraced_cluster_run_builds_no_attribution_legs():
+    # Only a recording tracer reads the compute/memory legs, so an
+    # untraced fleet prices the time curve alone; a traced one builds
+    # every leg over the range it priced.
+    def run(tracer):
+        clear_decode_cost_tables()
+        config = ClusterConfig([
+            ReplicaSpec(get_platform("spr"), get_model("opt-1.3b"), count=2,
+                        max_batch=4),
+            ReplicaSpec(get_platform("icl"), get_model("opt-1.3b"),
+                        max_batch=4, backend=parse_backend("int8"))])
+        ClusterSimulator(config.build_fleet(), RoundRobinRouter(),
+                         tracer=tracer).run(poisson_arrivals(4.0, 24, seed=2))
+        return [curve for table in stepcost._TABLES.values()
+                for curve in table._curves.values()]
+
+    curves = run(NOOP_TRACER)
+    assert curves and all(len(curve.prefix_t) > 1 for curve in curves)
+    assert all(len(curve._prefix_c) == len(curve._prefix_m) == 1
+               for curve in curves)
+    curves = run(RecordingTracer())
+    assert all(len(curve._prefix_c) == len(curve._prefix_m)
+               == len(curve.prefix_t) for curve in curves)
+    clear_decode_cost_tables()
+
+
+def _brute_expected_decode(curve, input_range, output_range):
+    pt = curve.prefix_t
+    costs = [pt[lin + lout - 1] - pt[lin]
+             for lin in range(input_range[0], input_range[1] + 1)
+             for lout in range(output_range[0], output_range[1] + 1)]
+    return sum(costs) / len(costs)
+
+
+@pytest.mark.parametrize("spec", ["bf16", "int8-tp2"])
+def test_expected_decode_time_matches_brute_force(spec):
+    # The closed-form convolution equals the mean over every (Lin, Lout)
+    # pair: wider input than output, wider output than input, equal
+    # widths, and width-1 ranges on either side.
+    table = DecodeCostTable(_spr_executor(spec), get_model("llama2-7b"))
+    for batch in (1, 6):
+        for input_range, output_range in (
+                ((16, 200), (8, 40)), ((30, 45), (1, 300)),
+                ((64, 127), (200, 263)), ((100, 100), (1, 50)),
+                ((1, 90), (33, 33)), ((7, 7), (9, 9))):
+            got = table.expected_decode_time(batch, input_range,
+                                             output_range)
+            want = _brute_expected_decode(table.curve(batch), input_range,
+                                          output_range)
+            assert _rel(got, want) <= 1e-12, (batch, input_range,
+                                              output_range)

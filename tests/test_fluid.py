@@ -296,10 +296,11 @@ def _pinned_floats(pin: dict) -> dict:
 
 
 #: Relative tolerance on pinned floats. The pins were recorded on
-#: CPython 3.11 and are its exact bits. CPython 3.12's compensated
-#: ``sum()`` moves them by up to 3e-14, and another summation order in
-#: the cost table's numpy dot (a different BLAS kernel) by up to 3e-13.
-#: Neither moves an iteration count, a convergence flag or a regime.
+#: CPython 3.11 while the cost table's expected decode time was a numpy
+#: dot; its correctly rounded ``math.fsum`` replacement moves them by up
+#: to 3.5e-14. CPython 3.12's compensated ``sum()`` moves them by up to
+#: 3e-14. Neither moves an iteration count, a convergence flag or a
+#: regime.
 PIN_REL_TOL = 1e-9
 
 #: Tiered ``solve()`` outputs on :func:`_whatif_fleet` with the stock
