@@ -46,8 +46,10 @@ MIN_FLUID_SPEEDUP = 8.0
 MAX_STABLE_REL_ERR = 0.06
 #: Exact 1,000-request replay over a warm capped tiered solve of the
 #: same fleet: 2.0-2.3x when every fixed-point iteration built the full
-#: station report, 4.3-4.5x once iterations solve only what the spill
-#: cascade reads (2-vCPU x86 host, CPython 3.11).
+#: station report, 4.3-4.5x once iterations solved only what the spill
+#: cascade reads (2-vCPU x86 host, CPython 3.11). Re-measured on a
+#: shared 2-vCPU host, that form read 2.5-3.2x, and the station solve in
+#: few fused passes reads 4.1-4.7x.
 MIN_REPLAY_OVER_CAPPED_SOLVE = 3.0
 
 

@@ -565,8 +565,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     """``repro plan``: instant what-if sweeps over arrival rates.
 
     Solves the fleet's analytic steady state at every requested rate
-    (one shared cost-table warmup; after it, about 0.3 ms per class-less
-    point and 1.5-20 ms per tiered one, depending on whether its fixed
+    (one shared cost-table warmup; after it, about 0.4 ms per class-less
+    point and 1.7-18 ms per tiered one, depending on whether its fixed
     point converges) and prints the operating curve: regime,
     throughput, goodput, attainment, latency percentiles, $/Mtok. A
     rate whose tiered fixed point stops at the iteration cap gets a

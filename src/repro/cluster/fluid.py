@@ -8,9 +8,10 @@ the fleet analytically: per-replica batch-occupancy distribution,
 throughput, queueing delay, TTFT/TPOT percentiles, SLO attainment,
 goodput, and $/Mtok — versus seconds-to-minutes for the discrete-event
 simulator. Once the cost tables are warm, a class-less solve takes
-about 0.3 ms and a tiered one about 1.5 ms when its fixed point
-converges, or about 20 ms when it runs to the 200-iteration cap
-(measured on a 2-vCPU x86 host; see ``docs/fluid.md``).
+about 0.4 ms and a tiered one about 1.7 ms when its fixed point
+converges, or about 18 ms when it runs all 200 iterations to the cap;
+a capped fixed point that cycles stops at its first repeated state
+(measured on a shared 2-vCPU x86 host; see ``docs/fluid.md``).
 
 **The model.** Each tier — a group of interchangeable replicas with one
 (model, platform, backend) triple — is a pooled birth–death chain in the
@@ -63,9 +64,8 @@ not bit-accurate; use the simulator to confirm a winner
 
 import dataclasses
 import functools
-import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.cost import price_rate
 from repro.cluster.config import ClusterConfig
@@ -131,6 +131,11 @@ class _Flow:
         return (lo + hi) / 2.0
 
     @functools.cached_property
+    def ranges(self) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+        """``(input_range, output_range)``: the shape a demand is keyed by."""
+        return (self.input_range, self.output_range)
+
+    @functools.cached_property
     def mean_steps(self) -> float:
         """Expected decode iterations (the first token comes from prefill)."""
         return max(0.0, self.mean_output - 1.0)
@@ -167,11 +172,11 @@ def _resolve_flows(mix, spec, slo) -> List[_Flow]:
 class _Station:
     """One tier of interchangeable replicas, with memoized demands.
 
-    The columns ``busy``, ``q``, ``lo``, ``hi`` and ``frac``, indexed by
-    pooled state ``n`` in ``0..k*B``, hold busy replicas, per-replica
-    occupancy, and its bracketing batch sizes with the interpolation
-    weight — the grid every chain quantity reads. State 0 (nothing busy)
-    holds zeros.
+    ``states`` holds, for each pooled state ``n`` in ``1..top`` (``top =
+    k*B``), the tuple ``(busy, q, lo, hi, frac)``: busy replicas,
+    per-replica occupancy, and its bracketing batch sizes with the
+    interpolation weight — the grid every chain quantity reads. State 0
+    (nothing busy) is implicit.
     """
 
     def __init__(self, nodes: Sequence[ReplicaNode]):
@@ -184,13 +189,15 @@ class _Station:
         self.price_usd = sum(price_rate(n.platform.name, n.price_usd)
                              for n in nodes)
         big_b = self.max_batch
-        grid = [(0, 0.0, 0, 0, 0.0)]
-        for n in range(1, self.count * big_b + 1):
+        self.top = self.count * big_b
+        states = []
+        for n in range(1, self.top + 1):
             busy = min(n, self.count)
             q = n / busy  # always within [1, B]
             lo = int(math.floor(q))
-            grid.append((busy, q, lo, min(lo + 1, big_b), q - lo))
-        self.busy, self.q, self.lo, self.hi, self.frac = zip(*grid)
+            states.append((busy, q, lo, min(lo + 1, big_b), q - lo))
+        self.states: Tuple[Tuple[int, float, int, int, float], ...] = \
+            tuple(states)
         self._demands: Dict[tuple, tuple] = {}
 
     def prefill_s(self, flow: _Flow) -> float:
@@ -206,14 +213,14 @@ class _Station:
         ``E[x^2]`` its second moment under the affine shape
         approximation: within a class the demand varies chiefly with the
         output length (uniform, known variance) at the class's per-step
-        slope. :func:`_service_cv2` mixes them across classes.
+        slope. The station solve mixes them across classes.
 
         Filled on the flow's first solve here, never by a probe: the
         cost curves interpolate between the chunk ends they were
         extended to, so the order curves are first read in fixes their
         last bits (and every later exact simulation's).
         """
-        key = (flow.input_range, flow.output_range)
+        key = flow.ranges
         cached = self._demands.get(key)
         if cached is None:
             decode = tuple([0.0] + [
@@ -282,11 +289,6 @@ class _ClassAtStation:
     attainment: float
     overloaded: bool
 
-    def ttft_cdf(self, t: float) -> float:
-        if self.overloaded:
-            return 0.0
-        return _tail_cdf(self.p_wait, self.theta, self.t0_s, t)
-
 
 def _tail_cdf(p_wait: float, theta: float, t0: float, t: float) -> float:
     """P(TTFT <= t): a floor *t0*, then a *p_wait* wait tail at rate *theta*."""
@@ -310,8 +312,13 @@ class _StationSolution:
 
     def __init__(self, station: _Station, flows: List[Tuple[_Flow, float]]):
         self.station = station
-        self.flows = [(flow, rate) for flow, rate in flows if rate > 0.0]
-        self.rate_per_s = sum(rate for _, rate in self.flows)
+        self.flows = []
+        total = 0  # an idle station's rate stays the int 0, as sum() gave
+        for flow, rate in flows:
+            if rate > 0.0:
+                self.flows.append((flow, rate))
+                total += rate
+        self.rate_per_s = total
         self.capacity_req_per_s = 0.0
         if not self.flows:
             self._solve_idle()
@@ -325,7 +332,8 @@ class _StationSolution:
         self.rho = 0.0
         self.regime = REGIME_STABLE
         self.utilization = 0.0
-        self._pi = [1.0] + [0.0] * (station.count * station.max_batch)
+        self._raw = [1.0] + [0.0] * station.top
+        self._norm = 1.0
         self.p_wait = 0.0
         self.mean_wait_s = 0.0
         self.theta = math.inf
@@ -333,29 +341,42 @@ class _StationSolution:
         self.tpot_s = 0.0
 
     def _solve(self) -> None:
+        # Each running sum below adds the same terms, in the same order,
+        # as a left-to-right sum() over a list of them, so fusing the
+        # reductions into few loops moves no bit (CPython 3.12's sum()
+        # compensates, so there the last bits differ; see "Checking bit
+        # identity" in docs/fluid.md).
         station = self.station
-        k, big_b = station.count, station.max_batch
+        k, top, states = station.count, station.top, station.states
         rate = self.rate_per_s
-        weights = [r / rate for _, r in self.flows]
-        demands = [station.demand(flow) for flow, _ in self.flows]
 
-        prefill = sum([w * p for w, (p, _, _) in zip(weights, demands)])
-        # decode[b] = mixture D(b), b >= 1
-        decode = list(map(sum, zip(*[[w * x for x in d] for w, (_, d, _)
-                                     in zip(weights, demands)])))
-        steps = sum([w * flow.mean_steps
-                     for w, (flow, _) in zip(weights, self.flows)])
-        mean_out = sum([w * flow.mean_output
-                        for w, (flow, _) in zip(weights, self.flows)])
-        # Mixture demand at each pooled state: S = prefill + mixed[n] / q
+        # Mix the flows' demands: prefill, D(b) (decode[b], b >= 1),
+        # decode steps, output tokens, and the per-slot service moments.
+        prefill = steps = mean_out = mean_x = second_x = 0.0
+        decode = None
+        demands = station._demands
+        for flow, flow_rate in self.flows:
+            w = flow_rate / rate
+            cached = demands.get(flow.ranges)
+            if cached is None:
+                cached = station.demand(flow)
+            flow_prefill, flow_decode, (x, x2) = cached
+            prefill += w * flow_prefill
+            if decode is None:
+                decode = [w * d for d in flow_decode]
+            else:
+                decode = [a + w * d for a, d in zip(decode, flow_decode)]
+            steps += w * flow.mean_steps
+            mean_out += w * flow.mean_output
+            mean_x += w * x
+            second_x += w * x2
+        self._steps = steps
+
+        # Mixture demand at pooled state n: S = prefill + mixed[n] / q
         # is the completion spacing, mixed[n] / steps the token gap.
-        mixed = [decode[lo] + (decode[hi] - decode[lo]) * frac
-                 for lo, hi, frac in zip(station.lo, station.hi,
-                                         station.frac)]
-
-        top = k * big_b
-        s_full = prefill + mixed[top] / station.q[top]
-        capacity = k / s_full
+        _, q_top, lo, hi, frac = states[-1]
+        m_top = decode[lo] + (decode[hi] - decode[lo]) * frac
+        capacity = k / (prefill + m_top / q_top)
         self.capacity_req_per_s = capacity
         rho = rate / capacity
         self.rho = rho
@@ -364,68 +385,111 @@ class _StationSolution:
         served = min(rate, capacity)
         self.throughput_tokens_per_s = served * mean_out
 
+        token_norm = gap_sum = 0.0
         # Pooled birth-death chain over n in [0, k*B]; geometric tail.
         if overloaded:
             p_wait, mean_wait = 1.0, math.inf
             self.utilization = 1.0
+            if steps > 0.0:
+                token_norm = 1.0
+                gap_sum = 1.0 * (m_top / steps)
         else:
             # Accumulate the chain in log-space: the un-normalized
             # running product overflows for large fleets (k*B in the
             # thousands) long before normalization.
-            logs = list(itertools.accumulate(
-                [math.log(rate / (busy / (prefill + m / q))) for busy, q, m
-                 in zip(station.busy[1:], station.q[1:], mixed[1:])],
-                initial=0.0))
+            log = math.log
+            mixed = [0.0]
+            logs = [0.0]
+            acc = 0.0
+            for busy, q, lo, hi, frac in states:
+                low = decode[lo]
+                m = low + (decode[hi] - low) * frac
+                mixed.append(m)
+                acc += log(rate / (busy / (prefill + m / q)))
+                logs.append(acc)
+            self._mixed = mixed
             peak = max(logs)
-            raw = [math.exp(v - peak) for v in logs]
-            tail = raw[top] * rho / (1.0 - rho)  # mass beyond n = k*B
-            norm = sum(raw) + tail
-            pi = self._pi = [p / norm for p in raw]
-            p_wait = (raw[top] / (1.0 - rho)) / norm
-            queue_len = (raw[top] / norm) * rho / (1.0 - rho) ** 2
+            exp = math.exp
+            raw = self._raw = [exp(v - peak) for v in logs]
+            raw_top = raw[top]
+            tail = raw_top * rho / (1.0 - rho)  # mass beyond n = k*B
+            norm = self._norm = sum(raw) + tail
+            p_wait = (raw_top / (1.0 - rho)) / norm
+            queue_len = (raw_top / norm) * rho / (1.0 - rho) ** 2
             mean_wait = queue_len / rate
-            # M/G/k-style correction: scale the M/M wait by the
-            # service-demand variability of the shape mixture.
-            mean_wait *= (1.0 + _service_cv2(weights, demands)) / 2.0
-            self.utilization = min(1.0, sum(
-                [p * busy / k for p, busy in zip(pi, station.busy)]))
+            # M/G/k-style correction: scale the M/M wait by the squared
+            # CV of the per-slot service demand across the mixture
+            # (each flow brings its own moments, see _Station.demand).
+            cv2 = 0.0
+            if mean_x > 0.0:
+                cv2 = max(0.0, second_x / (mean_x * mean_x) - 1.0)
+            mean_wait *= (1.0 + cv2) / 2.0
+
+            # Occupancy mass, utilization and the token-weighted gap in
+            # one pass: states produce tokens at n / gap, so heavier
+            # batches dominate what a *token* experiences.
+            mass = raw[0] / norm
+            busy_sum = 0.0
+            n = 0
+            for r, (busy, _, _, _, _), m in zip(raw[1:], states, mixed[1:]):
+                n += 1
+                p = r / norm
+                mass += p
+                busy_sum += p * busy / k
+                if steps > 0.0 and p > 0.0:
+                    g = m / steps
+                    if g > 0.0:
+                        w = p * n / g
+                        token_norm += w
+                        gap_sum += w * g
+            self.utilization = min(1.0, busy_sum)
+            self._tail_w = None
+            tail_mass = 1.0 - mass
+            if steps > 0.0 and tail_mass > 0.0:
+                g = m_top / steps
+                if g > 0.0:
+                    w = self._tail_w = tail_mass * top / g
+                    token_norm += w
+                    gap_sum += w * g
         self.p_wait = p_wait
         self.mean_wait_s = mean_wait
         theta = math.inf if mean_wait <= 0.0 \
             else (0.0 if not math.isfinite(mean_wait)
                   else p_wait / mean_wait)
         self.theta = theta
-
-        # Token-weighted occupancy: states produce tokens at n / gap,
-        # so heavier batches dominate what a *token* experiences.
-        token_states: List[Tuple[float, int, float]] = []  # (w, n, gap)
-        if steps > 0.0:
-            if overloaded:
-                token_states.append((1.0, top, mixed[top] / steps))
-            else:
-                gaps = [m / steps for m in mixed]
-                token_states = [(p * n / g, n, g)
-                                for n, (p, g) in enumerate(zip(pi, gaps))
-                                if n > 0 and p > 0.0 and g > 0.0]
-                tail_mass = 1.0 - sum(pi)
-                g = mixed[top] / steps
-                if tail_mass > 0.0 and g > 0.0:
-                    token_states.append((tail_mass * top / g, top, g))
-        self._token_states = token_states
-        token_norm = self._token_norm = sum([w for w, _, _ in token_states])
+        self._token_norm = token_norm
 
         prefill_share = min(served / k * prefill, _MAX_PREFILL_SHARE)
         self._inflation = 1.0 / (1.0 - prefill_share)
-        if token_norm > 0.0:
-            mean_gap = sum([w * g for w, _, g in token_states]) / token_norm
-        else:
-            mean_gap = 0.0
+        mean_gap = gap_sum / token_norm if token_norm > 0.0 else 0.0
         self.tpot_s = mean_gap * self._inflation
 
         # Admission-boundary wait: residual of the in-flight iteration
         # plus the residual of an in-flight exclusive prefill.
         self.boundary_s = self.utilization * mean_gap / 2.0 \
             + (served / k * prefill) * prefill / 2.0
+
+    @functools.cached_property
+    def _pi(self) -> List[float]:
+        """Stationary probability of each pooled state ``n``."""
+        norm = self._norm
+        return [r / norm for r in self._raw]
+
+    @functools.cached_property
+    def _token_states(self) -> List[Tuple[float, int]]:
+        """``(weight, n)`` per token-producing state, as the solve summed.
+
+        Read only for a stable station whose mixture decodes.
+        """
+        steps = self._steps
+        token_states = []
+        for n, (p, m) in enumerate(zip(self._pi, self._mixed)):
+            g = m / steps
+            if n > 0 and p > 0.0 and g > 0.0:
+                token_states.append((p * n / g, n))
+        if self._tail_w is not None:
+            token_states.append((self._tail_w, self.station.top))
+        return token_states
 
     @functools.cached_property
     def occupancy(self) -> Tuple[float, ...]:
@@ -435,16 +499,15 @@ class _StationSolution:
         if self.rho >= 1.0:
             return tuple([0.0] * big_b + [1.0])
         occupancy = [0.0] * (big_b + 1)
-        for n, p in enumerate(self._pi):
+        pi = self._pi
+        if pi[0] > 0.0:
+            occupancy[0] += pi[0]
+        for p, (busy, _, lo, hi, frac) in zip(pi[1:], station.states):
             if p <= 0.0:
                 continue
-            if n == 0:
-                occupancy[0] += p
-                continue
-            busy, frac = station.busy[n], station.frac[n]
             occupancy[0] += p * (k - busy) / k
-            occupancy[station.lo[n]] += p * (busy / k) * (1.0 - frac)
-            occupancy[station.hi[n]] += p * (busy / k) * frac
+            occupancy[lo] += p * (busy / k) * (1.0 - frac)
+            occupancy[hi] += p * (busy / k) * frac
         return tuple(occupancy)
 
     @functools.cached_property
@@ -471,10 +534,10 @@ class _StationSolution:
             flow_steps = flow.mean_steps
             if flow_steps > 0.0 and token_norm > 0.0:
                 gaps = []  # (w, this class's gap) per token state
-                for w, n, _ in self._token_states:
-                    lo, hi = station.lo[n], station.hi[n]
-                    gaps.append((w, (d[lo] + (d[hi] - d[lo])
-                                     * station.frac[n]) / flow_steps))
+                for w, n in self._token_states:
+                    _, _, lo, hi, frac = station.states[n - 1]
+                    gaps.append((w, (d[lo] + (d[hi] - d[lo]) * frac)
+                                 / flow_steps))
                 tpot_c = sum(w * g for w, g in gaps) / token_norm * inflation
                 tpot_ok = sum(w for w, g in gaps
                               if g * inflation <= flow.slo.tpot_s) \
@@ -490,23 +553,6 @@ class _StationSolution:
                 tpot_s=tpot_c, attainment=ttft_ok * tpot_ok,
                 overloaded=False))
         return classes
-
-
-def _service_cv2(weights: List[float], demands: List[tuple]) -> float:
-    """Squared CV of the per-slot service demand across the mixture.
-
-    Each flow brings its own moments (:meth:`_Station.demand`), so
-    heterogeneous class mixes contribute the cross-class spread of the
-    means to the second moment.
-    """
-    mean = 0.0
-    second = 0.0
-    for w, (_, _, (x, x2)) in zip(weights, demands):
-        mean += w * x
-        second += w * x2
-    if mean <= 0.0:
-        return 0.0
-    return max(0.0, second / (mean * mean) - 1.0)
 
 
 # -- flow assignment -------------------------------------------------------
@@ -535,11 +581,10 @@ def _order_stations(stations: List[_Station]) -> List[int]:
     return sorted(range(len(stations)), key=key)
 
 
-def _tiered_flows(stations: List[_Station], flows: List[_Flow],
-                  rate: float
-                  ) -> Tuple[List[List[Tuple[_Flow, float]]],
-                             int, bool, Dict[str, float]]:
-    """Damped fixed point over class→tier admission shares.
+def _spill_iterates(stations: List[_Station], flows: List[_Flow],
+                    rate: float) -> Iterator[Tuple[tuple, List[float],
+                                                   float]]:
+    """The damped spill cascade, one iteration per item, without end.
 
     Mirrors the :class:`~repro.cluster.tiering.TieredRouter`: each class
     homes on the cheapest eligible tier whose unloaded service clears
@@ -547,6 +592,11 @@ def _tiered_flows(stations: List[_Station], flows: List[_Flow],
     broken (the stationary spill probability) cascades to pricier
     eligible tiers; saturated leftovers spread capacity-proportionally,
     matching the router's earliest-finish degrade.
+
+    Yields ``(state, spill_rate, delta)``: the admission shares after
+    the iteration (``state[i][f]`` is the rate of class *f* routed to
+    station *i*), each class's spilled rate, and the largest share
+    change. The next iteration is a pure function of ``state``.
     """
     order = _order_stations(stations)
     # probe[i][f]: the prefill class f pays at station i.
@@ -569,25 +619,25 @@ def _tiered_flows(stations: List[_Station], flows: List[_Flow],
                       key=lambda p: (stations[elig[p]].per_token_s(flow), p))
         home.append(pos)
 
-    # Per class: its offered rate, its TTFT bar, and the tiers it tries
-    # in order (its home tier, then the pricier spills).
-    routes = [(rate * flow.share, flow.slo.ttft_s, eligible[f][home[f]:])
-              for f, flow in enumerate(flows)]
-    # current[i][f] = rate of class f routed to station i
-    current = [[0.0] * len(flows) for _ in stations]
-    for f, (offered, _, path) in enumerate(routes):
-        current[path[0]][f] = offered
+    # Per class: its offered rate, its TTFT bar, the tiers it tries in
+    # order (its home tier, then the pricier spills) and its eligible
+    # tiers for the saturated spread.
+    routes = [(f, rate * flow.share, flow.slo.ttft_s, eligible[f][home[f]:],
+               eligible[f]) for f, flow in enumerate(flows)]
+    initial = [[0.0] * len(flows) for _ in stations]
+    for f, offered, _, path, _ in routes:
+        initial[path[0]][f] = offered
+    current = tuple(map(tuple, initial))
     # A station's solution is a pure function of (station, flow rates);
     # capped fixed points that enter a cycle revisit assignments.
     memo: Dict[tuple, _StationSolution] = {}
+    keep = 1.0 - _FIXED_POINT_DAMPING
+    exp, isfinite = math.exp, math.isfinite
 
-    converged = False
-    iterations = 0
-    spill_rate = [0.0] * len(flows)
-    for iterations in range(1, _FIXED_POINT_MAX_ITERS + 1):
+    while True:
         solutions = []
         for i, row in enumerate(current):
-            key = (i, tuple(row))
+            key = (i, row)
             sol = memo.get(key)
             if sol is None:
                 sol = memo[key] = _StationSolution(stations[i],
@@ -595,7 +645,8 @@ def _tiered_flows(stations: List[_Station], flows: List[_Flow],
             solutions.append(sol)
         proposal = [[0.0] * len(flows) for _ in stations]
         spill_rate = [0.0] * len(flows)
-        for f, (remaining, ttft, path) in enumerate(routes):
+        for f, remaining, ttft, path, elig in routes:
+            home_i = path[0]
             for i in path:
                 if remaining <= 0.0:
                     break
@@ -605,14 +656,20 @@ def _tiered_flows(stations: List[_Station], flows: List[_Flow],
                 else:
                     # A class already here also waits out the admission
                     # boundary; an absent one probes with the station's
-                    # present wait statistics.
+                    # present wait statistics. Inlines _tail_cdf.
                     t0 = probe[i][f]
                     if current[i][f] > 0.0:
                         t0 = sol.boundary_s + t0
-                    p_stay = _tail_cdf(sol.p_wait, sol.theta, t0, ttft)
+                    if ttft < t0:
+                        p_stay = 0.0
+                    elif not isfinite(sol.theta):
+                        p_stay = 1.0
+                    else:
+                        p_stay = 1.0 - sol.p_wait * exp(
+                            -sol.theta * (ttft - t0))
                 take = remaining * p_stay
                 proposal[i][f] += take
-                if i != path[0]:
+                if i != home_i:
                     spill_rate[f] += take
                 remaining -= take
             if remaining > 1e-12:
@@ -622,23 +679,59 @@ def _tiered_flows(stations: List[_Station], flows: List[_Flow],
                 # replica count, which is not in req/s (see ROADMAP).
                 caps = [solutions[i].capacity_req_per_s
                         if solutions[i].capacity_req_per_s > 0.0
-                        else stations[i].count for i in eligible[f]]
+                        else stations[i].count for i in elig]
                 total = sum(caps)
-                for i, cap in zip(eligible[f], caps):
+                for i, cap in zip(elig, caps):
                     extra = remaining * cap / total
                     proposal[i][f] += extra
-                    if i != path[0]:
+                    if i != home_i:
                         spill_rate[f] += extra
 
-        damped = [[(1.0 - _FIXED_POINT_DAMPING) * old
-                   + _FIXED_POINT_DAMPING * prop
-                   for old, prop in zip(row, new_row)]
-                  for row, new_row in zip(current, proposal)]
+        damped = tuple([tuple([keep * old + _FIXED_POINT_DAMPING * prop
+                               for old, prop in zip(row, new_row)])
+                        for row, new_row in zip(current, proposal)])
         delta = max([abs(new - old) for new_row, row in zip(damped, current)
                      for new, old in zip(new_row, row)])
         current = damped
-        if delta <= _FIXED_POINT_TOL * max(rate, 1e-12):
+        yield current, spill_rate, delta
+
+
+def _tiered_flows(stations: List[_Station], flows: List[_Flow],
+                  rate: float
+                  ) -> Tuple[List[List[Tuple[_Flow, float]]],
+                             int, bool, Dict[str, float]]:
+    """Damped fixed point over class→tier admission shares.
+
+    Runs :func:`_spill_iterates` until the shares move by at most the
+    tolerance, or for ``_FIXED_POINT_MAX_ITERS`` iterations. A capped
+    run that comes back to an earlier state exactly has entered a
+    cycle: every later iteration replays it and none can converge
+    (each of its steps already failed the tolerance). So the loop stops
+    there and returns the cycle's phase at the cap — the state, spill
+    rates and iteration count a straight run to the cap would end on.
+    """
+    cap = _FIXED_POINT_MAX_ITERS
+    tolerance = _FIXED_POINT_TOL * max(rate, 1e-12)
+    seen: Dict[tuple, int] = {}   # state after iteration j -> j
+    states: List[tuple] = [()]    # states[j]: the state after iteration j
+    spills: List[List[float]] = [[]]
+    converged = False
+    iterations = 0
+    current: tuple = ()
+    spill_rate: List[float] = []
+    for iterations, (current, spill_rate, delta) in zip(
+            range(1, cap + 1), _spill_iterates(stations, flows, rate)):
+        if delta <= tolerance:
             converged = True
+            break
+        states.append(current)
+        spills.append(spill_rate)
+        first = seen.setdefault(current, iterations)
+        if first != iterations:
+            period = iterations - first
+            current = states[first + (cap - first) % period]
+            spill_rate = spills[first + 1 + (cap - first - 1) % period]
+            iterations = cap
             break
     return ([list(zip(flows, row)) for row in current], iterations,
             converged, {f.name: r for f, r in zip(flows, spill_rate)})
@@ -725,8 +818,24 @@ def _mixture_quantile(components: List[Tuple[float, _ClassAtStation]],
     lo = min(c.t0_s for _, c in components if not c.overloaded)
     hi = max(c.t0_s for _, c in components if not c.overloaded) + 1e-9
 
+    # The bisection below reads the CDF ~100 times, so each component's
+    # _tail_cdf is inlined over its fields. An overloaded component (its
+    # CDF is 0 everywhere) adds w * 0.0, which leaves the nonnegative
+    # running sum unchanged, so it is left out.
+    parts = [(w, c.t0_s, c.p_wait, c.theta, math.isfinite(c.theta))
+             for w, c in components if not c.overloaded]
+    exp = math.exp
+
     def cdf(t: float) -> float:
-        return sum(w * c.ttft_cdf(t) for w, c in components) / total
+        acc = 0.0
+        for w, t0, p_wait, theta, finite in parts:
+            if t < t0:
+                acc += w * 0.0
+            elif not finite:
+                acc += w * 1.0
+            else:
+                acc += w * (1.0 - p_wait * exp(-theta * (t - t0)))
+        return acc / total
 
     for _ in range(200):
         if cdf(hi) >= q:

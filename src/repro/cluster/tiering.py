@@ -34,11 +34,12 @@ cheapest tier whose *measured* speed clears the class's bar:
 attainment/goodput and per-tier $/Mtok — the accounting behind the
 ``ext_tiering`` experiment's tiered-vs-one-size-fits-all comparison.
 
-Shard safety: the router's only state is integer counters; decisions
-read the request, the candidate replicas, and the pure classifier. As a
-:class:`~repro.cluster.router.ShardRouter` local it therefore
-partitions cleanly, and per-group counters merge by summation —
-bit-identical for any worker count.
+Shard safety: the router's only state is integer counters, beside a
+cache of each routable set's tier layout that is a pure function of
+the set; decisions read the request, the candidate replicas, and the
+pure classifier. As a :class:`~repro.cluster.router.ShardRouter` local
+it therefore partitions cleanly, and per-group counters merge by
+summation — bit-identical for any worker count.
 """
 
 import dataclasses
@@ -50,11 +51,7 @@ from repro.cluster.node import ReplicaNode
 from repro.cluster.router import Router
 from repro.serving.arrivals import ArrivingRequest
 from repro.serving.slo import SLO, meets
-from repro.workloads.classes import (
-    REQUEST_CLASSES,
-    MixClassifier,
-    RequestClass,
-)
+from repro.workloads.classes import REQUEST_CLASSES, MixClassifier
 
 #: A tier identity: (model name, platform name, backend label). The
 #: backend label distinguishes NUMA-placed (``bf16-snc_flat-aware``)
@@ -85,6 +82,8 @@ class TieredRouter(Router):
     """
 
     name = "tiered"
+    #: Routable set -> tier layout (see :meth:`_layout`), made lazily.
+    _layouts: Optional[Dict[tuple, tuple]] = None
 
     def __init__(self, classifier: Optional[MixClassifier] = None):
         self.classifier = classifier if classifier is not None \
@@ -106,20 +105,83 @@ class TieredRouter(Router):
             price = self._prices[key] = price_rate(*key)
         return price
 
+    def _layout(self, candidates: List[ReplicaNode]) -> tuple:
+        """The tier groups of one routable set, built on first use.
+
+        ``(tiers, table_count, keys)``. Per tier, in order of first
+        appearance, ``(tier, members, price, params)``, with ``members``
+        its ``(index, node, slot)`` triples: ``slot`` numbers the
+        member's cost table among the set's ``table_count`` distinct
+        ones, so a decision prices each table once. ``keys`` maps a
+        class to its counter keys (:meth:`_class_keys`). Keyed by the
+        routable set itself, so a failure or drain picks up a new
+        layout; created lazily, so a router pickled before it routes
+        carries no cache.
+        """
+        layouts = self._layouts
+        if layouts is None:
+            layouts = self._layouts = {}
+        key = tuple(candidates)
+        layout = layouts.get(key)
+        if layout is None:
+            groups: Dict[Tier, List[Tuple[int, ReplicaNode, int]]] = {}
+            tables: List[object] = []
+            for index, node in enumerate(candidates):
+                table = node.cost_table
+                if table not in tables:
+                    tables.append(table)
+                groups.setdefault(node.tier, []).append(
+                    (index, node, tables.index(table)))
+            tiers = [(tier, members, self._tier_price(members[0][1]),
+                      members[0][1].model.param_count())
+                     for tier, members in groups.items()]
+            layout = layouts[key] = (tiers, len(tables), {})
+        return layout
+
+    @staticmethod
+    def _class_keys(keys: dict, class_name: str, tiers) -> tuple:
+        """``(routed, spill, fallback, {tier: served})`` counter keys."""
+        found = keys.get(class_name)
+        if found is None:
+            found = keys[class_name] = (
+                f"routed:{class_name}", f"spill:{class_name}",
+                f"fallback:{class_name}",
+                {tier: f"served:{class_name}:{tier_label(tier)}"
+                 for tier, _, _, _ in tiers})
+        return found
+
     def select(self, request: ArrivingRequest,
                nodes: Sequence[ReplicaNode], now: float) -> ReplicaNode:
         class_name = self.classifier(request)
         rc = REQUEST_CLASSES[class_name]
         candidates = self.routable(nodes)
-        self._bump(f"routed:{class_name}")
+        tiers, table_count, keys = self._layout(candidates)
+        routed, spill, fallback, served = self._class_keys(
+            keys, class_name, tiers)
+        self._bump(routed)
 
-        tiers: Dict[Tier, List[Tuple[int, ReplicaNode]]] = {}
-        for index, node in enumerate(candidates):
-            tiers.setdefault(node.tier, []).append((index, node))
-
-        steps = max(1, request.output_len - 1)
-        # Each candidate's backlog, read at most once per decision.
+        input_len, output_len = request.input_len, request.output_len
+        steps = max(1, output_len - 1)
+        # Each cost table's prefill and decode, and each candidate's
+        # backlog, are read at most once per decision, where the
+        # node-level calls would first read them: the order of first
+        # curve reads fixes later bits (see _Station.demand).
+        prefills: List[Optional[float]] = [None] * table_count
+        decodes: List[Optional[float]] = [None] * table_count
         backlogs: Dict[int, float] = {}
+
+        def prefill(slot: int, node: ReplicaNode) -> float:
+            value = prefills[slot]
+            if value is None:
+                value = prefills[slot] = node.prefill_cost_s(input_len)
+            return value
+
+        def decode(slot: int, node: ReplicaNode) -> float:
+            value = decodes[slot]
+            if value is None:
+                value = decodes[slot] = node.decode_cost_s(input_len,
+                                                           output_len)
+            return value
 
         def backlog(index: int, node: ReplicaNode) -> float:
             value = backlogs.get(index)
@@ -127,82 +189,75 @@ class TieredRouter(Router):
                 value = backlogs[index] = node.backlog_s(now)
             return value
 
-        def per_token(node: ReplicaNode) -> float:
-            decode = node.decode_cost_s(request.input_len,
-                                        request.output_len)
-            return decode / steps if decode else 0.0
-
         # Tiers in ascending price (ties: faster per-token first, then
-        # the tier key — all deterministic).
-        ordered = sorted(
-            tiers.items(),
-            key=lambda item: (self._tier_price(item[1][0][1]),
-                              per_token(item[1][0][1]), item[0]))
+        # the tier key — all deterministic), each priced off its first
+        # member: (price, per-token, tier, members, params).
+        ordered = []
+        for tier, members, price, params in tiers:
+            _, node, slot = members[0]
+            cost = decode(slot, node)
+            ordered.append((price, cost / steps if cost else 0.0, tier,
+                            members, params))
+        ordered.sort()
         eligible = [item for item in ordered
-                    if item[1][0][1].model.param_count()
-                    >= rc.min_model_params]
+                    if item[4] >= rc.min_model_params]
 
         if not eligible:
             # Downward fallback: every capable tier is out. Serve on
             # the earliest projected finish among the survivors rather
             # than drop traffic; the per-class fallback counter is the
             # operator's outage signal.
-            self._bump(f"fallback:{class_name}")
-            chosen = self._earliest_finish(ordered, request, backlog)
-            self._bump(f"served:{class_name}:{tier_label(chosen.tier)}")
+            self._bump(fallback)
+            chosen = self._earliest_finish(ordered, backlog, prefill, decode)
+            self._bump(served[chosen.tier])
             return chosen
 
-        home = self._home_position(eligible, rc, request, per_token)
+        # Home: the cheapest eligible tier whose unloaded service clears
+        # the bar. When no tier clears it even unloaded (the class's SLO
+        # outruns the fleet), home becomes the fastest-decoding eligible
+        # tier — the least-bad latency degrade.
+        slo = rc.slo
+        home = None
+        for position, (_, per_token, _, members, _) in enumerate(eligible):
+            _, node, slot = members[0]
+            if (prefill(slot, node) <= slo.ttft_s
+                    and per_token <= slo.tpot_s):
+                home = position
+                break
+        if home is None:
+            home = min(range(len(eligible)),
+                       key=lambda pos: (eligible[pos][1], pos))
 
         # Home tier first, then spill upward (pricier eligible tiers)
         # while the projected TTFT would break the class's bar.
         for position in range(home, len(eligible)):
-            _, members = eligible[position]
-            index, node = min(
-                members, key=lambda pair: (backlog(*pair), pair[0]))
-            projected_ttft = (backlog(index, node)
-                              + node.prefill_cost_s(request.input_len))
-            if projected_ttft <= rc.slo.ttft_s:
+            members = eligible[position][3]
+            index, node, slot = min(
+                members, key=lambda member: (backlog(member[0], member[1]),
+                                             member[0]))
+            projected_ttft = backlog(index, node) + prefill(slot, node)
+            if projected_ttft <= slo.ttft_s:
                 if position != home:
-                    self._bump(f"spill:{class_name}")
-                self._bump(f"served:{class_name}:{tier_label(node.tier)}")
+                    self._bump(spill)
+                self._bump(served[node.tier])
                 return node
 
         # Every eligible tier saturated: degrade latency, not
         # correctness — earliest projected finish among capable tiers.
-        chosen = self._earliest_finish(eligible, request, backlog)
-        if chosen.tier != eligible[home][0]:
-            self._bump(f"spill:{class_name}")
-        self._bump(f"served:{class_name}:{tier_label(chosen.tier)}")
+        chosen = self._earliest_finish(eligible, backlog, prefill, decode)
+        if chosen.tier != eligible[home][2]:
+            self._bump(spill)
+        self._bump(served[chosen.tier])
         return chosen
 
-    def _home_position(self, eligible, rc: RequestClass,
-                       request: ArrivingRequest, per_token) -> int:
-        """Cheapest eligible tier whose unloaded service clears the bar.
-
-        When no tier clears it even unloaded (the class's SLO outruns
-        the fleet), home becomes the fastest-decoding eligible tier —
-        the least-bad latency degrade.
-        """
-        for position, (_, members) in enumerate(eligible):
-            node = members[0][1]
-            if (node.prefill_cost_s(request.input_len) <= rc.slo.ttft_s
-                    and per_token(node) <= rc.slo.tpot_s):
-                return position
-        return min(range(len(eligible)),
-                   key=lambda pos: (per_token(eligible[pos][1][0][1]), pos))
-
     @staticmethod
-    def _earliest_finish(tier_items, request: ArrivingRequest,
-                         backlog) -> ReplicaNode:
+    def _earliest_finish(ordered, backlog, prefill, decode) -> ReplicaNode:
         best = None
         best_key = None
-        for _, members in tier_items:
-            for index, node in members:
-                finish = (backlog(index, node)
-                          + node.prefill_cost_s(request.input_len)
-                          + node.decode_cost_s(request.input_len,
-                                               request.output_len))
+        for _, _, _, members, _ in ordered:
+            for index, node, slot in members:
+                finish = (backlog(index, node) + prefill(slot, node)
+                          + decode(slot, node))
                 key = (finish, index)
                 if best_key is None or key < best_key:
                     best, best_key = node, key

@@ -291,11 +291,11 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
 
     The successive-refinement provisioning search: every candidate
     fleet is scored by the analytic fluid solver (once tables are
-    warm, about 1.5 ms per tiered point whose fixed point converges
-    and 20 ms per point that runs to the iteration cap), candidates
-    clearing ``ATTAINMENT_TARGET`` are ranked by $/Mtok, and the winner is
-    *confirmed* by the exact fast-forward simulator. If the simulator
-    disagrees (measured attainment below target minus
+    warm, about 1.7 ms per tiered point whose fixed point converges
+    and up to 18 ms per point that stops at the iteration cap),
+    candidates clearing ``ATTAINMENT_TARGET`` are ranked by $/Mtok, and
+    the winner is *confirmed* by the exact fast-forward simulator. If
+    the simulator disagrees (measured attainment below target minus
     :data:`CONFIRM_SLACK`), the next-cheapest feasible candidate is
     confirmed instead, up to :data:`CONFIRM_ATTEMPTS` — the cheap outer
     loop never ships an unvalidated answer.

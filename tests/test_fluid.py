@@ -298,9 +298,12 @@ def _pinned_floats(pin: dict) -> dict:
 #: Relative tolerance on pinned floats. The pins were recorded on
 #: CPython 3.11 while the cost table's expected decode time was a numpy
 #: dot; its correctly rounded ``math.fsum`` replacement moves them by up
-#: to 3.5e-14. CPython 3.12's compensated ``sum()`` moves them by up to
-#: 3e-14. Neither moves an iteration count, a convergence flag or a
-#: regime.
+#: to 3.5e-14. CPython 3.12's ``sum()`` adds floats with compensation,
+#: but the station solve and the TTFT mixture CDF accumulate in plain
+#: loops, which add left to right on every version; the ``sum()`` calls
+#: left (the chain's normalizer, the report's per-class totals) move
+#: the pins by up to 3.7e-14 on 3.12. None of this moves an iteration
+#: count, a convergence flag or a regime.
 PIN_REL_TOL = 1e-9
 
 #: Tiered ``solve()`` outputs on :func:`_whatif_fleet` with the stock
@@ -712,3 +715,82 @@ def test_station_memos_die_with_their_call(monkeypatch):
     gc.collect()
     assert built and all(ref() is None for ref in built)
     assert fluid.solve_grid(scenarios, mix=DEFAULT_CLASS_MIX) == first
+
+
+# -- the fixed point's cycle skip ------------------------------------------
+
+
+def _cycling_point():
+    """One SPR and one A100 LLaMA2-13B replica at 2/s: from iteration 69
+    the tiered fixed point repeats an exact cycle of period 8."""
+    spr, a100 = get_platform("spr"), get_platform("a100")
+    model = get_model("llama2-13b")
+    config = ClusterConfig([ReplicaSpec(spr, model), ReplicaSpec(a100, model)])
+    return (fluid._group_stations(config),
+            fluid._resolve_flows(DEFAULT_CLASS_MIX, None, None), 2.0)
+
+
+def _straight(stations, flows, rate, cap):
+    """Every iterate up to the cap, stopping only on convergence.
+
+    Returns the ``_tiered_flows`` result and the steps' deltas.
+    """
+    tolerance = fluid._FIXED_POINT_TOL * max(rate, 1e-12)
+    deltas = []
+    for iterations, (state, spill, delta) in enumerate(
+            fluid._spill_iterates(stations, flows, rate), 1):
+        deltas.append(delta)
+        converged = delta <= tolerance
+        if converged or iterations == cap:
+            break
+    result = ([list(zip(flows, row)) for row in state], iterations,
+              converged, {f.name: r for f, r in zip(flows, spill)})
+    return result, deltas
+
+
+def _counted_tiered_flows(monkeypatch, stations, flows, rate):
+    """``_tiered_flows`` plus how many iterations it actually ran."""
+    iterates = fluid._spill_iterates
+    ran = []
+
+    def counting(*args):
+        for item in iterates(*args):
+            ran.append(item)
+            yield item
+
+    monkeypatch.setattr(fluid, "_spill_iterates", counting)
+    result = fluid._tiered_flows(stations, flows, rate)
+    monkeypatch.setattr(fluid, "_spill_iterates", iterates)
+    return result, len(ran)
+
+
+@pytest.mark.parametrize("cap", [150, 200, 257])
+def test_cycle_skip_matches_straight_iteration(monkeypatch, cap):
+    stations, flows, rate = _cycling_point()
+    want, _ = _straight(stations, flows, rate, cap)
+    assert want[1] == cap and not want[2]
+    monkeypatch.setattr(fluid, "_FIXED_POINT_MAX_ITERS", cap)
+    got, ran = _counted_tiered_flows(monkeypatch, stations, flows, rate)
+    assert ran < 100  # the cycle was skipped, not iterated
+    assert got == want
+
+
+def test_cycle_skip_checks_the_tolerance_first(monkeypatch):
+    """A step that converges onto an earlier state ends converged.
+
+    Scripted iterates: the third step returns to the first state with a
+    delta inside the tolerance. A straight run stops there converged, so
+    the skip may only look for a repeat once the step has failed the
+    tolerance.
+    """
+    _, flows, rate = _cycling_point()
+    tolerance = fluid._FIXED_POINT_TOL * rate
+    a = ((1.0,) * len(flows),)
+    b = ((2.0,) * len(flows),)
+    script = [(a, [0.1] * len(flows), 1.0), (b, [0.2] * len(flows), 1.0),
+              (a, [0.3] * len(flows), tolerance)]
+    monkeypatch.setattr(fluid, "_spill_iterates",
+                        lambda *args: iter(list(script)))
+    want, _ = _straight(None, flows, rate, 200)
+    assert want[1] == 3 and want[2]
+    assert fluid._tiered_flows(None, flows, rate) == want
