@@ -632,7 +632,6 @@ def _spill_iterates(stations: List[_Station], flows: List[_Flow],
     # capped fixed points that enter a cycle revisit assignments.
     memo: Dict[tuple, _StationSolution] = {}
     keep = 1.0 - _FIXED_POINT_DAMPING
-    exp, isfinite = math.exp, math.isfinite
 
     while True:
         solutions = []
@@ -656,17 +655,11 @@ def _spill_iterates(stations: List[_Station], flows: List[_Flow],
                 else:
                     # A class already here also waits out the admission
                     # boundary; an absent one probes with the station's
-                    # present wait statistics. Inlines _tail_cdf.
+                    # present wait statistics.
                     t0 = probe[i][f]
                     if current[i][f] > 0.0:
                         t0 = sol.boundary_s + t0
-                    if ttft < t0:
-                        p_stay = 0.0
-                    elif not isfinite(sol.theta):
-                        p_stay = 1.0
-                    else:
-                        p_stay = 1.0 - sol.p_wait * exp(
-                            -sol.theta * (ttft - t0))
+                    p_stay = _tail_cdf(sol.p_wait, sol.theta, t0, ttft)
                 take = remaining * p_stay
                 proposal[i][f] += take
                 if i != home_i:
@@ -818,23 +811,15 @@ def _mixture_quantile(components: List[Tuple[float, _ClassAtStation]],
     lo = min(c.t0_s for _, c in components if not c.overloaded)
     hi = max(c.t0_s for _, c in components if not c.overloaded) + 1e-9
 
-    # The bisection below reads the CDF ~100 times, so each component's
-    # _tail_cdf is inlined over its fields. An overloaded component (its
-    # CDF is 0 everywhere) adds w * 0.0, which leaves the nonnegative
-    # running sum unchanged, so it is left out.
-    parts = [(w, c.t0_s, c.p_wait, c.theta, math.isfinite(c.theta))
+    # An overloaded component's CDF is 0 everywhere: it would add
+    # w * 0.0, which leaves the nonnegative running sum unchanged.
+    parts = [(w, c.p_wait, c.theta, c.t0_s)
              for w, c in components if not c.overloaded]
-    exp = math.exp
 
     def cdf(t: float) -> float:
         acc = 0.0
-        for w, t0, p_wait, theta, finite in parts:
-            if t < t0:
-                acc += w * 0.0
-            elif not finite:
-                acc += w * 1.0
-            else:
-                acc += w * (1.0 - p_wait * exp(-theta * (t - t0)))
+        for w, p_wait, theta, t0 in parts:
+            acc += w * _tail_cdf(p_wait, theta, t0, t)
         return acc / total
 
     for _ in range(200):
