@@ -55,7 +55,8 @@ trace:
 	$(PYTHON) -m repro trace --out trace.json
 
 # Reach audit: every src function no experiment, example or golden CLI
-# case calls, beside the exemptions; the output must match docs/reach.md.
-# About 20 s, so it is not part of `make test`.
+# case calls, and every defaulted parameter none of them varies, beside
+# the exemptions; the output must match docs/reach.md. About 15 s, so it
+# is not part of `make test`.
 reach:
 	$(PYTHON) tools/reach.py

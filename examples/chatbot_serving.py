@@ -27,9 +27,8 @@ SEED = 42
 
 def main() -> None:
     model = get_model("llama2-13b")
-    scenarios = [chatbot_workload(batch_size=1),
-                 translation_workload(batch_size=4),
-                 batch_analytics_workload(batch_size=32)]
+    scenarios = [chatbot_workload(), translation_workload(),
+                 batch_analytics_workload()]
 
     for spec in scenarios:
         requests = generate_requests(spec, REQUESTS_PER_SCENARIO, seed=SEED)

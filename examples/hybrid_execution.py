@@ -10,7 +10,7 @@ Usage::
     python examples/hybrid_execution.py
 """
 
-from repro import InferenceRequest, get_model, get_platform
+from repro import get_model, get_platform
 from repro.optim.hybrid import HybridPlanner
 from repro.utils.formatting import format_table
 
@@ -24,12 +24,11 @@ CASES = [
 
 def main() -> None:
     spr = get_platform("spr")
-    request = InferenceRequest(batch_size=1)
     rows = []
     for model_key, gpu_key in CASES:
         model = get_model(model_key)
         gpu = get_platform(gpu_key)
-        plan = HybridPlanner(spr, gpu).plan(model, request)
+        plan = HybridPlanner(spr, gpu).plan(model)
         rows.append([
             f"{model.name} on {gpu.name}",
             plan.cpu_layer_fraction,

@@ -33,7 +33,7 @@ def main() -> None:
                 estimate.baseline_tpot_s * 1000,
                 estimate.effective_tpot_s * 1000,
                 estimate.speedup,
-                decoder.best_gamma(request),
+                decoder.best_gamma(),
             ])
     print(format_table(
         ["target", "accept rate", "baseline TPOT ms", "spec TPOT ms",

@@ -17,12 +17,14 @@ from repro.utils.validation import require_positive
 
 CHART_WIDTH = 64
 CHART_HEIGHT = 18
+#: The paper's dtype; the roofs are drawn at its peak.
+CHART_DTYPE = DType.BF16
 
 
-def ridge_point(platform: Platform, dtype: DType = DType.BF16) -> float:
+def ridge_point(platform: Platform) -> float:
     """Arithmetic intensity (FLOPs/byte) where the two roofs meet."""
     bw = platform.peak_memory_bandwidth * platform.stream_efficiency
-    return platform.peak_flops(dtype) / bw
+    return platform.peak_flops(CHART_DTYPE) / bw
 
 
 def phase_point(phase: PhaseStats) -> Tuple[float, float]:
@@ -34,20 +36,18 @@ def phase_point(phase: PhaseStats) -> Tuple[float, float]:
 
 
 def render_roofline(platform: Platform,
-                    points: Sequence[Tuple[str, float, float]],
-                    dtype: DType = DType.BF16,
-                    width: int = CHART_WIDTH,
-                    height: int = CHART_HEIGHT) -> str:
+                    points: Sequence[Tuple[str, float, float]]) -> str:
     """ASCII roofline with labeled (name, intensity, flops) points.
 
     X axis: log10 arithmetic intensity; Y axis: log10 FLOP/s. The roof is
     drawn with ``*``; points use their label's first character.
     """
-    peak = platform.peak_flops(dtype)
+    peak = platform.peak_flops(CHART_DTYPE)
+    width, height = CHART_WIDTH, CHART_HEIGHT
     bw = platform.peak_memory_bandwidth * platform.stream_efficiency
 
     x_min = math.log10(0.1)
-    x_max = math.log10(max(1e4, ridge_point(platform, dtype) * 100))
+    x_max = math.log10(max(1e4, ridge_point(platform) * 100))
     y_max = math.log10(peak * 2)
     y_min = y_max - 5  # five decades of dynamic range
 
@@ -80,7 +80,7 @@ def render_roofline(platform: Platform,
     lines = [f"roofline: {platform.name} "
              f"(peak {peak / 1e12:.0f} TFLOP/s, "
              f"bw {bw / 1e9:.0f} GB/s, ridge "
-             f"{ridge_point(platform, dtype):.0f} FLOP/B)"]
+             f"{ridge_point(platform):.0f} FLOP/B)"]
     lines.extend("".join(row) for row in grid)
     lines.append("-" * width)
     lines.append(f"log10 intensity: {x_min:.0f} .. {x_max:.0f}  "
@@ -90,11 +90,11 @@ def render_roofline(platform: Platform,
 
 
 def roofline_for_run(platform: Platform, prefill: PhaseStats,
-                     decode: PhaseStats, dtype: DType = DType.BF16) -> str:
+                     decode: PhaseStats) -> str:
     """Roofline with a run's prefill and decode phases plotted."""
     points = []
     for phase in (prefill, decode):
         if phase.time_s > 0:
             intensity, achieved = phase_point(phase)
             points.append((phase.name, intensity, achieved))
-    return render_roofline(platform, points, dtype)
+    return render_roofline(platform, points)

@@ -14,7 +14,7 @@ import dataclasses
 from typing import List, Sequence, Tuple
 
 from repro.core.runner import run_inference
-from repro.engine.request import InferenceRequest
+from repro.engine.request import EVALUATED_BATCH_SIZES, InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.utils.validation import require_positive
@@ -84,15 +84,13 @@ def fit_batch_scaling(samples: Sequence[Tuple[int, float]]) -> BatchScalingFit:
                            samples=list(samples))
 
 
-def measure_batch_scaling(platform: Platform, model: ModelConfig,
-                          batches: Sequence[int] = (1, 2, 4, 8, 16, 32),
-                          input_len: int = 128, output_len: int = 32
-                          ) -> BatchScalingFit:
-    """Sweep *batches* on the simulator and fit the saturation curve."""
+def measure_batch_scaling(platform: Platform,
+                          model: ModelConfig) -> BatchScalingFit:
+    """Sweep the paper's batch sizes at its default request shape on the
+    simulator and fit the saturation curve."""
     samples = []
-    for batch in batches:
-        request = InferenceRequest(batch_size=batch, input_len=input_len,
-                                   output_len=output_len)
-        result = run_inference(platform, model, request)
+    for batch in EVALUATED_BATCH_SIZES:
+        result = run_inference(platform, model,
+                               InferenceRequest(batch_size=batch))
         samples.append((batch, result.e2e_throughput))
     return fit_batch_scaling(samples)

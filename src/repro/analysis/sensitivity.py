@@ -63,8 +63,7 @@ def _sweep(knob: str, conclusion: str, values: Sequence[float],
     return SensitivityResult(knob=knob, conclusion=conclusion, points=points)
 
 
-def pcie_efficiency_sensitivity(
-        values: Sequence[float] = (0.2, 0.35, 0.5, 0.7)) -> SensitivityResult:
+def pcie_efficiency_sensitivity() -> SensitivityResult:
     """KF#4 margin (CPU over offloading A100, OPT-30B b=1) vs PCIe efficiency.
 
     Higher efficiency helps the GPU; the claim should survive even
@@ -82,11 +81,10 @@ def pcie_efficiency_sensitivity(
 
     return _sweep("pcie_efficiency",
                   "CPU beats offloading A100 on OPT-30B (KF#4)",
-                  values, margin)
+                  (0.2, 0.35, 0.5, 0.7), margin)
 
 
-def stream_efficiency_sensitivity(
-        values: Sequence[float] = (0.5, 0.6, 0.72, 0.85)) -> SensitivityResult:
+def stream_efficiency_sensitivity() -> SensitivityResult:
     """KF#1 decode margin (SPR over ICL, LLaMA2-13B b=1) vs SPR stream eff.
 
     Even a pessimistic SPR kernel efficiency keeps the HBM-vs-DDR4
@@ -103,11 +101,10 @@ def stream_efficiency_sensitivity(
 
     return _sweep("spr_stream_efficiency",
                   "SPR beats ICL on decode TPOT (KF#1)",
-                  values, margin)
+                  (0.5, 0.6, 0.72, 0.85), margin)
 
 
-def zigzag_slope_sensitivity(
-        values: Sequence[float] = (0.05, 0.12, 0.21, 0.4)) -> SensitivityResult:
+def zigzag_slope_sensitivity() -> SensitivityResult:
     """Fig. 18 direction (loading share declines b=1 -> b=32) vs slope."""
     model = get_model("opt-30b")
 
@@ -122,7 +119,7 @@ def zigzag_slope_sensitivity(
 
     return _sweep("zigzag_amortization_slope",
                   "loading share declines with batch (Fig. 18)",
-                  values, margin)
+                  (0.05, 0.12, 0.21, 0.4), margin)
 
 
 def all_sensitivities() -> List[SensitivityResult]:

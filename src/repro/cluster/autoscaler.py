@@ -18,6 +18,12 @@ from repro.cluster.config import ReplicaSpec
 from repro.cluster.node import ReplicaNode
 from repro.utils.validation import require_positive
 
+#: Scale-down never drains the fleet below this many active replicas.
+MIN_NODES = 1
+#: Drain a replica when the *total* in-system load (queued + running)
+#: per active replica falls below this.
+SCALE_DOWN_QUEUE_PER_NODE = 0.5
+
 
 class Autoscaler:
     """Scales the fleet from queue depth, with provisioning lag.
@@ -26,36 +32,29 @@ class Autoscaler:
         template: Recipe for scale-up replicas; each scale-up builds one
             replica with ``template.build(next_name())`` (the spec's
             ``count`` is not read).
-        min_nodes / max_nodes: Fleet-size bounds.
+        max_nodes: Fleet-size bound for scale-up (scale-down stops at
+            ``MIN_NODES``).
         scale_up_queue_per_node: Add a replica when the fleet's
             unadmitted queue exceeds this many requests per active
-            replica.
-        scale_down_queue_per_node: Drain a replica when the *total*
-            in-system load (queued + running) per active replica falls
-            below this.
+            replica (it must exceed ``SCALE_DOWN_QUEUE_PER_NODE``).
         provisioning_lag_s: Delay between the scale-up decision and the
             new replica taking traffic.
         sample_interval_s: How often fleet pressure is sampled.
     """
 
-    def __init__(self, template: ReplicaSpec,
-                 min_nodes: int = 1, max_nodes: int = 8,
+    def __init__(self, template: ReplicaSpec, max_nodes: int = 8,
                  scale_up_queue_per_node: float = 4.0,
-                 scale_down_queue_per_node: float = 0.5,
                  provisioning_lag_s: float = 30.0,
                  sample_interval_s: float = 5.0):
-        require_positive(min_nodes, "min_nodes")
         require_positive(sample_interval_s, "sample_interval_s")
-        if max_nodes < min_nodes:
+        if max_nodes < MIN_NODES:
             raise ValueError(f"max_nodes ({max_nodes}) must be >= "
-                             f"min_nodes ({min_nodes})")
-        if scale_down_queue_per_node >= scale_up_queue_per_node:
+                             f"MIN_NODES ({MIN_NODES})")
+        if SCALE_DOWN_QUEUE_PER_NODE >= scale_up_queue_per_node:
             raise ValueError("scale_down threshold must sit below scale_up")
         self.template = template
-        self.min_nodes = min_nodes
         self.max_nodes = max_nodes
         self.scale_up_queue_per_node = scale_up_queue_per_node
-        self.scale_down_queue_per_node = scale_down_queue_per_node
         self.provisioning_lag_s = provisioning_lag_s
         self.sample_interval_s = sample_interval_s
         self._names = itertools.count()
@@ -81,8 +80,8 @@ class Autoscaler:
         if (queued / len(active) > self.scale_up_queue_per_node
                 and size < self.max_nodes):
             return "up"
-        if (in_system / len(active) < self.scale_down_queue_per_node
-                and len(active) > self.min_nodes and provisioning == 0):
+        if (in_system / len(active) < SCALE_DOWN_QUEUE_PER_NODE
+                and len(active) > MIN_NODES and provisioning == 0):
             return "down"
         return None
 

@@ -164,8 +164,7 @@ class ClusterReport:
         return _goodput(self.to_serving_report(), arrivals, slo)
 
     def fairness(self, decisions, slo: Optional[SLO] = None,
-                 weights=None, cutoff_s: Optional[float] = None,
-                 abandoned_ttft_s: Optional[float] = None):
+                 weights=None, abandoned_ttft_s: Optional[float] = None):
         """Per-tenant breakdown of this run (see
         :func:`repro.cluster.fairness.fairness_report`).
 
@@ -177,7 +176,7 @@ class ClusterReport:
         """
         from repro.cluster.fairness import fairness_report
         return fairness_report(decisions, self.completed, slo=slo,
-                               weights=weights, cutoff_s=cutoff_s,
+                               weights=weights,
                                abandoned_ttft_s=abandoned_ttft_s)
 
     def tiering(self, arrivals, classifier):

@@ -44,15 +44,15 @@ from repro.serving.arrivals import ArrivingRequest
 from repro.serving.slo import SLO
 
 
-def phase_affinity(platform: Platform, dtype: DType = DType.BF16) -> float:
+def phase_affinity(platform: Platform) -> float:
     """Compute-to-bandwidth balance of a platform (FLOP/s per byte/s).
 
     Prefill is compute-bound and belongs on high-affinity (compute-rich)
     devices — GPUs, AMX CPUs — while decode is memory-bound and belongs
     on low-affinity (bandwidth-rich) ones. Numerically this is the
-    platform's roofline ridge point in FLOPs/byte.
+    platform's BF16 roofline ridge point in FLOPs/byte.
     """
-    return platform.peak_flops(dtype) / platform.peak_memory_bandwidth
+    return platform.peak_flops(DType.BF16) / platform.peak_memory_bandwidth
 
 
 class Router:

@@ -57,9 +57,9 @@ def compare_platforms(rows: Sequence[SweepRow], baseline_platform: str,
     return comparisons
 
 
-def per_model_speedup_range(comparisons: Sequence[PairedComparison],
-                            metric: str = "e2e_s") -> Dict[str, float]:
-    """Average latency speedup per model across batch sizes.
+def per_model_speedup_range(comparisons: Sequence[PairedComparison]
+                            ) -> Dict[str, float]:
+    """Average end-to-end latency speedup per model across batch sizes.
 
     Returns ``{model: mean speedup}``; used for the paper's "in the range
     of X to Y" statements, which range over per-model averages.
@@ -67,7 +67,7 @@ def per_model_speedup_range(comparisons: Sequence[PairedComparison],
     by_model: Dict[str, List[float]] = {}
     for comp in comparisons:
         by_model.setdefault(comp.model, []).append(
-            1.0 / comp.normalized[metric])
+            1.0 / comp.normalized["e2e_s"])
     return {model: sum(vals) / len(vals) for model, vals in by_model.items()}
 
 

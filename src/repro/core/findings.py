@@ -36,11 +36,11 @@ class FindingResult:
     detail: str
 
 
-def _small_grid(batches=(1, 8, 32)):
+def _small_grid():
     """A reduced but representative model/batch grid (keeps checks fast)."""
     models = [get_model(n) for n in
               ("opt-6.7b", "llama2-13b", "opt-66b")]
-    return models, list(batches)
+    return models, [1, 8, 32]
 
 
 def check_finding_1() -> FindingResult:

@@ -39,13 +39,13 @@ def arithmetic_mean(values: Sequence[float]) -> float:
     return _mean(values)
 
 
-def average_summaries(summaries: Iterable[Dict[str, float]],
-                      metrics: Sequence[str] = ALL_METRICS) -> Dict[str, float]:
-    """Average each metric across several ``summary()`` dicts."""
+def average_summaries(summaries: Iterable[Dict[str, float]]
+                      ) -> Dict[str, float]:
+    """Average each of ``ALL_METRICS`` across several ``summary()`` dicts."""
     rows: List[Dict[str, float]] = list(summaries)
     if not rows:
         raise ValueError("no summaries to average")
-    return {m: arithmetic_mean([row[m] for row in rows]) for m in metrics}
+    return {m: arithmetic_mean([row[m] for row in rows]) for m in ALL_METRICS}
 
 
 def normalize_summary(summary: Dict[str, float],

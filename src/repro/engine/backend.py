@@ -45,7 +45,7 @@ import functools
 from typing import Optional, Tuple
 
 from repro.hardware.datatypes import DType, parse_dtype
-from repro.hardware.interconnect import Interconnect, upi_link
+from repro.hardware.interconnect import upi_link
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.models.layers import Op, OpKind
@@ -371,7 +371,8 @@ class QuantizedBackend(ExecutionBackend):
     """
 
     quant: QuantConfig = QuantConfig()
-    dtype: DType = DType.BF16  # activation dtype of the base graph
+    #: Activation dtype of the base graph.
+    dtype = DType.BF16
 
     @property
     def compute_dtype(self) -> DType:
@@ -526,8 +527,9 @@ class TensorParallelBackend(WrapperBackend):
     """
 
     tp: TPConfig = TPConfig()
-    interconnect: Interconnect = dataclasses.field(default_factory=upi_link)
     inner: ExecutionBackend = BaselineBackend()
+    #: The shards talk over the sockets' UPI links.
+    interconnect = upi_link()
 
     # Sharded graphs are memoized like any built graph.
     prefill_ops = ExecutionBackend.prefill_ops
@@ -549,13 +551,14 @@ class TensorParallelBackend(WrapperBackend):
     def capacity_scale(self) -> float:
         return float(self.tp.degree)
 
-    def allreduce_s(self, model: ModelConfig, rows: int,
-                    dtype_bytes: int = 2) -> float:
-        """Two hidden-state allreduces per layer (ring: 2(S-1)/S volume)."""
+    def allreduce_s(self, model: ModelConfig, rows: int) -> float:
+        """Two BF16 hidden-state allreduces per layer (ring: 2(S-1)/S
+        volume)."""
         s = self.tp.degree
         if s == 1:
             return 0.0
-        payload = 2 * model.n_layers * rows * model.d_model * dtype_bytes
+        payload = (2 * model.n_layers * rows * model.d_model
+                   * DType.BF16.nbytes)
         ring_volume = payload * 2 * (s - 1) / s
         bandwidth = (self.interconnect.effective_bw
                      * self.tp.allreduce_efficiency)
@@ -976,9 +979,7 @@ def _parse_hybrid_token(token: str, spec: str) -> "HybridBackend":
     return HybridBackend(gpu=gpu)
 
 
-def parse_backend(spec: str,
-                  interconnect: Optional[Interconnect] = None
-                  ) -> ExecutionBackend:
+def parse_backend(spec: str) -> ExecutionBackend:
     """Parse a CLI backend spec like ``int8-tp2`` or ``hybrid:a100``.
 
     Tokens (joined with ``-`` or ``+``): a base — ``bf16`` / ``fp16`` /
@@ -991,7 +992,7 @@ def parse_backend(spec: str,
     and ``tpN`` for tensor parallelism of degree N. Composition order
     is fixed regardless of token order: quantization innermost, then
     NUMA, then hybrid, then TP — e.g. ``int8-numa:snc_flat,aware-tp2``.
-    ``tp2`` alone means BF16 + TP2.
+    ``tp2`` alone means BF16 + TP2, over UPI.
 
     Unknown tokens raise with a did-you-mean suggestion naming the
     valid vocabulary; malformed ``key=value`` options raise naming the
@@ -1041,6 +1042,5 @@ def parse_backend(spec: str,
         backend = dataclasses.replace(hybrid, inner=backend)
     if tp_degree is not None:
         return TensorParallelBackend(tp=TPConfig(degree=tp_degree),
-                                     interconnect=interconnect or upi_link(),
                                      inner=backend)
     return backend

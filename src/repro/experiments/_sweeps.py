@@ -5,7 +5,7 @@ slice the same CPU-vs-GPU grid. Running each grid once and caching keeps
 the benchmark harness fast without changing any result.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.runner import CharacterizationSweep, SweepRow
 from repro.engine.request import EVALUATED_BATCH_SIZES, InferenceRequest
@@ -14,7 +14,7 @@ from repro.hardware.registry import get_platform
 from repro.models.registry import evaluated_models
 
 _CPU_SWEEP_CACHE: List[SweepRow] = []
-_GPU_ROWS_CACHE: Dict[Tuple[int, int], list] = {}
+_GPU_ROWS_CACHE: Dict[int, list] = {}
 
 
 def cpu_sweep() -> List[SweepRow]:
@@ -28,17 +28,17 @@ def cpu_sweep() -> List[SweepRow]:
     return _CPU_SWEEP_CACHE
 
 
-def cpu_gpu_results(batch_size: int, input_len: int = 128):
-    """The Figs. 17/19 grid: 8 models x {SPR, A100, H100} at one batch.
+def cpu_gpu_results(batch_size: int):
+    """The Figs. 17/19 grid: 8 models x {SPR, A100, H100} at one batch
+    of the paper's default request shape.
 
     Returns ``[(model_name, {platform: result})]`` in figure order.
     """
-    key = (batch_size, input_len)
-    if key not in _GPU_ROWS_CACHE:
+    if batch_size not in _GPU_ROWS_CACHE:
         spr = get_platform("spr")
         a100 = get_platform("a100")
         h100 = get_platform("h100")
-        request = InferenceRequest(batch_size=batch_size, input_len=input_len)
+        request = InferenceRequest(batch_size=batch_size)
         rows = []
         for model in evaluated_models():
             per_platform = {}
@@ -46,8 +46,8 @@ def cpu_gpu_results(batch_size: int, input_len: int = 128):
                 per_platform[platform.name] = run_inference(
                     platform, model, request)
             rows.append((model.name, per_platform))
-        _GPU_ROWS_CACHE[key] = rows
-    return _GPU_ROWS_CACHE[key]
+        _GPU_ROWS_CACHE[batch_size] = rows
+    return _GPU_ROWS_CACHE[batch_size]
 
 
 def clear_caches() -> None:

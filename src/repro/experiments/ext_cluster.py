@@ -164,7 +164,7 @@ def run() -> ExperimentReport:
     template = ReplicaSpec(get_platform("spr"), get_model(MODEL_KEY))
     lag_ttft = {}
     for lag in (5.0, 40.0):
-        scaler = Autoscaler(template, min_nodes=1, max_nodes=4,
+        scaler = Autoscaler(template, max_nodes=4,
                             scale_up_queue_per_node=2.0,
                             provisioning_lag_s=lag, sample_interval_s=2.0)
         report = ClusterSimulator(_spr_fleet(1), JoinShortestQueueRouter(),

@@ -72,7 +72,7 @@ def run() -> ExperimentReport:
     for gpu_key, model_key in (("a100", "opt-30b"), ("h100", "opt-66b")):
         gpu = get_platform(gpu_key)
         big = get_model(model_key)
-        plan = HybridPlanner(spr, gpu).plan(big, InferenceRequest(batch_size=1))
+        plan = HybridPlanner(spr, gpu).plan(big)
         rows.append([
             "hybrid cpu-gpu", f"{big.name} on {gpu.name}",
             f"{plan.speedup_vs_gpu_offload:.1f}x vs pure offloading",

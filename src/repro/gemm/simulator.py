@@ -47,57 +47,42 @@ class GemmTiming:
         return self.flops / self.time_s / TFLOPS
 
 
+#: The paper's dtype (Fig. 1 sweeps BF16 GEMMs).
+GEMM_DTYPE = DType.BF16
+
+
 class GemmSimulator:
-    """Prices GEMMs on one platform at one dtype.
+    """Prices BF16 GEMMs on one platform at its sustained bandwidth.
 
     Args:
         platform: Target platform.
-        dtype: Compute/storage dtype (BF16 in the paper's experiments).
-        bandwidth_override: Optional effective bandwidth in bytes/s; when
-            given it replaces the platform's default fastest-tier bandwidth
-            (used by the NUMA and core-scaling models, which modify
-            effective bandwidth per configuration).
-        compute_scale: Multiplier on engine peaks (core-count scaling).
     """
 
-    def __init__(self, platform: Platform, dtype: DType = DType.BF16,
-                 bandwidth_override: Optional[float] = None,
-                 compute_scale: float = 1.0):
-        require_positive(compute_scale, "compute_scale")
+    def __init__(self, platform: Platform):
         self.platform = platform
-        self.dtype = dtype
-        self.compute_scale = compute_scale
-        if bandwidth_override is not None:
-            require_positive(bandwidth_override, "bandwidth_override")
-            self._bandwidth = bandwidth_override
-        else:
-            self._bandwidth = (platform.peak_memory_bandwidth
-                               * platform.stream_efficiency)
-        self._engines = [e for e in platform.engines if e.supports(dtype)]
+        self._bandwidth = (platform.peak_memory_bandwidth
+                           * platform.stream_efficiency)
+        self._engines = [e for e in platform.engines
+                         if e.supports(GEMM_DTYPE)]
         if not self._engines:
             raise ValueError(
-                f"{platform.name} has no engine supporting {dtype}")
+                f"{platform.name} has no engine supporting {GEMM_DTYPE}")
 
     def gemm_bytes(self, m: int, n: int, k: int) -> float:
         """Memory traffic of one GEMM: read A (m*k) and B (k*n), write C."""
-        return float(m * k + k * n + m * n) * self.dtype.nbytes
+        return float(m * k + k * n + m * n) * GEMM_DTYPE.nbytes
 
-    def time(self, m: int, n: int, k: int,
-             bytes_override: Optional[float] = None) -> GemmTiming:
-        """Price an m x n x k GEMM; returns the fastest engine's timing.
-
-        *bytes_override* lets the operator executor substitute exact traffic
-        (e.g. weight reuse across a batch) for the standalone-GEMM default.
-        """
+    def time(self, m: int, n: int, k: int) -> GemmTiming:
+        """Price an m x n x k GEMM; returns the fastest engine's timing."""
         require_positive(m, "m")
         require_positive(n, "n")
         require_positive(k, "k")
         flops = 2.0 * m * n * k
-        nbytes = self.gemm_bytes(m, n, k) if bytes_override is None else bytes_override
+        nbytes = self.gemm_bytes(m, n, k)
         best: Optional[GemmTiming] = None
         for engine in self._engines:
             eff = gemm_efficiency(engine, m, n, k)
-            peak = engine.peak(self.dtype) * self.compute_scale
+            peak = engine.peak(GEMM_DTYPE)
             total = op_time(flops, nbytes, peak, self._bandwidth, eff,
                             overhead=engine.launch_overhead_s)
             mem_leg = nbytes / self._bandwidth

@@ -23,17 +23,16 @@ class CacheLevel:
             is the per-core capacity times the core count of the modeled
             allocation; for shared caches the shared capacity.
         shared: Whether the level is shared across all cores in the socket.
-        line_bytes: Cache line size.
     """
 
     name: str
     capacity_bytes: float
     shared: bool
-    line_bytes: int = CACHE_LINE_BYTES
+    #: Every modeled cache has the same line size.
+    line_bytes = CACHE_LINE_BYTES
 
     def __post_init__(self) -> None:
         require_positive(self.capacity_bytes, f"{self.name} capacity")
-        require_positive(self.line_bytes, f"{self.name} line size")
 
 
 @dataclasses.dataclass(frozen=True)

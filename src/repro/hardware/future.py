@@ -17,8 +17,8 @@ from repro.hardware.registry import get_platform
 from repro.utils.validation import require_positive
 
 
-def scaled_spr(compute_scale: float = 1.0, bandwidth_scale: float = 1.0,
-               name: str = None) -> Platform:
+def scaled_spr(compute_scale: float = 1.0,
+               bandwidth_scale: float = 1.0) -> Platform:
     """An SPR-Max successor with scaled AMX peak and/or memory bandwidth.
 
     ``compute_scale`` multiplies every engine's peaks (process/frequency/
@@ -32,6 +32,6 @@ def scaled_spr(compute_scale: float = 1.0, bandwidth_scale: float = 1.0,
     tiers = [dataclasses.replace(
         tier, sustained_bw=tier.sustained_bw * bandwidth_scale)
         for tier in spr.memory.tiers]
-    label = name or (f"SPR-next(c{compute_scale:g}x,b{bandwidth_scale:g}x)")
+    label = f"SPR-next(c{compute_scale:g}x,b{bandwidth_scale:g}x)"
     return dataclasses.replace(
         spr, name=label, engines=engines, memory=MemorySystem(tiers))

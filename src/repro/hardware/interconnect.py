@@ -54,26 +54,26 @@ class Interconnect:
         return self.latency_s + nbytes / self.effective_bw
 
 
-def pcie_gen4_x16(efficiency: float = 0.45) -> Interconnect:
+def pcie_gen4_x16() -> Interconnect:
     """PCIe 4.0 x16 host link (A100 server in Table II): 64 GB/s nominal.
 
-    The default efficiency reflects achieved host-to-device copy rates for
+    The 0.45 efficiency reflects achieved host-to-device copy rates for
     offloading workloads (pageable staging, small-block transfers): FlexGen
     and related systems observe well under half of nominal.
     """
-    return Interconnect("PCIe4.0x16", gb_per_s(64.0), efficiency)
+    return Interconnect("PCIe4.0x16", gb_per_s(64.0), 0.45)
 
 
-def pcie_gen5_x16(efficiency: float = 0.45) -> Interconnect:
+def pcie_gen5_x16() -> Interconnect:
     """PCIe 5.0 x16 host link (H100 server in Table II): 128 GB/s nominal."""
-    return Interconnect("PCIe5.0x16", gb_per_s(128.0), efficiency)
+    return Interconnect("PCIe5.0x16", gb_per_s(128.0), 0.45)
 
 
-def upi_link(efficiency: float = 0.8) -> Interconnect:
+def upi_link() -> Interconnect:
     """Intel UPI inter-socket link group (3 links x ~16 GT/s ≈ 62.4 GB/s)."""
-    return Interconnect("UPI", gb_per_s(62.4), efficiency, latency_s=0.5e-6)
+    return Interconnect("UPI", gb_per_s(62.4), 0.8, latency_s=0.5e-6)
 
 
-def nvlink_c2c(efficiency: float = 0.85) -> Interconnect:
+def nvlink_c2c() -> Interconnect:
     """Grace-Hopper NVLink-C2C (900 GB/s), mentioned in Section V-B."""
-    return Interconnect("NVLink-C2C", gb_per_s(900.0), efficiency)
+    return Interconnect("NVLink-C2C", gb_per_s(900.0), 0.85)

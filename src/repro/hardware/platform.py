@@ -33,20 +33,19 @@ class CPUTopology:
     Attributes:
         cores_per_socket: Physical cores per socket.
         sockets: Number of sockets in the server.
-        snc_clusters_per_socket: Sub-NUMA clusters exposed in SNC mode
-            (4 on Sapphire Rapids: "Sub-NUMA Clustering-4").
         base_frequency_hz: Nominal core frequency.
     """
 
     cores_per_socket: int
     sockets: int
-    snc_clusters_per_socket: int = 4
     base_frequency_hz: float = 2.1e9
+    #: Sub-NUMA clusters exposed in SNC mode (4 on Sapphire Rapids:
+    #: "Sub-NUMA Clustering-4").
+    snc_clusters_per_socket = 4
 
     def __post_init__(self) -> None:
         require_positive(self.cores_per_socket, "cores_per_socket")
         require_positive(self.sockets, "sockets")
-        require_positive(self.snc_clusters_per_socket, "snc_clusters_per_socket")
         require_positive(self.base_frequency_hz, "base_frequency_hz")
 
     @property

@@ -1,7 +1,7 @@
 """Custom model-configuration builder.
 
-Downstream users frequently want "what about a 20B GQA model with a 3.5x
-FFN?" — this builder constructs valid :class:`ModelConfig` objects from a
+Downstream users frequently want "what about a 20B GQA model?" — this
+builder constructs valid LLaMA-style :class:`ModelConfig` objects from a
 handful of knobs and can synthesize a config targeting an approximate
 parameter count, so capacity-planning studies are not limited to the
 paper's nine registered checkpoints.
@@ -25,23 +25,16 @@ def build_model(name: str,
                 n_layers: int,
                 d_model: int,
                 n_heads: int,
-                n_kv_heads: int = None,
-                d_ff: int = None,
-                ffn_kind: FFNKind = FFNKind.SWIGLU,
-                vocab_size: int = 32000,
-                max_positions: int = 4096,
-                tied_embeddings: bool = False) -> ModelConfig:
-    """Construct a custom decoder-only configuration.
+                n_kv_heads: int = None) -> ModelConfig:
+    """Construct a custom LLaMA-style decoder-only configuration.
 
-    ``n_kv_heads`` defaults to MHA; ``d_ff`` defaults to the ffn-kind's
-    conventional ratio (4x for ReLU MLPs, ~2.7x for SwiGLU, which keeps
-    the FFN parameter count comparable).
+    ``n_kv_heads`` defaults to MHA. The FFN is SwiGLU at the conventional
+    ~2.7x ratio (which keeps the FFN parameter count comparable to a 4x
+    ReLU MLP), with LLaMA's 32k vocabulary, 4096 positions and untied
+    embeddings.
     """
     if n_kv_heads is None:
         n_kv_heads = n_heads
-    if d_ff is None:
-        d_ff = 4 * d_model if ffn_kind is FFNKind.RELU_MLP \
-            else int(8 * d_model / 3)
     return ModelConfig(
         name=name,
         family="custom",
@@ -49,18 +42,17 @@ def build_model(name: str,
         d_model=d_model,
         n_heads=n_heads,
         n_kv_heads=n_kv_heads,
-        d_ff=d_ff,
-        ffn_kind=ffn_kind,
-        vocab_size=vocab_size,
-        max_positions=max_positions,
-        tied_embeddings=tied_embeddings,
+        d_ff=int(8 * d_model / 3),
+        ffn_kind=FFNKind.SWIGLU,
+        vocab_size=32000,
+        max_positions=4096,
+        tied_embeddings=False,
         learned_positional_embeddings=False,
     )
 
 
 def scale_to_params(target_billions: float,
                     name: str = None,
-                    ffn_kind: FFNKind = FFNKind.SWIGLU,
                     gqa_ratio: int = 1) -> ModelConfig:
     """Synthesize a config whose parameter count approximates the target.
 
@@ -83,7 +75,6 @@ def scale_to_params(target_billions: float,
             d_model=d_model,
             n_heads=n_heads,
             n_kv_heads=n_heads // gqa_ratio,
-            ffn_kind=ffn_kind,
         )
         err = abs(candidate.param_count() / 1e9 - target_billions)
         if err < best_err:

@@ -21,13 +21,13 @@ class TransferModel:
     Attributes:
         link: The platform's host interconnect.
         efficiency: Achieved fraction of nominal bandwidth.
-        per_layer_latency_s: Fixed cost per layer-granular transfer
-            (submission + completion signaling).
     """
 
     link: Interconnect
     efficiency: float
-    per_layer_latency_s: float = 15e-6
+    #: Fixed cost per layer-granular transfer (submission + completion
+    #: signaling).
+    per_layer_latency_s = 15e-6
 
     @property
     def effective_bw(self) -> float:

@@ -61,21 +61,13 @@ class Recommendation:
 class DeploymentAdvisor:
     """Searches deployment configurations for one (model, request).
 
-    Args:
-        platforms: Platforms to consider (defaults to the paper's four).
-        consider_quantization: Include weight-only INT8 candidates on CPUs.
-        consider_tensor_parallel: Include TP=2 candidates on CPUs.
+    The field is the paper's four platforms; each CPU also gets a
+    weight-only INT8 candidate and, on two or more sockets, a TP=2 one.
     """
 
-    def __init__(self, platforms: Optional[List[Platform]] = None,
-                 consider_quantization: bool = True,
-                 consider_tensor_parallel: bool = True):
-        if platforms is None:
-            platforms = [get_platform(key)
-                         for key in ("icl", "spr", "a100", "h100")]
-        self.platforms = platforms
-        self.consider_quantization = consider_quantization
-        self.consider_tensor_parallel = consider_tensor_parallel
+    def __init__(self):
+        self.platforms = [get_platform(key)
+                          for key in ("icl", "spr", "a100", "h100")]
 
     def _candidates(self, model: ModelConfig,
                     request: InferenceRequest) -> List[Candidate]:
@@ -105,14 +97,11 @@ class DeploymentAdvisor:
                     lambda p=platform, n=numa: InferenceSimulator(
                         p, NumaBackend(numa=n, inner=base)
                     ).run(model, request))
-            if self.consider_quantization:
-                add(f"{platform.name} quad_flat+int8", platform.name,
-                    lambda p=platform: InferenceSimulator(
-                        p, backend=QuantizedBackend(
-                            QuantConfig(), dtype=request.dtype)
-                    ).run(model, request))
-            if self.consider_tensor_parallel and \
-                    platform.topology.sockets >= 2:
+            add(f"{platform.name} quad_flat+int8", platform.name,
+                lambda p=platform: InferenceSimulator(
+                    p, backend=QuantizedBackend(QuantConfig())
+                ).run(model, request))
+            if platform.topology.sockets >= 2:
                 add(f"{platform.name} quad_flat+tp2", platform.name,
                     lambda p=platform: InferenceSimulator(
                         p, backend=TensorParallelBackend(

@@ -17,7 +17,7 @@ resident-weight budget covers its layers first.
 import dataclasses
 
 from repro.engine.inference import InferenceSimulator
-from repro.engine.request import InferenceRequest
+from repro.engine.request import PAPER_DEFAULT_REQUEST, InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.models.memory import weight_bytes
@@ -100,9 +100,10 @@ class HybridPlanner:
         compute = f_cpu * cpu_step + (1.0 - f_cpu) * gpu_step_compute
         return max(compute, transfer)
 
-    def plan(self, model: ModelConfig,
-             request: InferenceRequest = InferenceRequest()) -> HybridPlan:
-        """Search CPU layer fractions and return the best split."""
+    def plan(self, model: ModelConfig) -> HybridPlan:
+        """Search CPU layer fractions for the paper's default request and
+        return the best split."""
+        request = PAPER_DEFAULT_REQUEST
         cpu_step = self._cpu_step_time(model, request)
         gpu_offload_step = self._gpu_offload_step_time(model, request)
         # GPU compute leg per step if all weights were resident: bounded by

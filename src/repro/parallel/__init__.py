@@ -8,13 +8,11 @@ Tensor parallelism is priced by
 
 from repro.engine.backend import TPConfig
 from repro.parallel.pipeline_parallel import (
-    PPConfig,
     PPEstimate,
     PipelineParallelSimulator,
 )
 
 __all__ = [
-    "PPConfig",
     "PPEstimate",
     "PipelineParallelSimulator",
     "TPConfig",

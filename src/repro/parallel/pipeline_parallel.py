@@ -27,7 +27,7 @@ from repro.engine.backend import BaselineBackend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
-from repro.hardware.interconnect import Interconnect, upi_link
+from repro.hardware.interconnect import upi_link
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.models.layers import Op
@@ -37,21 +37,9 @@ from repro.models.memory import (
     weight_bytes,
 )
 from repro.models.opgraph import decode_step_ops
-from repro.utils.validation import require_positive
 
-
-@dataclasses.dataclass(frozen=True)
-class PPConfig:
-    """Pipeline-parallel configuration.
-
-    Attributes:
-        stages: Pipeline depth (sockets).
-    """
-
-    stages: int = 2
-
-    def __post_init__(self) -> None:
-        require_positive(self.stages, "stages")
+#: Pipeline depth: one stage per socket of a two-socket server.
+PP_STAGES = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,23 +74,22 @@ class PPEstimate:
 class PipelineParallelSimulator:
     """Estimates pipeline-parallel decode behaviour on a CPU server.
 
+    ``PP_STAGES`` stages map to sockets; activations hop between them
+    over UPI.
+
     Args:
-        platform: CPU platform (single-socket spec; stages map to sockets).
-        pp: Pipeline configuration.
-        interconnect: Stage-to-stage link (UPI).
+        platform: CPU platform (single-socket spec).
     """
 
-    def __init__(self, platform: Platform, pp: PPConfig = PPConfig(),
-                 interconnect: Interconnect = None):
+    def __init__(self, platform: Platform):
         if not platform.is_cpu or platform.topology is None:
             raise ValueError(f"{platform.name} is not a CPU platform")
-        if pp.stages > platform.topology.sockets:
+        if PP_STAGES > platform.topology.sockets:
             raise ValueError(
-                f"{pp.stages} stages exceed {platform.topology.sockets} "
+                f"{PP_STAGES} stages exceed {platform.topology.sockets} "
                 "sockets")
         self.platform = platform
-        self.pp = pp
-        self.interconnect = interconnect or upi_link()
+        self.interconnect = upi_link()
         self._base = InferenceSimulator(platform)
 
     def _stage_ops(self, ops: List[Op]) -> List[Op]:
@@ -113,7 +100,7 @@ class PipelineParallelSimulator:
         are charged to the modeled stage, a slight overestimate that keeps
         the stage balanced-or-pessimistic.
         """
-        s = self.pp.stages
+        s = PP_STAGES
         sharded = []
         for op in ops:
             sharded.append(dataclasses.replace(
@@ -132,9 +119,9 @@ class PipelineParallelSimulator:
                         request: InferenceRequest) -> OperatorExecutor:
         """Executor whose bandwidth reflects one stage's local footprint."""
         footprint = (
-            weight_bytes(model, request.dtype) / self.pp.stages
+            weight_bytes(model, request.dtype) / PP_STAGES
             + kv_cache_bytes(model, request.max_seq_len, request.batch_size,
-                             request.dtype) / self.pp.stages
+                             request.dtype) / PP_STAGES
             + peak_activation_bytes(model, request.max_seq_len,
                                     request.batch_size, request.dtype))
         return OperatorExecutor(
@@ -159,9 +146,8 @@ class PipelineParallelSimulator:
         hop_bytes = request.batch_size * model.d_model * request.dtype.nbytes
         hop = self.interconnect.transfer_time(hop_bytes)
 
-        token_latency = self.pp.stages * stage + (self.pp.stages - 1) * hop
-        steady = request.batch_size / max(stage + hop, 1e-12) \
-            if self.pp.stages > 1 else request.batch_size / max(stage, 1e-12)
+        token_latency = PP_STAGES * stage + (PP_STAGES - 1) * hop
+        steady = request.batch_size / max(stage + hop, 1e-12)
 
         return PPEstimate(
             stage_time_s=stage,

@@ -24,7 +24,7 @@ The paper sweeps 12/24/48/96 SPR cores. Three mechanisms shape the curves:
 
 import dataclasses
 
-from repro.hardware.interconnect import Interconnect, upi_link
+from repro.hardware.interconnect import upi_link
 from repro.hardware.platform import Platform
 from repro.utils.validation import require_positive
 
@@ -66,12 +66,12 @@ class CoreScalingModel:
     """Scales a CPU platform's compute and bandwidth to a core count.
 
     The platform spec is the single-socket (48-core for SPR) reference;
-    factors returned here multiply that reference.
+    factors returned here multiply that reference. Cross-socket traffic
+    runs over the UPI links.
     """
 
     def __init__(self, platform: Platform, cores: int,
-                 calibration: ScalingCalibration = DEFAULT_SCALING_CALIBRATION,
-                 upi: Interconnect = None):
+                 calibration: ScalingCalibration = DEFAULT_SCALING_CALIBRATION):
         if not platform.is_cpu or platform.topology is None:
             raise ValueError(f"{platform.name} is not a CPU platform")
         require_positive(cores, "cores")
@@ -82,7 +82,7 @@ class CoreScalingModel:
         self.platform = platform
         self.cores = cores
         self.calibration = calibration
-        self.upi = upi if upi is not None else upi_link()
+        self.upi = upi_link()
         self._reference_cores = platform.topology.cores_per_socket
 
     # -- compute ----------------------------------------------------------

@@ -71,23 +71,21 @@ class PrefixCacheModel:
         self.platform = platform
         self._simulator = InferenceSimulator(platform)
 
-    def estimate(self, model: ModelConfig, prefix_len: int, unique_len: int,
-                 batch_size: int = 1) -> PrefixCacheEstimate:
-        """Cold vs warm TTFT for a (prefix, unique-suffix) prompt split."""
+    def estimate(self, model: ModelConfig, prefix_len: int,
+                 unique_len: int) -> PrefixCacheEstimate:
+        """Cold vs warm TTFT for one (prefix, unique-suffix) prompt."""
         require_positive(prefix_len, "prefix_len")
         require_positive(unique_len, "unique_len")
-        request = InferenceRequest(batch_size=batch_size,
-                                   input_len=prefix_len + unique_len)
+        request = InferenceRequest(input_len=prefix_len + unique_len)
         # The backend's warm graph is the unique-suffix prefill plus the
         # cached-prefix KV read (the unique tokens still attend to the
         # cached prefix: read its K and V once per layer).
         warm = InferenceSimulator(
             self.platform, PrefixCacheBackend(prefix_len=prefix_len))
-        prefix_kv = kv_cache_bytes(model, prefix_len, batch_size)
         return PrefixCacheEstimate(
             cold_ttft_s=self._simulator.run(model, request).ttft_s,
             warm_ttft_s=warm.run(model, request).ttft_s,
-            prefix_kv_bytes=prefix_kv / batch_size,
+            prefix_kv_bytes=kv_cache_bytes(model, prefix_len, 1),
         )
 
     def break_even_requests(self, model: ModelConfig, prefix_len: int,

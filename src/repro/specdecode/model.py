@@ -142,15 +142,15 @@ class SpeculativeDecoder:
             expected_tokens=self.config.expected_tokens_per_cycle,
         )
 
-    def best_gamma(self, request: InferenceRequest = InferenceRequest(),
-                   candidates=(1, 2, 4, 6, 8, 12)) -> int:
-        """Gamma with the highest projected speedup for *request*."""
+    def best_gamma(self, candidates=(1, 2, 4, 6, 8, 12)) -> int:
+        """Gamma with the highest projected speedup at the paper's default
+        request."""
         best, best_speedup = candidates[0], 0.0
         for gamma in candidates:
             config = dataclasses.replace(self.config, gamma=gamma)
             decoder = SpeculativeDecoder(self.platform, self.target,
                                          self.draft, config)
-            speedup = decoder.estimate(request).speedup
+            speedup = decoder.estimate().speedup
             if speedup > best_speedup:
                 best, best_speedup = gamma, speedup
         return best

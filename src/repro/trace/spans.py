@@ -106,9 +106,12 @@ class Trace:
     matters.
     """
 
-    spans: List[Span] = dataclasses.field(default_factory=list)
-    instants: List[InstantEvent] = dataclasses.field(default_factory=list)
-    counters: List[CounterSample] = dataclasses.field(default_factory=list)
+    spans: List[Span] = dataclasses.field(default_factory=list,
+                                          init=False)
+    instants: List[InstantEvent] = dataclasses.field(default_factory=list,
+                                                     init=False)
+    counters: List[CounterSample] = dataclasses.field(default_factory=list,
+                                                      init=False)
 
     def tracks(self) -> List[str]:
         """Every track that appears in the trace, sorted.

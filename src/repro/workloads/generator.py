@@ -13,7 +13,6 @@ import random
 from typing import List, Sequence, Tuple
 
 from repro.engine.request import InferenceRequest
-from repro.hardware.datatypes import DType
 from repro.serving.arrivals import int_sampler
 from repro.utils.validation import require_positive
 
@@ -46,35 +45,35 @@ class WorkloadSpec:
                                  f"got ({lo}, {hi})")
 
 
-def chatbot_workload(batch_size: int = 1) -> WorkloadSpec:
+def chatbot_workload() -> WorkloadSpec:
     """Interactive chatbot: short prompts, short replies, TTFT-critical."""
     return WorkloadSpec(
         name="chatbot",
         input_len_range=(32, 256),
         output_len_range=(16, 64),
-        batch_size=batch_size,
+        batch_size=1,
         priority_metric="ttft_s",
     )
 
 
-def translation_workload(batch_size: int = 4) -> WorkloadSpec:
+def translation_workload() -> WorkloadSpec:
     """Live translation: steady token pace matters most (TPOT-critical)."""
     return WorkloadSpec(
         name="translation",
         input_len_range=(64, 512),
         output_len_range=(64, 512),
-        batch_size=batch_size,
+        batch_size=4,
         priority_metric="tpot_s",
     )
 
 
-def batch_analytics_workload(batch_size: int = 32) -> WorkloadSpec:
+def batch_analytics_workload() -> WorkloadSpec:
     """Offline sentiment analysis: raw tokens/second matter (throughput)."""
     return WorkloadSpec(
         name="batch_analytics",
         input_len_range=(128, 1024),
         output_len_range=(8, 32),
-        batch_size=batch_size,
+        batch_size=32,
         priority_metric="e2e_throughput",
     )
 
@@ -84,8 +83,7 @@ PRESET_WORKLOADS = (chatbot_workload, translation_workload,
 
 
 def generate_requests(spec: WorkloadSpec, count: int,
-                      seed: int = 0,
-                      dtype: DType = DType.BF16) -> List[InferenceRequest]:
+                      seed: int = 0) -> List[InferenceRequest]:
     """Produce *count* deterministic requests matching *spec*.
 
     The same (spec, count, seed) always yields the same stream.
@@ -96,7 +94,7 @@ def generate_requests(spec: WorkloadSpec, count: int,
     draw_output = int_sampler(rng, *spec.output_len_range)
     return [InferenceRequest(batch_size=spec.batch_size,
                              input_len=draw_input(),
-                             output_len=draw_output(), dtype=dtype)
+                             output_len=draw_output())
             for _ in range(count)]
 
 

@@ -32,15 +32,15 @@ def stream_workload(spec: Optional[WorkloadSpec], rate_per_s: float,
                     count: Optional[int] = None,
                     duration_s: Optional[float] = None,
                     burst_rate_per_s: Optional[float] = None,
-                    burst_s: float = 10.0, period_s: float = 60.0,
                     seed: int = 0, shard: int = 0,
                     num_shards: int = 1) -> Iterator[ArrivingRequest]:
     """Lazy arrival stream shaped by *spec*.
 
     Poisson at *rate_per_s* by default; passing *burst_rate_per_s* makes
-    the stream two-phase bursty (``burst_s``-long windows at the burst
-    rate every ``period_s``). Bounded by *count* requests and/or
-    *duration_s* simulated seconds — at least one bound is required.
+    the stream two-phase bursty (10 s windows at the burst rate every
+    60 s, :func:`~repro.serving.arrivals.iter_bursty_arrivals`'
+    default). Bounded by *count* requests and/or *duration_s* simulated
+    seconds — at least one bound is required.
     ``(shard, num_shards)`` selects the deterministic sub-stream of
     requests with ``request_id % num_shards == shard`` (the union of
     sub-streams is bit-equal to the full stream; see
@@ -49,8 +49,7 @@ def stream_workload(spec: Optional[WorkloadSpec], rate_per_s: float,
     if burst_rate_per_s is not None:
         return iter_bursty_arrivals(rate_per_s, burst_rate_per_s,
                                     count=count, duration_s=duration_s,
-                                    spec=spec, burst_s=burst_s,
-                                    period_s=period_s, seed=seed,
+                                    spec=spec, seed=seed,
                                     shard=shard, num_shards=num_shards)
     return iter_poisson_arrivals(rate_per_s, count=count,
                                  duration_s=duration_s, spec=spec,
@@ -79,8 +78,6 @@ class ShardableStream:
     duration_s: Optional[float] = None
     spec: Optional[WorkloadSpec] = None
     burst_rate_per_s: Optional[float] = None
-    burst_s: float = 10.0
-    period_s: float = 60.0
     seed: int = 0
 
     def full(self) -> Iterator[ArrivingRequest]:
@@ -92,6 +89,5 @@ class ShardableStream:
         return stream_workload(self.spec, self.rate_per_s, count=self.count,
                                duration_s=self.duration_s,
                                burst_rate_per_s=self.burst_rate_per_s,
-                               burst_s=self.burst_s, period_s=self.period_s,
                                seed=self.seed, shard=shard,
                                num_shards=num_shards)

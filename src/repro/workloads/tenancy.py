@@ -21,7 +21,7 @@ Design constraints inherited from the cluster layer:
   cluster runs stay bit-identical for any worker count.
 * **Generation-time chaining** — a follow-up stage's arrival is its
   predecessor's arrival plus a decode-time proxy (``output_len *
-  followup_s_per_token``) plus a user think-time draw. Chaining on
+  FOLLOWUP_S_PER_TOKEN``) plus a user think-time draw. Chaining on
   *simulated* completion would make arrival times depend on scheduler
   state, which is group-local under sharding; the proxy keeps the
   workload identical across worker counts and across the schedulers
@@ -96,6 +96,13 @@ class TenantRequest(ArrivingRequest):
 
 _TENANT_SETTERS = slot_setters(TenantRequest)
 
+#: Inclusive (min, max) user think time between a stage's arrival and
+#: its follow-up, on top of the decode-time proxy.
+THINK_TIME_RANGE_S = (0.5, 4.0)
+#: A follow-up arrives no earlier than ``output_len`` times this after
+#: its predecessor.
+FOLLOWUP_S_PER_TOKEN = 0.05
+
 
 def zipf_shares(n: int, s: float = 1.1) -> List[float]:
     """Normalized Zipf(s) popularity shares for *n* ranked tenants.
@@ -128,13 +135,11 @@ class TenantWorkloadSpec:
             and drawn independently of the user.
         zipf_s: Skew exponent for both draws.
         interaction_stages: Inclusive (min, max) stages per interaction.
-        think_time_range_s: Inclusive (min, max) user think time between
-            a stage's arrival and its follow-up, on top of the decode
-            proxy below.
-        followup_s_per_token: Decode-time proxy — a follow-up arrives no
-            earlier than ``output_len * followup_s_per_token`` after its
-            predecessor, approximating "chained on completion" without
-            coupling the workload to scheduler state.
+
+    A follow-up stage arrives a think-time draw from
+    ``THINK_TIME_RANGE_S`` plus ``output_len * FOLLOWUP_S_PER_TOKEN`` (a
+    decode-time proxy) after its predecessor, approximating "chained on
+    completion" without coupling the workload to scheduler state.
     """
 
     users: int
@@ -143,8 +148,6 @@ class TenantWorkloadSpec:
     input_len_range: Tuple[int, int] = (32, 256)
     output_len_range: Tuple[int, int] = (16, 64)
     interaction_stages: Tuple[int, int] = (1, 3)
-    think_time_range_s: Tuple[float, float] = (0.5, 4.0)
-    followup_s_per_token: float = 0.05
 
     def __post_init__(self) -> None:
         require_positive(self.users, "users")
@@ -155,9 +158,6 @@ class TenantWorkloadSpec:
         if not 1 <= lo <= hi:
             raise ValueError("interaction_stages must satisfy 1 <= min <= "
                              f"max, got {self.interaction_stages!r}")
-        if self.followup_s_per_token < 0:
-            raise ValueError("followup_s_per_token must be >= 0, got "
-                             f"{self.followup_s_per_token!r}")
 
 
 def _cumulative(shares: List[float]) -> List[float]:
@@ -202,8 +202,8 @@ def iter_tenant_arrivals(spec: TenantWorkloadSpec, rate_per_s: float,
         draw_stages = int_sampler(rng, *spec.interaction_stages)
         draw_input = int_sampler(rng, *spec.input_len_range)
         draw_output = int_sampler(rng, *spec.output_len_range)
-        think_lo, think_hi = spec.think_time_range_s
-        per_token = spec.followup_s_per_token
+        think_lo, think_hi = THINK_TIME_RANGE_S
+        per_token = FOLLOWUP_S_PER_TOKEN
         last_user, last_app = spec.users - 1, spec.apps - 1
         push, pop = heapq.heappush, heapq.heappop
         # Heap entries: (arrival_s, insertion_seq, user, app, interaction,

@@ -10,7 +10,6 @@ from repro.analysis.sensitivity import (
 )
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
-from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
 from repro.optim.advisor import DeploymentAdvisor
 
@@ -76,7 +75,7 @@ class TestAdvisor:
             raise ZeroDivisionError("pricing bug")
 
         monkeypatch.setattr(InferenceSimulator, "run", broken)
-        advisor = DeploymentAdvisor(platforms=[get_platform("spr")])
+        advisor = DeploymentAdvisor()
         with pytest.raises(ZeroDivisionError, match="pricing bug"):
             advisor.recommend(get_model("opt-13b"),
                               InferenceRequest(batch_size=1))
@@ -104,5 +103,5 @@ class TestSensitivity:
         assert margins == sorted(margins)
 
     def test_points_record_settings(self):
-        result = pcie_efficiency_sensitivity(values=(0.3, 0.6))
-        assert [p.value for p in result.points] == [0.3, 0.6]
+        result = pcie_efficiency_sensitivity()
+        assert [p.value for p in result.points] == [0.2, 0.35, 0.5, 0.7]

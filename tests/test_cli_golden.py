@@ -46,6 +46,15 @@ CASES = {
     "cluster-shards3-duration": "cluster --platforms spr,spr,spr "
                                 "--model llama2-7b --rate 2 --shards 3 "
                                 "--duration 12",
+    # --duration bounds each stream kind, not only plain Poisson
+    "cluster-classes-duration": f"cluster {FLEET} --rate 2 --classes "
+                                "simple,reasoning --duration 10",
+    "cluster-tenants-duration": f"cluster {FLEET} --rate 2 --tenants 3 "
+                                "--duration 10",
+    "cluster-burst-duration": f"cluster {FLEET} --rate 0.5 --burst-rate 4 "
+                              "--duration 30",
+    "cluster-burst-workers2": f"cluster {FLEET} --rate 0.5 --burst-rate 4 "
+                              "--requests 16 --workers 2",
     "cluster-tenants-vtc-throttle": f"cluster {FLEET} --rate 3 "
                                     "--requests 40 --tenants 4 "
                                     "--scheduler vtc --throttle 2",
@@ -142,11 +151,18 @@ CASES = {
     # a hybrid replica reads the quantized inner backend's weight bytes
     "cluster-int8-hybrid": f"cluster {FLEET} --backend int8-hybrid:a100 "
                            "--requests 8",
+    # NUMA placement over a quantized base, and an FP32 base
+    "cluster-int8-numa": f"cluster {FLEET} --backend int8-numa:snc_flat "
+                         "--requests 8",
+    "cluster-fp32": f"cluster {FLEET} --backend fp32 --requests 8",
     "err-backend-unknown-token": f"cluster {FLEET} --backend int9",
+    "err-backend-unknown-numa": f"cluster {FLEET} --backend numa:bogus",
     "err-backend-hot-out-of-range": f"cluster {FLEET} "
                                     "--backend numa:quad_flat,hot=2",
     # single-request and listing commands
     "run": "run --platform spr --model opt-13b --batch 8",
+    "sweep-shape": "sweep --platforms spr --models opt-1.3b --batches 1,8 "
+                   "--input 256 --output 16",
     "sweep-numa": "sweep --platforms icl,spr --models opt-1.3b,opt-13b "
                   "--batches 1,8 --numa quad_flat",
     "roofline": "roofline --platform spr --model llama2-13b",

@@ -513,10 +513,10 @@ class TestAutoscaler:
         assert scaler_capped.decide([node], provisioning=0) is None
 
     def test_scales_down_when_idle(self):
-        scaler = Autoscaler(self.template(), min_nodes=1)
+        scaler = Autoscaler(self.template())
         nodes = [spr_node("a"), spr_node("b")]
         assert scaler.decide(nodes, provisioning=0) == "down"
-        # ...but never below min_nodes.
+        # ...but never below MIN_NODES (one replica).
         assert scaler.decide([spr_node("a")], provisioning=0) is None
 
     def test_provisioning_lag_separates_order_from_online(self):
@@ -535,10 +535,9 @@ class TestAutoscaler:
 
     def test_thresholds_validated(self):
         with pytest.raises(ValueError, match="scale_down"):
-            Autoscaler(self.template(), scale_up_queue_per_node=1.0,
-                       scale_down_queue_per_node=2.0)
+            Autoscaler(self.template(), scale_up_queue_per_node=0.5)
         with pytest.raises(ValueError, match="max_nodes"):
-            Autoscaler(self.template(), min_nodes=4, max_nodes=2)
+            Autoscaler(self.template(), max_nodes=0)
 
 
 class TestClusterReport:

@@ -1,5 +1,7 @@
 """Interconnect tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.hardware.interconnect import (
@@ -55,5 +57,5 @@ class TestPresets:
         assert nvlink_c2c().nominal_bw > 5 * pcie_gen5_x16().nominal_bw
 
     def test_custom_efficiency(self):
-        assert pcie_gen4_x16(0.9).effective_bw == pytest.approx(
-            gb_per_s(64.0 * 0.9))
+        custom = dataclasses.replace(pcie_gen4_x16(), efficiency=0.9)
+        assert custom.effective_bw == pytest.approx(gb_per_s(64.0 * 0.9))

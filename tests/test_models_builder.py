@@ -3,7 +3,6 @@
 import pytest
 
 from repro.models.builder import build_model, scale_to_params
-from repro.models.config import FFNKind
 
 
 class TestBuildModel:
@@ -16,11 +15,6 @@ class TestBuildModel:
         model = build_model("X", n_layers=24, d_model=2048, n_heads=16,
                             n_kv_heads=4)
         assert model.uses_gqa
-
-    def test_default_ffn_ratio_relu(self):
-        model = build_model("X", n_layers=2, d_model=1024, n_heads=8,
-                            ffn_kind=FFNKind.RELU_MLP)
-        assert model.d_ff == 4096
 
     def test_default_ffn_ratio_swiglu(self):
         model = build_model("X", n_layers=2, d_model=1024, n_heads=8)

@@ -77,8 +77,7 @@ class TestHybridPlanner:
         assert 0.0 <= plan.cpu_layer_fraction <= 1.0
 
     def test_big_streaming_model_pushes_work_to_cpu(self):
-        plan = self.make_planner().plan(get_model("opt-30b"),
-                                        InferenceRequest(batch_size=1))
+        plan = self.make_planner().plan(get_model("opt-30b"))
         assert plan.cpu_layer_fraction >= 0.5
 
     def test_requires_cpu_and_gpu(self):

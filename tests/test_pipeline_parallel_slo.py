@@ -1,14 +1,13 @@
 """Pipeline-parallel and SLO tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
-from repro.parallel.pipeline_parallel import (
-    PPConfig,
-    PipelineParallelSimulator,
-)
+from repro.parallel.pipeline_parallel import PipelineParallelSimulator
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.scheduler import BatchingSimulator
 from repro.serving.slo import SLO, attainment, goodput, max_sustainable_rate
@@ -19,6 +18,9 @@ class TestPipelineParallel:
         self.spr = get_platform("spr")
         self.model = get_model("llama2-13b")
         self.request = InferenceRequest(batch_size=8)
+        self.one_socket = dataclasses.replace(
+            self.spr, topology=dataclasses.replace(self.spr.topology,
+                                                   sockets=1))
 
     def test_no_latency_gain_for_resident_model(self):
         estimate = PipelineParallelSimulator(self.spr).estimate(
@@ -45,7 +47,7 @@ class TestPipelineParallel:
 
     def test_stages_beyond_sockets_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
-            PipelineParallelSimulator(self.spr, PPConfig(stages=3))
+            PipelineParallelSimulator(self.one_socket)
 
     def test_gpu_rejected(self):
         with pytest.raises(ValueError, match="not a CPU"):

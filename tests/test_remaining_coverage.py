@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.analysis.roofline_chart import render_roofline
+from repro.analysis.roofline_chart import (CHART_HEIGHT, CHART_WIDTH,
+                                           render_roofline)
 from repro.core.runner import run_inference
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
@@ -42,9 +43,9 @@ class TestFormattingHelpers:
 class TestRooflineChartGeometry:
     def test_custom_dimensions(self):
         spr = get_platform("spr")
-        text = render_roofline(spr, [("x", 10.0, 1e12)], width=40, height=10)
-        body = text.splitlines()[1:11]
-        assert all(len(line) <= 40 for line in body)
+        text = render_roofline(spr, [("x", 10.0, 1e12)])
+        body = text.splitlines()[1:1 + CHART_HEIGHT]
+        assert all(len(line) <= CHART_WIDTH for line in body)
 
     def test_point_off_scale_handled(self):
         spr = get_platform("spr")

@@ -21,15 +21,26 @@ with its file, line and length: first the exemptions listed in
 ``EXEMPT`` (each with its reason), then anything else. A function in
 the second list has no caller outside its own tests and should be
 deleted, pinned by a CLI case, or exempted here with a reason.
-``docs/reach.md`` holds this report at the current revision.
+
+The same hook checks options. For every defaulted parameter of every
+reached function (a dataclass's generated ``__init__`` included), it
+records whether any call, in the parent or a worker, passed a value
+other than the default; a ``bench/``, ``tools/`` or ``benchmarks/``
+call that sets the parameter by keyword counts too. A parameter never
+varied is printed beside its ``EXEMPT_OPTIONS`` reason, or in a second
+list: it should become a constant, go, or be pinned by a CLI case.
+
+``docs/reach.md`` holds this report at the current revision, and the
+tool fails when its report differs from that block.
 
 Usage::
 
-    PYTHONPATH=src python tools/reach.py    # or: make reach (~20 s)
+    PYTHONPATH=src python tools/reach.py    # or: make reach (~15 s)
 """
 
 import ast
 import contextlib
+import dataclasses
 import io
 import os
 import pathlib
@@ -39,6 +50,7 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+SOURCES = str(SRC) + os.sep
 
 ABSTRACT = "abstract or protocol hook; every reached subclass overrides it"
 ORACLE = "a test uses it as the reference for other code"
@@ -107,6 +119,101 @@ EXEMPT = {
     "engine/backend.py:PrefixCacheBackend.label": ITEM_11,
 }
 
+EXACT = "the per-step reference loop that the fast-forward is checked against"
+TRACER = ("observability; the simulator that runs a node sets its tracer, a "
+          "standalone node takes it here")
+PROGRESS_OPTION = ("`repro cluster --progress` feature and its test seam; "
+                   "its stderr line carries wall-clock rates")
+SPEC = ("the request shape every planner entry takes; `tools/bench.py` sets "
+        "`spec` on `saturation_rate`, `solve_grid` and `measure_fleet`")
+DTYPE = ("carries the activation dtype that the base backend (`--backend "
+         "fp16/fp32`) and the request own; a constant would drop it")
+RECORD = ("a report field filled from the node: `drained` after a drain "
+          "(bench's fleet-churn drains), `price_usd` from "
+          "`ReplicaSpec.price_usd` (bench sets it)")
+ITEM_14 = ("waits on ROADMAP item 14 (every calibration constant tied to the "
+           "targets it moves)")
+ITEM_19 = ("waits on ROADMAP item 19 (`ReplicaSpec` builds every node and "
+           "`BatchingSimulator` goes; `bench/layers.py` wraps the class)")
+TESTED = ("only a unit test sets another value; retiring it retires that "
+          "test's behaviour, left for a later change")
+EXEMPT_OPTIONS = {
+    "cluster/node.py:ReplicaNode.__init__(exact)": EXACT,
+    "cluster/shard.py:run_sharded(exact)": EXACT,
+    "cluster/node.py:ReplicaNode.__init__(tracer)": TRACER,
+    "cluster/shard.py:run_sharded(progress)": PROGRESS_OPTION,
+    "cluster/shard.py:run_sharded(progress_every)": PROGRESS_OPTION,
+    "cluster/simulator.py:ClusterSimulator.run(progress)": PROGRESS_OPTION,
+    "cluster/simulator.py:ClusterSimulator.run(progress_every)":
+        PROGRESS_OPTION,
+    "cluster/shard.py:run_sharded(events)":
+        "a failure or drain schedule on the sharded path; bench/ schedules "
+        "events on `ClusterSimulator` (see `ShardMergeLog.on_event`)",
+    "cluster/fluid.py:solve(spec)": SPEC,
+    "optim/advisor.py:recommend_fleet(spec)": SPEC,
+    "optim/advisor.py:size_fleet(seed)": "a seed",
+    "cluster/metrics.py:NodeStats.__init__(drained)": RECORD,
+    "cluster/metrics.py:NodeStats.__init__(price_usd)": RECORD,
+    "engine/request.py:InferenceRequest.__init__(dtype)": DTYPE,
+    "models/memory.py:kv_cache_bytes(dtype)": DTYPE,
+    "models/opgraph.py:decode_step_ops(dtype)": DTYPE,
+    "models/opgraph.py:prefill_ops(dtype)": DTYPE,
+    "engine/backend.py:NumaBackend.__init__(calibration)": ITEM_14,
+    "numa/model.py:NumaModel.__init__(calibration)": ITEM_14,
+    "numa/model.py:NumaCalibration.__init__(cache_hit_rate_resident)":
+        ITEM_14,
+    "numa/model.py:NumaCalibration.__init__(cache_mode_overhead)": ITEM_14,
+    "numa/model.py:NumaCalibration.__init__(numa_aware_remote_fraction)":
+        ITEM_14,
+    "numa/model.py:NumaCalibration.__init__(snc_remote_bw_penalty)": ITEM_14,
+    "numa/model.py:NumaCalibration.__init__(snc_remote_fraction)": ITEM_14,
+    "offload/policy.py:OffloadCalibration.__init__(host_attention_bw)":
+        ITEM_14,
+    "offload/policy.py:OffloadCalibration.__init__(kv_gpu_capacity_fraction)":
+        ITEM_14,
+    "offload/policy.py:OffloadCalibration.__init__(overlap_efficiency)":
+        ITEM_14,
+    "offload/policy.py:OffloadCalibration.__init__(weight_residency_fraction)":
+        ITEM_14,
+    "offload/policy.py:hybrid_streamed_weight_bytes(calibration)": ITEM_14,
+    "optim/hybrid.py:HybridPlanner.__init__(calibration)": ITEM_14,
+    "scaling/cores.py:CoreScalingModel.__init__(calibration)": ITEM_14,
+    "scaling/cores.py:ScalingCalibration.__init__(bw_half_cores)": ITEM_14,
+    "scaling/cores.py:ScalingCalibration.__init__("
+    "cross_socket_remote_fraction)": ITEM_14,
+    "scaling/cores.py:ScalingCalibration.__init__(parallel_overhead)":
+        ITEM_14,
+    "engine/kvcache.py:KVCacheManager.__init__(block_tokens)": ITEM_1,
+    "engine/kvcache.py:max_admissible_sequences(limit)": ITEM_1,
+    "engine/backend.py:PrefixCacheBackend.__init__(inner)": ITEM_11,
+    "engine/backend.py:SpecDecodeBackend.__init__(inner)": ITEM_11,
+    "serving/scheduler.py:BatchingSimulator.__init__(backend)": ITEM_19,
+    "serving/scheduler.py:BatchingSimulator.run_chunked(tracer)": ITEM_19,
+    "serving/scheduler.py:BatchingSimulator.run_continuous(admission)":
+        ITEM_19,
+    "serving/scheduler.py:BatchingSimulator.run_continuous(exact)": ITEM_19,
+    "serving/scheduler.py:BatchingSimulator.run_static(tracer)": ITEM_19,
+    "analysis/bottleneck.py:BottleneckAnalyzer.decode_step(kv_len)": TESTED,
+    "analysis/scaling_laws.py:BatchScalingFit.knee_batch(target_fraction)":
+        TESTED,
+    "cluster/fairness.py:fairness_report(cutoff_s)": TESTED,
+    "core/runner.py:CharacterizationSweep.run(skip_oversize)": TESTED,
+    "engine/backend.py:TPConfig.__init__(allreduce_efficiency)": TESTED,
+    "hardware/compute.py:ComputeEngine.scaled(name_suffix)": TESTED,
+    "models/builder.py:scale_to_params(gqa_ratio)": TESTED,
+    "optim/hybrid.py:HybridPlanner.__init__(granularity)": TESTED,
+    "quant/weightonly.py:QuantConfig.__init__(dequant_overhead)": TESTED,
+    "quant/weightonly.py:QuantConfig.__init__(group_size)": TESTED,
+    "specdecode/model.py:SpeculativeDecoder.best_gamma(candidates)": TESTED,
+    "specdecode/model.py:SpeculativeDecoder.estimate(request)": TESTED,
+    "trace/analysis.py:batch_occupancy_histogram(replica)": TESTED,
+    "trace/export.py:ascii_timeline(width)": TESTED,
+    "workloads/tenancy.py:TenantWorkloadSpec.__init__(interaction_stages)":
+        TESTED,
+    "workloads/throttling.py:ThrottleConfig.__init__(max_app_requests)":
+        TESTED,
+}
+
 
 def src_functions() -> dict:
     """``(path, first line) -> (key, lines)`` for every ``def`` in src.
@@ -139,23 +246,171 @@ def src_functions() -> dict:
     return functions
 
 
+def defaults_of(function) -> dict:
+    """``parameter -> default`` for *function*'s positional and
+    keyword-only defaults."""
+    code = function.__code__
+    names = code.co_varnames[:code.co_argcount]
+    defaults = function.__defaults__ or ()
+    table = dict(zip(names[len(names) - len(defaults):], defaults))
+    table.update(function.__kwdefaults__ or {})
+    return table
+
+
+class Factory:
+    """The default of a dataclass field built by ``default_factory``."""
+
+    def __init__(self, factory):
+        self.factory = factory
+
+
+def option_table(functions) -> dict:
+    """``id(code) -> (key, function, defaults)`` for each ``(key,
+    function)`` pair in *functions* that has a defaulted parameter.
+
+    The function is kept so that its code object, and so the id, lives
+    as long as the table.
+    """
+    return {id(function.__code__): (key, function, defaults)
+            for key, function in functions
+            if (defaults := defaults_of(function))}
+
+
+def module_options(module, relative: str) -> dict:
+    """:func:`option_table` over every function and method that *module*
+    defines, keyed ``relative:Qual.name``.
+
+    A class contributes the methods in its own ``__dict__``, which
+    includes the ``__init__`` that ``dataclasses`` generates (a field
+    built by ``default_factory`` gets a :class:`Factory` default).
+    Closures are left out: their defaults bind loop variables, not
+    options.
+    """
+    import inspect
+
+    found = []
+    factories = {}
+
+    def visit(owner, prefix):
+        for name, value in vars(owner).items():
+            if isinstance(value, (staticmethod, classmethod)):
+                value = value.__func__
+            if inspect.isclass(value):
+                if value.__module__ == module.__name__ and \
+                        value.__qualname__ == prefix + name:
+                    visit(value, prefix + name + ".")
+                continue
+            value = inspect.unwrap(value) if callable(value) else value
+            if inspect.isfunction(value) and \
+                    value.__qualname__ == prefix + name and \
+                    (prefix or value.__module__ == module.__name__):
+                found.append((f"{relative}:{prefix}{name}", value))
+        for field in getattr(owner, "__dataclass_fields__", {}).values():
+            if field.default_factory is not dataclasses.MISSING:
+                factories[owner.__init__, field.name] = Factory(
+                    field.default_factory)
+
+    visit(module, "")
+    table = option_table(found)
+    for _key, function, defaults in table.values():
+        for name in defaults:
+            defaults[name] = factories.get((function, name), defaults[name])
+    return table
+
+
+def src_options() -> dict:
+    """:func:`module_options` over every ``src/repro`` module."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    table = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        module = importlib.import_module(info.name)
+        relative = pathlib.Path(module.__file__).relative_to(SRC)
+        table.update(module_options(module, relative.as_posix()))
+    return table
+
+
+def same(value, default) -> bool:
+    """Whether a call passed *default*, or a value equal to it."""
+    if isinstance(default, Factory):
+        if value is dataclasses._HAS_DEFAULT_FACTORY:
+            return True
+        default = default.factory()
+    if value is default:
+        return True
+    try:
+        return bool(value == default)
+    except Exception:  # an array-like compares elementwise
+        return False
+
+
 class Recorder:
-    """The profile hook: collects the code of every Python call.
+    """The profile hook: collects the code of every Python call, and
+    which defaulted parameters (from an :func:`option_table`) a call set
+    to a value other than the default.
+
+    Until :meth:`track` hands it the table, the hook keeps the arguments
+    of every call into ``src/repro`` or into generated code (a
+    dataclass's ``__init__``), so that calls made while the modules are
+    imported (the platform and model registries) count too.
 
     Code objects are keyed by identity: two functions with the same
     name, body and first line in different files compare equal.
     """
 
-    def __init__(self):
+    def __init__(self, options=None):
         self.codes = {}
+        self.early = []
+        self.options = self.pending = None
+        self.varied = set()
+        if options is not None:
+            self.track(options)
+
+    def track(self, options: dict) -> None:
+        """Check calls against *options* from now on, and the calls kept
+        so far."""
+        self.options = dict(options)
+        self.pending = {code: dict(defaults) for code, (_key, _function,
+                                                         defaults)
+                        in options.items()}
+        for code, values in self.early:
+            self._check(code, values)
+        self.early = None
+
+    def _check(self, code, values) -> None:
+        pending = self.pending.get(id(code))
+        if pending:
+            for name, default in list(pending.items()):
+                if not same(values[name], default):
+                    del pending[name]
+                    self.varied.add((self.options[id(code)][0], name))
 
     def __call__(self, frame, event, arg):
         if event == "call":
-            self.codes[id(frame.f_code)] = frame.f_code
+            code = frame.f_code
+            self.codes[id(code)] = code
+            if self.pending is not None:
+                if self.pending.get(id(code)):
+                    self._check(code, frame.f_locals)
+            elif code.co_filename.startswith(SOURCES) or \
+                    code.co_filename == "<string>":
+                self.early.append((code, dict(frame.f_locals)))
 
     def calls(self) -> set:
         return {(code.co_filename, code.co_firstlineno)
                 for code in self.codes.values()}
+
+    def reached_options(self) -> set:
+        """``(key, parameter)`` for every defaulted parameter of every
+        function in the table that ran."""
+        return {(key, name) for code, (key, _function, defaults)
+                in self.options.items() if code in self.codes
+                for name in defaults}
 
     @contextlib.contextmanager
     def recording(self):
@@ -166,34 +421,41 @@ class Recorder:
             sys.setprofile(None)
 
 
-def hook_shard_workers(outbox: pathlib.Path) -> None:
-    """Record calls inside forked shard workers too.
+def hook_shard_workers(outbox: pathlib.Path, options: dict) -> None:
+    """Record calls and varied options inside forked shard workers too.
 
-    Each worker profiles itself and writes ``path:line`` lines to a file
+    Each worker profiles itself and writes what it saw as JSON to a file
     in *outbox*, which :func:`main` reads once the stages are done.
     """
+    import json
+
     from repro.cluster import shard
 
     worker_main = shard._worker_main
 
     def profiled_worker(worker, *args):
-        child = Recorder()
+        child = Recorder(options)
         with child.recording():
             worker_main(worker, *args)
-        with open(outbox / f"{os.getpid()}.txt", "w") as handle:
-            handle.writelines(f"{path}:{line}\n"
-                              for path, line in child.calls())
+        with open(outbox / f"{os.getpid()}.json", "w") as handle:
+            json.dump({"calls": sorted(child.calls()),
+                       "options": sorted(child.reached_options()),
+                       "varied": sorted(child.varied)}, handle)
 
     shard._worker_main = profiled_worker
 
 
-def worker_calls(outbox: pathlib.Path) -> set:
-    calls = set()
-    for path in outbox.glob("*.txt"):
-        for row in path.read_text().splitlines():
-            filename, line = row.rsplit(":", 1)
-            calls.add((filename, int(line)))
-    return calls
+def worker_records(outbox: pathlib.Path) -> tuple:
+    """``(calls, reached options, varied options)`` from every worker."""
+    import json
+
+    calls, options, varied = set(), set(), set()
+    for path in outbox.glob("*.json"):
+        record = json.loads(path.read_text())
+        calls |= {tuple(row) for row in record["calls"]}
+        options |= {tuple(row) for row in record["options"]}
+        varied |= {tuple(row) for row in record["varied"]}
+    return calls, options, varied
 
 
 def named_by_tools(functions: dict) -> set:
@@ -226,13 +488,43 @@ def named_by_tools(functions: dict) -> set:
     return reached
 
 
-def run_stages(outbox: pathlib.Path) -> None:
+def set_by_keyword() -> set:
+    """``(callee name, keyword)`` for every call in ``bench/``,
+    ``tools/`` and ``benchmarks/`` that passes an argument by keyword.
+
+    The callee is known by its last name only: ``sim.run(dtype=...)``
+    counts for every ``run`` that takes ``dtype``, and
+    ``ClusterSimulator(events=...)`` for ``ClusterSimulator.__init__``.
+    """
+    found = set()
+    for folder in ("bench", "tools", "benchmarks"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    callee = getattr(node.func, "id", None) or \
+                        getattr(node.func, "attr", None)
+                    found.update((callee, keyword.arg)
+                                 for keyword in node.keywords
+                                 if keyword.arg)
+    return found
+
+
+def callee_name(key: str) -> str:
+    """The name a call uses for the function *key*: the class's for a
+    constructor."""
+    parts = key.split(":", 1)[1].split(".")
+    if parts[-1] in ("__init__", "__new__") and len(parts) > 1:
+        return parts[-2]
+    return parts[-1]
+
+
+def run_stages(outbox: pathlib.Path, options: dict) -> None:
     """Import and run every stage (the caller records the calls)."""
     sys.path.insert(0, str(ROOT / "tests"))
     from repro.experiments import run_all_experiments
     from test_cli_golden import CASES, run_case
 
-    hook_shard_workers(outbox)
+    hook_shard_workers(outbox, options)
     sink = io.StringIO()
     argv, cwd = sys.argv, os.getcwd()
     with tempfile.TemporaryDirectory() as scratch, \
@@ -261,14 +553,25 @@ def exemption(key: str):
     return EXEMPT.get(key)
 
 
-def main() -> int:
+def option_name(key: str, parameter: str) -> str:
+    return f"{key}({parameter})"
+
+
+def report() -> list:
+    """The audit's report lines, and whether it found a fault."""
     functions = src_functions()
     recorder = Recorder()
     with tempfile.TemporaryDirectory() as outbox:
         with recorder.recording():
-            run_stages(pathlib.Path(outbox))
-        reached = recorder.calls() | worker_calls(pathlib.Path(outbox))
-    reached |= named_by_tools(functions)
+            options = src_options()
+            recorder.track(options)
+            run_stages(pathlib.Path(outbox), options)
+        calls, reached_options, varied = worker_records(
+            pathlib.Path(outbox))
+    reached = recorder.calls() | calls | named_by_tools(functions)
+    reached_options |= recorder.reached_options()
+    varied |= recorder.varied
+    keywords = set_by_keyword()
     unreached = sorted(
         (key, lines, pathlib.Path(path).relative_to(ROOT).as_posix(), first)
         for (path, first), (key, lines) in functions.items()
@@ -277,19 +580,56 @@ def main() -> int:
               if exemption(row[0])]
     other = [row for row in unreached if not exemption(row[0])]
     total = sum(lines for _key, lines in functions.values())
-    print(f"{len(functions)} functions ({total} lines) under src/repro; "
-          f"{len(unreached)} unreached, {len(exempt)} of them exempt")
-    print("\nexempt:")
-    for key, lines, path, first, reason in exempt:
-        print(f"  {path}:{first}  {key.split(':', 1)[1]}  "
-              f"({lines} lines) - {reason}")
-    print("\nunreached:")
-    for key, lines, path, first in other:
-        print(f"  {path}:{first}  {key.split(':', 1)[1]}  ({lines} lines)")
+    out = [f"{len(functions)} functions ({total} lines) under src/repro; "
+             f"{len(unreached)} unreached, {len(exempt)} of them exempt",
+             "", "exempt:"]
+    out += [f"  {path}:{first}  {key.split(':', 1)[1]}  "
+              f"({lines} lines) - {reason}"
+              for key, lines, path, first, reason in exempt]
+    out += ["", "unreached:"]
+    out += [f"  {path}:{first}  {key.split(':', 1)[1]}  ({lines} lines)"
+              for key, lines, path, first in other]
     stale = sorted(set(EXEMPT) - {row[0] for row in exempt})
     if stale:
-        print("\nstale exemptions (reached or gone): " + ", ".join(stale))
-    return 1 if other or stale else 0
+        out += ["", "stale exemptions (reached or gone): "
+                  + ", ".join(stale)]
+
+    fixed = sorted(
+        option_name(key, name) for key, name in reached_options
+        if (key, name) not in varied
+        and (callee_name(key), name) not in keywords)
+    kept = [name for name in fixed if name in EXEMPT_OPTIONS]
+    never = [name for name in fixed if name not in EXEMPT_OPTIONS]
+    functions_with_options = {key for key, _name in reached_options}
+    out += ["", f"{len(reached_options)} defaulted parameters in "
+              f"{len(functions_with_options)} reached functions; "
+              f"{len(fixed)} never varied, {len(kept)} of them exempt",
+              "", "exempt options:"]
+    out += [f"  {name} - {EXEMPT_OPTIONS[name]}" for name in kept]
+    out += ["", "never varied:"]
+    out += [f"  {name}" for name in never]
+    stale_options = sorted(set(EXEMPT_OPTIONS) - set(kept))
+    if stale_options:
+        out += ["", "stale option exemptions (varied, unreached or "
+                  "gone): " + ", ".join(stale_options)]
+    return out, bool(other or stale or never or stale_options)
+
+
+def documented() -> list:
+    """The report lines in ``docs/reach.md``'s fenced block."""
+    text = (ROOT / "docs" / "reach.md").read_text()
+    block = text.split("\n## Report\n", 1)[1]
+    return block.split("```\n", 2)[1].splitlines()
+
+
+def main() -> int:
+    lines, fault = report()
+    print("\n".join(lines))
+    if lines != documented():
+        print("\nthe report differs from the block in docs/reach.md",
+              file=sys.stderr)
+        fault = True
+    return 1 if fault else 0
 
 
 if __name__ == "__main__":
