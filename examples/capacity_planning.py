@@ -22,7 +22,6 @@ from repro import (
 )
 from repro.core.runner import is_offloaded
 from repro.engine.backend import BaselineBackend
-from repro.models.memory import kv_cache_bytes
 from repro.utils.formatting import format_table
 from repro.utils.units import bytes_to_gb
 
@@ -33,9 +32,10 @@ def main() -> None:
     model = get_model(model_key)
     request = InferenceRequest(batch_size=batch, input_len=128, output_len=32)
 
-    footprint = BaselineBackend(request.dtype).footprint_bytes(model, request)
-    kv = kv_cache_bytes(model, request.max_seq_len, request.batch_size,
-                        request.dtype)
+    base = BaselineBackend()
+    footprint = base.footprint_bytes(model, request)
+    kv = (base.kv_bytes_per_token(model) * request.max_seq_len
+          * request.batch_size)
     print(f"{model.name} @ batch {batch}: footprint "
           f"{bytes_to_gb(footprint):.1f} GB "
           f"(KV cache {bytes_to_gb(kv):.1f} GB)")

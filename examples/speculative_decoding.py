@@ -10,7 +10,7 @@ Usage::
     python examples/speculative_decoding.py
 """
 
-from repro import InferenceRequest, get_model, get_platform
+from repro import get_model, get_platform
 from repro.specdecode import SpecDecodeConfig, SpeculativeDecoder
 from repro.utils.formatting import format_table
 
@@ -18,7 +18,6 @@ from repro.utils.formatting import format_table
 def main() -> None:
     spr = get_platform("spr")
     draft = get_model("opt-1.3b")
-    request = InferenceRequest(batch_size=1)
 
     rows = []
     for target_key in ("opt-13b", "opt-30b", "opt-66b"):
@@ -27,7 +26,7 @@ def main() -> None:
             decoder = SpeculativeDecoder(
                 spr, target, draft,
                 SpecDecodeConfig(gamma=4, acceptance_rate=alpha))
-            estimate = decoder.estimate(request)
+            estimate = decoder.estimate()
             rows.append([
                 target.name, alpha,
                 estimate.baseline_tpot_s * 1000,

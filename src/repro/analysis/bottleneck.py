@@ -15,7 +15,6 @@ from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
-from repro.models.opgraph import decode_step_ops, prefill_ops
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,17 +92,16 @@ class BottleneckAnalyzer:
                 request: InferenceRequest = InferenceRequest()) -> PhaseAttribution:
         """Attribute the prefill pass."""
         executor = self._simulator._executor(model, request)
-        timings = executor.time_ops(prefill_ops(
-            model, request.batch_size, request.input_len, request.dtype))
+        timings = executor.time_ops(executor.backend.prefill_ops(
+            model, request.batch_size, request.input_len))
         return _attribute("prefill", timings)
 
     def decode_step(self, model: ModelConfig,
-                    request: InferenceRequest = InferenceRequest(),
-                    kv_len: int = None) -> PhaseAttribution:
-        """Attribute one decode step (mid-generation KV length by default)."""
+                    request: InferenceRequest = InferenceRequest()
+                    ) -> PhaseAttribution:
+        """Attribute one decode step at the mid-generation KV length."""
         executor = self._simulator._executor(model, request)
-        if kv_len is None:
-            kv_len = request.input_len + request.decode_steps // 2
-        timings = executor.time_ops(decode_step_ops(
-            model, request.batch_size, kv_len, request.dtype))
+        kv_len = request.input_len + request.decode_steps // 2
+        timings = executor.time_ops(executor.backend.decode_ops(
+            model, request.batch_size, kv_len))
         return _attribute("decode_step", timings)

@@ -19,6 +19,9 @@ from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.utils.validation import require_positive
 
+#: Fraction of the fitted asymptote that defines the knee.
+KNEE_FRACTION = 0.8
+
 
 @dataclasses.dataclass(frozen=True)
 class BatchScalingFit:
@@ -39,14 +42,12 @@ class BatchScalingFit:
         require_positive(batch, "batch")
         return self.t_max * batch / (batch + self.b_half)
 
-    def knee_batch(self, target_fraction: float = 0.8) -> float:
-        """Smallest batch reaching *target_fraction* of the asymptote.
+    def knee_batch(self) -> float:
+        """Smallest batch reaching :data:`KNEE_FRACTION` of the asymptote.
 
         Solving ``b/(b+h) = f`` gives ``b = f*h / (1-f)``.
         """
-        if not 0 < target_fraction < 1:
-            raise ValueError("target_fraction must be in (0, 1)")
-        return target_fraction * self.b_half / (1.0 - target_fraction)
+        return KNEE_FRACTION * self.b_half / (1.0 - KNEE_FRACTION)
 
     def fit_error(self) -> float:
         """Mean relative error of the fit over the samples."""

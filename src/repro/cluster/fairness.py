@@ -11,7 +11,7 @@ fleet's Jain fairness index.
 a cutoff*: each completed request contributes
 ``(input_len + output_len) / weight``, with a request still in flight at
 the cutoff contributing the elapsed fraction of its service
-(``(cutoff - start) / (finish - start)``). The cutoff defaults to the
+(``(cutoff - start) / (finish - start)``). The cutoff is the
 last arrival — after it, stragglers drain alone and every scheduler
 trivially serves whoever is left, which would wash out the contention
 window the schedulers actually differ on. Under skewed overload, FCFS
@@ -104,7 +104,6 @@ def fairness_report(decisions: Iterable[ThrottleDecision],
                     completed: Iterable[CompletedRequest],
                     slo: Optional[SLO] = None,
                     weights: Optional[Mapping[int, float]] = None,
-                    cutoff_s: Optional[float] = None,
                     abandoned_ttft_s: Optional[float] = None
                     ) -> FairnessReport:
     """Join door verdicts with completion records into per-tenant stats.
@@ -114,8 +113,8 @@ def fairness_report(decisions: Iterable[ThrottleDecision],
     *completed* is any cluster/serving run's completion records, joined
     by ``request_id``. *slo* defaults to the library default; *weights*
     are the WSC weights (unlisted tenants weigh 1.0) so the fairness
-    index measures weighted service. *cutoff_s* defaults to the last
-    arrival time.
+    index measures weighted service, counted up to the last arrival
+    time (the report's ``cutoff_s``).
 
     *abandoned_ttft_s* is a patience bound: a completed request whose
     TTFT exceeded it is counted as *wasted* output tokens (the user
@@ -172,7 +171,7 @@ def fairness_report(decisions: Iterable[ThrottleDecision],
             "no admitted request finished (or the completion records do "
             "not join the arrival stream by request_id); check the run "
             "before reading fairness statistics")
-    cutoff = cutoff_s if cutoff_s is not None else last_arrival
+    cutoff = last_arrival
 
     for request in matched:
         user = request.user_id

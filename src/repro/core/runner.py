@@ -38,7 +38,7 @@ def run_inference(platform: Platform, model: ModelConfig,
     offload.
 
     A GPU run offloads exactly when :meth:`InferenceSimulator.fits` is
-    False; offloading prices only the plain request, so an explicit
+    False; offloading prices only the plain BF16 base, so an explicit
     *backend* that does not fit raises :class:`MemoryCapacityError`.
     """
     simulator = InferenceSimulator(platform, backend, cores=cores)
@@ -47,7 +47,7 @@ def run_inference(platform: Platform, model: ModelConfig,
             raise MemoryCapacityError(
                 f"{model.name} under backend {backend.label} does not fit "
                 f"{platform.name}; offloading prices only the plain "
-                f"{request.dtype.label} request, not a backend")
+                "bf16 request, not a backend")
         return OffloadSimulator(platform).run(model, request)
     return simulator.run(model, request)
 
@@ -113,10 +113,10 @@ class CharacterizationSweep:
                 for platform in self.platforms
                 for batch in self.batch_sizes]
 
-    def run(self, skip_oversize: bool = True) -> List[SweepRow]:
-        """Execute the grid; optionally skip configurations that cannot fit.
+    def run(self) -> List[SweepRow]:
+        """Execute the grid, skipping configurations that cannot fit.
 
-        ``skip_oversize`` mirrors the paper, which omits model/platform
+        The skip mirrors the paper, which omits model/platform
         combinations that are infeasible even with offloading (e.g.
         OPT-175B everywhere). Only :class:`MemoryCapacityError` marks a
         cell as oversize — any other exception is a genuine bug and
@@ -131,9 +131,7 @@ class CharacterizationSweep:
                 result = run_inference(platform, model, request,
                                        self.backend, cores=self.cores)
             except MemoryCapacityError:
-                if skip_oversize:
-                    continue
-                raise
+                continue
             rows.append(SweepRow(
                 model=model.name,
                 platform=platform.name,

@@ -154,17 +154,15 @@ class TPConfig:
 
     Attributes:
         degree: Shards (sockets). The SPR server supports 2.
-        allreduce_efficiency: Achieved fraction of UPI bandwidth for the
-            ring-allreduce pattern (latency-bound chunks, bidirectional).
     """
 
     degree: int = 2
-    allreduce_efficiency: float = 0.7
+    #: Achieved fraction of UPI bandwidth for the ring-allreduce pattern
+    #: (latency-bound chunks, bidirectional).
+    allreduce_efficiency = 0.7
 
     def __post_init__(self) -> None:
         require_positive(self.degree, "degree")
-        if not 0 < self.allreduce_efficiency <= 1:
-            raise ValueError("allreduce_efficiency must be in (0, 1]")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -380,9 +378,8 @@ class QuantizedBackend(ExecutionBackend):
 
     @property
     def adjusts(self) -> bool:  # type: ignore[override]
-        weight_only = self.quant.scheme in (QuantScheme.WEIGHT_ONLY_INT8,
-                                            QuantScheme.WEIGHT_ONLY_INT4)
-        return bool(weight_only and self.quant.dequant_overhead)
+        return self.quant.scheme in (QuantScheme.WEIGHT_ONLY_INT8,
+                                     QuantScheme.WEIGHT_ONLY_INT4)
 
     def adjust_timing(self, timing):
         op = timing.op
@@ -507,10 +504,10 @@ class TensorParallelBackend(WrapperBackend):
     * local weight traffic per socket is ``weights / S`` — the win,
       since decode is bandwidth-bound and every socket's HBM now
       contributes;
-    * ``2 * n_layers * batch * d_model`` hidden-state elements cross UPI
-      in two ring-allreduces per layer (after the attention out-proj and
-      the FFN down-proj) — the cost, small for decode and growing with
-      batch;
+    * ``2 * n_layers * batch * d_model`` hidden-state elements, at the
+      base backend's dtype width, cross UPI in two ring-allreduces per
+      layer (after the attention out-proj and the FFN down-proj) — the
+      cost, small for decode and growing with batch;
     * compute also shards ``1/S`` (irrelevant for decode, helpful for
       prefill).
 
@@ -552,13 +549,13 @@ class TensorParallelBackend(WrapperBackend):
         return float(self.tp.degree)
 
     def allreduce_s(self, model: ModelConfig, rows: int) -> float:
-        """Two BF16 hidden-state allreduces per layer (ring: 2(S-1)/S
-        volume)."""
+        """Two hidden-state allreduces per layer at the base backend's
+        dtype width (ring: 2(S-1)/S volume)."""
         s = self.tp.degree
         if s == 1:
             return 0.0
         payload = (2 * model.n_layers * rows * model.d_model
-                   * DType.BF16.nbytes)
+                   * self.dtype.nbytes)
         ring_volume = payload * 2 * (s - 1) / s
         bandwidth = (self.interconnect.effective_bw
                      * self.tp.allreduce_efficiency)
@@ -806,7 +803,7 @@ def _hybrid_prefill_leg(backend: "HybridBackend", model: ModelConfig,
         backend.weight_bytes(model), backend.gpu, backend.calibration)
     time_s, _, _ = gpu_prefill_leg(
         executor, transfer, backend.calibration, model, batch_size,
-        input_len, backend.dtype, streamed, kv_to_host=True)
+        input_len, streamed, kv_to_host=True)
     return time_s
 
 

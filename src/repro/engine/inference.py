@@ -35,7 +35,7 @@ class MemoryCapacityError(RuntimeError):
     On a CPU this means a model beyond even CPU capacity (e.g. OPT-175B
     in BF16 on one socket). On a GPU, ``run_inference`` offloads a plain
     request instead, and raises this for an explicit backend, since
-    offloading prices only the plain request dtype.
+    offloading prices only the plain BF16 base.
     """
 
 
@@ -45,8 +45,9 @@ class InferenceSimulator:
     Args:
         platform: Target platform (CPU or GPU).
         backend: Execution backend (quantized / tensor-parallel / NUMA
-            placement / ...); ``None`` means plain dense execution at
-            each request's dtype, placed quad_flat on a CPU.
+            placement / ...), which alone sets the dtype; ``None`` means
+            :class:`BaselineBackend` (plain dense BF16, placed quad_flat
+            on a CPU).
         cores: CPU cores to use; ``None`` = one full socket (the paper's
             tuned setting, 48 on SPR / 32 on ICL).
 
@@ -61,16 +62,15 @@ class InferenceSimulator:
     def __init__(self, platform: Platform,
                  backend: Optional[ExecutionBackend] = None, *,
                  cores: Optional[int] = None):
-        if backend is not None:
-            backend.check_platform(platform)
+        if backend is None:
+            backend = BaselineBackend()
+        backend.check_platform(platform)
         self.platform = platform
         self.backend = backend
-        # Placement, bandwidth and capacity do not depend on the dtype.
-        self._memory = backend if backend is not None else BaselineBackend()
         if platform.is_cpu:
             self._scaling = CoreScalingModel(
                 platform, cores or platform.topology.cores_per_socket)
-            if self._memory.capacity_scale > 1 and self._scaling.spans_sockets:
+            if backend.capacity_scale > 1 and self._scaling.spans_sockets:
                 raise ValueError(
                     f"{self._scaling.cores} cores span the sockets of "
                     f"{platform.name}, which backend {backend.label} "
@@ -84,7 +84,7 @@ class InferenceSimulator:
 
     def numa_model(self) -> Optional[NumaModel]:
         """The NUMA placement that prices this simulator's runs (CPU)."""
-        return self._memory.numa_model(self.platform)
+        return self.backend.numa_model(self.platform)
 
     @property
     def config_label(self) -> str:
@@ -100,22 +100,16 @@ class InferenceSimulator:
 
         The backend's capacity, doubled when the cores span sockets.
         """
-        capacity = self._memory.memory_capacity_bytes(self.platform)
+        capacity = self.backend.memory_capacity_bytes(self.platform)
         if self.platform.is_cpu and self._scaling.spans_sockets:
             capacity *= 2
         return capacity
 
-    def _backend_for(self, request: InferenceRequest) -> ExecutionBackend:
-        """Configured backend, or the plain baseline at the request dtype."""
-        if self.backend is not None:
-            return self.backend
-        return BaselineBackend(request.dtype)
-
     def fits(self, model: ModelConfig, request: InferenceRequest) -> bool:
         """Whether the request's peak footprint fits (the only such check)."""
-        backend = self._backend_for(request)
-        footprint = backend.footprint_bytes(model, request)
-        return footprint <= self.memory_capacity() * backend.capacity_scale
+        footprint = self.backend.footprint_bytes(model, request)
+        return footprint <= (self.memory_capacity()
+                             * self.backend.capacity_scale)
 
     # -- bandwidth / compute derivation -------------------------------------
 
@@ -124,7 +118,7 @@ class InferenceSimulator:
 
         The backend's, scaled by the core count on a CPU.
         """
-        bandwidth = self._memory.tier_bandwidth(self.platform,
+        bandwidth = self.backend.tier_bandwidth(self.platform,
                                                 footprint_bytes)
         if self.platform.is_cpu:
             return bandwidth * self._scaling.bandwidth_factor
@@ -138,11 +132,10 @@ class InferenceSimulator:
 
     def _executor(self, model: ModelConfig, request: InferenceRequest,
                   footprint: Optional[float] = None) -> OperatorExecutor:
-        backend = self._backend_for(request)
         if footprint is None:
-            footprint = backend.footprint_bytes(model, request)
+            footprint = self.backend.footprint_bytes(model, request)
         return OperatorExecutor(
-            self.platform, backend,
+            self.platform, self.backend,
             bandwidth=self.effective_bandwidth(footprint),
             compute_scale=self.compute_scale())
 
@@ -189,7 +182,7 @@ class InferenceSimulator:
         only, where per-step times exist — one ``decode[i]`` span per
         token.
         """
-        backend = self._backend_for(request)
+        backend = self.backend
         footprint = backend.footprint_bytes(model, request)
         if not self.fits(model, request):
             capacity = self.memory_capacity() * backend.capacity_scale

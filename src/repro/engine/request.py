@@ -7,7 +7,6 @@ sizes 1-32 (Section IV-A); Section V additionally sweeps input length from
 
 import dataclasses
 
-from repro.hardware.datatypes import DType
 from repro.utils.validation import require_positive
 
 #: Batch sizes swept throughout the paper's evaluation.
@@ -26,13 +25,15 @@ class InferenceRequest:
         input_len: Prompt tokens per sequence.
         output_len: Tokens to generate per sequence (includes the first
             token produced by prefill).
-        dtype: Compute/storage datatype (BF16 everywhere in the paper).
+
+    A request has no dtype: the backend that prices it owns one
+    (``BaselineBackend(DType.FP32)`` prices an FP32 run; the default
+    base is the paper's BF16).
     """
 
     batch_size: int = 1
     input_len: int = 128
     output_len: int = 32
-    dtype: DType = DType.BF16
 
     def __post_init__(self) -> None:
         require_positive(self.batch_size, "batch_size")

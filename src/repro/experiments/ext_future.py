@@ -30,7 +30,7 @@ def run_batch_knee() -> ExperimentReport:
             platform.name,
             fit.t_max,
             fit.b_half,
-            fit.knee_batch(0.8),
+            fit.knee_batch(),
             fit.fit_error() * 100,
         ])
     notes = [

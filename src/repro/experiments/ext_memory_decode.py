@@ -69,7 +69,7 @@ def run_specdecode() -> ExperimentReport:
             decoder = SpeculativeDecoder(
                 spr, target, draft,
                 SpecDecodeConfig(gamma=gamma, acceptance_rate=0.8))
-            estimate = decoder.estimate(InferenceRequest(batch_size=1))
+            estimate = decoder.estimate()
             rows.append([
                 target.name, gamma,
                 estimate.baseline_tpot_s * 1000,

@@ -85,8 +85,8 @@ class ComputeEngine:
             raise KeyError(f"{self.name} does not support {dtype}")
         return self.peak_flops[dtype]
 
-    def scaled(self, factor: float, name_suffix: str = "") -> "ComputeEngine":
-        """Return a copy with all peak rates multiplied by *factor*.
+    def scaled(self, factor: float) -> "ComputeEngine":
+        """Return a same-named copy with all peak rates multiplied by *factor*.
 
         Used by the core-count scaling model: an engine spec describes a
         full 48-core socket; running on 12 cores scales peaks by 12/48
@@ -95,7 +95,6 @@ class ComputeEngine:
         require_positive(factor, "scale factor")
         return dataclasses.replace(
             self,
-            name=self.name + name_suffix,
             peak_flops={dt: rate * factor for dt, rate in self.peak_flops.items()},
         )
 

@@ -24,24 +24,22 @@ _LADDER = [
 def build_model(name: str,
                 n_layers: int,
                 d_model: int,
-                n_heads: int,
-                n_kv_heads: int = None) -> ModelConfig:
+                n_heads: int) -> ModelConfig:
     """Construct a custom LLaMA-style decoder-only configuration.
 
-    ``n_kv_heads`` defaults to MHA. The FFN is SwiGLU at the conventional
-    ~2.7x ratio (which keeps the FFN parameter count comparable to a 4x
-    ReLU MLP), with LLaMA's 32k vocabulary, 4096 positions and untied
+    Attention is MHA (one KV head per query head; replace ``n_kv_heads``
+    on the result for GQA). The FFN is SwiGLU at the conventional ~2.7x
+    ratio (which keeps the FFN parameter count comparable to a 4x ReLU
+    MLP), with LLaMA's 32k vocabulary, 4096 positions and untied
     embeddings.
     """
-    if n_kv_heads is None:
-        n_kv_heads = n_heads
     return ModelConfig(
         name=name,
         family="custom",
         n_layers=n_layers,
         d_model=d_model,
         n_heads=n_heads,
-        n_kv_heads=n_kv_heads,
+        n_kv_heads=n_heads,
         d_ff=int(8 * d_model / 3),
         ffn_kind=FFNKind.SWIGLU,
         vocab_size=32000,
@@ -52,35 +50,25 @@ def build_model(name: str,
 
 
 def scale_to_params(target_billions: float,
-                    name: str = None,
-                    gqa_ratio: int = 1) -> ModelConfig:
+                    name: str = None) -> ModelConfig:
     """Synthesize a config whose parameter count approximates the target.
 
     Walks the published width/depth ladder and picks the rung whose
-    derived count is closest to *target_billions*. ``gqa_ratio`` > 1
-    enables grouped-query attention with ``n_heads / gqa_ratio`` KV heads.
+    derived count is closest to *target_billions*.
     """
     require_positive(target_billions, "target_billions")
-    if gqa_ratio < 1:
-        raise ValueError(f"gqa_ratio must be >= 1, got {gqa_ratio}")
     best: ModelConfig = None
     best_err = float("inf")
     for d_model, n_layers in _LADDER:
-        n_heads = max(8, d_model // 128)
-        if n_heads % gqa_ratio != 0:
-            continue
         candidate = build_model(
             name or f"Custom-{target_billions:g}B",
             n_layers=n_layers,
             d_model=d_model,
-            n_heads=n_heads,
-            n_kv_heads=n_heads // gqa_ratio,
+            n_heads=max(8, d_model // 128),
         )
         err = abs(candidate.param_count() / 1e9 - target_billions)
         if err < best_err:
             best, best_err = candidate, err
-    if best is None:
-        raise ValueError("no ladder rung compatible with the gqa_ratio")
     if name is None:
         actual = best.param_count() / 1e9
         best = dataclasses.replace(best, name=f"Custom-{actual:.1f}B")

@@ -19,16 +19,17 @@ def weight_bytes(model: ModelConfig, dtype: DType = DType.FP16) -> float:
     return model.param_count() * dtype.nbytes
 
 
-def kv_cache_bytes(model: ModelConfig, seq_len: int, batch_size: int,
-                   dtype: DType = DType.BF16) -> float:
-    """Bytes of KV cache for *batch_size* sequences of *seq_len* tokens.
+def kv_cache_bytes(model: ModelConfig, seq_len: int,
+                   batch_size: int) -> float:
+    """Bytes of BF16 KV cache for *batch_size* sequences of *seq_len* tokens.
 
     Grows linearly in both sequence length and batch size — the scaling
-    that Fig. 7 plots against the (constant) model size.
+    that Fig. 7 plots against the (constant) model size. A backend sizes
+    its own dtype's cache through ``kv_bytes_per_token``.
     """
     require_positive(seq_len, "seq_len")
     require_positive(batch_size, "batch_size")
-    return kv_cache_bytes_per_token(model, dtype) * seq_len * batch_size
+    return kv_cache_bytes_per_token(model) * seq_len * batch_size
 
 
 def kv_cache_bytes_per_token(model: ModelConfig,

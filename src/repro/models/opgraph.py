@@ -5,8 +5,9 @@ one pass (compute-bound: big GEMMs with m = batch * seq_len).
 ``decode_step_ops`` builds the list for generating ONE token per sequence
 (memory-bound: GEMV-like GEMMs with m = batch, plus a full KV-cache read).
 
-All byte counts use the activation/weight dtype passed in (BF16 in the
-paper's experiments).
+The memoized builders take the activation/weight dtype of the backend
+that prices them (BF16 in the paper's experiments); the public functions
+build the BF16 graphs.
 """
 
 import functools
@@ -19,7 +20,6 @@ from repro.utils.validation import require_positive
 
 
 def prefill_ops(model: ModelConfig, batch_size: int, seq_len: int,
-                dtype: DType = DType.BF16,
                 fused_attention: bool = False) -> List[Op]:
     """Operators for one prefill pass over a batch of prompts.
 
@@ -32,11 +32,12 @@ def prefill_ops(model: ModelConfig, batch_size: int, seq_len: int,
     keeping the FLOPs — the design-choice ablation for long prompts.
 
     Results are memoized per (model, batch, seq_len, dtype, fused); see
-    :func:`clear_opgraph_caches`.
+    :func:`clear_opgraph_caches`. This graph is BF16, the paper's dtype;
+    a backend builds its own dtype's (``BaselineBackend.prefill_ops``).
     """
     require_positive(batch_size, "batch_size")
     require_positive(seq_len, "seq_len")
-    return list(_prefill_ops_cached(model, batch_size, seq_len, dtype,
+    return list(_prefill_ops_cached(model, batch_size, seq_len, DType.BF16,
                                     fused_attention))
 
 
@@ -72,8 +73,8 @@ def _prefill_ops_cached(model: ModelConfig, batch_size: int, seq_len: int,
     return tuple(ops)
 
 
-def decode_step_ops(model: ModelConfig, batch_size: int, kv_len: int,
-                    dtype: DType = DType.BF16) -> List[Op]:
+def decode_step_ops(model: ModelConfig, batch_size: int,
+                    kv_len: int) -> List[Op]:
     """Operators for generating one token per sequence with *kv_len* cached.
 
     The defining property of decode: every weight byte and every cached KV
@@ -81,11 +82,13 @@ def decode_step_ops(model: ModelConfig, batch_size: int, kv_len: int,
     intensity is ~2 FLOPs per weight byte at batch 1.
 
     Results are memoized per (model, batch, kv_len, dtype); see
-    :func:`clear_opgraph_caches`.
+    :func:`clear_opgraph_caches`. This graph is BF16, the paper's dtype;
+    a backend builds its own dtype's (``BaselineBackend.decode_ops``).
     """
     require_positive(batch_size, "batch_size")
     require_positive(kv_len, "kv_len")
-    return list(_decode_step_ops_cached(model, batch_size, kv_len, dtype))
+    return list(_decode_step_ops_cached(model, batch_size, kv_len,
+                                        DType.BF16))
 
 
 @functools.lru_cache(maxsize=8192)

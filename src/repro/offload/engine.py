@@ -17,7 +17,6 @@ from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.models.layers import Op, OpKind
-from repro.models.opgraph import decode_step_ops, prefill_ops
 from repro.offload.policy import (
     DEFAULT_OFFLOAD_CALIBRATION,
     OffloadCalibration,
@@ -32,21 +31,22 @@ _ATTENTION_KINDS = (OpKind.ATTN_QK, OpKind.ATTN_PV, OpKind.SOFTMAX)
 
 def gpu_prefill_leg(executor: OperatorExecutor, transfer: TransferModel,
                     calibration: OffloadCalibration, model: ModelConfig,
-                    batch_size: int, input_len: int, dtype,
+                    batch_size: int, input_len: int,
                     streamed_weight_bytes: float,
                     kv_to_host: bool) -> Tuple[float, float, float]:
     """Price one GPU prefill pass with streamed weights.
 
     The shared prefill leg of offloaded *and* hybrid execution: GPU
-    compute over the dense prefill graph, non-resident weights streamed
-    over PCIe once (overlapped with compute), and — when *kv_to_host*
-    is set — the freshly produced prompt K/V moved to host memory.
+    compute over the executor's backend's prefill graph, non-resident
+    weights streamed over PCIe once (overlapped with compute), and —
+    when *kv_to_host* is set — the freshly produced prompt K/V moved to
+    host memory.
     Returns ``(critical_path_s, transfer_s, compute_s)``; both
     :meth:`OffloadSimulator.run` and
     :meth:`repro.engine.backend.HybridBackend.prefill_comm_s` delegate
     here, so the two paths price the leg identically by construction.
     """
-    ops = prefill_ops(model, batch_size, input_len, dtype)
+    ops = executor.backend.prefill_ops(model, batch_size, input_len)
     compute = sum(t.time_s for t in executor.time_ops(ops))
     xfer = transfer.time(streamed_weight_bytes,
                          layer_transfers=model.n_layers)
@@ -141,6 +141,9 @@ class OffloadResult:
 class OffloadSimulator:
     """Simulates offloading-based inference on one GPU.
 
+    Prices on the plain BF16 base (:class:`BaselineBackend`), whose
+    op graphs and dtype every leg reads.
+
     Args:
         gpu: GPU platform (must define a host link).
         calibration: Offloading behaviour constants.
@@ -153,12 +156,9 @@ class OffloadSimulator:
         self.gpu = gpu
         self.calibration = calibration
         self.transfer: TransferModel = transfer_model_for(gpu, calibration)
-
-    def _gpu_executor(self, request: InferenceRequest) -> OperatorExecutor:
-        bandwidth = (self.gpu.peak_memory_bandwidth
-                     * self.gpu.stream_efficiency)
-        return OperatorExecutor(self.gpu, BaselineBackend(request.dtype),
-                                bandwidth)
+        self.executor = OperatorExecutor(
+            gpu, BaselineBackend(),
+            gpu.peak_memory_bandwidth * gpu.stream_efficiency)
 
     def _split_ops(self, ops: List[Op]):
         attention = [op for op in ops if op.kind in _ATTENTION_KINDS]
@@ -177,7 +177,7 @@ class OffloadSimulator:
         The hidden state crosses PCIe twice per layer (GPU -> host before
         attention, host -> GPU after).
         """
-        nb = request.dtype.nbytes
+        nb = self.executor.backend.dtype.nbytes
         return float(2 * model.n_layers * request.batch_size
                      * model.d_model * nb)
 
@@ -195,13 +195,12 @@ class OffloadSimulator:
         to ≤1e-9 relative (pinned by ``tests/test_backend_numa_hybrid.py``).
         """
         placement = make_placement(model, request, self.gpu, self.calibration)
-        executor = self._gpu_executor(request)
-        layers = model.n_layers
+        executor = self.executor
 
         # --- prefill: stream non-resident weights once, overlap with compute.
         prefill_time, prefill_transfer, prefill_compute = gpu_prefill_leg(
             executor, self.transfer, self.calibration, model,
-            request.batch_size, request.input_len, request.dtype,
+            request.batch_size, request.input_len,
             placement.streamed_weight_bytes,
             kv_to_host=not placement.kv_on_gpu)
 
@@ -238,8 +237,8 @@ class OffloadSimulator:
         compute_total = 0.0
         for step in range(request.decode_steps):
             kv_len = request.input_len + step
-            ops = decode_step_ops(model, request.batch_size, kv_len,
-                                  request.dtype)
+            ops = executor.backend.decode_ops(model, request.batch_size,
+                                              kv_len)
             attention, other = self._split_ops(ops)
             gpu_compute = sum(t.time_s for t in executor.time_ops(other))
             step_transfer_raw = self.transfer.time(
@@ -293,13 +292,12 @@ class OffloadSimulator:
             compute, = executor.time_decode_series(model, batch, kv_start,
                                                    kv_start + steps)
         else:
-            ops = decode_step_ops(model, batch, kv_start, request.dtype)
+            ops = executor.backend.decode_ops(model, batch, kv_start)
             attention, other = self._split_ops(ops)
             other_time = sum(t.time_s for t in executor.time_ops(other))
 
             def attn_bytes(kv_len: int) -> float:
-                step_ops = decode_step_ops(model, batch, kv_len,
-                                           request.dtype)
+                step_ops = executor.backend.decode_ops(model, batch, kv_len)
                 return sum(op.memory_bytes for op in step_ops
                            if op.kind in _ATTENTION_KINDS)
 

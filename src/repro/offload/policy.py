@@ -18,10 +18,10 @@ mirrors FlexGen's practical behaviour:
 
 import dataclasses
 
+from repro.engine.backend import BaselineBackend
 from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
-from repro.models.memory import kv_cache_bytes, weight_bytes
 from repro.utils.validation import require_positive
 
 
@@ -107,12 +107,16 @@ def hybrid_streamed_weight_bytes(
 def make_placement(model: ModelConfig, request: InferenceRequest,
                    gpu: Platform,
                    calibration: OffloadCalibration = DEFAULT_OFFLOAD_CALIBRATION) -> Placement:
-    """Resolve the GPU/CPU split for an offloaded request."""
+    """Resolve the GPU/CPU split for an offloaded request.
+
+    Sized on the plain BF16 base the offload engine prices with.
+    """
     if not gpu.is_gpu:
         raise ValueError(f"{gpu.name} is not a GPU")
-    weights = weight_bytes(model, request.dtype)
-    kv_peak = kv_cache_bytes(model, request.max_seq_len, request.batch_size,
-                             request.dtype)
+    base = BaselineBackend()
+    weights = base.weight_bytes(model)
+    kv_peak = (base.kv_bytes_per_token(model) * request.max_seq_len
+               * request.batch_size)
     kv_on_gpu = kv_peak <= gpu.memory_capacity * calibration.kv_gpu_capacity_fraction
     weight_budget = gpu.memory_capacity * calibration.weight_residency_fraction
     if kv_on_gpu:

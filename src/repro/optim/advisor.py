@@ -13,7 +13,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.runner import run_inference
 from repro.engine.backend import (
-    BaselineBackend,
     NumaBackend,
     QuantizedBackend,
     TensorParallelBackend,
@@ -72,7 +71,6 @@ class DeploymentAdvisor:
     def _candidates(self, model: ModelConfig,
                     request: InferenceRequest) -> List[Candidate]:
         candidates: List[Candidate] = []
-        base = BaselineBackend(request.dtype)
 
         def add(label: str, platform_name: str, runner: Callable):
             try:
@@ -95,7 +93,7 @@ class DeploymentAdvisor:
             for numa in EVALUATED_CONFIGS:
                 add(f"{platform.name} {numa.label}", platform.name,
                     lambda p=platform, n=numa: InferenceSimulator(
-                        p, NumaBackend(numa=n, inner=base)
+                        p, NumaBackend(numa=n)
                     ).run(model, request))
             add(f"{platform.name} quad_flat+int8", platform.name,
                 lambda p=platform: InferenceSimulator(
@@ -104,8 +102,7 @@ class DeploymentAdvisor:
             if platform.topology.sockets >= 2:
                 add(f"{platform.name} quad_flat+tp2", platform.name,
                     lambda p=platform: InferenceSimulator(
-                        p, backend=TensorParallelBackend(
-                            TPConfig(degree=2), inner=base)
+                        p, backend=TensorParallelBackend(TPConfig(degree=2))
                     ).run(model, request))
         return candidates
 

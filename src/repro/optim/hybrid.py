@@ -16,11 +16,11 @@ resident-weight budget covers its layers first.
 
 import dataclasses
 
+from repro.engine.backend import BaselineBackend
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import PAPER_DEFAULT_REQUEST, InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
-from repro.models.memory import weight_bytes
 from repro.offload.engine import OffloadSimulator
 from repro.offload.policy import (
     DEFAULT_OFFLOAD_CALIBRATION,
@@ -28,6 +28,9 @@ from repro.offload.policy import (
     hybrid_streamed_weight_bytes,
 )
 from repro.offload.zigzag import amortization_factor
+
+#: Step of the CPU layer-fraction search (0, 0.05, ..., 1).
+GRANULARITY = 0.05
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,24 +58,22 @@ class HybridPlan:
 class HybridPlanner:
     """Searches the best CPU/GPU layer split for one (model, request).
 
+    Both sides hold BF16 weights (:class:`BaselineBackend`), the dtype
+    the CPU and offloaded GPU legs price at.
+
     Args:
         cpu: CPU platform (computes its layer share from local memory).
         gpu: GPU platform (must offload the model for hybrid to make sense).
         calibration: Offloading constants shared with the pure-GPU baseline.
-        granularity: Step size of the fraction search.
     """
 
     def __init__(self, cpu: Platform, gpu: Platform,
-                 calibration: OffloadCalibration = DEFAULT_OFFLOAD_CALIBRATION,
-                 granularity: float = 0.05):
+                 calibration: OffloadCalibration = DEFAULT_OFFLOAD_CALIBRATION):
         if not cpu.is_cpu or not gpu.is_gpu:
             raise ValueError("HybridPlanner needs one CPU and one GPU platform")
-        if not 0 < granularity <= 0.5:
-            raise ValueError(f"granularity must be in (0, 0.5], got {granularity}")
         self.cpu = cpu
         self.gpu = gpu
         self.calibration = calibration
-        self.granularity = granularity
 
     def _cpu_step_time(self, model: ModelConfig,
                        request: InferenceRequest) -> float:
@@ -86,11 +87,10 @@ class HybridPlanner:
         result = OffloadSimulator(self.gpu, self.calibration).run(model, request)
         return result.tpot_s
 
-    def _hybrid_step_time(self, f_cpu: float, model: ModelConfig,
+    def _hybrid_step_time(self, f_cpu: float, weights: float,
                           request: InferenceRequest,
                           cpu_step: float, gpu_step_compute: float) -> float:
         """Critical-path step time for a given CPU layer fraction."""
-        weights = weight_bytes(model, request.dtype)
         streamed = hybrid_streamed_weight_bytes(
             (1.0 - f_cpu) * weights, self.gpu, self.calibration)
         pcie_bw = (self.gpu.host_link.nominal_bw
@@ -110,15 +110,15 @@ class HybridPlanner:
         # HBM streaming of the resident share; approximate with the GPU's
         # in-memory step time scaled from weight traffic.
         gpu_bw = self.gpu.peak_memory_bandwidth * self.gpu.stream_efficiency
-        weights = weight_bytes(model, request.dtype)
+        weights = BaselineBackend().weight_bytes(model)
         gpu_step_compute = weights / gpu_bw
 
         best_fraction = 0.0
         best_time = float("inf")
-        steps = int(round(1.0 / self.granularity))
+        steps = int(round(1.0 / GRANULARITY))
         for i in range(steps + 1):
-            f_cpu = i * self.granularity
-            t = self._hybrid_step_time(f_cpu, model, request,
+            f_cpu = i * GRANULARITY
+            t = self._hybrid_step_time(f_cpu, weights, request,
                                        cpu_step, gpu_step_compute)
             if t < best_time:
                 best_time = t

@@ -21,9 +21,8 @@ improving even the latency sum.
 """
 
 import dataclasses
-from typing import List
+from typing import List, Sequence
 
-from repro.engine.backend import BaselineBackend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
@@ -31,12 +30,7 @@ from repro.hardware.interconnect import upi_link
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.models.layers import Op
-from repro.models.memory import (
-    kv_cache_bytes,
-    peak_activation_bytes,
-    weight_bytes,
-)
-from repro.models.opgraph import decode_step_ops
+from repro.models.memory import peak_activation_bytes
 
 #: Pipeline depth: one stage per socket of a two-socket server.
 PP_STAGES = 2
@@ -92,7 +86,7 @@ class PipelineParallelSimulator:
         self.interconnect = upi_link()
         self._base = InferenceSimulator(platform)
 
-    def _stage_ops(self, ops: List[Op]) -> List[Op]:
+    def _stage_ops(self, ops: Sequence[Op]) -> List[Op]:
         """One stage's share: per-layer quantities scaled by 1/stages.
 
         Per-layer ops (instances == n_layers) shard exactly; the
@@ -118,14 +112,15 @@ class PipelineParallelSimulator:
     def _stage_executor(self, model: ModelConfig,
                         request: InferenceRequest) -> OperatorExecutor:
         """Executor whose bandwidth reflects one stage's local footprint."""
+        base = self._base.backend
         footprint = (
-            weight_bytes(model, request.dtype) / PP_STAGES
-            + kv_cache_bytes(model, request.max_seq_len, request.batch_size,
-                             request.dtype) / PP_STAGES
+            base.weight_bytes(model) / PP_STAGES
+            + base.kv_bytes_per_token(model) * request.max_seq_len
+            * request.batch_size / PP_STAGES
             + peak_activation_bytes(model, request.max_seq_len,
-                                    request.batch_size, request.dtype))
+                                    request.batch_size, base.dtype))
         return OperatorExecutor(
-            self.platform, BaselineBackend(request.dtype),
+            self.platform, base,
             bandwidth=self._base.effective_bandwidth(footprint),
             compute_scale=self._base.compute_scale())
 
@@ -133,8 +128,8 @@ class PipelineParallelSimulator:
                  request: InferenceRequest = InferenceRequest()) -> PPEstimate:
         """Project decode-step behaviour at mid-generation KV length."""
         kv_len = request.input_len + request.decode_steps // 2
-        ops = decode_step_ops(model, request.batch_size, kv_len,
-                              request.dtype)
+        base = self._base.backend
+        ops = base.decode_ops(model, request.batch_size, kv_len)
 
         single = sum(t.time_s for t in
                      self._base._executor(model, request).time_ops(ops))
@@ -143,7 +138,7 @@ class PipelineParallelSimulator:
         stage = sum(t.time_s for t in
                     stage_executor.time_ops(self._stage_ops(ops)))
 
-        hop_bytes = request.batch_size * model.d_model * request.dtype.nbytes
+        hop_bytes = request.batch_size * model.d_model * base.dtype.nbytes
         hop = self.interconnect.transfer_time(hop_bytes)
 
         token_latency = PP_STAGES * stage + (PP_STAGES - 1) * hop

@@ -25,7 +25,6 @@ import enum
 from repro.hardware.datatypes import DType
 from repro.models.config import ModelConfig
 from repro.models.layers import Op
-from repro.utils.validation import require_positive
 
 
 class QuantScheme(enum.Enum):
@@ -43,26 +42,20 @@ class QuantConfig:
 
     Attributes:
         scheme: Quantization scheme.
-        group_size: Elements per scale group (per-group scales add
-            ``2 / group_size`` bytes per weight byte of overhead).
-        dequant_overhead: Fractional compute-time overhead of on-the-fly
-            dequantization in the weight-only scheme (fused into the GEMM
-            inner loop, small but not free).
         kv_dtype: KV-cache storage dtype. INT8 KV halves cache traffic —
             the long-context decode lever (KV reads grow with context
             while weight reads stay fixed).
     """
 
     scheme: QuantScheme = QuantScheme.WEIGHT_ONLY_INT8
-    group_size: int = 128
-    dequant_overhead: float = 0.08
     kv_dtype: DType = DType.BF16
-
-    def __post_init__(self) -> None:
-        require_positive(self.group_size, "group_size")
-        if not 0 <= self.dequant_overhead < 1:
-            raise ValueError(
-                f"dequant_overhead must be in [0, 1), got {self.dequant_overhead}")
+    #: Elements per scale group (per-group scales add ``2 / group_size``
+    #: bytes per weight byte of overhead).
+    group_size = 128
+    #: Fractional compute-time overhead of on-the-fly dequantization in
+    #: the weight-only schemes (fused into the GEMM inner loop, small but
+    #: not free).
+    dequant_overhead = 0.08
 
     @property
     def compute_dtype(self) -> DType:

@@ -18,7 +18,6 @@ the core split — the asymmetry this module quantifies.
 import dataclasses
 from typing import List
 
-from repro.engine.backend import BaselineBackend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
@@ -29,7 +28,6 @@ from repro.engine.results import (
 )
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
-from repro.models.opgraph import decode_step_ops, prefill_ops
 from repro.utils.validation import require_positive
 
 #: Bandwidth efficiency lost to interleaved tenant access streams (row
@@ -107,23 +105,22 @@ class MultiTenantSimulator:
             shared_bw = (solo_bw / self.tenants) * CONTENTION_EFFICIENCY
         else:
             shared_bw = solo_bw
-        return OperatorExecutor(self.platform,
-                                BaselineBackend(request.dtype),
+        return OperatorExecutor(self.platform, self._shared.backend,
                                 bandwidth=shared_bw,
                                 compute_scale=self._shared.compute_scale())
 
     def _run_shared(self, model: ModelConfig,
                     request: InferenceRequest) -> InferenceResult:
         executor = self._shared_executor(model, request)
+        backend = executor.backend
         prefill = phase_stats_from_timings(
-            "prefill", executor.time_ops(prefill_ops(
-                model, request.batch_size, request.input_len, request.dtype)))
+            "prefill", executor.time_ops(backend.prefill_ops(
+                model, request.batch_size, request.input_len)))
         decode_phases = []
         for step in range(request.decode_steps):
             decode_phases.append(phase_stats_from_timings(
-                f"decode[{step}]", executor.time_ops(decode_step_ops(
-                    model, request.batch_size, request.input_len + step,
-                    request.dtype))))
+                f"decode[{step}]", executor.time_ops(backend.decode_ops(
+                    model, request.batch_size, request.input_len + step))))
         decode = (merge_phase_stats("decode", decode_phases)
                   if decode_phases
                   else phase_stats_from_timings("decode", []))

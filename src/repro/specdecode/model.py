@@ -16,12 +16,12 @@ cycle time by expected tokens. On a memory-bound platform this is nearly
 free throughput — exactly why the technique matters for CPU inference.
 
 :class:`SpeculativeDecoder` prices one cycle's pieces for a dense
-target, each on its own executor: the draft step on the draft model's,
-and the verification pass — built by
-:class:`~repro.engine.backend.SpecDecodeBackend` over the plain base at
-the request's dtype — on the target's. The backend is a wrapper like
-any other (over a quantized base it speculates in INT8) and also folds
-a cycle into a per-token decode graph for the serving/cluster layers.
+target at the paper's default request, each on its own executor: the
+draft step on the draft model's, and the verification pass — built by
+:class:`~repro.engine.backend.SpecDecodeBackend` over the plain BF16
+base — on the target's. The backend is a wrapper like any other (over a
+quantized base it speculates in INT8) and also folds a cycle into a
+per-token decode graph for the serving/cluster layers.
 :class:`SpecDecodeConfig` lives in the backend module and is
 re-exported here unchanged.
 """
@@ -30,17 +30,16 @@ import dataclasses
 
 # SpecDecodeConfig moved to the backend layer (re-exported here for the
 # public API).
-from repro.engine.backend import (
-    BaselineBackend,
-    SpecDecodeBackend,
-    SpecDecodeConfig,
-)
+from repro.engine.backend import SpecDecodeBackend, SpecDecodeConfig
 from repro.engine.inference import InferenceSimulator
-from repro.engine.request import InferenceRequest
+from repro.engine.request import PAPER_DEFAULT_REQUEST
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 
 __all__ = ["SpecDecodeConfig", "SpecDecodeEstimate", "SpeculativeDecoder"]
+
+#: Draft lengths :meth:`SpeculativeDecoder.best_gamma` searches.
+GAMMA_CANDIDATES = (1, 2, 4, 6, 8, 12)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,14 +94,13 @@ class SpeculativeDecoder:
         self.config = config
         self._simulator = InferenceSimulator(platform)
 
-    def backend(self, request: InferenceRequest) -> SpecDecodeBackend:
+    def backend(self) -> SpecDecodeBackend:
         """The folded per-token execution backend for this configuration."""
-        return SpecDecodeBackend(draft=self.draft, spec=self.config,
-                                 inner=BaselineBackend(request.dtype))
+        return SpecDecodeBackend(draft=self.draft, spec=self.config)
 
-    def estimate(self, request: InferenceRequest = InferenceRequest()
-                 ) -> SpecDecodeEstimate:
-        """Project speculative TPOT for *request* (kv at mid-generation).
+    def estimate(self) -> SpecDecodeEstimate:
+        """Project speculative TPOT at the paper's default request (kv at
+        mid-generation).
 
         Draft steps and the verification pass price on *separate*
         executors (the draft's working set is far smaller, so its
@@ -110,12 +108,13 @@ class SpeculativeDecoder:
         the backend's unscaled components itself rather than delegating
         a folded decode graph to one simulator.
         """
+        request = PAPER_DEFAULT_REQUEST
         kv_len = request.input_len + request.decode_steps // 2
         batch = request.batch_size
 
         target_executor = self._simulator._executor(self.target, request)
         draft_executor = self._simulator._executor(self.draft, request)
-        backend = self.backend(request)
+        backend = self.backend()
 
         baseline_ops = target_executor.backend.decode_ops(
             self.target, batch, kv_len)
@@ -142,11 +141,11 @@ class SpeculativeDecoder:
             expected_tokens=self.config.expected_tokens_per_cycle,
         )
 
-    def best_gamma(self, candidates=(1, 2, 4, 6, 8, 12)) -> int:
-        """Gamma with the highest projected speedup at the paper's default
-        request."""
-        best, best_speedup = candidates[0], 0.0
-        for gamma in candidates:
+    def best_gamma(self) -> int:
+        """The :data:`GAMMA_CANDIDATES` entry with the highest projected
+        speedup at the paper's default request."""
+        best, best_speedup = GAMMA_CANDIDATES[0], 0.0
+        for gamma in GAMMA_CANDIDATES:
             config = dataclasses.replace(self.config, gamma=gamma)
             decoder = SpeculativeDecoder(self.platform, self.target,
                                          self.draft, config)

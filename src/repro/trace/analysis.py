@@ -98,22 +98,17 @@ def request_attribution(trace: Trace) -> Dict[int, RequestAttribution]:
     return out
 
 
-def batch_occupancy_histogram(trace: Trace,
-                              replica: Optional[str] = None
-                              ) -> Dict[int, float]:
-    """Seconds spent decoding at each batch size.
+def batch_occupancy_histogram(trace: Trace) -> Dict[int, float]:
+    """Seconds the fleet spent decoding at each batch size.
 
     Sums replica-track ``decode`` span durations by their ``batch_size``
     argument — the duration-weighted occupancy distribution that decides
     how much of the paper's batch-scaling headroom a trace actually
-    used. Restrict to one replica by name, or aggregate the fleet.
+    used.
     """
-    wanted = replica_track(replica) if replica is not None else None
     histogram: Dict[int, float] = {}
     for span in trace.spans:
         if span.name != "decode" or span.category != "replica":
-            continue
-        if wanted is not None and span.track != wanted:
             continue
         size = int(span.args["batch_size"])
         histogram[size] = histogram.get(size, 0.0) + span.duration_s

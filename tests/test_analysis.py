@@ -82,8 +82,12 @@ class TestBottleneck:
             "qkv_proj", "ffn_gate_up", "ffn_up", "ffn_down", "out_proj"}
 
     def test_explicit_kv_len(self):
-        early = self.analyzer.decode_step(self.model, self.request, kv_len=8)
-        late = self.analyzer.decode_step(self.model, self.request, kv_len=2048)
+        # The step sits at the request's mid-generation KV length, so the
+        # prompt length sets it.
+        early = self.analyzer.decode_step(
+            self.model, InferenceRequest(input_len=8, output_len=1))
+        late = self.analyzer.decode_step(
+            self.model, InferenceRequest(input_len=2048, output_len=1))
         assert late.total_s > early.total_s
 
 
@@ -99,8 +103,8 @@ class TestRooflineChart:
         result = simulate(get_platform("spr"), get_model("opt-6.7b"))
         intensity, achieved = phase_point(result.prefill)
         assert intensity > 0 and achieved > 0
-        assert achieved <= get_platform("spr").peak_flops(
-            result.request.dtype)
+        from repro.hardware.datatypes import DType
+        assert achieved <= get_platform("spr").peak_flops(DType.BF16)
 
     def test_render_contains_roof_and_points(self):
         spr = get_platform("spr")

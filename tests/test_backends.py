@@ -41,7 +41,7 @@ from repro.engine.backend import (
 )
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator
-from repro.engine.request import InferenceRequest
+from repro.engine.request import PAPER_DEFAULT_REQUEST, InferenceRequest
 from repro.engine.stepcost import decode_cost_table
 from repro.experiments._sweeps import clear_caches
 from repro.hardware.datatypes import DType
@@ -179,22 +179,21 @@ class TestParseBackend:
 
 
 class TestWrapperParity:
-    REQUEST = InferenceRequest(batch_size=2, input_len=128, output_len=64)
-
     def test_specdecode_folded_graph_matches_estimate(self):
         # ICL: effective bandwidth is footprint-independent, so the
         # wrapper's separate draft/target executors and the folded
         # graph's single executor price against the same bandwidth.
         config = SpecDecodeConfig(gamma=4, acceptance_rate=0.8)
         decoder = SpeculativeDecoder(ICL, LLAMA, OPT, config)
-        estimate = decoder.estimate(self.REQUEST)
+        estimate = decoder.estimate()
 
-        backend = decoder.backend(self.REQUEST)
+        request = PAPER_DEFAULT_REQUEST
+        backend = decoder.backend()
         sim = InferenceSimulator(ICL, backend=backend)
-        executor = sim._executor(LLAMA, self.REQUEST)
-        kv_len = self.REQUEST.input_len + self.REQUEST.decode_steps // 2
+        executor = sim._executor(LLAMA, request)
+        kv_len = request.input_len + request.decode_steps // 2
         folded = sum(t.time_s for t in executor.time_ops(
-            backend.decode_ops(LLAMA, self.REQUEST.batch_size, kv_len)))
+            backend.decode_ops(LLAMA, request.batch_size, kv_len)))
         assert close(folded, estimate.effective_tpot_s)
 
     def test_prefix_wrapper_matches_backend(self):

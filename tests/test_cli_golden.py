@@ -85,6 +85,7 @@ CASES = {
     "trace-fail-node": "trace --requests 12 --fail-node spr-0 --fail-at 5",
     "trace-poisson-jsq-out": "trace --requests 12 --burst-rate 0 "
                              "--router jsq --out {tmp}/t.json",
+    "trace-width-40": "trace --requests 12 --width 40",
     # replica names come from the spec on both legs
     "cluster-platform-aliases": "cluster --platforms spr-max-9468,spr "
                                 "--model llama2-7b --requests 8",

@@ -77,13 +77,7 @@ class TestCharacterizationSweep:
     def test_skip_oversize_drops_infeasible(self):
         sweep = CharacterizationSweep(
             [get_platform("spr")], [get_model("opt-175b")], [1])
-        assert sweep.run(skip_oversize=True) == []
-
-    def test_skip_oversize_false_raises(self):
-        sweep = CharacterizationSweep(
-            [get_platform("spr")], [get_model("opt-175b")], [1])
-        with pytest.raises(Exception):
-            sweep.run(skip_oversize=False)
+        assert sweep.run() == []
 
     def test_gpu_rows_marked_offloaded(self):
         sweep = CharacterizationSweep(
@@ -91,8 +85,8 @@ class TestCharacterizationSweep:
         assert sweep.run()[0].offloaded
 
     def test_only_capacity_errors_mark_oversize(self, monkeypatch):
-        # Anything other than MemoryCapacityError must propagate, even
-        # with skip_oversize set — a bug is not an oversize cell.
+        # Anything other than MemoryCapacityError must propagate, though
+        # the sweep skips oversize cells — a bug is not an oversize cell.
         import repro.core.runner as runner_mod
 
         sweep = CharacterizationSweep(
@@ -103,19 +97,19 @@ class TestCharacterizationSweep:
 
         monkeypatch.setattr(runner_mod, "run_inference", genuine_bug)
         with pytest.raises(RuntimeError, match="genuine bug"):
-            sweep.run(skip_oversize=True)
+            sweep.run()
 
         def oversize(*args, **kwargs):
             raise MemoryCapacityError("too big")
 
         monkeypatch.setattr(runner_mod, "run_inference", oversize)
-        assert sweep.run(skip_oversize=True) == []
+        assert sweep.run() == []
 
     def test_oversize_cell_raises_memory_capacity_error(self):
-        sweep = CharacterizationSweep(
-            [get_platform("spr")], [get_model("opt-175b")], [1])
+        # The error the sweep skips an oversize cell on.
         with pytest.raises(MemoryCapacityError):
-            sweep.run(skip_oversize=False)
+            run_inference(get_platform("spr"), get_model("opt-175b"),
+                          InferenceRequest())
 
 
 class TestFilterRows:

@@ -95,12 +95,12 @@ def test_fastpath_matches_step_loop_across_models(platform_name, batch_size):
 @pytest.mark.parametrize("dtype", [DType.BF16, DType.FP32, DType.INT8])
 @pytest.mark.parametrize("platform_name", ["icl", "spr"])
 def test_fastpath_matches_step_loop_across_dtypes(platform_name, dtype):
-    sim = InferenceSimulator(get_platform(platform_name))
+    sim = InferenceSimulator(get_platform(platform_name),
+                             BaselineBackend(dtype))
     for model in (get_model("opt-1.3b"), get_model("llama2-7b")):
         assert _assert_equivalent(
             sim, model,
-            InferenceRequest(batch_size=4, input_len=96, output_len=48,
-                             dtype=dtype))
+            InferenceRequest(batch_size=4, input_len=96, output_len=48))
 
 
 @pytest.mark.parametrize("spec", ["int8", "w4", "w8a8", "tp2", "int8-tp2",
@@ -167,7 +167,7 @@ def test_best_engine_flips_mid_decode_and_fastpath_agrees():
     # (otherwise this test silently stops covering the crossover logic).
     winners = set()
     for kv in range(kv_start, kv_end):
-        for op in decode_step_ops(model, 1, kv, DType.BF16):
+        for op in decode_step_ops(model, 1, kv):
             if op.name == "attn_qk":
                 winners.add(executor.time_op(op).engine_name)
     assert winners == {"cheap", "beefy"}
@@ -178,7 +178,7 @@ def test_best_engine_flips_mid_decode_and_fastpath_agrees():
     op_times = {}
     for kv in range(kv_start, kv_end):
         for timing in executor.time_ops(
-                list(decode_step_ops(model, 1, kv, DType.BF16))):
+                decode_step_ops(model, 1, kv)):
             time_s += timing.time_s
             compute_s += timing.compute_s
             memory_s += timing.memory_s

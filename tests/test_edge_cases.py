@@ -8,7 +8,7 @@ paths that guard against physically meaningless simulations.
 import pytest
 
 from repro.core.runner import run_inference
-from repro.engine.backend import NumaBackend
+from repro.engine.backend import BaselineBackend, NumaBackend
 from repro.engine.inference import (
     InferenceSimulator,
     MemoryCapacityError,
@@ -123,17 +123,17 @@ class TestDispatchEdges:
 
     def test_int8_cpu_path(self):
         # The whole pipeline at INT8 dtype (AMX INT8 = 2x BF16 peak).
-        request = InferenceRequest(dtype=DType.INT8, output_len=4)
+        request = InferenceRequest(output_len=4)
         result = simulate(get_platform("spr"), get_model("opt-6.7b"),
-                          request)
+                          request, backend=BaselineBackend(DType.INT8))
         bf16 = simulate(get_platform("spr"), get_model("opt-6.7b"),
                         InferenceRequest(output_len=4))
         assert result.tpot_s < bf16.tpot_s  # half the bytes
 
     def test_fp32_runs_on_vector_units(self):
-        request = InferenceRequest(dtype=DType.FP32, output_len=2)
+        request = InferenceRequest(output_len=2)
         result = simulate(get_platform("spr"), get_model("opt-1.3b"),
-                          request)
+                          request, backend=BaselineBackend(DType.FP32))
         assert result.e2e_s > 0
 
     def test_cores_below_snc_granularity(self):

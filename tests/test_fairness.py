@@ -110,8 +110,7 @@ class TestFairnessReportEdgeCases:
             _decision(_request(1, user=2, arrival=0.5), admitted=False),
             _decision(_request(2, user=2, arrival=0.6), admitted=False),
         ]
-        report = fairness_report(decisions, [_record(0, finish=0.8)],
-                                 cutoff_s=10.0)
+        report = fairness_report(decisions, [_record(0, finish=0.8)])
         starved = _tenant(report, 2)
         assert starved.arrived == 2
         assert starved.admitted == 0
@@ -131,7 +130,7 @@ class TestFairnessReportEdgeCases:
             _decision(_request(2, user=0, arrival=0.2)),
         ]
         completed = [_record(0), _record(2)]
-        report = fairness_report(decisions, completed, cutoff_s=5.0)
+        report = fairness_report(decisions, completed)
         tenant = _tenant(report, 0)
         assert tenant.arrived == tenant.admitted + tenant.throttled == 3
 
@@ -141,23 +140,26 @@ class TestFairnessReportEdgeCases:
                      _decision(_request(1, user=1, arrival=1.0))]
         completed = [slow, _record(1, arrival=1.0, start=1.1, first=1.2,
                                    finish=1.5)]
-        patient = fairness_report(decisions, completed, cutoff_s=40.0)
+        patient = fairness_report(decisions, completed)
         assert patient.wasted_tokens == 0
-        impatient = fairness_report(decisions, completed, cutoff_s=40.0,
+        impatient = fairness_report(decisions, completed,
                                     abandoned_ttft_s=5.0)
         assert impatient.wasted_tokens == 40
         assert _tenant(impatient, 0).wasted_tokens == 40
         assert _tenant(impatient, 1).wasted_tokens == 0
 
     def test_weights_divide_service(self):
+        # A throttled late arrival puts the cutoff past both services.
         decisions = [_decision(_request(0, user=0)),
-                     _decision(_request(1, user=1, arrival=0.1))]
+                     _decision(_request(1, user=1, arrival=0.1)),
+                     _decision(_request(2, user=2, arrival=5.0),
+                               admitted=False)]
         completed = [_record(0, finish=0.5),
                      _record(1, arrival=0.1, start=0.2, first=0.3,
                              finish=0.6)]
-        unweighted = fairness_report(decisions, completed, cutoff_s=5.0)
-        weighted = fairness_report(decisions, completed, cutoff_s=5.0,
-                                   weights={0: 2.0})
+        unweighted = fairness_report(decisions, completed)
+        assert _tenant(unweighted, 0).served_tokens > 0
+        weighted = fairness_report(decisions, completed, weights={0: 2.0})
         assert _tenant(weighted, 0).served_tokens == pytest.approx(
             _tenant(unweighted, 0).served_tokens / 2.0)
         assert _tenant(weighted, 1).served_tokens == pytest.approx(

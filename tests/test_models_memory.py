@@ -42,7 +42,7 @@ class TestKvCacheBytes:
         # Paper Section II-B: 2B * 2 * n_layers * d_model * n_seq * n_batch.
         model = get_model("llama2-13b")
         expected = 2 * 2 * model.n_layers * model.d_model * 4096 * 32
-        assert kv_cache_bytes(model, 4096, 32, DType.BF16) == pytest.approx(
+        assert kv_cache_bytes(model, 4096, 32) == pytest.approx(
             expected)
 
     def test_opt66b_at_4096_batch32_matches_paper(self):

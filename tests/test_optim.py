@@ -85,8 +85,3 @@ class TestHybridPlanner:
             HybridPlanner(get_platform("spr"), get_platform("icl"))
         with pytest.raises(ValueError):
             HybridPlanner(get_platform("a100"), get_platform("h100"))
-
-    def test_rejects_bad_granularity(self):
-        with pytest.raises(ValueError):
-            HybridPlanner(get_platform("spr"), get_platform("a100"),
-                          granularity=0.0)

@@ -27,11 +27,7 @@ class TestBatchScalingFit:
     def test_knee_formula(self):
         fit = BatchScalingFit(t_max=100.0, b_half=10.0, samples=[(1, 9.1)])
         # b/(b+10) = 0.8 -> b = 40.
-        assert fit.knee_batch(0.8) == pytest.approx(40.0)
-
-    def test_knee_monotone_in_target(self):
-        fit = BatchScalingFit(t_max=100.0, b_half=10.0, samples=[(1, 9.1)])
-        assert fit.knee_batch(0.9) > fit.knee_batch(0.5)
+        assert fit.knee_batch() == pytest.approx(40.0)
 
     def test_predicted_bounded_by_t_max(self):
         fit = BatchScalingFit(t_max=100.0, b_half=10.0, samples=[(1, 9.1)])

@@ -2,10 +2,15 @@
 
 import pytest
 
+from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
-from repro.specdecode.model import SpecDecodeConfig, SpeculativeDecoder
+from repro.specdecode.model import (
+    GAMMA_CANDIDATES,
+    SpecDecodeConfig,
+    SpeculativeDecoder,
+)
 
 
 class TestSpecDecodeConfig:
@@ -65,8 +70,7 @@ class TestSpeculativeDecoder:
         assert good > bad
 
     def test_best_gamma_returns_candidate(self):
-        best = self.decoder().best_gamma(candidates=(1, 4, 8))
-        assert best in (1, 4, 8)
+        assert self.decoder().best_gamma() in GAMMA_CANDIDATES
 
     def test_draft_must_be_smaller(self):
         with pytest.raises(ValueError, match="must be smaller"):
@@ -74,5 +78,9 @@ class TestSpeculativeDecoder:
                                get_model("opt-13b"))
 
     def test_batch_request_supported(self):
-        estimate = self.decoder().estimate(InferenceRequest(batch_size=4))
-        assert estimate.speedup > 0
+        # A batch is served through the folded backend.
+        decoder = self.decoder()
+        result = InferenceSimulator(get_platform("spr"),
+                                    decoder.backend()).run(
+            get_model("opt-13b"), InferenceRequest(batch_size=4))
+        assert result.tpot_s > 0

@@ -35,10 +35,6 @@ class TestTPConfig:
         with pytest.raises(ValueError):
             TPConfig(degree=0)
 
-    def test_rejects_bad_efficiency(self):
-        with pytest.raises(ValueError):
-            TPConfig(allreduce_efficiency=0.0)
-
 
 class TestTensorParallelSimulator:
     """TP pricing on the one path: InferenceSimulator + TP backend."""
@@ -91,6 +87,21 @@ class TestTensorParallelSimulator:
         small = backend.allreduce_s(self.model, rows=1)
         large = backend.allreduce_s(self.model, rows=512)
         assert large > small
+
+    def test_allreduce_moves_hidden_states_at_the_base_dtype(self):
+        model = get_model("llama2-7b")
+        latency = (2 * model.n_layers
+                   * TensorParallelBackend.interconnect.latency_s)
+
+        def allreduce(spec):
+            return parse_backend(spec).allreduce_s(model, 64)
+
+        # FP32 activations double the bytes of the bandwidth leg.
+        assert allreduce("fp32-tp2") - latency == pytest.approx(
+            2 * (allreduce("bf16-tp2") - latency), rel=1e-12)
+        # Every two-byte activation base prices as before.
+        for spec in ("bf16-tp2", "fp16-tp2", "int8-tp2", "w8a8-tp2"):
+            assert allreduce(spec) == 0.000992234432234432
 
     def test_spilled_model_gains_from_tp(self):
         # OPT-66B spills one socket's HBM; TP halves each socket's share

@@ -350,12 +350,6 @@ class TestAnalyses:
         assert math.isclose(sum(histogram.values()), decode_s, abs_tol=TOL)
         assert all(size >= 1 for size in histogram)
 
-    def test_occupancy_filter_by_replica(self, traced_run):
-        trace, _ = traced_run
-        assert batch_occupancy_histogram(trace, replica="single") == \
-            batch_occupancy_histogram(trace)
-        assert batch_occupancy_histogram(trace, replica="absent") == {}
-
     def test_utilization_timeline_bounds(self, traced_run):
         trace, _ = traced_run
         timeline = replica_utilization_timeline(trace, buckets=10)

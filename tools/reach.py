@@ -76,6 +76,7 @@ EXEMPT = {
     "models/layers.py:total_flops": ORACLE,
     "models/layers.py:total_bytes": ORACLE,
     "models/layers.py:total_weight_bytes": ORACLE,
+    "models/opgraph.py:decode_step_ops": ORACLE,
     "cluster/autoscaler.py:Autoscaler.pick_drain_target":
         "autoscaler scale-down drain; no experiment or case idles a "
         "scaled fleet long enough",
@@ -126,8 +127,6 @@ PROGRESS_OPTION = ("`repro cluster --progress` feature and its test seam; "
                    "its stderr line carries wall-clock rates")
 SPEC = ("the request shape every planner entry takes; `tools/bench.py` sets "
         "`spec` on `saturation_rate`, `solve_grid` and `measure_fleet`")
-DTYPE = ("carries the activation dtype that the base backend (`--backend "
-         "fp16/fp32`) and the request own; a constant would drop it")
 RECORD = ("a report field filled from the node: `drained` after a drain "
           "(bench's fleet-churn drains), `price_usd` from "
           "`ReplicaSpec.price_usd` (bench sets it)")
@@ -135,8 +134,9 @@ ITEM_14 = ("waits on ROADMAP item 14 (every calibration constant tied to the "
            "targets it moves)")
 ITEM_19 = ("waits on ROADMAP item 19 (`ReplicaSpec` builds every node and "
            "`BatchingSimulator` goes; `bench/layers.py` wraps the class)")
-TESTED = ("only a unit test sets another value; retiring it retires that "
-          "test's behaviour, left for a later change")
+TESTED = ("only a unit test sets another value, and `tests/data/"
+          "stream_pins.json` hashes streams built with it; retiring it "
+          "re-records a bit pin")
 EXEMPT_OPTIONS = {
     "cluster/node.py:ReplicaNode.__init__(exact)": EXACT,
     "cluster/shard.py:run_sharded(exact)": EXACT,
@@ -154,10 +154,6 @@ EXEMPT_OPTIONS = {
     "optim/advisor.py:size_fleet(seed)": "a seed",
     "cluster/metrics.py:NodeStats.__init__(drained)": RECORD,
     "cluster/metrics.py:NodeStats.__init__(price_usd)": RECORD,
-    "engine/request.py:InferenceRequest.__init__(dtype)": DTYPE,
-    "models/memory.py:kv_cache_bytes(dtype)": DTYPE,
-    "models/opgraph.py:decode_step_ops(dtype)": DTYPE,
-    "models/opgraph.py:prefill_ops(dtype)": DTYPE,
     "engine/backend.py:NumaBackend.__init__(calibration)": ITEM_14,
     "numa/model.py:NumaModel.__init__(calibration)": ITEM_14,
     "numa/model.py:NumaCalibration.__init__(cache_hit_rate_resident)":
@@ -193,21 +189,6 @@ EXEMPT_OPTIONS = {
         ITEM_19,
     "serving/scheduler.py:BatchingSimulator.run_continuous(exact)": ITEM_19,
     "serving/scheduler.py:BatchingSimulator.run_static(tracer)": ITEM_19,
-    "analysis/bottleneck.py:BottleneckAnalyzer.decode_step(kv_len)": TESTED,
-    "analysis/scaling_laws.py:BatchScalingFit.knee_batch(target_fraction)":
-        TESTED,
-    "cluster/fairness.py:fairness_report(cutoff_s)": TESTED,
-    "core/runner.py:CharacterizationSweep.run(skip_oversize)": TESTED,
-    "engine/backend.py:TPConfig.__init__(allreduce_efficiency)": TESTED,
-    "hardware/compute.py:ComputeEngine.scaled(name_suffix)": TESTED,
-    "models/builder.py:scale_to_params(gqa_ratio)": TESTED,
-    "optim/hybrid.py:HybridPlanner.__init__(granularity)": TESTED,
-    "quant/weightonly.py:QuantConfig.__init__(dequant_overhead)": TESTED,
-    "quant/weightonly.py:QuantConfig.__init__(group_size)": TESTED,
-    "specdecode/model.py:SpeculativeDecoder.best_gamma(candidates)": TESTED,
-    "specdecode/model.py:SpeculativeDecoder.estimate(request)": TESTED,
-    "trace/analysis.py:batch_occupancy_histogram(replica)": TESTED,
-    "trace/export.py:ascii_timeline(width)": TESTED,
     "workloads/tenancy.py:TenantWorkloadSpec.__init__(interaction_stages)":
         TESTED,
     "workloads/throttling.py:ThrottleConfig.__init__(max_app_requests)":
