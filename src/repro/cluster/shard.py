@@ -219,9 +219,7 @@ def warm_caches(config: ClusterConfig, kv_horizon: int = 256) -> None:
     """
     seen = set()
     for spec in config.replicas:
-        key = (spec.platform.name, spec.model.name,
-               spec.backend.label if spec.backend is not None else None,
-               spec.max_batch)
+        key = (spec.platform.name, spec.model, spec.backend, spec.max_batch)
         if key in seen:
             continue
         seen.add(key)

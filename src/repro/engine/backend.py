@@ -22,14 +22,13 @@ set of places — exactly what :class:`ExecutionBackend` owns:
   :class:`NumaBackend` says otherwise) or a GPU's device memory, which
   price bandwidth and capacity;
 * **platform check** — rejecting platforms the technique cannot run on
-  (TP needs that many CPU sockets, NUMA placement a CPU);
-* **signature** — a stable hashable key: two backends with equal
-  signatures price identically, so shared cost tables
-  (:mod:`repro.engine.stepcost`) key on it.
+  (a compute dtype no engine executes, TP over more CPU sockets than
+  there are, NUMA placement on a GPU).
 
-Backends are frozen dataclasses: hashable (so rewritten op graphs are
-memoized per backend instance) and comparable (so equal configurations
-share caches). Every execution layer threads them through — the
+Backends are frozen dataclasses, and the backend value is its own
+pricing identity: equal backends price identically, so the op-graph
+memo and the shared cost tables (:mod:`repro.engine.stepcost`) both key
+on the value. Every execution layer threads them through — the
 :class:`~repro.engine.executor.OperatorExecutor` closed-form decode
 pricing, :class:`~repro.engine.stepcost.DecodeCostTable`,
 :class:`~repro.engine.inference.InferenceSimulator`, the batching
@@ -197,9 +196,12 @@ class ExecutionBackend:
 
     Subclasses override the ``_build_*`` hooks (memoized through the
     module caches) plus whichever of dtype/weight/KV/adjust/comm hooks
-    their technique changes. All subclasses must be frozen dataclasses —
-    hashability is what keys the op-graph memo and, through
-    :attr:`signature`, the shared cost tables.
+    their technique changes. All subclasses must be frozen dataclasses:
+    the value is the pricing identity that keys the op-graph memo and
+    the shared cost tables, so every field that changes pricing must be
+    a dataclass field. A class constant (``QuantizedBackend.dtype``,
+    ``TensorParallelBackend.interconnect``) is the same for every
+    instance, so leaving it out of the identity loses nothing.
     """
 
     #: Whether :meth:`adjust_timing` is non-identity. The executor skips
@@ -207,11 +209,6 @@ class ExecutionBackend:
     adjusts: bool = False
 
     # -- identification -----------------------------------------------------
-
-    @property
-    def signature(self) -> tuple:
-        """Hashable pricing identity: equal signature => equal timings."""
-        raise NotImplementedError
 
     @property
     def label(self) -> str:
@@ -329,6 +326,9 @@ class ExecutionBackend:
 
     def check_platform(self, platform: Platform) -> None:
         """Raise ValueError if this backend cannot run on *platform*."""
+        dtype = self.compute_dtype
+        if not any(engine.supports(dtype) for engine in platform.engines):
+            raise ValueError(f"{platform.name} has no engine for {dtype}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -347,10 +347,6 @@ class BaselineBackend(ExecutionBackend):
     def decode_ops(self, model: ModelConfig, batch_size: int,
                    kv_len: int) -> Tuple[Op, ...]:
         return _decode_step_ops_cached(model, batch_size, kv_len, self.dtype)
-
-    @property
-    def signature(self) -> tuple:
-        return ("baseline", self.dtype)
 
     @property
     def label(self) -> str:
@@ -412,10 +408,6 @@ class QuantizedBackend(ExecutionBackend):
         return super().kv_bytes_per_token(model) * self.quant.kv_bytes_ratio()
 
     @property
-    def signature(self) -> tuple:
-        return ("quant", self.quant, self.dtype)
-
-    @property
     def label(self) -> str:
         return {
             QuantScheme.NONE: self.dtype.label,
@@ -429,7 +421,7 @@ class WrapperBackend(ExecutionBackend):
     """A backend that changes a few hooks of an *inner* backend.
 
     Every hook forwards to the inner backend; a subclass overrides only
-    what its technique changes, plus :attr:`signature` and :attr:`label`.
+    what its technique changes, plus :attr:`label`.
     Subclasses are frozen dataclasses declaring their own
     ``inner: ExecutionBackend = BaselineBackend()`` field. The dtype is
     the base's: a wrapper has no dtype of its own, and :attr:`dtype`
@@ -583,11 +575,6 @@ class TensorParallelBackend(WrapperBackend):
         super().check_platform(platform)
 
     @property
-    def signature(self) -> tuple:
-        return ("tp", self.tp, self.interconnect,
-                self.inner.signature)
-
-    @property
     def label(self) -> str:
         return f"{self.inner.label}-tp{self.tp.degree}"
 
@@ -650,10 +637,6 @@ class SpecDecodeBackend(WrapperBackend):
                 + self.inner.weight_bytes(self.draft))
 
     @property
-    def signature(self) -> tuple:
-        return ("specdecode", self.draft, self.spec, self.inner.signature)
-
-    @property
     def label(self) -> str:
         return (f"{self.inner.label}-spec-{self.draft.name}"
                 f"-g{self.spec.gamma}")
@@ -695,10 +678,6 @@ class PrefixCacheBackend(WrapperBackend):
         return tuple(ops)
 
     @property
-    def signature(self) -> tuple:
-        return ("prefix", self.prefix_len, self.inner.signature)
-
-    @property
     def label(self) -> str:
         return f"{self.inner.label}-prefix{self.prefix_len}"
 
@@ -721,8 +700,8 @@ class NumaBackend(WrapperBackend):
     the remote-access counter report. Only a CPU can run it
     (:meth:`check_platform`).
 
-    The placement enters :attr:`signature`, so two placements on the
-    same (platform, model) warm disjoint
+    The placement fields are part of the backend value, so two
+    placements on the same (platform, model) warm disjoint
     :class:`~repro.engine.stepcost.DecodeCostTable` entries.
     """
 
@@ -754,11 +733,6 @@ class NumaBackend(WrapperBackend):
     def check_platform(self, platform: Platform) -> None:
         self.numa_model(platform)  # NumaModel refuses a GPU
         super().check_platform(platform)
-
-    @property
-    def signature(self) -> tuple:
-        return ("numa", self.numa, self.numa_aware, self.hot_fraction,
-                self.calibration, self.inner.signature)
 
     @property
     def label(self) -> str:
@@ -866,24 +840,20 @@ class HybridBackend(WrapperBackend):
         super().check_platform(platform)
 
     @property
-    def signature(self) -> tuple:
-        return ("hybrid", self.gpu.name, self.calibration,
-                self.inner.signature)
-
-    @property
     def label(self) -> str:
         gpu_tag = self.gpu.name.split("-")[0].lower()
         return f"{self.inner.label}-hyb.{gpu_tag}"
 
     # Platform carries an (unhashable) memory-tier list, so the
-    # dataclass-generated __eq__/__hash__ would fail; identity lives in
-    # the signature, which already names the GPU.
+    # dataclass-generated __eq__/__hash__ would fail; the GPU enters the
+    # identity by name.
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, HybridBackend)
-                and self.signature == other.signature)
+                and (self.gpu.name, self.calibration, self.inner)
+                == (other.gpu.name, other.calibration, other.inner))
 
     def __hash__(self) -> int:
-        return hash(self.signature)
+        return hash((self.gpu.name, self.calibration, self.inner))
 
 
 #: Spec tokens understood by :func:`parse_backend`, for CLI help text.

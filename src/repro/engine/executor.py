@@ -124,13 +124,14 @@ class OperatorExecutor:
 
         Two executors with equal signatures produce identical timings for
         identical ops: platform names map to fixed engine definitions, and
-        pricing otherwise depends only on dtype, bandwidth, the compute
-        scale, and the backend's op graphs/adjustments (captured by the
-        backend signature). Cross-instance memo layers (the serving
-        step-cost tables) key on this instead of executor identity.
+        pricing otherwise depends only on bandwidth, the compute scale,
+        and the backend, whose value is its pricing identity (the dtype
+        is its ``compute_dtype``). Cross-instance memo layers (the
+        serving step-cost tables) key on this instead of executor
+        identity.
         """
-        return (self.platform.name, self.dtype, self.bandwidth,
-                self.compute_scale, self.backend.signature)
+        return (self.platform.name, self.bandwidth, self.compute_scale,
+                self.backend)
 
     def _pick_vector_like(self) -> ComputeEngine:
         """Engine used for elementwise arithmetic (lowest-peak available)."""

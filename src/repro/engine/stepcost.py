@@ -28,8 +28,8 @@ Tables are shared across every replica with an equal pricing signature
 via the module registry (:func:`decode_cost_table`);
 :func:`repro.experiments.clear_caches` empties the registry whenever
 calibration constants change, which is the memo-invalidation rule — keys
-capture platform, dtype, bandwidth, and compute scale, but *not* the
-process-wide calibration tables those were derived from.
+capture platform, bandwidth, compute scale and the backend value, but
+*not* the process-wide calibration tables those were derived from.
 """
 
 import math
@@ -298,9 +298,10 @@ class DecodeCostTable:
         return value
 
 
-#: Registry of shared tables, keyed by (pricing signature, model). Model
-#: configs are frozen dataclasses, so equal configs share even across
-#: separately-built replicas.
+#: Registry of shared tables, keyed by (pricing signature, model). The
+#: signature ends in the backend value, the same identity the op-graph
+#: memo keys on; backends and model configs are frozen dataclasses, so
+#: equal configs share even across separately-built replicas.
 _TABLES: Dict[tuple, DecodeCostTable] = {}
 
 

@@ -12,8 +12,8 @@ Four contracts, each pinned here:
    prefill leg through ``prefill_comm_s``, priced by the same
    ``gpu_prefill_leg`` the offload engine uses (bit-equal where the
    placements coincide), while decode delegates to the inner CPU backend;
-3. **cost-table isolation** — placements enter the frozen backend
-   signature, so two NUMA placements (or hybrid vs pure-CPU) on one
+3. **cost-table isolation** — placements are fields of the frozen
+   backend value that keys the cost tables, so two NUMA placements (or hybrid vs pure-CPU) on one
    (platform, model) warm disjoint :class:`DecodeCostTable`\\ s, and
    ``clear_caches()`` drops the new hybrid memo tables too;
 4. **fleet scale** — mixed CPU/GPU/hybrid fleets keep the event-horizon
@@ -228,7 +228,7 @@ class TestHotColdPlacement:
     def test_hot_fraction_enters_label_and_signature(self):
         plain = NumaBackend()
         hot = NumaBackend(hot_fraction=0.8)
-        assert plain.signature != hot.signature
+        assert plain != hot
         assert "hot0.8" in hot.label
 
 
@@ -352,8 +352,8 @@ class TestHybridBackend:
         assert result.e2e_s > 0
 
     def test_identity_hashes_by_signature(self):
-        # Platform holds an unhashable tier list; hybrid identity lives
-        # in the signature so it can key op-graph and prefill memos.
+        # Platform holds an unhashable tier list; hybrid identity names
+        # the GPU instead, so it can key op-graph and prefill memos.
         a = HybridBackend(gpu=A100)
         b = HybridBackend(gpu=A100)
         c = HybridBackend(gpu=H100)

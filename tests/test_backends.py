@@ -3,9 +3,10 @@
 The backend layer promises three things, each pinned here:
 
 1. **cost-table keying** — decode cost tables are keyed by the
-   executor's pricing signature (which includes the backend signature),
-   so an INT8 fleet warming its tables never perturbs a BF16 fleet's
-   numbers, bit for bit;
+   executor's pricing signature, which ends in the backend value itself:
+   every field of every backend separates tables, equal backends share
+   one whatever their spelling, and an INT8 fleet warming its tables
+   never perturbs a BF16 fleet's numbers, bit for bit;
 2. **single-path parity** — the remaining feature models
    (:class:`SpeculativeDecoder`, :class:`PrefixCacheModel`) agree with
    their backend pushed through the generic :class:`InferenceSimulator`,
@@ -31,6 +32,8 @@ from repro.cluster import (
 )
 from repro.engine.backend import (
     BaselineBackend,
+    ExecutionBackend,
+    HybridBackend,
     NumaBackend,
     PrefixCacheBackend,
     QuantizedBackend,
@@ -47,7 +50,9 @@ from repro.experiments._sweeps import clear_caches
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
+from repro.numa.model import DEFAULT_NUMA_CALIBRATION
 from repro.numa.modes import SNC_FLAT
+from repro.offload.policy import DEFAULT_OFFLOAD_CALIBRATION
 from repro.quant.weightonly import QuantConfig, QuantScheme
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.prefix_cache import PrefixCacheModel
@@ -56,8 +61,13 @@ from repro.workloads.generator import WorkloadSpec
 
 SPR = get_platform("spr")
 ICL = get_platform("icl")
+A100 = get_platform("a100")
 LLAMA = get_model("llama2-7b")
 OPT = get_model("opt-1.3b")
+
+#: One fixed bandwidth for executors built directly, so the backend is
+#: the only part of their pricing signature that can differ.
+BANDWIDTH = 1e12
 
 REL = 1e-9
 
@@ -129,6 +139,86 @@ class TestCostTableKeying:
         assert a is b
 
 
+# -- the backend value is the pricing identity ------------------------------
+
+#: Per backend class: an instance, and for each of its dataclass fields a
+#: value that changes it (so every field must move the cost table).
+IDENTITY_CASES = {
+    BaselineBackend: (BaselineBackend(), {"dtype": DType.FP32}),
+    QuantizedBackend: (QuantizedBackend(), {
+        "quant": QuantConfig(scheme=QuantScheme.WEIGHT_ONLY_INT4)}),
+    TensorParallelBackend: (TensorParallelBackend(), {
+        "tp": TPConfig(degree=1), "inner": QuantizedBackend()}),
+    SpecDecodeBackend: (SpecDecodeBackend(draft=OPT), {
+        "draft": get_model("opt-6.7b"),
+        "spec": SpecDecodeConfig(gamma=2),
+        "inner": QuantizedBackend()}),
+    PrefixCacheBackend: (PrefixCacheBackend(), {
+        "prefix_len": 64, "inner": QuantizedBackend()}),
+    NumaBackend: (NumaBackend(), {
+        "numa": SNC_FLAT, "numa_aware": True, "hot_fraction": 0.8,
+        "calibration": dataclasses.replace(DEFAULT_NUMA_CALIBRATION,
+                                           snc_remote_fraction=0.5),
+        "inner": QuantizedBackend()}),
+    HybridBackend: (HybridBackend(gpu=A100), {
+        "gpu": get_platform("h100"),
+        "calibration": dataclasses.replace(DEFAULT_OFFLOAD_CALIBRATION,
+                                           pcie_efficiency=0.5),
+        "inner": QuantizedBackend()}),
+}
+
+
+def _concrete_backends(cls=ExecutionBackend):
+    for sub in cls.__subclasses__():
+        if dataclasses.is_dataclass(sub):
+            yield sub
+        yield from _concrete_backends(sub)
+
+
+def _table(backend):
+    return decode_cost_table(OperatorExecutor(SPR, backend, BANDWIDTH), OPT)
+
+
+class TestBackendIdentity:
+    def test_every_backend_field_has_a_case(self):
+        assert set(_concrete_backends()) == set(IDENTITY_CASES)
+        for cls, (backend, changes) in IDENTITY_CASES.items():
+            assert type(backend) is cls
+            assert set(changes) == {f.name for f in dataclasses.fields(cls)}
+
+    @pytest.mark.parametrize("cls, field", [
+        (cls, field) for cls, (_, changes) in IDENTITY_CASES.items()
+        for field in changes], ids=lambda v: getattr(v, "__name__", v))
+    def test_any_field_separates_the_cost_table(self, cls, field):
+        clear_caches()
+        backend, changes = IDENTITY_CASES[cls]
+        changed = dataclasses.replace(backend, **{field: changes[field]})
+        assert changed != backend
+        assert _table(changed) is not _table(backend)
+
+    @pytest.mark.parametrize("make_a, make_b", [
+        (lambda: parse_backend("tp2+int8"), lambda: parse_backend("int8-tp2")),
+        (TensorParallelBackend,
+         lambda: TensorParallelBackend(inner=BaselineBackend())),
+        (lambda: parse_backend("hybrid:a100"),
+         lambda: parse_backend("hybrid:a100")),
+        (lambda: parse_backend("bf16"), BaselineBackend),
+    ], ids=["tp-order", "tp-default-inner", "hybrid-reparsed", "bf16"])
+    def test_equal_spellings_share_one_table(self, make_a, make_b):
+        clear_caches()
+        assert _table(make_a()) is _table(make_b())
+
+
+class TestPlatformCheck:
+    @pytest.mark.parametrize("spec", ["fp16", "fp16-tp2",
+                                      "fp16-numa:snc_flat", "fp16-hybrid:a100"])
+    def test_platform_without_an_engine_for_the_dtype_refused(self, spec):
+        # Refused at construction, with the executor's text, not at run.
+        with pytest.raises(ValueError,
+                           match="SPR-Max-9468 has no engine for fp16"):
+            InferenceSimulator(SPR, parse_backend(spec))
+
+
 # -- backend spec parsing ---------------------------------------------------
 
 
@@ -153,8 +243,9 @@ class TestParseBackend:
         assert backend.label == "int8-tp2"
 
     def test_plus_separator_and_order_both_accepted(self):
-        assert parse_backend("tp2+int8").signature == \
-            parse_backend("int8-tp2").signature
+        plus, dash = parse_backend("tp2+int8"), parse_backend("int8-tp2")
+        assert plus == dash
+        assert hash(plus) == hash(dash)
 
     def test_bare_tp_defaults_to_bf16_inner(self):
         backend = parse_backend("tp2")
@@ -264,7 +355,8 @@ class TestWrappers:
         implicit, explicit = wrap(), wrap(inner=BaselineBackend())
         assert implicit == explicit
         assert hash(implicit) == hash(explicit)
-        assert implicit.signature == explicit.signature
+        assert OperatorExecutor(SPR, implicit, BANDWIDTH).pricing_signature \
+            == OperatorExecutor(SPR, explicit, BANDWIDTH).pricing_signature
 
     @pytest.mark.parametrize("wrap", [
         lambda inner: NumaBackend(numa=SNC_FLAT, inner=inner),

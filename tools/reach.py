@@ -65,7 +65,6 @@ EXEMPT = {
     "cluster/admission.py:AdmissionScheduler.on_admit": ABSTRACT,
     "cluster/admission.py:AdmissionScheduler.on_finish": ABSTRACT,
     "cluster/router.py:Router.select": ABSTRACT,
-    "engine/backend.py:ExecutionBackend.signature": ABSTRACT,
     "engine/backend.py:ExecutionBackend.label": ABSTRACT,
     "engine/backend.py:ExecutionBackend._build_prefill_ops": ABSTRACT,
     "engine/backend.py:ExecutionBackend._build_decode_ops": ABSTRACT,
@@ -114,9 +113,7 @@ EXEMPT = {
     "engine/backend.py:scale_op": ITEM_11,
     "engine/backend.py:SpecDecodeBackend._build_decode_ops": ITEM_11,
     "engine/backend.py:SpecDecodeBackend.weight_bytes": ITEM_11,
-    "engine/backend.py:SpecDecodeBackend.signature": ITEM_11,
     "engine/backend.py:SpecDecodeBackend.label": ITEM_11,
-    "engine/backend.py:PrefixCacheBackend.signature": ITEM_11,
     "engine/backend.py:PrefixCacheBackend.label": ITEM_11,
 }
 
