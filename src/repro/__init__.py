@@ -19,66 +19,31 @@ NUMA placement is a backend and the core count a keyword, e.g.
 ``run_inference(spr, model, request, NumaBackend(numa=SNC_FLAT), cores=24)``.
 """
 
-from repro.core import (
-    CharacterizationSweep,
-    ExperimentReport,
-    check_all_findings,
-    compare_platforms,
-    run_inference,
-)
-from repro.engine import (
-    InferenceRequest,
-    InferenceResult,
-    InferenceSimulator,
-    KVCacheManager,
-    NumaBackend,
-    simulate,
-)
-from repro.gemm import GemmSimulator
-from repro.hardware import DType, Platform, all_platforms, get_platform
-from repro.models import (
-    ModelConfig,
-    all_models,
-    evaluated_models,
-    get_model,
-    kv_cache_bytes,
-    weight_bytes,
-)
-from repro.numa import NumaConfig, NumaModel, get_config
-from repro.offload import OffloadSimulator
-from repro.perfcounters import CounterModel
-from repro.scaling import CoreScalingModel
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CharacterizationSweep",
-    "CoreScalingModel",
-    "CounterModel",
-    "DType",
-    "ExperimentReport",
-    "GemmSimulator",
-    "InferenceRequest",
-    "InferenceResult",
-    "InferenceSimulator",
-    "KVCacheManager",
-    "ModelConfig",
-    "NumaBackend",
-    "NumaConfig",
-    "NumaModel",
-    "OffloadSimulator",
-    "Platform",
-    "all_models",
-    "all_platforms",
-    "check_all_findings",
-    "compare_platforms",
-    "evaluated_models",
-    "get_config",
-    "get_model",
-    "get_platform",
-    "kv_cache_bytes",
-    "run_inference",
-    "simulate",
-    "weight_bytes",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".core.runner": ("CharacterizationSweep", "run_inference"),
+    ".core.report": ("ExperimentReport",),
+    ".core.findings": ("check_all_findings",),
+    ".core.comparison": ("compare_platforms",),
+    ".engine.request": ("InferenceRequest",),
+    ".engine.results": ("InferenceResult",),
+    ".engine.inference": ("InferenceSimulator", "simulate"),
+    ".engine.kvcache": ("KVCacheManager",),
+    ".engine.backend": ("NumaBackend",),
+    ".gemm.simulator": ("GemmSimulator",),
+    ".hardware.datatypes": ("DType",),
+    ".hardware.platform": ("Platform",),
+    ".hardware.registry": ("all_platforms", "get_platform"),
+    ".models.config": ("ModelConfig",),
+    ".models.registry": ("all_models", "evaluated_models", "get_model"),
+    ".models.memory": ("kv_cache_bytes", "weight_bytes"),
+    ".numa.modes": ("NumaConfig", "get_config"),
+    ".numa.model": ("NumaModel",),
+    ".offload.engine": ("OffloadSimulator",),
+    ".perfcounters.collector": ("CounterModel",),
+    ".scaling.cores": ("CoreScalingModel",),
+})
+__all__.append("__version__")

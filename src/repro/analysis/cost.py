@@ -12,10 +12,12 @@ the paper uses — not full-system TCO.
 """
 
 import warnings
-from typing import Dict, Optional, Set
+from typing import TYPE_CHECKING, Dict, Optional, Set
 
-from repro.core.runner import RunResult
 from repro.utils.validation import require_positive
+
+if TYPE_CHECKING:  # hints only: the runner would load offload into fleets
+    from repro.core.runner import RunResult
 
 #: Listing-price proxies per platform name. The SPR:H100 ratio of ~1:3 and
 #: the GH200:SPR ratio of ~4:1 anchor to the paper's statements.
@@ -74,14 +76,14 @@ def price_rate(platform_name: str,
         return median_list_price()
 
 
-def throughput_per_kilodollar(result: RunResult) -> float:
+def throughput_per_kilodollar(result: "RunResult") -> float:
     """Generated tokens per second per 1000 USD of processor list price."""
     price = list_price(result.platform_name)
     return result.e2e_throughput / (price / 1000.0)
 
 
-def cost_efficiency_ratio(cpu_result: RunResult,
-                          gpu_result: RunResult) -> float:
+def cost_efficiency_ratio(cpu_result: "RunResult",
+                          gpu_result: "RunResult") -> float:
     """CPU-over-GPU advantage in throughput/$ (>1 favors the CPU)."""
     cpu = throughput_per_kilodollar(cpu_result)
     gpu = throughput_per_kilodollar(gpu_result)

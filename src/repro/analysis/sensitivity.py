@@ -90,12 +90,11 @@ def stream_efficiency_sensitivity() -> SensitivityResult:
     Even a pessimistic SPR kernel efficiency keeps the HBM-vs-DDR4
     bandwidth advantage decisive.
     """
-    import dataclasses as dc
     request = InferenceRequest(batch_size=1)
     icl = simulate(get_platform("icl"), get_model("llama2-13b"), request)
 
     def margin(eff: float) -> float:
-        spr = dc.replace(get_platform("spr"), stream_efficiency=eff)
+        spr = dataclasses.replace(get_platform("spr"), stream_efficiency=eff)
         result = simulate(spr, get_model("llama2-13b"), request)
         return icl.tpot_s / result.tpot_s
 

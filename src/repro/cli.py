@@ -21,14 +21,12 @@ import functools
 import math
 import pathlib
 import sys
+import time
 from typing import List, Optional
 
-from repro.analysis.roofline_chart import roofline_for_run
-from repro.core.runner import CharacterizationSweep, is_offloaded, run_inference
 from repro.engine.backend import NumaBackend
-from repro.engine.inference import InferenceSimulator
+from repro.engine.inference import InferenceSimulator, MemoryCapacityError
 from repro.engine.request import InferenceRequest
-from repro.experiments import all_experiment_ids, run_experiment
 from repro.hardware.registry import all_platforms, get_platform
 from repro.models.registry import all_models, get_model
 from repro.numa.modes import get_config
@@ -44,8 +42,6 @@ def _reports_bad_input(command):
     device memory (``MemoryCapacityError``) are the user's input, not a
     crash.
     """
-    from repro.engine.inference import MemoryCapacityError
-
     @functools.wraps(command)
     def run(args: argparse.Namespace) -> int:
         try:
@@ -66,6 +62,8 @@ def _numa_backend(args: argparse.Namespace) -> Optional[NumaBackend]:
 
 @_reports_bad_input
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.core.runner import is_offloaded, run_inference
+
     platform = get_platform(args.platform)
     model = get_model(args.model)
     request = InferenceRequest(batch_size=args.batch, input_len=args.input,
@@ -91,6 +89,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 @_reports_bad_input
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.core.runner import CharacterizationSweep
+
     platforms = [get_platform(key) for key in args.platforms.split(",")]
     models = [get_model(key) for key in args.models.split(",")]
     batches = [int(b) for b in args.batches.split(",")]
@@ -112,6 +112,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 @_reports_bad_input
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.experiments import all_experiment_ids, run_experiment
+
     ids = all_experiment_ids() if args.all else [args.experiment_id]
     if not args.all and args.experiment_id is None:
         print("specify an experiment id or --all; known ids:\n  "
@@ -125,6 +127,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 @_reports_bad_input
 def _cmd_roofline(args: argparse.Namespace) -> int:
+    from repro.analysis.roofline_chart import roofline_for_run
+
     platform = get_platform(args.platform)
     model = get_model(args.model)
     request = InferenceRequest(batch_size=args.batch, input_len=args.input,
@@ -386,7 +390,6 @@ def _router_factory(args: argparse.Namespace, slo, classifier=None):
 
 def _progress_line(start_wall: float):
     """A ClusterSimulator progress callback writing one stderr line."""
-    import time
 
     def progress(events: int, sim_s: float, completed: int) -> None:
         wall = max(time.perf_counter() - start_wall, 1e-9)
@@ -451,7 +454,13 @@ def _cmd_cluster_fluid(args: argparse.Namespace) -> int:
 
 @_reports_bad_input
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterSimulator, ShardRouter, run_sharded
+    from repro.cluster import (
+        ClusterSimulator,
+        ShardRouter,
+        fairness_report,
+        run_sharded,
+        tiering_report,
+    )
     from repro.serving.slo import SLO
     from repro.trace import NOOP_TRACER, RecordingTracer, write_chrome_trace
     from repro.workloads import ClassMixStream, TenantStream
@@ -475,8 +484,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     slo = SLO(ttft_s=args.ttft, tpot_s=args.tpot)
     progress = None
     if args.progress or sys.stderr.isatty():
-        import time
-
         progress = _progress_line(time.perf_counter())
     config = _fleet(args)
     stream = _workload(args)
@@ -510,7 +517,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
           f"goodput: {report.goodput(stream.full(), slo):.1f} tok/s   "
           f"$/Mtok: {report.dollars_per_million_tokens():.2f}")
     if classifier is not None:
-        tiering = report.tiering(stream.full(), classifier)
+        tiering = tiering_report(report, stream.full(), classifier)
         class_rows = [
             [c.name, c.completed, f"{c.attainment:.0%}",
              f"{c.goodput:.1f}", f"{c.mean_ttft_s * 1000:.0f}",
@@ -536,7 +543,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
               f"spills: {tiering.spills}   "
               f"fallbacks: {tiering.fallbacks}")
     if isinstance(stream, TenantStream):
-        fairness = report.fairness(stream.decisions(), slo=slo)
+        fairness = fairness_report(stream.decisions(), report.completed,
+                                   slo=slo)
         tenant_rows = [
             [t.user_id, t.arrived, t.admitted, t.throttled, t.completed,
              f"{t.attainment:.0%}",

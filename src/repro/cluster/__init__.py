@@ -12,87 +12,24 @@ additionally decompose into independent replica groups that
 deterministically (see :mod:`repro.cluster.shard`).
 """
 
-from repro.cluster.admission import (
-    AdmissionScheduler,
-    VirtualTokenCounterScheduler,
-    WeightedServiceCounterScheduler,
-    make_scheduler,
-)
-from repro.cluster.autoscaler import Autoscaler
-from repro.cluster.config import ClusterConfig, ReplicaSpec
-from repro.cluster.events import ClusterEvent
-from repro.cluster.fairness import (
-    FairnessReport,
-    TenantStats,
-    fairness_report,
-)
-from repro.cluster.fluid import (
-    ClassReport,
-    FluidReport,
-    FluidScenario,
-    StationReport,
-    saturation_rate,
-    solve,
-    solve_grid,
-)
-from repro.cluster.metrics import ClusterReport, NodeStats
-from repro.cluster.node import ReplicaNode
-from repro.cluster.router import (
-    JoinShortestQueueRouter,
-    LeastOutstandingTokensRouter,
-    PhaseAwareRouter,
-    RoundRobinRouter,
-    Router,
-    ShardRouter,
-)
-from repro.cluster.shard import run_sharded, warm_caches
-from repro.cluster.simulator import ClusterSimulator, NodeDrain, NodeFailure
-from repro.cluster.tiering import (
-    ClassStats,
-    TieredRouter,
-    TieringReport,
-    TierStats,
-    tier_label,
-    tiering_report,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "AdmissionScheduler",
-    "Autoscaler",
-    "ClassReport",
-    "ClusterConfig",
-    "ClassStats",
-    "ClusterEvent",
-    "ClusterReport",
-    "ClusterSimulator",
-    "FairnessReport",
-    "FluidReport",
-    "FluidScenario",
-    "StationReport",
-    "JoinShortestQueueRouter",
-    "LeastOutstandingTokensRouter",
-    "NodeDrain",
-    "NodeFailure",
-    "NodeStats",
-    "PhaseAwareRouter",
-    "ReplicaNode",
-    "ReplicaSpec",
-    "RoundRobinRouter",
-    "Router",
-    "ShardRouter",
-    "TenantStats",
-    "TierStats",
-    "TieredRouter",
-    "TieringReport",
-    "VirtualTokenCounterScheduler",
-    "WeightedServiceCounterScheduler",
-    "fairness_report",
-    "make_scheduler",
-    "run_sharded",
-    "saturation_rate",
-    "solve",
-    "solve_grid",
-    "tier_label",
-    "tiering_report",
-    "warm_caches",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".admission": ("AdmissionScheduler", "VirtualTokenCounterScheduler",
+                   "WeightedServiceCounterScheduler", "make_scheduler"),
+    ".autoscaler": ("Autoscaler",),
+    ".config": ("ClusterConfig", "ReplicaSpec"),
+    ".events": ("ClusterEvent",),
+    ".fairness": ("FairnessReport", "TenantStats", "fairness_report"),
+    ".fluid": ("ClassReport", "FluidReport", "FluidScenario", "StationReport",
+               "saturation_rate", "solve", "solve_grid"),
+    ".metrics": ("ClusterReport", "NodeStats"),
+    ".node": ("ReplicaNode",),
+    ".router": ("JoinShortestQueueRouter", "LeastOutstandingTokensRouter",
+                "PhaseAwareRouter", "RoundRobinRouter", "Router",
+                "ShardRouter"),
+    ".shard": ("run_sharded", "warm_caches"),
+    ".simulator": ("ClusterSimulator", "NodeDrain", "NodeFailure"),
+    ".tiering": ("ClassStats", "TieredRouter", "TieringReport", "TierStats",
+                 "tier_label", "tiering_report"),
+})

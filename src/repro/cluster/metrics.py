@@ -163,36 +163,6 @@ class ClusterReport:
         """Tokens/s counting only SLO-compliant requests."""
         return _goodput(self.to_serving_report(), arrivals, slo)
 
-    def fairness(self, decisions, slo: Optional[SLO] = None,
-                 weights=None, abandoned_ttft_s: Optional[float] = None):
-        """Per-tenant breakdown of this run (see
-        :func:`repro.cluster.fairness.fairness_report`).
-
-        *decisions* is the door's verdict stream — typically
-        :meth:`repro.workloads.tenancy.TenantStream.decisions` — which
-        carries throttled arrivals the completion records cannot know
-        about. Imported lazily to keep the tenancy subsystem optional
-        for plain anonymous-workload runs.
-        """
-        from repro.cluster.fairness import fairness_report
-        return fairness_report(decisions, self.completed, slo=slo,
-                               weights=weights,
-                               abandoned_ttft_s=abandoned_ttft_s)
-
-    def tiering(self, arrivals, classifier):
-        """Per-class / per-tier breakdown of this run (see
-        :func:`repro.cluster.tiering.tiering_report`).
-
-        *classifier* is the deterministic class hook the workload and
-        router agreed on (typically
-        :meth:`repro.workloads.classes.ClassMixStream.classifier`);
-        *arrivals* regenerates the request shapes the per-class SLO
-        scoring needs. Imported lazily so class-free runs never touch
-        the tiering subsystem.
-        """
-        from repro.cluster.tiering import tiering_report
-        return tiering_report(self, arrivals, classifier)
-
     def dollars_per_million_tokens(self) -> float:
         """Fleet hardware cost per million useful tokens over the makespan
         (:func:`dollars_per_mtok`) — the figure

@@ -41,11 +41,14 @@ tables. See ``docs/backends.md``.
 import dataclasses
 import difflib
 import functools
+import importlib
 from typing import Optional, Tuple
 
+from repro.engine.executor import OperatorExecutor
 from repro.hardware.datatypes import DType, parse_dtype
 from repro.hardware.interconnect import upi_link
 from repro.hardware.platform import Platform
+from repro.hardware.registry import get_platform
 from repro.models.config import ModelConfig
 from repro.models.layers import Op, OpKind
 from repro.models.memory import (
@@ -326,9 +329,7 @@ class ExecutionBackend:
 
     def check_platform(self, platform: Platform) -> None:
         """Raise ValueError if this backend cannot run on *platform*."""
-        dtype = self.compute_dtype
-        if not any(engine.supports(dtype) for engine in platform.engines):
-            raise ValueError(f"{platform.name} has no engine for {dtype}")
+        platform.engines_for(self.compute_dtype)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -756,8 +757,6 @@ def _hybrid_gpu_executor(gpu: Platform, dtype: DType):
     key = (gpu.name, dtype)
     executor = _HYBRID_EXECUTORS.get(key)
     if executor is None:
-        from repro.engine.executor import OperatorExecutor
-
         bandwidth = gpu.peak_memory_bandwidth * gpu.stream_efficiency
         executor = OperatorExecutor(gpu, BaselineBackend(dtype), bandwidth)
         _HYBRID_EXECUTORS[key] = executor
@@ -767,6 +766,7 @@ def _hybrid_gpu_executor(gpu: Platform, dtype: DType):
 @functools.lru_cache(maxsize=4096)
 def _hybrid_prefill_leg(backend: "HybridBackend", model: ModelConfig,
                         batch_size: int, input_len: int) -> float:
+    # Cycle: repro.offload's modules import this one.
     from repro.offload.engine import gpu_prefill_leg
     from repro.offload.policy import hybrid_streamed_weight_bytes
     from repro.offload.transfer import transfer_model_for
@@ -806,8 +806,7 @@ class HybridBackend(WrapperBackend):
     """
 
     # calibration is an OffloadCalibration; ``None`` resolves to the
-    # default lazily (repro.offload imports this module's executor
-    # consumers, so the import cannot be at module scope).
+    # offload default when the backend is built.
     gpu: Platform
     calibration: Optional["OffloadCalibration"] = None
     inner: ExecutionBackend = BaselineBackend()
@@ -817,6 +816,10 @@ class HybridBackend(WrapperBackend):
             raise ValueError(
                 f"HybridBackend needs a GPU prefill platform, got "
                 f"{self.gpu.name}")
+        # Cycle: repro.offload's modules import this one. Building the
+        # backend loads the GPU leg's pricing (repro.offload.engine and
+        # what it imports), so no run imports it inside a priced call.
+        importlib.import_module("repro.offload.engine")
         if self.calibration is None:
             from repro.offload.policy import DEFAULT_OFFLOAD_CALIBRATION
 
@@ -923,8 +926,6 @@ def _parse_numa_token(token: str, spec: str) -> "NumaBackend":
 
 def _parse_hybrid_token(token: str, spec: str) -> "HybridBackend":
     """``hybrid:<gpu>`` (wrapper; GPU resolved via the platform registry)."""
-    from repro.hardware.registry import get_platform
-
     body = token[len("hybrid:"):]
     parts = [p for p in body.split(",") if p]
     if not parts:

@@ -13,15 +13,17 @@ every lookup hashes in C.
 """
 
 import dataclasses
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.engine.backend import ExecutionBackend
 from repro.gemm.efficiency import _gemm_efficiency_cached, curve_key
 from repro.hardware.compute import ComputeEngine, EngineKind
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.models.layers import Op
 from repro.utils.validation import require_positive
+
+if TYPE_CHECKING:  # hints only: the backend module prices on an executor
+    from repro.engine.backend import ExecutionBackend
 
 # Non-GEMM (bandwidth-bound) kernels run their arithmetic on vector units
 # at a reduced fraction of peak — they are not blocked/fused like GEMMs.
@@ -92,7 +94,7 @@ class OperatorExecutor:
         compute_scale: Multiplier on engine peaks (core-count scaling).
     """
 
-    def __init__(self, platform: Platform, backend: ExecutionBackend,
+    def __init__(self, platform: Platform, backend: "ExecutionBackend",
                  bandwidth: float, compute_scale: float = 1.0):
         require_positive(bandwidth, "bandwidth")
         require_positive(compute_scale, "compute_scale")
@@ -104,9 +106,7 @@ class OperatorExecutor:
         # Resolved once: the hot pricing loops skip the adjustment call
         # entirely for non-adjusting backends.
         self._adjust = backend.adjust_timing if backend.adjusts else None
-        self._engines = [e for e in platform.engines if e.supports(dtype)]
-        if not self._engines:
-            raise ValueError(f"{platform.name} has no engine for {dtype}")
+        self._engines = platform.engines_for(dtype)
         self._vector_like = self._pick_vector_like()
         # Hot-loop constants, resolved once so per-op pricing is pure
         # arithmetic plus one cached-curve lookup: per engine its name,

@@ -4,7 +4,9 @@ Importing this package registers every experiment; use
 ``run_experiment("fig8")`` or ``run_all_experiments()``.
 """
 
-# Importing the modules populates the registry.
+# The one package that imports its members eagerly (the others export
+# lazily through repro.lazy): importing each experiment module is what
+# registers it, and run_experiment reads the registry.
 from repro.experiments import (  # noqa: F401
     ablations,
     ext_backends,

@@ -7,10 +7,13 @@ the benchmark harness fast without changing any result.
 
 from typing import Dict, List
 
-from repro.core.runner import CharacterizationSweep, SweepRow
+from repro.core.runner import CharacterizationSweep, SweepRow, run_inference
+from repro.engine.backend import clear_backend_op_caches
 from repro.engine.request import EVALUATED_BATCH_SIZES, InferenceRequest
-from repro.core.runner import run_inference
+from repro.engine.stepcost import clear_decode_cost_tables
+from repro.gemm.efficiency import clear_gemm_efficiency_cache
 from repro.hardware.registry import get_platform
+from repro.models.opgraph import clear_opgraph_caches
 from repro.models.registry import evaluated_models
 
 _CPU_SWEEP_CACHE: List[SweepRow] = []
@@ -66,11 +69,6 @@ def clear_caches() -> None:
     untouched — fork-inherited pages are copy-on-write snapshots, not
     shared state.
     """
-    from repro.engine.backend import clear_backend_op_caches
-    from repro.engine.stepcost import clear_decode_cost_tables
-    from repro.gemm.efficiency import clear_gemm_efficiency_cache
-    from repro.models.opgraph import clear_opgraph_caches
-
     _CPU_SWEEP_CACHE.clear()
     _GPU_ROWS_CACHE.clear()
     clear_gemm_efficiency_cache()

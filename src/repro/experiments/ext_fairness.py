@@ -26,7 +26,13 @@ has:
    waste.
 """
 
-from repro.cluster import ClusterConfig, ClusterSimulator, ReplicaSpec, RoundRobinRouter
+from repro.cluster import (
+    ClusterConfig,
+    ClusterSimulator,
+    ReplicaSpec,
+    RoundRobinRouter,
+    fairness_report,
+)
 from repro.core.report import ExperimentReport
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
@@ -75,8 +81,8 @@ def _run(scheduler, throttle=None, weights=None, abandoned_ttft_s=None):
         scheduler=scheduler, scheduler_weights=weights)])
     simulator = ClusterSimulator(config.build_fleet(), RoundRobinRouter())
     report = simulator.run(stream.full())
-    fairness = report.fairness(stream.decisions(), slo=SLO_TARGET,
-                               weights=dict(weights or ()),
+    fairness = fairness_report(stream.decisions(), report.completed,
+                               slo=SLO_TARGET, weights=dict(weights or ()),
                                abandoned_ttft_s=abandoned_ttft_s)
     return report, fairness
 

@@ -11,6 +11,7 @@
 """
 
 from repro.analysis.energy import tokens_per_joule
+from repro.calibration.targets import check_all_targets
 from repro.core.report import ExperimentReport
 from repro.core.runner import run_inference
 from repro.engine.backend import BaselineBackend
@@ -127,7 +128,6 @@ def run_energy() -> ExperimentReport:
 @register("calibration")
 def run_calibration() -> ExperimentReport:
     """All DESIGN.md §5 calibration targets: paper vs measured vs band."""
-    from repro.calibration.targets import check_all_targets
     rows = []
     for result in check_all_targets():
         target = result.target

@@ -62,11 +62,7 @@ class GemmSimulator:
         self.platform = platform
         self._bandwidth = (platform.peak_memory_bandwidth
                            * platform.stream_efficiency)
-        self._engines = [e for e in platform.engines
-                         if e.supports(GEMM_DTYPE)]
-        if not self._engines:
-            raise ValueError(
-                f"{platform.name} has no engine supporting {GEMM_DTYPE}")
+        self._engines = platform.engines_for(GEMM_DTYPE)
 
     def gemm_bytes(self, m: int, n: int, k: int) -> float:
         """Memory traffic of one GEMM: read A (m*k) and B (k*n), write C."""

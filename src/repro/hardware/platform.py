@@ -108,16 +108,24 @@ class Platform:
         """True for GPU platforms."""
         return self.kind is PlatformKind.GPU
 
+    def engines_for(self, dtype: DType) -> List[ComputeEngine]:
+        """The engines supporting *dtype*, in platform order.
+
+        Raises ValueError if there is none: every check of whether a
+        platform can run a dtype goes through here.
+        """
+        engines = [e for e in self.engines if e.supports(dtype)]
+        if not engines:
+            raise ValueError(f"{self.name} has no engine for {dtype}")
+        return engines
+
     def best_engine(self, dtype: DType) -> ComputeEngine:
         """The highest-peak engine supporting *dtype*.
 
         On SPR this picks AMX over AVX-512 for BF16/INT8 — mirroring IPEX,
         which dispatches GEMMs to AMX whenever the dtype allows.
         """
-        candidates = [e for e in self.engines if e.supports(dtype)]
-        if not candidates:
-            raise KeyError(f"{self.name} has no engine supporting {dtype}")
-        return max(candidates, key=lambda e: e.peak(dtype))
+        return max(self.engines_for(dtype), key=lambda e: e.peak(dtype))
 
     def peak_flops(self, dtype: DType) -> float:
         """Peak FLOP/s across engines for *dtype*."""

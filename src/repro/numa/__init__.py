@@ -1,39 +1,11 @@
 """NUMA substrate: memory/clustering modes, topology, behaviour model."""
 
-from repro.numa.model import (
-    DEFAULT_NUMA_CALIBRATION,
-    NumaCalibration,
-    NumaModel,
-)
-from repro.numa.modes import (
-    EVALUATED_CONFIGS,
-    HBM_ONLY_QUAD,
-    QUAD_CACHE,
-    QUAD_FLAT,
-    SNC_CACHE,
-    SNC_FLAT,
-    ClusteringMode,
-    MemoryMode,
-    NumaConfig,
-    get_config,
-)
-from repro.numa.topology import NumaNode, build_nodes, nodes_per_socket
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_NUMA_CALIBRATION",
-    "EVALUATED_CONFIGS",
-    "HBM_ONLY_QUAD",
-    "ClusteringMode",
-    "MemoryMode",
-    "NumaCalibration",
-    "NumaConfig",
-    "NumaModel",
-    "NumaNode",
-    "QUAD_CACHE",
-    "QUAD_FLAT",
-    "SNC_CACHE",
-    "SNC_FLAT",
-    "build_nodes",
-    "get_config",
-    "nodes_per_socket",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".model": ("DEFAULT_NUMA_CALIBRATION", "NumaCalibration", "NumaModel"),
+    ".modes": ("EVALUATED_CONFIGS", "HBM_ONLY_QUAD", "QUAD_CACHE", "QUAD_FLAT",
+               "SNC_CACHE", "SNC_FLAT", "ClusteringMode", "MemoryMode",
+               "NumaConfig", "get_config"),
+    ".topology": ("NumaNode", "build_nodes", "nodes_per_socket"),
+})

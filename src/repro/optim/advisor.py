@@ -11,6 +11,11 @@ import dataclasses
 import math
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+from repro.cluster.config import ClusterConfig, ReplicaSpec
+from repro.cluster.fluid import FluidScenario, saturation_rate, solve_grid
+from repro.cluster.router import JoinShortestQueueRouter
+from repro.cluster.simulator import ClusterSimulator
+from repro.cluster.tiering import TieredRouter, tiering_report
 from repro.core.runner import run_inference
 from repro.engine.backend import (
     NumaBackend,
@@ -25,7 +30,10 @@ from repro.hardware.registry import get_platform
 from repro.models.config import ModelConfig
 from repro.numa.modes import EVALUATED_CONFIGS
 from repro.quant.weightonly import QuantConfig
+from repro.serving.arrivals import iter_poisson_arrivals
+from repro.serving.slo import SLO
 from repro.utils.validation import require_in, require_positive
+from repro.workloads.classes import MixClassifier, iter_class_arrivals
 
 #: Metrics the advisor can optimize; latencies minimize, throughput maximizes.
 PRIORITY_METRICS = ("ttft_s", "tpot_s", "e2e_s", "e2e_throughput")
@@ -141,7 +149,7 @@ class FleetAssessment:
     """One candidate fleet scored by the fluid solver."""
 
     label: str
-    config: "ClusterConfig"
+    config: ClusterConfig
     fluid: "FluidReport"
     feasible: bool
 
@@ -190,13 +198,6 @@ def measure_fleet(config, rate_per_s, mix=None, spec=None, slo=None,
     a *count*-request Poisson stream — the confirmation step of
     :func:`recommend_fleet` and of ``repro plan --confirm``.
     """
-    from repro.cluster.router import JoinShortestQueueRouter
-    from repro.cluster.simulator import ClusterSimulator
-    from repro.cluster.tiering import TieredRouter
-    from repro.serving.arrivals import iter_poisson_arrivals
-    from repro.serving.slo import SLO
-    from repro.workloads.classes import MixClassifier, iter_class_arrivals
-
     if mix is not None:
         classifier = MixClassifier(mix=tuple(mix))
         arrivals = list(iter_class_arrivals(rate_per_s, classifier,
@@ -210,7 +211,7 @@ def measure_fleet(config, rate_per_s, mix=None, spec=None, slo=None,
     simulator = ClusterSimulator(config.build_fleet(), router)
     report = simulator.run(iter(arrivals))
     if classifier is not None:
-        tiering = report.tiering(arrivals, classifier)
+        tiering = tiering_report(report, arrivals, classifier)
         completed = sum(c.completed for c in tiering.classes)
         met = sum(c.met for c in tiering.classes)
         attainment = met / completed if completed else 1.0
@@ -223,9 +224,9 @@ def measure_fleet(config, rate_per_s, mix=None, spec=None, slo=None,
             report.dollars_per_million_tokens())
 
 
-def fleet_mix_candidates(node_kinds: Sequence[Tuple[str, "ReplicaSpec"]],
+def fleet_mix_candidates(node_kinds: Sequence[Tuple[str, ReplicaSpec]],
                          total_nodes: int
-                         ) -> List[Tuple[str, "ClusterConfig"]]:
+                         ) -> List[Tuple[str, ClusterConfig]]:
     """Enumerate every fleet *mix* filling a fixed node budget.
 
     The mix search space for :func:`recommend_fleet`: given the node
@@ -242,8 +243,6 @@ def fleet_mix_candidates(node_kinds: Sequence[Tuple[str, "ReplicaSpec"]],
             devices it occupies).
         total_nodes: Slots every candidate fleet must fill exactly.
     """
-    from repro.cluster.config import ClusterConfig
-
     require_positive(total_nodes, "total_nodes")
     kinds = list(node_kinds)
     if not kinds:
@@ -267,8 +266,8 @@ def fleet_mix_candidates(node_kinds: Sequence[Tuple[str, "ReplicaSpec"]],
     return candidates
 
 
-def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
-                                               "ClusterConfig"]],
+def recommend_fleet(candidates: Sequence[Union[Tuple[str, ClusterConfig],
+                                               ClusterConfig]],
                     rate_per_s: float, *,
                     mix=None, spec=None, slo=None,
                     confirm_requests: int = 2000,
@@ -293,8 +292,6 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
         mix / spec / slo: Workload description, as in
             :func:`repro.cluster.fluid.solve`.
     """
-    from repro.cluster.fluid import FluidScenario, solve_grid
-
     labelled = []
     for position, candidate in enumerate(candidates):
         if isinstance(candidate, tuple):
@@ -349,7 +346,7 @@ def recommend_fleet(candidates: Sequence[Union[Tuple[str, "ClusterConfig"],
         ranked=ranked, confirmations=confirmations)
 
 
-def size_fleet(replica: "ReplicaSpec", rate_per_s: float, *, slo=None,
+def size_fleet(replica: ReplicaSpec, rate_per_s: float, *, slo=None,
                confirm_requests: int = 2000,
                seed: int = 0) -> FleetRecommendation:
     """How many copies of one replica serve *rate_per_s* under *slo*?
@@ -363,9 +360,6 @@ def size_fleet(replica: "ReplicaSpec", rate_per_s: float, *, slo=None,
     model covers in-memory execution only), so the caller can mark the
     platform infeasible instead of extrapolating.
     """
-    from repro.cluster.config import ClusterConfig
-    from repro.cluster.fluid import saturation_rate
-
     require_positive(rate_per_s, "rate_per_s")
     one = dataclasses.replace(replica, count=1)
     smallest = math.ceil(rate_per_s / saturation_rate(

@@ -6,14 +6,9 @@ Tensor parallelism is priced by
 :class:`TPConfig` is re-exported here.
 """
 
-from repro.engine.backend import TPConfig
-from repro.parallel.pipeline_parallel import (
-    PPEstimate,
-    PipelineParallelSimulator,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "PPEstimate",
-    "PipelineParallelSimulator",
-    "TPConfig",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.engine.backend": ("TPConfig",),
+    ".pipeline_parallel": ("PPEstimate", "PipelineParallelSimulator"),
+})

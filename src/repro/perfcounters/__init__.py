@@ -1,19 +1,9 @@
 """Performance-counter estimation substrate (perf/VTune substitute)."""
 
-from repro.perfcounters.collector import CounterModel
-from repro.perfcounters.counters import (
-    BOOKKEEPING_FRACTION,
-    CounterEstimates,
-    FLOPS_PER_INSTRUCTION,
-    LINE_BYTES,
-    OPERAND_LOAD_FLOPS,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BOOKKEEPING_FRACTION",
-    "OPERAND_LOAD_FLOPS",
-    "CounterEstimates",
-    "CounterModel",
-    "FLOPS_PER_INSTRUCTION",
-    "LINE_BYTES",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".collector": ("CounterModel",),
+    ".counters": ("BOOKKEEPING_FRACTION", "CounterEstimates",
+                  "FLOPS_PER_INSTRUCTION", "LINE_BYTES", "OPERAND_LOAD_FLOPS"),
+})

@@ -1,18 +1,8 @@
 """Weight-only / INT8 quantization extension (paper Section VII-B)."""
 
-from repro.quant.weightonly import (
-    QuantConfig,
-    QuantScheme,
-    quantize_op,
-    quantize_ops,
-    quantized_weight_bytes,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "QuantConfig",
-    "QuantScheme",
-    "quantize_op",
-    "quantize_ops",
-    "quantized_weight_bytes",
-]
-
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".weightonly": ("QuantConfig", "QuantScheme", "quantize_op",
+                    "quantize_ops", "quantized_weight_bytes"),
+})

@@ -25,6 +25,7 @@ import enum
 from repro.hardware.datatypes import DType
 from repro.models.config import ModelConfig
 from repro.models.layers import Op
+from repro.models.memory import weight_bytes
 
 
 class QuantScheme(enum.Enum):
@@ -106,5 +107,4 @@ def quantize_ops(ops, config: QuantConfig):
 
 def quantized_weight_bytes(model: ModelConfig, config: QuantConfig) -> float:
     """Total weight bytes for *model* under *config*."""
-    from repro.models.memory import weight_bytes  # local: avoid cycle
     return weight_bytes(model, DType.BF16) * config.weight_bytes_ratio()

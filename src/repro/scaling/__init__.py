@@ -1,15 +1,8 @@
 """Core-count scaling substrate."""
 
-from repro.scaling.cores import (
-    DEFAULT_SCALING_CALIBRATION,
-    EVALUATED_CORE_COUNTS,
-    CoreScalingModel,
-    ScalingCalibration,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_SCALING_CALIBRATION",
-    "EVALUATED_CORE_COUNTS",
-    "CoreScalingModel",
-    "ScalingCalibration",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".cores": ("DEFAULT_SCALING_CALIBRATION", "EVALUATED_CORE_COUNTS",
+               "CoreScalingModel", "ScalingCalibration"),
+})

@@ -1,39 +1,13 @@
 """Serving substrate: arrivals, batching policies, SLO analysis."""
 
-from repro.serving.arrivals import (
-    ArrivingRequest,
-    bursty_arrivals,
-    merge_arrivals,
-    poisson_arrivals,
-)
-from repro.serving.scheduler import (
-    BatchingSimulator,
-    CompletedRequest,
-    ServingReport,
-)
-from repro.serving.multitenancy import (
-    MultiTenantSimulator,
-    TenantSlowdown,
-    tenancy_sweep,
-)
-from repro.serving.prefix_cache import PrefixCacheEstimate, PrefixCacheModel
-from repro.serving.slo import SLO, attainment, goodput, max_sustainable_rate
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "ArrivingRequest",
-    "BatchingSimulator",
-    "CompletedRequest",
-    "MultiTenantSimulator",
-    "PrefixCacheEstimate",
-    "PrefixCacheModel",
-    "SLO",
-    "TenantSlowdown",
-    "tenancy_sweep",
-    "ServingReport",
-    "attainment",
-    "goodput",
-    "max_sustainable_rate",
-    "bursty_arrivals",
-    "merge_arrivals",
-    "poisson_arrivals",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".arrivals": ("ArrivingRequest", "bursty_arrivals", "merge_arrivals",
+                  "poisson_arrivals"),
+    ".scheduler": ("BatchingSimulator", "CompletedRequest", "ServingReport"),
+    ".multitenancy": ("MultiTenantSimulator", "TenantSlowdown",
+                      "tenancy_sweep"),
+    ".prefix_cache": ("PrefixCacheEstimate", "PrefixCacheModel"),
+    ".slo": ("SLO", "attainment", "goodput", "max_sustainable_rate"),
+})

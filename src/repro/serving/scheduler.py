@@ -151,10 +151,10 @@ class BatchingSimulator:
         self.backend = backend
 
     # -- batching policies ------------------------------------------------------
-    # Each policy is one ReplicaNode driven through the whole stream; the
-    # node is imported here because the cluster layer sits above serving.
+    # Each policy is one ReplicaNode driven through the whole stream.
 
     def _node(self, policy: str, tracer: Tracer, **kwargs):
+        # Cycle: repro.cluster.node imports this module's request records.
         from repro.cluster.node import ReplicaNode
         return ReplicaNode("single", self.platform, self.model,
                            self.max_batch, self.backend,

@@ -11,43 +11,14 @@ per-replica utilization timelines from it. The default
 ``benchmarks/test_trace_overhead.py``).
 """
 
-from repro.trace.analysis import (
-    RequestAttribution,
-    batch_occupancy_histogram,
-    replica_utilization_timeline,
-    request_attribution,
-)
-from repro.trace.export import ascii_timeline, to_chrome_trace, write_chrome_trace
-from repro.trace.spans import (
-    CLUSTER_TRACK,
-    ENGINE_TRACK,
-    CounterSample,
-    InstantEvent,
-    Span,
-    Trace,
-    replica_track,
-    request_track,
-)
-from repro.trace.tracer import NOOP_TRACER, NoopTracer, RecordingTracer, Tracer
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CLUSTER_TRACK",
-    "ENGINE_TRACK",
-    "CounterSample",
-    "InstantEvent",
-    "NOOP_TRACER",
-    "NoopTracer",
-    "RecordingTracer",
-    "RequestAttribution",
-    "Span",
-    "Trace",
-    "Tracer",
-    "ascii_timeline",
-    "batch_occupancy_histogram",
-    "replica_track",
-    "replica_utilization_timeline",
-    "request_attribution",
-    "request_track",
-    "to_chrome_trace",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    ".analysis": ("RequestAttribution", "batch_occupancy_histogram",
+                  "replica_utilization_timeline", "request_attribution"),
+    ".export": ("ascii_timeline", "to_chrome_trace", "write_chrome_trace"),
+    ".spans": ("CLUSTER_TRACK", "ENGINE_TRACK", "CounterSample",
+               "InstantEvent", "Span", "Trace", "replica_track",
+               "request_track"),
+    ".tracer": ("NOOP_TRACER", "NoopTracer", "RecordingTracer", "Tracer"),
+})

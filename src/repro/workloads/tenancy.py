@@ -44,7 +44,7 @@ from repro.serving.arrivals import (
 )
 from repro.utils.validation import require_positive
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
+if TYPE_CHECKING:  # hints only; repro.workloads.throttling imports this
     from repro.workloads.throttling import ThrottleConfig, ThrottleDecision
 
 
@@ -289,6 +289,7 @@ class TenantStream:
         which is what per-tenant accounting (throttle rate, wasted
         tokens, demand) needs.
         """
+        # Cycle: repro.workloads.throttling imports this module.
         from repro.workloads.throttling import throttle_decisions
         return throttle_decisions(self._raw(0, 1), self.throttle)
 

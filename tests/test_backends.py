@@ -47,6 +47,7 @@ from repro.engine.inference import InferenceSimulator
 from repro.engine.request import PAPER_DEFAULT_REQUEST, InferenceRequest
 from repro.engine.stepcost import decode_cost_table
 from repro.experiments._sweeps import clear_caches
+from repro.gemm.simulator import GemmSimulator
 from repro.hardware.datatypes import DType
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
@@ -217,6 +218,34 @@ class TestPlatformCheck:
         with pytest.raises(ValueError,
                            match="SPR-Max-9468 has no engine for fp16"):
             InferenceSimulator(SPR, parse_backend(spec))
+
+    def test_every_dtype_check_raises_the_platform_error(self):
+        # Platform.engines_for is the one check; each entry point raises
+        # its ValueError unchanged.
+        fp16 = BaselineBackend(DType.FP16)
+        no_bf16 = dataclasses.replace(SPR, engines=[
+            dataclasses.replace(engine, peak_flops={
+                dtype: rate for dtype, rate in engine.peak_flops.items()
+                if dtype is not DType.BF16})
+            for engine in SPR.engines])
+        checks = {
+            "engines_for": lambda: SPR.engines_for(DType.FP16),
+            "best_engine": lambda: SPR.best_engine(DType.FP16),
+            "executor": lambda: OperatorExecutor(SPR, fp16, BANDWIDTH),
+            "check_platform": lambda: fp16.check_platform(SPR),
+            "simulator": lambda: InferenceSimulator(SPR, fp16),
+            # GemmSimulator prices BF16 only, so it needs a platform
+            # without it.
+            "gemm": lambda: GemmSimulator(no_bf16),
+        }
+        messages = {}
+        for name, check in checks.items():
+            with pytest.raises(ValueError) as info:
+                check()
+            messages[name] = str(info.value)
+        expected = "SPR-Max-9468 has no engine for fp16"
+        assert messages.pop("gemm") == expected.replace("fp16", "bf16")
+        assert set(messages.values()) == {expected}
 
 
 # -- backend spec parsing ---------------------------------------------------

@@ -191,7 +191,8 @@ class TestFairnessEndToEnd:
             max_batch=4, scheduler="vtc")])
         report = ClusterSimulator(config.build_fleet(),
                                   RoundRobinRouter()).run(stream.full())
-        fairness = report.fairness(stream.decisions(), slo=SLO())
+        fairness = fairness_report(stream.decisions(), report.completed,
+                                   slo=SLO())
         assert 0.0 < fairness.jain_index <= 1.0
         assert 0.0 < fairness.throttle_rate < 1.0
         completed = sum(t.completed for t in fairness.tenants)

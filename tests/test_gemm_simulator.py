@@ -39,7 +39,7 @@ class TestGemmSimulator:
                 dtype: rate for dtype, rate in engine.peak_flops.items()
                 if dtype is not DType.BF16})
             for engine in spr.engines])
-        with pytest.raises(ValueError, match="no engine supporting"):
+        with pytest.raises(ValueError, match="has no engine for bf16"):
             GemmSimulator(no_bf16)
 
     def test_rejects_zero_dims(self):

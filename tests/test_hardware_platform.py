@@ -79,7 +79,7 @@ class TestPlatform:
         assert cpu.best_engine(DType.FP32).name == "vec"
 
     def test_best_engine_unsupported_dtype_raises(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="has no engine for"):
             make_cpu().best_engine(DType.INT8)
 
     def test_has_matrix_engine(self):

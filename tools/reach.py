@@ -439,30 +439,38 @@ def worker_records(outbox: pathlib.Path) -> tuple:
 def named_by_tools(functions: dict) -> set:
     """Functions that ``bench/`` or ``tools/`` import from ``repro``.
 
-    Imports inside such a function count too (``clear_caches`` imports
-    each layer's cache reset where it calls it).
+    The functions such a function calls by name count too
+    (``clear_caches`` calls each layer's cache reset), one level deep.
     """
     import importlib
     import inspect
     import textwrap
 
     reached = set()
-    sources = [path.read_text() for path in
+    sources = [(path.read_text(), None) for path in
                sorted((ROOT / "bench").glob("*.py"))
                + sorted((ROOT / "tools").glob("*.py"))]
     while sources:
-        for node in ast.walk(ast.parse(sources.pop())):
-            if not (isinstance(node, ast.ImportFrom) and node.module
-                    and node.module.split(".")[0] == "repro"):
+        source, namespace = sources.pop()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module and \
+                    node.module.split(".")[0] == "repro":
+                module = importlib.import_module(node.module)
+                targets = [getattr(module, alias.name, None)
+                           for alias in node.names]
+            elif namespace and isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Name):
+                targets = [namespace.get(node.func.id)]
+            else:
                 continue
-            module = importlib.import_module(node.module)
-            for alias in node.names:
-                target = getattr(module, alias.name, None)
+            for target in targets:
                 code = getattr(target, "__code__", None)
                 key = code and (code.co_filename, code.co_firstlineno)
                 if key in functions and key not in reached:
                     reached.add(key)
-                    sources.append(textwrap.dedent(inspect.getsource(target)))
+                    sources.append((textwrap.dedent(inspect.getsource(
+                        target)), target.__globals__ if namespace is None
+                        else {}))
     return reached
 
 
