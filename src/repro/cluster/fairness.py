@@ -23,7 +23,7 @@ allocations.
 import dataclasses
 from typing import Dict, Iterable, List, Mapping, Optional
 
-from repro.serving.scheduler import CompletedRequest
+from repro.serving.arrivals import CompletedRequest
 from repro.serving.slo import SLO, meets
 from repro.utils.stats import jain_index, mean
 from repro.workloads.tenancy import TenantRequest
@@ -109,7 +109,7 @@ def fairness_report(decisions: Iterable[ThrottleDecision],
     """Join door verdicts with completion records into per-tenant stats.
 
     *decisions* must cover every arrival (admitted and throttled — a
-    :meth:`~repro.workloads.tenancy.TenantStream.decisions` pass);
+    :meth:`~repro.workloads.throttling.TenantStream.decisions` pass);
     *completed* is any cluster/serving run's completion records, joined
     by ``request_id``. *slo* defaults to the library default; *weights*
     are the WSC weights (unlisted tenants weigh 1.0) so the fairness

@@ -14,8 +14,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.cost import price_rate
 from repro.cluster.events import ClusterEvent
-from repro.serving.arrivals import ArrivingRequest
-from repro.serving.scheduler import CompletedRequest, ServingReport
+from repro.serving.arrivals import (
+    ArrivingRequest,
+    CompletedRequest,
+    ServingReport,
+)
 from repro.serving.slo import SLO
 from repro.serving.slo import attainment as _attainment
 from repro.serving.slo import goodput as _goodput

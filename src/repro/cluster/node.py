@@ -58,15 +58,26 @@ from repro.engine.inference import InferenceSimulator
 from repro.engine.stepcost import decode_cost_table
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
-from repro.serving.arrivals import ArrivingRequest
-from repro.serving.scheduler import (
+from repro.serving.arrivals import (
+    ArrivingRequest,
     CompletedRequest,
     ServingReport,
-    check_batching_policy,
 )
 from repro.trace.spans import replica_track, request_track
 from repro.trace.tracer import NOOP_TRACER, Tracer
 from repro.utils.validation import require_positive
+
+
+#: Batching disciplines a :class:`ReplicaNode` runs.
+BATCHING_POLICIES = ("static", "continuous", "chunked")
+
+
+def check_batching_policy(policy: str) -> str:
+    """Return *policy* if it names a batching discipline, else raise."""
+    if policy not in BATCHING_POLICIES:
+        raise ValueError(f"unknown batching policy {policy!r}; expected "
+                         f"one of {', '.join(BATCHING_POLICIES)}")
+    return policy
 
 
 @dataclasses.dataclass(slots=True)

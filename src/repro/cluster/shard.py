@@ -68,8 +68,11 @@ from repro.cluster.simulator import (
     ProgressFn,
     queue_depth_timeline,
 )
-from repro.serving.arrivals import ArrivingRequest, _spec_ranges
-from repro.serving.scheduler import CompletedRequest
+from repro.serving.arrivals import (
+    ArrivingRequest,
+    CompletedRequest,
+    _spec_ranges,
+)
 
 #: A global dispatch key: (time_s, rank, global index).
 Key = Tuple[float, int, int]

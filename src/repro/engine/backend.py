@@ -41,7 +41,6 @@ tables. See ``docs/backends.md``.
 import dataclasses
 import difflib
 import functools
-import importlib
 from typing import Optional, Tuple
 
 from repro.engine.executor import OperatorExecutor
@@ -63,6 +62,12 @@ from repro.numa.model import (
     NumaModel,
 )
 from repro.numa.modes import KNOWN_CONFIGS, NumaConfig, QUAD_FLAT, get_config
+from repro.offload.policy import (
+    DEFAULT_OFFLOAD_CALIBRATION,
+    OffloadCalibration,
+    hybrid_streamed_weight_bytes,
+)
+from repro.offload.transfer import gpu_prefill_leg, transfer_model_for
 from repro.quant.weightonly import (
     QuantConfig,
     QuantScheme,
@@ -766,11 +771,6 @@ def _hybrid_gpu_executor(gpu: Platform, dtype: DType):
 @functools.lru_cache(maxsize=4096)
 def _hybrid_prefill_leg(backend: "HybridBackend", model: ModelConfig,
                         batch_size: int, input_len: int) -> float:
-    # Cycle: repro.offload's modules import this one.
-    from repro.offload.engine import gpu_prefill_leg
-    from repro.offload.policy import hybrid_streamed_weight_bytes
-    from repro.offload.transfer import transfer_model_for
-
     executor = _hybrid_gpu_executor(backend.gpu, backend.dtype)
     transfer = transfer_model_for(backend.gpu, backend.calibration)
     streamed = hybrid_streamed_weight_bytes(
@@ -792,7 +792,7 @@ class HybridBackend(WrapperBackend):
     decode runs on the CPU against host-resident KV. The whole GPU leg
     is charged through :meth:`prefill_comm_s` as comm-as-wall-time
     (the backend's prefill op graph is empty), priced by the same
-    :func:`repro.offload.engine.gpu_prefill_leg` the offload engine
+    :func:`repro.offload.transfer.gpu_prefill_leg` the offload engine
     uses — so the transfer model and overlap behaviour match
     ``repro.offload`` by construction.
 
@@ -805,10 +805,8 @@ class HybridBackend(WrapperBackend):
     cache and the decode activations.
     """
 
-    # calibration is an OffloadCalibration; ``None`` resolves to the
-    # offload default when the backend is built.
     gpu: Platform
-    calibration: Optional["OffloadCalibration"] = None
+    calibration: OffloadCalibration = DEFAULT_OFFLOAD_CALIBRATION
     inner: ExecutionBackend = BaselineBackend()
 
     def __post_init__(self) -> None:
@@ -816,15 +814,6 @@ class HybridBackend(WrapperBackend):
             raise ValueError(
                 f"HybridBackend needs a GPU prefill platform, got "
                 f"{self.gpu.name}")
-        # Cycle: repro.offload's modules import this one. Building the
-        # backend loads the GPU leg's pricing (repro.offload.engine and
-        # what it imports), so no run imports it inside a priced call.
-        importlib.import_module("repro.offload.engine")
-        if self.calibration is None:
-            from repro.offload.policy import DEFAULT_OFFLOAD_CALIBRATION
-
-            object.__setattr__(self, "calibration",
-                               DEFAULT_OFFLOAD_CALIBRATION)
 
     # -- prefill: the GPU leg, charged as wall time -------------------------
 

@@ -9,7 +9,7 @@ execution-time breakdown of Fig. 18 (compute vs. data loading).
 
 import dataclasses
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.engine.backend import BaselineBackend
 from repro.engine.executor import OperatorExecutor
@@ -17,44 +17,58 @@ from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.models.layers import Op, OpKind
-from repro.offload.policy import (
-    DEFAULT_OFFLOAD_CALIBRATION,
-    OffloadCalibration,
-    Placement,
-    make_placement,
+from repro.offload.policy import DEFAULT_OFFLOAD_CALIBRATION, OffloadCalibration
+from repro.offload.transfer import (
+    TransferModel,
+    gpu_prefill_leg,
+    transfer_model_for,
 )
-from repro.offload.transfer import TransferModel, transfer_model_for
 from repro.offload.zigzag import amortized_transfer_time, exposed_transfer_time
 
 _ATTENTION_KINDS = (OpKind.ATTN_QK, OpKind.ATTN_PV, OpKind.SOFTMAX)
 
 
-def gpu_prefill_leg(executor: OperatorExecutor, transfer: TransferModel,
-                    calibration: OffloadCalibration, model: ModelConfig,
-                    batch_size: int, input_len: int,
-                    streamed_weight_bytes: float,
-                    kv_to_host: bool) -> Tuple[float, float, float]:
-    """Price one GPU prefill pass with streamed weights.
+@dataclasses.dataclass(frozen=True)
+class Placement:
+    """Resolved data placement for one (model, request, GPU) triple.
 
-    The shared prefill leg of offloaded *and* hybrid execution: GPU
-    compute over the executor's backend's prefill graph, non-resident
-    weights streamed over PCIe once (overlapped with compute), and —
-    when *kv_to_host* is set — the freshly produced prompt K/V moved to
-    host memory.
-    Returns ``(critical_path_s, transfer_s, compute_s)``; both
-    :meth:`OffloadSimulator.run` and
-    :meth:`repro.engine.backend.HybridBackend.prefill_comm_s` delegate
-    here, so the two paths price the leg identically by construction.
+    Attributes:
+        resident_weight_bytes: Weights pinned in GPU memory.
+        streamed_weight_bytes: Weights streamed over PCIe per full pass.
+        kv_on_gpu: Whether the KV cache lives in GPU memory.
+        kv_bytes_peak: Peak KV-cache size over the request.
     """
-    ops = executor.backend.prefill_ops(model, batch_size, input_len)
-    compute = sum(t.time_s for t in executor.time_ops(ops))
-    xfer = transfer.time(streamed_weight_bytes,
-                         layer_transfers=model.n_layers)
-    if kv_to_host:
-        kv_written = sum(op.kv_write_bytes for op in ops)
-        xfer += transfer.time(kv_written, model.n_layers)
-    time_s = compute + exposed_transfer_time(xfer, compute, calibration)
-    return time_s, xfer, compute
+
+    resident_weight_bytes: float
+    streamed_weight_bytes: float
+    kv_on_gpu: bool
+    kv_bytes_peak: float
+
+
+def make_placement(model: ModelConfig, request: InferenceRequest,
+                   gpu: Platform,
+                   calibration: OffloadCalibration = DEFAULT_OFFLOAD_CALIBRATION) -> Placement:
+    """Resolve the GPU/CPU split for an offloaded request.
+
+    Sized on the plain BF16 base the offload engine prices with.
+    """
+    if not gpu.is_gpu:
+        raise ValueError(f"{gpu.name} is not a GPU")
+    base = BaselineBackend()
+    weights = base.weight_bytes(model)
+    kv_peak = (base.kv_bytes_per_token(model) * request.max_seq_len
+               * request.batch_size)
+    kv_on_gpu = kv_peak <= gpu.memory_capacity * calibration.kv_gpu_capacity_fraction
+    weight_budget = gpu.memory_capacity * calibration.weight_residency_fraction
+    if kv_on_gpu:
+        weight_budget = max(0.0, weight_budget - kv_peak)
+    resident = min(weights, weight_budget)
+    return Placement(
+        resident_weight_bytes=resident,
+        streamed_weight_bytes=weights - resident,
+        kv_on_gpu=kv_on_gpu,
+        kv_bytes_peak=kv_peak,
+    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Offloading placement policy (FlexGen-style, Section III / V).
 
 When a model's inference footprint exceeds GPU memory, weights, KV cache,
-and activations are split between GPU and CPU memory. The policy here
-mirrors FlexGen's practical behaviour:
+and activations are split between GPU and CPU memory. The calibration
+here (and :func:`repro.offload.engine.make_placement`, which applies it
+per request) mirrors FlexGen's practical behaviour:
 
 * a conservative fraction of GPU memory holds *resident* weights (the rest
   of GPU memory is workspace: activation buffers, fragmentation headroom,
@@ -18,10 +19,7 @@ mirrors FlexGen's practical behaviour:
 
 import dataclasses
 
-from repro.engine.backend import BaselineBackend
-from repro.engine.request import InferenceRequest
 from repro.hardware.platform import Platform
-from repro.models.config import ModelConfig
 from repro.utils.validation import require_positive
 
 
@@ -68,23 +66,6 @@ class OffloadCalibration:
 DEFAULT_OFFLOAD_CALIBRATION = OffloadCalibration()
 
 
-@dataclasses.dataclass(frozen=True)
-class Placement:
-    """Resolved data placement for one (model, request, GPU) triple.
-
-    Attributes:
-        resident_weight_bytes: Weights pinned in GPU memory.
-        streamed_weight_bytes: Weights streamed over PCIe per full pass.
-        kv_on_gpu: Whether the KV cache lives in GPU memory.
-        kv_bytes_peak: Peak KV-cache size over the request.
-    """
-
-    resident_weight_bytes: float
-    streamed_weight_bytes: float
-    kv_on_gpu: bool
-    kv_bytes_peak: float
-
-
 def hybrid_streamed_weight_bytes(
         weight_bytes_total: float, gpu: Platform,
         calibration: OffloadCalibration = DEFAULT_OFFLOAD_CALIBRATION
@@ -94,37 +75,11 @@ def hybrid_streamed_weight_bytes(
     The CPU–GPU hybrid backend keeps a resident fraction of the weights
     pinned in GPU memory across requests (the same residency budget the
     offload policy uses) and streams the remainder each prefill. Unlike
-    :func:`make_placement` there is no KV deduction: the KV cache never
-    stays on the GPU — decode runs on the CPU, so prompt K/V is handed
-    off to host memory every pass.
+    :func:`repro.offload.engine.make_placement` there is no KV
+    deduction: the KV cache never stays on the GPU — decode runs on the
+    CPU, so prompt K/V is handed off to host memory every pass.
     """
     if not gpu.is_gpu:
         raise ValueError(f"{gpu.name} is not a GPU")
     budget = gpu.memory_capacity * calibration.weight_residency_fraction
     return max(0.0, weight_bytes_total - budget)
-
-
-def make_placement(model: ModelConfig, request: InferenceRequest,
-                   gpu: Platform,
-                   calibration: OffloadCalibration = DEFAULT_OFFLOAD_CALIBRATION) -> Placement:
-    """Resolve the GPU/CPU split for an offloaded request.
-
-    Sized on the plain BF16 base the offload engine prices with.
-    """
-    if not gpu.is_gpu:
-        raise ValueError(f"{gpu.name} is not a GPU")
-    base = BaselineBackend()
-    weights = base.weight_bytes(model)
-    kv_peak = (base.kv_bytes_per_token(model) * request.max_seq_len
-               * request.batch_size)
-    kv_on_gpu = kv_peak <= gpu.memory_capacity * calibration.kv_gpu_capacity_fraction
-    weight_budget = gpu.memory_capacity * calibration.weight_residency_fraction
-    if kv_on_gpu:
-        weight_budget = max(0.0, weight_budget - kv_peak)
-    resident = min(weights, weight_budget)
-    return Placement(
-        resident_weight_bytes=resident,
-        streamed_weight_bytes=weights - resident,
-        kv_on_gpu=kv_on_gpu,
-        kv_bytes_peak=kv_peak,
-    )

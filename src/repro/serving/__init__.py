@@ -3,9 +3,9 @@
 from repro.lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    ".arrivals": ("ArrivingRequest", "bursty_arrivals", "merge_arrivals",
-                  "poisson_arrivals"),
-    ".scheduler": ("BatchingSimulator", "CompletedRequest", "ServingReport"),
+    ".arrivals": ("ArrivingRequest", "CompletedRequest", "ServingReport",
+                  "bursty_arrivals", "merge_arrivals", "poisson_arrivals"),
+    ".scheduler": ("BatchingSimulator",),
     ".multitenancy": ("MultiTenantSimulator", "TenantSlowdown",
                       "tenancy_sweep"),
     ".prefix_cache": ("PrefixCacheEstimate", "PrefixCacheModel"),

@@ -4,13 +4,17 @@ Produces deterministic, seeded arrival streams: exponential inter-arrival
 times (Poisson process) with per-request prompt/output lengths drawn from
 a workload spec. Used by the batching-policy study, which extends the
 paper's throughput discussion toward the serving systems its related-work
-section cites (Orca, vLLM, Sarathi).
+section cites (Orca, vLLM, Sarathi). The records a serving run returns,
+:class:`CompletedRequest` and :class:`ServingReport`, live here beside
+the request they complete, below both the batching policies and the
+fleet's replica loop.
 """
 
 import dataclasses
 import random
 from typing import Callable, Iterator, List, Optional, Tuple
 
+from repro.utils.stats import mean, percentile
 from repro.utils.validation import require_positive
 
 # Default request-shape ranges (a chatbot-like mix) used when no workload
@@ -68,6 +72,94 @@ def slot_setters(cls: type) -> Tuple[Callable[[object, object], None], ...]:
 
 
 _REQUEST_SETTERS = slot_setters(ArrivingRequest)
+
+
+@dataclasses.dataclass(slots=True)
+class CompletedRequest:
+    """Per-request timing after a serving simulation.
+
+    Attributes:
+        request_id: Id from the arrival stream.
+        arrival_s / start_s / first_token_s / finish_s: Lifecycle stamps.
+
+    Slotted: million-request traces keep every record alive, and a
+    ``__dict__``-carrying instance is two tracked objects for the
+    cyclic GC to traverse instead of one (and ~3x the memory).
+    """
+
+    request_id: int
+    arrival_s: float
+    start_s: float
+    first_token_s: float
+    finish_s: float
+
+    @property
+    def queue_delay_s(self) -> float:
+        """Time waiting before any computation."""
+        return self.start_s - self.arrival_s
+
+    @property
+    def ttft_s(self) -> float:
+        """Arrival-to-first-token latency (user-perceived TTFT)."""
+        return self.first_token_s - self.arrival_s
+
+    @property
+    def e2e_s(self) -> float:
+        """Arrival-to-completion latency."""
+        return self.finish_s - self.arrival_s
+
+
+@dataclasses.dataclass(frozen=True)
+class ServingReport:
+    """Aggregate outcome of one serving simulation.
+
+    Attributes:
+        policy: "static", "continuous", or "chunked".
+        completed: Per-request records, in completion order.
+        makespan_s: Last completion time.
+        generated_tokens: Total tokens produced.
+        decode_gaps: Inter-token gaps observed by running sequences (how
+            long each was stalled between its consecutive tokens —
+            admission prefills inflate this for continuous batching, which
+            is exactly what chunked prefill bounds).
+
+    ``completed`` is never empty — every runner raises ``ValueError``
+    on an empty arrival stream — so the latency statistics below are
+    always defined.
+    """
+
+    policy: str
+    completed: List[CompletedRequest]
+    makespan_s: float
+    generated_tokens: int
+    decode_gaps: List[float] = dataclasses.field(default_factory=list)
+
+    @property
+    def throughput(self) -> float:
+        """Aggregate generated tokens per second over the makespan."""
+        return self.generated_tokens / self.makespan_s
+
+    @property
+    def mean_ttft_s(self) -> float:
+        """Mean arrival-to-first-token latency."""
+        return mean([r.ttft_s for r in self.completed])
+
+    @property
+    def p95_ttft_s(self) -> float:
+        """95th-percentile TTFT (linear interpolation)."""
+        return percentile([r.ttft_s for r in self.completed], 95)
+
+    @property
+    def max_decode_gap_s(self) -> float:
+        """Worst stall between consecutive tokens of a running sequence."""
+        return max(self.decode_gaps) if self.decode_gaps else 0.0
+
+    @property
+    def p95_decode_gap_s(self) -> float:
+        """95th-percentile inter-token gap (linear interpolation)."""
+        if not self.decode_gaps:
+            return 0.0
+        return percentile(self.decode_gaps, 95)
 
 
 def int_sampler(rng: random.Random, lo: int,

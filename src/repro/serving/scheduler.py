@@ -10,115 +10,15 @@ with the discipline as a node parameter — so they share one cost model,
 clock and tracing contract, and differences are purely scheduling.
 """
 
-import dataclasses
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
+from repro.cluster.node import ReplicaNode
 from repro.engine.backend import ExecutionBackend
 from repro.engine.inference import InferenceSimulator
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
-from repro.serving.arrivals import ArrivingRequest
+from repro.serving.arrivals import ArrivingRequest, ServingReport
 from repro.trace.tracer import NOOP_TRACER, Tracer
-from repro.utils.stats import mean, percentile
-
-@dataclasses.dataclass(slots=True)
-class CompletedRequest:
-    """Per-request timing after a serving simulation.
-
-    Attributes:
-        request_id: Id from the arrival stream.
-        arrival_s / start_s / first_token_s / finish_s: Lifecycle stamps.
-
-    Slotted: million-request traces keep every record alive, and a
-    ``__dict__``-carrying instance is two tracked objects for the
-    cyclic GC to traverse instead of one (and ~3x the memory).
-    """
-
-    request_id: int
-    arrival_s: float
-    start_s: float
-    first_token_s: float
-    finish_s: float
-
-    @property
-    def queue_delay_s(self) -> float:
-        """Time waiting before any computation."""
-        return self.start_s - self.arrival_s
-
-    @property
-    def ttft_s(self) -> float:
-        """Arrival-to-first-token latency (user-perceived TTFT)."""
-        return self.first_token_s - self.arrival_s
-
-    @property
-    def e2e_s(self) -> float:
-        """Arrival-to-completion latency."""
-        return self.finish_s - self.arrival_s
-
-
-@dataclasses.dataclass(frozen=True)
-class ServingReport:
-    """Aggregate outcome of one serving simulation.
-
-    Attributes:
-        policy: "static", "continuous", or "chunked".
-        completed: Per-request records, in completion order.
-        makespan_s: Last completion time.
-        generated_tokens: Total tokens produced.
-        decode_gaps: Inter-token gaps observed by running sequences (how
-            long each was stalled between its consecutive tokens —
-            admission prefills inflate this for continuous batching, which
-            is exactly what chunked prefill bounds).
-
-    ``completed`` is never empty — every runner raises ``ValueError``
-    on an empty arrival stream — so the latency statistics below are
-    always defined.
-    """
-
-    policy: str
-    completed: List[CompletedRequest]
-    makespan_s: float
-    generated_tokens: int
-    decode_gaps: List[float] = dataclasses.field(default_factory=list)
-
-    @property
-    def throughput(self) -> float:
-        """Aggregate generated tokens per second over the makespan."""
-        return self.generated_tokens / self.makespan_s
-
-    @property
-    def mean_ttft_s(self) -> float:
-        """Mean arrival-to-first-token latency."""
-        return mean([r.ttft_s for r in self.completed])
-
-    @property
-    def p95_ttft_s(self) -> float:
-        """95th-percentile TTFT (linear interpolation)."""
-        return percentile([r.ttft_s for r in self.completed], 95)
-
-    @property
-    def max_decode_gap_s(self) -> float:
-        """Worst stall between consecutive tokens of a running sequence."""
-        return max(self.decode_gaps) if self.decode_gaps else 0.0
-
-    @property
-    def p95_decode_gap_s(self) -> float:
-        """95th-percentile inter-token gap (linear interpolation)."""
-        if not self.decode_gaps:
-            return 0.0
-        return percentile(self.decode_gaps, 95)
-
-
-#: Batching disciplines a :class:`~repro.cluster.node.ReplicaNode` runs.
-BATCHING_POLICIES = ("static", "continuous", "chunked")
-
-
-def check_batching_policy(policy: str) -> str:
-    """Return *policy* if it names a batching discipline, else raise."""
-    if policy not in BATCHING_POLICIES:
-        raise ValueError(f"unknown batching policy {policy!r}; expected "
-                         f"one of {', '.join(BATCHING_POLICIES)}")
-    return policy
 
 
 class BatchingSimulator:
@@ -153,9 +53,7 @@ class BatchingSimulator:
     # -- batching policies ------------------------------------------------------
     # Each policy is one ReplicaNode driven through the whole stream.
 
-    def _node(self, policy: str, tracer: Tracer, **kwargs):
-        # Cycle: repro.cluster.node imports this module's request records.
-        from repro.cluster.node import ReplicaNode
+    def _node(self, policy: str, tracer: Tracer, **kwargs) -> ReplicaNode:
         return ReplicaNode("single", self.platform, self.model,
                            self.max_batch, self.backend,
                            tracer=tracer, policy=policy, **kwargs)

@@ -10,12 +10,13 @@ figure of merit production teams actually provision against.
 import dataclasses
 from typing import Callable, List
 
-from repro.serving.arrivals import ArrivingRequest, poisson_arrivals
-from repro.serving.scheduler import (
-    BatchingSimulator,
+from repro.cluster.node import check_batching_policy
+from repro.serving.arrivals import (
+    ArrivingRequest,
     ServingReport,
-    check_batching_policy,
+    poisson_arrivals,
 )
+from repro.serving.scheduler import BatchingSimulator
 from repro.utils.validation import require_positive
 
 

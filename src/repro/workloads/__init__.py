@@ -12,8 +12,8 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
                    "translation_workload"),
     ".serving": ("ServingStats", "serve"),
     ".streams": ("ShardableStream", "stream_workload"),
-    ".tenancy": ("TenantRequest", "TenantStream", "TenantWorkloadSpec",
+    ".tenancy": ("TenantRequest", "TenantWorkloadSpec",
                  "iter_tenant_arrivals", "zipf_shares"),
-    ".throttling": ("ThrottleConfig", "ThrottleDecision",
+    ".throttling": ("TenantStream", "ThrottleConfig", "ThrottleDecision",
                     "throttle_decisions"),
 })

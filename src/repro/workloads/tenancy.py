@@ -33,7 +33,7 @@ import heapq
 import itertools
 import random
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.serving.arrivals import (
     ArrivingRequest,
@@ -43,9 +43,6 @@ from repro.serving.arrivals import (
     slot_setters,
 )
 from repro.utils.validation import require_positive
-
-if TYPE_CHECKING:  # hints only; repro.workloads.throttling imports this
-    from repro.workloads.throttling import ThrottleConfig, ThrottleDecision
 
 
 @dataclasses.dataclass(frozen=True, slots=True, init=False)
@@ -248,65 +245,3 @@ def iter_tenant_arrivals(spec: TenantWorkloadSpec, rate_per_s: float,
                 return
 
     return generate()
-
-
-@dataclasses.dataclass(frozen=True)
-class TenantStream:
-    """A replayable, splittable tenant stream, optionally door-throttled.
-
-    The tenant-aware counterpart of
-    :class:`~repro.workloads.streams.ShardableStream`: pickleable plain
-    data that the sharded runner ships to worker processes, with
-    :meth:`full` / :meth:`shard` regenerating identical streams on every
-    call. When *throttle* is set, admission decisions are evaluated over
-    the **full** stream before the shard filter — door state (sliding
-    rate windows) sees every arrival in every shard, so the set of
-    admitted requests is identical for any worker count and sharded runs
-    stay bit-identical. Admitted requests keep their full-stream
-    ``request_id`` (the merge position), so the sub-streams simply omit
-    throttled ids rather than renumbering.
-    """
-
-    spec: TenantWorkloadSpec
-    rate_per_s: float
-    count: Optional[int] = None
-    duration_s: Optional[float] = None
-    seed: int = 0
-    throttle: Optional["ThrottleConfig"] = None
-
-    def _raw(self, shard: int, num_shards: int) -> Iterator[TenantRequest]:
-        return iter_tenant_arrivals(self.spec, self.rate_per_s,
-                                    count=self.count,
-                                    duration_s=self.duration_s,
-                                    seed=self.seed, shard=shard,
-                                    num_shards=num_shards)
-
-    def decisions(self) -> Iterator["ThrottleDecision"]:
-        """Door verdicts for every arrival in the full stream.
-
-        With no throttle configured every request is admitted; either
-        way the iterator covers throttled and admitted arrivals alike,
-        which is what per-tenant accounting (throttle rate, wasted
-        tokens, demand) needs.
-        """
-        # Cycle: repro.workloads.throttling imports this module.
-        from repro.workloads.throttling import throttle_decisions
-        return throttle_decisions(self._raw(0, 1), self.throttle)
-
-    def full(self) -> Iterator[TenantRequest]:
-        """The complete admitted stream, regenerated from scratch."""
-        return self.shard(0, 1)
-
-    def shard(self, shard: int, num_shards: int) -> Iterator[TenantRequest]:
-        """Admitted requests with ``request_id % num_shards == shard``."""
-        if self.throttle is None:
-            return self._raw(shard, num_shards)
-
-        def admitted() -> Iterator[TenantRequest]:
-            for decision in self.decisions():
-                if (decision.admitted
-                        and decision.request.request_id
-                        % num_shards == shard):
-                    yield decision.request
-
-        return admitted()

@@ -21,7 +21,7 @@ module implements the door:
 Decisions are a pure function of the arrival stream and the config — no
 simulator state — so the sharded runner can evaluate them over the full
 stream in every worker and stay bit-identical (see
-:class:`~repro.workloads.tenancy.TenantStream`).
+:class:`TenantStream`, which applies the door to a tenant stream).
 """
 
 import dataclasses
@@ -29,7 +29,11 @@ from collections import deque
 from typing import Deque, Dict, Iterable, Iterator, Optional, Set
 
 from repro.utils.validation import require_positive
-from repro.workloads.tenancy import TenantRequest
+from repro.workloads.tenancy import (
+    TenantRequest,
+    TenantWorkloadSpec,
+    iter_tenant_arrivals,
+)
 
 #: Decision reasons, in the order a verdict is reached.
 ADMITTED = "admitted"
@@ -199,3 +203,63 @@ def throttle_decisions(
 
         yield ThrottleDecision(request, admitted, reason,
                                wasted_tokens=wasted)
+
+
+@dataclasses.dataclass(frozen=True)
+class TenantStream:
+    """A replayable, splittable tenant stream, optionally door-throttled.
+
+    The tenant-aware counterpart of
+    :class:`~repro.workloads.streams.ShardableStream`: pickleable plain
+    data that the sharded runner ships to worker processes, with
+    :meth:`full` / :meth:`shard` regenerating identical streams on every
+    call. When *throttle* is set, admission decisions are evaluated over
+    the **full** stream before the shard filter — door state (sliding
+    rate windows) sees every arrival in every shard, so the set of
+    admitted requests is identical for any worker count and sharded runs
+    stay bit-identical. Admitted requests keep their full-stream
+    ``request_id`` (the merge position), so the sub-streams simply omit
+    throttled ids rather than renumbering.
+    """
+
+    spec: TenantWorkloadSpec
+    rate_per_s: float
+    count: Optional[int] = None
+    duration_s: Optional[float] = None
+    seed: int = 0
+    throttle: Optional[ThrottleConfig] = None
+
+    def _raw(self, shard: int, num_shards: int) -> Iterator[TenantRequest]:
+        return iter_tenant_arrivals(self.spec, self.rate_per_s,
+                                    count=self.count,
+                                    duration_s=self.duration_s,
+                                    seed=self.seed, shard=shard,
+                                    num_shards=num_shards)
+
+    def decisions(self) -> Iterator[ThrottleDecision]:
+        """Door verdicts for every arrival in the full stream.
+
+        With no throttle configured every request is admitted; either
+        way the iterator covers throttled and admitted arrivals alike,
+        which is what per-tenant accounting (throttle rate, wasted
+        tokens, demand) needs.
+        """
+        return throttle_decisions(self._raw(0, 1), self.throttle)
+
+    def full(self) -> Iterator[TenantRequest]:
+        """The complete admitted stream, regenerated from scratch."""
+        return self.shard(0, 1)
+
+    def shard(self, shard: int, num_shards: int) -> Iterator[TenantRequest]:
+        """Admitted requests with ``request_id % num_shards == shard``."""
+        if self.throttle is None:
+            return self._raw(shard, num_shards)
+
+        def admitted() -> Iterator[TenantRequest]:
+            for decision in self.decisions():
+                if (decision.admitted
+                        and decision.request.request_id
+                        % num_shards == shard):
+                    yield decision.request
+
+        return admitted()

@@ -21,8 +21,8 @@ from repro.models.builder import build_model
 from repro.models.opgraph import decode_step_ops, prefill_ops
 from repro.models.registry import get_model
 from repro.numa.modes import HBM_ONLY_QUAD
-from repro.offload.engine import OffloadSimulator
-from repro.offload.policy import OffloadCalibration, make_placement
+from repro.offload.engine import OffloadSimulator, make_placement
+from repro.offload.policy import OffloadCalibration
 
 
 class TestMinimalShapes:

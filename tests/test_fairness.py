@@ -19,7 +19,7 @@ from repro.cluster import (
 from repro.cluster.fairness import _served_fraction
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
-from repro.serving.scheduler import CompletedRequest
+from repro.serving.arrivals import CompletedRequest
 from repro.serving.slo import SLO
 from repro.utils.stats import jain_index
 from repro.workloads import (

@@ -8,7 +8,9 @@ engine, the findings, the sensitivity sweeps, the counter model and the
 fluid solver stayed unloaded. It then runs a small sharded fleet, a
 fleet-mix recommendation and a single request, and checks that no
 ``repro`` module was first imported inside those calls, where the
-import would be timed as run time.
+import would be timed as run time. A CPU–GPU hybrid backend prices its
+GPU prefill leg with the transfer model alone, so building one and
+pricing a prefill leaves the offload engine unloaded too.
 """
 
 import os
@@ -62,11 +64,30 @@ print("imported mid-call:", sorted(name for name in set(sys.modules) - before
                                    if name.startswith("repro")))
 """
 
+HYBRID_SCRIPT = """
+import sys
 
-def test_runs_import_only_what_they_use():
+from repro.engine.backend import HybridBackend
+from repro.hardware.registry import get_platform
+from repro.models.registry import get_model
+
+backend = HybridBackend(gpu=get_platform("a100"))
+assert backend.prefill_comm_s(get_model("llama2-7b"), 1, 128) > 0
+print("loaded:", "repro.offload.engine" in sys.modules)
+"""
+
+
+def _run(script):
     env = dict(os.environ, PYTHONPATH=SRC)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["loaded: []",
-                                        "imported mid-call: []"]
+    return proc.stdout.splitlines()
+
+
+def test_runs_import_only_what_they_use():
+    assert _run(SCRIPT) == ["loaded: []", "imported mid-call: []"]
+
+
+def test_hybrid_prefill_leaves_the_offload_engine_unloaded():
+    assert _run(HYBRID_SCRIPT) == ["loaded: False"]

@@ -7,7 +7,8 @@ from repro.engine.request import InferenceRequest
 from repro.hardware.registry import get_platform
 from repro.models.memory import weight_bytes
 from repro.models.registry import get_model
-from repro.offload.policy import OffloadCalibration, make_placement
+from repro.offload.engine import make_placement
+from repro.offload.policy import OffloadCalibration
 
 
 def gpu(key):

@@ -29,7 +29,8 @@ import pytest
 from repro.serving.arrivals import iter_bursty_arrivals, iter_poisson_arrivals
 from repro.workloads.classes import ClassMixStream
 from repro.workloads.generator import WorkloadSpec, generate_requests
-from repro.workloads.tenancy import TenantStream, TenantWorkloadSpec
+from repro.workloads.tenancy import TenantWorkloadSpec
+from repro.workloads.throttling import TenantStream
 from repro.workloads.throttling import ThrottleConfig
 
 PINS_PATH = pathlib.Path(__file__).parent / "data" / "stream_pins.json"

@@ -151,6 +151,7 @@ EXEMPT_OPTIONS = {
     "optim/advisor.py:size_fleet(seed)": "a seed",
     "cluster/metrics.py:NodeStats.__init__(drained)": RECORD,
     "cluster/metrics.py:NodeStats.__init__(price_usd)": RECORD,
+    "engine/backend.py:HybridBackend.__init__(calibration)": ITEM_14,
     "engine/backend.py:NumaBackend.__init__(calibration)": ITEM_14,
     "numa/model.py:NumaModel.__init__(calibration)": ITEM_14,
     "numa/model.py:NumaCalibration.__init__(cache_hit_rate_resident)":
