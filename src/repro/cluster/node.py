@@ -9,7 +9,8 @@ a whole arrival trace in one call, the node exposes
 * :meth:`next_event_time` — when the node's next scheduler iteration
   would start (``None`` while idle),
 * :meth:`advance` — execute exactly one scheduler iteration
-  (admissions, retirements, one fused decode step), and
+  (admissions, retirements onto ``completed``, one fused decode step,
+  which bumps the running set's decode tick), and
 * :meth:`advance_to` — run every iteration starting strictly before a
   horizon, *fast-forwarding* stretches where the batch cannot change.
 
@@ -48,6 +49,7 @@ on every report field to ≤1e-9 relative (pinned by the parity suite).
 """
 
 import dataclasses
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -70,6 +72,8 @@ from repro.utils.validation import require_positive
 
 #: Batching disciplines a :class:`ReplicaNode` runs.
 BATCHING_POLICIES = ("static", "continuous", "chunked")
+#: The earliest finish tick of an empty running set: never.
+_NO_FINISH = sys.maxsize
 
 
 def check_batching_policy(policy: str) -> str:
@@ -82,22 +86,20 @@ def check_batching_policy(policy: str) -> str:
 
 @dataclasses.dataclass(slots=True)
 class _Running:
-    """An admitted request (``prompt_left``: chunked prefill still owed)."""
+    """An admitted request (``prompt_left``: chunked prefill still owed).
+
+    ``last_event_s``, the end of its latest span, is written only under
+    a recording tracer, its one reader.
+    """
 
     request: ArrivingRequest
     start_s: float
     first_token_s: float
-    generated: int  # tokens produced so far (prefill's counts as 1)
-    last_event_s: float = 0.0  # end of this sequence's latest span (tracing)
+    # Tokens produced so far (prefill's counts as 1) are ``base`` plus
+    # the node's decode tick; set when the sequence joins the batch.
+    base: int = dataclasses.field(default=0, init=False)
+    last_event_s: float = dataclasses.field(default=0.0, init=False)
     prompt_left: int = 0
-
-    @property
-    def kv_len(self) -> int:
-        return self.request.input_len + self.generated
-
-    @property
-    def done(self) -> bool:
-        return self.generated >= self.request.output_len
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,7 +160,8 @@ class ReplicaNode:
     __slots__ = ("policy", "_static", "_chunked", "chunk_tokens", "_cost",
                  "max_batch", "name", "tracer", "exact", "collect_gaps",
                  "admission", "price_usd", "_track", "clock", "pending",
-                 "running", "prefilling", "outstanding_tokens",
+                 "running", "prefilling", "outstanding_tokens", "_tick",
+                 "_finish_min", "_finish_max", "_kv_base",
                  "_cohort_size", "_cohort_input", "completed",
                  "decode_gaps", "generated_tokens", "busy_s", "iterations",
                  "peak_queue", "draining", "active", "admission_stamps",
@@ -204,6 +207,13 @@ class ReplicaNode:
         # backlog_s's queued-prefill sum; None once the queue changed.
         self._queued_prefill_s: Optional[float] = None
         self.running: List[_Running] = []
+        # Decode tick: a running sequence has ``base + _tick`` tokens.
+        # The running set's earliest/latest finish tick (``output_len -
+        # base``) and Σ(input_len + base) change only where a sequence
+        # joins (:meth:`_join`) or leaves (:meth:`_retire`, :meth:`fail`);
+        # live KV tokens are ``_kv_base + len(running) * _tick``.
+        self._tick = self._finish_max = self._kv_base = 0
+        self._finish_min = _NO_FINISH
         self.prefilling: List[_Running] = []  # chunked prompts in flight
         #: Prompt + remaining output tokens across queued, prefilling (a
         #: chunked node's prompts still owed) and running sequences —
@@ -313,13 +323,12 @@ class ReplicaNode:
             backlog += chunks * self._cost.prefill_time(1, self.chunk_tokens)
             if tail:
                 backlog += self._cost.prefill_time(1, tail)
-        if self.running:
-            remaining = max(seq.request.output_len - seq.generated
-                            for seq in self.running)
-            mean_kv = int(sum(seq.kv_len for seq in self.running)
-                          / len(self.running))
-            backlog += remaining * self._cost.step_time(
-                len(self.running), max(1, mean_kv))
+        batch = len(self.running)
+        if batch:
+            remaining = self._finish_max - self._tick
+            mean_kv = int((self._kv_base + batch * self._tick) / batch)
+            backlog += remaining * self._cost.step_time(batch,
+                                                        max(1, mean_kv))
         return backlog
 
     # -- cost primitives (exact vs memoized) ----------------------------------
@@ -465,10 +474,8 @@ class ReplicaNode:
         self.busy_s += prefill
         self.outstanding_tokens -= batch  # each prefill emits one token
         for request in cohort:
-            self.running.append(_Running(request=request, start_s=start,
-                                         first_token_s=self.clock,
-                                         generated=1,
-                                         last_event_s=self.clock))
+            self._join(_Running(request=request, start_s=start,
+                                first_token_s=self.clock))
         if self.tracer.enabled:
             legs = self._prefill_legs(batch, longest)
             for request in cohort:
@@ -489,7 +496,6 @@ class ReplicaNode:
             self.prefilling.append(_Running(request=request,
                                             start_s=self.clock,
                                             first_token_s=self.clock,
-                                            generated=0,
                                             prompt_left=request.input_len))
 
     def _prefill_chunk(self) -> float:
@@ -517,9 +523,8 @@ class ReplicaNode:
                                    "memory_s": legs[1]})
         if job.prompt_left == 0:
             self.prefilling.pop(0)
-            job.first_token_s = job.last_event_s = end
-            job.generated = 1
-            self.running.append(job)
+            job.first_token_s = end
+            self._join(job)
             # Owed prompt + output becomes input + output - generated.
             self.outstanding_tokens += job.request.input_len - 1
             if self.tracer.enabled:
@@ -534,25 +539,48 @@ class ReplicaNode:
                                        "chunked": True})
         return cost
 
-    def _retire(self) -> List[CompletedRequest]:
-        """Retire every finished sequence at the clock; return the records."""
+    def _join(self, seq: _Running) -> None:
+        """Add *seq* (first token out) to ``running``; keep the aggregates."""
+        seq.base = base = 1 - self._tick
+        request = seq.request
+        finish = request.output_len - base
+        if finish < self._finish_min:
+            self._finish_min = finish
+        if finish > self._finish_max:
+            self._finish_max = finish
+        self._kv_base += request.input_len + base
+        if self.tracer.enabled:
+            seq.last_event_s = seq.first_token_s
+        self.running.append(seq)
+
+    def _retire(self) -> None:
+        """Retire every finished sequence at the clock, onto ``completed``.
+
+        The loop recomputes the aggregates over the sequences it keeps.
+        """
         still: List[_Running] = []
-        completed_now: List[CompletedRequest] = []
+        tick = self._tick
+        finish_min, finish_max, kv_base = _NO_FINISH, 0, 0
         tracer = self.tracer
         for seq in self.running:
             request = seq.request
-            if seq.generated < request.output_len:
+            finish = request.output_len - seq.base
+            if finish > tick:
                 still.append(seq)
+                if finish < finish_min:
+                    finish_min = finish
+                if finish > finish_max:
+                    finish_max = finish
+                kv_base += request.input_len + seq.base
                 continue
             self.outstanding_tokens -= (request.input_len + request.output_len
-                                        - seq.generated)
+                                        - seq.base - tick)
             record = CompletedRequest(request_id=request.request_id,
                                       arrival_s=request.arrival_s,
                                       start_s=seq.start_s,
                                       first_token_s=seq.first_token_s,
                                       finish_s=self.clock)
             self.completed.append(record)
-            completed_now.append(record)
             self.generated_tokens += request.output_len
             if self.admission is not None:
                 self.admission.on_finish(request)
@@ -570,20 +598,22 @@ class ReplicaNode:
                                   "input_len": request.input_len,
                                   "output_len": request.output_len})
         self.running = still
-        return completed_now
+        self._finish_min, self._finish_max = finish_min, finish_max
+        self._kv_base = kv_base
 
-    def advance(self) -> List[CompletedRequest]:
-        """Run one scheduler iteration; return requests completed by it.
+    def advance(self) -> None:
+        """Run one scheduler iteration.
 
-        Admit as the discipline allows, retire finished sequences, run
-        one fused decode step. Retirement waits behind admission
-        prefills, except on a chunked node, whose admissions take no
-        time: it admits after retiring, so freed slots refill at once.
-        The iteration starts at :meth:`next_event_time`.
+        Admit as the discipline allows, retire finished sequences (onto
+        :attr:`completed`), run one fused decode step. Retirement waits
+        behind admission prefills, except on a chunked node, whose
+        admissions take no time: it admits after retiring, so freed
+        slots refill at once. The iteration starts at
+        :meth:`next_event_time`.
         """
         start = self.next_event_time()
         if start is None:
-            return []
+            return
         self.clock = start
         tracer = self.tracer
         stall = lead = 0.0
@@ -604,11 +634,8 @@ class ReplicaNode:
                 if self.running:
                     stall += prefill
                 self.outstanding_tokens -= 1
-                self.running.append(_Running(request=request,
-                                             start_s=start_s,
-                                             first_token_s=self.clock,
-                                             generated=1,
-                                             last_event_s=self.clock))
+                self._join(_Running(request=request, start_s=start_s,
+                                    first_token_s=self.clock))
                 if tracer.enabled:
                     legs = self._prefill_legs(1, request.input_len)
                     self._trace_prefill(request, start_s, legs)
@@ -619,30 +646,29 @@ class ReplicaNode:
                                       "batch_size": len(self.running),
                                       "compute_s": legs[0],
                                       "memory_s": legs[1]})
-        for seq in self.running:
-            if seq.generated >= seq.request.output_len:
-                completed_now = self._retire()
-                break
-        else:
-            completed_now = []  # most iterations retire nobody
+        if self._finish_min <= self._tick:
+            self._retire()  # most iterations retire nobody
         cohort = self.running
+        held = None
         if self._chunked:
             self._admit_prompts(start)
             lead = self._prefill_chunk()
-            if cohort and cohort[-1].done:
+            if self._finish_min <= self._tick:
                 # A single-token prompt the chunk just finished (nothing
                 # else is done after retirement): it emits no decode
                 # token and retires at the next boundary.
+                held = cohort[-1]
                 cohort = cohort[:-1]
         if cohort:
+            tick = self._tick
             if self._static:
                 batch = self._cohort_size
-                mean_kv = self._cohort_input + cohort[0].generated - 1
+                mean_kv = self._cohort_input + cohort[0].base + tick - 1
             else:
                 batch = len(cohort)
-                total_kv = 0
-                for seq in cohort:
-                    total_kv += seq.request.input_len + seq.generated
+                total_kv = self._kv_base + len(self.running) * tick
+                if held is not None:
+                    total_kv -= held.request.input_len + 1
                 mean_kv = int(total_kv / batch)
             iteration = self._iteration_cost(batch, mean_kv)
             decode_start = self.clock + lead
@@ -652,6 +678,13 @@ class ReplicaNode:
             self.outstanding_tokens -= len(cohort)
             if self.collect_gaps:
                 self.decode_gaps.append(stall + fused)
+            self._tick = tick = tick + 1
+            if held is not None:
+                # Keep the held-out prompt at its one token; it was the
+                # earliest finisher, now due at this tick.
+                held.base -= 1
+                self._kv_base -= 1
+                self._finish_min += 1
             if tracer.enabled:
                 compute_s, memory_s = self._iteration_legs(batch, mean_kv)
                 tracer.span(self._track, "decode", decode_start, self.clock,
@@ -662,32 +695,26 @@ class ReplicaNode:
                                   "memory_s": memory_s})
                 tracer.counter(self._track, "batch_size", decode_start,
                                batch)
-            clock = self.clock
-            if tracer.enabled:
+                clock = self.clock
                 for seq in cohort:
-                    seq.generated += 1
+                    generated = seq.base + tick
                     # The token span starts at this sequence's previous
                     # token (covering any admission-prefill stall), so a
                     # request's decode spans tile first-token→last-token.
                     tracer.span(request_track(seq.request.request_id),
-                                f"decode[{seq.generated - 1}]",
+                                f"decode[{generated - 1}]",
                                 seq.last_event_s, clock, category="request",
                                 args={"replica": self.name,
-                                      "kv_len": seq.kv_len,
+                                      "kv_len": seq.request.input_len
+                                      + generated,
                                       "batch_size": batch})
-                    seq.last_event_s = clock
-            else:
-                for seq in cohort:
-                    seq.generated += 1
                     seq.last_event_s = clock
         else:
             self.clock += lead
             self.busy_s += lead
         self.iterations += 1
-        return completed_now
 
-    def advance_to(self, horizon: Optional[float] = None
-                   ) -> List[CompletedRequest]:
+    def advance_to(self, horizon: Optional[float] = None) -> None:
         """Run every iteration starting strictly before *horizon*.
 
         ``None`` runs the node to completion. Iterations starting at or
@@ -712,8 +739,7 @@ class ReplicaNode:
         next pass goes straight to :meth:`advance`.
         """
         if not (self.pending or self.running or self.prefilling):
-            return []
-        completed: List[CompletedRequest] = []
+            return
         exact = self.exact
         # Shortest run fast mode coalesces.
         shortest = 2 if self.tracer.enabled else 1
@@ -722,10 +748,10 @@ class ReplicaNode:
         while True:
             start = self.next_event_time()
             if start is None or (horizon is not None and start >= horizon):
-                return completed
+                return
             if retiring or exact:
                 retiring = False
-                completed.extend(self.advance())
+                self.advance()
                 continue
             limit, batch, mean_kv, budget = self._coalescible_window(start,
                                                                       horizon)
@@ -742,7 +768,7 @@ class ReplicaNode:
                     steps = bisect_left(prefix, prefix[base] + budget, base,
                                         base + limit) - base
             if steps < shortest:
-                completed.extend(self.advance())
+                self.advance()
                 continue
             retiring = steps == limit
             self._fast_forward(steps, batch, mean_kv,
@@ -750,12 +776,15 @@ class ReplicaNode:
 
     def _coalescible_window(self, start: float, horizon: Optional[float]
                             ) -> Tuple[int, int, int, Optional[float]]:
-        """(step limit, priced batch, mean KV, time budget) of a pure-decode run.
+        """(step limit, priced batch, mean KV, time budget) of a decode run.
 
-        The limit is the closest running sequence's remaining tokens, so a run of ``limit`` steps ends on the iteration that
-        emits its last token (retirement happens at the next boundary,
-        and the window after such a run is empty). It is zero unless the
-        running set is non-empty, no prompt is in flight, nobody is
+        The limit is the closest running sequence's remaining tokens,
+        read off the running-set aggregates (earliest finish tick less
+        the decode tick), so a run of ``limit`` steps ends on the
+        iteration that emits its last token (retirement happens at the
+        next boundary, and the window after such a run is empty); the
+        mean KV is the aggregate KV sum's floor mean. It is zero unless
+        the running set is non-empty, no prompt is in flight, nobody is
         already finished, and no admission can happen at or before the
         window's iterations begin. The priced shape is the discipline's
         (a static cohort's is padded). The budget is the time available
@@ -769,24 +798,18 @@ class ReplicaNode:
         running = self.running
         if not running or self.prefilling:
             return 0, 0, 0, None
-        limit = None
-        total_kv = 0
-        for seq in running:
-            request = seq.request
-            remaining = request.output_len - seq.generated
-            if limit is None or remaining < limit:
-                limit = remaining
-            total_kv += request.input_len + seq.generated
+        tick = self._tick
+        limit = self._finish_min - tick
         if limit < 1:
             return 0, 0, 0, None
         bound = horizon
         if self._static:
             # A padded cohort, which admits nothing until fully retired.
             batch = self._cohort_size
-            mean_kv = self._cohort_input + running[0].generated - 1
+            mean_kv = self._cohort_input + running[0].base + tick - 1
         else:
             batch = len(running)
-            mean_kv = total_kv // batch
+            mean_kv = (self._kv_base + batch * tick) // batch
             if mean_kv < 1:
                 mean_kv = 1
             if self.pending and batch < self.max_batch:
@@ -805,23 +828,22 @@ class ReplicaNode:
 
         The one path every coalesced run takes. *costs* is the block's
         per-iteration cost sequence (a ``step_t`` curve slice). The
-        block's (compute_s, memory_s) attribution legs are worked out
-        only while a recording tracer is attached, read off the shared
-        curve by ``range_cost``. The clock (and busy
-        time) advance by adding the step costs *one at a time*, in the
-        same order the per-iteration loop would: a request's TTFT is a
-        tiny difference of huge timestamps, so even the one-ulp-per-run
-        drift of adding a range sum instead of the step sequence would
-        amplify past 1e-9 over a 100k-request trace. The float additions
-        are two per step (into locals, stored once — same value
-        sequence, same rounding) — the per-step work the fast path
-        actually avoids is the *pricing*, which is three orders of
-        magnitude dearer. The trace
-        receives one replica ``decode`` span carrying ``steps`` and one
-        request ``decode[a..b]`` span per sequence, so attribution still
-        tiles each request's ``e2e_s``.
+        running set advances by one bump of the decode tick, whatever
+        its size. The clock (and busy time) advance by adding the step
+        costs *one at a time*, in the same order the per-iteration loop
+        would: a request's TTFT is a tiny difference of huge timestamps,
+        so even the one-ulp-per-run drift of adding a range sum instead
+        of the step sequence would amplify past 1e-9 over a
+        100k-request trace. The float additions are two per step (into
+        locals, stored once — same value sequence, same rounding) — the
+        per-step work the fast path actually avoids is the *pricing*,
+        which is three orders of magnitude dearer. Only under a
+        recording tracer are the block's (compute_s, memory_s)
+        attribution legs read off the shared curve by ``range_cost``;
+        the trace receives one replica ``decode`` span carrying
+        ``steps`` and one request ``decode[a..b]`` span per sequence, so
+        attribution still tiles each request's ``e2e_s``.
         """
-        running = self.running
         run_start = clock = self.clock
         busy = self.busy_s
         for step_s in costs:
@@ -830,14 +852,12 @@ class ReplicaNode:
         self.clock = clock
         self.busy_s = busy
         self.iterations += steps
-        self.outstanding_tokens -= steps * len(running)
+        self.outstanding_tokens -= steps * len(self.running)
         if self.collect_gaps:
             self.decode_gaps.extend(costs)
+        self._tick = tick = self._tick + steps
         tracer = self.tracer
         if not tracer.enabled:
-            for seq in running:
-                seq.generated += steps
-                seq.last_event_s = clock
             return
         compute_s, memory_s = self._cost.range_cost(
             batch, mean_kv, mean_kv + steps)[1:]
@@ -847,13 +867,13 @@ class ReplicaNode:
                           "steps": steps, "coalesced": True,
                           "compute_s": compute_s, "memory_s": memory_s})
         tracer.counter(self._track, "batch_size", run_start, batch)
-        for seq in running:
-            first = seq.generated
-            seq.generated += steps
+        for seq in self.running:
+            generated = seq.base + tick
             tracer.span(request_track(seq.request.request_id),
-                        f"decode[{first}..{seq.generated - 1}]",
+                        f"decode[{generated - steps}..{generated - 1}]",
                         seq.last_event_s, clock, category="request",
-                        args={"replica": self.name, "kv_len": seq.kv_len,
+                        args={"replica": self.name,
+                              "kv_len": seq.request.input_len + generated,
                               "batch_size": batch, "steps": steps})
             seq.last_event_s = clock
 
@@ -875,10 +895,12 @@ class ReplicaNode:
         self.draining = True
         lost = [q.request for q in self.pending]
         lost += [seq.request for seq in self.prefilling + self.running]
-        wasted = sum(seq.generated for seq in self.running)
+        wasted = (sum(seq.base for seq in self.running)
+                  + len(self.running) * self._tick)
         self.pending.clear()
         self._queued_prefill_s = None
         self.prefilling.clear()
         self.running.clear()
+        self._finish_min, self._finish_max, self._kv_base = _NO_FINISH, 0, 0
         self.outstanding_tokens = 0
         return lost, wasted
