@@ -41,7 +41,8 @@ def main() -> None:
 
     core_rows = []
     for cores in EVALUATED_CORE_COUNTS:
-        result = InferenceSimulator(spr, cores=cores).run(model, request)
+        result = InferenceSimulator(
+            spr, NumaBackend(cores=cores)).run(model, request)
         core_rows.append([cores, result.ttft_s * 1000,
                           result.tpot_s * 1000, result.e2e_s,
                           result.e2e_throughput])

@@ -15,8 +15,8 @@ Quickstart::
                            InferenceRequest(batch_size=8))
     print(result.ttft_s, result.tpot_s, result.e2e_throughput)
 
-NUMA placement is a backend and the core count a keyword, e.g.
-``run_inference(spr, model, request, NumaBackend(numa=SNC_FLAT), cores=24)``.
+A CPU run's placement — NUMA mode and core count — is one backend, e.g.
+``run_inference(spr, model, request, NumaBackend(numa=SNC_FLAT, cores=24))``.
 """
 
 from repro.lazy import lazy_exports
@@ -44,6 +44,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ".numa.model": ("NumaModel",),
     ".offload.engine": ("OffloadSimulator",),
     ".perfcounters.collector": ("CounterModel",),
-    ".scaling.cores": ("CoreScalingModel",),
 })
 __all__.append("__version__")

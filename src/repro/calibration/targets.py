@@ -94,8 +94,8 @@ def _core_reduction_12_to_48() -> float:
     model = get_model("llama2-13b")
     request = InferenceRequest(batch_size=8)
     spr = get_platform("spr")
-    t12 = simulate(spr, model, request, cores=12).e2e_s
-    t48 = simulate(spr, model, request, cores=48).e2e_s
+    t12 = simulate(spr, model, request, NumaBackend(cores=12)).e2e_s
+    t48 = simulate(spr, model, request, NumaBackend(cores=48)).e2e_s
     return (1.0 - t48 / t12) * 100.0
 
 

@@ -29,7 +29,7 @@ from repro.engine.inference import InferenceSimulator, MemoryCapacityError
 from repro.engine.request import InferenceRequest
 from repro.hardware.registry import all_platforms, get_platform
 from repro.models.registry import all_models, get_model
-from repro.numa.modes import get_config
+from repro.numa.modes import QUAD_FLAT, get_config
 from repro.utils.formatting import format_table
 from repro.utils.units import bytes_to_gb
 
@@ -55,9 +55,13 @@ def _reports_bad_input(command):
     return run
 
 
-def _numa_backend(args: argparse.Namespace) -> Optional[NumaBackend]:
-    """``--numa`` as a placement backend; ``None`` prices quad_flat."""
-    return NumaBackend(numa=get_config(args.numa)) if args.numa else None
+def _placement(args: argparse.Namespace) -> Optional[NumaBackend]:
+    """``--numa``/``--cores`` as a placement backend; ``None`` prices
+    quad_flat on one socket."""
+    if not args.numa and args.cores is None:
+        return None
+    numa = get_config(args.numa) if args.numa else QUAD_FLAT
+    return NumaBackend(numa=numa, cores=args.cores)
 
 
 @_reports_bad_input
@@ -68,8 +72,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     model = get_model(args.model)
     request = InferenceRequest(batch_size=args.batch, input_len=args.input,
                                output_len=args.output)
-    result = run_inference(platform, model, request, _numa_backend(args),
-                           cores=args.cores)
+    result = run_inference(platform, model, request, _placement(args))
     mode = "offload" if is_offloaded(result) else "in-memory"
     print(format_table(
         ["metric", "value"],
@@ -97,8 +100,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = CharacterizationSweep(platforms, models, batches,
                                   input_len=args.input,
                                   output_len=args.output,
-                                  backend=_numa_backend(args),
-                                  cores=args.cores)
+                                  backend=_placement(args))
     rows = []
     for row in sweep.run():
         rows.append([row.model, row.platform, row.batch_size,
@@ -133,8 +135,8 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
     model = get_model(args.model)
     request = InferenceRequest(batch_size=args.batch, input_len=args.input,
                                output_len=args.output)
-    result = InferenceSimulator(platform, _numa_backend(args),
-                                cores=args.cores).run(model, request)
+    result = InferenceSimulator(platform, _placement(args)).run(model,
+                                                                request)
     print(roofline_for_run(platform, result.prefill, result.decode))
     return 0
 

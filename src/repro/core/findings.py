@@ -92,7 +92,8 @@ def check_finding_3() -> FindingResult:
     request = InferenceRequest(batch_size=8)
     e2e: Dict[int, float] = {}
     for cores in EVALUATED_CORE_COUNTS:
-        result = run_inference(spr, model, request, cores=cores)
+        result = run_inference(spr, model, request,
+                               NumaBackend(cores=cores))
         e2e[cores] = result.e2e_s
     best = min(e2e, key=e2e.get)
     reduction = (1.0 - e2e[48] / e2e[12]) * 100.0

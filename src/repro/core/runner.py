@@ -25,23 +25,21 @@ RunResult = Union[InferenceResult, OffloadResult]
 
 def run_inference(platform: Platform, model: ModelConfig,
                   request: InferenceRequest = InferenceRequest(),
-                  backend: Optional[ExecutionBackend] = None, *,
-                  cores: Optional[int] = None) -> RunResult:
+                  backend: Optional[ExecutionBackend] = None) -> RunResult:
     """Simulate *model* x *platform*, offloading automatically when needed.
 
     Returns an :class:`InferenceResult` for in-memory runs or an
     :class:`OffloadResult` for over-capacity GPU runs; both expose the same
     metric surface (``ttft_s``, ``tpot_s``, ``e2e_s``, throughputs,
-    ``summary()``). *backend* and *cores* are :class:`InferenceSimulator`'s;
-    a backend or core count the platform refuses (NUMA placement or
-    cores on a GPU) raises ``ValueError`` even where the run would
-    offload.
+    ``summary()``). *backend* is :class:`InferenceSimulator`'s; a backend
+    the platform refuses (a CPU placement on a GPU) raises
+    ``ValueError`` even where the run would offload.
 
     A GPU run offloads exactly when :meth:`InferenceSimulator.fits` is
     False; offloading prices only the plain BF16 base, so an explicit
     *backend* that does not fit raises :class:`MemoryCapacityError`.
     """
-    simulator = InferenceSimulator(platform, backend, cores=cores)
+    simulator = InferenceSimulator(platform, backend)
     if platform.is_gpu and not simulator.fits(model, request):
         if backend is not None:
             raise MemoryCapacityError(
@@ -88,7 +86,7 @@ class CharacterizationSweep:
         models: Models to sweep.
         batch_sizes: Batch sizes (defaults to the paper's 1-32 powers of 2).
         input_len / output_len: Request shape (defaults 128 / 32).
-        backend / cores: Applied to every cell (:func:`run_inference`).
+        backend: Applied to every cell (:func:`run_inference`).
     """
 
     def __init__(self, platforms: Sequence[Platform],
@@ -96,15 +94,13 @@ class CharacterizationSweep:
                  batch_sizes: Iterable[int] = EVALUATED_BATCH_SIZES,
                  input_len: int = 128,
                  output_len: int = 32,
-                 backend: Optional[ExecutionBackend] = None, *,
-                 cores: Optional[int] = None):
+                 backend: Optional[ExecutionBackend] = None):
         self.platforms = list(platforms)
         self.models = list(models)
         self.batch_sizes = list(batch_sizes)
         self.input_len = input_len
         self.output_len = output_len
         self.backend = backend
-        self.cores = cores
 
     def _grid(self) -> List[tuple]:
         """The (model, platform, batch) cells in deterministic sweep order."""
@@ -129,7 +125,7 @@ class CharacterizationSweep:
                                        output_len=self.output_len)
             try:
                 result = run_inference(platform, model, request,
-                                       self.backend, cores=self.cores)
+                                       self.backend)
             except MemoryCapacityError:
                 continue
             rows.append(SweepRow(

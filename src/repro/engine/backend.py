@@ -18,12 +18,14 @@ set of places — exactly what :class:`ExecutionBackend` owns:
   roofline result (dequantization overhead on weight GEMMs);
 * **communication** — per-pass constant costs outside the op graph
   (TP allreduce), charged to wall time but not the compute/memory legs;
-* **memory system** — the CPU's NUMA placement (quad_flat unless a
-  :class:`NumaBackend` says otherwise) or a GPU's device memory, which
-  price bandwidth and capacity;
+* **memory system** — the CPU run's placement (quad_flat on one socket
+  unless a :class:`NumaBackend` says otherwise: memory mode, clustering
+  and core count) or a GPU's device memory, which price bandwidth,
+  compute scale and capacity;
 * **platform check** — rejecting platforms the technique cannot run on
   (a compute dtype no engine executes, TP over more CPU sockets than
-  there are, NUMA placement on a GPU).
+  there are or over cores that already span them, a placement on a
+  GPU).
 
 Backends are frozen dataclasses, and the backend value is its own
 pricing identity: equal backends price identically, so the op-graph
@@ -277,20 +279,19 @@ class ExecutionBackend:
     # -- memory-system hooks ------------------------------------------------
 
     def numa_model(self, platform: Platform) -> Optional[NumaModel]:
-        """The CPU NUMA placement this backend prices with.
+        """The CPU placement this backend prices with.
 
-        quad_flat (the paper's best, Key Finding #2) unless a
-        :class:`NumaBackend` sets its own; ``None`` on a GPU.
+        quad_flat (the paper's best, Key Finding #2) on one full socket
+        unless a :class:`NumaBackend` sets its own; ``None`` on a GPU.
         """
         return NumaModel(platform, QUAD_FLAT) if platform.is_cpu else None
 
     def tier_bandwidth(self, platform: Platform,
                        footprint_bytes: float) -> float:
-        """Sustained kernel bandwidth, bytes/s (pre core-scaling).
+        """Sustained kernel bandwidth, bytes/s.
 
-        The :meth:`numa_model`'s bandwidth for *footprint_bytes* on a
-        CPU, peak x stream efficiency on a GPU. The simulator applies
-        the CPU core-scaling bandwidth factor on top.
+        The :meth:`numa_model`'s bandwidth for *footprint_bytes* at its
+        core count on a CPU, peak x stream efficiency on a GPU.
         """
         numa = self.numa_model(platform)
         if numa is None:
@@ -298,11 +299,11 @@ class ExecutionBackend:
         return numa.effective_bandwidth(footprint_bytes)
 
     def memory_capacity_bytes(self, platform: Platform) -> float:
-        """Usable memory capacity, bytes (pre socket-spanning).
+        """Usable memory capacity, bytes.
 
         The :meth:`numa_model`'s software-visible capacity on a CPU
-        (HBM-only < cache < flat), :data:`GPU_FIT_HEADROOM` of device
-        memory on a GPU.
+        (HBM-only < cache < flat, over every socket its cores span),
+        :data:`GPU_FIT_HEADROOM` of device memory on a GPU.
         """
         numa = self.numa_model(platform)
         if numa is None:
@@ -488,6 +489,18 @@ class WrapperBackend(ExecutionBackend):
 
     def check_platform(self, platform: Platform) -> None:
         self.inner.check_platform(platform)
+        # TP spans the sockets itself, so it refuses a placement whose
+        # cores span them too, whichever of the two wraps the other. The
+        # inner levels are checked first, so this raises where they meet.
+        if self.capacity_scale > 1:
+            placement = self.numa_model(platform)
+            if placement.spans_sockets:
+                spanning = (self.inner if self.inner.capacity_scale > 1
+                            else self)
+                raise ValueError(
+                    f"{placement.cores} cores span the sockets of "
+                    f"{platform.name}, which backend {spanning.label} "
+                    f"already spans; use one socket's cores")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -690,20 +703,22 @@ class PrefixCacheBackend(WrapperBackend):
 
 @dataclasses.dataclass(frozen=True)
 class NumaBackend(WrapperBackend):
-    """NUMA placement as a composable backend (Section VI, optimization 1).
+    """A CPU run's placement as a composable backend (Section VI, opt. 1).
 
     Wraps an *inner* backend (plain dense by default; quantized when
-    composed) and reprices its bandwidth-bound ops through
-    :class:`~repro.numa.model.NumaModel`: the configured memory x
-    clustering mode, optional NUMA-aware allocation, and — when
-    *hot_fraction* is set — hot/cold weight placement across the
-    HBM/DDR tiers (*hot_fraction* of memory traffic pinned to the fast
-    tier, the rest spilling to DDR). Only the memory-system hooks are
-    its own; op graphs, dtype, footprint, and per-pass communication
+    composed) and reprices its bandwidth-bound ops and compute scale
+    through :class:`~repro.numa.model.NumaModel`: the configured memory
+    x clustering mode, optional NUMA-aware allocation, the core count
+    (*cores*; ``None`` = one full socket, the paper's tuned setting),
+    and — when *hot_fraction* is set — hot/cold weight placement across
+    the HBM/DDR tiers (*hot_fraction* of memory traffic pinned to the
+    fast tier, the rest spilling to DDR). Only the memory-system hooks
+    are its own; op graphs, dtype, footprint, and per-pass communication
     forward to the inner backend (:class:`WrapperBackend`). It is the
-    only way to place a run other than quad_flat, and the placement
-    it prices with is the one the simulator's ``config_label`` and
-    the remote-access counter report. Only a CPU can run it
+    only way to place a run other than quad_flat on one socket, and the
+    placement it prices with is the one the simulator's
+    ``config_label`` and the remote-access and UPI counters report.
+    Only a CPU can run it, at no more cores than the CPU has
     (:meth:`check_platform`).
 
     The placement fields are part of the backend value, so two
@@ -715,6 +730,7 @@ class NumaBackend(WrapperBackend):
     numa_aware: bool = False
     hot_fraction: Optional[float] = None
     calibration: NumaCalibration = DEFAULT_NUMA_CALIBRATION
+    cores: Optional[int] = None
     inner: ExecutionBackend = BaselineBackend()
 
     def __post_init__(self) -> None:
@@ -722,12 +738,14 @@ class NumaBackend(WrapperBackend):
                 not 0 <= self.hot_fraction <= 1:
             raise ValueError(
                 f"hot_fraction must be in [0, 1], got {self.hot_fraction}")
+        if self.cores is not None:
+            require_positive(self.cores, "cores")
 
     # -- memory system ------------------------------------------------------
 
     def numa_model(self, platform: Platform) -> NumaModel:
         return NumaModel(platform, self.numa, self.calibration,
-                         numa_aware=self.numa_aware)
+                         numa_aware=self.numa_aware, cores=self.cores)
 
     def tier_bandwidth(self, platform: Platform,
                        footprint_bytes: float) -> float:
@@ -737,7 +755,8 @@ class NumaBackend(WrapperBackend):
         return model.effective_bandwidth(footprint_bytes)
 
     def check_platform(self, platform: Platform) -> None:
-        self.numa_model(platform)  # NumaModel refuses a GPU
+        # NumaModel refuses a GPU and a core count beyond the platform's.
+        self.numa_model(platform)
         super().check_platform(platform)
 
     @property

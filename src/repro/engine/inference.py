@@ -3,9 +3,9 @@
 :class:`InferenceSimulator` is the library's main entry point for the
 non-offloaded case (both CPUs, and GPUs whose memory holds the model).
 It derives the platform's effective bandwidth and compute scale from the
-backend's memory placement and the requested core count, builds the
-operator graphs, prices them with the executor, and reports paper-style
-metrics.
+backend's placement (on a CPU: memory mode, clustering and core count),
+builds the operator graphs, prices them with the executor, and reports
+paper-style metrics.
 """
 
 import dataclasses
@@ -23,7 +23,6 @@ from repro.engine.results import (
 from repro.hardware.platform import Platform
 from repro.models.config import ModelConfig
 from repro.numa.model import NumaModel
-from repro.scaling.cores import CoreScalingModel
 from repro.trace.spans import ENGINE_TRACK
 from repro.trace.tracer import NOOP_TRACER, Tracer
 from repro.utils.validation import require_positive
@@ -44,66 +43,45 @@ class InferenceSimulator:
 
     Args:
         platform: Target platform (CPU or GPU).
-        backend: Execution backend (quantized / tensor-parallel / NUMA
-            placement / ...), which alone sets the dtype; ``None`` means
-            :class:`BaselineBackend` (plain dense BF16, placed quad_flat
-            on a CPU).
-        cores: CPU cores to use; ``None`` = one full socket (the paper's
-            tuned setting, 48 on SPR / 32 on ICL).
+        backend: Execution backend (quantized / tensor-parallel / CPU
+            placement / ...), which alone sets the dtype and, on a CPU,
+            the placement (:class:`NumaBackend`: memory mode, clustering
+            and core count); ``None`` means :class:`BaselineBackend`
+            (plain dense BF16, placed quad_flat on one CPU socket).
 
     Raises:
         ValueError: If *backend* cannot run on *platform* (tensor
-            parallelism on a GPU, or over more sockets than it has; NUMA
-            placement on a GPU), if *cores* is set on a GPU, or if a
-            backend that already spans sockets (``capacity_scale > 1``)
-            meets *cores* that span them too.
+            parallelism on a GPU, over more sockets than it has, or over
+            cores that already span them; a placement on a GPU; more
+            cores than the CPU has).
     """
 
     def __init__(self, platform: Platform,
-                 backend: Optional[ExecutionBackend] = None, *,
-                 cores: Optional[int] = None):
+                 backend: Optional[ExecutionBackend] = None):
         if backend is None:
             backend = BaselineBackend()
         backend.check_platform(platform)
         self.platform = platform
         self.backend = backend
-        if platform.is_cpu:
-            self._scaling = CoreScalingModel(
-                platform, cores or platform.topology.cores_per_socket)
-            if backend.capacity_scale > 1 and self._scaling.spans_sockets:
-                raise ValueError(
-                    f"{self._scaling.cores} cores span the sockets of "
-                    f"{platform.name}, which backend {backend.label} "
-                    f"already spans; use one socket's cores")
-        elif cores is not None:
-            raise ValueError(
-                f"a core count (cores={cores}) applies to CPUs, got "
-                f"{platform.name}")
-        else:
-            self._scaling = None
+        self._placement = backend.numa_model(platform)
 
     def numa_model(self) -> Optional[NumaModel]:
-        """The NUMA placement that prices this simulator's runs (CPU)."""
-        return self.backend.numa_model(self.platform)
+        """The placement that prices this simulator's runs (CPU)."""
+        return self._placement
 
     @property
     def config_label(self) -> str:
         """Human-readable configuration tag for results."""
-        if self.platform.is_cpu:
-            return f"{self.numa_model().config.label}/{self._scaling.cores}c"
+        placement = self._placement
+        if placement is not None:
+            return f"{placement.config.label}/{placement.cores}c"
         return "gpu"
 
     # -- capacity ----------------------------------------------------------
 
     def memory_capacity(self) -> float:
-        """Usable memory bytes under the current configuration.
-
-        The backend's capacity, doubled when the cores span sockets.
-        """
-        capacity = self.backend.memory_capacity_bytes(self.platform)
-        if self.platform.is_cpu and self._scaling.spans_sockets:
-            capacity *= 2
-        return capacity
+        """Usable memory bytes under the current configuration."""
+        return self.backend.memory_capacity_bytes(self.platform)
 
     def fits(self, model: ModelConfig, request: InferenceRequest) -> bool:
         """Whether the request's peak footprint fits (the only such check)."""
@@ -114,21 +92,13 @@ class InferenceSimulator:
     # -- bandwidth / compute derivation -------------------------------------
 
     def effective_bandwidth(self, footprint_bytes: float) -> float:
-        """Sustained kernel bandwidth for this configuration, bytes/s.
-
-        The backend's, scaled by the core count on a CPU.
-        """
-        bandwidth = self.backend.tier_bandwidth(self.platform,
-                                                footprint_bytes)
-        if self.platform.is_cpu:
-            return bandwidth * self._scaling.bandwidth_factor
-        return bandwidth
+        """Sustained kernel bandwidth for this configuration, bytes/s."""
+        return self.backend.tier_bandwidth(self.platform, footprint_bytes)
 
     def compute_scale(self) -> float:
         """Multiplier on the platform's reference peak FLOPS."""
-        if self.platform.is_cpu:
-            return self._scaling.compute_factor
-        return 1.0
+        placement = self._placement
+        return 1.0 if placement is None else placement.compute_factor
 
     def _executor(self, model: ModelConfig, request: InferenceRequest,
                   footprint: Optional[float] = None) -> OperatorExecutor:
@@ -272,8 +242,6 @@ class InferenceSimulator:
 
 def simulate(platform: Platform, model: ModelConfig,
              request: InferenceRequest = InferenceRequest(),
-             backend: Optional[ExecutionBackend] = None, *,
-             cores: Optional[int] = None) -> InferenceResult:
+             backend: Optional[ExecutionBackend] = None) -> InferenceResult:
     """One-call convenience wrapper: simulate *model* x *platform*."""
-    return InferenceSimulator(platform, backend, cores=cores).run(
-        model, request)
+    return InferenceSimulator(platform, backend).run(model, request)

@@ -13,7 +13,11 @@
 
 from repro.analysis.sensitivity import all_sensitivities
 from repro.core.report import ExperimentReport
-from repro.engine.backend import TensorParallelBackend, TPConfig
+from repro.engine.backend import (
+    NumaBackend,
+    TensorParallelBackend,
+    TPConfig,
+)
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
@@ -35,7 +39,8 @@ def run_tp() -> ExperimentReport:
         for batch in (1, 16):
             request = InferenceRequest(batch_size=batch)
             single = InferenceSimulator(spr).run(model, request)
-            naive96 = InferenceSimulator(spr, cores=96).run(model, request)
+            naive96 = InferenceSimulator(
+                spr, NumaBackend(cores=96)).run(model, request)
             tp2 = InferenceSimulator(spr, backend=TensorParallelBackend(
                 TPConfig(degree=2))).run(model, request)
             rows.append([

@@ -11,6 +11,7 @@ from typing import Dict, List
 from repro.core.metrics import ALL_METRICS, METRIC_LABELS, average_summaries
 from repro.core.report import ExperimentReport
 from repro.core.runner import CharacterizationSweep
+from repro.engine.backend import NumaBackend
 from repro.engine.request import EVALUATED_BATCH_SIZES
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
@@ -27,7 +28,7 @@ def run() -> ExperimentReport:
     for cores in EVALUATED_CORE_COUNTS:
         sweep = CharacterizationSweep(
             [spr], models, EVALUATED_BATCH_SIZES,
-            cores=cores)
+            backend=NumaBackend(cores=cores))
         rows = sweep.run()
         averages[cores] = average_summaries([row.metrics for row in rows])
 

@@ -5,6 +5,7 @@ saturates UPI, visible as a UPI-utilization spike.
 """
 
 from repro.core.report import ExperimentReport
+from repro.engine.backend import NumaBackend
 from repro.engine.request import InferenceRequest
 from repro.experiments.base import register
 from repro.hardware.registry import get_platform
@@ -23,7 +24,7 @@ def run() -> ExperimentReport:
     upi = {}
     walls = {}
     for cores in EVALUATED_CORE_COUNTS:
-        counter_model = CounterModel(spr, cores=cores)
+        counter_model = CounterModel(spr, NumaBackend(cores=cores))
         est = counter_model.estimate(model, request)
         upi[cores] = est.upi_utilization
         walls[cores] = est.wall_time_s

@@ -39,9 +39,6 @@ class CPUTopology:
     cores_per_socket: int
     sockets: int
     base_frequency_hz: float = 2.1e9
-    #: Sub-NUMA clusters exposed in SNC mode (4 on Sapphire Rapids:
-    #: "Sub-NUMA Clustering-4").
-    snc_clusters_per_socket = 4
 
     def __post_init__(self) -> None:
         require_positive(self.cores_per_socket, "cores_per_socket")

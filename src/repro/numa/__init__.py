@@ -1,4 +1,4 @@
-"""NUMA substrate: memory/clustering modes, topology, behaviour model."""
+"""NUMA substrate: memory/clustering modes and the placement model."""
 
 from repro.lazy import lazy_exports
 
@@ -7,5 +7,4 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ".modes": ("EVALUATED_CONFIGS", "HBM_ONLY_QUAD", "QUAD_CACHE", "QUAD_FLAT",
                "SNC_CACHE", "SNC_FLAT", "ClusteringMode", "MemoryMode",
                "NumaConfig", "get_config"),
-    ".topology": ("NumaNode", "build_nodes", "nodes_per_socket"),
 })

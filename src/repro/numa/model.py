@@ -1,12 +1,18 @@
-"""Effective memory behaviour under each NUMA configuration (Figs. 13/15).
+"""A CPU run's placement: memory mode, clustering and core count.
 
-The model reduces a configuration to two quantities the operator executor
-consumes:
+:class:`NumaModel` is the one model of where a CPU run's threads and
+pages sit (Figs. 13-16). It reduces a placement to the quantities the
+operator executor and the counter model consume:
 
 * ``effective_bandwidth(footprint)`` — sustained bytes/s the inference
-  kernels see for a given working set, and
+  kernels see for a given working set at this core count;
+* ``compute_factor`` — multiplier on the platform's one-socket peak
+  FLOPS;
+* ``capacity_bytes`` — software-visible memory over the sockets the run
+  spans;
 * ``remote_access_fraction`` — share of memory accesses served by a
-  non-local NUMA domain (feeds the remote-LLC-access counter).
+  non-local NUMA domain (feeds the remote-LLC-access counter), and
+  ``upi_traffic_fraction()`` — the share that crosses UPI.
 
 Mechanisms modeled, with calibration constants documented in
 :class:`NumaCalibration`:
@@ -25,10 +31,27 @@ Mechanisms modeled, with calibration constants documented in
   managed, performance can degrade due to inefficient memory access and
   increased inter-core communication").
 * **HBM-only** caps capacity at HBM but runs at full HBM bandwidth.
+* **Core count** (Figs. 14/16), normalized to one full socket (48 cores
+  on SPR), the reference the platform specs describe:
+
+  1. Peak FLOPS grow linearly in cores, but synchronization/imbalance
+     overhead grows too: per-core efficiency ``e(n) = 1 / (1 + a(n-1))``.
+     The paper's 65.9 % prefill latency reduction from 12 -> 48 cores
+     (2.93x for 4x cores) calibrates ``a``.
+  2. A few cores cannot issue enough outstanding misses to saturate
+     memory, so bandwidth follows a saturating curve in core count. The
+     decode-phase 54.6 % reduction (2.2x) from 12 -> 48 — decode being
+     memory-bound — calibrates the half-point.
+  3. Past one socket, threads span both sockets: local bandwidth and
+     capacity double, but a share of accesses crosses UPI, whose
+     bandwidth is far below HBM. This is why 96 cores lose to 48 (Key
+     Finding #3) and why Fig. 16 shows UPI utilization spiking at 96.
 """
 
 import dataclasses
+from typing import Optional
 
+from repro.hardware.interconnect import upi_link
 from repro.hardware.memory import MemorySystem
 from repro.hardware.platform import Platform
 from repro.numa.modes import ClusteringMode, MemoryMode, NumaConfig
@@ -50,8 +73,18 @@ class NumaCalibration:
             clusters are remote under round-robin page placement).
         snc_remote_bw_penalty: Relative bandwidth of a sub-node-remote
             access vs. a local one (mesh hop + controller contention).
-        numa_aware_remote_fraction: Residual remote fraction achievable
-            with the hot/cold placement of Section VI.
+        numa_aware_remote_fraction: Residual share of accesses that still
+            leave their domain when placement is deliberate: NUMA-aware
+            allocation across SNC clusters (Section VI), and first-touch
+            allocation when threads span both sockets (the share that
+            crosses UPI).
+        parallel_overhead: ``a`` in ``e(n) = 1/(1 + a*(n-1))``. The default
+            0.0116 gives e(48)/e(12) = 0.73, matching the paper's 2.93x
+            prefill speedup for 4x cores.
+        bw_half_cores: Core count at which the bandwidth-saturation curve
+            reaches half its asymptote. 33 gives bw(12)/bw(48) = 0.45,
+            i.e. the paper's 2.2x memory-bound decode gain from 12 -> 48
+            cores (54.6% TPOT reduction).
     """
 
     cache_mode_overhead: float = 0.06
@@ -59,6 +92,8 @@ class NumaCalibration:
     snc_remote_fraction: float = 0.75
     snc_remote_bw_penalty: float = 0.72
     numa_aware_remote_fraction: float = 0.15
+    parallel_overhead: float = 0.0116
+    bw_half_cores: float = 33.0
 
     def __post_init__(self) -> None:
         for name in ("cache_mode_overhead", "cache_hit_rate_resident",
@@ -67,9 +102,14 @@ class NumaCalibration:
             value = getattr(self, name)
             if not 0 <= value <= 1:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
+        require_positive(self.parallel_overhead, "parallel_overhead")
+        require_positive(self.bw_half_cores, "bw_half_cores")
 
 
 DEFAULT_NUMA_CALIBRATION = NumaCalibration()
+
+#: Remote share in Quadrant mode: residual cross-socket noise.
+QUAD_REMOTE_FRACTION = 0.03
 
 
 def hot_cold_effective_bandwidth(hot_traffic_fraction: float,
@@ -93,7 +133,7 @@ def hot_cold_effective_bandwidth(hot_traffic_fraction: float,
 
 
 class NumaModel:
-    """Evaluates one (platform, NumaConfig) pair.
+    """Evaluates one placement of a run on a CPU platform.
 
     Args:
         platform: CPU platform (must expose HBM + DDR tiers for cache/flat
@@ -104,17 +144,37 @@ class NumaModel:
         numa_aware: Whether software performs NUMA-aware placement
             (Section VI's proposed optimization); lowers the SNC remote
             fraction to the calibrated residual.
+        cores: Cores the run's threads use; ``None`` = one full socket
+            (the paper's tuned setting, 48 on SPR / 32 on ICL).
+
+    Raises:
+        ValueError: On a GPU, or if *cores* is below 1 or above the
+            platform's core total.
     """
 
     def __init__(self, platform: Platform, config: NumaConfig,
                  calibration: NumaCalibration = DEFAULT_NUMA_CALIBRATION,
-                 numa_aware: bool = False):
+                 numa_aware: bool = False, cores: Optional[int] = None):
         if not platform.is_cpu:
+            if cores is not None:
+                raise ValueError(
+                    f"a core count (cores={cores}) applies to CPUs, got "
+                    f"{platform.name}")
             raise ValueError(f"NUMA model applies to CPUs, got {platform.name}")
+        topology = platform.topology
+        if cores is None:
+            cores = topology.cores_per_socket
+        require_positive(cores, "cores")
+        if cores > topology.total_cores:
+            raise ValueError(
+                f"{platform.name} has {topology.total_cores} cores; "
+                f"requested {cores}")
         self.platform = platform
         self.config = config
         self.calibration = calibration
         self.numa_aware = numa_aware
+        self.cores = cores
+        self._reference_cores = topology.cores_per_socket
 
     # -- capacity ---------------------------------------------------------
 
@@ -122,10 +182,15 @@ class NumaModel:
     def capacity_bytes(self) -> float:
         """Software-visible memory capacity under this configuration.
 
-        HBM-only exposes just HBM; cache mode exposes only DDR (HBM is the
-        cache, not addressable); flat exposes both. On a DDR-only platform
-        (ICL) every mode degenerates to the DRAM capacity.
+        Per socket, HBM-only exposes just HBM; cache mode exposes only DDR
+        (HBM is the cache, not addressable); flat exposes both. On a
+        DDR-only platform (ICL) every mode degenerates to the DRAM
+        capacity. A run whose cores span sockets sees every spanned
+        socket's memory.
         """
+        return self._socket_capacity() * self.sockets
+
+    def _socket_capacity(self) -> float:
         hbm, ddr = self._tier_split()
         if not self._has_hbm:
             return ddr[0]
@@ -140,13 +205,14 @@ class NumaModel:
     def effective_bandwidth(self, footprint_bytes: float) -> float:
         """Sustained kernel bandwidth (bytes/s) for *footprint_bytes*.
 
-        Includes the platform's kernel-level stream efficiency, so the
-        result plugs directly into the roofline memory leg.
+        Includes the platform's kernel-level stream efficiency and the
+        core count's :attr:`bandwidth_factor`, so the result plugs
+        directly into the roofline memory leg.
         """
         require_positive(footprint_bytes, "footprint_bytes")
         raw = self._mode_bandwidth(footprint_bytes)
         raw *= self._clustering_factor()
-        return raw * self.platform.stream_efficiency
+        return raw * self.platform.stream_efficiency * self.bandwidth_factor
 
     def _mode_bandwidth(self, footprint: float) -> float:
         hbm, ddr = self._tier_split()
@@ -178,8 +244,8 @@ class NumaModel:
         frequently-streamed weights) pinned to the HBM tier serves
         *hot_traffic_fraction* of accesses at HBM bandwidth; cold data
         spills to DDR. On a DDR-only platform the tiers coincide and
-        this degenerates to the flat bandwidth. Clustering penalties and
-        stream efficiency apply exactly as in
+        this degenerates to the flat bandwidth. Clustering penalties,
+        stream efficiency and the core count apply exactly as in
         :meth:`effective_bandwidth`, so the result plugs into the same
         roofline memory leg.
         """
@@ -187,7 +253,7 @@ class NumaModel:
         raw = hot_cold_effective_bandwidth(hot_traffic_fraction,
                                            hbm[1], ddr[1])
         raw *= self._clustering_factor()
-        return raw * self.platform.stream_efficiency
+        return raw * self.platform.stream_efficiency * self.bandwidth_factor
 
     def _clustering_factor(self) -> float:
         if self.config.clustering_mode is ClusteringMode.QUADRANT:
@@ -197,13 +263,66 @@ class NumaModel:
         # Time-weighted blend: remote accesses run at penalized bandwidth.
         return 1.0 / ((1.0 - remote) + remote / penalty)
 
+    # -- core count -------------------------------------------------------
+
+    def _parallel_efficiency(self, n: int) -> float:
+        return 1.0 / (1.0 + self.calibration.parallel_overhead * (n - 1))
+
+    @property
+    def compute_factor(self) -> float:
+        """Multiplier on the platform's (single-socket) peak FLOPS."""
+        ref = self._reference_cores
+        useful = self.cores * self._parallel_efficiency(self.cores)
+        reference = ref * self._parallel_efficiency(ref)
+        return useful / reference
+
+    def _saturation(self, n: int) -> float:
+        half = self.calibration.bw_half_cores
+        return n / (n + half)
+
+    @property
+    def bandwidth_factor(self) -> float:
+        """Multiplier on the one-socket sustained bandwidth.
+
+        Within one socket: pure saturation curve, normalized at the
+        reference core count. Across sockets: every socket's bandwidth
+        is available, but the calibrated remote share is bottlenecked by
+        UPI's effective bandwidth, which usually *reduces* the blended
+        figure below a single saturated socket.
+        """
+        ref = self._reference_cores
+        base = self._saturation(min(self.cores, ref)) / self._saturation(ref)
+        if not self.spans_sockets:
+            return base
+        local_bw = self.sockets * self.platform.peak_memory_bandwidth
+        remote = self.upi_traffic_fraction()
+        upi_bw = upi_link().effective_bw
+        blended = 1.0 / ((1.0 - remote) / local_bw + remote / upi_bw)
+        return blended / self.platform.peak_memory_bandwidth
+
+    @property
+    def spans_sockets(self) -> bool:
+        """Whether the core count needs more than one socket."""
+        return self.cores > self._reference_cores
+
+    @property
+    def sockets(self) -> int:
+        """Sockets the run's threads span."""
+        return -(-self.cores // self._reference_cores)
+
     # -- counters ---------------------------------------------------------
+
+    def upi_traffic_fraction(self) -> float:
+        """Fraction of memory traffic crossing UPI (0 within one socket)."""
+        if not self.spans_sockets:
+            return 0.0
+        return self.calibration.numa_aware_remote_fraction
 
     @property
     def remote_access_fraction(self) -> float:
         """Fraction of accesses served by a remote NUMA domain."""
         if self.config.clustering_mode is ClusteringMode.QUADRANT:
-            return 0.03  # residual cross-socket noise even in quad mode
+            return QUAD_REMOTE_FRACTION
         if self.numa_aware:
             return self.calibration.numa_aware_remote_fraction
         return self.calibration.snc_remote_fraction

@@ -22,6 +22,10 @@ from repro.perfcounters.counters import (
     OPERAND_LOAD_FLOPS,
 )
 
+#: UPI utilization of a run that stays on one socket: housekeeping and
+#: coherence traffic.
+UPI_BASELINE_UTILIZATION = 0.02
+
 
 class CounterModel:
     """Estimates hardware counters for (model, request) on one platform.
@@ -29,15 +33,15 @@ class CounterModel:
     Args:
         platform: CPU platform (counters target the CPU figures; GPU runs
             are accepted but UPI/remote metrics degenerate to zero).
-        backend / cores: :class:`InferenceSimulator`'s; the remote-access
-            fraction is the placement of the backend that prices the run.
+        backend: :class:`InferenceSimulator`'s; the remote-access and UPI
+            fractions are the placement of the backend that prices the
+            run.
     """
 
     def __init__(self, platform: Platform,
-                 backend: Optional[ExecutionBackend] = None, *,
-                 cores: Optional[int] = None):
+                 backend: Optional[ExecutionBackend] = None):
         self.platform = platform
-        self.simulator = InferenceSimulator(platform, backend, cores=cores)
+        self.simulator = InferenceSimulator(platform, backend)
 
     def _flops_per_instruction(self) -> float:
         """FLOPs/instruction of the dominant GEMM engine."""
@@ -86,16 +90,15 @@ class CounterModel:
         upi_utilization = 0.0
         remote_fraction = 0.0
         if self.platform.is_cpu:
-            scaling = self.simulator._scaling
-            remote_fraction = \
-                self.simulator.numa_model().remote_access_fraction
-            upi_fraction = scaling.upi_traffic_fraction()
+            placement = self.simulator.numa_model()
+            remote_fraction = placement.remote_access_fraction
+            upi_fraction = placement.upi_traffic_fraction()
             if upi_fraction > 0 and wall > 0:
                 upi_bytes = total_bytes * upi_fraction
                 upi_utilization = min(
                     1.0, (upi_bytes / upi_link().effective_bw) / wall)
             else:
-                upi_utilization = 0.02  # housekeeping/coherence baseline
+                upi_utilization = UPI_BASELINE_UTILIZATION
 
         llc_accesses = total_bytes / LINE_BYTES
         remote_llc_accesses = llc_accesses * remote_fraction

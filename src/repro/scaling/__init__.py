@@ -1,8 +1,7 @@
-"""Core-count scaling substrate."""
+"""Core-count sweep substrate (the scaling model is ``repro.numa.model``)."""
 
 from repro.lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    ".cores": ("DEFAULT_SCALING_CALIBRATION", "EVALUATED_CORE_COUNTS",
-               "CoreScalingModel", "ScalingCalibration"),
+    ".cores": ("EVALUATED_CORE_COUNTS",),
 })

@@ -1,139 +1,9 @@
-"""Core-count scaling model (Figs. 14 and 16).
+"""The core counts the paper sweeps (Figs. 14 and 16).
 
-The paper sweeps 12/24/48/96 SPR cores. Three mechanisms shape the curves:
-
-1. **Compute scaling with parallel-efficiency loss.** Peak FLOPS grow
-   linearly in cores, but synchronization/imbalance overhead grows too.
-   We model per-core efficiency ``e(n) = 1 / (1 + a * (n - 1))`` and
-   normalize to the 48-core single-socket reference the platform specs
-   describe, so ``compute_factor(48) == 1``. The paper's 65.9 % prefill
-   latency reduction from 12 -> 48 cores (2.93x for 4x cores) calibrates
-   ``a``.
-
-2. **Bandwidth saturation.** A few cores cannot issue enough outstanding
-   misses to saturate HBM; bandwidth follows a saturating curve in core
-   count, again normalized at 48 cores. The decode-phase 54.6 % reduction
-   (2.2x) from 12 -> 48 — decode being memory-bound — calibrates the
-   half-point.
-
-3. **Cross-socket penalty above one socket.** At 96 cores threads span two
-   sockets; a fraction of accesses traverse UPI, whose bandwidth is far
-   below HBM. This is why 96 cores lose to 48 (Key Finding #3) and why
-   Fig. 16 shows UPI utilization spiking at 96 cores.
+A run's core count is part of its placement:
+``NumaBackend(cores=N)`` places it, and :class:`~repro.numa.model.NumaModel`
+prices it.
 """
-
-import dataclasses
-
-from repro.hardware.interconnect import upi_link
-from repro.hardware.platform import Platform
-from repro.utils.validation import require_positive
-
-
-@dataclasses.dataclass(frozen=True)
-class ScalingCalibration:
-    """Calibration constants for the core-count scaling model.
-
-    Attributes:
-        parallel_overhead: ``a`` in ``e(n) = 1/(1 + a*(n-1))``. The default
-            0.0116 gives e(48)/e(12) = 0.73, matching the paper's 2.93x
-            prefill speedup for 4x cores.
-        bw_half_cores: Core count at which the bandwidth-saturation curve
-            reaches half its asymptote. 33 gives bw(12)/bw(48) = 0.45,
-            i.e. the paper's 2.2x memory-bound decode gain from 12 -> 48
-            cores (54.6% TPOT reduction).
-        cross_socket_remote_fraction: Share of accesses that cross UPI when
-            threads span both sockets with first-touch placement.
-    """
-
-    parallel_overhead: float = 0.0116
-    bw_half_cores: float = 33.0
-    cross_socket_remote_fraction: float = 0.15
-
-    def __post_init__(self) -> None:
-        require_positive(self.parallel_overhead, "parallel_overhead")
-        require_positive(self.bw_half_cores, "bw_half_cores")
-        if not 0 <= self.cross_socket_remote_fraction <= 1:
-            raise ValueError("cross_socket_remote_fraction must be in [0, 1]")
-
-
-DEFAULT_SCALING_CALIBRATION = ScalingCalibration()
 
 #: Core counts swept in Figs. 14 and 16.
 EVALUATED_CORE_COUNTS = (12, 24, 48, 96)
-
-
-class CoreScalingModel:
-    """Scales a CPU platform's compute and bandwidth to a core count.
-
-    The platform spec is the single-socket (48-core for SPR) reference;
-    factors returned here multiply that reference. Cross-socket traffic
-    runs over the UPI links.
-    """
-
-    def __init__(self, platform: Platform, cores: int,
-                 calibration: ScalingCalibration = DEFAULT_SCALING_CALIBRATION):
-        if not platform.is_cpu or platform.topology is None:
-            raise ValueError(f"{platform.name} is not a CPU platform")
-        require_positive(cores, "cores")
-        total = platform.topology.total_cores
-        if cores > total:
-            raise ValueError(
-                f"{platform.name} has {total} cores; requested {cores}")
-        self.platform = platform
-        self.cores = cores
-        self.calibration = calibration
-        self.upi = upi_link()
-        self._reference_cores = platform.topology.cores_per_socket
-
-    # -- compute ----------------------------------------------------------
-
-    def _parallel_efficiency(self, n: int) -> float:
-        return 1.0 / (1.0 + self.calibration.parallel_overhead * (n - 1))
-
-    @property
-    def compute_factor(self) -> float:
-        """Multiplier on the platform's (single-socket) peak FLOPS."""
-        ref = self._reference_cores
-        useful = self.cores * self._parallel_efficiency(self.cores)
-        reference = ref * self._parallel_efficiency(ref)
-        return useful / reference
-
-    # -- bandwidth --------------------------------------------------------
-
-    def _saturation(self, n: int) -> float:
-        half = self.calibration.bw_half_cores
-        return n / (n + half)
-
-    @property
-    def bandwidth_factor(self) -> float:
-        """Multiplier on the platform's (single-socket) sustained bandwidth.
-
-        Within one socket: pure saturation curve, normalized at the
-        reference core count. Across two sockets: both sockets' bandwidth
-        is available, but the calibrated remote fraction is bottlenecked
-        by UPI's effective bandwidth, which usually *reduces* the blended
-        figure below a single saturated socket.
-        """
-        ref = self._reference_cores
-        base = self._saturation(min(self.cores, ref)) / self._saturation(ref)
-        if self.cores <= ref:
-            return base
-        # Two sockets: local bandwidth doubles, remote share pays UPI.
-        local_bw = 2.0 * self.platform.peak_memory_bandwidth
-        remote = self.calibration.cross_socket_remote_fraction
-        upi_bw = self.upi.effective_bw
-        blended = 1.0 / ((1.0 - remote) / local_bw + remote / upi_bw)
-        return blended / self.platform.peak_memory_bandwidth
-
-    # -- counters ---------------------------------------------------------
-
-    @property
-    def spans_sockets(self) -> bool:
-        """Whether this core count requires both sockets."""
-        return self.cores > self._reference_cores
-
-    def upi_traffic_fraction(self) -> float:
-        """Fraction of memory traffic crossing UPI (0 within one socket)."""
-        if not self.spans_sockets:
-            return 0.0
-        return self.calibration.cross_socket_remote_fraction

@@ -18,6 +18,7 @@ the core split — the asymmetry this module quantifies.
 import dataclasses
 from typing import List
 
+from repro.engine.backend import NumaBackend
 from repro.engine.executor import OperatorExecutor
 from repro.engine.inference import InferenceSimulator
 from repro.engine.request import InferenceRequest
@@ -91,7 +92,7 @@ class MultiTenantSimulator:
         self.tenants = tenants
         self._solo = InferenceSimulator(platform)
         self._shared = InferenceSimulator(
-            platform, cores=max(1, cores // tenants))
+            platform, NumaBackend(cores=max(1, cores // tenants)))
 
     def _shared_executor(self, model: ModelConfig,
                          request: InferenceRequest) -> OperatorExecutor:

@@ -21,6 +21,7 @@ Four contracts, each pinned here:
    workers 1/2/4.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -62,7 +63,6 @@ from repro.numa.modes import (
 from repro.offload.engine import OffloadSimulator
 from repro.perfcounters.collector import CounterModel
 from repro.perfcounters.counters import LINE_BYTES
-from repro.scaling.cores import CoreScalingModel
 from repro.serving.arrivals import poisson_arrivals
 from repro.workloads.generator import WorkloadSpec
 from repro.workloads.streams import ShardableStream
@@ -125,8 +125,8 @@ class TestNumaAdapterParity:
     @pytest.mark.parametrize("numa", KNOWN_CONFIGS, ids=lambda c: c.label)
     @pytest.mark.parametrize("cores", (1, 12, 48, 96))
     def test_prices_match_pin(self, numa, cores):
-        result = InferenceSimulator(SPR, NumaBackend(numa=numa),
-                                    cores=cores).run(LLAMA7, self.REQUEST)
+        result = InferenceSimulator(SPR, NumaBackend(
+            numa=numa, cores=cores)).run(LLAMA7, self.REQUEST)
         got = [result.prefill.time_s, result.decode.time_s, result.e2e_s]
         want = [float.fromhex(v) for v in NUMA_CORE_PINS[(numa.label, cores)]]
         assert got == pytest.approx(want, rel=PIN_REL_TOL, abs=0.0)
@@ -134,14 +134,14 @@ class TestNumaAdapterParity:
     @pytest.mark.parametrize("numa", EVALUATED_CONFIGS,
                              ids=lambda c: c.label)
     def test_bandwidth_and_capacity_derivations_match(self, numa):
-        # The simulator adds only core scaling (and socket spanning) to
-        # the backend's own NumaModel.
+        # The simulator prices with the backend's own NumaModel, whose
+        # core-count factor is 1 on one full socket.
         simulator = InferenceSimulator(SPR, backend=NumaBackend(numa=numa))
         placement = NumaModel(SPR, numa)
         footprint = 30e9
         assert simulator.effective_bandwidth(footprint) == \
             placement.effective_bandwidth(footprint) \
-            * CoreScalingModel(SPR, 48).bandwidth_factor
+            * placement.bandwidth_factor
         assert simulator.memory_capacity() == placement.capacity_bytes
 
     def test_numa_aware_study_runs_through_backend(self):
@@ -158,8 +158,8 @@ class TestNumaAdapterParity:
         result = InferenceSimulator(
             SPR, backend=NumaBackend(numa=SNC_FLAT)).run(LLAMA7, self.REQUEST)
         assert result.config_label == "snc_flat/48c"
-        wrapped = InferenceSimulator(
-            SPR, backend=parse_backend("int8-numa:quad_cache"), cores=24)
+        wrapped = InferenceSimulator(SPR, backend=dataclasses.replace(
+            parse_backend("int8-numa:quad_cache"), cores=24))
         assert wrapped.config_label == "quad_cache/24c"
         assert InferenceSimulator(SPR).config_label == "quad_flat/48c"
 

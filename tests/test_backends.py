@@ -160,7 +160,7 @@ IDENTITY_CASES = {
         "numa": SNC_FLAT, "numa_aware": True, "hot_fraction": 0.8,
         "calibration": dataclasses.replace(DEFAULT_NUMA_CALIBRATION,
                                            snc_remote_fraction=0.5),
-        "inner": QuantizedBackend()}),
+        "cores": 24, "inner": QuantizedBackend()}),
     HybridBackend: (HybridBackend(gpu=A100), {
         "gpu": get_platform("h100"),
         "calibration": dataclasses.replace(DEFAULT_OFFLOAD_CALIBRATION,

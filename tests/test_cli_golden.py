@@ -186,6 +186,8 @@ CASES = {
     # advise ranks its own placements, so it takes no placement flags
     "err-advise-numa": "advise --model opt-13b --numa snc_flat",
     "err-run-cores-gpu": "run --platform h100 --model opt-13b --cores 7",
+    # zero cores is refused, not read as "one socket"
+    "err-run-cores-zero": "run --platform spr --model opt-13b --cores 0",
 }
 
 

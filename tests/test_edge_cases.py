@@ -138,7 +138,7 @@ class TestDispatchEdges:
 
     def test_cores_below_snc_granularity(self):
         result = simulate(get_platform("spr"), get_model("opt-1.3b"),
-                          cores=1)
+                          backend=NumaBackend(cores=1))
         assert result.e2e_s > 0
 
 
@@ -151,8 +151,8 @@ class TestSimulatorInternals:
         spr.run(model, request)  # must not raise
 
     def test_memory_capacity_spans_sockets_at_96_cores(self):
-        single = InferenceSimulator(get_platform("spr"), cores=48)
-        double = InferenceSimulator(get_platform("spr"), cores=96)
+        single = InferenceSimulator(get_platform("spr"), NumaBackend(cores=48))
+        double = InferenceSimulator(get_platform("spr"), NumaBackend(cores=96))
         assert double.memory_capacity() == pytest.approx(
             2 * single.memory_capacity())
 

@@ -133,27 +133,34 @@ class TestConfigurationEffects:
     def test_more_cores_faster_within_socket(self):
         spr = get_platform("spr")
         model = get_model("llama2-7b")
-        t12 = simulate(spr, model, cores=12).e2e_s
-        t48 = simulate(spr, model, cores=48).e2e_s
+        t12 = simulate(spr, model, backend=NumaBackend(cores=12)).e2e_s
+        t48 = simulate(spr, model, backend=NumaBackend(cores=48)).e2e_s
         assert t48 < t12
 
     def test_96_cores_slower_than_48(self):
         spr = get_platform("spr")
         model = get_model("llama2-7b")
-        t48 = simulate(spr, model, cores=48).e2e_s
-        t96 = simulate(spr, model, cores=96).e2e_s
+        t48 = simulate(spr, model, backend=NumaBackend(cores=48)).e2e_s
+        t96 = simulate(spr, model, backend=NumaBackend(cores=96)).e2e_s
         assert t96 > t48
 
     def test_config_label(self):
         sim = InferenceSimulator(get_platform("spr"),
-                                 NumaBackend(numa=SNC_FLAT), cores=24)
+                                 NumaBackend(numa=SNC_FLAT, cores=24))
         assert sim.config_label == "snc_flat/24c"
+
+    def test_zero_cores_refused_at_construction(self):
+        # Zero is a core count, not "unset": it must not price a socket.
+        with pytest.raises(ValueError, match="cores must be > 0, got 0"):
+            NumaBackend(cores=0)
+        with pytest.raises(ValueError, match="cores must be > 0, got -4"):
+            NumaBackend(numa=SNC_FLAT, cores=-4)
 
     def test_gpu_refuses_core_count(self):
         h100 = get_platform("h100")
         assert InferenceSimulator(h100).config_label == "gpu"
         with pytest.raises(ValueError, match="applies to CPUs"):
-            InferenceSimulator(h100, cores=24)
+            InferenceSimulator(h100, NumaBackend(cores=24))
 
 
 class TestCapacityLimits:

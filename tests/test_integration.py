@@ -58,12 +58,12 @@ class TestConfiguredPipeline:
     """NUMA + cores + counters through one pipeline."""
 
     def test_best_config_pipeline(self):
-        backend = NumaBackend(numa=QUAD_FLAT)
-        simulator = InferenceSimulator(get_platform("spr"), backend, cores=48)
+        backend = NumaBackend(numa=QUAD_FLAT, cores=48)
+        simulator = InferenceSimulator(get_platform("spr"), backend)
         result = simulator.run(get_model("llama2-13b"),
                                InferenceRequest(batch_size=8))
-        counters = CounterModel(get_platform("spr"), backend,
-                                cores=48).from_result(result)
+        counters = CounterModel(get_platform("spr"),
+                                backend).from_result(result)
         assert result.e2e_s > 0
         assert counters.llc_mpki > 0
         assert counters.upi_utilization < 0.1  # single socket

@@ -68,7 +68,8 @@ class TestCoreTrends:
     """Fig. 16: UPI utilization spikes only past one socket."""
 
     def counters(self, cores):
-        return CounterModel(get_platform("spr"), cores=cores).estimate(
+        return CounterModel(get_platform("spr"),
+                            NumaBackend(cores=cores)).estimate(
             get_model("llama2-7b"), InferenceRequest(batch_size=8))
 
     def test_upi_negligible_within_socket(self):

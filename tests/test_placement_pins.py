@@ -65,28 +65,34 @@ def python_version() -> str:
 
 def build(platform, placement, cores):
     """``(simulator, counter model)`` for one placement cell."""
-    backend = placement
-    return (InferenceSimulator(platform, backend, cores=cores),
-            CounterModel(platform, backend, cores=cores))
+    if placement is None:
+        backend = None if cores is None else NumaBackend(cores=cores)
+    else:
+        backend = dataclasses.replace(placement, cores=cores)
+    return (InferenceSimulator(platform, backend),
+            CounterModel(platform, backend))
 
 
 def build_tp(platform, cores):
     """TP2 over one socket's *cores* (``None``: the whole socket)."""
-    backend = TensorParallelBackend()
-    return (InferenceSimulator(platform, backend, cores=cores),
-            CounterModel(platform, backend, cores=cores))
+    backend = (TensorParallelBackend() if cores is None
+               else TensorParallelBackend(inner=NumaBackend(cores=cores)))
+    return (InferenceSimulator(platform, backend),
+            CounterModel(platform, backend))
 
 
 def refusals() -> dict:
     """``{name: thunk}`` for each placement the simulator refuses."""
     spr, h100 = get_platform("spr"), get_platform("h100")
     return {
-        "cores-on-gpu": lambda: InferenceSimulator(h100, cores=24),
+        "cores-on-gpu": lambda: InferenceSimulator(
+            h100, NumaBackend(cores=24)),
         "numa-on-gpu": lambda: InferenceSimulator(
             h100, NumaBackend(numa=SNC_FLAT)),
         "tp-over-spanning-cores": lambda: InferenceSimulator(
-            spr, TensorParallelBackend(), cores=96),
-        "cores-above-total": lambda: InferenceSimulator(spr, cores=128),
+            spr, NumaBackend(cores=96, inner=TensorParallelBackend())),
+        "cores-above-total": lambda: InferenceSimulator(
+            spr, NumaBackend(cores=128)),
     }
 
 

@@ -79,8 +79,8 @@ class TestPublicDocstrings:
     def test_key_classes_documented(self):
         for obj in (repro.InferenceSimulator, repro.OffloadSimulator,
                     repro.GemmSimulator, repro.CounterModel,
-                    repro.NumaModel, repro.CoreScalingModel,
-                    repro.KVCacheManager, repro.InferenceRequest):
+                    repro.NumaModel, repro.KVCacheManager,
+                    repro.InferenceRequest):
             assert obj.__doc__ and len(obj.__doc__) > 30
 
 

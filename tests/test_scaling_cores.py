@@ -1,17 +1,15 @@
-"""Core-count scaling-model tests."""
+"""Core-count scaling tests: the core count of a placement."""
 
 import pytest
 
 from repro.hardware.registry import get_platform
-from repro.scaling.cores import (
-    EVALUATED_CORE_COUNTS,
-    CoreScalingModel,
-    ScalingCalibration,
-)
+from repro.numa.model import NumaCalibration, NumaModel
+from repro.numa.modes import QUAD_FLAT
+from repro.scaling.cores import EVALUATED_CORE_COUNTS
 
 
 def scaling(cores, **kwargs):
-    return CoreScalingModel(get_platform("spr"), cores, **kwargs)
+    return NumaModel(get_platform("spr"), QUAD_FLAT, cores=cores, **kwargs)
 
 
 class TestComputeFactor:
@@ -74,8 +72,8 @@ class TestSocketSpanning:
             scaling(0)
 
     def test_gpu_rejected(self):
-        with pytest.raises(ValueError, match="not a CPU"):
-            CoreScalingModel(get_platform("h100"), 48)
+        with pytest.raises(ValueError, match="applies to CPUs"):
+            NumaModel(get_platform("h100"), QUAD_FLAT, cores=48)
 
 
 class TestCalibration:
@@ -84,14 +82,14 @@ class TestCalibration:
 
     def test_rejects_bad_overhead(self):
         with pytest.raises(ValueError):
-            ScalingCalibration(parallel_overhead=0.0)
+            NumaCalibration(parallel_overhead=0.0)
 
     def test_rejects_bad_remote_fraction(self):
         with pytest.raises(ValueError):
-            ScalingCalibration(cross_socket_remote_fraction=1.5)
+            NumaCalibration(numa_aware_remote_fraction=1.5)
 
     def test_custom_calibration_applies(self):
-        heavy = ScalingCalibration(parallel_overhead=0.1)
+        heavy = NumaCalibration(parallel_overhead=0.1)
         light_factor = scaling(12).compute_factor
         heavy_factor = scaling(12, calibration=heavy).compute_factor
         # Heavier parallel overhead *raises* the relative efficiency of few

@@ -61,7 +61,7 @@ class TestTensorParallelSimulator:
     def test_tp2_beats_naive_96_cores(self):
         # The headline: disciplined 2-socket use wins where naive loses.
         naive = InferenceSimulator(
-            self.spr, cores=96).run(self.model, self.request)
+            self.spr, NumaBackend(cores=96)).run(self.model, self.request)
         tp = self.run_tp()
         single = InferenceSimulator(self.spr).run(self.model, self.request)
         assert naive.e2e_s > single.e2e_s   # KF#3
@@ -141,9 +141,19 @@ class TestPlatformCheck:
         # count the second socket's memory a second time.
         with pytest.raises(ValueError, match="96 cores span the sockets"):
             InferenceSimulator(get_platform("spr"),
-                               backend=parse_backend("tp2"), cores=96)
-        InferenceSimulator(get_platform("spr"), backend=parse_backend("tp2"),
-                           cores=48)
+                               backend=TensorParallelBackend(
+                                   inner=NumaBackend(cores=96)))
+        InferenceSimulator(get_platform("spr"), backend=TensorParallelBackend(
+            inner=NumaBackend(cores=48)))
+
+    def test_placement_over_tp_refuses_socket_spanning_cores(self):
+        # The same refusal with the placement outside, naming the TP.
+        with pytest.raises(ValueError, match="96 cores span the sockets of "
+                           "SPR-Max-9468, which backend bf16-tp2 already"):
+            InferenceSimulator(get_platform("spr"), backend=NumaBackend(
+                cores=96, inner=parse_backend("tp2")))
+        InferenceSimulator(get_platform("spr"), backend=NumaBackend(
+            cores=48, inner=parse_backend("tp2")))
 
     def test_batching_simulator_rejects_degree_above_sockets(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -102,10 +102,6 @@ EXEMPT = {
         "waits on ROADMAP item 5 (observability in every mode)",
     "trace/spans.py:Trace.replica_names":
         "waits on ROADMAP item 5 (read by replica_utilization_timeline)",
-    "numa/topology.py:build_nodes":
-        "waits on ROADMAP item 7 (NUMA-domain replicas)",
-    "numa/topology.py:nodes_per_socket":
-        "waits on ROADMAP item 7 (NUMA-domain replicas)",
     "offload/engine.py:OffloadSimulator._decode_stepped":
         "waits on ROADMAP item 9 (offloaded GPU replicas in the fleet)",
     "offload/engine.py:OffloadSimulator._host_attention_time":
@@ -159,6 +155,8 @@ EXEMPT_OPTIONS = {
     "numa/model.py:NumaCalibration.__init__(cache_mode_overhead)": ITEM_14,
     "numa/model.py:NumaCalibration.__init__(numa_aware_remote_fraction)":
         ITEM_14,
+    "numa/model.py:NumaCalibration.__init__(parallel_overhead)": ITEM_14,
+    "numa/model.py:NumaCalibration.__init__(bw_half_cores)": ITEM_14,
     "numa/model.py:NumaCalibration.__init__(snc_remote_bw_penalty)": ITEM_14,
     "numa/model.py:NumaCalibration.__init__(snc_remote_fraction)": ITEM_14,
     "offload/policy.py:OffloadCalibration.__init__(host_attention_bw)":
@@ -171,12 +169,6 @@ EXEMPT_OPTIONS = {
         ITEM_14,
     "offload/policy.py:hybrid_streamed_weight_bytes(calibration)": ITEM_14,
     "optim/hybrid.py:HybridPlanner.__init__(calibration)": ITEM_14,
-    "scaling/cores.py:CoreScalingModel.__init__(calibration)": ITEM_14,
-    "scaling/cores.py:ScalingCalibration.__init__(bw_half_cores)": ITEM_14,
-    "scaling/cores.py:ScalingCalibration.__init__("
-    "cross_socket_remote_fraction)": ITEM_14,
-    "scaling/cores.py:ScalingCalibration.__init__(parallel_overhead)":
-        ITEM_14,
     "engine/kvcache.py:KVCacheManager.__init__(block_tokens)": ITEM_1,
     "engine/kvcache.py:max_admissible_sequences(limit)": ITEM_1,
     "engine/backend.py:PrefixCacheBackend.__init__(inner)": ITEM_11,
