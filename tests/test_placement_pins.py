@@ -9,8 +9,9 @@ sockets it spans.
   quad_cache, snc_flat, NUMA-aware snc_flat and hot/cold placement at
   ``hot_fraction=0.8``; and TP2 at one socket on both platforms. Each
   cell pins the :class:`InferenceResult` (TTFT, TPOT, E2E, the config
-  label and every per-phase time, FLOP and byte count) and every
-  :class:`CounterEstimates` counter of the same run.
+  label and every per-phase time, FLOP and byte count), the usable
+  memory capacity, and every :class:`CounterEstimates` counter of the
+  same run.
 * ``tenancy``: :class:`MultiTenantSimulator` at 1, 2 and 4 tenants.
 * ``refusals``: the message of each placement the simulator refuses.
 
@@ -111,6 +112,7 @@ def price(simulator, counters) -> dict:
     for name, request in RUNS.items():
         result = simulator.run(get_model(name), request)
         values = result_values(result)
+        values["memory_capacity"] = simulator.memory_capacity()
         for field, value in dataclasses.asdict(
                 counters.from_result(result)).items():
             values[f"counters.{field}"] = value
