@@ -31,7 +31,7 @@ MAX_CLUSTER_REL_ERR = 1e-9
 QUICK_REQUESTS = 2_000
 
 
-def test_cluster_fastforward_speed_and_parity(benchmark):
+def test_cluster_fastforward_speed_and_parity(fastest_round):
     bench._cluster_run(QUICK_REQUESTS, exact=False)  # warm imports
 
     fast_report = None
@@ -40,8 +40,7 @@ def test_cluster_fastforward_speed_and_parity(benchmark):
         nonlocal fast_report
         _, fast_report = bench._cluster_run(QUICK_REQUESTS, exact=False)
 
-    benchmark.pedantic(fast, rounds=3, iterations=1)
-    fast_s = benchmark.stats.stats.min
+    fast_s = fastest_round(fast, rounds=3)
 
     exact_s, exact_report = bench._cluster_run(QUICK_REQUESTS, exact=True)
 

@@ -36,7 +36,7 @@ MAX_REL_ERR = 1e-9
 QUICK_REQUESTS = 20_000
 
 
-def test_sharded_speed_and_parity(benchmark):
+def test_sharded_speed_and_parity(fastest_round):
     from repro.workloads.streams import ShardableStream
 
     arrivals = list(ShardableStream(rate_per_s=bench.SHARDED_RATE_PER_S,
@@ -53,8 +53,7 @@ def test_sharded_speed_and_parity(benchmark):
         _, sharded_report = bench._sharded_run(
             arrivals, workers=bench.SHARDED_WORKERS)
 
-    benchmark.pedantic(sharded, rounds=3, iterations=1)
-    sharded_s = benchmark.stats.stats.min
+    sharded_s = fastest_round(sharded, rounds=3)
 
     speedup = base_s / sharded_s
     assert speedup >= MIN_SHARDED_SPEEDUP, (

@@ -65,8 +65,8 @@ class AdmissionScheduler:
     def pick(self, pending: Sequence, now: float) -> Optional[int]:
         """Index of the next request to admit, or ``None`` if none ready.
 
-        *pending* holds ``_QueuedRequest``-shaped entries (``ready_s``,
-        ``request``) sorted ascending by ``ready_s``.
+        *pending* holds the node's per-request records (read here:
+        ``ready_s``, ``request``) sorted ascending by ``ready_s``.
         """
         raise NotImplementedError
 

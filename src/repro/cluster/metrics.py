@@ -46,7 +46,9 @@ class NodeStats:
 
     Attributes:
         name / platform: Replica identification.
-        busy_s: Seconds spent prefilling or decoding.
+        busy_s: Seconds spent prefilling or decoding: the sum of the
+            node's busy periods (each from an iteration that ends an
+            idle gap to the clock where the next gap begins).
         utilization: ``busy_s`` over the fleet makespan.
         iterations: Scheduler iterations executed.
         completed: Requests finished on this replica.

@@ -86,34 +86,27 @@ def check_batching_policy(policy: str) -> str:
 
 @dataclasses.dataclass(slots=True)
 class _Running:
-    """An admitted request (``prompt_left``: chunked prefill still owed).
+    """One request's record on the node, from :meth:`submit` to retirement.
 
+    ``ready_s`` is when the node may admit it: the arrival time for a
+    normally routed request, or the requeue time for a request rescued
+    from a failed node (its ``request.arrival_s`` stays original so TTFT
+    keeps charging the lost time). Admission stamps ``start_s`` and
+    ``first_token_s`` and moves the record from ``pending`` into the
+    batch (``prompt_left``: chunked prefill still owed).
     ``last_event_s``, the end of its latest span, is written only under
     a recording tracer, its one reader.
     """
 
     request: ArrivingRequest
-    start_s: float
-    first_token_s: float
+    ready_s: float
+    start_s: float = dataclasses.field(default=0.0, init=False)
+    first_token_s: float = dataclasses.field(default=0.0, init=False)
     # Tokens produced so far (prefill's counts as 1) are ``base`` plus
     # the node's decode tick; set when the sequence joins the batch.
     base: int = dataclasses.field(default=0, init=False)
     last_event_s: float = dataclasses.field(default=0.0, init=False)
-    prompt_left: int = 0
-
-
-@dataclasses.dataclass(frozen=True)
-class _QueuedRequest:
-    """A routed request waiting for admission.
-
-    ``ready_s`` is when the node may admit it: the arrival time for a
-    normally routed request, or the requeue time for a request rescued
-    from a failed node (its ``request.arrival_s`` stays original so TTFT
-    keeps charging the lost time).
-    """
-
-    ready_s: float
-    request: ArrivingRequest
+    prompt_left: int = dataclasses.field(default=0, init=False)
 
 
 class ReplicaNode:
@@ -163,9 +156,9 @@ class ReplicaNode:
                  "running", "prefilling", "outstanding_tokens", "_tick",
                  "_finish_min", "_finish_max", "_kv_base",
                  "_cohort_size", "_cohort_input", "completed",
-                 "decode_gaps", "generated_tokens", "busy_s", "iterations",
-                 "peak_queue", "draining", "active", "admission_stamps",
-                 "tier", "_queued_prefill_s")
+                 "decode_gaps", "generated_tokens", "_busy_closed",
+                 "_busy_from", "iterations", "peak_queue", "draining",
+                 "active", "admission_stamps", "tier", "_queued_prefill_s")
 
     def __init__(self, name: str, platform: Platform, model: ModelConfig,
                  max_batch: int = 8,
@@ -203,7 +196,7 @@ class ReplicaNode:
         self.price_usd = price_usd
         self._track = replica_track(name)
         self.clock = 0.0
-        self.pending: List[_QueuedRequest] = []
+        self.pending: List[_Running] = []
         # backlog_s's queued-prefill sum; None once the queue changed.
         self._queued_prefill_s: Optional[float] = None
         self.running: List[_Running] = []
@@ -226,7 +219,8 @@ class ReplicaNode:
         self.completed: List[CompletedRequest] = []
         self.decode_gaps: List[float] = []
         self.generated_tokens = 0
-        self.busy_s = 0.0
+        # Closed busy periods' total; the open one's start (busy_s).
+        self._busy_closed = self._busy_from = 0.0
         self.iterations = 0
         self.peak_queue = 0
         self.draining = False
@@ -283,6 +277,15 @@ class ReplicaNode:
     def queue_len(self) -> int:
         """Requests routed here but not yet admitted."""
         return len(self.pending)
+
+    @property
+    def busy_s(self) -> float:
+        """Seconds spent prefilling or decoding: the busy periods' sum.
+
+        :meth:`advance` closes a period wherever it moves the clock over
+        an idle gap, so no step adds its cost anywhere but to the clock.
+        """
+        return self._busy_closed + (self.clock - self._busy_from)
 
     def prefill_cost_s(self, input_len: int) -> float:
         """This replica's single-sequence prefill time for a prompt.
@@ -372,8 +375,7 @@ class ReplicaNode:
         """Queue *request*; admissible from ``ready_s`` (default arrival)."""
         if ready_s is None:
             ready_s = request.arrival_s
-        entry = _QueuedRequest(ready_s=max(ready_s, request.arrival_s),
-                               request=request)
+        entry = _Running(request, max(ready_s, request.arrival_s))
         # Keep the queue ordered by readiness; stable for equal stamps.
         # Arrivals come in time order, so the entry usually goes last;
         # out-of-order stamps (failure requeues) bisect.
@@ -416,13 +418,14 @@ class ReplicaNode:
                              generated_tokens=self.generated_tokens,
                              decode_gaps=self.decode_gaps)
 
-    def _admit_next(self, start: float) -> Optional[ArrivingRequest]:
+    def _admit_next(self, start: float) -> Optional[_Running]:
         """Admit a request into a free slot; the queue head is ready.
 
         The built-in FCFS path pops the queue head. With a scheduler
         attached, the scheduler chooses among the ready prefix; ``None``
         from a (contract-violating, non-work-conserving) scheduler falls
-        back to admitting nothing this iteration.
+        back to admitting nothing this iteration. The popped record,
+        stamped with its start at the clock, is returned.
         """
         if self.admission is None:
             queued = self.pending.pop(0)
@@ -433,6 +436,7 @@ class ReplicaNode:
             queued = self.pending.pop(index)
         self._queued_prefill_s = None
         self.admission_stamps.append(start)
+        queued.start_s = self.clock
         request = queued.request
         if self.admission is not None:
             self.admission.on_admit(request, self.clock)
@@ -443,12 +447,13 @@ class ReplicaNode:
             self.tracer.span(request_track(request.request_id),
                              "queue_wait", queued.ready_s, self.clock,
                              category="request", args={"replica": self.name})
-        return request
+        return queued
 
-    def _trace_prefill(self, request: ArrivingRequest, start_s: float,
-                       legs: Tuple[float, float], **args) -> None:
+    def _trace_prefill(self, seq: _Running, legs: Tuple[float, float],
+                       **args) -> None:
+        request = seq.request
         self.tracer.span(request_track(request.request_id), "prefill",
-                         start_s, self.clock, category="request",
+                         seq.start_s, self.clock, category="request",
                          args={"replica": self.name,
                                "input_len": request.input_len,
                                "compute_s": legs[0], "memory_s": legs[1],
@@ -458,28 +463,26 @@ class ReplicaNode:
         """Static admission: one padded cohort, only into an empty node."""
         if self.running:
             return
-        cohort: List[ArrivingRequest] = []
+        cohort: List[_Running] = []
         while (self.pending and self.pending[0].ready_s <= self.clock
                and len(cohort) < self.max_batch):
-            request = self._admit_next(start)
-            if request is None:
+            seq = self._admit_next(start)
+            if seq is None:
                 break
-            cohort.append(request)
+            cohort.append(seq)
         if not cohort:
             return
         self._cohort_size = batch = len(cohort)
-        self._cohort_input = longest = max(r.input_len for r in cohort)
-        prefill = self._prefill_cost(batch, longest)
-        self.clock += prefill
-        self.busy_s += prefill
+        self._cohort_input = longest = max(seq.request.input_len
+                                           for seq in cohort)
+        self.clock += self._prefill_cost(batch, longest)
         self.outstanding_tokens -= batch  # each prefill emits one token
-        for request in cohort:
-            self._join(_Running(request=request, start_s=start,
-                                first_token_s=self.clock))
+        for seq in cohort:
+            self._join(seq, self.clock)
         if self.tracer.enabled:
             legs = self._prefill_legs(batch, longest)
-            for request in cohort:
-                self._trace_prefill(request, start, legs, batch_size=batch)
+            for seq in cohort:
+                self._trace_prefill(seq, legs, batch_size=batch)
             self.tracer.span(self._track, "prefill", start, self.clock,
                              category="replica",
                              args={"batch_size": batch, "input_len": longest,
@@ -490,13 +493,11 @@ class ReplicaNode:
         """Chunked admission: free slots count prompts still in flight."""
         while (self.pending and self.pending[0].ready_s <= self.clock
                and len(self.running) + len(self.prefilling) < self.max_batch):
-            request = self._admit_next(start)
-            if request is None:
+            seq = self._admit_next(start)
+            if seq is None:
                 break
-            self.prefilling.append(_Running(request=request,
-                                            start_s=self.clock,
-                                            first_token_s=self.clock,
-                                            prompt_left=request.input_len))
+            seq.prompt_left = seq.request.input_len
+            self.prefilling.append(seq)
 
     def _prefill_chunk(self) -> float:
         """Price one chunk of the oldest in-flight prompt (fused with decode).
@@ -523,8 +524,7 @@ class ReplicaNode:
                                    "memory_s": legs[1]})
         if job.prompt_left == 0:
             self.prefilling.pop(0)
-            job.first_token_s = end
-            self._join(job)
+            self._join(job, end)
             # Owed prompt + output becomes input + output - generated.
             self.outstanding_tokens += job.request.input_len - 1
             if self.tracer.enabled:
@@ -539,8 +539,9 @@ class ReplicaNode:
                                        "chunked": True})
         return cost
 
-    def _join(self, seq: _Running) -> None:
-        """Add *seq* (first token out) to ``running``; keep the aggregates."""
+    def _join(self, seq: _Running, first_token_s: float) -> None:
+        """Add *seq* (first token at *first_token_s*); keep aggregates."""
+        seq.first_token_s = first_token_s
         seq.base = base = 1 - self._tick
         request = seq.request
         finish = request.output_len - base
@@ -550,7 +551,7 @@ class ReplicaNode:
             self._finish_max = finish
         self._kv_base += request.input_len + base
         if self.tracer.enabled:
-            seq.last_event_s = seq.first_token_s
+            seq.last_event_s = first_token_s
         self.running.append(seq)
 
     def _retire(self) -> None:
@@ -575,11 +576,9 @@ class ReplicaNode:
                 continue
             self.outstanding_tokens -= (request.input_len + request.output_len
                                         - seq.base - tick)
-            record = CompletedRequest(request_id=request.request_id,
-                                      arrival_s=request.arrival_s,
-                                      start_s=seq.start_s,
-                                      first_token_s=seq.first_token_s,
-                                      finish_s=self.clock)
+            record = CompletedRequest(request.request_id, request.arrival_s,
+                                      seq.start_s, seq.first_token_s,
+                                      self.clock)
             self.completed.append(record)
             self.generated_tokens += request.output_len
             if self.admission is not None:
@@ -614,7 +613,10 @@ class ReplicaNode:
         start = self.next_event_time()
         if start is None:
             return
-        self.clock = start
+        if start != self.clock:
+            # The clock crosses an idle gap: close the busy period.
+            self._busy_closed += self.clock - self._busy_from
+            self._busy_from = self.clock = start
         tracer = self.tracer
         stall = lead = 0.0
         if self._static:
@@ -624,23 +626,21 @@ class ReplicaNode:
             # spent while sequences were already running stalls them.
             while (self.pending and len(self.running) < self.max_batch
                    and self.pending[0].ready_s <= self.clock):
-                request = self._admit_next(start)
-                if request is None:
+                seq = self._admit_next(start)
+                if seq is None:
                     break
-                start_s = self.clock
+                request = seq.request
                 prefill = self._prefill_cost(1, request.input_len)
                 self.clock += prefill
-                self.busy_s += prefill
                 if self.running:
                     stall += prefill
                 self.outstanding_tokens -= 1
-                self._join(_Running(request=request, start_s=start_s,
-                                    first_token_s=self.clock))
+                self._join(seq, self.clock)
                 if tracer.enabled:
                     legs = self._prefill_legs(1, request.input_len)
-                    self._trace_prefill(request, start_s, legs)
-                    tracer.span(self._track, "prefill", start_s, self.clock,
-                                category="replica",
+                    self._trace_prefill(seq, legs)
+                    tracer.span(self._track, "prefill", seq.start_s,
+                                self.clock, category="replica",
                                 args={"request_id": request.request_id,
                                       "input_len": request.input_len,
                                       "batch_size": len(self.running),
@@ -674,7 +674,6 @@ class ReplicaNode:
             decode_start = self.clock + lead
             fused = lead + iteration
             self.clock += fused
-            self.busy_s += fused
             self.outstanding_tokens -= len(cohort)
             if self.collect_gaps:
                 self.decode_gaps.append(stall + fused)
@@ -711,7 +710,6 @@ class ReplicaNode:
                     seq.last_event_s = clock
         else:
             self.clock += lead
-            self.busy_s += lead
         self.iterations += 1
 
     def advance_to(self, horizon: Optional[float] = None) -> None:
@@ -829,13 +827,13 @@ class ReplicaNode:
         The one path every coalesced run takes. *costs* is the block's
         per-iteration cost sequence (a ``step_t`` curve slice). The
         running set advances by one bump of the decode tick, whatever
-        its size. The clock (and busy time) advance by adding the step
-        costs *one at a time*, in the same order the per-iteration loop
-        would: a request's TTFT is a tiny difference of huge timestamps,
-        so even the one-ulp-per-run drift of adding a range sum instead
-        of the step sequence would amplify past 1e-9 over a
-        100k-request trace. The float additions are two per step (into
-        locals, stored once — same value sequence, same rounding) — the
+        its size. The clock advances by adding the step costs *one at a
+        time*, in the same order the per-iteration loop would: a
+        request's TTFT is a tiny difference of huge timestamps, so even
+        the one-ulp-per-run drift of adding a range sum instead of the
+        step sequence would amplify past 1e-9 over a 100k-request trace.
+        That is one float addition per step (into a local, stored once),
+        and the only one: the run lies inside one busy period. The
         per-step work the fast path actually avoids is the *pricing*,
         which is three orders of magnitude dearer. Only under a
         recording tracer are the block's (compute_s, memory_s)
@@ -845,12 +843,9 @@ class ReplicaNode:
         attribution still tiles each request's ``e2e_s``.
         """
         run_start = clock = self.clock
-        busy = self.busy_s
         for step_s in costs:
             clock += step_s
-            busy += step_s
         self.clock = clock
-        self.busy_s = busy
         self.iterations += steps
         self.outstanding_tokens -= steps * len(self.running)
         if self.collect_gaps:

@@ -24,6 +24,7 @@ from repro.cluster import (
     make_scheduler,
 )
 from repro.cluster.events import FAILURE, ONLINE, SCALE_UP
+from repro.cluster.node import _Running
 from repro.engine.backend import parse_backend
 from repro.hardware.registry import get_platform
 from repro.models.registry import get_model
@@ -138,6 +139,60 @@ class TestReplicaNode:
             poisson_arrivals(2.0, 8, seed=1))
         assert not hasattr(nodes[0], "__dict__")
 
+    def test_request_record_has_no_instance_dict(self):
+        # A request is one slotted record from submit to retirement:
+        # the queued entry is the object admission moves into the batch.
+        node = spr_node()
+        node.submit(ArrivingRequest(0, 0.0, 64, 4))
+        record = node.pending[0]
+        assert isinstance(record, _Running)
+        assert not hasattr(record, "__dict__")
+        node.advance()
+        assert len(node.running) == 1 and node.running[0] is record
+        assert record.start_s == 0.0 and record.first_token_s > 0.0
+
+
+class TestBusyPeriods:
+    """busy_s is the sum of the node's busy periods, read off its clock."""
+
+    def test_idle_gap_between_bursts_is_not_busy(self):
+        node = spr_node()
+        first = [ArrivingRequest(i, 0.0, 64, 8) for i in range(3)]
+        second = [ArrivingRequest(3 + i, 100.0, 64, 8) for i in range(2)]
+        node.serve(first + second)
+        finish = {r.request_id: r.finish_s for r in node.completed}
+        # One admission stamp per request, in time order.
+        first_end = max(finish[r.request_id] for r in first)
+        assert first_end < 100.0  # the bursts are separated by a gap
+        periods = ((first_end - node.admission_stamps[0])
+                   + (max(finish[r.request_id] for r in second)
+                      - node.admission_stamps[len(first)]))
+        assert node.busy_s == pytest.approx(periods, rel=1e-12)
+        assert node.busy_s < node.clock
+
+    def test_busy_time_equals_replica_spans(self):
+        nodes = [ReplicaNode("cont-0", SPR, OPT, max_batch=4,
+                             admission=make_scheduler("wsc")),
+                 ReplicaNode("chunk-1", SPR, OPT, max_batch=4,
+                             policy="chunked", chunk_tokens=32),
+                 ReplicaNode("static-2", SPR, OPT, max_batch=4,
+                             policy="static"),
+                 ReplicaNode("cont-3", SPR, OPT, max_batch=4)]
+        arrivals = _ledger_arrivals(seed=13, count=48)
+        span = arrivals[-1].arrival_s
+        tracer = RecordingTracer()
+        ClusterSimulator(nodes, LeastOutstandingTokensRouter(),
+                         events=[NodeFailure(0.3 * span, "cont-0")],
+                         tracer=tracer).run(arrivals)
+        assert not nodes[0].active
+        for node in nodes:
+            spans = [s for s in tracer.trace.spans
+                     if s.track == f"replica/{node.name}"
+                     and s.name in ("prefill", "decode")]
+            assert spans, node.name
+            busy = sum(s.end_s - s.start_s for s in spans)
+            assert node.busy_s == pytest.approx(busy, rel=1e-9), node.name
+
 
 def _generated(node, seq):
     """Tokens a running sequence has produced, as the node defines them."""
@@ -174,8 +229,9 @@ def _check_aggregates(node, name):
 
 @pytest.fixture
 def ledger_checked(monkeypatch):
-    """Compare the counter to the recount after every node call, and
-    the running-set aggregates to a scan.
+    """Compare the counter to the recount after every node call, the
+    running-set aggregates to a scan, and check the open busy period
+    began at or before the clock.
 
     Patches the class, so nodes a simulator builds are checked too.
     Returns the names of the calls checked, in order.
@@ -187,6 +243,7 @@ def ledger_checked(monkeypatch):
             result = _method(node, *args, **kwargs)
             assert node.outstanding_tokens == _recount(node), _name
             _check_aggregates(node, _name)
+            assert node._busy_from <= node.clock, _name
             checked.append(_name)
             return result
         monkeypatch.setattr(ReplicaNode, name, wrapper)
@@ -506,6 +563,41 @@ class TestFailures:
             events=[NodeFailure(time_s=3.0, node="spr-1")]).run(arrivals)
         # Losing a replica mid-trace cannot improve aggregate latency.
         assert failed.mean_ttft_s >= clean.mean_ttft_s
+
+    def test_requeued_request_completes_from_a_fresh_record(
+            self, ledger_checked, monkeypatch):
+        joined, stale = {}, []
+        join, fail = ReplicaNode._join, ReplicaNode.fail
+
+        def recording_join(node, seq, first_token_s):
+            joined.setdefault(seq.request.request_id, []).append(seq)
+            join(node, seq, first_token_s)
+
+        def recording_fail(node):
+            stale.extend(node.running)
+            return fail(node)
+
+        monkeypatch.setattr(ReplicaNode, "_join", recording_join)
+        monkeypatch.setattr(ReplicaNode, "fail", recording_fail)
+        arrivals = poisson_arrivals(2.0, 24, chatbot_workload(), seed=23)
+        nodes = [spr_node("spr-0"), spr_node("spr-1")]
+        report = ClusterSimulator(
+            nodes, LeastOutstandingTokensRouter(),
+            events=[NodeFailure(time_s=3.0, node="spr-1")]).run(arrivals)
+        assert stale  # the node failed mid-decode
+        completed = {r.request_id: r for r in report.completed}
+        for old in stale:
+            request_id = old.request.request_id
+            fresh = joined[request_id][-1]
+            assert fresh is not old
+            assert old.start_s < 3.0 <= fresh.start_s
+            assert completed[request_id].start_s == fresh.start_s
+            assert completed[request_id].first_token_s == fresh.first_token_s
+        # Token conservation: every request's tokens were generated once
+        # where it completed, and the failed node's are wasted.
+        assert report.generated_tokens == sum(r.output_len for r in arrivals)
+        assert report.wasted_tokens >= len(stale)
+        assert all(node.outstanding_tokens == 0 for node in nodes)
 
     def test_last_replica_failing_raises(self):
         arrivals = poisson_arrivals(2.0, 8, chatbot_workload(), seed=0)
