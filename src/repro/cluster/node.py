@@ -74,6 +74,8 @@ from repro.utils.validation import require_positive
 BATCHING_POLICIES = ("static", "continuous", "chunked")
 #: The earliest finish tick of an empty running set: never.
 _NO_FINISH = sys.maxsize
+#: Relative rounding of one float addition (see :meth:`advance_to`).
+_EPS = sys.float_info.epsilon
 
 
 def check_batching_policy(policy: str) -> str:
@@ -351,16 +353,6 @@ class ReplicaNode:
             return cost.executor.prefill_pass(cost.model, batch,
                                               input_len)[1:]
         return cost.prefill_split(batch, input_len)
-
-    def _iteration_cost(self, batch: int, mean_kv: int) -> float:
-        cost = self._cost
-        if self.exact:
-            return cost.executor.decode_step(cost.model, batch, mean_kv)[0]
-        # DecodeCostTable.step_time, read off the curve directly.
-        kv = max(1, mean_kv)
-        curve = cost.curve(batch)
-        curve.ensure(kv + 1)
-        return curve.step_t[kv]
 
     def _iteration_legs(self, batch: int, mean_kv: int):
         cost = self._cost
@@ -670,7 +662,18 @@ class ReplicaNode:
                 if held is not None:
                     total_kv -= held.request.input_len + 1
                 mean_kv = int(total_kv / batch)
-            iteration = self._iteration_cost(batch, mean_kv)
+            cost = self._cost
+            if self.exact:
+                iteration = cost.executor.decode_step(cost.model, batch,
+                                                      mean_kv)[0]
+            else:
+                # DecodeCostTable.step_time, read off the curve directly.
+                kv = mean_kv if mean_kv > 1 else 1
+                curve = cost._curves.get(batch) or cost.curve(batch)
+                step_t = curve.step_t
+                if len(step_t) <= kv:
+                    curve.ensure(kv + 1)
+                iteration = step_t[kv]
             decode_start = self.clock + lead
             fused = lead + iteration
             self.clock += fused
@@ -720,21 +723,29 @@ class ReplicaNode:
         strict ordering the cluster loop's admin-before-iteration
         tie-break gives per-iteration stepping.
 
-        One loop serves every mode. Each pass reads the pure-decode
-        window (:meth:`_coalescible_window`) and either coalesces it or
-        runs one :meth:`advance`. In the default (fast) mode the window's
-        time budget becomes a step count by one binary search over the
-        shared prefix-sum curve, and the run adds the curve's per-step
-        costs ``step_t[mean_kv:mean_kv + steps]`` to the clock one at a
-        time. Untraced, a lone step is coalesced too, so :meth:`advance`
-        runs only where an iteration admits, retires or prefills a
-        chunk; a recording tracer keeps single steps on :meth:`advance`
-        so the trace still carries their per-iteration spans. Every
-        coalesced run goes through :meth:`_fast_forward`. With
-        ``exact=True`` every iteration is stepped and priced
-        individually. A run that ends at the window's step limit emits
-        some sequence's last token, so the next window is empty and the
-        next pass goes straight to :meth:`advance`.
+        One loop serves every mode. Each pass starts where
+        :meth:`next_event_time` says, reads the pure-decode window inline
+        and either coalesces it or runs one :meth:`advance`. The window's
+        step limit is the closest running sequence's remaining tokens, so
+        a run of ``limit`` steps ends on the iteration that emits its last
+        token and the next pass (retirement) goes to :meth:`advance`. The
+        window is empty unless the batch is non-empty, no prompt is in
+        flight, nobody is finished and no admission can happen at its
+        start. It prices a static cohort's padded shape, which admits
+        nothing until fully retired, else the live batch at its floor
+        mean KV. Its budget runs to the earlier of *horizon* and, if a
+        slot is free, the queue head's readiness; a binary search over
+        the shared prefix-sum curve turns it into a step count (step j
+        runs iff it starts strictly inside the budget), as a pure-decode
+        run's mean KV grows by exactly 1 per step. The prefix sums round
+        unlike the clock's running sum, so a last step starting within
+        rounding of the bound is left to the next pass, which reads the
+        clock. :meth:`_fast_forward` adds the run's costs ``step_t[
+        mean_kv:mean_kv + steps]`` to the clock one at a time. Untraced,
+        a lone step is coalesced too, so :meth:`advance` runs only where
+        an iteration admits, retires or prefills a chunk; a recording
+        tracer keeps single steps on :meth:`advance` for their spans.
+        ``exact=True`` steps and prices every iteration individually.
         """
         if not (self.pending or self.running or self.prefilling):
             return
@@ -742,83 +753,67 @@ class ReplicaNode:
         # Shortest run fast mode coalesces.
         shortest = 2 if self.tracer.enabled else 1
         cost = self._cost
+        curves = cost._curves
+        # The queue and in-flight prompt lists change only in place.
+        pending, prefilling = self.pending, self.prefilling
+        static, max_batch = self._static, self.max_batch
         retiring = False  # the last run ended on some sequence's last token
         while True:
-            start = self.next_event_time()
-            if start is None or (horizon is not None and start >= horizon):
+            running = self.running
+            start = self.clock
+            if not (running or prefilling):
+                if not pending:
+                    return
+                ready = pending[0].ready_s
+                if ready > start:
+                    start = ready
+            if horizon is not None and start >= horizon:
                 return
-            if retiring or exact:
+            if retiring or exact or not running or prefilling:
                 retiring = False
                 self.advance()
                 continue
-            limit, batch, mean_kv, budget = self._coalescible_window(start,
-                                                                      horizon)
-            steps = limit
-            if limit:
-                curve = cost.curve(batch)
+            tick = self._tick
+            limit = self._finish_min - tick
+            if limit < 1:
+                self.advance()
+                continue
+            bound = horizon
+            if static:
+                batch = self._cohort_size
+                mean_kv = self._cohort_input + running[0].base + tick - 1
+            else:
+                batch = len(running)
+                mean_kv = (self._kv_base + batch * tick) // batch
+                if mean_kv < 1:
+                    mean_kv = 1
+                if pending and batch < max_batch:
+                    ready = pending[0].ready_s
+                    if ready <= start:  # admissible now: step normally
+                        self.advance()
+                        continue
+                    if bound is None or ready < bound:
+                        bound = ready
+            curve = curves.get(batch) or cost.curve(batch)
+            prefix = curve.prefix_t
+            if len(prefix) < mean_kv + limit:
                 curve.ensure(mean_kv + limit)
-                if budget is not None:
-                    # Iteration j starts after the costs of its
-                    # predecessors and runs iff that start is strictly
-                    # inside the budget.
-                    prefix = curve.prefix_t
-                    base = mean_kv - 1
-                    steps = bisect_left(prefix, prefix[base] + budget, base,
-                                        base + limit) - base
+            steps = limit
+            if bound is not None:
+                base = mean_kv - 1
+                target = prefix[base] + (bound - start)
+                steps = bisect_left(prefix, target, base, base + limit) - base
+                if steps > 1 and target - prefix[base + steps - 1] <= \
+                        (steps + 4) * _EPS * (bound + target):
+                    # The last step starts within rounding of the bound:
+                    # leave it to the next pass, which reads the clock.
+                    steps -= 1
             if steps < shortest:
                 self.advance()
                 continue
             retiring = steps == limit
             self._fast_forward(steps, batch, mean_kv,
                                curve.step_t[mean_kv:mean_kv + steps])
-
-    def _coalescible_window(self, start: float, horizon: Optional[float]
-                            ) -> Tuple[int, int, int, Optional[float]]:
-        """(step limit, priced batch, mean KV, time budget) of a decode run.
-
-        The limit is the closest running sequence's remaining tokens,
-        read off the running-set aggregates (earliest finish tick less
-        the decode tick), so a run of ``limit`` steps ends on the
-        iteration that emits its last token (retirement happens at the
-        next boundary, and the window after such a run is empty); the
-        mean KV is the aggregate KV sum's floor mean. It is zero unless
-        the running set is non-empty, no prompt is in flight, nobody is
-        already finished, and no admission can happen at or before the
-        window's iterations begin. The priced shape is the discipline's
-        (a static cohort's is padded). The budget is the time available
-        against the earlier of *horizon* and the head-of-queue readiness
-        (``None`` = unbounded); :meth:`advance_to` converts it to a step
-        count by a binary search over the shared prefix-sum curve, which
-        rests on a pure-decode run's mean KV length advancing by exactly
-        +1 per iteration (integer floor of a sum that grows by the batch
-        size each step).
-        """
-        running = self.running
-        if not running or self.prefilling:
-            return 0, 0, 0, None
-        tick = self._tick
-        limit = self._finish_min - tick
-        if limit < 1:
-            return 0, 0, 0, None
-        bound = horizon
-        if self._static:
-            # A padded cohort, which admits nothing until fully retired.
-            batch = self._cohort_size
-            mean_kv = self._cohort_input + running[0].base + tick - 1
-        else:
-            batch = len(running)
-            mean_kv = (self._kv_base + batch * tick) // batch
-            if mean_kv < 1:
-                mean_kv = 1
-            if self.pending and batch < self.max_batch:
-                ready = self.pending[0].ready_s
-                if ready <= start:
-                    return 0, 0, 0, None  # admissible now: step normally
-                if bound is None or ready < bound:
-                    bound = ready
-        if bound is None:
-            return limit, batch, mean_kv, None
-        return limit, batch, mean_kv, bound - start
 
     def _fast_forward(self, steps: int, batch: int, mean_kv: int,
                       costs: Sequence[float]) -> None:

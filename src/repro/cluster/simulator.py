@@ -1,8 +1,9 @@
 """Discrete-event, multi-replica serving simulation.
 
-The event loop pops *external* events off a binary heap in global-time
-order — scheduled node failures and drains, autoscaler samples,
-provisioned replicas coming online, and request arrivals — and, before
+The event loop dispatches *external* events in global-time order —
+scheduled node failures and drains, autoscaler samples and provisioned
+replicas coming online off a binary heap, and request arrivals from the
+one unrouted arrival it keeps beside the heap — and, before
 dispatching one at time ``t``, brings replicas forward with
 :meth:`~repro.cluster.node.ReplicaNode.advance_to`\\ ``(t)`` (all
 scheduler iterations starting strictly before ``t``). Administrative
@@ -235,9 +236,8 @@ class ClusterSimulator:
 
         for event in self.scheduled:
             push(event.time_s, _RANK_SCHEDULED, event)
-        if first is not None:
-            push(first.arrival_s, _RANK_ARRIVAL, first)
-        arrival_pending = first is not None
+        # The one unrouted arrival waits beside the heap, not in it.
+        arrival = first
         last_arrival_s = first.arrival_s if first is not None else 0.0
         arrived = 1 if first is not None else 0
         provisioning = 0
@@ -286,9 +286,14 @@ class ClusterSimulator:
                 if node.active:
                     node.advance_to(now)
 
-        while heap:
-            now, rank, _serial, payload = heapq.heappop(heap)
-            if rank != _RANK_ARRIVAL:
+        while heap or arrival is not None:
+            if arrival is not None and (not heap
+                                        or arrival.arrival_s < heap[0][0]):
+                # Arrivals rank last at equal times, so the arrival goes
+                # first only strictly before the heap's earliest event.
+                now, rank = arrival.arrival_s, _RANK_ARRIVAL
+            else:
+                now, rank, _serial, payload = heapq.heappop(heap)
                 advance_fleet(now)
 
             if rank == _RANK_SCHEDULED:
@@ -327,7 +332,7 @@ class ClusterSimulator:
                 # Sampling stops for good once the fleet is certainly
                 # done: no unrouted arrival, no queued/in-flight work as
                 # of this instant, nothing provisioning.
-                if not (arrival_pending or provisioning
+                if not (arrival is not None or provisioning
                         or self._any_work()):
                     continue
                 decision = self.autoscaler.decide(self.nodes, provisioning)
@@ -346,18 +351,15 @@ class ClusterSimulator:
                 push(now + self.autoscaler.sample_interval_s,
                      _RANK_SAMPLE, None)
             else:  # arrival
-                route(payload, now)
-                nxt = next(stream, None)
-                if nxt is None:
-                    arrival_pending = False
-                else:
-                    if nxt.arrival_s < last_arrival_s:
+                route(arrival, now)
+                arrival = next(stream, None)
+                if arrival is not None:
+                    if arrival.arrival_s < last_arrival_s:
                         raise ValueError(
                             "streaming arrivals must be time-ordered: "
-                            f"{nxt.arrival_s} after {last_arrival_s}")
-                    last_arrival_s = nxt.arrival_s
+                            f"{arrival.arrival_s} after {last_arrival_s}")
+                    last_arrival_s = arrival.arrival_s
                     arrived += 1
-                    push(nxt.arrival_s, _RANK_ARRIVAL, nxt)
 
             events_dispatched += 1
             dispatch_times.append(now)

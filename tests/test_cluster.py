@@ -21,9 +21,11 @@ from repro.cluster import (
     ReplicaNode,
     ReplicaSpec,
     RoundRobinRouter,
+    ShardRouter,
     make_scheduler,
+    run_sharded,
 )
-from repro.cluster.events import FAILURE, ONLINE, SCALE_UP
+from repro.cluster.events import DRAIN, FAILURE, ONLINE, SCALE_UP
 from repro.cluster.node import _Running
 from repro.engine.backend import parse_backend
 from repro.hardware.registry import get_platform
@@ -230,8 +232,9 @@ def _check_aggregates(node, name):
 @pytest.fixture
 def ledger_checked(monkeypatch):
     """Compare the counter to the recount after every node call, the
-    running-set aggregates to a scan, and check the open busy period
-    began at or before the clock.
+    running-set aggregates to a scan, check the open busy period began
+    at or before the clock, and that ``advance_to(h)`` left no
+    iteration starting before ``h``.
 
     Patches the class, so nodes a simulator builds are checked too.
     Returns the names of the calls checked, in order.
@@ -244,6 +247,11 @@ def ledger_checked(monkeypatch):
             assert node.outstanding_tokens == _recount(node), _name
             _check_aggregates(node, _name)
             assert node._busy_from <= node.clock, _name
+            if _name == "advance_to":
+                horizon = args[0] if args else kwargs.get("horizon")
+                upcoming = node.next_event_time()
+                assert upcoming is None or (horizon is not None
+                                            and upcoming >= horizon)
             checked.append(_name)
             return result
         monkeypatch.setattr(ReplicaNode, name, wrapper)
@@ -435,6 +443,115 @@ class TestBoundaryOnlyAdvance:
                    for span in tracer.trace.spans)
 
 
+def _window_node(exact=False, **kwargs):
+    node = ReplicaNode("spr-0", SPR, OPT, exact=exact, **kwargs)
+    node.submit(ArrivingRequest(0, 0.0, 64, 400))
+    return node
+
+
+def _boundaries(exact, count, **kwargs):
+    """The clock after each of the first *count* iterations of the lone
+    request :func:`_window_node` submits, stepped by advance()."""
+    node = _window_node(exact, **kwargs)
+    clocks = []
+    for _ in range(count):
+        node.advance()
+        clocks.append(node.clock)
+    return clocks
+
+
+class TestAdvanceWindow:
+    """advance_to coalesces exactly the iterations its window allows."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch, ledger_checked):
+        """The clock at the end of every coalesced run, in order."""
+        ends = []
+        fast_forward = ReplicaNode._fast_forward
+
+        def recorded(node, *args):
+            fast_forward(node, *args)
+            ends.append(node.clock)
+
+        monkeypatch.setattr(ReplicaNode, "_fast_forward", recorded)
+        return ends
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5])
+    def test_free_slot_stops_at_first_boundary_after_ready(self, runs,
+                                                           offset):
+        # The queue head is ready at r, on a boundary or mid-iteration:
+        # the first run ends at the first boundary at or after r, where
+        # the next iteration admits it.
+        admitted = {}
+        for exact in (False, True):
+            clocks = _boundaries(exact, 200, max_batch=2)
+            ready = clocks[49] + offset * (clocks[50] - clocks[49])
+            node = _window_node(exact, max_batch=2)
+            node.submit(ArrivingRequest(1, ready, 64, 400))
+            node.advance_to(clocks[150] + 1e-6)
+            boundary = clocks[49] if offset == 0.0 else clocks[50]
+            assert node.admission_stamps[1] == boundary
+            admitted[exact] = (boundary, node.clock, node.iterations)
+        assert runs[0] == admitted[False][0]
+        fast, exact = admitted[False], admitted[True]
+        assert fast[0] == pytest.approx(exact[0], rel=1e-9)
+        assert fast[1] == pytest.approx(exact[1], rel=1e-9)
+        assert fast[2] == exact[2]
+
+    def test_full_batch_runs_to_the_horizon(self, runs):
+        ended = {}
+        for exact in (False, True):
+            clocks = _boundaries(exact, 200, max_batch=1)
+            horizon = clocks[150] + 1e-6
+            node = _window_node(exact, max_batch=1)
+            node.submit(ArrivingRequest(1, clocks[49], 64, 400))
+            node.advance_to(horizon)
+            assert len(node.pending) == 1
+            assert node.clock == clocks[151]
+            ended[exact] = (node.clock, node.iterations)
+        # One run from the first decode step to the horizon, uncut by
+        # the queue head's readiness.
+        assert runs == [ended[False][0]]
+        assert ended[False][0] == pytest.approx(ended[True][0], rel=1e-9)
+        assert ended[False][1] == ended[True][1] == 152
+
+    def test_horizon_on_a_boundary_leaves_that_iteration(self, runs):
+        # Every boundary of the request's decode: the prefix sums the
+        # window counts steps with round differently from the clock, so
+        # some boundaries sit an ulp either side of their estimate.
+        ended = {}
+        for exact, picks in ((False, range(1, 396)), (True, (1, 99, 250))):
+            clocks = _boundaries(exact, 397)
+            for k in picks:
+                node = _window_node(exact)
+                node.advance_to(clocks[k])
+                # Iteration k + 2 starts at the horizon: the next call
+                # runs it.
+                assert node.iterations == k + 1, k
+                assert node.clock == clocks[k], k
+                node.advance_to(clocks[k + 1])
+                assert node.iterations == k + 2, k
+                ended[exact, k] = node.clock
+        for k in (1, 99, 250):
+            assert ended[False, k] == pytest.approx(ended[True, k],
+                                                    rel=1e-9)
+
+    def test_static_cohort_ignores_the_queue(self, runs):
+        ended = {}
+        for exact in (False, True):
+            clocks = _boundaries(exact, 200, policy="static")
+            node = _window_node(exact, policy="static")
+            # A slot is free, but a cohort admits only into an empty node.
+            node.submit(ArrivingRequest(1, clocks[49], 64, 400))
+            node.advance_to(clocks[150] + 1e-6)
+            assert len(node.pending) == 1
+            assert node.clock == clocks[151]
+            ended[exact] = (node.clock, node.iterations)
+        assert runs == [ended[False][0]]
+        assert ended[False][0] == pytest.approx(ended[True][0], rel=1e-9)
+        assert ended[False][1] == ended[True][1] == 152
+
+
 class TestSingleReplicaParity:
     """One replica through the event loop == run_continuous, exactly."""
 
@@ -606,6 +723,68 @@ class TestFailures:
             events=[NodeFailure(time_s=0.5, node="only")])
         with pytest.raises(RuntimeError, match="no routable replica"):
             simulator.run(arrivals)
+
+
+class TestEqualTimeOrdering:
+    """Scheduled events at an arrival's stamp dispatch before it."""
+
+    # Requests 1 and 2 share the stamp the failure and the drain land on.
+    STAMPS = (0.5, 1.0, 1.0, 1.5, 2.0)
+
+    def arrivals(self):
+        return [ArrivingRequest(i, stamp, 64, 400)
+                for i, stamp in enumerate(self.STAMPS)]
+
+    def test_events_dispatch_before_the_arrival(self, monkeypatch):
+        submitted = []
+        submit = ReplicaNode.submit
+
+        def recording_submit(node, request, ready_s=None):
+            submitted.append((node.name, request.request_id))
+            submit(node, request, ready_s)
+
+        monkeypatch.setattr(ReplicaNode, "submit", recording_submit)
+        nodes = [ReplicaNode(f"spr-{i}", SPR, OPT, max_batch=4)
+                 for i in range(3)]
+        # Least-tokens ties go in fleet order: were an arrival at 1.0
+        # routed first, it would land on the failing or draining node.
+        report = ClusterSimulator(
+            nodes, LeastOutstandingTokensRouter(),
+            events=[NodeFailure(1.0, "spr-0"), NodeDrain(1.0, "spr-1")],
+        ).run(self.arrivals())
+        assert [(e.kind, e.time_s, e.node) for e in report.cluster_events] \
+            == [(FAILURE, 1.0, "spr-0"), (DRAIN, 1.0, "spr-1")]
+        # Request 0, still decoding on spr-0 at 1.0, requeues as the
+        # failure dispatches, before the drain; arrivals come after both.
+        assert report.requeued_requests == 1
+        assert submitted == [("spr-0", 0), ("spr-1", 0), ("spr-2", 1),
+                             ("spr-2", 2), ("spr-2", 3), ("spr-2", 4)]
+        # One timeline entry per dispatch: arrival, failure, drain, the
+        # two arrivals sharing the stamp, then the rest.
+        assert [t for t, _depth in report.queue_depth_timeline] == \
+            [0.5, 1.0, 1.0, 1.0, 1.0, 1.5, 2.0]
+        assert len(report.completed) == len(self.STAMPS)
+
+    def test_sharded_reports_match_across_workers(self):
+        config = ClusterConfig([ReplicaSpec(SPR, OPT, count=4,
+                                            max_batch=4)])
+        names = config.replica_names()
+        # Replicas 0 and 1 sit in groups 0 and 1; requests 2 and 1,
+        # which share the events' stamp, door to those groups.
+        events = [NodeFailure(1.0, names[0]), NodeDrain(1.0, names[1])]
+        reports = [run_sharded(config,
+                               ShardRouter(2, LeastOutstandingTokensRouter),
+                               self.arrivals(), workers=workers,
+                               events=events)
+                   for workers in (1, 2)]
+        base, sharded = reports
+        assert base.completed == sharded.completed
+        assert base.makespan_s == sharded.makespan_s
+        assert base.queue_depth_timeline == sharded.queue_depth_timeline
+        assert base.cluster_events == sharded.cluster_events
+        assert base.node_stats == sharded.node_stats
+        assert base.requeued_requests == sharded.requeued_requests == 1
+        assert [e.node for e in base.cluster_events] == names[:2]
 
 
 class TestAutoscaler:
